@@ -60,7 +60,6 @@ from .localization import (
     localize_bistatic_batch,
     localize_monostatic,
     localize_monostatic_batch,
-    oracle_localize,
 )
 from .topology import (
     EntryType,

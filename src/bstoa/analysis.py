@@ -24,6 +24,7 @@ from .topology import (
     Kind,
     Topology,
     correlation_matrix,
+    entry_weights,
     unvec,
     vec,
     weighting_matrix,
@@ -75,13 +76,26 @@ def theoretical_mse_independent(
     """Refined-estimator MSE when noise is independent but not identical.
 
     ``sigmas_sq`` holds observation-level variances per subchannel; they are
-    divided by ``pilot_len`` internally.  Entry z of the result is the
-    weighted sum over source subchannels r:
+    divided by ``pilot_len`` internally into ``v``.  Entry z of the result
+    is the weighted sum over source subchannels r:
 
-        bistatic:    sum_r B[z, r]^2 sigma_r^2 / L
-        monostatic:  sum_r ((B[z, r] + B[zbar, r]) / 2)^2 sigma_r^2 / L
+        bistatic:    sum_r B[z, r]^2 v_r
+        monostatic:  sum_r ((B[z, r] + B[zbar, r]) / 2)^2 v_r
 
-    where zbar is the transposed position of z.
+    where zbar is the transposed position of z.  B takes one of four entry
+    weights by what r shares with z, so with row sums R, column sums C and
+    total S of ``v`` the bistatic sum is
+
+        w1^2 v + w2^2 (R_i - v) + w3^2 (C_j - v) + w4^2 (S - R_i - C_j + v).
+
+    For monostatic entry (i, j) the weight on source (k, l) is
+    ``u_k + u_l - 1/m^2`` with ``u = (e_i + e_j) / 2m``.  Expanding the
+    square with D = R + C gives
+
+        (D_i + D_j + 2 (v_ii + v_jj + v_ij + v_ji)) / 4m^2 + [i == j] D_i / 2m^2
+            - (D_i + D_j) / m^3 + S / m^4.
+
+    Both forms cost O(m n).
     """
     m, n = topo.m, topo.n
     sigmas_sq = np.asarray(sigmas_sq, dtype=np.float64)
@@ -93,15 +107,28 @@ def theoretical_mse_independent(
         raise ValueError("all subchannel variances must be >= 0")
     if pilot_len < 1:
         raise ValueError(f"pilot_len must be >= 1, got {pilot_len}")
-    b = weighting_matrix(correlation_matrix(topo))
+    v = sigmas_sq / pilot_len
+    rows = v.sum(axis=1)[:, None]
+    cols = v.sum(axis=0)[None, :]
+    total = v.sum()
     if topo.kind is Kind.MONOSTATIC:
-        flat = np.arange(m * n)
-        zbar = (flat // m) + (flat % m) * m
-        weights = 0.5 * (b + b[zbar, :])
+        d = rows + cols.T
+        diag = np.diag(v)[:, None]
+        pairs = d + d.T
+        per_entry = (
+            (pairs + 2.0 * (diag + diag.T + v + v.T)) / (4.0 * m**2)
+            + np.diagflat(d) / (2.0 * m**2)
+            - pairs / m**3
+            + total / m**4
+        )
     else:
-        weights = b
-    estimate_vars = vec(sigmas_sq) / pilot_len
-    per_entry = unvec((weights**2) @ estimate_vars, m, n)
+        w1, w2, w3, w4 = entry_weights(topo)
+        per_entry = (
+            w1**2 * v
+            + w2**2 * (rows - v)
+            + w3**2 * (cols - v)
+            + w4**2 * (total - rows - cols + v)
+        )
     return MseReport(per_entry_mse=per_entry)
 
 

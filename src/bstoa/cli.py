@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 bad configuration or input, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -93,8 +94,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     obs = ObservationBlock(y=y, pilot_len=y.shape[0] // topo.m)
     t_hat = ls_estimate(obs, topo)
     if args.method == "proposed":
-        b = weighting_matrix(correlation_matrix(topo))
-        t_hat = refine_estimate(t_hat, topo, b)
+        t_hat = refine_estimate(t_hat, topo)
     _print_matrix(t_hat)
     return 0
 
@@ -120,8 +120,7 @@ def _cmd_localize(args: argparse.Namespace) -> int:
             f"{scene.topo.m}x{scene.topo.n}"
         )
     if args.method == "proposed":
-        b = weighting_matrix(correlation_matrix(scene.topo))
-        t = refine_estimate(t, scene.topo, b)
+        t = refine_estimate(t, scene.topo)
     if scene.topo.kind is Kind.MONOSTATIC:
         fix = localize_monostatic(t, scene.tx, delta=scene.delta)
     else:
@@ -134,17 +133,7 @@ def _cmd_localize(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg = type(cfg)(
-            experiment=cfg.experiment,
-            kind=cfg.kind,
-            m=cfg.m,
-            n=cfg.n,
-            pilot_lengths=cfg.pilot_lengths,
-            sigma_grid=cfg.sigma_grid,
-            trials=cfg.trials,
-            cube_side=cfg.cube_side,
-            master_seed=args.seed,
-        )
+        cfg = dataclasses.replace(cfg, master_seed=args.seed)
     result = run_sweep(cfg, workers=args.workers)
     result.write_csv(args.out)
     return 0

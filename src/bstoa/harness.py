@@ -20,6 +20,7 @@ localization, crlb), ``kind`` (bistatic, monostatic), ``m``, ``n``,
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -33,7 +34,7 @@ from .channel import random_scene, stream_rng, synth_observations, true_delays
 from .errors import ConfigInvalid, UnderDetermined
 from .estimator import ls_estimate, refine_estimate
 from .localization import localize_bistatic_batch, localize_monostatic_batch
-from .topology import Kind, Topology, correlation_matrix, vec, weighting_matrix
+from .topology import Kind, Topology
 
 CHUNK_TRIALS = 512
 LOW_CONFIDENCE_TRIALS = 1000
@@ -69,16 +70,16 @@ class SweepConfig:
             raise ConfigInvalid(str(exc)) from exc
         if self.trials < 1:
             raise ConfigInvalid(f"trials must be >= 1, got {self.trials}")
-        if self.cube_side <= 0.0:
-            raise ConfigInvalid(f"cube_side must be > 0, got {self.cube_side}")
+        if not (math.isfinite(self.cube_side) and self.cube_side > 0.0):
+            raise ConfigInvalid(f"cube_side must be finite and > 0, got {self.cube_side}")
         if not self.pilot_lengths:
             raise ConfigInvalid("pilot_lengths must not be empty")
         if any(length < 1 for length in self.pilot_lengths):
             raise ConfigInvalid(f"pilot lengths must be >= 1, got {self.pilot_lengths}")
         if not self.sigma_grid:
             raise ConfigInvalid("sigma_grid must not be empty")
-        if any(s <= 0.0 for s in self.sigma_grid):
-            raise ConfigInvalid("sigma grid values must be > 0")
+        if not all(math.isfinite(s) and s > 0.0 for s in self.sigma_grid):
+            raise ConfigInvalid(f"sigma grid values must be finite and > 0, got {self.sigma_grid}")
         if any(b <= a for a, b in zip(self.sigma_grid, self.sigma_grid[1:])):
             raise ConfigInvalid("sigma grid must be strictly ascending")
 
@@ -246,70 +247,56 @@ def _reduce_by_point(tasks, results) -> dict[int, dict]:
     return accumulated
 
 
-def _run_trial(cfg: SweepConfig, task: _ChunkTask, b: np.ndarray, trial: int):
-    """One Monte-Carlo realization: fresh scene, noisy pilots, both
-    estimates.  Returns (scene, truth, ls estimate, refined estimate)."""
-    rng = stream_rng(cfg.master_seed, task.point_index * cfg.trials + trial)
-    scene = random_scene(cfg.topology, cfg.cube_side, rng)
-    tmat = true_delays(scene)
-    obs = synth_observations(tmat, task.pilot_len, task.sigma, rng)
-    t_hat = ls_estimate(obs, cfg.topology)
-    t_ref = refine_estimate(t_hat, cfg.topology, b)
-    return scene, tmat, t_hat, t_ref
+def _simulate_chunk(task: _ChunkTask):
+    """Draw and estimate the chunk's trials as one batch.
 
-
-def _run_mse_chunk(task: _ChunkTask) -> dict:
+    Trial i draws a fresh scene, then its noisy pilots, from counter stream
+    ``point_index * trials + i``; the least squares estimates are stacked
+    and refined in one ``(T, m, n)`` call.  Returns the stacked transmitter,
+    receiver and tag positions, true delays, LS and refined estimates.
+    """
     cfg = task.cfg
     topo = cfg.topology
-    b = weighting_matrix(correlation_matrix(topo))
-    sum_ls = np.zeros((topo.m, topo.n))
-    sum_ref = np.zeros((topo.m, topo.n))
-    for trial in range(task.start, task.stop):
-        _, tmat, t_hat, t_ref = _run_trial(cfg, task, b, trial)
-        err_ls = t_hat - tmat
-        err_ref = t_ref - tmat
-        sum_ls += err_ls * err_ls
-        sum_ref += err_ref * err_ref
-    return {"sq_ls": sum_ls, "sq_proposed": sum_ref}
-
-
-def _run_crlb_chunk(task: _ChunkTask) -> dict:
-    cfg = task.cfg
-    topo = cfg.topology
-    b = weighting_matrix(correlation_matrix(topo))
-    if topo.kind is Kind.BISTATIC:
-        cov = np.zeros((topo.mn, topo.mn))
-        for trial in range(task.start, task.stop):
-            _, tmat, _, t_ref = _run_trial(cfg, task, b, trial)
-            err = vec(t_ref - tmat)
-            cov += np.outer(err, err)
-        return {"cov_proposed": cov}
-    sum_ref = np.zeros((topo.m, topo.n))
-    for trial in range(task.start, task.stop):
-        _, tmat, _, t_ref = _run_trial(cfg, task, b, trial)
-        err = t_ref - tmat
-        sum_ref += err * err
-    return {"sq_proposed": sum_ref}
-
-
-def _run_loc_chunk(task: _ChunkTask) -> dict:
-    cfg = task.cfg
-    topo = cfg.topology
-    b = weighting_matrix(correlation_matrix(topo))
     count = task.stop - task.start
     txs = np.empty((count, topo.m, 3))
     rxs = np.empty((count, topo.n, 3))
     tags = np.empty((count, 3))
+    truths = np.empty((count, topo.m, topo.n))
     t_hats = np.empty((count, topo.m, topo.n))
-    t_refs = np.empty((count, topo.m, topo.n))
     for offset, trial in enumerate(range(task.start, task.stop)):
-        scene, _, t_hat, t_ref = _run_trial(cfg, task, b, trial)
+        rng = stream_rng(cfg.master_seed, task.point_index * cfg.trials + trial)
+        scene = random_scene(topo, cfg.cube_side, rng)
+        truths[offset] = true_delays(scene)
+        obs = synth_observations(truths[offset], task.pilot_len, task.sigma, rng)
         txs[offset] = scene.tx
         rxs[offset] = scene.rx
         tags[offset] = scene.tag
-        t_hats[offset] = t_hat
-        t_refs[offset] = t_ref
-    if topo.kind is Kind.BISTATIC:
+        t_hats[offset] = ls_estimate(obs, topo)
+    return txs, rxs, tags, truths, t_hats, refine_estimate(t_hats, topo)
+
+
+def _squares(err: np.ndarray) -> np.ndarray:
+    return (err * err).sum(axis=0)
+
+
+def _run_mse_chunk(task: _ChunkTask) -> dict:
+    _, _, _, truths, t_hats, t_refs = _simulate_chunk(task)
+    return {"sq_ls": _squares(t_hats - truths), "sq_proposed": _squares(t_refs - truths)}
+
+
+def _run_crlb_chunk(task: _ChunkTask) -> dict:
+    _, _, _, truths, _, t_refs = _simulate_chunk(task)
+    err = t_refs - truths
+    if task.cfg.kind is Kind.BISTATIC:
+        # Column-major vec of each trial's error, one row per trial.
+        flat = err.transpose(0, 2, 1).reshape(len(err), -1)
+        return {"cov_proposed": flat.T @ flat}
+    return {"sq_proposed": _squares(err)}
+
+
+def _run_loc_chunk(task: _ChunkTask) -> dict:
+    txs, rxs, tags, _, t_hats, t_refs = _simulate_chunk(task)
+    if task.cfg.kind is Kind.BISTATIC:
         p_ls, _, _ = localize_bistatic_batch(t_hats, txs, rxs)
         p_ref, _, _ = localize_bistatic_batch(t_refs, txs, rxs)
     else:

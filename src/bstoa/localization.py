@@ -382,37 +382,3 @@ def localize_monostatic(
     return PositionFix(
         position=p[0], residual_norm=float(fnorm[0]), iterations=int(iterations[0])
     )
-
-
-def oracle_localize(
-    t: np.ndarray,
-    tx: np.ndarray,
-    rx: np.ndarray,
-    delta: float,
-    grid_step: float,
-    bounds: tuple[np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """Exhaustive grid minimizer of the bistatic range-sum residual.
-
-    Test oracle: scans an axis-aligned box at ``grid_step`` resolution and
-    returns the best grid point.  Intended for small boxes or coarse steps.
-    """
-    if grid_step <= 0.0:
-        raise ValueError(f"grid_step must be > 0, got {grid_step}")
-    t = np.asarray(t, dtype=np.float64)
-    tx = np.asarray(tx, dtype=np.float64)
-    rx = np.asarray(rx, dtype=np.float64)
-    lo = np.asarray(bounds[0], dtype=np.float64)
-    hi = np.asarray(bounds[1], dtype=np.float64)
-    k = SPEED_OF_LIGHT * (t - delta)
-    axes = [np.arange(lo[d], hi[d] + 0.5 * grid_step, grid_step) for d in range(3)]
-    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-    grid = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-    da = np.sqrt(((grid[:, None, :] - tx[None, :, :]) ** 2).sum(axis=2))
-    db = np.sqrt(((grid[:, None, :] - rx[None, :, :]) ** 2).sum(axis=2))
-    total = np.zeros(grid.shape[0])
-    for i in range(tx.shape[0]):
-        for j in range(rx.shape[0]):
-            d = k[i, j] - da[:, i] - db[:, j]
-            total += d * d
-    return grid[int(np.argmin(total))]

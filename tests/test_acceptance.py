@@ -61,7 +61,6 @@ class MonteCarlo:
 
 def _run_monte_carlo(topo: Topology, sigma: float, pilot_len: int, trials: int,
                      master_seed: int) -> MonteCarlo:
-    b = weighting_matrix(correlation_matrix(topo))
     errors_ls = np.empty((trials, topo.mn))
     errors_refined = np.empty((trials, topo.mn))
     for trial in range(trials):
@@ -70,7 +69,7 @@ def _run_monte_carlo(topo: Topology, sigma: float, pilot_len: int, trials: int,
         tmat = true_delays(scene)
         obs = synth_observations(tmat, pilot_len, sigma, rng)
         t_hat = ls_estimate(obs, topo)
-        t_ref = refine_estimate(t_hat, topo, b)
+        t_ref = refine_estimate(t_hat, topo)
         errors_ls[trial] = vec(t_hat - tmat)
         errors_refined[trial] = vec(t_ref - tmat)
     return MonteCarlo(topo, sigma, pilot_len, errors_ls, errors_refined)

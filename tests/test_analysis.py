@@ -12,7 +12,7 @@ from bstoa.analysis import (
 )
 from bstoa.channel import stream_rng
 from bstoa.errors import DimensionMismatch, EmptyInput, WrongTopology
-from bstoa.topology import Topology, correlation_matrix, unvec, weighting_matrix
+from bstoa.topology import Kind, Topology, correlation_matrix, unvec, vec, weighting_matrix
 
 
 def test_iid_mse_bistatic_4x3():
@@ -63,6 +63,30 @@ def test_independent_mse_scaling_by_pilot_length():
     by_one = theoretical_mse_independent(topo, sigmas_sq, 1)
     by_four = theoretical_mse_independent(topo, sigmas_sq, 4)
     assert np.abs(by_one.per_entry_mse - 4.0 * by_four.per_entry_mse).max() < 1e-14
+
+
+def _dense_independent_mse(topo, sigmas_sq, pilot_len):
+    """Reference: weights from the dense projector B, squared and applied
+    to the estimate-level variances."""
+    m, n = topo.m, topo.n
+    b = weighting_matrix(correlation_matrix(topo))
+    if topo.kind is Kind.MONOSTATIC:
+        flat = np.arange(m * n)
+        zbar = (flat // m) + (flat % m) * m
+        b = 0.5 * (b + b[zbar, :])
+    return unvec((b**2) @ (vec(sigmas_sq) / pilot_len), m, n)
+
+
+def test_independent_mse_matches_dense_formula():
+    rng = stream_rng(31, 0)
+    for m in range(1, 8):
+        topologies = [Topology.bistatic(m, n) for n in range(1, 8)]
+        topologies.append(Topology.monostatic(m))
+        for topo in topologies:
+            sigmas_sq = rng.uniform(0.1, 4.0, size=(topo.m, topo.n)) * 1e-18
+            got = theoretical_mse_independent(topo, sigmas_sq, 3).per_entry_mse
+            expected = _dense_independent_mse(topo, sigmas_sq, 3)
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max(), topo
 
 
 def test_independent_mse_shape_check():

@@ -1,6 +1,7 @@
 """Command line interface tests."""
 
 import numpy as np
+import pytest
 
 from bstoa.channel import Scene, random_scene, stream_rng, synth_observations, true_delays
 from bstoa.cli import main
@@ -152,6 +153,17 @@ def test_sweep_cli_bad_config_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", "--config", str(config), "--out", str(tmp_path / "x.csv"))
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("line", ["sigma_grid = nan", "cube_side = inf"])
+def test_sweep_cli_non_finite_config_exit_code(tmp_path, capsys, line):
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"experiment = mse\nkind = bistatic\nm = 2\ntrials = 4\n{line}\n")
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(capsys, "sweep", "--config", str(config), "--out", str(out))
+    assert code == 2
+    assert "error" in err
+    assert not out.exists()
 
 
 def test_sweep_cli_missing_config_exit_code(tmp_path, capsys):

@@ -15,10 +15,13 @@ from bstoa.estimator import (
     decompose_delays,
     full_estimate,
     ls_estimate,
+    _constraint_residual,
     refine_bistatic,
+    refine_estimate,
     refine_monostatic,
 )
 from bstoa.topology import (
+    Kind,
     Topology,
     correlation_matrix,
     unvec,
@@ -47,7 +50,7 @@ def test_ls_estimate_noiseless_recovers_truth():
 
 
 def test_ls_estimate_matches_normal_equations_oracle():
-    """Block means equal (S^T S)^-1 S^T y for S = I \otimes ones(L, 1)."""
+    r"""Block means equal (S^T S)^-1 S^T y for S = I \otimes ones(L, 1)."""
     topo = Topology.bistatic(2, 2)
     length = 4
     rng = stream_rng(17, 0)
@@ -81,32 +84,29 @@ def test_refine_matches_kkt_oracle():
     kkt = np.block([[s.T @ s, a.T], [a, np.zeros((k, k))]])
     rhs = np.concatenate([s.T @ y_vec, np.zeros(k)])
     oracle = np.linalg.solve(kkt, rhs)[: topo.mn]
-    refined = refine_bistatic(ls_estimate(obs, topo), _b(topo))
+    refined = refine_bistatic(ls_estimate(obs, topo))
     assert np.abs(vec(refined) - oracle).max() < 1e-12 * np.abs(oracle).max()
 
 
 def test_refine_bistatic_unit_vector():
     # First column of the 2x2 projector, frozen from the pattern.
-    topo = Topology.bistatic(2, 2)
     t_hat = unvec(np.array([1.0, 0.0, 0.0, 0.0]), 2, 2)
-    refined = refine_bistatic(t_hat, _b(topo))
+    refined = refine_bistatic(t_hat)
     assert np.abs(vec(refined) - np.array([0.75, 0.25, 0.25, -0.25])).max() < 1e-14
 
 
 def test_refine_bistatic_fixes_constraint_satisfying_input():
     topo = Topology.bistatic(4, 3)
     t = true_delays(random_scene(topo, 10.0, stream_rng(21, 0)))
-    refined = refine_bistatic(t, _b(topo))
+    refined = refine_bistatic(t)
     assert np.abs(refined - t).max() < 1e-12 * np.abs(t).max()
 
 
 def test_refine_bistatic_idempotent():
-    topo = Topology.bistatic(3, 3)
-    b = _b(topo)
     rng = stream_rng(21, 1)
     noisy = rng.normal(size=(3, 3))
-    once = refine_bistatic(noisy, b)
-    twice = refine_bistatic(once, b)
+    once = refine_bistatic(noisy)
+    twice = refine_bistatic(once)
     assert np.abs(twice - once).max() < 1e-12
 
 
@@ -114,14 +114,13 @@ def test_refine_bistatic_result_satisfies_constraint():
     topo = Topology.bistatic(4, 3)
     a = correlation_matrix(topo).astype(float)
     noisy = stream_rng(21, 2).normal(size=(4, 3))
-    refined = refine_bistatic(noisy, _b(topo))
+    refined = refine_bistatic(noisy)
     assert np.abs(a @ vec(refined)).max() < 1e-9 * max(1.0, np.abs(refined).max())
 
 
 def test_refine_monostatic_hand_example():
-    topo = Topology.monostatic(2)
     t_hat = unvec(np.array([1.0, 0.0, 0.0, 0.0]), 2, 2)
-    refined = refine_monostatic(t_hat, _b(topo))
+    refined = refine_monostatic(t_hat)
     # Projection gives [[3/4, 1/4], [1/4, -1/4]]; already symmetric.
     assert np.abs(refined - np.array([[0.75, 0.25], [0.25, -0.25]])).max() < 1e-14
 
@@ -130,7 +129,7 @@ def test_refine_monostatic_symmetric_and_constrained():
     topo = Topology.monostatic(4)
     a = correlation_matrix(topo).astype(float)
     noisy = stream_rng(21, 3).normal(size=(4, 4))
-    refined = refine_monostatic(noisy, _b(topo))
+    refined = refine_monostatic(noisy)
     assert np.array_equal(refined, refined.T)
     assert np.abs(a @ vec(refined)).max() < 1e-9 * max(1.0, np.abs(refined).max())
 
@@ -138,16 +137,60 @@ def test_refine_monostatic_symmetric_and_constrained():
 def test_refine_monostatic_fixed_point():
     topo = Topology.monostatic(3)
     t = true_delays(random_scene(topo, 10.0, stream_rng(21, 4)))
-    refined = refine_monostatic(t, _b(topo))
+    refined = refine_monostatic(t)
     assert np.abs(refined - t).max() < 1e-12 * np.abs(t).max()
 
 
 def test_refine_dimension_checks():
-    topo = Topology.bistatic(2, 2)
     with pytest.raises(DimensionMismatch):
-        refine_bistatic(np.zeros((2, 3)), _b(topo))
+        refine_bistatic(np.zeros(3))
     with pytest.raises(DimensionMismatch):
-        refine_monostatic(np.zeros((2, 3)), _b(topo))
+        refine_monostatic(np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatch):
+        refine_estimate(np.zeros((2, 3)), Topology.bistatic(3, 2))
+
+
+def _dense_refine(t, topo):
+    """Reference refinement through the dense projector B."""
+    refined = unvec(_b(topo) @ vec(t), topo.m, topo.n)
+    if topo.kind is Kind.MONOSTATIC:
+        refined = 0.5 * (refined + refined.T)
+    return refined
+
+
+def _small_topologies():
+    for m in range(1, 9):
+        for n in range(1, 9):
+            yield Topology.bistatic(m, n)
+        yield Topology.monostatic(m)
+
+
+def test_closed_form_refine_matches_dense_projector():
+    rng = stream_rng(22, 0)
+    for topo in _small_topologies():
+        t = rng.normal(size=(topo.m, topo.n))
+        expected = _dense_refine(t, topo)
+        got = refine_estimate(t, topo)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max(), topo
+
+
+def test_refine_batch_equals_per_slice():
+    rng = stream_rng(22, 1)
+    for topo in (Topology.bistatic(4, 3), Topology.bistatic(1, 5), Topology.monostatic(4)):
+        batch = rng.normal(size=(2, 3, topo.m, topo.n))
+        refined = refine_estimate(batch, topo)
+        assert refined.shape == batch.shape
+        for index in np.ndindex(2, 3):
+            assert np.array_equal(refined[index], refine_estimate(batch[index], topo))
+
+
+def test_constraint_residual_matches_dense_rows():
+    rng = stream_rng(22, 2)
+    for topo in _small_topologies():
+        t = rng.normal(size=(topo.m, topo.n))
+        a = correlation_matrix(topo).astype(float)
+        expected = np.abs(a @ vec(t)).max() if a.shape[0] else 0.0
+        assert _constraint_residual(t) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_full_estimate_report():

@@ -4,19 +4,24 @@ import numpy as np
 import pytest
 
 from bstoa.analysis import theoretical_mse_iid
+from bstoa.channel import random_scene, stream_rng, synth_observations, true_delays
 from bstoa.errors import ConfigInvalid, UnderDetermined
+from bstoa.estimator import ls_estimate
 from bstoa.harness import (
     DEFAULT_PILOT_LENGTHS,
     DEFAULT_SIGMA_GRID,
     ExperimentKind,
     SweepConfig,
+    _chunk_tasks,
+    _run_crlb_chunk,
+    _run_mse_chunk,
     parse_config,
     run_crlb_check,
     run_localization_sweep,
     run_mse_sweep,
     run_sweep,
 )
-from bstoa.topology import Kind, Topology
+from bstoa.topology import Kind, Topology, correlation_matrix, unvec, vec, weighting_matrix
 
 
 def _cfg(**overrides):
@@ -81,6 +86,10 @@ def test_parse_config_defaults():
         "experiment = mse\nkind = bistatic\nm = 2\nsigma_grid = 2e-9, 1e-9\n",
         "experiment = mse\nkind = bistatic\nm = 2\nsigma_grid = 0, 1e-9\n",
         "experiment = mse\nkind = bistatic\nm = 2\npilot_lengths = 0\n",
+        "experiment = mse\nkind = bistatic\nm = 2\nsigma_grid = nan\n",
+        "experiment = mse\nkind = bistatic\nm = 2\nsigma_grid = 1e-9, inf\n",
+        "experiment = mse\nkind = bistatic\nm = 2\ncube_side = inf\n",
+        "experiment = mse\nkind = bistatic\nm = 2\ncube_side = nan\n",
     ],
 )
 def test_parse_config_rejects(text):
@@ -171,6 +180,31 @@ def test_localization_sweep_rows():
     rows = run_localization_sweep(cfg, workers=1).rows
     assert {(r.method, r.metric) for r in rows} == {("ls", "rmse"), ("proposed", "rmse")}
     assert all(r.theory is None for r in rows)
+
+
+def test_chunk_matches_per_trial_reference():
+    """A batched chunk reproduces a per-trial loop over the same streams,
+    refined through the dense projector B."""
+    cfg = _cfg(experiment=ExperimentKind.CRLB, m=3, n=2, trials=40)
+    topo = cfg.topology
+    b = weighting_matrix(correlation_matrix(topo))
+    task = _chunk_tasks(cfg)[1]
+    sq_ls = np.zeros((topo.m, topo.n))
+    sq_ref = np.zeros((topo.m, topo.n))
+    cov = np.zeros((topo.mn, topo.mn))
+    for trial in range(task.start, task.stop):
+        rng = stream_rng(cfg.master_seed, task.point_index * cfg.trials + trial)
+        truth = true_delays(random_scene(topo, cfg.cube_side, rng))
+        t_hat = ls_estimate(synth_observations(truth, task.pilot_len, task.sigma, rng), topo)
+        err_ref = b @ vec(t_hat) - vec(truth)
+        sq_ls += (t_hat - truth) ** 2
+        sq_ref += unvec(err_ref**2, topo.m, topo.n)
+        cov += np.outer(err_ref, err_ref)
+    mse = _run_mse_chunk(task)
+    crlb = _run_crlb_chunk(task)
+    assert np.abs(mse["sq_ls"] - sq_ls).max() <= 1e-12 * sq_ls.max()
+    assert np.abs(mse["sq_proposed"] - sq_ref).max() <= 1e-12 * sq_ref.max()
+    assert np.abs(crlb["cov_proposed"] - cov).max() <= 1e-12 * np.abs(cov).max()
 
 
 def test_sweep_determinism_same_config():
