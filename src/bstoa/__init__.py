@@ -28,6 +28,7 @@ from .errors import (
     DimensionMismatch,
     EmptyInput,
     IndexOutOfRange,
+    NonFiniteInput,
     SingularGeometry,
     SingularSystem,
     UnderDetermined,
@@ -49,9 +50,6 @@ from .harness import (
     SweepRow,
     load_config,
     parse_config,
-    run_crlb_check,
-    run_localization_sweep,
-    run_mse_sweep,
     run_sweep,
 )
 from .localization import (

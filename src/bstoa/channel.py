@@ -12,11 +12,12 @@ delay matrix is symmetric with diagonal ``delta + 2 |tx_i - tag| / c``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteInput
 from .topology import Kind, Topology
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact SI value
@@ -91,6 +92,11 @@ class Scene:
 
     @classmethod
     def from_text(cls, text: str) -> "Scene":
+        """Parse a ``to_text`` record.
+
+        Raises:
+            NonFiniteInput: if a coordinate or ``delta`` is NaN or inf.
+        """
         fields: dict[str, str] = {}
         for raw in text.splitlines():
             line = raw.strip()
@@ -102,8 +108,14 @@ class Scene:
         m, n = int(fields["m"]), int(fields["n"])
         topo = Topology(kind, m, n)
 
+        def number(text: str) -> float:
+            value = float(text)
+            if not math.isfinite(value):
+                raise NonFiniteInput(f"scene value {text.strip()!r} is not finite")
+            return value
+
         def triple(key: str) -> list[float]:
-            return [float(x) for x in fields[key].split(",")]
+            return [number(x) for x in fields[key].split(",")]
 
         tx = np.array([triple(f"tx{i}") for i in range(m)])
         rx = None
@@ -114,7 +126,7 @@ class Scene:
             tx=tx,
             rx=rx,
             tag=np.array(triple("tag")),
-            delta=float(fields.get("delta", "0.0")),
+            delta=number(fields.get("delta", "0.0")),
         )
 
 

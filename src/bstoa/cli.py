@@ -27,6 +27,7 @@ from .errors import (
     DimensionMismatch,
     EmptyInput,
     IndexOutOfRange,
+    NonFiniteInput,
     SingularGeometry,
     SingularSystem,
     UnderDetermined,
@@ -87,6 +88,8 @@ def _cmd_gen_matrix(args: argparse.Namespace) -> int:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     topo = _topology_from_args(args)
     y = np.loadtxt(args.input, delimiter=",", ndmin=2)
+    if not np.isfinite(y).all():
+        raise NonFiniteInput(f"observations in {args.input} must be finite")
     if y.shape[0] % topo.m != 0:
         raise DimensionMismatch(
             f"{y.shape[0]} observation rows are not a multiple of m={topo.m}"

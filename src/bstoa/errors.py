@@ -39,3 +39,7 @@ class UnderDetermined(BstoaError, ValueError):
 
 class SingularGeometry(BstoaError, ArithmeticError):
     """Anchor placement is degenerate; the fix is not unique."""
+
+
+class NonFiniteInput(BstoaError, ValueError):
+    """Input holds NaN or infinite values."""

@@ -11,8 +11,12 @@ stream ``k * trials + i`` of the master seed, trials are processed in fixed
 chunks, and chunk partials are reduced in chunk order, so output bytes do
 not depend on the number of worker processes.
 
+``run_sweep`` is the entry point: it runs any of the three experiments
+(estimator MSE, localization RMSE, CRLB check) through the same chunked
+protocol and builds the rows from the per-point sums.
+
 Config files are flat ``key = value`` text; lists are comma-separated.
-Recognized keys mirror the SweepConfig fields: ``experiment`` (mse,
+Recognized keys are the SweepConfig fields: ``experiment`` (mse,
 localization, crlb), ``kind`` (bistatic, monostatic), ``m``, ``n``,
 ``pilot_lengths``, ``sigma_grid``, ``trials``, ``cube_side``,
 ``master_seed``.
@@ -92,21 +96,29 @@ class SweepConfig:
         return [(s, length) for s in self.sigma_grid for length in self.pilot_lengths]
 
 
-_CONFIG_KEYS = {
-    "experiment",
-    "kind",
-    "m",
-    "n",
-    "pilot_lengths",
-    "sigma_grid",
-    "trials",
-    "cube_side",
-    "master_seed",
+def _list_of(conv: Callable) -> Callable[[str], tuple]:
+    return lambda value: tuple(conv(x.strip()) for x in value.split(",") if x.strip())
+
+
+# Config key -> converter from its text; the keys are the SweepConfig fields.
+_CONFIG_FIELDS: dict[str, Callable[[str], object]] = {
+    "experiment": ExperimentKind,
+    "kind": Kind,
+    "m": int,
+    "n": int,
+    "pilot_lengths": _list_of(int),
+    "sigma_grid": _list_of(float),
+    "trials": int,
+    "cube_side": float,
+    "master_seed": int,
 }
 
 
 def parse_config(text: str) -> SweepConfig:
-    """Parse the flat key = value config format."""
+    """Parse the flat key = value config format.
+
+    Absent keys take the SweepConfig defaults; ``n`` defaults to ``m``.
+    """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -116,7 +128,7 @@ def parse_config(text: str) -> SweepConfig:
         if not sep:
             raise ConfigInvalid(f"line {lineno}: expected key = value, got {stripped!r}")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_FIELDS:
             raise ConfigInvalid(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise ConfigInvalid(f"line {lineno}: duplicate key {key!r}")
@@ -125,42 +137,14 @@ def parse_config(text: str) -> SweepConfig:
     for required in ("experiment", "kind", "m"):
         if required not in raw:
             raise ConfigInvalid(f"missing required key {required!r}")
-    try:
-        experiment = ExperimentKind(raw["experiment"])
-    except ValueError as exc:
-        raise ConfigInvalid(f"unknown experiment {raw['experiment']!r}") from exc
-    try:
-        kind = Kind(raw["kind"])
-    except ValueError as exc:
-        raise ConfigInvalid(f"unknown topology kind {raw['kind']!r}") from exc
-
-    def parse(key: str, conv: Callable, default):
-        if key not in raw:
-            return default
+    values = {}
+    for key, value in raw.items():
         try:
-            return conv(raw[key])
+            values[key] = _CONFIG_FIELDS[key](value)
         except ValueError as exc:
-            raise ConfigInvalid(f"bad value for {key!r}: {raw[key]!r}") from exc
-
-    def int_list(value: str) -> tuple[int, ...]:
-        return tuple(int(x.strip()) for x in value.split(",") if x.strip())
-
-    def float_list(value: str) -> tuple[float, ...]:
-        return tuple(float(x.strip()) for x in value.split(",") if x.strip())
-
-    m = parse("m", int, None)
-    n = parse("n", int, m)
-    return SweepConfig(
-        experiment=experiment,
-        kind=kind,
-        m=m,
-        n=n,
-        pilot_lengths=parse("pilot_lengths", int_list, DEFAULT_PILOT_LENGTHS),
-        sigma_grid=parse("sigma_grid", float_list, DEFAULT_SIGMA_GRID),
-        trials=parse("trials", int, 10_000),
-        cube_side=parse("cube_side", float, 10.0),
-        master_seed=parse("master_seed", int, 0),
-    )
+            raise ConfigInvalid(f"bad value for {key!r}: {value!r}") from exc
+    values.setdefault("n", values["m"])
+    return SweepConfig(**values)
 
 
 def load_config(path: str) -> SweepConfig:
@@ -313,84 +297,32 @@ def _offdiag_mean(matrix: np.ndarray) -> float:
     return float((matrix.sum() - np.trace(matrix)) / (m * m - m))
 
 
-def run_mse_sweep(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
-    """Empirical versus theoretical estimator MSE over the grid.
+def _mse_rows(cfg: SweepConfig, sigma: float, pilot_len: int, sums: dict):
+    """Empirical versus theoretical estimator MSE.
 
     Bistatic points emit one ``mse`` row per method (mean over entries);
     monostatic points emit ``diag_mse`` and ``offdiag_mse`` rows.
     """
-    if cfg.experiment is not ExperimentKind.MSE:
-        raise ConfigInvalid(f"config is for {cfg.experiment.value!r}, not 'mse'")
     topo = cfg.topology
-    tasks = _chunk_tasks(cfg)
-    by_point = _reduce_by_point(tasks, _execute(tasks, _run_mse_chunk, workers))
-    flag = int(cfg.trials < LOW_CONFIDENCE_TRIALS)
-    result = SweepResult(config=cfg)
-    for point_index, (sigma, pilot_len) in enumerate(cfg.grid_points):
-        sums = by_point[point_index]
-        sigma0_sq = sigma**2 / pilot_len
-        theory_ref = analysis.theoretical_mse_iid(topo, sigma0_sq).per_entry_mse
-        per_entry = {
-            "ls": sums["sq_ls"] / cfg.trials,
-            "proposed": sums["sq_proposed"] / cfg.trials,
-        }
-        theory = {"ls": np.full_like(theory_ref, sigma0_sq), "proposed": theory_ref}
-        for method in ("ls", "proposed"):
-            if topo.kind is Kind.MONOSTATIC and topo.m > 1:
-                result.rows.append(
-                    SweepRow(
-                        sigma, pilot_len, method, "diag_mse",
-                        float(np.trace(per_entry[method]) / topo.m),
-                        float(theory[method][0, 0]), flag,
-                    )
-                )
-                result.rows.append(
-                    SweepRow(
-                        sigma, pilot_len, method, "offdiag_mse",
-                        _offdiag_mean(per_entry[method]),
-                        float(theory[method][0, 1]), flag,
-                    )
-                )
-            else:
-                result.rows.append(
-                    SweepRow(
-                        sigma, pilot_len, method, "mse",
-                        float(per_entry[method].mean()),
-                        float(theory[method][0, 0]), flag,
-                    )
-                )
-    return result
+    sigma0_sq = sigma**2 / pilot_len
+    theory = analysis.theoretical_mse_iid(topo, sigma0_sq).per_entry_mse
+    for method, ref in (("ls", np.full_like(theory, sigma0_sq)), ("proposed", theory)):
+        mse = sums[f"sq_{method}"] / cfg.trials
+        if topo.kind is Kind.MONOSTATIC and topo.m > 1:
+            yield method, "diag_mse", float(np.trace(mse) / topo.m), float(ref[0, 0])
+            yield method, "offdiag_mse", _offdiag_mean(mse), float(ref[0, 1])
+        else:
+            yield method, "mse", float(mse.mean()), float(ref[0, 0])
 
 
-def run_localization_sweep(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
-    """Positioning RMSE over the grid for both estimators.
-
-    RMSE rows carry no theory value; there is no closed form for it.
-    """
-    if cfg.experiment is not ExperimentKind.LOCALIZATION:
-        raise ConfigInvalid(
-            f"config is for {cfg.experiment.value!r}, not 'localization'"
-        )
-    topo = cfg.topology
-    if topo.kind is Kind.BISTATIC and topo.mn < 4:
-        raise UnderDetermined(f"{topo.mn} range sums cannot fix a 3D position")
-    if topo.kind is Kind.MONOSTATIC and topo.m < 4:
-        raise UnderDetermined(f"{topo.m} ranges cannot fix a 3D position")
-    tasks = _chunk_tasks(cfg)
-    by_point = _reduce_by_point(tasks, _execute(tasks, _run_loc_chunk, workers))
-    flag = int(cfg.trials < LOW_CONFIDENCE_TRIALS)
-    result = SweepResult(config=cfg)
-    for point_index, (sigma, pilot_len) in enumerate(cfg.grid_points):
-        sums = by_point[point_index]
-        for method in ("ls", "proposed"):
-            rmse = float(np.sqrt(sums[f"sqerr_{method}"] / cfg.trials))
-            result.rows.append(
-                SweepRow(sigma, pilot_len, method, "rmse", rmse, None, flag)
-            )
-    return result
+def _loc_rows(cfg: SweepConfig, sigma: float, pilot_len: int, sums: dict):
+    """Positioning RMSE for both estimators; there is no closed form for
+    it, so the rows carry no theory value."""
+    for method in ("ls", "proposed"):
+        yield method, "rmse", float(np.sqrt(sums[f"sqerr_{method}"] / cfg.trials)), None
 
 
-def run_crlb_check(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
+def _crlb_rows(cfg: SweepConfig, sigma: float, pilot_len: int, sums: dict):
     """Empirical error statistics of the refined estimator against the
     Cramer-Rao bound.
 
@@ -399,47 +331,52 @@ def run_crlb_check(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
     emit the mean diagonal and off-diagonal MSE over their bound values
     (ideal value 1).
     """
-    if cfg.experiment is not ExperimentKind.CRLB:
-        raise ConfigInvalid(f"config is for {cfg.experiment.value!r}, not 'crlb'")
     topo = cfg.topology
+    if topo.kind is Kind.BISTATIC:
+        bound = analysis.crlb_bistatic(topo, sigma**2, pilot_len).covariance_bound
+        emp = sums["cov_proposed"] / cfg.trials
+        rel = float(np.linalg.norm(emp - bound) / np.linalg.norm(bound))
+        yield "proposed", "cov_frob_rel_err", rel, 0.0
+        return
+    bounds = analysis.crlb_monostatic(topo, sigma**2, pilot_len).subchannel_bounds
+    emp = sums["sq_proposed"] / cfg.trials
+    yield "proposed", "diag_bound_ratio", float(np.trace(emp) / np.trace(bounds)), 1.0
+    if topo.m > 1:
+        ratio = _offdiag_mean(emp) / _offdiag_mean(bounds)
+        yield "proposed", "offdiag_bound_ratio", ratio, 1.0
+
+
+# Per experiment: the chunk function that simulates and sums a chunk of
+# trials, and the row function that turns one grid point's summed partials
+# into (method, metric, value, theory) tuples.
+_EXPERIMENTS = {
+    ExperimentKind.MSE: (_run_mse_chunk, _mse_rows),
+    ExperimentKind.LOCALIZATION: (_run_loc_chunk, _loc_rows),
+    ExperimentKind.CRLB: (_run_crlb_chunk, _crlb_rows),
+}
+
+
+def run_sweep(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
+    """Run the configured experiment over every (sigma, pilot length) point.
+
+    ``workers`` is the number of processes (None: one per CPU); the output
+    does not depend on it.
+
+    Raises:
+        UnderDetermined: for a localization sweep over fewer than 4 ranges.
+    """
+    topo = cfg.topology
+    if cfg.experiment is ExperimentKind.LOCALIZATION:
+        ranges = topo.mn if topo.kind is Kind.BISTATIC else topo.m
+        if ranges < 4:
+            raise UnderDetermined(f"{ranges} ranges cannot fix a 3D position")
+    run_chunk, point_rows = _EXPERIMENTS[cfg.experiment]
     tasks = _chunk_tasks(cfg)
-    by_point = _reduce_by_point(tasks, _execute(tasks, _run_crlb_chunk, workers))
+    by_point = _reduce_by_point(tasks, _execute(tasks, run_chunk, workers))
     flag = int(cfg.trials < LOW_CONFIDENCE_TRIALS)
     result = SweepResult(config=cfg)
     for point_index, (sigma, pilot_len) in enumerate(cfg.grid_points):
         sums = by_point[point_index]
-        if topo.kind is Kind.BISTATIC:
-            bound = analysis.crlb_bistatic(topo, sigma**2, pilot_len).covariance_bound
-            emp = sums["cov_proposed"] / cfg.trials
-            rel = float(np.linalg.norm(emp - bound) / np.linalg.norm(bound))
-            result.rows.append(
-                SweepRow(
-                    sigma, pilot_len, "proposed", "cov_frob_rel_err", rel, 0.0, flag
-                )
-            )
-        else:
-            bounds = analysis.crlb_monostatic(topo, sigma**2, pilot_len).subchannel_bounds
-            emp = sums["sq_proposed"] / cfg.trials
-            result.rows.append(
-                SweepRow(
-                    sigma, pilot_len, "proposed", "diag_bound_ratio",
-                    float(np.trace(emp) / np.trace(bounds)), 1.0, flag,
-                )
-            )
-            if topo.m > 1:
-                result.rows.append(
-                    SweepRow(
-                        sigma, pilot_len, "proposed", "offdiag_bound_ratio",
-                        _offdiag_mean(emp) / _offdiag_mean(bounds), 1.0, flag,
-                    )
-                )
+        for method, metric, value, theory in point_rows(cfg, sigma, pilot_len, sums):
+            result.rows.append(SweepRow(sigma, pilot_len, method, metric, value, theory, flag))
     return result
-
-
-def run_sweep(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
-    """Dispatch on the configured experiment kind."""
-    if cfg.experiment is ExperimentKind.MSE:
-        return run_mse_sweep(cfg, workers=workers)
-    if cfg.experiment is ExperimentKind.LOCALIZATION:
-        return run_localization_sweep(cfg, workers=workers)
-    return run_crlb_check(cfg, workers=workers)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SPEED_OF_LIGHT
-from .errors import SingularGeometry, UnderDetermined
+from .errors import NonFiniteInput, SingularGeometry, UnderDetermined
 
 MAX_ITERATIONS = 100
 STEP_TOL = 1e-10          # meters; convergence when the accepted step is shorter
@@ -64,6 +64,11 @@ def _range_sum_residuals(
     r = ks - (da[:, :, None] + db[:, None, :])
     rnorm = np.sqrt((r * r).sum(axis=(1, 2)))
     return r, da, db, rnorm
+
+
+def _require_finite(*values) -> None:
+    if not all(np.isfinite(v).all() for v in values):
+        raise NonFiniteInput("delays, anchor positions and delta must be finite")
 
 
 def _det3(h: np.ndarray) -> np.ndarray:
@@ -135,7 +140,6 @@ def _gauss_newton_batch(
     rxs: np.ndarray,
     ks: np.ndarray,
     p0: np.ndarray,
-    history: list[float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Damped Gauss-Newton on a batch of range-sum problems.
 
@@ -145,9 +149,7 @@ def _gauss_newton_batch(
     no damped step is accepted, and everything stops after MAX_ITERATIONS.
 
     Returns (positions, residual_norms, iterations, singular_flags); a set
-    singular flag means the Jacobian lost rank 3 at some iterate.  If
-    ``history`` is given (batch of one), the residual norm after every
-    accepted step is appended to it.
+    singular flag means the Jacobian lost rank 3 at some iterate.
     """
     count, m, _ = txs.shape
     n = rxs.shape[1]
@@ -214,8 +216,6 @@ def _gauss_newton_batch(
             da[sel], db[sel] = new_da[accepted], new_db[accepted]
             rnorm[sel] = new_rnorm[accepted]
             iterations[sel] = it
-            if history is not None:
-                history.extend(new_rnorm[accepted].tolist())
             done = step_len[accepted] < STEP_TOL
             active[sel[done]] = False
 
@@ -235,6 +235,7 @@ def localize_bistatic_batch(
 
     Raises:
         UnderDetermined: if m * n < 4.
+        NonFiniteInput: if a delay, anchor coordinate or delta is NaN or inf.
         SingularGeometry: if any scene's Jacobian loses rank 3.
     """
     ts = np.asarray(ts, dtype=np.float64)
@@ -243,6 +244,7 @@ def localize_bistatic_batch(
     m, n = txs.shape[1], rxs.shape[1]
     if m * n < 4:
         raise UnderDetermined(f"{m * n} range sums cannot fix a 3D position")
+    _require_finite(ts, txs, rxs, delta)
     ks = SPEED_OF_LIGHT * (ts - delta)
     p0 = _warm_start(txs, rxs, ks)
     p, rnorm, iterations, singular = _gauss_newton_batch(txs, rxs, ks, p0)
@@ -258,14 +260,10 @@ def localize_bistatic(
     tx: np.ndarray,
     rx: np.ndarray,
     delta: float = 0.0,
-    initial: np.ndarray | None = None,
 ) -> PositionFix:
-    """Fix the tag position from a bistatic delay matrix.
-
-    With ``initial`` given, Gauss-Newton starts there; otherwise the
-    algebraic warm start described in the module docstring is used (with
-    the anchor centroid as its fallback).
-    """
+    """Fix the tag position from a bistatic delay matrix, starting
+    Gauss-Newton at the algebraic warm start described in the module
+    docstring (with the anchor centroid as its fallback)."""
     t = np.asarray(t, dtype=np.float64)
     tx = np.asarray(tx, dtype=np.float64)
     rx = np.asarray(rx, dtype=np.float64)
@@ -273,17 +271,9 @@ def localize_bistatic(
         raise UnderDetermined(
             f"delay matrix {t.shape} does not match {tx.shape[0]} tx / {rx.shape[0]} rx anchors"
         )
-    if t.size < 4:
-        raise UnderDetermined(f"{t.size} range sums cannot fix a 3D position")
-    ks = SPEED_OF_LIGHT * (t - delta)[None, :, :]
-    txs, rxs = tx[None, :, :], rx[None, :, :]
-    if initial is None:
-        p0 = _warm_start(txs, rxs, ks)
-    else:
-        p0 = np.asarray(initial, dtype=np.float64).reshape(1, 3)
-    p, rnorm, iterations, singular = _gauss_newton_batch(txs, rxs, ks, p0)
-    if singular[0]:
-        raise SingularGeometry("Jacobian rank < 3; anchor placement is degenerate")
+    p, rnorm, iterations = localize_bistatic_batch(
+        t[None, :, :], tx[None, :, :], rx[None, :, :], delta=delta
+    )
     return PositionFix(
         position=p[0], residual_norm=float(rnorm[0]), iterations=int(iterations[0])
     )
@@ -304,6 +294,7 @@ def localize_monostatic_batch(
 
     Raises:
         UnderDetermined: if fewer than 4 anchors.
+        NonFiniteInput: if a delay, anchor coordinate or delta is NaN or inf.
         SingularGeometry: if the linear system has rank < 3 (coplanar
             anchors) for any scene.
     """
@@ -312,6 +303,7 @@ def localize_monostatic_batch(
     count, m = anchors.shape[0], anchors.shape[1]
     if m < 4:
         raise UnderDetermined(f"{m} ranges cannot fix a 3D position")
+    _require_finite(ts, anchors, delta)
     ranges = SPEED_OF_LIGHT * (np.diagonal(ts, axis1=1, axis2=2) - delta) / 2.0
     diff = anchors[:, 1:, :] - anchors[:, 0:1, :]
     rhs = 0.5 * (

@@ -20,7 +20,6 @@ from bstoa.estimator import decompose_delays, ls_estimate, refine_estimate
 from bstoa.harness import (
     ExperimentKind,
     SweepConfig,
-    run_localization_sweep,
     run_sweep,
 )
 from bstoa.localization import localize_bistatic, localize_monostatic
@@ -315,7 +314,7 @@ def test_criterion_10_localization_ordering(report):
             experiment=ExperimentKind.LOCALIZATION,
             kind=kind, m=m, n=n, trials=10_000, master_seed=60_000 + m,
         )
-        table = _rmse_by_point(run_localization_sweep(cfg))
+        table = _rmse_by_point(run_sweep(cfg))
         for point, methods in table.items():
             if not methods["proposed"] <= methods["ls"] + TIE_MARGIN:
                 violations.append((kind.value, point, methods))

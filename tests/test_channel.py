@@ -11,7 +11,7 @@ from bstoa.channel import (
     synth_observations,
     true_delays,
 )
-from bstoa.errors import DimensionMismatch
+from bstoa.errors import DimensionMismatch, NonFiniteInput
 from bstoa.topology import Topology, correlation_matrix, vec
 
 
@@ -134,6 +134,20 @@ def test_scene_text_round_trip_monostatic():
     parsed = Scene.from_text(scene.to_text())
     assert parsed.rx is parsed.tx
     assert np.array_equal(parsed.tx, scene.tx)
+
+
+@pytest.mark.parametrize("key", ["tx1", "rx0", "tag", "delta"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_scene_from_text_rejects_non_finite(key, bad):
+    scene = random_scene(Topology.bistatic(2, 2), 10.0, stream_rng(8, 6))
+    lines = []
+    for line in scene.to_text().splitlines():
+        name, _, value = line.partition("=")
+        if name == key:
+            value = ",".join([bad] + value.split(",")[1:])
+        lines.append(f"{name}={value}")
+    with pytest.raises(NonFiniteInput):
+        Scene.from_text("\n".join(lines))
 
 
 def test_scene_shape_validation():

@@ -76,6 +76,22 @@ def test_estimate_bad_row_count(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("method", ["ls", "proposed"])
+def test_estimate_non_finite_observation_exit_code(tmp_path, capsys, bad, method):
+    y = np.ones((4, 2))
+    y[1, 0] = bad
+    path = tmp_path / "obs.csv"
+    np.savetxt(path, y, delimiter=",")
+    code, out, err = run_cli(
+        capsys, "estimate", "--topology", "bi", "--m", "2", "--n", "2",
+        "--input", str(path), "--method", method,
+    )
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_crlb_output(capsys):
     code, out, _ = run_cli(
         capsys, "crlb", "--topology", "mono", "--m", "2", "--sigma", "1.0", "--pilot-len", "1",
@@ -115,6 +131,41 @@ def test_localize_monostatic_proposed(tmp_path, capsys):
     assert code == 0
     values = [float(x) for x in out.strip().split(",")]
     assert np.linalg.norm(np.array(values[:3]) - scene.tag) < 0.5
+
+
+def _localize_files(tmp_path, scene, t):
+    scene_path = tmp_path / "scene.txt"
+    scene_path.write_text(scene.to_text())
+    toa_path = tmp_path / "toa.csv"
+    np.savetxt(toa_path, t, delimiter=",")
+    return str(scene_path), str(toa_path)
+
+
+@pytest.mark.parametrize("topo", [Topology.bistatic(4, 3), Topology.monostatic(5)])
+@pytest.mark.parametrize("method", ["ls", "proposed"])
+def test_localize_non_finite_toa_exit_code(tmp_path, capsys, topo, method):
+    scene = random_scene(topo, 10.0, stream_rng(5, 0))
+    t = true_delays(scene)
+    t[0, 0] = np.nan
+    scene_path, toa_path = _localize_files(tmp_path, scene, t)
+    code, out, err = run_cli(
+        capsys, "localize", "--scene", scene_path, "--toa", toa_path, "--method", method,
+    )
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_localize_non_finite_scene_exit_code(tmp_path, capsys, bad):
+    scene = random_scene(Topology.bistatic(4, 3), 10.0, stream_rng(5, 1))
+    t = true_delays(scene)
+    scene.tx[2, 1] = bad
+    scene_path, toa_path = _localize_files(tmp_path, scene, t)
+    code, out, err = run_cli(capsys, "localize", "--scene", scene_path, "--toa", toa_path)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
 
 
 def test_sweep_cli_roundtrip_and_determinism(tmp_path, capsys):

@@ -1,8 +1,12 @@
 """Sweep driver tests: config parsing, determinism, row contents."""
 
+import inspect
+import sys
+
 import numpy as np
 import pytest
 
+import bstoa
 from bstoa.analysis import theoretical_mse_iid
 from bstoa.channel import random_scene, stream_rng, synth_observations, true_delays
 from bstoa.errors import ConfigInvalid, UnderDetermined
@@ -16,9 +20,6 @@ from bstoa.harness import (
     _run_crlb_chunk,
     _run_mse_chunk,
     parse_config,
-    run_crlb_check,
-    run_localization_sweep,
-    run_mse_sweep,
     run_sweep,
 )
 from bstoa.topology import Kind, Topology, correlation_matrix, unvec, vec, weighting_matrix
@@ -97,25 +98,33 @@ def test_parse_config_rejects(text):
         parse_config(text)
 
 
-def test_wrong_experiment_kind_rejected():
-    cfg = _cfg(experiment=ExperimentKind.CRLB)
-    with pytest.raises(ConfigInvalid):
-        run_mse_sweep(cfg, workers=1)
-    with pytest.raises(ConfigInvalid):
-        run_localization_sweep(cfg, workers=1)
-    with pytest.raises(ConfigInvalid):
-        run_crlb_check(_cfg(experiment=ExperimentKind.MSE), workers=1)
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("experiment = warp\nkind = bistatic\nm = 2\n", "bad value for 'experiment': 'warp'"),
+        ("experiment = mse\nkind = tri\nm = 2\n", "bad value for 'kind': 'tri'"),
+        ("experiment = mse\nkind = bistatic\nm = two\n", "bad value for 'm': 'two'"),
+    ],
+)
+def test_parse_config_bad_value_message(text, message):
+    with pytest.raises(ConfigInvalid, match=message):
+        parse_config(text)
 
 
-def test_localization_sweep_under_determined():
-    cfg = _cfg(experiment=ExperimentKind.LOCALIZATION, m=1, n=3)
+@pytest.mark.parametrize(
+    "kind, m, n",
+    [(Kind.BISTATIC, 1, 3), (Kind.MONOSTATIC, 3, 3)],
+    ids=["bistatic-1x3", "monostatic-3"],
+)
+def test_localization_sweep_under_determined(kind, m, n):
+    cfg = _cfg(experiment=ExperimentKind.LOCALIZATION, kind=kind, m=m, n=n)
     with pytest.raises(UnderDetermined):
-        run_localization_sweep(cfg, workers=1)
+        run_sweep(cfg, workers=1)
 
 
 def test_mse_sweep_rows_and_theory_column():
     cfg = _cfg(trials=400)
-    result = run_mse_sweep(cfg, workers=1)
+    result = run_sweep(cfg, workers=1)
     rows = result.sorted_rows()
     assert len(rows) == 2 * 2 * 1  # 2 sigma x (ls, proposed) x 1 pilot
     for row in rows:
@@ -131,7 +140,7 @@ def test_mse_sweep_rows_and_theory_column():
 
 def test_mse_sweep_monostatic_emits_diag_and_offdiag():
     cfg = _cfg(kind=Kind.MONOSTATIC, m=3, n=3, trials=64)
-    result = run_mse_sweep(cfg, workers=1)
+    result = run_sweep(cfg, workers=1)
     metrics = {(r.method, r.metric) for r in result.rows}
     assert metrics == {
         ("ls", "diag_mse"),
@@ -147,7 +156,7 @@ def test_mse_sweep_single_point_concentration():
         kind=Kind.BISTATIC, m=4, n=3, pilot_lengths=(8,), sigma_grid=(1e-9,),
         trials=10_000, master_seed=404,
     )
-    result = run_mse_sweep(cfg, workers=1)
+    result = run_sweep(cfg, workers=1)
     for row in result.rows:
         assert 0.95 < row.value / row.theory < 1.05
         assert row.low_confidence == 0
@@ -155,20 +164,20 @@ def test_mse_sweep_single_point_concentration():
 
 def test_mse_sweep_single_trial_tiny_sigma():
     cfg = _cfg(sigma_grid=(1e-15,), trials=1)
-    result = run_mse_sweep(cfg, workers=1)
+    result = run_sweep(cfg, workers=1)
     for row in result.rows:
         assert row.value < 1e-20
 
 
 def test_crlb_check_rows():
     bist = _cfg(experiment=ExperimentKind.CRLB, trials=10)
-    rows = run_crlb_check(bist, workers=1).rows
+    rows = run_sweep(bist, workers=1).rows
     assert [r.metric for r in rows] == ["cov_frob_rel_err"] * len(rows)
     assert all(r.low_confidence == 1 for r in rows)
     mono = _cfg(
         experiment=ExperimentKind.CRLB, kind=Kind.MONOSTATIC, m=3, n=3, trials=10
     )
-    metrics = {r.metric for r in run_crlb_check(mono, workers=1).rows}
+    metrics = {r.metric for r in run_sweep(mono, workers=1).rows}
     assert metrics == {"diag_bound_ratio", "offdiag_bound_ratio"}
 
 
@@ -177,7 +186,7 @@ def test_localization_sweep_rows():
         experiment=ExperimentKind.LOCALIZATION, m=2, n=2,
         sigma_grid=(1e-10,), trials=64,
     )
-    rows = run_localization_sweep(cfg, workers=1).rows
+    rows = run_sweep(cfg, workers=1).rows
     assert {(r.method, r.metric) for r in rows} == {("ls", "rmse"), ("proposed", "rmse")}
     assert all(r.theory is None for r in rows)
 
@@ -240,3 +249,23 @@ def test_csv_format_and_sorting(tmp_path):
     out = tmp_path / "out.csv"
     result.write_csv(str(out))
     assert out.read_bytes().decode() == csv_text
+
+
+def test_public_functions_stay_reachable_by_module_rebinding():
+    """The sweep benchmark traces the package by rebinding the module
+    attributes of its public functions; one held in a module-level
+    container (a dispatch table, say) would escape the tracer."""
+    from bstoa import SweepRow, run_sweep  # noqa: F401  (names the benchmark imports)
+    from bstoa.localization import MAX_ITERATIONS  # noqa: F401
+
+    modules = [bstoa] + [mod for key, mod in sys.modules.items() if key.startswith("bstoa.")]
+    public = {
+        id(obj) for mod in modules for name, obj in vars(mod).items()
+        if inspect.isfunction(obj) and not name.startswith("_")
+    }
+    for mod in modules:
+        for name, obj in vars(mod).items():
+            if isinstance(obj, dict):
+                obj = list(obj.values())
+            if isinstance(obj, (list, tuple, set, frozenset)):
+                assert not any(id(item) in public for item in obj), f"{mod.__name__}.{name}"
