@@ -20,6 +20,7 @@ from .channel import (
     stream_rng,
     synth_observations,
     true_delays,
+    true_delays_batch,
 )
 from .errors import (
     BstoaError,
@@ -28,6 +29,7 @@ from .errors import (
     DimensionMismatch,
     EmptyInput,
     IndexOutOfRange,
+    InvalidValue,
     NonFiniteInput,
     SingularGeometry,
     SingularSystem,

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, WrongTopology
+from .errors import DimensionMismatch, EmptyInput, InvalidValue, WrongTopology
 from .topology import (
     Kind,
     Topology,
@@ -60,7 +60,7 @@ class CrlbReport:
 def theoretical_mse_iid(topo: Topology, sigma0_sq: float) -> MseReport:
     """Refined-estimator MSE per subchannel under iid noise."""
     if sigma0_sq < 0.0:
-        raise ValueError(f"sigma0_sq must be >= 0, got {sigma0_sq}")
+        raise InvalidValue(f"sigma0_sq must be >= 0, got {sigma0_sq}")
     m, n = topo.m, topo.n
     if topo.kind is Kind.MONOSTATIC:
         per_entry = np.full((m, m), (m - 1) / m**2 * sigma0_sq)
@@ -104,9 +104,9 @@ def theoretical_mse_independent(
             f"sigmas_sq shape {sigmas_sq.shape} does not match topology {m}x{n}"
         )
     if np.any(sigmas_sq < 0.0):
-        raise ValueError("all subchannel variances must be >= 0")
+        raise InvalidValue("all subchannel variances must be >= 0")
     if pilot_len < 1:
-        raise ValueError(f"pilot_len must be >= 1, got {pilot_len}")
+        raise InvalidValue(f"pilot_len must be >= 1, got {pilot_len}")
     v = sigmas_sq / pilot_len
     rows = v.sum(axis=1)[:, None]
     cols = v.sum(axis=0)[None, :]

@@ -17,10 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteInput
+from .errors import DimensionMismatch, InvalidValue, NonFiniteInput
 from .topology import Kind, Topology
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact SI value
+
+
+def _stream_key(master_seed: int, stream_index: int) -> np.ndarray:
+    """Philox key of the stream ``(master_seed, stream_index)``, each taken
+    mod 2**64."""
+    return np.array([master_seed % 2**64, stream_index % 2**64], dtype=np.uint64)
 
 
 def stream_rng(master_seed: int, stream_index: int) -> np.random.Generator:
@@ -29,10 +35,25 @@ def stream_rng(master_seed: int, stream_index: int) -> np.random.Generator:
     Uses a Philox generator keyed by the pair, so trial i's draws do not
     depend on how trials are scheduled across workers.
     """
-    key = np.array(
-        [master_seed % 2**64, stream_index % 2**64], dtype=np.uint64
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_stream_key(master_seed, stream_index)))
+
+
+# State of a fresh Philox: counter 0, empty output buffer, no cached 32-bit
+# half.  Only the key differs between streams.
+_FRESH_PHILOX = np.random.Philox(key=0).state
+
+
+def _rekey(bit_generator: np.random.Philox, master_seed: int, stream_index: int) -> None:
+    """Reset ``bit_generator`` to the state a fresh
+    ``stream_rng(master_seed, stream_index)`` starts in, whatever it drew
+    before, so one generator can serve many streams in turn."""
+    bit_generator.state = {
+        **_FRESH_PHILOX,
+        "state": {
+            "counter": _FRESH_PHILOX["state"]["counter"],
+            "key": _stream_key(master_seed, stream_index),
+        },
+    }
 
 
 @dataclass
@@ -69,7 +90,7 @@ class Scene:
         if self.tag.shape != (3,):
             raise DimensionMismatch(f"tag must be a 3D point, got {self.tag.shape}")
         if self.delta < 0.0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
+            raise InvalidValue(f"delta must be >= 0, got {self.delta}")
 
     def to_text(self) -> str:
         """Flat key=value record; coordinates as comma-separated triples."""
@@ -142,7 +163,9 @@ class ObservationBlock:
     def __post_init__(self) -> None:
         self.y = np.asarray(self.y, dtype=np.float64)
         if self.pilot_len < 1:
-            raise ValueError(f"pilot_len must be >= 1, got {self.pilot_len}")
+            raise InvalidValue(f"pilot_len must be >= 1, got {self.pilot_len}")
+        if self.sigma is not None and self.sigma < 0.0:
+            raise InvalidValue(f"sigma must be >= 0, got {self.sigma}")
         if self.y.ndim != 2 or self.y.shape[0] % self.pilot_len != 0:
             raise DimensionMismatch(
                 f"observation shape {self.y.shape} is not (L*m, n) with L={self.pilot_len}"
@@ -158,7 +181,7 @@ def random_scene(
     produce zero delays.
     """
     if cube_side <= 0.0:
-        raise ValueError(f"cube_side must be > 0, got {cube_side}")
+        raise InvalidValue(f"cube_side must be > 0, got {cube_side}")
     tx = rng.uniform(0.0, cube_side, size=(topo.m, 3))
     rx = None
     if topo.kind is Kind.BISTATIC:
@@ -167,11 +190,23 @@ def random_scene(
     return Scene(topo=topo, tx=tx, rx=rx, tag=tag, delta=0.0)
 
 
+def true_delays_batch(
+    tx: np.ndarray, rx: np.ndarray, tag: np.ndarray, delta: float = 0.0
+) -> np.ndarray:
+    """True delay matrices of a stack of scenes, in seconds.
+
+    ``tx`` is ``(..., m, 3)``, ``rx`` is ``(..., n, 3)`` and ``tag`` is
+    ``(..., 3)``; the result is ``(..., m, n)``.
+    """
+    tag = np.asarray(tag, dtype=np.float64)[..., None, :]
+    up = np.linalg.norm(tx - tag, axis=-1)
+    down = np.linalg.norm(rx - tag, axis=-1)
+    return delta + (up[..., :, None] + down[..., None, :]) / SPEED_OF_LIGHT
+
+
 def true_delays(scene: Scene) -> np.ndarray:
     """True delay matrix of the scene, in seconds."""
-    up = np.linalg.norm(scene.tx - scene.tag, axis=1)
-    down = np.linalg.norm(scene.rx - scene.tag, axis=1)
-    return scene.delta + (up[:, None] + down[None, :]) / SPEED_OF_LIGHT
+    return true_delays_batch(scene.tx, scene.rx, scene.tag, scene.delta)
 
 
 def synth_observations(
@@ -188,9 +223,9 @@ def synth_observations(
     """
     t = np.asarray(t, dtype=np.float64)
     if pilot_len < 1:
-        raise ValueError(f"pilot_len must be >= 1, got {pilot_len}")
+        raise InvalidValue(f"pilot_len must be >= 1, got {pilot_len}")
     if sigma < 0.0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+        raise InvalidValue(f"sigma must be >= 0, got {sigma}")
     y = np.repeat(t, pilot_len, axis=0)
     if sigma > 0.0:
         y = y + rng.normal(0.0, sigma, size=y.shape)

@@ -43,3 +43,7 @@ class SingularGeometry(BstoaError, ArithmeticError):
 
 class NonFiniteInput(BstoaError, ValueError):
     """Input holds NaN or infinite values."""
+
+
+class InvalidValue(BstoaError, ValueError):
+    """A scalar argument is outside its valid range."""

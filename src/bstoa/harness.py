@@ -6,10 +6,14 @@ fixed schema
 
     sigma,pilot_len,method,metric,value,theory,low_confidence
 
-Reproducibility contract: trial i of grid point k draws from the counter
-stream ``k * trials + i`` of the master seed, trials are processed in fixed
-chunks, and chunk partials are reduced in chunk order, so output bytes do
-not depend on the number of worker processes.
+Reproducibility contract: trial i of grid point k draws its scene, then
+its pilot noise, from the counter stream ``k * trials + i`` of the master
+seed (``channel.stream_rng``), trials are processed in fixed chunks, and
+chunk partials are reduced in chunk order, so output bytes do not depend
+on the number of worker processes.  A chunk keeps one Philox generator and
+re-keys it to each trial's stream in turn, which reproduces a fresh
+``stream_rng`` exactly, and computes everything after the draws on whole
+blocks of trials.
 
 ``run_sweep`` is the entry point: it runs any of the three experiments
 (estimator MSE, localization RMSE, CRLB check) through the same chunked
@@ -34,13 +38,15 @@ from typing import Callable
 import numpy as np
 
 from . import analysis
-from .channel import random_scene, stream_rng, synth_observations, true_delays
-from .errors import ConfigInvalid, UnderDetermined
-from .estimator import ls_estimate, refine_estimate
+from .channel import _rekey, true_delays_batch
+from .errors import ConfigInvalid, InvalidValue, UnderDetermined
+from .estimator import refine_estimate
 from .localization import localize_bistatic_batch, localize_monostatic_batch
 from .topology import Kind, Topology
 
 CHUNK_TRIALS = 512
+# Noise values per block of a chunk's pilot buffer (256 KiB of float64).
+_PILOT_BLOCK_VALUES = 2**15
 LOW_CONFIDENCE_TRIALS = 1000
 
 # 3 cm to 3 m ranging error at the speed of light; a declared, overridable
@@ -70,7 +76,7 @@ class SweepConfig:
     def __post_init__(self) -> None:
         try:
             self.topology
-        except ValueError as exc:
+        except InvalidValue as exc:
             raise ConfigInvalid(str(exc)) from exc
         if self.trials < 1:
             raise ConfigInvalid(f"trials must be >= 1, got {self.trials}")
@@ -234,28 +240,49 @@ def _reduce_by_point(tasks, results) -> dict[int, dict]:
 def _simulate_chunk(task: _ChunkTask):
     """Draw and estimate the chunk's trials as one batch.
 
-    Trial i draws a fresh scene, then its noisy pilots, from counter stream
-    ``point_index * trials + i``; the least squares estimates are stacked
-    and refined in one ``(T, m, n)`` call.  Returns the stacked transmitter,
-    receiver and tag positions, true delays, LS and refined estimates.
+    Trial i draws its scene coordinates (tx, rx if bistatic, tag), then its
+    pilot noise, from counter stream ``point_index * trials + i``, exactly
+    as ``random_scene`` and ``synth_observations`` would on a fresh
+    ``stream_rng``.  One Philox generator serves the whole chunk: it is
+    re-keyed to each trial's stream (counter 0, empty buffer) before the
+    trial's two draws, which land in preallocated arrays as unit uniforms
+    and standard normals and are scaled afterwards, so every value is the
+    one the per-trial functions produce.  True delays, pilot means (the LS
+    estimates) and the refinement are then computed on whole blocks; the
+    pilot buffer holds at most ``_PILOT_BLOCK_VALUES`` noise values.
+
+    Returns the stacked transmitter, receiver and tag positions, true
+    delays, LS and refined estimates.
     """
     cfg = task.cfg
     topo = cfg.topology
+    m, n, length = topo.m, topo.n, task.pilot_len
+    n_rx = n if topo.kind is Kind.BISTATIC else 0
     count = task.stop - task.start
-    txs = np.empty((count, topo.m, 3))
-    rxs = np.empty((count, topo.n, 3))
-    tags = np.empty((count, 3))
-    truths = np.empty((count, topo.m, topo.n))
-    t_hats = np.empty((count, topo.m, topo.n))
-    for offset, trial in enumerate(range(task.start, task.stop)):
-        rng = stream_rng(cfg.master_seed, task.point_index * cfg.trials + trial)
-        scene = random_scene(topo, cfg.cube_side, rng)
-        truths[offset] = true_delays(scene)
-        obs = synth_observations(truths[offset], task.pilot_len, task.sigma, rng)
-        txs[offset] = scene.tx
-        rxs[offset] = scene.rx
-        tags[offset] = scene.tag
-        t_hats[offset] = ls_estimate(obs, topo)
+    first_stream = task.point_index * cfg.trials + task.start
+    coords = np.empty((count, 3 * (m + n_rx + 1)))
+    txs = coords[:, : 3 * m].reshape(count, m, 3)
+    rxs = coords[:, 3 * m : 3 * (m + n_rx)].reshape(count, n_rx, 3) if n_rx else txs
+    tags = coords[:, 3 * (m + n_rx) :]
+    truths = np.empty((count, m, n))
+    t_hats = np.empty((count, m, n))
+    block = max(1, _PILOT_BLOCK_VALUES // (length * m * n))
+    pilots = np.empty((min(block, count), length * m, n))
+    bit_generator = np.random.Philox(key=0)
+    rng = np.random.Generator(bit_generator)
+    for lo in range(0, count, block):
+        hi = min(lo + block, count)
+        noise = pilots[: hi - lo]
+        for offset in range(lo, hi):
+            _rekey(bit_generator, cfg.master_seed, first_stream + offset)
+            rng.random(out=coords[offset])
+            rng.standard_normal(out=noise[offset - lo])
+        coords[lo:hi] *= cfg.cube_side
+        truths[lo:hi] = true_delays_batch(txs[lo:hi], rxs[lo:hi], tags[lo:hi])
+        noise *= task.sigma
+        noise = noise.reshape(hi - lo, m, length, n)
+        noise += truths[lo:hi, :, None, :]
+        noise.mean(axis=2, out=t_hats[lo:hi])
     return txs, rxs, tags, truths, t_hats, refine_estimate(t_hats, topo)
 
 

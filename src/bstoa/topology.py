@@ -18,7 +18,7 @@ from enum import Enum, IntEnum
 
 import numpy as np
 
-from .errors import IndexOutOfRange, SingularSystem
+from .errors import IndexOutOfRange, InvalidValue, SingularSystem
 
 
 class Kind(str, Enum):
@@ -39,9 +39,9 @@ class Topology:
 
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
-            raise ValueError(f"antenna counts must be >= 1, got m={self.m}, n={self.n}")
+            raise InvalidValue(f"antenna counts must be >= 1, got m={self.m}, n={self.n}")
         if self.kind is Kind.MONOSTATIC and self.m != self.n:
-            raise ValueError(f"monostatic requires m == n, got m={self.m}, n={self.n}")
+            raise InvalidValue(f"monostatic requires m == n, got m={self.m}, n={self.n}")
 
     @classmethod
     def bistatic(cls, m: int, n: int) -> "Topology":

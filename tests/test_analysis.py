@@ -11,7 +11,7 @@ from bstoa.analysis import (
     theoretical_mse_independent,
 )
 from bstoa.channel import stream_rng
-from bstoa.errors import DimensionMismatch, EmptyInput, WrongTopology
+from bstoa.errors import BstoaError, DimensionMismatch, EmptyInput, WrongTopology
 from bstoa.topology import Kind, Topology, correlation_matrix, unvec, vec, weighting_matrix
 
 
@@ -92,6 +92,21 @@ def test_independent_mse_matches_dense_formula():
 def test_independent_mse_shape_check():
     with pytest.raises(DimensionMismatch):
         theoretical_mse_independent(Topology.bistatic(2, 2), np.ones((3, 2)), 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: theoretical_mse_iid(Topology.bistatic(2, 2), -1e-18),
+        lambda: theoretical_mse_independent(Topology.bistatic(2, 2), -np.ones((2, 2)), 1),
+        lambda: theoretical_mse_independent(Topology.bistatic(2, 2), np.ones((2, 2)), 0),
+    ],
+    ids=["iid-sigma0-sq", "independent-variance", "independent-pilot-len"],
+)
+def test_bad_scalar_arguments_raise_package_error(call):
+    with pytest.raises(BstoaError) as info:
+        call()
+    assert isinstance(info.value, ValueError)
 
 
 def test_crlb_bistatic_2x2_is_projector():

@@ -5,13 +5,16 @@ import pytest
 
 from bstoa.channel import (
     SPEED_OF_LIGHT,
+    ObservationBlock,
     Scene,
+    _rekey,
     random_scene,
     stream_rng,
     synth_observations,
     true_delays,
+    true_delays_batch,
 )
-from bstoa.errors import DimensionMismatch, NonFiniteInput
+from bstoa.errors import BstoaError, DimensionMismatch, InvalidValue, NonFiniteInput
 from bstoa.topology import Topology, correlation_matrix, vec
 
 
@@ -163,3 +166,66 @@ def test_coincident_points_give_zero_delay():
     point = np.array([[1.0, 2.0, 3.0]])
     scene = Scene(topo=topo, tx=point, rx=point.copy(), tag=point[0].copy())
     assert true_delays(scene)[0, 0] == 0.0
+
+
+def test_true_delays_batch_matches_per_scene():
+    topo = Topology.bistatic(4, 3)
+    scenes = [random_scene(topo, 10.0, stream_rng(12, index)) for index in range(6)]
+    batch = true_delays_batch(
+        np.stack([s.tx for s in scenes]),
+        np.stack([s.rx for s in scenes]),
+        np.stack([s.tag for s in scenes]),
+    )
+    assert np.array_equal(batch, np.stack([true_delays(s) for s in scenes]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Scene(Topology.monostatic(1), tx=np.zeros((1, 3)), tag=np.zeros(3), delta=-1.0),
+        lambda: ObservationBlock(y=np.zeros((2, 2)), pilot_len=0),
+        lambda: ObservationBlock(y=np.zeros((2, 2)), pilot_len=1, sigma=-1.0),
+        lambda: synth_observations(np.zeros((2, 2)), 0, 1e-9, stream_rng(1, 0)),
+        lambda: synth_observations(np.zeros((2, 2)), 2, -1e-9, stream_rng(1, 0)),
+        lambda: random_scene(Topology.bistatic(2, 2), 0.0, stream_rng(1, 0)),
+    ],
+    ids=["scene-delta", "obs-pilot-len", "obs-sigma", "synth-pilot-len", "synth-sigma",
+         "cube-side"],
+)
+def test_bad_scalar_arguments_raise_package_error(call):
+    with pytest.raises(BstoaError) as info:
+        call()
+    assert isinstance(info.value, InvalidValue)
+    assert isinstance(info.value, ValueError)  # what callers caught before
+
+
+def _draws(rng):
+    return rng.uniform(0.0, 10.0, 45), rng.normal(0.0, 1e-9, (16, 3)), rng.integers(0, 2**32, 5)
+
+
+@pytest.mark.parametrize(
+    "seed, index",
+    [(5, 7), (-3, 11), (2**64 + 9, 4), (-(2**70), 2**64 + 5), (17, -1), (0, 2**65 - 1)],
+)
+def test_rekey_draws_like_a_fresh_stream(seed, index):
+    """One generator re-keyed after arbitrary use draws bit for bit what a
+    fresh stream_rng does: 45 uniforms and an odd count of 32-bit integers
+    leave the Philox buffer partly used and a cached 32-bit half behind."""
+    bit_generator = np.random.Philox(key=0)
+    rng = np.random.Generator(bit_generator)
+    rng.uniform(size=45)
+    rng.integers(0, 2**16, 3, dtype=np.uint32)
+    assert bit_generator.state["buffer_pos"] < 4 and bit_generator.state["has_uint32"] == 1
+    _rekey(bit_generator, seed, index)
+    for got, want in zip(_draws(rng), _draws(stream_rng(seed, index))):
+        assert np.array_equal(got, want)
+    assert bit_generator.state["has_uint32"] == 1
+    _rekey(bit_generator, seed, index)
+    for got, want in zip(_draws(rng), _draws(stream_rng(seed, index))):
+        assert np.array_equal(got, want)
+
+
+def test_stream_keys_wrap_mod_2_64():
+    wrapped = stream_rng(2**64 + 9, 2**64 + 5).random(8)
+    assert np.array_equal(wrapped, stream_rng(9, 5).random(8))
+    assert np.array_equal(stream_rng(-1, -1).random(8), stream_rng(2**64 - 1, 2**64 - 1).random(8))

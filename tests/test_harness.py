@@ -2,6 +2,7 @@
 
 import inspect
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ import bstoa
 from bstoa.analysis import theoretical_mse_iid
 from bstoa.channel import random_scene, stream_rng, synth_observations, true_delays
 from bstoa.errors import ConfigInvalid, UnderDetermined
-from bstoa.estimator import ls_estimate
+from bstoa.estimator import ls_estimate, refine_estimate
 from bstoa.harness import (
+    CHUNK_TRIALS,
     DEFAULT_PILOT_LENGTHS,
     DEFAULT_SIGMA_GRID,
     ExperimentKind,
@@ -19,6 +21,7 @@ from bstoa.harness import (
     _chunk_tasks,
     _run_crlb_chunk,
     _run_mse_chunk,
+    _simulate_chunk,
     parse_config,
     run_sweep,
 )
@@ -214,6 +217,68 @@ def test_chunk_matches_per_trial_reference():
     assert np.abs(mse["sq_ls"] - sq_ls).max() <= 1e-12 * sq_ls.max()
     assert np.abs(mse["sq_proposed"] - sq_ref).max() <= 1e-12 * sq_ref.max()
     assert np.abs(crlb["cov_proposed"] - cov).max() <= 1e-12 * np.abs(cov).max()
+
+
+def _per_trial_chunk(task):
+    """The chunk's trials through the public per-trial functions."""
+    cfg = task.cfg
+    topo = cfg.topology
+    stacks = {key: [] for key in ("tx", "rx", "tag", "truth", "t_hat")}
+    for trial in range(task.start, task.stop):
+        rng = stream_rng(cfg.master_seed, task.point_index * cfg.trials + trial)
+        scene = random_scene(topo, cfg.cube_side, rng)
+        truth = true_delays(scene)
+        obs = synth_observations(truth, task.pilot_len, task.sigma, rng)
+        t_hat = ls_estimate(obs, topo)
+        for key, value in zip(stacks, (scene.tx, scene.rx, scene.tag, truth, t_hat)):
+            stacks[key].append(value)
+    return [np.stack(values) for values in stacks.values()]
+
+
+@pytest.mark.parametrize(
+    "kind, m, n, pilot_len",
+    [
+        (kind, m, n, pilot_len)
+        for kind, m, n in [
+            (Kind.BISTATIC, 4, 3), (Kind.BISTATIC, 1, 5),
+            (Kind.MONOSTATIC, 1, 1), (Kind.MONOSTATIC, 6, 6),
+        ]
+        for pilot_len in (1, 2, 8)
+    ]
+    + [(Kind.BISTATIC, 24, 24, 8)],  # 7 trials per pilot block
+)
+def test_chunk_is_bitwise_the_per_trial_loop(kind, m, n, pilot_len):
+    """The batched chunk draws and computes exactly what the per-trial
+    public functions do: same positions, delays and LS estimates, bit for
+    bit, on the second point's full chunk and on a partial last chunk."""
+    cfg = _cfg(kind=kind, m=m, n=n, pilot_lengths=(pilot_len,), trials=700, master_seed=5)
+    tasks = _chunk_tasks(cfg)
+    sizes = [(t.point_index, t.stop - t.start) for t in tasks]
+    assert sizes == [(0, 512), (0, 188), (1, 512), (1, 188)]
+    for task in (tasks[1], tasks[2]):
+        *got, t_refs = _simulate_chunk(task)
+        want = _per_trial_chunk(task)
+        for name, g, w in zip(("tx", "rx", "tag", "truth", "t_hat"), got, want):
+            assert np.array_equal(g, w), name
+        assert np.array_equal(t_refs, refine_estimate(want[-1], cfg.topology))
+
+
+def test_chunk_memory_stays_near_its_output():
+    """A 512-trial 24x24 L=8 chunk peaks within 1 MB of the arrays it
+    returns; a pilot buffer for the whole chunk would add 18.9 MB."""
+    cfg = _cfg(m=24, n=24, pilot_lengths=(8,), sigma_grid=(1e-9,), trials=CHUNK_TRIALS)
+    task = _chunk_tasks(cfg)[0]
+    _simulate_chunk(task)
+    tracemalloc.start()
+    try:
+        out = _simulate_chunk(task)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    owners = {id(b): b for b in (a if a.base is None else a.base for a in out)}
+    retained = sum(b.nbytes for b in owners.values())
+    assert retained > 7_000_000
+    assert peak - retained <= 2**20
 
 
 def test_sweep_determinism_same_config():

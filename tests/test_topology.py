@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bstoa.errors import IndexOutOfRange, SingularSystem
+from bstoa.errors import BstoaError, IndexOutOfRange, SingularSystem
 from bstoa.topology import (
     EntryType,
     Kind,
@@ -27,6 +27,14 @@ def test_topology_validation():
     with pytest.raises(ValueError):
         Topology(Kind.MONOSTATIC, 2, 3)
     assert Topology.monostatic(4).n == 4
+
+
+@pytest.mark.parametrize(
+    "kind, m, n", [(Kind.BISTATIC, 0, 3), (Kind.BISTATIC, 2, 0), (Kind.MONOSTATIC, 2, 3)]
+)
+def test_topology_validation_raises_package_error(kind, m, n):
+    with pytest.raises(BstoaError):
+        Topology(kind, m, n)
 
 
 def test_correlation_matrix_2x2():
