@@ -308,8 +308,10 @@ def _run_crlb_chunk(task: _ChunkTask) -> dict:
 def _run_loc_chunk(task: _ChunkTask) -> dict:
     txs, rxs, tags, _, t_hats, t_refs = _simulate_chunk(task)
     if task.cfg.kind is Kind.BISTATIC:
-        p_ls, _, _ = localize_bistatic_batch(t_hats, txs, rxs)
+        # A delay matrix and its projection have one bistatic fix (see
+        # localize_bistatic_batch), so each scene is solved once.
         p_ref, _, _ = localize_bistatic_batch(t_refs, txs, rxs)
+        p_ls = p_ref
     else:
         p_ls, _, _ = localize_monostatic_batch(t_hats, txs)
         p_ref, _, _ = localize_monostatic_batch(t_refs, txs)
@@ -390,13 +392,15 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
     does not depend on it.
 
     Raises:
-        UnderDetermined: for a localization sweep over fewer than 4 ranges.
+        UnderDetermined: for a localization sweep over fewer than 4
+            independent ranges (m + n - 1 for bistatic, m for monostatic).
     """
     topo = cfg.topology
     if cfg.experiment is ExperimentKind.LOCALIZATION:
-        ranges = topo.mn if topo.kind is Kind.BISTATIC else topo.m
+        # A bistatic m x n matrix holds m + n - 1 independent range sums.
+        ranges = topo.m + topo.n - 1 if topo.kind is Kind.BISTATIC else topo.m
         if ranges < 4:
-            raise UnderDetermined(f"{ranges} ranges cannot fix a 3D position")
+            raise UnderDetermined(f"{ranges} independent ranges cannot fix a 3D position")
     run_chunk, point_rows = _EXPERIMENTS[cfg.experiment]
     tasks = _chunk_tasks(cfg)
     by_point = _reduce_by_point(tasks, _execute(tasks, run_chunk, workers))

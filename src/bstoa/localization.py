@@ -5,12 +5,23 @@ a receiver), so the fix is the nonlinear least squares minimizer of
 
     sum_ij ( c (t[i, j] - delta) - |tx_i - p| - |rx_j - p| )^2
 
-solved by damped Gauss-Newton.  The solver is seeded with an algebraic warm
-start: differencing the squared sphere equations makes the system linear in
-(p, tau), where tau is the unknown first transmitter range, and the linear
-least squares solution lands in the attraction basin of the global minimum
-in practice.  A plain centroid start converges to local minima on a few
-percent of random scenes, which the warm start eliminates.
+The model |tx_i - p| + |rx_j - p| is an outer sum, like every noiseless
+delay matrix, so the objective splits into the misfit of the range sums'
+two-way additive fit a_i + b_j (row mean + column mean - grand mean),
+which depends on p, plus the energy off that subspace, which does not.
+The solver works on the m + n fitted terms only: each step is the exact
+Newton step where the Hessian is positive definite and the Gauss-Newton
+step elsewhere, damped by step halving.  Because a matrix and its
+projection onto the outer-sum subspace share the fitted terms, the
+projection (``refine_bistatic``) does not move the bistatic fix, and an
+m x n matrix carries only m + n - 1 independent range sums.
+
+The solver is seeded with an algebraic warm start: differencing the
+squared sphere equations makes the system linear in (p, tau), where tau is
+the unknown first transmitter range, and the linear least squares solution
+lands in the attraction basin of the global minimum in practice.  A plain
+centroid start converges to local minima on a few percent of random
+scenes, which the warm start eliminates.
 
 Monostatic delays give plain ranges from the diagonal entries, which
 linearize exactly by subtracting the first sphere equation; one damped
@@ -28,10 +39,15 @@ import numpy as np
 
 from .channel import SPEED_OF_LIGHT
 from .errors import NonFiniteInput, SingularGeometry, UnderDetermined
+from .estimator import refine_bistatic
 
 MAX_ITERATIONS = 100
 STEP_TOL = 1e-10          # meters; convergence when the accepted step is shorter
 MAX_HALVINGS = 20
+# A scene also stops when its step predicts a decrease of |R|^2 below this
+# share of it: rounding in |R|^2 hides such a decrease, and every halving
+# of the step would be rejected.
+DECREASE_RTOL = 1e-14
 _DISTANCE_FLOOR = 1e-12   # meters; avoids 0/0 in unit vectors at an anchor
 # Rank tests use the scale-free ratio det(H) / |H|_F^k.  Random scene
 # geometry stays above 1e-5 (3x3) / 4e-8 (4x4); collinear or coplanar
@@ -48,22 +64,6 @@ class PositionFix:
     position: np.ndarray
     residual_norm: float
     iterations: int
-
-
-def _range_sum_residuals(
-    txs: np.ndarray, rxs: np.ndarray, ks: np.ndarray, p: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Residuals of the range-sum equations for a batch of scenes.
-
-    txs (T,m,3), rxs (T,n,3), ks (T,m,n) range sums in meters, p (T,3).
-    Returns residuals (T,m,n), anchor distances (T,m) and (T,n), and the
-    residual norms (T,).
-    """
-    da = np.sqrt(((txs - p[:, None, :]) ** 2).sum(axis=2))
-    db = np.sqrt(((rxs - p[:, None, :]) ** 2).sum(axis=2))
-    r = ks - (da[:, :, None] + db[:, None, :])
-    rnorm = np.sqrt((r * r).sum(axis=(1, 2)))
-    return r, da, db, rnorm
 
 
 def _require_finite(*values) -> None:
@@ -85,22 +85,26 @@ def _rank_deficient3(h: np.ndarray) -> np.ndarray:
     return np.abs(_det3(h)) <= _DET3_RTOL * np.maximum(frob, 1e-300) ** 3
 
 
+def _positive_definite3(h: np.ndarray) -> np.ndarray:
+    """Sylvester's criterion on a (T,3,3) stack of symmetric matrices."""
+    minor2 = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
+    return (h[:, 0, 0] > 0.0) & (minor2 > 0.0) & (_det3(h) > 0.0)
+
+
 def _warm_start(txs: np.ndarray, rxs: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """Algebraic initial points for a batch of bistatic scenes.
 
     With tau the unknown range to the first transmitter, the range-sum
     matrix fixes every other anchor range as an affine function of tau;
     subtracting the first transmitter's squared sphere equation from the
-    rest yields m - 1 + n equations linear in (p, tau).  Scenes where that
-    system is under-determined or numerically singular fall back to the
-    anchor centroid, as do solutions that land far outside the anchor box.
+    rest yields m - 1 + n >= 4 equations linear in (p, tau).  Scenes where
+    that system is numerically singular fall back to the anchor centroid,
+    as do solutions that land far outside the anchor box.
     """
     count, m, _ = txs.shape
     n = rxs.shape[1]
     anchors = np.concatenate([txs, rxs], axis=1)
     centroid = anchors.mean(axis=1)
-    if m - 1 + n < 4:
-        return centroid
     a1 = txs[:, 0, :]
     h = ks[:, :, 0] - ks[:, 0:1, 0]       # range to tx_i minus range to tx_0
     s1 = ks[:, 0, :]                      # range to tx_0 plus range to rx_j
@@ -135,26 +139,68 @@ def _warm_start(txs: np.ndarray, rxs: np.ndarray, ks: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _gauss_newton_batch(
-    txs: np.ndarray,
-    rxs: np.ndarray,
-    ks: np.ndarray,
+def _fit_residuals(
+    anchors: np.ndarray, fit: np.ndarray, m: int, p: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row/column residuals of a batch of range-sum problems.
+
+    anchors (T,m+n,3) stacks the transmitters over the receivers, fit
+    (T,m+n) the row term a over the column term b, p (T,3).  Returns the
+    anchor distances d and the residual terms e = fit - d, so that the
+    residual matrix is R = x (+) y with x = e[:, :m], y = e[:, m:], and
+    |R|_F^2.  The norm is summed from three orthogonal parts of R,
+    n |x - mean(x)|^2 + m |y - mean(y)|^2 + m n (mean(x) + mean(y))^2,
+    which avoids the cancellation in n |x|^2 + m |y|^2 + 2 sum(x) sum(y):
+    a and b share an arbitrary constant, so x and y are large and of
+    opposite sign.
+    """
+    n = anchors.shape[1] - m
+    d = np.sqrt(((anchors - p[:, None, :]) ** 2).sum(axis=2))
+    e = fit - d
+    xm = e[:, :m].mean(axis=1)
+    ym = e[:, m:].mean(axis=1)
+    sq = (
+        n * ((e[:, :m] - xm[:, None]) ** 2).sum(axis=1)
+        + m * ((e[:, m:] - ym[:, None]) ** 2).sum(axis=1)
+        + (m * n) * (xm + ym) ** 2
+    )
+    return d, e, sq
+
+
+def _newton_batch(
+    anchors: np.ndarray,
+    fit: np.ndarray,
+    m: int,
     p0: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Damped Gauss-Newton on a batch of range-sum problems.
+    """Damped Newton on a batch of range-sum problems in row/column form.
 
-    Each scene iterates independently: the full step is halved up to
-    MAX_HALVINGS times whenever it would increase the residual norm, a
-    scene stops once its accepted step is shorter than STEP_TOL meters or
-    no damped step is accepted, and everything stops after MAX_ITERATIONS.
+    anchors, fit and m are as in ``_fit_residuals``; p0 (T,3) holds the
+    initial points.  With R_ij = x_i + y_j, unit vectors u_i (to tx_i) and
+    v_j (to rx_j), su = sum_i u_i and sv = sum_j v_j, every term of
+    |R|^2 / 2 comes from the (T,m) and (T,n) terms:
+      * gradient: sum_i row_i u_i + sum_j col_j v_j, with the row sums
+        row_i = n x_i + sum(y) and column sums col_j = m y_j + sum(x);
+      * Gauss-Newton matrix: n sum_i u_i u_i' + m sum_j v_j v_j'
+        + su sv' + sv su';
+      * exact Hessian: that matrix minus sum_i row_i (I - u_i u_i') / da_i
+        and sum_j col_j (I - v_j v_j') / db_j.
+    A scene takes the full Newton step where the exact Hessian is positive
+    definite and the Gauss-Newton step otherwise.  Each step is halved up
+    to MAX_HALVINGS times whenever it would increase the residual norm.  A
+    scene stops once its accepted step is shorter than STEP_TOL meters, its
+    predicted decrease falls below DECREASE_RTOL of |R|^2, or no damped
+    step is accepted; everything stops after MAX_ITERATIONS.
 
-    Returns (positions, residual_norms, iterations, singular_flags); a set
-    singular flag means the Jacobian lost rank 3 at some iterate.
+    Returns (positions, |R|^2, iterations, singular_flags); a set singular
+    flag means the Gauss-Newton matrix lost rank 3 at some iterate.
     """
-    count, m, _ = txs.shape
-    n = rxs.shape[1]
+    count, k, _ = anchors.shape
+    n = k - m
+    # Each transmitter enters n range sums and each receiver m.
+    weight = np.concatenate([np.full(m, float(n)), np.full(n, float(m))])
     p = p0.astype(np.float64).copy()
-    r, da, db, rnorm = _range_sum_residuals(txs, rxs, ks, p)
+    d, e, sq = _fit_residuals(anchors, fit, m, p)
     iterations = np.zeros(count, dtype=np.int64)
     active = np.ones(count, dtype=bool)
     singular = np.zeros(count, dtype=bool)
@@ -163,30 +209,42 @@ def _gauss_newton_batch(
         if not active.any():
             break
         ia = np.flatnonzero(active)
-        pa = p[ia]
-        ua = (txs[ia] - pa[:, None, :]) / np.maximum(da[ia], _DISTANCE_FLOOR)[:, :, None]
-        ub = (rxs[ia] - pa[:, None, :]) / np.maximum(db[ia], _DISTANCE_FLOOR)[:, :, None]
-        jac = (ua[:, :, None, :] + ub[:, None, :, :]).reshape(len(ia), m * n, 3)
-        rv = r[ia].reshape(len(ia), m * n)
-        grad = np.einsum("tki,tk->ti", jac, rv)
-        hess = np.einsum("tki,tkj->tij", jac, jac)
+        da, ea = d[ia], e[ia]
+        unit = (anchors[ia] - p[ia][:, None, :]) / np.maximum(da, _DISTANCE_FLOOR)[:, :, None]
+        su, sv = unit[:, :m].sum(axis=1), unit[:, m:].sum(axis=1)
+        # Row sums of R for the transmitters, column sums for the receivers.
+        sums = weight * ea
+        sums[:, :m] += ea[:, m:].sum(axis=1)[:, None]
+        sums[:, m:] += ea[:, :m].sum(axis=1)[:, None]
+        grad = (sums[:, None, :] @ unit)[:, 0, :]
+        cross = su[:, :, None] * sv[:, None, :]
+        unit_t = unit.transpose(0, 2, 1)
+        gn = (unit_t * weight) @ unit + cross + cross.transpose(0, 2, 1)
 
-        bad = _rank_deficient3(hess)
+        bad = _rank_deficient3(gn)
         if bad.any():
             singular[ia[bad]] = True
             active[ia[bad]] = False
             ia = ia[~bad]
             if ia.size == 0:
                 continue
-            grad, hess = grad[~bad], hess[~bad]
+            grad, gn, unit, unit_t = grad[~bad], gn[~bad], unit[~bad], unit_t[~bad]
+            sums, da = sums[~bad], da[~bad]
+        curv = sums / np.maximum(da, _DISTANCE_FLOOR)
+        hess = gn + (unit_t * curv[:, None, :]) @ unit
+        hess -= curv.sum(axis=1)[:, None, None] * np.eye(3)
+        newton = _positive_definite3(hess)
+        hess[~newton] = gn[~newton]
         step = -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+        resolved = -(grad * step).sum(axis=1) > DECREASE_RTOL * sq[ia]
+        active[ia[~resolved]] = False
+        ia, step = ia[resolved], step[resolved]
 
         # Damping: per scene, halve the step until the residual does not
         # increase or the halving budget runs out.
         pending = np.ones(ia.size, dtype=bool)
         new_p = p[ia].copy()
-        new_r, new_da, new_db = r[ia].copy(), da[ia].copy(), db[ia].copy()
-        new_rnorm = rnorm[ia].copy()
+        new_d, new_e, new_sq = d[ia].copy(), e[ia].copy(), sq[ia].copy()
         step_len = np.zeros(ia.size)
         for _ in range(MAX_HALVINGS + 1):
             if not pending.any():
@@ -194,13 +252,12 @@ def _gauss_newton_batch(
             jp = np.flatnonzero(pending)
             sel = ia[jp]
             cand = p[sel] + step[jp]
-            r_c, da_c, db_c, rn_c = _range_sum_residuals(txs[sel], rxs[sel], ks[sel], cand)
-            ok = rn_c <= rnorm[sel]
+            d_c, e_c, sq_c = _fit_residuals(anchors[sel], fit[sel], m, cand)
+            ok = sq_c <= sq[sel]
             if ok.any():
                 hit = jp[ok]
                 new_p[hit] = cand[ok]
-                new_r[hit], new_da[hit], new_db[hit] = r_c[ok], da_c[ok], db_c[ok]
-                new_rnorm[hit] = rn_c[ok]
+                new_d[hit], new_e[hit], new_sq[hit] = d_c[ok], e_c[ok], sq_c[ok]
                 step_len[hit] = np.sqrt((step[hit] ** 2).sum(axis=1))
                 pending[hit] = False
             step[jp[~ok]] *= 0.5
@@ -212,14 +269,12 @@ def _gauss_newton_batch(
         if accepted.any():
             sel = ia[accepted]
             p[sel] = new_p[accepted]
-            r[sel] = new_r[accepted]
-            da[sel], db[sel] = new_da[accepted], new_db[accepted]
-            rnorm[sel] = new_rnorm[accepted]
+            d[sel], e[sel], sq[sel] = new_d[accepted], new_e[accepted], new_sq[accepted]
             iterations[sel] = it
             done = step_len[accepted] < STEP_TOL
             active[sel[done]] = False
 
-    return p, rnorm, iterations, singular
+    return p, sq, iterations, singular
 
 
 def localize_bistatic_batch(
@@ -231,10 +286,18 @@ def localize_bistatic_batch(
     """Fix a batch of scenes from their delay matrices.
 
     ts (T,m,n) delays in seconds, txs (T,m,3), rxs (T,n,3) in meters.
-    Returns (positions (T,3), residual_norms (T,), iterations (T,)).
+    Returns (positions (T,3), residual_norms (T,), iterations (T,)); the
+    residual norm is taken over all m n range sums of ``ts``.
+
+    The range sums K = c (ts - delta) are split once into their two-way
+    additive fit a (+) b (``refine_bistatic``: row mean + column mean -
+    grand mean) and the off-subspace energy |K - a (+) b|^2.  The model da (+) db lies in the
+    same subspace, so |K - da (+) db|^2 = |(a - da) (+) (b - db)|^2 plus
+    that constant, and the solver works on the (T,m) and (T,n) terms only.
+    It follows that a delay matrix and its projection have one fix.
 
     Raises:
-        UnderDetermined: if m * n < 4.
+        UnderDetermined: if m + n - 1 < 4 (the independent range sums).
         NonFiniteInput: if a delay, anchor coordinate or delta is NaN or inf.
         SingularGeometry: if any scene's Jacobian loses rank 3.
     """
@@ -242,17 +305,23 @@ def localize_bistatic_batch(
     txs = np.asarray(txs, dtype=np.float64)
     rxs = np.asarray(rxs, dtype=np.float64)
     m, n = txs.shape[1], rxs.shape[1]
-    if m * n < 4:
-        raise UnderDetermined(f"{m * n} range sums cannot fix a 3D position")
+    if m + n - 1 < 4:
+        raise UnderDetermined(f"{m + n - 1} independent range sums cannot fix a 3D position")
     _require_finite(ts, txs, rxs, delta)
     ks = SPEED_OF_LIGHT * (ts - delta)
-    p0 = _warm_start(txs, rxs, ks)
-    p, rnorm, iterations, singular = _gauss_newton_batch(txs, rxs, ks, p0)
+    fitted = refine_bistatic(ks)
+    off_sq = ((ks - fitted) ** 2).sum(axis=(1, 2))
+    # Any split of the fitted matrix into a_i + b_j serves; its first
+    # column and its first row less their shared corner give one.
+    fit = np.concatenate([fitted[:, :, 0], fitted[:, 0, :] - fitted[:, 0:1, 0]], axis=1)
+    p, fit_sq, iterations, singular = _newton_batch(
+        np.concatenate([txs, rxs], axis=1), fit, m, _warm_start(txs, rxs, fitted)
+    )
     if singular.any():
         raise SingularGeometry(
             f"rank-deficient geometry in {int(singular.sum())} of {ts.shape[0]} scenes"
         )
-    return p, rnorm, iterations
+    return p, np.sqrt(fit_sq + off_sq), iterations
 
 
 def localize_bistatic(
@@ -261,9 +330,9 @@ def localize_bistatic(
     rx: np.ndarray,
     delta: float = 0.0,
 ) -> PositionFix:
-    """Fix the tag position from a bistatic delay matrix, starting
-    Gauss-Newton at the algebraic warm start described in the module
-    docstring (with the anchor centroid as its fallback)."""
+    """Fix the tag position from a bistatic delay matrix, starting the
+    damped Newton solver at the algebraic warm start described in the
+    module docstring (with the anchor centroid as its fallback)."""
     t = np.asarray(t, dtype=np.float64)
     tx = np.asarray(tx, dtype=np.float64)
     rx = np.asarray(rx, dtype=np.float64)

@@ -217,6 +217,29 @@ def test_sweep_cli_non_finite_config_exit_code(tmp_path, capsys, line):
     assert not out.exists()
 
 
+def test_sweep_cli_under_determined_localization_exit_code(tmp_path, capsys):
+    """A bistatic 2x2 matrix holds 3 independent range sums: too few."""
+    config = tmp_path / "loc.cfg"
+    config.write_text(
+        "experiment = localization\nkind = bistatic\nm = 2\nn = 2\n"
+        "pilot_lengths = 2\nsigma_grid = 1e-10\ntrials = 512\nmaster_seed = 77\n"
+    )
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(capsys, "sweep", "--config", str(config), "--out", str(out))
+    assert code == 2
+    assert "error" in err
+    assert not out.exists()
+
+
+def test_localize_bistatic_2x2_exit_code(tmp_path, capsys):
+    scene = random_scene(Topology.bistatic(2, 2), 10.0, stream_rng(6, 0))
+    scene_path, toa_path = _localize_files(tmp_path, scene, true_delays(scene))
+    code, out, err = run_cli(capsys, "localize", "--scene", scene_path, "--toa", toa_path)
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
 def test_sweep_cli_missing_config_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "x.csv"))
     assert code == 2

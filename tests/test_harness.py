@@ -116,8 +116,8 @@ def test_parse_config_bad_value_message(text, message):
 
 @pytest.mark.parametrize(
     "kind, m, n",
-    [(Kind.BISTATIC, 1, 3), (Kind.MONOSTATIC, 3, 3)],
-    ids=["bistatic-1x3", "monostatic-3"],
+    [(Kind.BISTATIC, 1, 3), (Kind.BISTATIC, 2, 2), (Kind.MONOSTATIC, 3, 3)],
+    ids=["bistatic-1x3", "bistatic-2x2", "monostatic-3"],
 )
 def test_localization_sweep_under_determined(kind, m, n):
     cfg = _cfg(experiment=ExperimentKind.LOCALIZATION, kind=kind, m=m, n=n)
@@ -186,7 +186,7 @@ def test_crlb_check_rows():
 
 def test_localization_sweep_rows():
     cfg = _cfg(
-        experiment=ExperimentKind.LOCALIZATION, m=2, n=2,
+        experiment=ExperimentKind.LOCALIZATION, m=3, n=2,
         sigma_grid=(1e-10,), trials=64,
     )
     rows = run_sweep(cfg, workers=1).rows

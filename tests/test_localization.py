@@ -12,7 +12,8 @@ from bstoa.localization import (
     localize_monostatic,
     localize_monostatic_batch,
 )
-from bstoa.topology import Topology
+from bstoa.harness import CHUNK_TRIALS, ExperimentKind, SweepConfig, _ChunkTask, _simulate_chunk
+from bstoa.topology import Kind, Topology
 
 
 def _bistatic_case(seed, m=4, n=3, sigma=0.0):
@@ -55,6 +56,58 @@ def _oracle_localize(t, tx, rx, delta, grid_step, bounds):
     return grid[int(np.argmin(total))]
 
 
+def _reference_gauss_newton(ts, txs, rxs, p0, max_iterations=5000):
+    """Damped Gauss-Newton on all m n range-sum rows of a batch, run far
+    past the library's iteration cap: the reference the row/column Newton
+    solver is compared against.  Returns the positions and their sums of
+    squared residuals."""
+    ks = SPEED_OF_LIGHT * ts
+    count, m, n = ks.shape
+
+    def residuals(p):
+        da = np.linalg.norm(txs - p[:, None, :], axis=2)
+        db = np.linalg.norm(rxs - p[:, None, :], axis=2)
+        r = ks - da[:, :, None] - db[:, None, :]
+        return r, da, db, (r * r).sum(axis=(1, 2))
+
+    p = p0.copy()
+    r, da, db, cost = residuals(p)
+    active = np.ones(count, dtype=bool)
+    for _ in range(max_iterations):
+        if not active.any():
+            break
+        u = (txs - p[:, None, :]) / da[:, :, None]
+        v = (rxs - p[:, None, :]) / db[:, :, None]
+        jac = (u[:, :, None, :] + v[:, None, :, :]).reshape(count, m * n, 3)
+        rhs = np.einsum("tki,tk->ti", jac, r.reshape(count, m * n))
+        step = -np.linalg.solve(np.einsum("tki,tkj->tij", jac, jac), rhs[:, :, None])[:, :, 0]
+        step[~active] = 0.0
+        pending = active.copy()
+        for _ in range(40):
+            r_c, da_c, db_c, cost_c = residuals(p + step)
+            ok = pending & (cost_c <= cost)
+            p[ok] += step[ok]
+            r[ok], da[ok], db[ok], cost[ok] = r_c[ok], da_c[ok], db_c[ok], cost_c[ok]
+            pending &= ~ok
+            if not pending.any():
+                break
+            step[pending] *= 0.5
+        active &= ~pending & (np.linalg.norm(step, axis=1) >= 1e-13)
+    return p, cost
+
+
+def _bistatic_chunk(sigma, chunk=0):
+    """One 512-trial harness chunk of bistatic 4x3 scenes at L = 2: anchors,
+    LS and refined delay matrices."""
+    cfg = SweepConfig(
+        experiment=ExperimentKind.LOCALIZATION, kind=Kind.BISTATIC, m=4, n=3,
+        pilot_lengths=(2,), sigma_grid=(sigma,), trials=8 * CHUNK_TRIALS, master_seed=6_100,
+    )
+    task = _ChunkTask(cfg, 0, sigma, 2, chunk * CHUNK_TRIALS, (chunk + 1) * CHUNK_TRIALS)
+    txs, rxs, _, _, t_hats, t_refs = _simulate_chunk(task)
+    return txs, rxs, t_hats, t_refs
+
+
 def _sum_squared_residual(t, tx, rx, delta, p):
     k = SPEED_OF_LIGHT * (t - delta)
     da = np.linalg.norm(tx - p, axis=1)
@@ -79,9 +132,14 @@ def test_monostatic_noiseless_exact_recovery(seed):
 
 
 def test_bistatic_under_determined():
-    scene, t = _bistatic_case(3000, m=1, n=3)
-    with pytest.raises(UnderDetermined):
-        localize_bistatic(t, scene.tx, scene.rx)
+    # 1x3 and 2x2 carry m + n - 1 = 3 independent range sums
+    # (k11 + k22 = k12 + k21), too few for three coordinates.
+    for m, n in ((1, 3), (2, 2)):
+        scene, t = _bistatic_case(3000, m=m, n=n)
+        with pytest.raises(UnderDetermined):
+            localize_bistatic(t, scene.tx, scene.rx)
+        with pytest.raises(UnderDetermined):
+            localize_bistatic_batch(t[None], scene.tx[None], scene.rx[None])
 
 
 def test_monostatic_under_determined():
@@ -265,3 +323,48 @@ def test_delta_is_honored():
     t = true_delays(scene)
     fix = localize_bistatic(t, scene.tx, scene.rx, delta=scene.delta)
     assert np.linalg.norm(fix.position - scene.tag) < 1e-6
+
+
+@pytest.mark.parametrize("sigma", [1e-10, 1e-8])
+def test_residual_norm_covers_every_range_sum(sigma):
+    """The reported norm is that of all m n residuals of the input matrix,
+    off-subspace part included, not only of the fitted terms."""
+    txs, rxs, t_hats, _ = _bistatic_chunk(sigma)
+    p, rnorm, _ = localize_bistatic_batch(t_hats, txs, rxs)
+    full = np.sqrt([
+        _sum_squared_residual(t, tx, rx, 0.0, q) for t, tx, rx, q in zip(t_hats, txs, rxs, p)
+    ])
+    assert np.all(np.abs(rnorm - full) <= 1e-9 * full)
+
+
+@pytest.mark.parametrize("sigma", [1e-9, 1e-8])
+def test_ls_and_refined_matrices_give_one_fix(sigma):
+    """Criterion 10's tie margin: the LS matrix and its projection have the
+    same fitted terms, so their fixes agree within 1e-6 m in every scene."""
+    txs, rxs, t_hats, t_refs = _bistatic_chunk(sigma)
+    p_hat, _, _ = localize_bistatic_batch(t_hats, txs, rxs)
+    p_ref, _, _ = localize_bistatic_batch(t_refs, txs, rxs)
+    assert np.linalg.norm(p_hat - p_ref, axis=1).max() < 1e-6
+
+
+def test_no_scene_reaches_the_iteration_cap():
+    iterations = np.concatenate([
+        localize_bistatic_batch(t_refs, txs, rxs)[2]
+        for txs, rxs, _, t_refs in (_bistatic_chunk(1e-8, chunk) for chunk in range(8))
+    ])
+    assert iterations.size == 8 * CHUNK_TRIALS
+    assert iterations.max() < localization.MAX_ITERATIONS
+
+
+@pytest.mark.parametrize("sigma", [1e-9, 1e-8])
+def test_fix_objective_no_worse_than_long_gauss_newton(sigma):
+    """From the same warm start, the row/column Newton fix is at least as
+    good on the full objective as plain Gauss-Newton run to convergence."""
+    txs, rxs, t_hats, t_refs = _bistatic_chunk(sigma)
+    p0 = localization._warm_start(txs, rxs, SPEED_OF_LIGHT * t_refs)
+    _, cost_ref = _reference_gauss_newton(t_hats, txs, rxs, p0)
+    p, _, _ = localize_bistatic_batch(t_hats, txs, rxs)
+    cost = np.array([
+        _sum_squared_residual(t, tx, rx, 0.0, q) for t, tx, rx, q in zip(t_hats, txs, rxs, p)
+    ])
+    assert np.all(cost <= cost_ref * (1.0 + 1e-12))
