@@ -14,21 +14,20 @@ which coincide with the corresponding Cramer-Rao bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyInput, InvalidValue, WrongTopology
-from .topology import (
-    Kind,
-    Topology,
-    correlation_matrix,
-    entry_weights,
-    unvec,
-    vec,
-    weighting_matrix,
+from .errors import (
+    DimensionMismatch,
+    EmptyInput,
+    InvalidValue,
+    NonFiniteInput,
+    WrongTopology,
 )
+from .topology import Kind, Topology, entry_weights, unvec, vec
 
 
 @dataclass
@@ -57,10 +56,21 @@ class CrlbReport:
     subchannel_bounds: np.ndarray
 
 
+def _check_variance(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise NonFiniteInput(f"{name} must be finite, got {value}")
+    if value < 0.0:
+        raise InvalidValue(f"{name} must be >= 0, got {value}")
+
+
+def _check_pilot_len(pilot_len: int) -> None:
+    if pilot_len < 1:
+        raise InvalidValue(f"pilot_len must be >= 1, got {pilot_len}")
+
+
 def theoretical_mse_iid(topo: Topology, sigma0_sq: float) -> MseReport:
     """Refined-estimator MSE per subchannel under iid noise."""
-    if sigma0_sq < 0.0:
-        raise InvalidValue(f"sigma0_sq must be >= 0, got {sigma0_sq}")
+    _check_variance("sigma0_sq", sigma0_sq)
     m, n = topo.m, topo.n
     if topo.kind is Kind.MONOSTATIC:
         per_entry = np.full((m, m), (m - 1) / m**2 * sigma0_sq)
@@ -103,10 +113,11 @@ def theoretical_mse_independent(
         raise DimensionMismatch(
             f"sigmas_sq shape {sigmas_sq.shape} does not match topology {m}x{n}"
         )
+    if not np.isfinite(sigmas_sq).all():
+        raise NonFiniteInput("all subchannel variances must be finite")
     if np.any(sigmas_sq < 0.0):
         raise InvalidValue("all subchannel variances must be >= 0")
-    if pilot_len < 1:
-        raise InvalidValue(f"pilot_len must be >= 1, got {pilot_len}")
+    _check_pilot_len(pilot_len)
     v = sigmas_sq / pilot_len
     rows = v.sum(axis=1)[:, None]
     cols = v.sum(axis=0)[None, :]
@@ -136,13 +147,29 @@ def crlb_bistatic(topo: Topology, sigma_sq: float, pilot_len: int) -> CrlbReport
     """Error covariance bound for bistatic delay estimation.
 
     The bound is (sigma^2 / L) B, the noise variance scaled projector, so
-    its diagonal equals the refined estimator's per-entry MSE.
+    its diagonal equals the refined estimator's per-entry MSE.  B is filled
+    from its four entry weights (see ``entry_weights``) by what the two
+    subchannels share, with no constraint matrix and no solve:
+
+        B[z, r] = w4 + (w2 - w4) [same tx] + (w3 - w4) [same rx]
+                     + (w1 - w2 - w3 + w4) [r == z]
+
+    Raises:
+        NonFiniteInput: if ``sigma_sq`` is NaN or infinite.
+        InvalidValue: if ``sigma_sq < 0`` or ``pilot_len < 1``.
     """
     if topo.kind is not Kind.BISTATIC:
         raise WrongTopology("crlb_bistatic requires a bistatic topology")
-    bound = (sigma_sq / pilot_len) * weighting_matrix(correlation_matrix(topo))
-    per_entry = unvec(np.diag(bound).copy(), topo.m, topo.n)
-    return CrlbReport(covariance_bound=bound, subchannel_bounds=per_entry)
+    _check_variance("sigma_sq", sigma_sq)
+    _check_pilot_len(pilot_len)
+    w1, w2, w3, w4 = entry_weights(topo)
+    flat = np.arange(topo.mn)
+    tx, rx = flat % topo.m, flat // topo.m
+    b = w4 + (w2 - w4) * (tx[:, None] == tx) + (w3 - w4) * (rx[:, None] == rx)
+    b.flat[:: topo.mn + 1] += w1 - w2 - w3 + w4
+    b *= sigma_sq / pilot_len
+    per_entry = unvec(np.diag(b).copy(), topo.m, topo.n)
+    return CrlbReport(covariance_bound=b, subchannel_bounds=per_entry)
 
 
 def crlb_monostatic(topo: Topology, sigma_sq: float, pilot_len: int) -> CrlbReport:
@@ -157,9 +184,15 @@ def crlb_monostatic(topo: Topology, sigma_sq: float, pilot_len: int) -> CrlbRepo
 
     The derived subchannel bounds are 4 C[i, i] on the diagonal of the delay
     matrix and C[i, i] + C[j, j] + 2 C[i, j] off it.
+
+    Raises:
+        NonFiniteInput: if ``sigma_sq`` is NaN or infinite.
+        InvalidValue: if ``sigma_sq < 0`` or ``pilot_len < 1``.
     """
     if topo.kind is not Kind.MONOSTATIC:
         raise WrongTopology("crlb_monostatic requires a monostatic topology")
+    _check_variance("sigma_sq", sigma_sq)
+    _check_pilot_len(pilot_len)
     m = topo.m
     scale = sigma_sq / (4.0 * pilot_len)
     cov = np.full((m, m), scale * (-1.0) / m**2)

@@ -104,7 +104,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 def _cmd_crlb(args: argparse.Namespace) -> int:
     topo = _topology_from_args(args)
-    sigma_sq = args.sigma**2
+    # Multiplication overflows to inf, which the bound rejects; ** would
+    # raise OverflowError instead.
+    sigma_sq = args.sigma * args.sigma
     if topo.kind is Kind.MONOSTATIC:
         report = crlb_monostatic(topo, sigma_sq, args.pilot_len)
     else:

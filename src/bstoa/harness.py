@@ -17,7 +17,10 @@ blocks of trials.
 
 ``run_sweep`` is the entry point: it runs any of the three experiments
 (estimator MSE, localization RMSE, CRLB check) through the same chunked
-protocol and builds the rows from the per-point sums.
+protocol and builds the rows from the per-point sums.  No experiment builds
+an (m n) x (m n) matrix: the bistatic CRLB check sums each refined error's
+m + n row/column coordinates, an (m + n) x (m + n) partial, and compares
+it with the bound in those coordinates (see ``_crlb_rows``).
 
 Config files are flat ``key = value`` text; lists are comma-separated.
 Recognized keys are the SweepConfig fields: ``experiment`` (mse,
@@ -299,9 +302,13 @@ def _run_crlb_chunk(task: _ChunkTask) -> dict:
     _, _, _, truths, _, t_refs = _simulate_chunk(task)
     err = t_refs - truths
     if task.cfg.kind is Kind.BISTATIC:
-        # Column-major vec of each trial's error, one row per trial.
-        flat = err.transpose(0, 2, 1).reshape(len(err), -1)
-        return {"cov_proposed": flat.T @ flat}
+        # Each refined error is an outer sum a (+) b; keep its m + n
+        # row/column coordinates c = [row means; column means - grand mean].
+        rows = err.mean(axis=2)
+        cols = err.mean(axis=1)
+        cols -= rows.mean(axis=1, keepdims=True)
+        coords = np.concatenate((rows, cols), axis=1)
+        return {"rowcol_proposed": coords.T @ coords}
     return {"sq_proposed": _squares(err)}
 
 
@@ -356,16 +363,40 @@ def _crlb_rows(cfg: SweepConfig, sigma: float, pilot_len: int, sums: dict):
     Cramer-Rao bound.
 
     Bistatic points emit the Frobenius relative error between the empirical
-    error covariance and the bound matrix (ideal value 0); monostatic points
-    emit the mean diagonal and off-diagonal MSE over their bound values
-    (ideal value 1).
+    error covariance and the bound ``s B`` with ``s = sigma^2 / L`` (ideal
+    value 0); monostatic points emit the mean diagonal and off-diagonal MSE
+    over their bound values (ideal value 1).
+
+    The bistatic statistic is computed in row/column coordinates.  Each
+    refined error is ``vec(E) = K c`` with ``c = [a; b]`` and
+    ``K = [1_n kron I_m, I_n kron 1_m]``, so the empirical covariance is
+    ``K (S / N) K^T`` for the chunk sum ``S = sum c c^T``, and the bound is
+    ``s B = s K G^+ K^T`` with ``G = K^T K``.  With ``D = S / N - s G^+``,
+    ``||K D K^T||_F^2 = tr(D G D G)`` and ``||s B||_F = s sqrt(m + n - 1)``
+    (B is a projector of rank m + n - 1), so
+
+        cov_frob_rel_err = sqrt(tr(D G D G)) / (s sqrt(m + n - 1)).
+
+    ``c`` is fixed only up to the gauge ``a + t, b - t``, whose direction
+    ``[1_m; -1_n]`` spans the null space of both ``K`` and ``G``.  The value
+    depends on ``D`` only through ``G D G``, so neither the gauge the chunks
+    chose nor the choice of generalized inverse matters: any ``H`` with
+    ``G H G = G`` may stand for ``G^+``.  ``H = diag(I_m / n,
+    (I_n - 1 1^T / n) / m)`` is one, read off ``G [a; b] = [n a + sum(b);
+    sum(a) + m b]``; it needs no solve, so no BLAS threads are woken.
+    Nothing here is (m n) x (m n).
     """
     topo = cfg.topology
     if topo.kind is Kind.BISTATIC:
-        bound = analysis.crlb_bistatic(topo, sigma**2, pilot_len).covariance_bound
-        emp = sums["cov_proposed"] / cfg.trials
-        rel = float(np.linalg.norm(emp - bound) / np.linalg.norm(bound))
-        yield "proposed", "cov_frob_rel_err", rel, 0.0
+        m, n = topo.m, topo.n
+        gram = np.block([[n * np.eye(m), np.ones((m, n))], [np.ones((n, m)), m * np.eye(n)]])
+        ginv = np.zeros((m + n, m + n))
+        ginv[:m, :m] = np.eye(m) / n
+        ginv[m:, m:] = (np.eye(n) - 1.0 / n) / m
+        scale = sigma**2 / pilot_len
+        dg = (sums["rowcol_proposed"] / cfg.trials - scale * ginv) @ gram
+        rel = math.sqrt(max(float(np.einsum("ij,ji->", dg, dg)), 0.0))
+        yield "proposed", "cov_frob_rel_err", rel / (scale * math.sqrt(m + n - 1)), 0.0
         return
     bounds = analysis.crlb_monostatic(topo, sigma**2, pilot_len).subchannel_bounds
     emp = sums["sq_proposed"] / cfg.trials

@@ -11,7 +11,14 @@ from bstoa.analysis import (
     theoretical_mse_independent,
 )
 from bstoa.channel import stream_rng
-from bstoa.errors import BstoaError, DimensionMismatch, EmptyInput, WrongTopology
+from bstoa.errors import (
+    BstoaError,
+    DimensionMismatch,
+    EmptyInput,
+    InvalidValue,
+    NonFiniteInput,
+    WrongTopology,
+)
 from bstoa.topology import Kind, Topology, correlation_matrix, unvec, vec, weighting_matrix
 
 
@@ -115,6 +122,52 @@ def test_crlb_bistatic_2x2_is_projector():
     b = weighting_matrix(correlation_matrix(topo))
     assert np.abs(report.covariance_bound - b).max() < 1e-14
     assert np.abs(np.diag(report.covariance_bound) - 0.75).max() < 1e-14
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("m", range(1, 9))
+def test_crlb_bistatic_matches_dense_projector(m, n):
+    """The bound filled by entry type equals (sigma^2 / L) B with B from
+    the constraint-matrix solve."""
+    topo = Topology.bistatic(m, n)
+    sigma_sq, length = 2.5e-19, 4
+    dense = (sigma_sq / length) * weighting_matrix(correlation_matrix(topo))
+    report = crlb_bistatic(topo, sigma_sq, length)
+    assert report.covariance_bound.shape == (m * n, m * n)
+    assert np.abs(report.covariance_bound - dense).max() <= 1e-12 * np.abs(dense).max()
+    assert np.array_equal(report.subchannel_bounds, unvec(np.diag(report.covariance_bound), m, n))
+
+
+_BISTATIC_BOUND = (crlb_bistatic, Topology.bistatic(3, 2))
+_MONOSTATIC_BOUND = (crlb_monostatic, Topology.monostatic(3))
+
+
+@pytest.mark.parametrize("bound, topo", [_BISTATIC_BOUND, _MONOSTATIC_BOUND], ids=["bi", "mono"])
+@pytest.mark.parametrize(
+    "sigma_sq, pilot_len, error",
+    [
+        (np.nan, 2, NonFiniteInput),
+        (np.inf, 2, NonFiniteInput),
+        (1e-18, 0, InvalidValue),
+        (1e-18, -3, InvalidValue),
+        (-1e-18, 2, InvalidValue),
+    ],
+    ids=["nan-variance", "inf-variance", "pilot-len-0", "pilot-len-negative", "negative-variance"],
+)
+def test_crlb_rejects_bad_arguments(bound, topo, sigma_sq, pilot_len, error):
+    with pytest.raises(error):
+        bound(topo, sigma_sq, pilot_len)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("topo", [Topology.bistatic(4, 3), Topology.monostatic(3)])
+def test_theoretical_mse_rejects_non_finite_variance(topo, bad):
+    with pytest.raises(NonFiniteInput):
+        theoretical_mse_iid(topo, bad)
+    sigmas_sq = np.ones((topo.m, topo.n))
+    sigmas_sq[0, -1] = bad
+    with pytest.raises(NonFiniteInput):
+        theoretical_mse_independent(topo, sigmas_sq, 1)
 
 
 def test_crlb_bistatic_1x1_scalar():

@@ -101,6 +101,23 @@ def test_crlb_output(capsys):
     assert np.abs(got - 0.25 * np.array([[0.75, -0.25], [-0.25, 0.75]])).max() < 1e-15
 
 
+@pytest.mark.parametrize(
+    "topology", [["bi", "--m", "3", "--n", "2"], ["mono", "--m", "3"]], ids=["bi", "mono"]
+)
+@pytest.mark.parametrize(
+    "sigma, pilot_len",
+    [("nan", "2"), ("1e200", "2"), ("1e-9", "0"), ("1e-9", "-3")],
+    ids=["sigma-nan", "sigma-overflow", "pilot-len-0", "pilot-len-negative"],
+)
+def test_crlb_bad_input_exit_code(capsys, topology, sigma, pilot_len):
+    code, out, err = run_cli(
+        capsys, "crlb", "--topology", *topology, "--sigma", sigma, "--pilot-len", pilot_len,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_localize_scene_file(tmp_path, capsys):
     topo = Topology.bistatic(4, 3)
     scene = random_scene(topo, 10.0, stream_rng(3, 0))

@@ -194,9 +194,15 @@ def test_localization_sweep_rows():
     assert all(r.theory is None for r in rows)
 
 
+def _outer_sum_basis(m, n):
+    """K with vec(a (+) b) = K [a; b] for column-major vec."""
+    return np.hstack([np.kron(np.ones((n, 1)), np.eye(m)), np.kron(np.eye(n), np.ones((m, 1)))])
+
+
 def test_chunk_matches_per_trial_reference():
     """A batched chunk reproduces a per-trial loop over the same streams,
-    refined through the dense projector B."""
+    refined through the dense projector B; the CRLB partial, mapped back
+    through K, is the sum of the per-trial error outer products."""
     cfg = _cfg(experiment=ExperimentKind.CRLB, m=3, n=2, trials=40)
     topo = cfg.topology
     b = weighting_matrix(correlation_matrix(topo))
@@ -216,7 +222,68 @@ def test_chunk_matches_per_trial_reference():
     crlb = _run_crlb_chunk(task)
     assert np.abs(mse["sq_ls"] - sq_ls).max() <= 1e-12 * sq_ls.max()
     assert np.abs(mse["sq_proposed"] - sq_ref).max() <= 1e-12 * sq_ref.max()
-    assert np.abs(crlb["cov_proposed"] - cov).max() <= 1e-12 * np.abs(cov).max()
+    k = _outer_sum_basis(topo.m, topo.n)
+    rebuilt = k @ crlb["rowcol_proposed"] @ k.T
+    assert np.abs(rebuilt - cov).max() <= 1e-12 * np.abs(cov).max()
+
+
+def _dense_cov_frob_rel_err(cfg):
+    """Per grid point, ||flat.T @ flat / N - s B||_F / ||s B||_F over the
+    sweep's refined errors, with the dense projector B."""
+    topo = cfg.topology
+    b = weighting_matrix(correlation_matrix(topo))
+    cov = {}
+    for task in _chunk_tasks(cfg):
+        _, _, _, truths, _, t_refs = _simulate_chunk(task)
+        flat = (t_refs - truths).transpose(0, 2, 1).reshape(len(truths), -1)
+        cov[task.point_index] = cov.get(task.point_index, 0.0) + flat.T @ flat
+    out = {}
+    for index, (sigma, pilot_len) in enumerate(cfg.grid_points):
+        bound = (sigma**2 / pilot_len) * b
+        out[sigma, pilot_len] = np.linalg.norm(cov[index] / cfg.trials - bound) / np.linalg.norm(bound)
+    return out
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 5), (5, 1), (4, 3), (9, 7)])
+def test_crlb_sweep_matches_dense_formula(m, n, workers):
+    """The row/column statistic equals the dense (mn)^2 covariance formula."""
+    cfg = _cfg(
+        experiment=ExperimentKind.CRLB, m=m, n=n, pilot_lengths=(8, 2),
+        sigma_grid=(1e-10, 3e-9), trials=600, master_seed=17,
+    )
+    dense = _dense_cov_frob_rel_err(cfg)
+    rows = run_sweep(cfg, workers=workers).rows
+    assert len(rows) == len(dense)
+    for row in rows:
+        want = dense[row.sigma, row.pilot_len]
+        assert abs(row.value - want) <= 1e-10 * want
+
+
+def test_sweeps_never_build_dense_matrices(monkeypatch):
+    """No sweep path builds the constraint matrix A or the projector B."""
+    import bstoa.analysis
+    import bstoa.topology
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sweep built a dense (mn)^2 matrix")
+
+    originals = {
+        id(bstoa.topology.correlation_matrix),
+        id(bstoa.topology.weighting_matrix),
+        id(bstoa.analysis.crlb_bistatic),
+    }
+    modules = [mod for key, mod in sys.modules.items() if key == "bstoa" or key.startswith("bstoa.")]
+    for mod in modules:
+        for name, obj in list(vars(mod).items()):
+            if id(obj) in originals:
+                monkeypatch.setattr(mod, name, forbidden)
+    with pytest.raises(AssertionError):
+        bstoa.topology.weighting_matrix(None)
+    for experiment in ExperimentKind:
+        for kind, m, n in ((Kind.BISTATIC, 3, 2), (Kind.MONOSTATIC, 4, 4)):
+            cfg = _cfg(experiment=experiment, kind=kind, m=m, n=n, trials=64)
+            assert run_sweep(cfg, workers=1).rows
 
 
 def _per_trial_chunk(task):
