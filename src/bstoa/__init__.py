@@ -8,13 +8,11 @@ from .analysis import (
     MseReport,
     crlb_bistatic,
     crlb_monostatic,
-    empirical_mse,
     theoretical_mse_iid,
     theoretical_mse_independent,
 )
 from .channel import (
     SPEED_OF_LIGHT,
-    ObservationBlock,
     Scene,
     random_scene,
     stream_rng,
@@ -27,7 +25,6 @@ from .errors import (
     ConfigInvalid,
     ConstraintViolated,
     DimensionMismatch,
-    EmptyInput,
     IndexOutOfRange,
     InvalidValue,
     NonFiniteInput,
@@ -37,9 +34,7 @@ from .errors import (
     WrongTopology,
 )
 from .estimator import (
-    EstimateReport,
     decompose_delays,
-    full_estimate,
     ls_estimate,
     refine_bistatic,
     refine_estimate,

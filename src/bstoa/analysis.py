@@ -1,4 +1,4 @@
-"""Closed-form MSE expressions, Cramer-Rao bounds, and empirical statistics.
+"""Closed-form MSE expressions and Cramer-Rao bounds.
 
 All per-subchannel variances here are estimate-level: the observation noise
 variance sigma^2 divided by the pilot length L.  The plain least squares
@@ -16,31 +16,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyInput,
-    InvalidValue,
-    NonFiniteInput,
-    WrongTopology,
-)
-from .topology import Kind, Topology, entry_weights, unvec, vec
+from .errors import DimensionMismatch, InvalidValue, NonFiniteInput, WrongTopology
+from .topology import Kind, Topology, entry_weights, unvec
 
 
 @dataclass
 class MseReport:
-    """Per-subchannel mean square errors in seconds^2.
-
-    sigma0_sq is the estimate-level noise variance when a single value
-    applies (iid noise); error_covariance is filled by empirical runs only.
-    """
+    """Per-subchannel mean square errors in seconds^2."""
 
     per_entry_mse: np.ndarray
-    sigma0_sq: float | None = None
-    error_covariance: np.ndarray | None = None
 
 
 @dataclass
@@ -77,7 +64,7 @@ def theoretical_mse_iid(topo: Topology, sigma0_sq: float) -> MseReport:
         np.fill_diagonal(per_entry, (2 * m - 1) / m**2 * sigma0_sq)
     else:
         per_entry = np.full((m, n), (m + n - 1) / (m * n) * sigma0_sq)
-    return MseReport(per_entry_mse=per_entry, sigma0_sq=sigma0_sq)
+    return MseReport(per_entry_mse=per_entry)
 
 
 def theoretical_mse_independent(
@@ -183,7 +170,8 @@ def crlb_monostatic(topo: Topology, sigma_sq: float, pilot_len: int) -> CrlbRepo
         C[i, j] = (sigma^2 / 4 L) (-1) / m^2     (i != j)
 
     The derived subchannel bounds are 4 C[i, i] on the diagonal of the delay
-    matrix and C[i, i] + C[j, j] + 2 C[i, j] off it.
+    matrix and C[i, i] + C[j, j] + 2 C[i, j] off it, which are the refined
+    estimator's MSE (``theoretical_mse_iid`` at sigma^2 / L).
 
     Raises:
         NonFiniteInput: if ``sigma_sq`` is NaN or infinite.
@@ -197,40 +185,6 @@ def crlb_monostatic(topo: Topology, sigma_sq: float, pilot_len: int) -> CrlbRepo
     scale = sigma_sq / (4.0 * pilot_len)
     cov = np.full((m, m), scale * (-1.0) / m**2)
     np.fill_diagonal(cov, scale * (2 * m - 1) / m**2)
-    sigma0_sq = sigma_sq / pilot_len
-    per_entry = np.full((m, m), (m - 1) / m**2 * sigma0_sq)
-    np.fill_diagonal(per_entry, (2 * m - 1) / m**2 * sigma0_sq)
+    per_entry = theoretical_mse_iid(topo, sigma_sq / pilot_len).per_entry_mse
     return CrlbReport(covariance_bound=cov, subchannel_bounds=per_entry)
 
-
-def empirical_mse(
-    trials: Iterable[tuple[np.ndarray, np.ndarray]] | Sequence[tuple[np.ndarray, np.ndarray]],
-) -> MseReport:
-    """Per-entry MSE and full error covariance over (truth, estimate) pairs.
-
-    Errors are centered at the known truth, not the sample mean; both
-    estimators are unbiased, and this avoids estimating the center.
-    """
-    errors = []
-    shape = None
-    for t_true, t_est in trials:
-        t_true = np.asarray(t_true, dtype=np.float64)
-        t_est = np.asarray(t_est, dtype=np.float64)
-        if t_true.shape != t_est.shape:
-            raise DimensionMismatch(
-                f"trial shapes differ: {t_true.shape} vs {t_est.shape}"
-            )
-        if shape is None:
-            shape = t_true.shape
-        elif t_true.shape != shape:
-            raise DimensionMismatch(
-                f"inconsistent trial shapes: {t_true.shape} vs {shape}"
-            )
-        errors.append(vec(t_est - t_true))
-    if not errors:
-        raise EmptyInput("empirical_mse needs at least one trial")
-    err = np.array(errors)
-    count = err.shape[0]
-    per_entry = unvec((err * err).sum(axis=0) / count, shape[0], shape[1])
-    covariance = err.T @ err / count
-    return MseReport(per_entry_mse=per_entry, error_covariance=covariance)

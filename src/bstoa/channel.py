@@ -8,6 +8,8 @@ processing delay ``delta``:
 
 Monostatic scenes share one antenna array, so ``rx`` aliases ``tx`` and the
 delay matrix is symmetric with diagonal ``delta + 2 |tx_i - tag| / c``.
+
+Pilot observations are plain ``(L m, n)`` arrays, L rows per transmitter.
 """
 
 from __future__ import annotations
@@ -17,7 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidValue, NonFiniteInput
+from .errors import (
+    BstoaError,
+    ConfigInvalid,
+    DimensionMismatch,
+    InvalidValue,
+    NonFiniteInput,
+)
 from .topology import Kind, Topology
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact SI value
@@ -116,7 +124,10 @@ class Scene:
         """Parse a ``to_text`` record.
 
         Raises:
+            ConfigInvalid: if a key is missing, ``kind`` is unknown, or a
+                count or coordinate does not parse.
             NonFiniteInput: if a coordinate or ``delta`` is NaN or inf.
+            DimensionMismatch: if a coordinate is not a 3D point.
         """
         fields: dict[str, str] = {}
         for raw in text.splitlines():
@@ -125,9 +136,6 @@ class Scene:
                 continue
             key, _, value = line.partition("=")
             fields[key.strip()] = value.strip()
-        kind = Kind(fields["kind"])
-        m, n = int(fields["m"]), int(fields["n"])
-        topo = Topology(kind, m, n)
 
         def number(text: str) -> float:
             value = float(text)
@@ -138,38 +146,27 @@ class Scene:
         def triple(key: str) -> list[float]:
             return [number(x) for x in fields[key].split(",")]
 
-        tx = np.array([triple(f"tx{i}") for i in range(m)])
-        rx = None
-        if kind is Kind.BISTATIC:
-            rx = np.array([triple(f"rx{j}") for j in range(n)])
-        return cls(
-            topo=topo,
-            tx=tx,
-            rx=rx,
-            tag=np.array(triple("tag")),
-            delta=number(fields.get("delta", "0.0")),
-        )
-
-
-@dataclass
-class ObservationBlock:
-    """Stacked pilot observations: L rows per transmitter, one column per
-    receiver, so ``y`` has shape (pilot_len * m, n)."""
-
-    y: np.ndarray
-    pilot_len: int
-    sigma: float | None = None
-
-    def __post_init__(self) -> None:
-        self.y = np.asarray(self.y, dtype=np.float64)
-        if self.pilot_len < 1:
-            raise InvalidValue(f"pilot_len must be >= 1, got {self.pilot_len}")
-        if self.sigma is not None and self.sigma < 0.0:
-            raise InvalidValue(f"sigma must be >= 0, got {self.sigma}")
-        if self.y.ndim != 2 or self.y.shape[0] % self.pilot_len != 0:
-            raise DimensionMismatch(
-                f"observation shape {self.y.shape} is not (L*m, n) with L={self.pilot_len}"
+        try:
+            kind = Kind(fields["kind"])
+            m, n = int(fields["m"]), int(fields["n"])
+            topo = Topology(kind, m, n)
+            tx = np.array([triple(f"tx{i}") for i in range(m)])
+            rx = None
+            if kind is Kind.BISTATIC:
+                rx = np.array([triple(f"rx{j}") for j in range(n)])
+            return cls(
+                topo=topo,
+                tx=tx,
+                rx=rx,
+                tag=np.array(triple("tag")),
+                delta=number(fields.get("delta", "0.0")),
             )
+        except BstoaError:
+            raise
+        except KeyError as exc:
+            raise ConfigInvalid(f"scene record has no {exc.args[0]!r} entry") from exc
+        except ValueError as exc:
+            raise ConfigInvalid(f"malformed scene record: {exc}") from exc
 
 
 def random_scene(
@@ -214,12 +211,14 @@ def synth_observations(
     pilot_len: int,
     sigma: float,
     rng: np.random.Generator,
-) -> ObservationBlock:
+) -> np.ndarray:
     """Generate noisy pilot observations for a delay matrix.
 
     Each of the m delay rows is observed pilot_len times with iid Gaussian
     measurement error of standard deviation ``sigma`` seconds; sigma == 0
-    reproduces the delays exactly.
+    reproduces the delays exactly.  The result has shape
+    ``(pilot_len * m, n)``: rows ``i L .. i L + L - 1`` observe transmitter
+    i, the layout :func:`bstoa.estimator.ls_estimate` reads.
     """
     t = np.asarray(t, dtype=np.float64)
     if pilot_len < 1:
@@ -229,4 +228,4 @@ def synth_observations(
     y = np.repeat(t, pilot_len, axis=0)
     if sigma > 0.0:
         y = y + rng.normal(0.0, sigma, size=y.shape)
-    return ObservationBlock(y=y, pilot_len=pilot_len, sigma=sigma)
+    return y

@@ -19,37 +19,14 @@ import sys
 import numpy as np
 
 from .analysis import crlb_bistatic, crlb_monostatic
-from .channel import ObservationBlock, Scene
-from .errors import (
-    BstoaError,
-    ConfigInvalid,
-    ConstraintViolated,
-    DimensionMismatch,
-    EmptyInput,
-    IndexOutOfRange,
-    NonFiniteInput,
-    SingularGeometry,
-    SingularSystem,
-    UnderDetermined,
-    WrongTopology,
-)
+from .channel import Scene
+from .errors import BstoaError, NonFiniteInput, SingularGeometry, SingularSystem
 from .estimator import ls_estimate, refine_estimate
 from .harness import load_config, run_sweep
 from .localization import localize_bistatic, localize_monostatic
 from .topology import Kind, Topology, correlation_matrix, weighting_matrix
 
-_CONFIG_ERRORS = (
-    ConfigInvalid,
-    DimensionMismatch,
-    UnderDetermined,
-    WrongTopology,
-    IndexOutOfRange,
-    EmptyInput,
-    ConstraintViolated,
-    OSError,
-    ValueError,
-    KeyError,
-)
+_CONFIG_ERRORS = (BstoaError, OSError, ValueError)
 _NUMERICAL_ERRORS = (SingularSystem, SingularGeometry, np.linalg.LinAlgError)
 
 
@@ -90,12 +67,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     y = np.loadtxt(args.input, delimiter=",", ndmin=2)
     if not np.isfinite(y).all():
         raise NonFiniteInput(f"observations in {args.input} must be finite")
-    if y.shape[0] % topo.m != 0:
-        raise DimensionMismatch(
-            f"{y.shape[0]} observation rows are not a multiple of m={topo.m}"
-        )
-    obs = ObservationBlock(y=y, pilot_len=y.shape[0] // topo.m)
-    t_hat = ls_estimate(obs, topo)
+    t_hat = ls_estimate(y, topo)
     if args.method == "proposed":
         t_hat = refine_estimate(t_hat, topo)
     _print_matrix(t_hat)
@@ -119,11 +91,6 @@ def _cmd_localize(args: argparse.Namespace) -> int:
     with open(args.scene, "r", encoding="utf-8") as handle:
         scene = Scene.from_text(handle.read())
     t = np.loadtxt(args.toa, delimiter=",", ndmin=2)
-    if t.shape != (scene.topo.m, scene.topo.n):
-        raise DimensionMismatch(
-            f"TOA matrix {t.shape} does not match scene topology "
-            f"{scene.topo.m}x{scene.topo.n}"
-        )
     if args.method == "proposed":
         t = refine_estimate(t, scene.topo)
     if scene.topo.kind is Kind.MONOSTATIC:
@@ -191,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except _CONFIG_ERRORS + (BstoaError,) as exc:
+    except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,12 +25,8 @@ class WrongTopology(BstoaError, ValueError):
     """Operation called with the other topology kind."""
 
 
-class EmptyInput(BstoaError, ValueError):
-    """No data supplied where at least one element is required."""
-
-
 class ConfigInvalid(BstoaError, ValueError):
-    """Sweep configuration failed validation."""
+    """A sweep configuration or scene record failed validation."""
 
 
 class UnderDetermined(BstoaError, ValueError):

@@ -1,8 +1,9 @@
 """Delay matrix estimators: plain least squares and the constrained refinement.
 
-The least squares estimate reduces to per-subchannel pilot means.  The
-refined estimate projects it onto the outer-sum subspace.  That projection
-is the two-way additive fit
+The least squares estimate reduces to per-subchannel pilot means, taken
+over ``(..., L m, n)`` stacks of pilot rows.  The refined estimate projects
+it onto the outer-sum subspace.  That projection is the two-way additive
+fit
 
     row mean + column mean - grand mean,
 
@@ -11,48 +12,37 @@ whose weights on the entries of the input are exactly
 the dense projector ``B`` without building it.  Monostatic channels get an
 additional symmetrization, which keeps the linear constraint satisfied.
 
-The refinements act on the last two axes, so a ``(..., m, n)`` stack of
-estimates is refined in one call.
+Both estimators act on the last two axes, so a stack of observations or
+estimates is processed in one call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channel import ObservationBlock
-from .errors import ConstraintViolated, DimensionMismatch
+from .errors import ConstraintViolated, DimensionMismatch, NonFiniteInput
 from .topology import Kind, Topology
 
 
-@dataclass
-class EstimateReport:
-    """Both estimates for one observation block.
+def ls_estimate(y: np.ndarray, topo: Topology) -> np.ndarray:
+    """Least squares delay estimates from ``(..., L m, n)`` pilot rows: the
+    mean over the L rows of each subchannel, shape ``(..., m, n)``.
 
-    constraint_residual is the max-norm of the constraint equations at the
-    refined estimate; it is zero up to rounding by construction.
+    Rows ``i L .. i L + L - 1`` observe transmitter i, the layout of
+    :func:`bstoa.channel.synth_observations`.  The mean equals the normal
+    equations solution for that pilot matrix, at O(L m n) cost.
+
+    Raises:
+        DimensionMismatch: unless the last axis has n entries and the row
+            count is a positive multiple of m.
     """
-
-    t_hat: np.ndarray
-    t_tilde: np.ndarray
-    constraint_residual: float
-
-
-def ls_estimate(obs: ObservationBlock, topo: Topology) -> np.ndarray:
-    """Least squares delay estimate: the mean over the L pilot rows of each
-    subchannel.
-
-    This equals the normal equations solution for the pilot matrix used by
-    :func:`bstoa.channel.synth_observations`, at O(L m n) cost.
-    """
+    y = np.asarray(y, dtype=np.float64)
     m, n = topo.m, topo.n
-    length = obs.pilot_len
-    if obs.y.shape != (length * m, n):
+    if y.ndim < 2 or y.shape[-1] != n or y.shape[-2] == 0 or y.shape[-2] % m:
         raise DimensionMismatch(
-            f"observations {obs.y.shape} do not match L={length}, m={m}, n={n}"
+            f"observations {y.shape} are not L*m x n pilot rows for m={m}, n={n}"
         )
-    return obs.y.reshape(m, length, n).mean(axis=1)
+    return y.reshape(*y.shape[:-2], m, y.shape[-2] // m, n).mean(axis=-2)
 
 
 def refine_bistatic(t_hat: np.ndarray) -> np.ndarray:
@@ -99,15 +89,6 @@ def _constraint_residual(t: np.ndarray) -> float:
     return float(np.abs(np.diff(np.diff(t, axis=0), axis=1)).max(initial=0.0))
 
 
-def full_estimate(obs: ObservationBlock, topo: Topology) -> EstimateReport:
-    """Run both estimators and report the constraint residual."""
-    t_hat = ls_estimate(obs, topo)
-    t_tilde = refine_estimate(t_hat, topo)
-    return EstimateReport(
-        t_hat=t_hat, t_tilde=t_tilde, constraint_residual=_constraint_residual(t_tilde)
-    )
-
-
 def decompose_delays(
     t: np.ndarray, delta: float, gauge_g1: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -120,12 +101,15 @@ def decompose_delays(
     passing ``gauge_g1 = (t[0, 0] - delta) / 2``.
 
     Raises:
+        NonFiniteInput: if ``t``, ``delta`` or ``gauge_g1`` holds NaN or inf.
         ConstraintViolated: if ``t`` does not satisfy the topology
             constraint to within 1e-9 * max(1, max|t|).
     """
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 2:
         raise DimensionMismatch(f"delay matrix must have two axes, got {t.shape}")
+    if not (np.isfinite(t).all() and np.isfinite(delta) and np.isfinite(gauge_g1)):
+        raise NonFiniteInput("delays, delta and gauge_g1 must be finite")
     residual = _constraint_residual(t)
     tol = 1e-9 * max(1.0, np.abs(t).max())
     if residual > tol:

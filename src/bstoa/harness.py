@@ -43,7 +43,7 @@ import numpy as np
 from . import analysis
 from .channel import _rekey, true_delays_batch
 from .errors import ConfigInvalid, InvalidValue, UnderDetermined
-from .estimator import refine_estimate
+from .estimator import ls_estimate, refine_estimate
 from .localization import localize_bistatic_batch, localize_monostatic_batch
 from .topology import Kind, Topology
 
@@ -223,7 +223,7 @@ def _execute(tasks: list[_ChunkTask], runner: Callable, workers: int | None) -> 
         workers = os.cpu_count() or 1
     if workers <= 1 or len(tasks) <= 1:
         return [runner(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         futures = [pool.submit(runner, task) for task in tasks]
         return [future.result() for future in futures]
 
@@ -250,9 +250,10 @@ def _simulate_chunk(task: _ChunkTask):
     re-keyed to each trial's stream (counter 0, empty buffer) before the
     trial's two draws, which land in preallocated arrays as unit uniforms
     and standard normals and are scaled afterwards, so every value is the
-    one the per-trial functions produce.  True delays, pilot means (the LS
-    estimates) and the refinement are then computed on whole blocks; the
-    pilot buffer holds at most ``_PILOT_BLOCK_VALUES`` noise values.
+    one the per-trial functions produce.  True delays, the LS estimates
+    (``ls_estimate`` on the block's pilot rows) and the refinement are then
+    computed on whole blocks; the pilot buffer holds at most
+    ``_PILOT_BLOCK_VALUES`` noise values.
 
     Returns the stacked transmitter, receiver and tag positions, true
     delays, LS and refined estimates.
@@ -283,9 +284,9 @@ def _simulate_chunk(task: _ChunkTask):
         coords[lo:hi] *= cfg.cube_side
         truths[lo:hi] = true_delays_batch(txs[lo:hi], rxs[lo:hi], tags[lo:hi])
         noise *= task.sigma
-        noise = noise.reshape(hi - lo, m, length, n)
-        noise += truths[lo:hi, :, None, :]
-        noise.mean(axis=2, out=t_hats[lo:hi])
+        by_tx = noise.reshape(hi - lo, m, length, n)
+        by_tx += truths[lo:hi, :, None, :]
+        t_hats[lo:hi] = ls_estimate(noise, topo)
     return txs, rxs, tags, truths, t_hats, refine_estimate(t_hats, topo)
 
 

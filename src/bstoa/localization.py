@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SPEED_OF_LIGHT
-from .errors import NonFiniteInput, SingularGeometry, UnderDetermined
+from .errors import DimensionMismatch, NonFiniteInput, SingularGeometry, UnderDetermined
 from .estimator import refine_bistatic
 
 MAX_ITERATIONS = 100
@@ -64,6 +64,18 @@ class PositionFix:
     position: np.ndarray
     residual_norm: float
     iterations: int
+
+
+def _check_shapes(ts: np.ndarray, txs: np.ndarray, rxs: np.ndarray) -> None:
+    """Require delays (T,m,n) with transmitters (T,m,3) and receivers (T,n,3)."""
+    if (
+        ts.ndim != 3
+        or txs.shape != ts.shape[:2] + (3,)
+        or rxs.shape != (ts.shape[0], ts.shape[2], 3)
+    ):
+        raise DimensionMismatch(
+            f"delays {ts.shape} do not match anchors {txs.shape} and {rxs.shape}"
+        )
 
 
 def _require_finite(*values) -> None:
@@ -297,6 +309,7 @@ def localize_bistatic_batch(
     It follows that a delay matrix and its projection have one fix.
 
     Raises:
+        DimensionMismatch: unless the three stacks agree as above.
         UnderDetermined: if m + n - 1 < 4 (the independent range sums).
         NonFiniteInput: if a delay, anchor coordinate or delta is NaN or inf.
         SingularGeometry: if any scene's Jacobian loses rank 3.
@@ -304,6 +317,7 @@ def localize_bistatic_batch(
     ts = np.asarray(ts, dtype=np.float64)
     txs = np.asarray(txs, dtype=np.float64)
     rxs = np.asarray(rxs, dtype=np.float64)
+    _check_shapes(ts, txs, rxs)
     m, n = txs.shape[1], rxs.shape[1]
     if m + n - 1 < 4:
         raise UnderDetermined(f"{m + n - 1} independent range sums cannot fix a 3D position")
@@ -333,15 +347,8 @@ def localize_bistatic(
     """Fix the tag position from a bistatic delay matrix, starting the
     damped Newton solver at the algebraic warm start described in the
     module docstring (with the anchor centroid as its fallback)."""
-    t = np.asarray(t, dtype=np.float64)
-    tx = np.asarray(tx, dtype=np.float64)
-    rx = np.asarray(rx, dtype=np.float64)
-    if t.shape != (tx.shape[0], rx.shape[0]):
-        raise UnderDetermined(
-            f"delay matrix {t.shape} does not match {tx.shape[0]} tx / {rx.shape[0]} rx anchors"
-        )
     p, rnorm, iterations = localize_bistatic_batch(
-        t[None, :, :], tx[None, :, :], rx[None, :, :], delta=delta
+        np.asarray(t)[None], np.asarray(tx)[None], np.asarray(rx)[None], delta=delta
     )
     return PositionFix(
         position=p[0], residual_norm=float(rnorm[0]), iterations=int(iterations[0])
@@ -352,16 +359,17 @@ def localize_monostatic_batch(
     ts: np.ndarray,
     anchors: np.ndarray,
     delta: float = 0.0,
-    polish: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fix a batch of monostatic scenes from their delay matrix diagonals.
 
-    Ranges are c (t[i, i] - delta) / 2.  Subtracting the first squared
-    sphere equation from the others leaves a linear system in p, solved by
-    least squares; ``polish`` then applies one damped Gauss-Newton step on
-    the full range residual.
+    ts (T,m,m) delays in seconds, anchors (T,m,3) in meters.  Ranges are
+    c (t[i, i] - delta) / 2.  Subtracting the first squared sphere equation
+    from the others leaves a linear system in p, solved by least squares;
+    one damped Gauss-Newton step on the full range residual then polishes
+    the fix.
 
     Raises:
+        DimensionMismatch: unless the two stacks agree as above.
         UnderDetermined: if fewer than 4 anchors.
         NonFiniteInput: if a delay, anchor coordinate or delta is NaN or inf.
         SingularGeometry: if the linear system has rank < 3 (coplanar
@@ -369,6 +377,7 @@ def localize_monostatic_batch(
     """
     ts = np.asarray(ts, dtype=np.float64)
     anchors = np.asarray(anchors, dtype=np.float64)
+    _check_shapes(ts, anchors, anchors)
     count, m = anchors.shape[0], anchors.shape[1]
     if m < 4:
         raise UnderDetermined(f"{m} ranges cannot fix a 3D position")
@@ -389,29 +398,28 @@ def localize_monostatic_batch(
     p = np.linalg.solve(hess, np.einsum("tri,tr->ti", diff, rhs)[:, :, None])[:, :, 0]
     f, dist, fnorm = _range_residuals(anchors, ranges, p)
     iterations = np.zeros(count, dtype=np.int64)
-    if polish:
-        jac = (anchors - p[:, None, :]) / np.maximum(dist, _DISTANCE_FLOOR)[:, :, None]
-        hess_p = np.einsum("tri,trj->tij", jac, jac)
-        grad = np.einsum("tri,tr->ti", jac, f)
-        ok = ~_rank_deficient3(hess_p)
-        step = np.zeros_like(p)
-        if ok.any():
-            step[ok] = -np.linalg.solve(hess_p[ok], grad[ok][:, :, None])[:, :, 0]
-        pending = ok.copy()
-        for _ in range(MAX_HALVINGS + 1):
-            if not pending.any():
-                break
-            jp = np.flatnonzero(pending)
-            cand = p[jp] + step[jp]
-            f_c, _, fn_c = _range_residuals(anchors[jp], ranges[jp], cand)
-            accept = fn_c <= fnorm[jp]
-            hit = jp[accept]
-            if accept.any():
-                p[hit] = cand[accept]
-                f[hit], fnorm[hit] = f_c[accept], fn_c[accept]
-                iterations[hit] = 1
-                pending[hit] = False
-            step[jp[~accept]] *= 0.5
+    jac = (anchors - p[:, None, :]) / np.maximum(dist, _DISTANCE_FLOOR)[:, :, None]
+    hess_p = np.einsum("tri,trj->tij", jac, jac)
+    grad = np.einsum("tri,tr->ti", jac, f)
+    ok = ~_rank_deficient3(hess_p)
+    step = np.zeros_like(p)
+    if ok.any():
+        step[ok] = -np.linalg.solve(hess_p[ok], grad[ok][:, :, None])[:, :, 0]
+    pending = ok.copy()
+    for _ in range(MAX_HALVINGS + 1):
+        if not pending.any():
+            break
+        jp = np.flatnonzero(pending)
+        cand = p[jp] + step[jp]
+        f_c, _, fn_c = _range_residuals(anchors[jp], ranges[jp], cand)
+        accept = fn_c <= fnorm[jp]
+        hit = jp[accept]
+        if accept.any():
+            p[hit] = cand[accept]
+            f[hit], fnorm[hit] = f_c[accept], fn_c[accept]
+            iterations[hit] = 1
+            pending[hit] = False
+        step[jp[~accept]] *= 0.5
     return p, fnorm, iterations
 
 
@@ -428,17 +436,10 @@ def localize_monostatic(
     t: np.ndarray,
     anchors: np.ndarray,
     delta: float = 0.0,
-    polish: bool = True,
 ) -> PositionFix:
     """Fix the tag position from a monostatic delay matrix."""
-    t = np.asarray(t, dtype=np.float64)
-    anchors = np.asarray(anchors, dtype=np.float64)
-    if t.shape != (anchors.shape[0], anchors.shape[0]):
-        raise UnderDetermined(
-            f"delay matrix {t.shape} does not match {anchors.shape[0]} anchors"
-        )
     p, fnorm, iterations = localize_monostatic_batch(
-        t[None, :, :], anchors[None, :, :], delta=delta, polish=polish
+        np.asarray(t)[None], np.asarray(anchors)[None], delta=delta
     )
     return PositionFix(
         position=p[0], residual_norm=float(fnorm[0]), iterations=int(iterations[0])

@@ -6,7 +6,6 @@ import pytest
 from bstoa.analysis import (
     crlb_bistatic,
     crlb_monostatic,
-    empirical_mse,
     theoretical_mse_iid,
     theoretical_mse_independent,
 )
@@ -14,7 +13,6 @@ from bstoa.channel import stream_rng
 from bstoa.errors import (
     BstoaError,
     DimensionMismatch,
-    EmptyInput,
     InvalidValue,
     NonFiniteInput,
     WrongTopology,
@@ -224,38 +222,6 @@ def test_crlb_reports_are_symmetric_psd(topo):
         cov = crlb_monostatic(topo, 1.0, 2).covariance_bound
     assert np.abs(cov - cov.T).max() < 1e-14
     assert np.linalg.eigvalsh(cov).min() > -1e-12
-
-
-def test_empirical_mse_single_trial():
-    truth = np.zeros((2, 2))
-    estimate = np.full((2, 2), 2e-9)
-    report = empirical_mse([(truth, estimate)])
-    assert np.abs(report.per_entry_mse - 4e-18).max() < 1e-30
-
-
-def test_empirical_mse_exact_estimates():
-    truth = np.arange(6.0).reshape(2, 3)
-    report = empirical_mse([(truth, truth.copy())] * 3)
-    assert np.count_nonzero(report.per_entry_mse) == 0
-    assert np.count_nonzero(report.error_covariance) == 0
-
-
-def test_empirical_mse_rejects_empty_and_mismatched():
-    with pytest.raises(EmptyInput):
-        empirical_mse([])
-    with pytest.raises(DimensionMismatch):
-        empirical_mse([(np.zeros((2, 2)), np.zeros((2, 3)))])
-
-
-def test_empirical_mse_ls_sampling_check():
-    """LS error at sigma=1e-9, L=4 concentrates at 2.5e-19 per entry."""
-    m, n, length, sigma, trials = 2, 2, 4, 1e-9, 100_000
-    noise = stream_rng(90, 0).normal(0.0, sigma, size=(trials, m * length, n))
-    errors = noise.reshape(trials, m, length, n).mean(axis=2)
-    truth = np.zeros((m, n))
-    report = empirical_mse((truth, err) for err in errors)
-    expected = sigma**2 / length
-    assert np.abs(report.per_entry_mse / expected - 1.0).max() < 0.03
 
 
 def test_independent_mse_monostatic_matches_simulation():

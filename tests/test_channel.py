@@ -5,7 +5,6 @@ import pytest
 
 from bstoa.channel import (
     SPEED_OF_LIGHT,
-    ObservationBlock,
     Scene,
     _rekey,
     random_scene,
@@ -14,7 +13,13 @@ from bstoa.channel import (
     true_delays,
     true_delays_batch,
 )
-from bstoa.errors import BstoaError, DimensionMismatch, InvalidValue, NonFiniteInput
+from bstoa.errors import (
+    BstoaError,
+    ConfigInvalid,
+    DimensionMismatch,
+    InvalidValue,
+    NonFiniteInput,
+)
 from bstoa.topology import Topology, correlation_matrix, vec
 
 
@@ -85,20 +90,19 @@ def test_scene_delays_satisfy_constraint(m, n):
 
 def test_synth_observations_noiseless_identity():
     t = np.array([[1.0e-8, 2.0e-8], [3.0e-8, 4.0e-8]])
-    obs = synth_observations(t, 1, 0.0, stream_rng(1, 0))
-    assert np.array_equal(obs.y, t)
+    assert np.array_equal(synth_observations(t, 1, 0.0, stream_rng(1, 0)), t)
 
 
 def test_synth_observations_pilot_replication():
     t = np.array([[2.0]])
-    obs = synth_observations(t, 3, 0.0, stream_rng(1, 0))
-    assert np.array_equal(obs.y, np.full((3, 1), 2.0))
+    y = synth_observations(t, 3, 0.0, stream_rng(1, 0))
+    assert np.array_equal(y, np.full((3, 1), 2.0))
 
 
 def test_synth_observations_block_layout():
     t = np.array([[1.0, 2.0], [3.0, 4.0]])
-    obs = synth_observations(t, 2, 0.0, stream_rng(1, 0))
-    assert np.array_equal(obs.y, np.array([[1, 2], [1, 2], [3, 4], [3, 4]], dtype=float))
+    y = synth_observations(t, 2, 0.0, stream_rng(1, 0))
+    assert np.array_equal(y, np.array([[1, 2], [1, 2], [3, 4], [3, 4]], dtype=float))
 
 
 def test_synth_observations_noise_variance():
@@ -108,8 +112,7 @@ def test_synth_observations_noise_variance():
     sigma = 1e-9
     residuals = []
     for _ in range(3125):  # 3125 blocks x 32 entries = 1e5 samples
-        obs = synth_observations(t, 8, sigma, rng)
-        residuals.append(obs.y.ravel())
+        residuals.append(synth_observations(t, 8, sigma, rng).ravel())
     variance = np.concatenate(residuals).var()
     assert 0.95e-18 < variance < 1.05e-18
 
@@ -153,6 +156,24 @@ def test_scene_from_text_rejects_non_finite(key, bad):
         Scene.from_text("\n".join(lines))
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("n", None), ("tx1", None), ("kind", "tri"), ("tx0", "abc,1,2")],
+    ids=["missing-n", "missing-tx1", "unknown-kind", "bad-number"],
+)
+def test_scene_from_text_rejects_malformed_record(key, value):
+    """A missing key (value None) or an unparsable value is ConfigInvalid."""
+    scene = random_scene(Topology.bistatic(2, 2), 10.0, stream_rng(8, 7))
+    lines = []
+    for line in scene.to_text().splitlines():
+        if line.partition("=")[0] != key:
+            lines.append(line)
+        elif value is not None:
+            lines.append(f"{key}={value}")
+    with pytest.raises(ConfigInvalid):
+        Scene.from_text("\n".join(lines))
+
+
 def test_scene_shape_validation():
     topo = Topology.bistatic(2, 2)
     with pytest.raises(DimensionMismatch):
@@ -183,14 +204,11 @@ def test_true_delays_batch_matches_per_scene():
     "call",
     [
         lambda: Scene(Topology.monostatic(1), tx=np.zeros((1, 3)), tag=np.zeros(3), delta=-1.0),
-        lambda: ObservationBlock(y=np.zeros((2, 2)), pilot_len=0),
-        lambda: ObservationBlock(y=np.zeros((2, 2)), pilot_len=1, sigma=-1.0),
         lambda: synth_observations(np.zeros((2, 2)), 0, 1e-9, stream_rng(1, 0)),
         lambda: synth_observations(np.zeros((2, 2)), 2, -1e-9, stream_rng(1, 0)),
         lambda: random_scene(Topology.bistatic(2, 2), 0.0, stream_rng(1, 0)),
     ],
-    ids=["scene-delta", "obs-pilot-len", "obs-sigma", "synth-pilot-len", "synth-sigma",
-         "cube-side"],
+    ids=["scene-delta", "synth-pilot-len", "synth-sigma", "cube-side"],
 )
 def test_bad_scalar_arguments_raise_package_error(call):
     with pytest.raises(BstoaError) as info:

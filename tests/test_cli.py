@@ -37,9 +37,8 @@ def test_gen_matrix_b_matches_library(capsys):
 def test_estimate_roundtrip(tmp_path, capsys):
     topo = Topology.bistatic(2, 2)
     t = true_delays(random_scene(topo, 10.0, stream_rng(1, 0)))
-    obs = synth_observations(t, 4, 0.0, stream_rng(1, 1))
     path = tmp_path / "obs.csv"
-    np.savetxt(path, obs.y, delimiter=",")
+    np.savetxt(path, synth_observations(t, 4, 0.0, stream_rng(1, 1)), delimiter=",")
     code, out, _ = run_cli(
         capsys, "estimate", "--topology", "bi", "--m", "2", "--n", "2",
         "--input", str(path), "--method", "ls",
@@ -53,9 +52,8 @@ def test_estimate_proposed_satisfies_constraint(tmp_path, capsys):
     topo = Topology.bistatic(2, 2)
     rng = stream_rng(2, 0)
     t = true_delays(random_scene(topo, 10.0, rng))
-    obs = synth_observations(t, 2, 1e-9, rng)
     path = tmp_path / "obs.csv"
-    np.savetxt(path, obs.y, delimiter=",")
+    np.savetxt(path, synth_observations(t, 2, 1e-9, rng), delimiter=",")
     code, out, _ = run_cli(
         capsys, "estimate", "--topology", "bi", "--m", "2", "--n", "2",
         "--input", str(path), "--method", "proposed",
@@ -183,6 +181,31 @@ def test_localize_non_finite_scene_exit_code(tmp_path, capsys, bad):
     assert code == 2
     assert out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize("topo", [Topology.bistatic(4, 3), Topology.monostatic(5)])
+@pytest.mark.parametrize("method", ["ls", "proposed"])
+def test_localize_toa_shape_mismatch_exit_code(tmp_path, capsys, topo, method):
+    scene = random_scene(topo, 10.0, stream_rng(5, 2))
+    scene_path, toa_path = _localize_files(tmp_path, scene, true_delays(scene)[:, 1:])
+    code, out, err = run_cli(
+        capsys, "localize", "--scene", scene_path, "--toa", toa_path, "--method", method,
+    )
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
+@pytest.mark.parametrize("drop", ["n", "tx1", "tag"])
+def test_localize_malformed_scene_exit_code(tmp_path, capsys, drop):
+    scene = random_scene(Topology.bistatic(4, 3), 10.0, stream_rng(5, 3))
+    scene_path, toa_path = _localize_files(tmp_path, scene, true_delays(scene))
+    lines = scene.to_text().splitlines()
+    (tmp_path / "scene.txt").write_text("\n".join(x for x in lines if x.partition("=")[0] != drop))
+    code, out, err = run_cli(capsys, "localize", "--scene", scene_path, "--toa", toa_path)
+    assert code == 2
+    assert out == ""
+    assert f"{drop!r}" in err
 
 
 def test_sweep_cli_roundtrip_and_determinism(tmp_path, capsys):

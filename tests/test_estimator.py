@@ -3,17 +3,10 @@
 import numpy as np
 import pytest
 
-from bstoa.channel import (
-    ObservationBlock,
-    random_scene,
-    stream_rng,
-    synth_observations,
-    true_delays,
-)
-from bstoa.errors import ConstraintViolated, DimensionMismatch
+from bstoa.channel import random_scene, stream_rng, synth_observations, true_delays
+from bstoa.errors import ConstraintViolated, DimensionMismatch, NonFiniteInput
 from bstoa.estimator import (
     decompose_delays,
-    full_estimate,
     ls_estimate,
     _constraint_residual,
     refine_bistatic,
@@ -35,8 +28,17 @@ def _b(topo):
 
 
 def test_ls_estimate_is_pilot_mean():
-    obs = ObservationBlock(y=np.array([[1.0], [3.0]]), pilot_len=2)
-    assert ls_estimate(obs, Topology.bistatic(1, 1))[0, 0] == 2.0
+    assert ls_estimate(np.array([[1.0], [3.0]]), Topology.bistatic(1, 1))[0, 0] == 2.0
+
+
+def test_ls_estimate_batch_equals_per_slice():
+    """A (4, 5, L m, n) stack gives the per-slice estimates bit for bit."""
+    topo = Topology.bistatic(3, 2)
+    y = stream_rng(4, 0).normal(size=(4, 5, 8 * topo.m, topo.n))
+    batch = ls_estimate(y, topo)
+    assert batch.shape == (4, 5, topo.m, topo.n)
+    for index in np.ndindex(4, 5):
+        assert np.array_equal(batch[index], ls_estimate(y[index], topo))
 
 
 def test_ls_estimate_noiseless_recovers_truth():
@@ -55,17 +57,17 @@ def test_ls_estimate_matches_normal_equations_oracle():
     length = 4
     rng = stream_rng(17, 0)
     t = true_delays(random_scene(topo, 10.0, rng))
-    obs = synth_observations(t, length, 1e-9, rng)
+    y = synth_observations(t, length, 1e-9, rng)
     s = np.kron(np.eye(topo.mn), np.ones((length, 1)))
-    y_vec = vec(obs.y)
-    oracle = np.linalg.solve(s.T @ s, s.T @ y_vec)
-    assert np.abs(vec(ls_estimate(obs, topo)) - oracle).max() < 1e-12 * np.abs(oracle).max()
+    oracle = np.linalg.solve(s.T @ s, s.T @ vec(y))
+    assert np.abs(vec(ls_estimate(y, topo)) - oracle).max() < 1e-12 * np.abs(oracle).max()
 
 
 def test_ls_estimate_dimension_mismatch():
-    obs = ObservationBlock(y=np.zeros((4, 2)), pilot_len=2)
-    with pytest.raises(DimensionMismatch):
-        ls_estimate(obs, Topology.bistatic(3, 2))
+    # Rows not a multiple of m, wrong column count, no rows, one axis.
+    for shape in ((4, 2), (6, 3), (0, 2), (6,)):
+        with pytest.raises(DimensionMismatch):
+            ls_estimate(np.zeros(shape), Topology.bistatic(3, 2))
 
 
 def test_refine_matches_kkt_oracle():
@@ -76,15 +78,15 @@ def test_refine_matches_kkt_oracle():
     length = 4
     rng = stream_rng(25, 0)
     t = true_delays(random_scene(topo, 10.0, rng))
-    obs = synth_observations(t, length, 2e-9, rng)
+    y = synth_observations(t, length, 2e-9, rng)
     a = correlation_matrix(topo).astype(float)
     s = np.kron(np.eye(topo.mn), np.ones((length, 1)))
-    y_vec = vec(obs.y)
+    y_vec = vec(y)
     k = a.shape[0]
     kkt = np.block([[s.T @ s, a.T], [a, np.zeros((k, k))]])
     rhs = np.concatenate([s.T @ y_vec, np.zeros(k)])
     oracle = np.linalg.solve(kkt, rhs)[: topo.mn]
-    refined = refine_bistatic(ls_estimate(obs, topo))
+    refined = refine_bistatic(ls_estimate(y, topo))
     assert np.abs(vec(refined) - oracle).max() < 1e-12 * np.abs(oracle).max()
 
 
@@ -193,31 +195,35 @@ def test_constraint_residual_matches_dense_rows():
         assert _constraint_residual(t) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
+def _full_estimate(t, pilot_len, rng, topo):
+    """Both estimates of t from noisy pilots: LS, then the refinement."""
+    t_hat = ls_estimate(synth_observations(t, pilot_len, 1e-9, rng), topo)
+    return t_hat, refine_estimate(t_hat, topo)
+
+
 def test_full_estimate_report():
     topo = Topology.bistatic(2, 2)
     t = true_delays(random_scene(topo, 10.0, stream_rng(50, 0)))
-    obs = synth_observations(t, 4, 1e-9, stream_rng(50, 1))
-    report = full_estimate(obs, topo)
-    assert report.t_hat.shape == (2, 2)
-    assert report.constraint_residual < 1e-9 * max(1.0, np.abs(report.t_tilde).max())
+    t_hat, t_tilde = _full_estimate(t, 4, stream_rng(50, 1), topo)
+    assert t_hat.shape == (2, 2)
+    assert _constraint_residual(t_tilde) < 1e-9 * max(1.0, np.abs(t_tilde).max())
 
 
 def test_full_estimate_monostatic_symmetry():
     topo = Topology.monostatic(3)
     t = true_delays(random_scene(topo, 10.0, stream_rng(51, 0)))
-    obs = synth_observations(t, 2, 1e-9, stream_rng(51, 1))
-    report = full_estimate(obs, topo)
-    assert np.array_equal(report.t_tilde, report.t_tilde.T)
-    assert report.constraint_residual < 1e-9 * max(1.0, np.abs(report.t_tilde).max())
+    _, t_tilde = _full_estimate(t, 2, stream_rng(51, 1), topo)
+    assert np.array_equal(t_tilde, t_tilde.T)
+    assert _constraint_residual(t_tilde) < 1e-9 * max(1.0, np.abs(t_tilde).max())
 
 
 def test_zero_noise_pipeline_exact():
     """scene -> delays -> pilots -> LS -> refinement reproduces the truth."""
     for topo in (Topology.bistatic(4, 3), Topology.monostatic(5)):
         t = true_delays(random_scene(topo, 10.0, stream_rng(60, topo.m)))
-        obs = synth_observations(t, 8, 0.0, stream_rng(60, 10 + topo.m))
-        report = full_estimate(obs, topo)
-        assert np.abs(report.t_tilde - t).max() < 1e-12 * np.abs(t).max()
+        y = synth_observations(t, 8, 0.0, stream_rng(60, 10 + topo.m))
+        t_tilde = refine_estimate(ls_estimate(y, topo), topo)
+        assert np.abs(t_tilde - t).max() < 1e-12 * np.abs(t).max()
 
 
 def test_unbiasedness_monte_carlo():
@@ -291,3 +297,15 @@ def test_decompose_rejects_unconstrained_input():
     noisy = stream_rng(80, 30).normal(size=(3, 3))
     with pytest.raises(ConstraintViolated):
         decompose_delays(noisy, 0.0, gauge_g1=0.0)
+
+
+@pytest.mark.parametrize("bad", ["t", "delta", "gauge_g1"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_decompose_rejects_non_finite(bad, value):
+    args = {"t": np.zeros((3, 2)), "delta": 0.0, "gauge_g1": 0.0}
+    if bad == "t":
+        args["t"][1, 1] = value
+    else:
+        args[bad] = value
+    with pytest.raises(NonFiniteInput):
+        decompose_delays(**args)

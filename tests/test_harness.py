@@ -3,11 +3,13 @@
 import inspect
 import sys
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 import bstoa
+from bstoa import harness
 from bstoa.analysis import theoretical_mse_iid
 from bstoa.channel import random_scene, stream_rng, synth_observations, true_delays
 from bstoa.errors import ConfigInvalid, UnderDetermined
@@ -358,6 +360,35 @@ def test_sweep_determinism_across_worker_counts():
     csv_one = run_sweep(cfg, workers=1).to_csv()
     csv_three = run_sweep(cfg, workers=3).to_csv()
     assert csv_one == csv_three
+
+
+def test_pool_is_capped_at_the_task_count(monkeypatch):
+    """A sweep of two chunks opens a pool of two workers however many are
+    asked for.  The fake pool records its size and runs each task in this
+    process, so no process starts."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    cfg = _cfg(sigma_grid=(1e-9,), trials=600)
+    assert len(_chunk_tasks(cfg)) == 2
+    csv = run_sweep(cfg, workers=64).to_csv()
+    assert sizes == [2]
+    assert csv == run_sweep(cfg, workers=1).to_csv()
 
 
 def test_seed_changes_output():

@@ -5,7 +5,7 @@ import pytest
 
 from bstoa import localization
 from bstoa.channel import SPEED_OF_LIGHT, random_scene, stream_rng, true_delays
-from bstoa.errors import NonFiniteInput, SingularGeometry, UnderDetermined
+from bstoa.errors import DimensionMismatch, NonFiniteInput, SingularGeometry, UnderDetermined
 from bstoa.localization import (
     localize_bistatic,
     localize_bistatic_batch,
@@ -142,6 +142,27 @@ def test_bistatic_under_determined():
             localize_bistatic_batch(t[None], scene.tx[None], scene.rx[None])
 
 
+@pytest.mark.parametrize(
+    "func, shapes",
+    [
+        (localize_bistatic_batch, [(1, 4, 3), (1, 4, 3), (1, 2, 3)]),
+        (localize_bistatic_batch, [(4, 3), (4, 3), (3, 3)]),
+        (localize_bistatic_batch, [(2, 4, 3), (3, 4, 3), (3, 3, 3)]),
+        (localize_bistatic_batch, [(1, 4, 3), (1, 4, 2), (1, 3, 2)]),
+        (localize_monostatic_batch, [(1, 6, 6), (1, 5, 3)]),
+        (localize_monostatic_batch, [(2, 6, 6), (1, 6, 3)]),
+        (localize_monostatic_batch, [(1, 6, 5), (1, 6, 3)]),
+        (localize_bistatic, [(4, 3), (4, 3), (2, 3)]),
+        (localize_monostatic, [(6, 6), (5, 3)]),
+    ],
+    ids=["bi-rx-count", "bi-2d-ts", "bi-batch-size", "bi-2d-points", "mono-anchor-count",
+         "mono-batch-size", "mono-not-square", "bi-single", "mono-single"],
+)
+def test_localizers_reject_mismatched_shapes(func, shapes):
+    with pytest.raises(DimensionMismatch):
+        func(*(np.zeros(shape) for shape in shapes))
+
+
 def test_monostatic_under_determined():
     scene, t = _monostatic_case(3001, m=3)
     with pytest.raises(UnderDetermined):
@@ -240,10 +261,13 @@ def test_monostatic_batch_matches_scalar_calls():
         assert np.array_equal(fix.position, batch_p[i])
 
 
-def test_monostatic_polish_flag():
+def test_monostatic_polish_flag(monkeypatch):
+    """The polish step never raises the residual of the closed-form fix,
+    which is what a step budget of no attempts returns."""
     scene, t = _monostatic_case(3500, sigma=1e-9)
-    raw = localize_monostatic(t, scene.tx, polish=False)
-    polished = localize_monostatic(t, scene.tx, polish=True)
+    polished = localize_monostatic(t, scene.tx)
+    monkeypatch.setattr(localization, "MAX_HALVINGS", -1)
+    raw = localize_monostatic(t, scene.tx)
     assert raw.iterations == 0
     assert polished.iterations <= 1
     assert polished.residual_norm <= raw.residual_norm
