@@ -13,7 +13,11 @@ chunk partials are reduced in chunk order, so output bytes do not depend
 on the number of worker processes.  A chunk keeps one Philox generator and
 re-keys it to each trial's stream in turn, which reproduces a fresh
 ``stream_rng`` exactly, and computes everything after the draws on whole
-blocks of trials.
+blocks of trials.  The re-key (``channel._stream_rekey``) writes the key,
+counter, buffer position and cached-half flag in place into numpy's
+``philox_state``; a self-check against ``stream_rng``, run once per
+process, guards that path, and if it fails the re-key goes through the
+``Philox.state`` setter, with the same draws.
 
 ``run_sweep`` is the entry point: it runs any of the three experiments
 (estimator MSE, localization RMSE, CRLB check) through the same chunked
@@ -41,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from . import analysis
-from .channel import _rekey, true_delays_batch
+from .channel import _stream_rekey, true_delays_batch
 from .errors import ConfigInvalid, InvalidValue, UnderDetermined
 from .estimator import ls_estimate, refine_estimate
 from .localization import localize_bistatic_batch, localize_monostatic_batch
@@ -247,13 +251,16 @@ def _simulate_chunk(task: _ChunkTask):
     pilot noise, from counter stream ``point_index * trials + i``, exactly
     as ``random_scene`` and ``synth_observations`` would on a fresh
     ``stream_rng``.  One Philox generator serves the whole chunk: it is
-    re-keyed to each trial's stream (counter 0, empty buffer) before the
-    trial's two draws, which land in preallocated arrays as unit uniforms
-    and standard normals and are scaled afterwards, so every value is the
-    one the per-trial functions produce.  True delays, the LS estimates
-    (``ls_estimate`` on the block's pilot rows) and the refinement are then
-    computed on whole blocks; the pilot buffer holds at most
-    ``_PILOT_BLOCK_VALUES`` noise values.
+    re-keyed to each trial's stream (counter 0, empty buffer, no cached
+    32-bit half) before the trial's two draws.  The re-key function comes
+    from ``_stream_rekey`` once per chunk; it writes numpy's
+    ``philox_state`` in place when the self-check passed in this process,
+    else it uses the ``state`` setter.  The draws land in preallocated
+    arrays as unit uniforms and standard normals and are scaled
+    afterwards, so every value is the one the per-trial functions produce.
+    True delays, the LS estimates (``ls_estimate`` on the block's pilot
+    rows) and the refinement are then computed on whole blocks; the pilot
+    buffer holds at most ``_PILOT_BLOCK_VALUES`` noise values.
 
     Returns the stacked transmitter, receiver and tag positions, true
     delays, LS and refined estimates.
@@ -274,11 +281,12 @@ def _simulate_chunk(task: _ChunkTask):
     pilots = np.empty((min(block, count), length * m, n))
     bit_generator = np.random.Philox(key=0)
     rng = np.random.Generator(bit_generator)
+    rekey = _stream_rekey(bit_generator, cfg.master_seed)
     for lo in range(0, count, block):
         hi = min(lo + block, count)
         noise = pilots[: hi - lo]
         for offset in range(lo, hi):
-            _rekey(bit_generator, cfg.master_seed, first_stream + offset)
+            rekey(first_stream + offset)
             rng.random(out=coords[offset])
             rng.standard_normal(out=noise[offset - lo])
         coords[lo:hi] *= cfg.cube_side

@@ -208,6 +208,25 @@ def test_localize_malformed_scene_exit_code(tmp_path, capsys, drop):
     assert f"{drop!r}" in err
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda text: text.replace("delta=", "dleta="), "unknown"),
+        (lambda text: text + "tx7=1.0,2.0,3.0\n", "unknown"),
+        (lambda text: text + text.splitlines()[-1] + "\n", "duplicate"),
+    ],
+    ids=["misspelt-delta", "stray-tx7", "duplicate-tag"],
+)
+def test_localize_scene_with_unknown_or_duplicate_key_exit_code(tmp_path, capsys, edit, message):
+    scene = random_scene(Topology.bistatic(4, 3), 10.0, stream_rng(5, 4))
+    scene_path, toa_path = _localize_files(tmp_path, scene, true_delays(scene))
+    (tmp_path / "scene.txt").write_text(edit(scene.to_text()))
+    code, out, err = run_cli(capsys, "localize", "--scene", scene_path, "--toa", toa_path)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_sweep_cli_roundtrip_and_determinism(tmp_path, capsys):
     config = tmp_path / "sweep.cfg"
     config.write_text(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import bstoa
-from bstoa import harness
+from bstoa import channel, harness
 from bstoa.analysis import theoretical_mse_iid
 from bstoa.channel import random_scene, stream_rng, synth_observations, true_delays
 from bstoa.errors import ConfigInvalid, UnderDetermined
@@ -389,6 +389,28 @@ def test_pool_is_capped_at_the_task_count(monkeypatch):
     csv = run_sweep(cfg, workers=64).to_csv()
     assert sizes == [2]
     assert csv == run_sweep(cfg, workers=1).to_csv()
+
+
+@pytest.mark.parametrize("experiment", list(ExperimentKind), ids=lambda e: e.value)
+@pytest.mark.parametrize(
+    "kind, m, n", [(Kind.BISTATIC, 4, 3), (Kind.MONOSTATIC, 6, 6)], ids=["bi4x3", "mono6"]
+)
+def test_setter_fallback_sweep_matches_in_place(monkeypatch, experiment, kind, m, n):
+    """Sweeps give the same CSV bytes whether chunks re-key their generator
+    in place or through the state setter, the path a numpy with another
+    philox_state layout takes."""
+    cfg = _cfg(
+        experiment=experiment, kind=kind, m=m, n=n, sigma_grid=(1e-9, 3e-9), trials=600
+    )
+    assert channel._in_place_ok()
+    in_place = run_sweep(cfg, workers=1).to_csv()
+
+    def unused(*args):
+        raise AssertionError("the fallback sweep re-keyed in place")
+
+    monkeypatch.setattr(channel, "_IN_PLACE_OK", False)
+    monkeypatch.setattr(channel, "_rekey_in_place", unused)
+    assert run_sweep(cfg, workers=1).to_csv() == in_place
 
 
 def test_seed_changes_output():
