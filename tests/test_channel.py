@@ -179,10 +179,10 @@ def test_scene_from_text_rejects_malformed_record(key, value):
         Scene.from_text("\n".join(lines))
 
 
-def _scene_record(topo, seed, extra=()):
+def _scene_record(topo, seed):
     scene = random_scene(topo, 10.0, stream_rng(seed, 0))
     scene.delta = 5e-8
-    return scene.to_text() + "".join(f"{line}\n" for line in extra)
+    return scene.to_text()
 
 
 @pytest.mark.parametrize(
@@ -348,12 +348,13 @@ def _no_ctypes(bit_generator):
         ("_PhiloxState", _ShiftedPhiloxState),
         ("_philox_struct", _no_ctypes),
     ],
-    ids=["wrong-draws", "wrong-layout", "missing-attribute"],
+    ids=["stale-counter", "wrong-layout", "missing-attribute"],
 )
 def test_failing_self_check_selects_the_setter(monkeypatch, name, broken):
-    """A self-check that sees other draws, reads the struct back wrong or
-    raises reports False without raising, and re-keys then go through the
-    state setter and still draw like a fresh stream."""
+    """A self-check that sees a stale counter after the re-key, reads the
+    struct back wrong or hits a missing attribute reports False without
+    raising; re-keys then go through the state setter and still draw like
+    a fresh stream."""
     monkeypatch.setattr(channel, "_IN_PLACE_OK", None)
     monkeypatch.setattr(channel, name, broken)
     assert channel._in_place_matches_setter() is False
