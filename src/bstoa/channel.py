@@ -14,10 +14,8 @@ Pilot observations are plain ``(L m, n)`` arrays, L rows per transmitter.
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -33,172 +31,14 @@ from .topology import Kind, Topology
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact SI value
 
 
-def _stream_key(master_seed: int, stream_index: int) -> np.ndarray:
-    """Philox key of the stream ``(master_seed, stream_index)``, each taken
-    mod 2**64."""
-    return np.array([master_seed % 2**64, stream_index % 2**64], dtype=np.uint64)
-
-
 def stream_rng(master_seed: int, stream_index: int) -> np.random.Generator:
-    """Counter-based Gaussian stream, reproducible per (seed, index) pair.
+    """Counter-based generator, reproducible per (seed, index) pair.
 
-    Uses a Philox generator keyed by the pair, so trial i's draws do not
-    depend on how trials are scheduled across workers.
+    A Philox generator keyed by the pair, each taken mod 2**64, so a
+    stream's draws do not depend on how work is scheduled across workers.
     """
-    return np.random.Generator(np.random.Philox(key=_stream_key(master_seed, stream_index)))
-
-
-# State of a fresh Philox: counter 0, empty output buffer, no cached 32-bit
-# half.  Only the key differs between streams.
-_FRESH_PHILOX = np.random.Philox(key=0).state
-
-
-def _rekey_by_setter(
-    bit_generator: np.random.Philox, master_seed: int
-) -> Callable[[int], None]:
-    """Re-key function that resets ``bit_generator`` through its ``state``
-    setter (~4 us a call)."""
-
-    def rekey(stream_index: int) -> None:
-        bit_generator.state = {
-            **_FRESH_PHILOX,
-            "state": {
-                "counter": _FRESH_PHILOX["state"]["counter"],
-                "key": _stream_key(master_seed, stream_index),
-            },
-        }
-
-    return rekey
-
-
-class _PhiloxState(ctypes.Structure):
-    """numpy's C ``philox_state``, whose address is
-    ``bit_generator.ctypes.state_address``.  ``ctr`` and ``key`` point at
-    the 4-word counter and 2-word key held in the generator object."""
-
-    _fields_ = [
-        ("ctr", ctypes.POINTER(ctypes.c_uint64 * 4)),
-        ("key", ctypes.POINTER(ctypes.c_uint64 * 2)),
-        ("buffer_pos", ctypes.c_int),
-        ("buffer", ctypes.c_uint64 * 4),
-        ("has_uint32", ctypes.c_int),
-        ("uinteger", ctypes.c_uint32),
-    ]
-
-
-def _philox_struct(bit_generator: np.random.Philox) -> _PhiloxState:
-    """The generator's ``philox_state``, after checking that the struct and
-    the counter and key it points at all lie inside the generator object,
-    as they do in numpy's ``Philox``, so no access can stray elsewhere."""
-    state = _PhiloxState.from_address(bit_generator.ctypes.state_address)
-    start = id(bit_generator)
-    stop = start + type(bit_generator).__basicsize__
-    for address, size in (
-        (ctypes.addressof(state), ctypes.sizeof(state)),
-        (ctypes.cast(state.ctr, ctypes.c_void_p).value or 0, 32),
-        (ctypes.cast(state.key, ctypes.c_void_p).value or 0, 16),
-    ):
-        if not start <= address <= stop - size:
-            raise ValueError("philox_state does not lie inside the Philox object")
-    state.owner = bit_generator  # keep the memory alive while ``state`` is
-    return state
-
-
-def _rekey_in_place(
-    bit_generator: np.random.Philox, master_seed: int
-) -> Callable[[int], None]:
-    """Re-key function that writes the key, counter, buffer position and
-    cached-half flag straight into the generator's ``philox_state``
-    (~0.5 us a call).  ``key[0]`` is the same for every stream, so it is
-    written once, here."""
-    state = _philox_struct(bit_generator)
-    counter, key = state.ctr.contents, state.key.contents
-    key[0] = master_seed % 2**64
-
-    def rekey(stream_index: int) -> None:
-        key[1] = stream_index % 2**64
-        counter[:] = (0, 0, 0, 0)
-        state.buffer_pos = 4
-        state.has_uint32 = 0
-
-    return rekey
-
-
-# (seed, index) pairs of the self-check: ordinary, index >= 2**63 with a
-# negative seed, and both beyond 2**64.
-_CHECK_STREAMS = ((5, 7), (-3, 2**63 + 11), (2**64 + 9, 2**65 - 1))
-
-
-def _check_draws(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    """Uniforms, normals and an odd count of 32-bit integers."""
-    return rng.random(7), rng.standard_normal(6), rng.integers(0, 2**32, 3, dtype=np.uint32)
-
-
-def _struct_fields(state: _PhiloxState) -> tuple:
-    return state.buffer_pos, state.has_uint32, list(state.ctr.contents), list(state.key.contents)
-
-
-def _dict_fields(state: dict) -> tuple:
-    words = state["state"]
-    return state["buffer_pos"], state["has_uint32"], words["counter"].tolist(), words["key"].tolist()
-
-
-def _in_place_matches_setter() -> bool:
-    """Self-check of ``_rekey_in_place`` on this numpy.
-
-    For each ``_CHECK_STREAMS`` pair a generator is advanced into the high
-    counter words and left with a partly used buffer and a cached 32-bit
-    half.  ``_PhiloxState`` must read back its buffer position, cached-half
-    flag, counter and key as ``bit_generator.state`` reports them; after
-    the in-place re-key ``bit_generator.state`` must report a fresh
-    stream's, and the draws that follow must equal ``stream_rng``'s bit for
-    bit.  A mismatch, or an error that a numpy with another ``Philox``
-    would raise here (a missing attribute or state entry, a struct outside
-    the object), returns False.
-    """
-    try:
-        for seed, index in _CHECK_STREAMS:
-            bit_generator = np.random.Philox(key=0)
-            rng = np.random.Generator(bit_generator)
-            bit_generator.advance(3 * 2**192 + 5 * 2**128 + 2**64)
-            _check_draws(rng)
-            if _struct_fields(_philox_struct(bit_generator)) != _dict_fields(bit_generator.state):
-                return False
-            _rekey_in_place(bit_generator, seed)(index)
-            fresh = stream_rng(seed, index)
-            if _dict_fields(bit_generator.state) != _dict_fields(fresh.bit_generator.state):
-                return False
-            for got, want in zip(_check_draws(rng), _check_draws(fresh)):
-                if not np.array_equal(got, want):
-                    return False
-        return True
-    except (AttributeError, KeyError, TypeError, ValueError):
-        return False
-
-
-# Result of the self-check, run on first use.  It is a fact about the numpy
-# this process imported, so one value serves every caller.
-_IN_PLACE_OK: bool | None = None
-
-
-def _in_place_ok() -> bool:
-    global _IN_PLACE_OK
-    if _IN_PLACE_OK is None:
-        _IN_PLACE_OK = _in_place_matches_setter()
-    return _IN_PLACE_OK
-
-
-def _stream_rekey(
-    bit_generator: np.random.Philox, master_seed: int
-) -> Callable[[int], None]:
-    """Function ``rekey(stream_index)`` that resets ``bit_generator`` to the
-    state a fresh ``stream_rng(master_seed, stream_index)`` starts in (that
-    key, counter 0, empty buffer, no cached 32-bit half), whatever it drew
-    before, so one generator can serve many streams in turn.  Writes the
-    state in place when ``_in_place_matches_setter`` passed on this numpy,
-    else goes through the ``state`` setter, which works on any numpy."""
-    factory = _rekey_in_place if _in_place_ok() else _rekey_by_setter
-    return factory(bit_generator, master_seed)
+    key = np.array([master_seed % 2**64, stream_index % 2**64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass

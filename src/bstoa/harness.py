@@ -6,18 +6,13 @@ fixed schema
 
     sigma,pilot_len,method,metric,value,theory,low_confidence
 
-Reproducibility contract: trial i of grid point k draws its scene, then
-its pilot noise, from the counter stream ``k * trials + i`` of the master
-seed (``channel.stream_rng``), trials are processed in fixed chunks, and
-chunk partials are reduced in chunk order, so output bytes do not depend
-on the number of worker processes.  A chunk keeps one Philox generator and
-re-keys it to each trial's stream in turn, which reproduces a fresh
-``stream_rng`` exactly, and computes everything after the draws on whole
-blocks of trials.  The re-key (``channel._stream_rekey``) writes the key,
-counter, buffer position and cached-half flag in place into numpy's
-``philox_state``; a self-check against ``stream_rng``, run once per
-process, guards that path, and if it fails the re-key goes through the
-``Philox.state`` setter, with the same draws.
+Reproducibility contract: the trials of grid point k are cut into fixed
+chunks of ``CHUNK_TRIALS``, and chunk c draws from the counter stream
+``k * ceil(trials / CHUNK_TRIALS) + c`` of the master seed
+(``channel.stream_rng``): first the unit coordinates of all its scenes,
+then the pilot noise of all its trials.  Chunk partials are reduced in
+chunk order, so output bytes do not depend on the number of worker
+processes.  A single trial is reproduced by replaying its chunk.
 
 ``run_sweep`` is the entry point: it runs any of the three experiments
 (estimator MSE, localization RMSE, CRLB check) through the same chunked
@@ -45,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from . import analysis
-from .channel import _stream_rekey, true_delays_batch
+from .channel import stream_rng, true_delays_batch
 from .errors import ConfigInvalid, InvalidValue, UnderDetermined
 from .estimator import ls_estimate, refine_estimate
 from .localization import localize_bistatic_batch, localize_monostatic_batch
@@ -247,20 +242,17 @@ def _reduce_by_point(tasks, results) -> dict[int, dict]:
 def _simulate_chunk(task: _ChunkTask):
     """Draw and estimate the chunk's trials as one batch.
 
-    Trial i draws its scene coordinates (tx, rx if bistatic, tag), then its
-    pilot noise, from counter stream ``point_index * trials + i``, exactly
-    as ``random_scene`` and ``synth_observations`` would on a fresh
-    ``stream_rng``.  One Philox generator serves the whole chunk: it is
-    re-keyed to each trial's stream (counter 0, empty buffer, no cached
-    32-bit half) before the trial's two draws.  The re-key function comes
-    from ``_stream_rekey`` once per chunk; it writes numpy's
-    ``philox_state`` in place when the self-check passed in this process,
-    else it uses the ``state`` setter.  The draws land in preallocated
-    arrays as unit uniforms and standard normals and are scaled
-    afterwards, so every value is the one the per-trial functions produce.
-    True delays, the LS estimates (``ls_estimate`` on the block's pilot
-    rows) and the refinement are then computed on whole blocks; the pilot
-    buffer holds at most ``_PILOT_BLOCK_VALUES`` noise values.
+    The chunk draws from one generator, ``stream_rng(master_seed,
+    point_index * chunks + chunk)`` with ``chunks`` chunks per point.  One
+    ``random`` call gives the unit coordinates of every scene, a row of
+    tx, then rx if bistatic, then tag per trial; ``standard_normal`` then
+    gives the ``(L m, n)`` pilot noise of each trial in turn.  Coordinates
+    are scaled by ``cube_side`` and noise by ``sigma`` afterwards.  A trial
+    is reproduced by replaying its chunk.  True delays, the LS estimates
+    (``ls_estimate`` on the block's pilot rows) and the refinement are
+    computed on whole blocks; the pilot buffer holds at most
+    ``_PILOT_BLOCK_VALUES`` noise values, and since the noise is drawn in
+    order, the block size does not change any value.
 
     Returns the stacked transmitter, receiver and tag positions, true
     delays, LS and refined estimates.
@@ -270,8 +262,10 @@ def _simulate_chunk(task: _ChunkTask):
     m, n, length = topo.m, topo.n, task.pilot_len
     n_rx = n if topo.kind is Kind.BISTATIC else 0
     count = task.stop - task.start
-    first_stream = task.point_index * cfg.trials + task.start
-    coords = np.empty((count, 3 * (m + n_rx + 1)))
+    chunks = -(-cfg.trials // CHUNK_TRIALS)
+    rng = stream_rng(cfg.master_seed, task.point_index * chunks + task.start // CHUNK_TRIALS)
+    coords = rng.random((count, 3 * (m + n_rx + 1)))
+    coords *= cfg.cube_side
     txs = coords[:, : 3 * m].reshape(count, m, 3)
     rxs = coords[:, 3 * m : 3 * (m + n_rx)].reshape(count, n_rx, 3) if n_rx else txs
     tags = coords[:, 3 * (m + n_rx) :]
@@ -279,17 +273,10 @@ def _simulate_chunk(task: _ChunkTask):
     t_hats = np.empty((count, m, n))
     block = max(1, _PILOT_BLOCK_VALUES // (length * m * n))
     pilots = np.empty((min(block, count), length * m, n))
-    bit_generator = np.random.Philox(key=0)
-    rng = np.random.Generator(bit_generator)
-    rekey = _stream_rekey(bit_generator, cfg.master_seed)
     for lo in range(0, count, block):
         hi = min(lo + block, count)
         noise = pilots[: hi - lo]
-        for offset in range(lo, hi):
-            rekey(first_stream + offset)
-            rng.random(out=coords[offset])
-            rng.standard_normal(out=noise[offset - lo])
-        coords[lo:hi] *= cfg.cube_side
+        rng.standard_normal(out=noise)
         truths[lo:hi] = true_delays_batch(txs[lo:hi], rxs[lo:hi], tags[lo:hi])
         noise *= task.sigma
         by_tx = noise.reshape(hi - lo, m, length, n)

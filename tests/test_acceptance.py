@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-The Monte-Carlo fixtures mirror the harness protocol (fresh uniform scene
-per trial, per-trial counter streams) and are shared across criteria.
+The Monte-Carlo fixtures mirror the harness protocol for one grid point
+(a fresh uniform scene per trial; chunk c of 512 trials draws every
+scene's coordinates, then every trial's pilot noise, from counter stream
+c) through the public batch functions, and are shared across criteria.
 """
 
 import time
@@ -15,9 +17,10 @@ from bstoa.analysis import (
     crlb_monostatic,
     theoretical_mse_independent,
 )
-from bstoa.channel import random_scene, stream_rng, synth_observations, true_delays
+from bstoa.channel import random_scene, stream_rng, true_delays, true_delays_batch
 from bstoa.estimator import decompose_delays, ls_estimate, refine_estimate
 from bstoa.harness import (
+    CHUNK_TRIALS,
     ExperimentKind,
     SweepConfig,
     run_sweep,
@@ -60,17 +63,23 @@ class MonteCarlo:
 
 def _run_monte_carlo(topo: Topology, sigma: float, pilot_len: int, trials: int,
                      master_seed: int) -> MonteCarlo:
+    m, n = topo.m, topo.n
+    n_rx = n if topo.kind is Kind.BISTATIC else 0
     errors_ls = np.empty((trials, topo.mn))
     errors_refined = np.empty((trials, topo.mn))
-    for trial in range(trials):
-        rng = stream_rng(master_seed, trial)
-        scene = random_scene(topo, 10.0, rng)
-        tmat = true_delays(scene)
-        obs = synth_observations(tmat, pilot_len, sigma, rng)
-        t_hat = ls_estimate(obs, topo)
+    for chunk, start in enumerate(range(0, trials, CHUNK_TRIALS)):
+        count = min(CHUNK_TRIALS, trials - start)
+        rng = stream_rng(master_seed, chunk)
+        coords = 10.0 * rng.random((count, 3 * (m + n_rx + 1)))
+        tx = coords[:, : 3 * m].reshape(count, m, 3)
+        rx = coords[:, 3 * m : 3 * (m + n_rx)].reshape(count, n_rx, 3) if n_rx else tx
+        tmat = true_delays_batch(tx, rx, coords[:, 3 * (m + n_rx) :])
+        noise = rng.standard_normal((count, pilot_len * m, n))
+        t_hat = ls_estimate(np.repeat(tmat, pilot_len, axis=1) + sigma * noise, topo)
         t_ref = refine_estimate(t_hat, topo)
-        errors_ls[trial] = vec(t_hat - tmat)
-        errors_refined[trial] = vec(t_ref - tmat)
+        # Rows of column-major vec(.), one per trial.
+        errors_ls[start : start + count] = (t_hat - tmat).transpose(0, 2, 1).reshape(count, -1)
+        errors_refined[start : start + count] = (t_ref - tmat).transpose(0, 2, 1).reshape(count, -1)
     return MonteCarlo(topo, sigma, pilot_len, errors_ls, errors_refined)
 
 

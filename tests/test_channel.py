@@ -1,17 +1,11 @@
 """Scene generation, delay matrices, and observation synthesis tests."""
 
-import ctypes
-
 import numpy as np
 import pytest
 
-from bstoa import channel
 from bstoa.channel import (
     SPEED_OF_LIGHT,
     Scene,
-    _rekey_by_setter,
-    _rekey_in_place,
-    _stream_rekey,
     random_scene,
     stream_rng,
     synth_observations,
@@ -255,116 +249,6 @@ def test_bad_scalar_arguments_raise_package_error(call):
         call()
     assert isinstance(info.value, InvalidValue)
     assert isinstance(info.value, ValueError)  # what callers caught before
-
-
-def _draws(rng):
-    return rng.uniform(0.0, 10.0, 45), rng.normal(0.0, 1e-9, (16, 3)), rng.integers(0, 2**32, 5)
-
-
-def _used_generator():
-    """A generator whose counter reaches its high words and which is left
-    with a partly used buffer and a cached 32-bit half."""
-    bit_generator = np.random.Philox(key=0)
-    rng = np.random.Generator(bit_generator)
-    bit_generator.advance(2**200 + 2**130 + 2**70)
-    rng.uniform(size=45)
-    rng.integers(0, 2**16, 3, dtype=np.uint32)
-    state = bit_generator.state
-    assert state["buffer_pos"] < 4 and state["has_uint32"] == 1
-    assert state["state"]["counter"][1:].all()
-    return bit_generator, rng
-
-
-_REKEY_STREAMS = [(5, 7), (-3, 11), (2**64 + 9, 4), (-(2**70), 2**64 + 5), (17, -1), (0, 2**65 - 1)]
-
-
-@pytest.mark.parametrize(
-    "make_rekey, seed, index",
-    [
-        pytest.param(make_rekey, seed, index, id=f"{seed}-{index}{suffix}")
-        for make_rekey, suffix in ((_rekey_in_place, ""), (_rekey_by_setter, "-setter"))
-        for seed, index in _REKEY_STREAMS
-    ],
-)
-def test_rekey_draws_like_a_fresh_stream(make_rekey, seed, index):
-    """One generator re-keyed after arbitrary use draws bit for bit what a
-    fresh stream_rng does, by either re-key path: 45 uniforms and an odd
-    count of 32-bit integers leave the Philox buffer partly used and a
-    cached 32-bit half behind."""
-    bit_generator, rng = _used_generator()
-    rekey = make_rekey(bit_generator, seed)
-    rekey(index)
-    for got, want in zip(_draws(rng), _draws(stream_rng(seed, index))):
-        assert np.array_equal(got, want)
-    assert bit_generator.state["has_uint32"] == 1
-    rekey(index)
-    for got, want in zip(_draws(rng), _draws(stream_rng(seed, index))):
-        assert np.array_equal(got, want)
-    rekey(index + 1)
-    assert np.array_equal(rng.random(9), stream_rng(seed, index + 1).random(9))
-
-
-def test_installed_numpy_selects_the_in_place_rekey(monkeypatch):
-    """The self-check passes on the installed numpy, so sweeps re-key in
-    place; a numpy whose philox_state changed fails here instead of
-    silently falling back to the slower setter."""
-    monkeypatch.setattr(channel, "_IN_PLACE_OK", None)
-    assert channel._in_place_matches_setter()
-    assert channel._in_place_ok() is True
-
-
-class _ShiftedPhiloxState(ctypes.Structure):
-    """A layout numpy does not use: ``buffer`` before ``buffer_pos``."""
-
-    _fields_ = [
-        ("ctr", ctypes.POINTER(ctypes.c_uint64 * 4)),
-        ("key", ctypes.POINTER(ctypes.c_uint64 * 2)),
-        ("buffer", ctypes.c_uint64 * 4),
-        ("buffer_pos", ctypes.c_int),
-        ("has_uint32", ctypes.c_int),
-    ]
-
-
-def _rekey_keeping_counter(bit_generator, master_seed):
-    rekey = _rekey_in_place(bit_generator, master_seed)
-    counter = channel._philox_struct(bit_generator).ctr.contents
-
-    def keep(stream_index):
-        words = list(counter)
-        rekey(stream_index)
-        counter[:] = words
-
-    return keep
-
-
-def _no_ctypes(bit_generator):
-    raise AttributeError("'Philox' object has no attribute 'ctypes'")
-
-
-@pytest.mark.parametrize(
-    "name, broken",
-    [
-        ("_rekey_in_place", _rekey_keeping_counter),
-        ("_PhiloxState", _ShiftedPhiloxState),
-        ("_philox_struct", _no_ctypes),
-    ],
-    ids=["stale-counter", "wrong-layout", "missing-attribute"],
-)
-def test_failing_self_check_selects_the_setter(monkeypatch, name, broken):
-    """A self-check that sees a stale counter after the re-key, reads the
-    struct back wrong or hits a missing attribute reports False without
-    raising; re-keys then go through the state setter and still draw like
-    a fresh stream."""
-    monkeypatch.setattr(channel, "_IN_PLACE_OK", None)
-    monkeypatch.setattr(channel, name, broken)
-    assert channel._in_place_matches_setter() is False
-    assert channel._in_place_ok() is False
-    bit_generator, rng = _used_generator()
-    rekey = _stream_rekey(bit_generator, 23)
-    for index in (4, 2**64 - 1, 4):
-        rekey(index)
-        for got, want in zip(_draws(rng), _draws(stream_rng(23, index))):
-            assert np.array_equal(got, want)
 
 
 def test_stream_keys_wrap_mod_2_64():

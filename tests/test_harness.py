@@ -1,6 +1,7 @@
 """Sweep driver tests: config parsing, determinism, row contents."""
 
 import inspect
+import math
 import sys
 import tracemalloc
 from concurrent.futures import Future
@@ -9,9 +10,9 @@ import numpy as np
 import pytest
 
 import bstoa
-from bstoa import channel, harness
+from bstoa import harness
 from bstoa.analysis import theoretical_mse_iid
-from bstoa.channel import random_scene, stream_rng, synth_observations, true_delays
+from bstoa.channel import Scene, stream_rng, true_delays
 from bstoa.errors import ConfigInvalid, UnderDetermined
 from bstoa.estimator import ls_estimate, refine_estimate
 from bstoa.harness import (
@@ -202,7 +203,7 @@ def _outer_sum_basis(m, n):
 
 
 def test_chunk_matches_per_trial_reference():
-    """A batched chunk reproduces a per-trial loop over the same streams,
+    """A batched chunk reproduces a per-trial loop over the chunk's draws,
     refined through the dense projector B; the CRLB partial, mapped back
     through K, is the sum of the per-trial error outer products."""
     cfg = _cfg(experiment=ExperimentKind.CRLB, m=3, n=2, trials=40)
@@ -212,10 +213,8 @@ def test_chunk_matches_per_trial_reference():
     sq_ls = np.zeros((topo.m, topo.n))
     sq_ref = np.zeros((topo.m, topo.n))
     cov = np.zeros((topo.mn, topo.mn))
-    for trial in range(task.start, task.stop):
-        rng = stream_rng(cfg.master_seed, task.point_index * cfg.trials + trial)
-        truth = true_delays(random_scene(topo, cfg.cube_side, rng))
-        t_hat = ls_estimate(synth_observations(truth, task.pilot_len, task.sigma, rng), topo)
+    *_, truths, t_hats = _reference_chunk(task)
+    for truth, t_hat in zip(truths, t_hats):
         err_ref = b @ vec(t_hat) - vec(truth)
         sq_ls += (t_hat - truth) ** 2
         sq_ref += unvec(err_ref**2, topo.m, topo.n)
@@ -288,17 +287,27 @@ def test_sweeps_never_build_dense_matrices(monkeypatch):
             assert run_sweep(cfg, workers=1).rows
 
 
-def _per_trial_chunk(task):
-    """The chunk's trials through the public per-trial functions."""
+def _reference_chunk(task):
+    """The chunk's trials by the stream contract, one trial at a time
+    through the public functions: the chunk's stream gives every scene's
+    unit coordinates (tx, rx if bistatic, tag), then every trial's pilot
+    noise."""
     cfg = task.cfg
     topo = cfg.topology
+    m, n, length = topo.m, topo.n, task.pilot_len
+    n_rx = n if topo.kind is Kind.BISTATIC else 0
+    count = task.stop - task.start
+    chunks = math.ceil(cfg.trials / CHUNK_TRIALS)
+    rng = stream_rng(cfg.master_seed, task.point_index * chunks + task.start // CHUNK_TRIALS)
+    u = rng.random((count, 3 * (m + n_rx + 1)))
+    z = rng.standard_normal((count, length * m, n))
     stacks = {key: [] for key in ("tx", "rx", "tag", "truth", "t_hat")}
-    for trial in range(task.start, task.stop):
-        rng = stream_rng(cfg.master_seed, task.point_index * cfg.trials + trial)
-        scene = random_scene(topo, cfg.cube_side, rng)
+    for i in range(count):
+        points = (u[i] * cfg.cube_side).reshape(-1, 3)
+        rx = points[m : m + n_rx] if n_rx else None
+        scene = Scene(topo, tx=points[:m], rx=rx, tag=points[-1])
         truth = true_delays(scene)
-        obs = synth_observations(truth, task.pilot_len, task.sigma, rng)
-        t_hat = ls_estimate(obs, topo)
+        t_hat = ls_estimate(np.repeat(truth, length, 0) + task.sigma * z[i], topo)
         for key, value in zip(stacks, (scene.tx, scene.rx, scene.tag, truth, t_hat)):
             stacks[key].append(value)
     return [np.stack(values) for values in stacks.values()]
@@ -317,19 +326,40 @@ def _per_trial_chunk(task):
     + [(Kind.BISTATIC, 24, 24, 8)],  # 7 trials per pilot block
 )
 def test_chunk_is_bitwise_the_per_trial_loop(kind, m, n, pilot_len):
-    """The batched chunk draws and computes exactly what the per-trial
-    public functions do: same positions, delays and LS estimates, bit for
-    bit, on the second point's full chunk and on a partial last chunk."""
+    """The batched chunk draws and computes exactly what a per-trial loop
+    over the chunk's draws does with the public functions: same positions,
+    delays and LS estimates, bit for bit, on the second point's full chunk
+    and on a partial last chunk."""
     cfg = _cfg(kind=kind, m=m, n=n, pilot_lengths=(pilot_len,), trials=700, master_seed=5)
     tasks = _chunk_tasks(cfg)
     sizes = [(t.point_index, t.stop - t.start) for t in tasks]
     assert sizes == [(0, 512), (0, 188), (1, 512), (1, 188)]
     for task in (tasks[1], tasks[2]):
         *got, t_refs = _simulate_chunk(task)
-        want = _per_trial_chunk(task)
+        want = _reference_chunk(task)
         for name, g, w in zip(("tx", "rx", "tag", "truth", "t_hat"), got, want):
             assert np.array_equal(g, w), name
         assert np.array_equal(t_refs, refine_estimate(want[-1], cfg.topology))
+
+
+@pytest.mark.parametrize(
+    "kind, m, n", [(Kind.BISTATIC, 4, 3), (Kind.MONOSTATIC, 6, 6)], ids=["bi4x3", "mono6"]
+)
+def test_chunk_does_not_depend_on_blocking_or_layout(monkeypatch, kind, m, n):
+    """Pilot blocks of one trial or of the whole chunk give the same bits;
+    the two chunks of a point and the first chunk of the next point draw
+    pairwise different coordinates."""
+    cfg = _cfg(kind=kind, m=m, n=n, pilot_lengths=(8,), trials=700)
+    tasks = _chunk_tasks(cfg)
+    wants = [_simulate_chunk(task) for task in tasks[:2]]
+    for values in (1, 2**30):
+        monkeypatch.setattr(harness, "_PILOT_BLOCK_VALUES", values)
+        for task, want in zip(tasks[:2], wants):
+            for got, w in zip(_simulate_chunk(task), want):
+                assert np.array_equal(got, w)
+    txs = [_simulate_chunk(task)[0] for task in tasks[:3]]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        assert np.intersect1d(txs[i], txs[j]).size == 0, (i, j)
 
 
 def test_chunk_memory_stays_near_its_output():
@@ -389,28 +419,6 @@ def test_pool_is_capped_at_the_task_count(monkeypatch):
     csv = run_sweep(cfg, workers=64).to_csv()
     assert sizes == [2]
     assert csv == run_sweep(cfg, workers=1).to_csv()
-
-
-@pytest.mark.parametrize("experiment", list(ExperimentKind), ids=lambda e: e.value)
-@pytest.mark.parametrize(
-    "kind, m, n", [(Kind.BISTATIC, 4, 3), (Kind.MONOSTATIC, 6, 6)], ids=["bi4x3", "mono6"]
-)
-def test_setter_fallback_sweep_matches_in_place(monkeypatch, experiment, kind, m, n):
-    """Sweeps give the same CSV bytes whether chunks re-key their generator
-    in place or through the state setter, the path a numpy with another
-    philox_state layout takes."""
-    cfg = _cfg(
-        experiment=experiment, kind=kind, m=m, n=n, sigma_grid=(1e-9, 3e-9), trials=600
-    )
-    assert channel._in_place_ok()
-    in_place = run_sweep(cfg, workers=1).to_csv()
-
-    def unused(*args):
-        raise AssertionError("the fallback sweep re-keyed in place")
-
-    monkeypatch.setattr(channel, "_IN_PLACE_OK", False)
-    monkeypatch.setattr(channel, "_rekey_in_place", unused)
-    assert run_sweep(cfg, workers=1).to_csv() == in_place
 
 
 def test_seed_changes_output():
