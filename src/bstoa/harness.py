@@ -316,8 +316,12 @@ def _run_loc_chunk(task: _ChunkTask) -> dict:
         p_ref, _, _ = localize_bistatic_batch(t_refs, txs, rxs)
         p_ls = p_ref
     else:
-        p_ls, _, _ = localize_monostatic_batch(t_hats, txs)
-        p_ref, _, _ = localize_monostatic_batch(t_refs, txs)
+        # One call fixes the LS and the refined estimates; no scene's
+        # arithmetic depends on the rest of its batch.
+        both, _, _ = localize_monostatic_batch(
+            np.concatenate((t_hats, t_refs)), np.concatenate((txs, txs))
+        )
+        p_ls, p_ref = both[: len(tags)], both[len(tags) :]
     return {
         "sqerr_ls": ((p_ls - tags) ** 2).sum(),
         "sqerr_proposed": ((p_ref - tags) ** 2).sum(),
@@ -419,9 +423,12 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
     does not depend on it.
 
     Raises:
+        ConfigInvalid: if ``workers`` is below 1.
         UnderDetermined: for a localization sweep over fewer than 4
             independent ranges (m + n - 1 for bistatic, m for monostatic).
     """
+    if workers is not None and workers < 1:
+        raise ConfigInvalid(f"workers must be >= 1, got {workers}")
     topo = cfg.topology
     if cfg.experiment is ExperimentKind.LOCALIZATION:
         # A bistatic m x n matrix holds m + n - 1 independent range sums.

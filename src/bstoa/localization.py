@@ -27,8 +27,12 @@ Monostatic delays give plain ranges from the diagonal entries, which
 linearize exactly by subtracting the first sphere equation; one damped
 Gauss-Newton step then polishes the closed-form fix.
 
-All solvers run on stacked batches of independent scenes; the single-scene
-functions are batch-of-one wrappers, so both paths share one code path.
+All solvers run on batches with the scenes on the last, contiguous axis:
+anchors (3, k, T), positions (3, T), per-anchor terms (k, T).  Sums over
+anchors or coordinates add whole planes in order, so no scene's result
+depends on its batch; the single-scene functions are batch-of-one
+wrappers.  3x3 systems are solved in closed form through the adjugate, and
+a scene that stops iterating leaves the Newton loop's working arrays.
 """
 
 from __future__ import annotations
@@ -54,6 +58,16 @@ _DISTANCE_FLOOR = 1e-12   # meters; avoids 0/0 in unit vectors at an anchor
 # anchors with metrology-level jitter fall below 1e-18.
 _DET3_RTOL = 1e-12
 _DET4_RTOL = 1e-14
+# adj[i, j] = h[j+1, i+1] h[j+2, i+2] - h[j+1, i+2] h[j+2, i+1] (indices
+# mod 3): the four factors as indices into the flattened (9, T) stack.
+_AXIS = np.arange(3)
+_COFACTORS = [
+    3 * ((_AXIS + r) % 3) + (_AXIS[:, None] + c) % 3 for r, c in ((1, 1), (2, 2), (1, 2), (2, 1))
+]
+# Symmetric 3x3 matrices are summed as their six upper entries (_ROW[i],
+# _COL[i]); _FULL unpacks them into (3, 3, T) stacks.
+_ROW, _COL = np.triu_indices(3)
+_FULL = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
 @dataclass
@@ -68,11 +82,7 @@ class PositionFix:
 
 def _check_shapes(ts: np.ndarray, txs: np.ndarray, rxs: np.ndarray) -> None:
     """Require delays (T,m,n) with transmitters (T,m,3) and receivers (T,n,3)."""
-    if (
-        ts.ndim != 3
-        or txs.shape != ts.shape[:2] + (3,)
-        or rxs.shape != (ts.shape[0], ts.shape[2], 3)
-    ):
+    if ts.ndim != 3 or txs.shape != ts.shape[:2] + (3,) or rxs.shape != (*ts.shape[::2], 3):
         raise DimensionMismatch(
             f"delays {ts.shape} do not match anchors {txs.shape} and {rxs.shape}"
         )
@@ -83,114 +93,193 @@ def _require_finite(*values) -> None:
         raise NonFiniteInput("delays, anchor positions and delta must be finite")
 
 
-def _det3(h: np.ndarray) -> np.ndarray:
-    """Closed-form determinants of a (T,3,3) stack."""
-    return (
-        h[:, 0, 0] * (h[:, 1, 1] * h[:, 2, 2] - h[:, 1, 2] * h[:, 2, 1])
-        - h[:, 0, 1] * (h[:, 1, 0] * h[:, 2, 2] - h[:, 1, 2] * h[:, 2, 0])
-        + h[:, 0, 2] * (h[:, 1, 0] * h[:, 2, 1] - h[:, 1, 1] * h[:, 2, 0])
-    )
+def _plane_sum(x: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Sum over one axis by adding its planes in order.
+
+    With two or more scenes on the last, contiguous axis, ``np.sum`` adds
+    whole planes in order.  With one scene the summed axis may be the
+    contiguous one, which ``np.sum`` adds pairwise from 8 elements on, so
+    such input is summed as two copies of itself to round like any batch.
+    """
+    if x.shape[-1] < 2 or x.strides[-1] != x.itemsize:
+        return np.repeat(x, 2, axis=-1).sum(axis)[..., ::2]
+    return x.sum(axis)
 
 
-def _rank_deficient3(h: np.ndarray) -> np.ndarray:
-    frob = np.sqrt((h * h).sum(axis=(1, 2)))
-    return np.abs(_det3(h)) <= _DET3_RTOL * np.maximum(frob, 1e-300) ** 3
+def _adjugate3(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Adjugate and determinant of a (3, 3, T) stack, so h^-1 = adj / det;
+    adj[2, 2] is the leading 2x2 minor, which Sylvester's criterion reads."""
+    flat = h.reshape(9, -1)
+    adj = flat[_COFACTORS[0]] * flat[_COFACTORS[1]]
+    adj -= flat[_COFACTORS[2]] * flat[_COFACTORS[3]]
+    return adj, h[0, 0] * adj[0, 0] + h[0, 1] * adj[1, 0] + h[0, 2] * adj[2, 0]
 
 
-def _positive_definite3(h: np.ndarray) -> np.ndarray:
-    """Sylvester's criterion on a (T,3,3) stack of symmetric matrices."""
-    minor2 = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
-    return (h[:, 0, 0] > 0.0) & (minor2 > 0.0) & (_det3(h) > 0.0)
+def _rank_below3(h: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """Scale-free rank test on a (3, 3, T) stack and its determinants."""
+    frob = np.sqrt(_plane_sum(h.reshape(9, -1) ** 2))
+    return np.abs(det) <= _DET3_RTOL * np.maximum(frob, 1e-300) ** 3
 
 
-def _warm_start(txs: np.ndarray, rxs: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Algebraic initial points for a batch of bistatic scenes.
+def _gram(u: np.ndarray) -> np.ndarray:
+    """sum_k u_k u_k' as a (3, 3, T) stack, for u (3, k, T)."""
+    return np.stack([_plane_sum(u[a] * u[b]) for a, b in zip(_ROW, _COL)])[_FULL]
+
+
+def _solve3(adj: np.ndarray, det: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """adj @ g / det on stacks: (3, 3, T), (T,) and (3, T)."""
+    return _plane_sum(adj * g[None], axis=1) / det
+
+
+def _least_squares3(u: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x (3, T) minimizing sum_k (u_k' x - r_k)^2 for u (3, k, T) and r (k, T),
+    and the scenes whose normal matrix has rank < 3, where x means nothing."""
+    h = _gram(u)
+    adj, det = _adjugate3(h)
+    bad = _rank_below3(h, det)
+    return _solve3(adj, np.where(bad, 1.0, det), _plane_sum(u * r, axis=1)), bad
+
+
+def _warm_start(anchors: np.ndarray, col: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Algebraic initial points (3, T) for bistatic scenes from anchors
+    (3, m+n, T) and the range sums' first column (m, T) and row (n, T).
 
     With tau the unknown range to the first transmitter, the range-sum
     matrix fixes every other anchor range as an affine function of tau;
     subtracting the first transmitter's squared sphere equation from the
-    rest yields m - 1 + n >= 4 equations linear in (p, tau).  Scenes where
-    that system is numerically singular fall back to the anchor centroid,
-    as do solutions that land far outside the anchor box.
+    rest yields m - 1 + n >= 4 equations linear in (p, tau).  Eliminating
+    tau from their 4x4 normal equations leaves a 3x3 system in p.  Scenes
+    where the 4x4 system is numerically singular fall back to the anchor
+    centroid, as do solutions that land far outside the anchor box.
     """
-    count, m, _ = txs.shape
-    n = rxs.shape[1]
-    anchors = np.concatenate([txs, rxs], axis=1)
-    centroid = anchors.mean(axis=1)
-    a1 = txs[:, 0, :]
-    h = ks[:, :, 0] - ks[:, 0:1, 0]       # range to tx_i minus range to tx_0
-    s1 = ks[:, 0, :]                      # range to tx_0 plus range to rx_j
-    a1_sq = (a1 * a1).sum(axis=1)
-    rows = m - 1 + n
-    design = np.empty((count, rows, 4))
-    rhs = np.empty((count, rows))
-    design[:, : m - 1, :3] = -2.0 * (txs[:, 1:, :] - a1[:, None, :])
-    design[:, : m - 1, 3] = -2.0 * h[:, 1:]
-    rhs[:, : m - 1] = h[:, 1:] ** 2 - (txs[:, 1:, :] ** 2).sum(axis=2) + a1_sq[:, None]
-    design[:, m - 1 :, :3] = -2.0 * (rxs - a1[:, None, :])
-    design[:, m - 1 :, 3] = 2.0 * s1
-    rhs[:, m - 1 :] = s1**2 - (rxs**2).sum(axis=2) + a1_sq[:, None]
-
-    normal = np.einsum("tri,trj->tij", design, design)
-    moment = np.einsum("tri,tr->ti", design, rhs)
-    frob = np.sqrt((normal * normal).sum(axis=(1, 2)))
-    solvable = np.abs(np.linalg.det(normal)) > _DET4_RTOL * np.maximum(frob, 1e-300) ** 4
-    starts = centroid.copy()
-    if solvable.any():
-        idx = np.flatnonzero(solvable)
-        sol = np.linalg.solve(normal[idx], moment[idx][:, :, None])[:, :, 0]
-        candidate = sol[:, :3]
-        lo = anchors[idx].min(axis=1)
-        hi = anchors[idx].max(axis=1)
-        span = np.maximum((hi - lo).max(axis=1), 1.0)
-        inside = (
-            (candidate >= lo - span[:, None]) & (candidate <= hi + span[:, None])
-        ).all(axis=1)
-        keep = idx[inside]
-        starts[keep] = candidate[inside]
-    return starts
+    first = anchors[:, 0]
+    h = col[1:] - col[0]                  # range to tx_i minus range to tx_0
+    # One equation per anchor after the first: tx_1..tx_m-1, then every rx.
+    design = -2.0 * (anchors[:, 1:] - first[:, None])
+    tau = np.concatenate([-2.0 * h, 2.0 * row])
+    rhs = np.concatenate([h, row]) ** 2 - _plane_sum(anchors[:, 1:] ** 2) + _plane_sum(first**2)
+    block = _gram(design)
+    cross = _plane_sum(design * tau, axis=1)
+    tau_sq = _plane_sum(tau * tau)
+    inv = 1.0 / np.maximum(tau_sq, 1e-300)
+    schur = block - cross[:, None] * cross[None] * inv
+    adj, det = _adjugate3(schur)
+    frob = np.sqrt(_plane_sum(block.reshape(9, -1) ** 2) + 2.0 * _plane_sum(cross**2) + tau_sq**2)
+    solvable = np.abs(tau_sq * det) > _DET4_RTOL * np.maximum(frob, 1e-300) ** 4
+    moment = _plane_sum(design * rhs, axis=1) - cross * (_plane_sum(tau * rhs) * inv)
+    candidate = _solve3(adj, np.where(solvable, det, 1.0), moment)
+    lo, hi = anchors.min(axis=1), anchors.max(axis=1)
+    span = np.maximum((hi - lo).max(axis=0), 1.0)
+    inside = ((candidate >= lo - span) & (candidate <= hi + span)).all(axis=0)
+    centroid = _plane_sum(anchors, axis=1) / anchors.shape[1]
+    return np.where(solvable & inside, candidate, centroid)
 
 
 def _fit_residuals(
     anchors: np.ndarray, fit: np.ndarray, m: int, p: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Row/column residuals of a batch of range-sum problems.
 
-    anchors (T,m+n,3) stacks the transmitters over the receivers, fit
-    (T,m+n) the row term a over the column term b, p (T,3).  Returns the
-    anchor distances d and the residual terms e = fit - d, so that the
-    residual matrix is R = x (+) y with x = e[:, :m], y = e[:, m:], and
-    |R|_F^2.  The norm is summed from three orthogonal parts of R,
-    n |x - mean(x)|^2 + m |y - mean(y)|^2 + m n (mean(x) + mean(y))^2,
-    which avoids the cancellation in n |x|^2 + m |y|^2 + 2 sum(x) sum(y):
-    a and b share an arbitrary constant, so x and y are large and of
-    opposite sign.
+    anchors (3,m+n,T) stacks the transmitters over the receivers, fit
+    (m+n,T) the row term a over the column term b, p (3,T).  Returns the
+    offsets anchors - p, the anchor distances d, the residual terms
+    e = fit - d (the residual matrix is R = x (+) y with x = e[:m],
+    y = e[m:]) and |R|_F^2, summed from three orthogonal parts of R,
+    n |x - mean(x)|^2 + m |y - mean(y)|^2 + m n (mean(x) + mean(y))^2.
+    That avoids the cancellation in n |x|^2 + m |y|^2 + 2 sum(x) sum(y):
+    a and b share an arbitrary constant, so x and y are large and opposite.
     """
     n = anchors.shape[1] - m
-    d = np.sqrt(((anchors - p[:, None, :]) ** 2).sum(axis=2))
+    offset = anchors - p[:, None, :]
+    d = np.sqrt(_plane_sum(offset * offset))
     e = fit - d
-    xm = e[:, :m].mean(axis=1)
-    ym = e[:, m:].mean(axis=1)
-    sq = (
-        n * ((e[:, :m] - xm[:, None]) ** 2).sum(axis=1)
-        + m * ((e[:, m:] - ym[:, None]) ** 2).sum(axis=1)
-        + (m * n) * (xm + ym) ** 2
-    )
-    return d, e, sq
+    xm = _plane_sum(e[:m]) / m
+    ym = _plane_sum(e[m:]) / n
+    xc, yc = e[:m] - xm, e[m:] - ym
+    sq = n * _plane_sum(xc * xc) + m * _plane_sum(yc * yc) + (m * n) * (xm + ym) ** 2
+    return offset, d, e, sq
+
+
+def _damped_update(residuals, inputs, p, step, state, tries) -> tuple[np.ndarray, np.ndarray]:
+    """Step halving, shared by both solvers: each scene flagged in ``tries``
+    takes the first of p + step, p + step / 2, ... (up to MAX_HALVINGS
+    halvings) whose objective does not increase.  ``residuals(*inputs, q)``
+    returns the (..., T) terms at points q (3, T), the objective last, as
+    ``state`` holds them at p; both are updated in place.  The misses of
+    the full steps try their halvings in blocks.  Returns the accepted
+    flags and step lengths."""
+    step_len = np.sqrt(_plane_sum(step * step))
+    cand = p + step
+    terms = residuals(*inputs, cand)
+    accepted = tries & (terms[-1] <= state[-1]) & (MAX_HALVINGS >= 0)
+    for dst, src in zip((p, *state), (cand, *terms)):
+        np.copyto(dst, src, where=accepted)
+    pending = np.flatnonzero(tries & ~accepted)
+    scales = 0.5 ** np.arange(1, MAX_HALVINGS + 1)
+    while pending.size and scales.size:
+        # At most max(T, MAX_HALVINGS) candidates at once bounds the memory.
+        block = scales[: max(p.shape[-1], scales.size) // pending.size]
+        scene = np.repeat(pending, block.size)
+        trial = np.take(step, scene, axis=1) * np.tile(block, pending.size)
+        cand = np.take(p, scene, axis=1) + trial
+        terms = residuals(*(np.take(x, scene, axis=-1) for x in inputs), cand)
+        ok = (terms[-1] <= state[-1][scene]).reshape(pending.size, block.size)
+        found = ok.any(axis=1)
+        pick = (np.arange(pending.size) * block.size + ok.argmax(axis=1))[found]
+        hit = pending[found]
+        for dst, src in zip((p, *state), (cand, *terms)):
+            dst[..., hit] = np.take(src, pick, axis=-1)
+        accepted[hit] = True
+        step_len[hit] = np.sqrt(_plane_sum(np.take(trial, pick, axis=1) ** 2))
+        pending, scales = pending[~found], scales[block.size :]
+    return accepted, step_len
+
+
+def _newton_step(
+    offset: np.ndarray, d: np.ndarray, e: np.ndarray, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The step of ``_newton_batch`` at the terms of ``_fit_residuals``, its
+    gradient, and the scenes whose Gauss-Newton matrix lost rank 3."""
+    k, t = d.shape
+    n = k - m
+    dist = np.maximum(d, _DISTANCE_FLOOR)
+    # Row sums of R for the transmitters, column sums for the receivers;
+    # each transmitter enters n range sums and each receiver m.
+    sums = np.concatenate([n * e[:m] + _plane_sum(e[m:]), m * e[m:] + _plane_sum(e[:m])])
+    # Per-anchor terms u, u u' (packed), curv u u', sums u and curv, each
+    # summed once over the transmitters and once over the receivers.
+    terms = np.empty((19, k, t))
+    unit = np.divide(offset, dist, out=terms[:3])
+    for i, (a, b) in enumerate(zip(_ROW, _COL)):
+        np.multiply(unit[a], unit[b], out=terms[3 + i])
+    curv = np.divide(sums, dist, out=terms[18])
+    np.multiply(terms[3:9], curv, out=terms[9:15])
+    np.multiply(unit, sums, out=terms[15:18])
+    tx, rx = _plane_sum(terms[:, :m], axis=1), _plane_sum(terms[:, m:], axis=1)
+    del terms, unit, curv  # free the per-anchor terms before the 3x3 algebra
+    su, sv = tx[:3], rx[:3]
+    gn = n * tx[3:9] + m * rx[3:9] + (su[_ROW] * sv[_COL] + sv[_ROW] * su[_COL])
+    hess = gn + (tx[9:15] + rx[9:15])
+    hess[_FULL.diagonal()] -= tx[18] + rx[18]
+    grad = tx[15:18] + rx[15:18]
+    # The Gauss-Newton matrices, then the Hessians, as one (3, 3, 2t) stack.
+    both = np.concatenate([gn, hess], axis=1)[_FULL]
+    adj, det = _adjugate3(both)
+    bad = _rank_below3(both[..., :t], det[:t])
+    newton = (hess[0] > 0.0) & (adj[2, 2, t:] > 0.0) & (det[t:] > 0.0)
+    det = np.where(newton, det[t:], np.where(bad, 1.0, det[:t]))
+    return -_solve3(np.where(newton, adj[..., t:], adj[..., :t]), det, grad), grad, bad
 
 
 def _newton_batch(
-    anchors: np.ndarray,
-    fit: np.ndarray,
-    m: int,
-    p0: np.ndarray,
+    anchors: np.ndarray, fit: np.ndarray, m: int, p0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Damped Newton on a batch of range-sum problems in row/column form.
 
-    anchors, fit and m are as in ``_fit_residuals``; p0 (T,3) holds the
+    anchors, fit and m are as in ``_fit_residuals``; p0 (3,T) holds the
     initial points.  With R_ij = x_i + y_j, unit vectors u_i (to tx_i) and
     v_j (to rx_j), su = sum_i u_i and sv = sum_j v_j, every term of
-    |R|^2 / 2 comes from the (T,m) and (T,n) terms:
+    |R|^2 / 2 comes from the (m,T) and (n,T) terms:
       * gradient: sum_i row_i u_i + sum_j col_j v_j, with the row sums
         row_i = n x_i + sum(y) and column sums col_j = m y_j + sum(x);
       * Gauss-Newton matrix: n sum_i u_i u_i' + m sum_j v_j v_j'
@@ -202,98 +291,46 @@ def _newton_batch(
     to MAX_HALVINGS times whenever it would increase the residual norm.  A
     scene stops once its accepted step is shorter than STEP_TOL meters, its
     predicted decrease falls below DECREASE_RTOL of |R|^2, or no damped
-    step is accepted; everything stops after MAX_ITERATIONS.
+    step is accepted; everything stops after MAX_ITERATIONS.  A scene that
+    stops writes out its fix and leaves the working arrays.
 
-    Returns (positions, |R|^2, iterations, singular_flags); a set singular
-    flag means the Gauss-Newton matrix lost rank 3 at some iterate.
+    Returns (positions (3,T), |R|^2, iterations, singular_flags); a set
+    singular flag means the Gauss-Newton matrix lost rank 3 at some iterate.
     """
-    count, k, _ = anchors.shape
-    n = k - m
-    # Each transmitter enters n range sums and each receiver m.
-    weight = np.concatenate([np.full(m, float(n)), np.full(n, float(m))])
-    p = p0.astype(np.float64).copy()
-    d, e, sq = _fit_residuals(anchors, fit, m, p)
-    iterations = np.zeros(count, dtype=np.int64)
-    active = np.ones(count, dtype=bool)
-    singular = np.zeros(count, dtype=bool)
+    count = fit.shape[1]
+    p = np.array(p0, dtype=np.float64, order="C")
+    # The working set: batch index, position, inputs and residual terms.
+    work = [np.arange(count), p, anchors, fit, *_fit_residuals(anchors, fit, m, p)]
+    out_p, out_sq = p.copy(), work[-1].copy()
+    iterations, singular = np.zeros(count, dtype=np.int64), np.zeros(count, dtype=bool)
+
+    def leave(work, stop, steps):
+        scene, p, *_, sq = work
+        out = scene[stop]
+        out_p[:, out], out_sq[out], iterations[out] = p[:, stop], sq[stop], steps
+        return [np.compress(~stop, x, axis=-1) for x in work]
 
     for it in range(1, MAX_ITERATIONS + 1):
-        if not active.any():
+        if work[0].size == 0:
             break
-        ia = np.flatnonzero(active)
-        da, ea = d[ia], e[ia]
-        unit = (anchors[ia] - p[ia][:, None, :]) / np.maximum(da, _DISTANCE_FLOOR)[:, :, None]
-        su, sv = unit[:, :m].sum(axis=1), unit[:, m:].sum(axis=1)
-        # Row sums of R for the transmitters, column sums for the receivers.
-        sums = weight * ea
-        sums[:, :m] += ea[:, m:].sum(axis=1)[:, None]
-        sums[:, m:] += ea[:, :m].sum(axis=1)[:, None]
-        grad = (sums[:, None, :] @ unit)[:, 0, :]
-        cross = su[:, :, None] * sv[:, None, :]
-        unit_t = unit.transpose(0, 2, 1)
-        gn = (unit_t * weight) @ unit + cross + cross.transpose(0, 2, 1)
-
-        bad = _rank_deficient3(gn)
-        if bad.any():
-            singular[ia[bad]] = True
-            active[ia[bad]] = False
-            ia = ia[~bad]
-            if ia.size == 0:
-                continue
-            grad, gn, unit, unit_t = grad[~bad], gn[~bad], unit[~bad], unit_t[~bad]
-            sums, da = sums[~bad], da[~bad]
-        curv = sums / np.maximum(da, _DISTANCE_FLOOR)
-        hess = gn + (unit_t * curv[:, None, :]) @ unit
-        hess -= curv.sum(axis=1)[:, None, None] * np.eye(3)
-        newton = _positive_definite3(hess)
-        hess[~newton] = gn[~newton]
-        step = -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
-        resolved = -(grad * step).sum(axis=1) > DECREASE_RTOL * sq[ia]
-        active[ia[~resolved]] = False
-        ia, step = ia[resolved], step[resolved]
-
-        # Damping: per scene, halve the step until the residual does not
-        # increase or the halving budget runs out.
-        pending = np.ones(ia.size, dtype=bool)
-        new_p = p[ia].copy()
-        new_d, new_e, new_sq = d[ia].copy(), e[ia].copy(), sq[ia].copy()
-        step_len = np.zeros(ia.size)
-        for _ in range(MAX_HALVINGS + 1):
-            if not pending.any():
-                break
-            jp = np.flatnonzero(pending)
-            sel = ia[jp]
-            cand = p[sel] + step[jp]
-            d_c, e_c, sq_c = _fit_residuals(anchors[sel], fit[sel], m, cand)
-            ok = sq_c <= sq[sel]
-            if ok.any():
-                hit = jp[ok]
-                new_p[hit] = cand[ok]
-                new_d[hit], new_e[hit], new_sq[hit] = d_c[ok], e_c[ok], sq_c[ok]
-                step_len[hit] = np.sqrt((step[hit] ** 2).sum(axis=1))
-                pending[hit] = False
-            step[jp[~ok]] *= 0.5
-
-        stalled = pending
-        if stalled.any():
-            active[ia[stalled]] = False
-        accepted = ~stalled
-        if accepted.any():
-            sel = ia[accepted]
-            p[sel] = new_p[accepted]
-            d[sel], e[sel], sq[sel] = new_d[accepted], new_e[accepted], new_sq[accepted]
-            iterations[sel] = it
-            done = step_len[accepted] < STEP_TOL
-            active[sel[done]] = False
-
-    return p, sq, iterations, singular
+        step, grad, bad = _newton_step(*work[4:7], m)
+        stop = bad | ~(-_plane_sum(grad * step) > DECREASE_RTOL * work[-1])
+        if stop.any():
+            singular[work[0][bad]] = True
+            work, step = leave(work, stop, it - 1), np.compress(~stop, step, axis=1)
+        accepted, step_len = _damped_update(
+            lambda a, f, q: _fit_residuals(a, f, m, q),
+            work[2:4], work[1], step, work[4:], np.ones(step.shape[1], dtype=bool),
+        )
+        stop = ~accepted | (step_len < STEP_TOL)
+        if stop.any():
+            work = leave(work, stop, np.where(accepted[stop], it, it - 1))
+    leave(work, np.ones(work[0].size, dtype=bool), MAX_ITERATIONS)
+    return out_p, out_sq, iterations, singular
 
 
 def localize_bistatic_batch(
-    ts: np.ndarray,
-    txs: np.ndarray,
-    rxs: np.ndarray,
-    delta: float = 0.0,
+    ts: np.ndarray, txs: np.ndarray, rxs: np.ndarray, delta: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fix a batch of scenes from their delay matrices.
 
@@ -305,7 +342,7 @@ def localize_bistatic_batch(
     additive fit a (+) b (``refine_bistatic``: row mean + column mean -
     grand mean) and the off-subspace energy |K - a (+) b|^2.  The model da (+) db lies in the
     same subspace, so |K - da (+) db|^2 = |(a - da) (+) (b - db)|^2 plus
-    that constant, and the solver works on the (T,m) and (T,n) terms only.
+    that constant, and the solver works on the (m,T) and (n,T) terms only.
     It follows that a delay matrix and its projection have one fix.
 
     Raises:
@@ -314,9 +351,7 @@ def localize_bistatic_batch(
         NonFiniteInput: if a delay, anchor coordinate or delta is NaN or inf.
         SingularGeometry: if any scene's Jacobian loses rank 3.
     """
-    ts = np.asarray(ts, dtype=np.float64)
-    txs = np.asarray(txs, dtype=np.float64)
-    rxs = np.asarray(rxs, dtype=np.float64)
+    ts, txs, rxs = (np.asarray(x, dtype=np.float64) for x in (ts, txs, rxs))
     _check_shapes(ts, txs, rxs)
     m, n = txs.shape[1], rxs.shape[1]
     if m + n - 1 < 4:
@@ -328,21 +363,16 @@ def localize_bistatic_batch(
     # Any split of the fitted matrix into a_i + b_j serves; its first
     # column and its first row less their shared corner give one.
     fit = np.concatenate([fitted[:, :, 0], fitted[:, 0, :] - fitted[:, 0:1, 0]], axis=1)
-    p, fit_sq, iterations, singular = _newton_batch(
-        np.concatenate([txs, rxs], axis=1), fit, m, _warm_start(txs, rxs, fitted)
-    )
+    anchors = np.concatenate([txs, rxs], axis=1).transpose(2, 1, 0).copy()
+    p0 = _warm_start(anchors, fitted[:, :, 0].T, fitted[:, 0, :].T)
+    p, fit_sq, iterations, singular = _newton_batch(anchors, fit.T.copy(), m, p0)
     if singular.any():
-        raise SingularGeometry(
-            f"rank-deficient geometry in {int(singular.sum())} of {ts.shape[0]} scenes"
-        )
-    return p, np.sqrt(fit_sq + off_sq), iterations
+        raise SingularGeometry(f"rank-deficient geometry in {singular.sum()} of {len(ts)} scenes")
+    return p.T, np.sqrt(fit_sq + off_sq), iterations
 
 
 def localize_bistatic(
-    t: np.ndarray,
-    tx: np.ndarray,
-    rx: np.ndarray,
-    delta: float = 0.0,
+    t: np.ndarray, tx: np.ndarray, rx: np.ndarray, delta: float = 0.0
 ) -> PositionFix:
     """Fix the tag position from a bistatic delay matrix, starting the
     damped Newton solver at the algebraic warm start described in the
@@ -356,9 +386,7 @@ def localize_bistatic(
 
 
 def localize_monostatic_batch(
-    ts: np.ndarray,
-    anchors: np.ndarray,
-    delta: float = 0.0,
+    ts: np.ndarray, anchors: np.ndarray, delta: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fix a batch of monostatic scenes from their delay matrix diagonals.
 
@@ -375,68 +403,40 @@ def localize_monostatic_batch(
         SingularGeometry: if the linear system has rank < 3 (coplanar
             anchors) for any scene.
     """
-    ts = np.asarray(ts, dtype=np.float64)
-    anchors = np.asarray(anchors, dtype=np.float64)
+    ts, anchors = np.asarray(ts, dtype=np.float64), np.asarray(anchors, dtype=np.float64)
     _check_shapes(ts, anchors, anchors)
-    count, m = anchors.shape[0], anchors.shape[1]
+    count, m, _ = anchors.shape
     if m < 4:
         raise UnderDetermined(f"{m} ranges cannot fix a 3D position")
     _require_finite(ts, anchors, delta)
-    ranges = SPEED_OF_LIGHT * (np.diagonal(ts, axis1=1, axis2=2) - delta) / 2.0
-    diff = anchors[:, 1:, :] - anchors[:, 0:1, :]
-    rhs = 0.5 * (
-        (anchors[:, 1:, :] ** 2).sum(axis=2)
-        - (anchors[:, 0, :] ** 2).sum(axis=1)[:, None]
-        - (ranges[:, 1:] ** 2 - ranges[:, 0:1] ** 2)
-    )
-    hess = np.einsum("tri,trj->tij", diff, diff)
-    bad = _rank_deficient3(hess)
+    ranges = (SPEED_OF_LIGHT * (np.diagonal(ts, axis1=1, axis2=2) - delta) / 2.0).T.copy()
+    points = anchors.transpose(2, 1, 0).copy()
+    del ts, anchors  # a caller's stacked inputs can be freed; only copies are used below
+    norms = _plane_sum(points * points)
+    rhs = 0.5 * (norms[1:] - norms[0] - (ranges[1:] ** 2 - ranges[0] ** 2))
+    p, bad = _least_squares3(points[:, 1:] - points[:, :1], rhs)
     if bad.any():
-        raise SingularGeometry(
-            f"coplanar anchors in {int(bad.sum())} of {count} scenes"
-        )
-    p = np.linalg.solve(hess, np.einsum("tri,tr->ti", diff, rhs)[:, :, None])[:, :, 0]
-    f, dist, fnorm = _range_residuals(anchors, ranges, p)
-    iterations = np.zeros(count, dtype=np.int64)
-    jac = (anchors - p[:, None, :]) / np.maximum(dist, _DISTANCE_FLOOR)[:, :, None]
-    hess_p = np.einsum("tri,trj->tij", jac, jac)
-    grad = np.einsum("tri,tr->ti", jac, f)
-    ok = ~_rank_deficient3(hess_p)
-    step = np.zeros_like(p)
-    if ok.any():
-        step[ok] = -np.linalg.solve(hess_p[ok], grad[ok][:, :, None])[:, :, 0]
-    pending = ok.copy()
-    for _ in range(MAX_HALVINGS + 1):
-        if not pending.any():
-            break
-        jp = np.flatnonzero(pending)
-        cand = p[jp] + step[jp]
-        f_c, _, fn_c = _range_residuals(anchors[jp], ranges[jp], cand)
-        accept = fn_c <= fnorm[jp]
-        hit = jp[accept]
-        if accept.any():
-            p[hit] = cand[accept]
-            f[hit], fnorm[hit] = f_c[accept], fn_c[accept]
-            iterations[hit] = 1
-            pending[hit] = False
-        step[jp[~accept]] *= 0.5
-    return p, fnorm, iterations
+        raise SingularGeometry(f"coplanar anchors in {int(bad.sum())} of {count} scenes")
+    state = list(_range_residuals(points, ranges, p))
+    step, bad = _least_squares3(  # Gauss-Newton: Jacobian rows are unit vectors
+        (points - p[:, None]) / np.maximum(state[0], _DISTANCE_FLOOR), state[1]
+    )
+    accepted, _ = _damped_update(_range_residuals, [points, ranges], p, -step, state, ~bad)
+    return p.T, state[-1], accepted.astype(np.int64)
 
 
 def _range_residuals(
     anchors: np.ndarray, ranges: np.ndarray, points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Plain range residuals for a batch: ranges minus anchor distances."""
-    dist = np.sqrt(((anchors - points[:, None, :]) ** 2).sum(axis=2))
+    """Range residuals of a batch at points (3,T), from anchors (3,m,T) and
+    ranges (m,T): the distances, f = ranges - distances and |f|."""
+    offset = anchors - points[:, None, :]
+    dist = np.sqrt(_plane_sum(np.square(offset, out=offset)))
     f = ranges - dist
-    return f, dist, np.sqrt((f * f).sum(axis=1))
+    return dist, f, np.sqrt(_plane_sum(f * f))
 
 
-def localize_monostatic(
-    t: np.ndarray,
-    anchors: np.ndarray,
-    delta: float = 0.0,
-) -> PositionFix:
+def localize_monostatic(t: np.ndarray, anchors: np.ndarray, delta: float = 0.0) -> PositionFix:
     """Fix the tag position from a monostatic delay matrix."""
     p, fnorm, iterations = localize_monostatic_batch(
         np.asarray(t)[None], np.asarray(anchors)[None], delta=delta

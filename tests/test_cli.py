@@ -257,6 +257,19 @@ def test_sweep_cli_seed_override(tmp_path, capsys):
     assert out_a.read_bytes() != out_b.read_bytes()
 
 
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_sweep_cli_workers_below_one_exit_code(tmp_path, capsys, workers):
+    config = tmp_path / "sweep.cfg"
+    config.write_text("experiment = mse\nkind = bistatic\nm = 2\ntrials = 8\n")
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(
+        capsys, "sweep", "--config", str(config), "--out", str(out), "--workers", workers
+    )
+    assert code == 2
+    assert "workers" in err
+    assert not out.exists()
+
+
 def test_sweep_cli_bad_config_exit_code(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
     config.write_text("experiment = mse\nkind = bistatic\nm = 2\nsigma_grid = 2e-9, 1e-9\n")

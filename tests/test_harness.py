@@ -392,6 +392,12 @@ def test_sweep_determinism_across_worker_counts():
     assert csv_one == csv_three
 
 
+@pytest.mark.parametrize("workers", [0, -4])
+def test_sweep_rejects_workers_below_one(workers):
+    with pytest.raises(ConfigInvalid):
+        run_sweep(_cfg(trials=8), workers=workers)
+
+
 def test_pool_is_capped_at_the_task_count(monkeypatch):
     """A sweep of two chunks opens a pool of two workers however many are
     asked for.  The fake pool records its size and runs each task in this

@@ -238,8 +238,8 @@ def test_monostatic_rejects_non_finite_input(bad, where):
         localize_monostatic_batch(args["t"][None], args["anchors"][None], delta=args["delta"])
 
 
-def test_batch_matches_scalar_calls():
-    scenes = [_bistatic_case(3300 + i, sigma=1e-9) for i in range(6)]
+def _assert_bistatic_batch_matches_scalar_calls(seed, m, n, sigma=1e-9):
+    scenes = [_bistatic_case(seed + i, m=m, n=n, sigma=sigma) for i in range(6)]
     ts = np.stack([t for _, t in scenes])
     txs = np.stack([s.tx for s, _ in scenes])
     rxs = np.stack([s.rx for s, _ in scenes])
@@ -251,14 +251,93 @@ def test_batch_matches_scalar_calls():
         assert fix.iterations == batch_it[i]
 
 
-def test_monostatic_batch_matches_scalar_calls():
-    scenes = [_monostatic_case(3400 + i, sigma=1e-9) for i in range(6)]
+def _assert_monostatic_batch_matches_scalar_calls(seed, m):
+    scenes = [_monostatic_case(seed + i, m=m, sigma=1e-9) for i in range(6)]
     ts = np.stack([t for _, t in scenes])
     anchors = np.stack([s.tx for s, _ in scenes])
     batch_p, batch_rn, batch_it = localize_monostatic_batch(ts, anchors)
     for i, (scene, t) in enumerate(scenes):
         fix = localize_monostatic(t, scene.tx)
         assert np.array_equal(fix.position, batch_p[i])
+        assert fix.residual_norm == batch_rn[i]
+        assert fix.iterations == batch_it[i]
+
+
+def test_batch_matches_scalar_calls():
+    _assert_bistatic_batch_matches_scalar_calls(3300, 4, 3)
+
+
+def test_monostatic_batch_matches_scalar_calls():
+    _assert_monostatic_batch_matches_scalar_calls(3400, 6)
+
+
+@pytest.mark.parametrize("m, n", [(5, 5), (8, 3)])
+def test_batch_matches_scalar_calls_with_many_anchors(m, n):
+    """Sums over 8 or more anchors: np.sum would add a single scene's
+    contiguous anchor axis pairwise, a larger batch's planes in order."""
+    _assert_bistatic_batch_matches_scalar_calls(3310, m, n, sigma=3e-9)
+
+
+def test_monostatic_batch_matches_scalar_calls_with_eight_anchors():
+    _assert_monostatic_batch_matches_scalar_calls(3410, 8)
+
+
+def _old_rank_rule(h):
+    """The rank test on (T,3,3) stacks before the closed-form solve."""
+    frob = np.sqrt((h * h).sum(axis=(1, 2)))
+    return np.abs(np.linalg.det(h)) <= 1e-12 * np.maximum(frob, 1e-300) ** 3
+
+
+def test_adjugate_solve_matches_lapack():
+    rng = np.random.default_rng(4300)
+    h = rng.standard_normal((1000, 3, 3))
+    h = h[np.linalg.cond(h) < 1e3]
+    g = rng.standard_normal((h.shape[0], 3))
+    adj, det = localization._adjugate3(np.ascontiguousarray(h.transpose(1, 2, 0)))
+    x = (adj * g.T[None]).sum(axis=1) / det
+    ref = np.linalg.solve(h, g[:, :, None])[:, :, 0].T
+    assert h.shape[0] > 900
+    assert np.all(np.abs(x - ref) <= 1e-10 * np.abs(ref).max(axis=0))
+    assert np.allclose(det, np.linalg.det(h), rtol=1e-12, atol=0.0)
+
+
+def _gauss_newton_matrices(tx, rx, points):
+    """J'J over all m n range sums, rows u_i + v_j, at each point (T,3)."""
+    u = tx[None] - points[:, None]
+    v = rx[None] - points[:, None]
+    u /= np.linalg.norm(u, axis=2, keepdims=True)
+    v /= np.linalg.norm(v, axis=2, keepdims=True)
+    jac = (u[:, :, None, :] + v[:, None, :, :]).reshape(len(points), -1, 3)
+    return np.einsum("tki,tkj->tij", jac, jac)
+
+
+@pytest.mark.parametrize("jitter", [0.0, 1e-9])
+def test_rank_test_flags_what_the_determinant_rule_flags(jitter):
+    """Collinear bistatic anchors (Gauss-Newton matrices at points off the
+    line) and coplanar monostatic anchors (the linearized normal matrix)
+    next to random geometry: the adjugate's determinant flags the same
+    scenes as |det| <= 1e-12 |H|_F^3 from LAPACK's determinant."""
+    rng = np.random.default_rng(4400)
+    tx = np.column_stack([np.arange(1.0, 5.0), np.zeros(4), np.zeros(4)])
+    rx = np.column_stack([np.arange(6.0, 9.0), np.zeros(3), np.zeros(3)])
+    tx, rx = tx + jitter * rng.standard_normal(tx.shape), rx + jitter * rng.standard_normal(rx.shape)
+    points = 10.0 * rng.random((8, 3))
+    stacks = [_gauss_newton_matrices(tx, rx, points)]
+    for seed in range(8):
+        scene, _ = _bistatic_case(4500 + seed)
+        stacks.append(_gauss_newton_matrices(scene.tx, scene.rx, points[:1]))
+    planar = np.array(
+        [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0], [10.0, 10.0, 0.0], [5.0, 2.0, 0.0]]
+    )
+    for anchors in (planar + jitter * rng.standard_normal(planar.shape), 10.0 * rng.random((5, 3))):
+        diff = anchors[1:] - anchors[:1]
+        stacks.append((diff.T @ diff)[None])
+    h = np.concatenate(stacks)
+    expected = _old_rank_rule(h)
+    stack = np.ascontiguousarray(h.transpose(1, 2, 0))
+    flagged = localization._rank_below3(stack, localization._adjugate3(stack)[1])
+    assert np.array_equal(flagged, expected)
+    assert expected.sum() == 9
 
 
 def test_monostatic_polish_flag(monkeypatch):
@@ -385,7 +464,9 @@ def test_fix_objective_no_worse_than_long_gauss_newton(sigma):
     """From the same warm start, the row/column Newton fix is at least as
     good on the full objective as plain Gauss-Newton run to convergence."""
     txs, rxs, t_hats, t_refs = _bistatic_chunk(sigma)
-    p0 = localization._warm_start(txs, rxs, SPEED_OF_LIGHT * t_refs)
+    ks = SPEED_OF_LIGHT * t_refs
+    anchors = np.ascontiguousarray(np.concatenate([txs, rxs], axis=1).transpose(2, 1, 0))
+    p0 = localization._warm_start(anchors, ks[:, :, 0].T, ks[:, 0, :].T).T
     _, cost_ref = _reference_gauss_newton(t_hats, txs, rxs, p0)
     p, _, _ = localize_bistatic_batch(t_hats, txs, rxs)
     cost = np.array([
