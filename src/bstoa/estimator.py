@@ -30,7 +30,9 @@ def ls_estimate(y: np.ndarray, topo: Topology) -> np.ndarray:
 
     Rows ``i L .. i L + L - 1`` observe transmitter i, the layout of
     :func:`bstoa.channel.synth_observations`.  The mean equals the normal
-    equations solution for that pilot matrix, at O(L m n) cost.
+    equations solution for that pilot matrix, at O(L m n) cost.  The L rows
+    are added in order and the sum is divided by L once, so a sweep that
+    adds its pilots one at a time gets the same bits.
 
     Raises:
         DimensionMismatch: unless the last axis has n entries and the row
@@ -42,19 +44,36 @@ def ls_estimate(y: np.ndarray, topo: Topology) -> np.ndarray:
         raise DimensionMismatch(
             f"observations {y.shape} are not L*m x n pilot rows for m={m}, n={n}"
         )
-    return y.reshape(*y.shape[:-2], m, y.shape[-2] // m, n).mean(axis=-2)
+    length = y.shape[-2] // m
+    return _sum_in_order(y.reshape(*y.shape[:-2], m, length, n), -2) / length
+
+
+def _sum_in_order(x: np.ndarray, axis: int) -> np.ndarray:
+    """Sum over ``axis`` (counted from the end, so negative) by adding its
+    slices in order.
+
+    ``np.sum`` adds a contiguous axis pairwise from 8 elements on and any
+    other axis in order, so its bits depend on the memory layout; these do
+    not, and a matrix sums alike alone or in a batch of any layout.
+    """
+    rest = (slice(None),) * (-1 - axis)
+    total = x[(..., 0, *rest)].copy(order="K")
+    for i in range(1, x.shape[axis]):
+        total += x[(..., i, *rest)]
+    return total
 
 
 def refine_bistatic(t_hat: np.ndarray) -> np.ndarray:
     """Project ``(..., m, n)`` estimates onto the constraint subspace:
-    row mean + column mean - grand mean of each m x n slice."""
+    row mean + column mean - grand mean of each m x n slice.  The result
+    does not depend on the memory layout of the batch."""
     t_hat = np.asarray(t_hat, dtype=np.float64)
     if t_hat.ndim < 2:
         raise DimensionMismatch(f"delay matrices need two axes, got {t_hat.shape}")
     m, n = t_hat.shape[-2:]
-    row = t_hat.sum(axis=-1, keepdims=True) / n
-    col = t_hat.sum(axis=-2, keepdims=True) / m
-    return row + (col - row.sum(axis=-2, keepdims=True) / m)
+    row = _sum_in_order(t_hat, -1)[..., None] / n
+    col = _sum_in_order(t_hat, -2)[..., None, :] / m
+    return row + (col - _sum_in_order(row, -2)[..., None] / m)
 
 
 def refine_monostatic(t_hat: np.ndarray) -> np.ndarray:

@@ -10,9 +10,12 @@ Reproducibility contract: the trials of grid point k are cut into fixed
 chunks of ``CHUNK_TRIALS``, and chunk c draws from the counter stream
 ``k * ceil(trials / CHUNK_TRIALS) + c`` of the master seed
 (``channel.stream_rng``): first the unit coordinates of all its scenes,
-then the pilot noise of all its trials.  Chunk partials are reduced in
-chunk order, so output bytes do not depend on the number of worker
-processes.  A single trial is reproduced by replaying its chunk.
+one row per trial, then the pilot noise one pilot symbol at a time, an
+``(m, n, trials)`` plane in C order per symbol.  Chunk partials are
+reduced in chunk order, so output bytes do not depend on the number of
+worker processes.  A single trial is reproduced by replaying its chunk.
+A chunk keeps its trials on the last, contiguous axis of every array, so
+its delays, estimates and sums act on whole ``(m, n, trials)`` planes.
 
 ``run_sweep`` is the entry point: it runs any of the three experiments
 (estimator MSE, localization RMSE, CRLB check) through the same chunked
@@ -42,12 +45,12 @@ import numpy as np
 from . import analysis
 from .channel import stream_rng, true_delays_batch
 from .errors import ConfigInvalid, InvalidValue, UnderDetermined
-from .estimator import ls_estimate, refine_estimate
+from .estimator import refine_estimate
 from .localization import localize_bistatic_batch, localize_monostatic_batch
 from .topology import Kind, Topology
 
 CHUNK_TRIALS = 512
-# Noise values per block of a chunk's pilot buffer (256 KiB of float64).
+# Noise values per slab of a chunk's pilot noise (256 KiB of float64).
 _PILOT_BLOCK_VALUES = 2**15
 LOW_CONFIDENCE_TRIALS = 1000
 
@@ -88,6 +91,8 @@ class SweepConfig:
             raise ConfigInvalid("pilot_lengths must not be empty")
         if any(length < 1 for length in self.pilot_lengths):
             raise ConfigInvalid(f"pilot lengths must be >= 1, got {self.pilot_lengths}")
+        if len(set(self.pilot_lengths)) < len(self.pilot_lengths):
+            raise ConfigInvalid(f"pilot lengths must be distinct, got {self.pilot_lengths}")
         if not self.sigma_grid:
             raise ConfigInvalid("sigma_grid must not be empty")
         if not all(math.isfinite(s) and s > 0.0 for s in self.sigma_grid):
@@ -240,52 +245,73 @@ def _reduce_by_point(tasks, results) -> dict[int, dict]:
 
 
 def _simulate_chunk(task: _ChunkTask):
-    """Draw and estimate the chunk's trials as one batch.
+    """Draw and estimate the chunk's trials as one batch, with the trials on
+    the last, contiguous axis of every array.
 
     The chunk draws from one generator, ``stream_rng(master_seed,
     point_index * chunks + chunk)`` with ``chunks`` chunks per point.  One
     ``random`` call gives the unit coordinates of every scene, a row of
-    tx, then rx if bistatic, then tag per trial; ``standard_normal`` then
-    gives the ``(L m, n)`` pilot noise of each trial in turn.  Coordinates
-    are scaled by ``cube_side`` and noise by ``sigma`` afterwards.  A trial
-    is reproduced by replaying its chunk.  True delays, the LS estimates
-    (``ls_estimate`` on the block's pilot rows) and the refinement are
-    computed on whole blocks; the pilot buffer holds at most
-    ``_PILOT_BLOCK_VALUES`` noise values, and since the noise is drawn in
-    order, the block size does not change any value.
+    tx, then rx if bistatic, then tag per trial.  ``standard_normal`` then
+    gives the pilot noise one pilot symbol at a time: for l = 0 .. L - 1 an
+    ``(m, n, T)`` plane in C order, entry ``[i, j, t]`` being the noise on
+    pilot l of subchannel (i, j) in trial t.  Coordinates are scaled by
+    ``cube_side`` and noise by ``sigma`` afterwards.  A trial is reproduced
+    by replaying its chunk.
 
-    Returns the stacked transmitter, receiver and tag positions, true
-    delays, LS and refined estimates.
+    Positions are stored as ``(3, k, T)``, true delays and estimates as
+    ``(m, n, T)``; ``true_delays_batch`` and ``refine_estimate`` run on
+    ``(T, ...)`` views of them.  Each noise plane is drawn in slabs of whole
+    T-long rows of at most ``_PILOT_BLOCK_VALUES`` values; each slab forms
+    its pilots ``y_l = t + sigma z_l`` and adds them, in l order, into the
+    LS sums, which are divided by L once: the arithmetic of
+    ``ls_estimate`` on the ``(L m, n)`` pilot rows.  Since the noise is
+    drawn in order, the slab size changes no value.
+
+    Returns the transmitter, receiver and tag positions, ``(T, k, 3)`` and
+    ``(T, 3)``, and the true delays, LS and refined estimates, ``(T, m,
+    n)``: views whose trial axis has a stride of one value.
     """
     cfg = task.cfg
     topo = cfg.topology
-    m, n, length = topo.m, topo.n, task.pilot_len
-    n_rx = n if topo.kind is Kind.BISTATIC else 0
+    m = topo.m
+    n_rx = topo.n if topo.kind is Kind.BISTATIC else 0
     count = task.stop - task.start
     chunks = -(-cfg.trials // CHUNK_TRIALS)
     rng = stream_rng(cfg.master_seed, task.point_index * chunks + task.start // CHUNK_TRIALS)
-    coords = rng.random((count, 3 * (m + n_rx + 1)))
-    coords *= cfg.cube_side
-    txs = coords[:, : 3 * m].reshape(count, m, 3)
-    rxs = coords[:, 3 * m : 3 * (m + n_rx)].reshape(count, n_rx, 3) if n_rx else txs
-    tags = coords[:, 3 * (m + n_rx) :]
-    truths = np.empty((count, m, n))
-    t_hats = np.empty((count, m, n))
-    block = max(1, _PILOT_BLOCK_VALUES // (length * m * n))
-    pilots = np.empty((min(block, count), length * m, n))
-    for lo in range(0, count, block):
-        hi = min(lo + block, count)
-        noise = pilots[: hi - lo]
-        rng.standard_normal(out=noise)
-        truths[lo:hi] = true_delays_batch(txs[lo:hi], rxs[lo:hi], tags[lo:hi])
-        noise *= task.sigma
-        by_tx = noise.reshape(hi - lo, m, length, n)
-        by_tx += truths[lo:hi, :, None, :]
-        t_hats[lo:hi] = ls_estimate(noise, topo)
+    points = np.empty((3, m + n_rx + 1, count))
+    np.multiply(rng.random((count, m + n_rx + 1, 3)).T, cfg.cube_side, out=points)
+    txs, tags = points[:, :m].T, points[:, -1].T
+    rxs = points[:, m:-1].T if n_rx else txs
+    truths = true_delays_batch(txs, rxs, tags)
+    t_hats = _ls_estimates(rng, truths, task.sigma, task.pilot_len)
     return txs, rxs, tags, truths, t_hats, refine_estimate(t_hats, topo)
 
 
+def _ls_estimates(
+    rng: np.random.Generator, truths: np.ndarray, sigma: float, length: int
+) -> np.ndarray:
+    """``(T, m, n)`` LS estimates from ``length`` noisy pilots of each true
+    delay, drawn as ``_simulate_chunk`` describes."""
+    count, m, n = truths.shape
+    rows = truths.transpose(1, 2, 0).reshape(m * n, count)
+    sums = np.empty((m * n, count))
+    per_slab = max(1, _PILOT_BLOCK_VALUES // count)
+    slab = np.empty((min(per_slab, m * n), count))
+    for ell in range(length):
+        for lo in range(0, m * n, per_slab):
+            hi = min(lo + per_slab, m * n)
+            pilots = sums[lo:hi] if ell == 0 else slab[: hi - lo]
+            rng.standard_normal(out=pilots)
+            pilots *= sigma
+            pilots += rows[lo:hi]
+            if ell:
+                sums[lo:hi] += pilots
+    sums /= length
+    return sums.reshape(m, n, count).transpose(2, 0, 1)
+
+
 def _squares(err: np.ndarray) -> np.ndarray:
+    """Sum of squares over the trials, axis 0 of a ``(T, m, n)`` batch."""
     return (err * err).sum(axis=0)
 
 
@@ -299,12 +325,14 @@ def _run_crlb_chunk(task: _ChunkTask) -> dict:
     err = t_refs - truths
     if task.cfg.kind is Kind.BISTATIC:
         # Each refined error is an outer sum a (+) b; keep its m + n
-        # row/column coordinates c = [row means; column means - grand mean].
-        rows = err.mean(axis=2)
-        cols = err.mean(axis=1)
-        cols -= rows.mean(axis=1, keepdims=True)
-        coords = np.concatenate((rows, cols), axis=1)
-        return {"rowcol_proposed": coords.T @ coords}
+        # row/column coordinates c = [row means; column means - grand mean],
+        # as an (m + n, T) array with the trials last.
+        err = err.transpose(1, 2, 0)
+        rows = err.mean(axis=1)
+        cols = err.mean(axis=0)
+        cols -= rows.mean(axis=0)
+        coords = np.concatenate((rows, cols))
+        return {"rowcol_proposed": coords @ coords.T}
     return {"sq_proposed": _squares(err)}
 
 

@@ -278,6 +278,17 @@ def test_sweep_cli_bad_config_exit_code(tmp_path, capsys):
     assert "error" in err
 
 
+def test_sweep_cli_duplicate_pilot_length_exit_code(tmp_path, capsys):
+    """Two equal pilot lengths would emit two rows under one CSV key."""
+    config = tmp_path / "dup.cfg"
+    config.write_text("experiment = mse\nkind = bistatic\nm = 2\ntrials = 4\npilot_lengths = 2, 2\n")
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(capsys, "sweep", "--config", str(config), "--out", str(out))
+    assert code == 2
+    assert "distinct" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", ["sigma_grid = nan", "cube_side = inf"])
 def test_sweep_cli_non_finite_config_exit_code(tmp_path, capsys, line):
     config = tmp_path / "bad.cfg"

@@ -186,6 +186,25 @@ def test_refine_batch_equals_per_slice():
             assert np.array_equal(refined[index], refine_estimate(batch[index], topo))
 
 
+@pytest.mark.parametrize(
+    "topo", [Topology.bistatic(9, 12), Topology.bistatic(12, 1), Topology.monostatic(10)],
+    ids=["bistatic-9x12", "bistatic-12x1", "monostatic-10"],
+)
+def test_estimators_do_not_depend_on_batch_layout(topo):
+    """Rows, columns and pilots of 8 and more are added in order whatever
+    the memory layout: a trials-last batch, a C-order batch and each matrix
+    alone give the same bits (np.sum would add a contiguous axis pairwise)."""
+    rng = stream_rng(22, 3)
+    pilots = rng.normal(size=(9, 8 * topo.m, topo.n))
+    t_hats = rng.normal(size=(9, topo.m, topo.n))
+    for estimate, batch in ((ls_estimate, pilots), (refine_estimate, t_hats)):
+        got = estimate(batch, topo)
+        trials_last = np.moveaxis(np.moveaxis(batch, 0, -1).copy(), -1, 0)
+        assert np.array_equal(estimate(trials_last, topo), got)
+        for i in range(len(batch)):
+            assert np.array_equal(estimate(batch[i], topo), got[i])
+
+
 def test_constraint_residual_matches_dense_rows():
     rng = stream_rng(22, 2)
     for topo in _small_topologies():

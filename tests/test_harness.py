@@ -93,6 +93,7 @@ def test_parse_config_defaults():
         "experiment = mse\nkind = bistatic\nm = 2\nsigma_grid = 2e-9, 1e-9\n",
         "experiment = mse\nkind = bistatic\nm = 2\nsigma_grid = 0, 1e-9\n",
         "experiment = mse\nkind = bistatic\nm = 2\npilot_lengths = 0\n",
+        "experiment = mse\nkind = bistatic\nm = 2\npilot_lengths = 2, 8, 2\n",
         "experiment = mse\nkind = bistatic\nm = 2\nsigma_grid = nan\n",
         "experiment = mse\nkind = bistatic\nm = 2\nsigma_grid = 1e-9, inf\n",
         "experiment = mse\nkind = bistatic\nm = 2\ncube_side = inf\n",
@@ -115,6 +116,13 @@ def test_parse_config_rejects(text):
 def test_parse_config_bad_value_message(text, message):
     with pytest.raises(ConfigInvalid, match=message):
         parse_config(text)
+
+
+@pytest.mark.parametrize("lengths", [(2, 2), (8, 2, 8), (1, 1, 1)])
+def test_config_rejects_duplicate_pilot_lengths(lengths):
+    """A repeated pilot length would give two rows under one CSV key."""
+    with pytest.raises(ConfigInvalid, match="distinct"):
+        _cfg(pilot_lengths=lengths)
 
 
 @pytest.mark.parametrize(
@@ -290,8 +298,8 @@ def test_sweeps_never_build_dense_matrices(monkeypatch):
 def _reference_chunk(task):
     """The chunk's trials by the stream contract, one trial at a time
     through the public functions: the chunk's stream gives every scene's
-    unit coordinates (tx, rx if bistatic, tag), then every trial's pilot
-    noise."""
+    unit coordinates (tx, rx if bistatic, tag), then the pilot noise one
+    pilot symbol at a time, an (m, n, trials) plane per symbol."""
     cfg = task.cfg
     topo = cfg.topology
     m, n, length = topo.m, topo.n, task.pilot_len
@@ -300,14 +308,15 @@ def _reference_chunk(task):
     chunks = math.ceil(cfg.trials / CHUNK_TRIALS)
     rng = stream_rng(cfg.master_seed, task.point_index * chunks + task.start // CHUNK_TRIALS)
     u = rng.random((count, 3 * (m + n_rx + 1)))
-    z = rng.standard_normal((count, length * m, n))
+    z = rng.standard_normal((length, m, n, count))
     stacks = {key: [] for key in ("tx", "rx", "tag", "truth", "t_hat")}
     for i in range(count):
         points = (u[i] * cfg.cube_side).reshape(-1, 3)
         rx = points[m : m + n_rx] if n_rx else None
         scene = Scene(topo, tx=points[:m], rx=rx, tag=points[-1])
         truth = true_delays(scene)
-        t_hat = ls_estimate(np.repeat(truth, length, 0) + task.sigma * z[i], topo)
+        noise = z[..., i].transpose(1, 0, 2).reshape(length * m, n)
+        t_hat = ls_estimate(np.repeat(truth, length, 0) + task.sigma * noise, topo)
         for key, value in zip(stacks, (scene.tx, scene.rx, scene.tag, truth, t_hat)):
             stacks[key].append(value)
     return [np.stack(values) for values in stacks.values()]
@@ -346,9 +355,9 @@ def test_chunk_is_bitwise_the_per_trial_loop(kind, m, n, pilot_len):
     "kind, m, n", [(Kind.BISTATIC, 4, 3), (Kind.MONOSTATIC, 6, 6)], ids=["bi4x3", "mono6"]
 )
 def test_chunk_does_not_depend_on_blocking_or_layout(monkeypatch, kind, m, n):
-    """Pilot blocks of one trial or of the whole chunk give the same bits;
-    the two chunks of a point and the first chunk of the next point draw
-    pairwise different coordinates."""
+    """Noise slabs of one trial-long row or of a whole (m, n, trials) plane
+    give the same bits; the two chunks of a point and the first chunk of
+    the next point draw pairwise different coordinates."""
     cfg = _cfg(kind=kind, m=m, n=n, pilot_lengths=(8,), trials=700)
     tasks = _chunk_tasks(cfg)
     wants = [_simulate_chunk(task) for task in tasks[:2]]
@@ -360,6 +369,23 @@ def test_chunk_does_not_depend_on_blocking_or_layout(monkeypatch, kind, m, n):
     txs = [_simulate_chunk(task)[0] for task in tasks[:3]]
     for i, j in ((0, 1), (0, 2), (1, 2)):
         assert np.intersect1d(txs[i], txs[j]).size == 0, (i, j)
+
+
+@pytest.mark.parametrize(
+    "kind, m, n", [(Kind.BISTATIC, 4, 3), (Kind.BISTATIC, 1, 5), (Kind.MONOSTATIC, 6, 6)]
+)
+def test_chunk_keeps_the_trials_on_the_contiguous_axis(kind, m, n):
+    """Every array a chunk returns steps one value from trial to trial, so
+    reductions over the trials run along memory, on full and partial
+    chunks."""
+    cfg = _cfg(kind=kind, m=m, n=n, trials=700)
+    for task in _chunk_tasks(cfg)[:2]:
+        count = task.stop - task.start
+        out = _simulate_chunk(task)
+        shapes = [(count, m, 3), (count, n, 3), (count, 3)] + [(count, m, n)] * 3
+        assert [a.shape for a in out] == shapes
+        for name, array in zip(("tx", "rx", "tag", "truth", "t_hat", "t_ref"), out):
+            assert array.strides[0] == array.itemsize == 8, name
 
 
 def test_chunk_memory_stays_near_its_output():
