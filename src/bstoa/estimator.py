@@ -31,8 +31,8 @@ def ls_estimate(y: np.ndarray, topo: Topology) -> np.ndarray:
     Rows ``i L .. i L + L - 1`` observe transmitter i, the layout of
     :func:`bstoa.channel.synth_observations`.  The mean equals the normal
     equations solution for that pilot matrix, at O(L m n) cost.  The L rows
-    are added in order and the sum is divided by L once, so a sweep that
-    adds its pilots one at a time gets the same bits.
+    are added in order and the sum is divided by L once, so the bits do not
+    depend on the memory layout of ``y``.
 
     Raises:
         DimensionMismatch: unless the last axis has n entries and the row

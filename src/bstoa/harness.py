@@ -10,8 +10,11 @@ Reproducibility contract: the trials of grid point k are cut into fixed
 chunks of ``CHUNK_TRIALS``, and chunk c draws from the counter stream
 ``k * ceil(trials / CHUNK_TRIALS) + c`` of the master seed
 (``channel.stream_rng``): first the unit coordinates of all its scenes,
-one row per trial, then the pilot noise one pilot symbol at a time, an
-``(m, n, trials)`` plane in C order per symbol.  Chunk partials are
+one row per trial, then one ``(m, n, trials)`` plane of standard normals
+in C order, the noise of every trial's LS estimate.  The LS estimate of
+a delay is the mean of L iid N(t, sigma^2) pilots, which is exactly
+N(t, sigma^2 / L), so the chunk draws that mean directly instead of its L
+pilots (stream contract v4).  Chunk partials are
 reduced in chunk order, so output bytes do not depend on the number of
 worker processes.  A single trial is reproduced by replaying its chunk.
 A chunk keeps its trials on the last, contiguous axis of every array, so
@@ -50,8 +53,6 @@ from .localization import localize_bistatic_batch, localize_monostatic_batch
 from .topology import Kind, Topology
 
 CHUNK_TRIALS = 512
-# Noise values per slab of a chunk's pilot noise (256 KiB of float64).
-_PILOT_BLOCK_VALUES = 2**15
 LOW_CONFIDENCE_TRIALS = 1000
 
 # 3 cm to 3 m ranging error at the speed of light; a declared, overridable
@@ -251,21 +252,16 @@ def _simulate_chunk(task: _ChunkTask):
     The chunk draws from one generator, ``stream_rng(master_seed,
     point_index * chunks + chunk)`` with ``chunks`` chunks per point.  One
     ``random`` call gives the unit coordinates of every scene, a row of
-    tx, then rx if bistatic, then tag per trial.  ``standard_normal`` then
-    gives the pilot noise one pilot symbol at a time: for l = 0 .. L - 1 an
-    ``(m, n, T)`` plane in C order, entry ``[i, j, t]`` being the noise on
-    pilot l of subchannel (i, j) in trial t.  Coordinates are scaled by
-    ``cube_side`` and noise by ``sigma`` afterwards.  A trial is reproduced
-    by replaying its chunk.
+    tx, then rx if bistatic, then tag per trial.  One ``standard_normal``
+    call then gives an ``(m, n, T)`` plane z in C order, and the LS
+    estimate of subchannel (i, j) in trial t is ``t + (sigma / sqrt(L))
+    z[i, j, t]`` (see ``_ls_estimates``).  Coordinates are scaled by
+    ``cube_side`` afterwards.  A trial is reproduced by replaying its
+    chunk.
 
     Positions are stored as ``(3, k, T)``, true delays and estimates as
     ``(m, n, T)``; ``true_delays_batch`` and ``refine_estimate`` run on
-    ``(T, ...)`` views of them.  Each noise plane is drawn in slabs of whole
-    T-long rows of at most ``_PILOT_BLOCK_VALUES`` values; each slab forms
-    its pilots ``y_l = t + sigma z_l`` and adds them, in l order, into the
-    LS sums, which are divided by L once: the arithmetic of
-    ``ls_estimate`` on the ``(L m, n)`` pilot rows.  Since the noise is
-    drawn in order, the slab size changes no value.
+    ``(T, ...)`` views of them.
 
     Returns the transmitter, receiver and tag positions, ``(T, k, 3)`` and
     ``(T, 3)``, and the true delays, LS and refined estimates, ``(T, m,
@@ -290,24 +286,20 @@ def _simulate_chunk(task: _ChunkTask):
 def _ls_estimates(
     rng: np.random.Generator, truths: np.ndarray, sigma: float, length: int
 ) -> np.ndarray:
-    """``(T, m, n)`` LS estimates from ``length`` noisy pilots of each true
-    delay, drawn as ``_simulate_chunk`` describes."""
+    """``(T, m, n)`` LS estimates of the ``(T, m, n)`` true delays from
+    ``length`` pilots of noise ``sigma`` each.
+
+    The pilots' mean is drawn in one piece: a standard normal ``(m, n, T)``
+    plane in C order, scaled by ``sigma / sqrt(length)``, plus the true
+    delays.  The mean of L iid N(t, sigma^2) values is N(t, sigma^2 / L)
+    exactly, so this has the distribution of ``ls_estimate`` on L drawn
+    pilot rows at 1 / L of the draws.
+    """
     count, m, n = truths.shape
-    rows = truths.transpose(1, 2, 0).reshape(m * n, count)
-    sums = np.empty((m * n, count))
-    per_slab = max(1, _PILOT_BLOCK_VALUES // count)
-    slab = np.empty((min(per_slab, m * n), count))
-    for ell in range(length):
-        for lo in range(0, m * n, per_slab):
-            hi = min(lo + per_slab, m * n)
-            pilots = sums[lo:hi] if ell == 0 else slab[: hi - lo]
-            rng.standard_normal(out=pilots)
-            pilots *= sigma
-            pilots += rows[lo:hi]
-            if ell:
-                sums[lo:hi] += pilots
-    sums /= length
-    return sums.reshape(m, n, count).transpose(2, 0, 1)
+    means = rng.standard_normal((m, n, count))
+    means *= sigma / math.sqrt(length)
+    means += truths.transpose(1, 2, 0)
+    return means.transpose(2, 0, 1)
 
 
 def _squares(err: np.ndarray) -> np.ndarray:

@@ -359,7 +359,8 @@ def localize_bistatic_batch(
     _require_finite(ts, txs, rxs, delta)
     ks = SPEED_OF_LIGHT * (ts - delta)
     fitted = refine_bistatic(ks)
-    off_sq = ((ks - fitted) ** 2).sum(axis=(1, 2))
+    off = ks - fitted
+    off_sq = _plane_sum((off * off).transpose(1, 2, 0).reshape(m * n, -1))
     # Any split of the fitted matrix into a_i + b_j serves; its first
     # column and its first row less their shared corner give one.
     fit = np.concatenate([fitted[:, :, 0], fitted[:, 0, :] - fitted[:, 0:1, 0]], axis=1)

@@ -282,6 +282,27 @@ def test_monostatic_batch_matches_scalar_calls_with_eight_anchors():
     _assert_monostatic_batch_matches_scalar_calls(3410, 8)
 
 
+def test_bistatic_batch_does_not_depend_on_layout():
+    """A sweep chunk's trials-last views and C-order copies of them give
+    bit-equal positions, residual norms and iteration counts, with 108
+    range sums per scene, where np.sum over a contiguous axis would add
+    pairwise; so does a lone scene."""
+    cfg = SweepConfig(
+        experiment=ExperimentKind.LOCALIZATION, kind=Kind.BISTATIC, m=12, n=9,
+        pilot_lengths=(2,), sigma_grid=(1e-9,), trials=64, master_seed=7,
+    )
+    txs, rxs, _, _, t_hats, _ = _simulate_chunk(_ChunkTask(cfg, 0, 1e-9, 2, 0, 64))
+    assert t_hats.strides[0] == 8
+    views = localize_bistatic_batch(t_hats, txs, rxs)
+    copies = localize_bistatic_batch(*(np.ascontiguousarray(x) for x in (t_hats, txs, rxs)))
+    for got, want in zip(views, copies):
+        assert np.array_equal(got, want)
+    fix = localize_bistatic(t_hats[5], txs[5], rxs[5])
+    assert np.array_equal(fix.position, views[0][5])
+    assert fix.residual_norm == views[1][5]
+    assert fix.iterations == views[2][5]
+
+
 def _old_rank_rule(h):
     """The rank test on (T,3,3) stacks before the closed-form solve."""
     frob = np.sqrt((h * h).sum(axis=(1, 2)))
