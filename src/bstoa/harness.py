@@ -1,22 +1,28 @@
 """Deterministic Monte-Carlo sweeps over (sigma, pilot length) grids.
 
-Experiments draw a fresh random scene per trial, estimate its delay matrix
-with both estimators, and reduce per-trial statistics into CSV rows of the
-fixed schema
+Each trial estimates a noisy delay matrix with both estimators, over a
+fresh random scene (localization) or over the noise alone (mse, crlb), and
+per-trial statistics are reduced into CSV rows of the fixed schema
 
     sigma,pilot_len,method,metric,value,theory,low_confidence
 
-Reproducibility contract: the trials of grid point k are cut into fixed
-chunks of ``CHUNK_TRIALS``, and chunk c draws from the counter stream
-``k * ceil(trials / CHUNK_TRIALS) + c`` of the master seed
-(``channel.stream_rng``): first the unit coordinates of all its scenes,
-one row per trial, then one ``(m, n, trials)`` plane of standard normals
-in C order, the noise of every trial's LS estimate.  The LS estimate of
-a delay is the mean of L iid N(t, sigma^2) pilots, which is exactly
-N(t, sigma^2 / L), so the chunk draws that mean directly instead of its L
-pilots (stream contract v4).  Chunk partials are
-reduced in chunk order, so output bytes do not depend on the number of
-worker processes.  A single trial is reproduced by replaying its chunk.
+Reproducibility contract (stream contract v5): the trials of grid point
+k are cut into fixed chunks of ``CHUNK_TRIALS``, and chunk c draws from
+the counter stream ``k * ceil(trials / CHUNK_TRIALS) + c`` of the master
+seed (``channel.stream_rng``).  The LS estimate of a delay is the mean of
+L iid N(t, sigma^2) pilots, which is exactly N(t, sigma^2 / L), so a
+chunk draws that mean's noise directly instead of its L pilots, as one
+``(m, n, trials)`` plane of standard normals in C order scaled by
+``sigma / sqrt(L)``.  A localization chunk first draws the unit
+coordinates of all its scenes, one row per trial, then that plane, and
+adds it to the true delays.  An mse or crlb chunk draws only the plane:
+both estimators are linear and every true delay matrix lies in the
+outer-sum subspace, which the projection leaves fixed, so the refined
+error is exactly the projection of the LS error; the scene would add only
+rounding.
+Chunk partials are reduced in chunk order, so output bytes do not depend
+on the number of worker processes.  A single trial is reproduced by
+replaying its chunk.
 A chunk keeps its trials on the last, contiguous axis of every array, so
 its delays, estimates and sums act on whole ``(m, n, trials)`` planes.
 
@@ -245,9 +251,17 @@ def _reduce_by_point(tasks, results) -> dict[int, dict]:
     return accumulated
 
 
+def _chunk_rng(task: _ChunkTask) -> np.random.Generator:
+    """The chunk's generator: stream ``point_index * chunks + chunk`` of the
+    master seed, with ``chunks`` chunks per grid point."""
+    chunks = -(-task.cfg.trials // CHUNK_TRIALS)
+    return stream_rng(task.cfg.master_seed, task.point_index * chunks + task.start // CHUNK_TRIALS)
+
+
 def _simulate_chunk(task: _ChunkTask):
-    """Draw and estimate the chunk's trials as one batch, with the trials on
-    the last, contiguous axis of every array.
+    """Draw and estimate a localization chunk's trials as one batch, with
+    the trials on the last, contiguous axis of every array.  (mse and crlb
+    chunks need no scene; they draw only the noise, see ``_ls_errors``.)
 
     The chunk draws from one generator, ``stream_rng(master_seed,
     point_index * chunks + chunk)`` with ``chunks`` chunks per point.  One
@@ -272,8 +286,7 @@ def _simulate_chunk(task: _ChunkTask):
     m = topo.m
     n_rx = topo.n if topo.kind is Kind.BISTATIC else 0
     count = task.stop - task.start
-    chunks = -(-cfg.trials // CHUNK_TRIALS)
-    rng = stream_rng(cfg.master_seed, task.point_index * chunks + task.start // CHUNK_TRIALS)
+    rng = _chunk_rng(task)
     points = np.empty((3, m + n_rx + 1, count))
     np.multiply(rng.random((count, m + n_rx + 1, 3)).T, cfg.cube_side, out=points)
     txs, tags = points[:, :m].T, points[:, -1].T
@@ -307,25 +320,43 @@ def _squares(err: np.ndarray) -> np.ndarray:
     return (err * err).sum(axis=0)
 
 
+def _ls_errors(task: _ChunkTask) -> np.ndarray:
+    """``(T, m, n)`` errors of the chunk's LS estimates, with no scene.
+
+    The chunk's stream starts with the ``(m, n, T)`` standard normal plane
+    in C order, scaled in place by ``sigma / sqrt(L)``: the noise that
+    ``_ls_estimates`` adds to the true delays.  The returned view keeps
+    the trials on the contiguous axis.
+    """
+    cfg = task.cfg
+    err = _chunk_rng(task).standard_normal((cfg.m, cfg.n, task.stop - task.start))
+    err *= task.sigma / math.sqrt(task.pilot_len)
+    return err.transpose(2, 0, 1)
+
+
 def _run_mse_chunk(task: _ChunkTask) -> dict:
-    _, _, _, truths, t_hats, t_refs = _simulate_chunk(task)
-    return {"sq_ls": _squares(t_hats - truths), "sq_proposed": _squares(t_refs - truths)}
+    # The refined error is the projection of the LS error (see the module
+    # docstring), so no scene is drawn.
+    err = _ls_errors(task)
+    refined = refine_estimate(err, task.cfg.topology)
+    return {"sq_ls": _squares(err), "sq_proposed": _squares(refined)}
 
 
 def _run_crlb_chunk(task: _ChunkTask) -> dict:
-    _, _, _, truths, _, t_refs = _simulate_chunk(task)
-    err = t_refs - truths
+    err = _ls_errors(task)
     if task.cfg.kind is Kind.BISTATIC:
         # Each refined error is an outer sum a (+) b; keep its m + n
         # row/column coordinates c = [row means; column means - grand mean],
-        # as an (m + n, T) array with the trials last.
+        # as an (m + n, T) array with the trials last.  The projection
+        # keeps the row and column means, so c comes straight from the LS
+        # errors.
         err = err.transpose(1, 2, 0)
         rows = err.mean(axis=1)
         cols = err.mean(axis=0)
         cols -= rows.mean(axis=0)
         coords = np.concatenate((rows, cols))
         return {"rowcol_proposed": coords @ coords.T}
-    return {"sq_proposed": _squares(err)}
+    return {"sq_proposed": _squares(refine_estimate(err, task.cfg.topology))}
 
 
 def _run_loc_chunk(task: _ChunkTask) -> dict:

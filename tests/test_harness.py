@@ -22,6 +22,7 @@ from bstoa.harness import (
     ExperimentKind,
     SweepConfig,
     _chunk_tasks,
+    _ls_errors,
     _run_crlb_chunk,
     _run_mse_chunk,
     _simulate_chunk,
@@ -210,6 +211,19 @@ def _outer_sum_basis(m, n):
     return np.hstack([np.kron(np.ones((n, 1)), np.eye(m)), np.kron(np.eye(n), np.ones((m, 1)))])
 
 
+def _reference_errors(task):
+    """The chunk's LS errors by stream contract v5, one trial at a time: an
+    mse or crlb chunk's stream starts with one (m, n, trials) plane z of
+    standard normals in C order, and trial i's LS error is
+    (sigma / sqrt(L)) z[..., i]."""
+    cfg = task.cfg
+    count = task.stop - task.start
+    chunks = math.ceil(cfg.trials / CHUNK_TRIALS)
+    rng = stream_rng(cfg.master_seed, task.point_index * chunks + task.start // CHUNK_TRIALS)
+    z = rng.standard_normal((cfg.m, cfg.n, count))
+    return [(task.sigma / math.sqrt(task.pilot_len)) * z[..., i] for i in range(count)]
+
+
 def test_chunk_matches_per_trial_reference():
     """A batched chunk reproduces a per-trial loop over the chunk's draws,
     refined through the dense projector B; the CRLB partial, mapped back
@@ -221,10 +235,9 @@ def test_chunk_matches_per_trial_reference():
     sq_ls = np.zeros((topo.m, topo.n))
     sq_ref = np.zeros((topo.m, topo.n))
     cov = np.zeros((topo.mn, topo.mn))
-    *_, truths, t_hats = _reference_chunk(task)
-    for truth, t_hat in zip(truths, t_hats):
-        err_ref = b @ vec(t_hat) - vec(truth)
-        sq_ls += (t_hat - truth) ** 2
+    for err in _reference_errors(task):
+        err_ref = b @ vec(err)
+        sq_ls += err**2
         sq_ref += unvec(err_ref**2, topo.m, topo.n)
         cov += np.outer(err_ref, err_ref)
     mse = _run_mse_chunk(task)
@@ -239,16 +252,62 @@ def test_chunk_matches_per_trial_reference():
 @pytest.mark.parametrize("pilot_len", [1, 2, 8])
 def test_chunk_ls_noise_is_the_pilot_mean_distribution(pilot_len):
     """The mean of L iid N(t, sigma^2) pilots is N(t, sigma^2 / L): over
-    the 131072 values of a 16x16 chunk, (t_hat - truth) sqrt(L) / sigma
-    has mean 0 and variance 1 within 5 standard errors.  Each pilot length
-    is its own grid point, so each draws from its own stream."""
+    the 131072 values of a 16x16 chunk, err sqrt(L) / sigma has mean 0 and
+    variance 1 within 5 standard errors, both for a localization chunk's
+    t_hat - truth and for the errors an mse chunk draws.  Each pilot
+    length is its own grid point, so each draws from its own stream."""
     cfg = _cfg(m=16, n=16, pilot_lengths=(1, 2, 8), sigma_grid=(1e-9,), trials=CHUNK_TRIALS)
     (task,) = [task for task in _chunk_tasks(cfg) if task.pilot_len == pilot_len]
     _, _, _, truths, t_hats, _ = _simulate_chunk(task)
-    z = ((t_hats - truths) * (math.sqrt(pilot_len) / task.sigma)).ravel()
-    assert z.size >= 100_000
-    assert abs(z.mean()) <= 5.0 / math.sqrt(z.size)
-    assert abs(z.var() - 1.0) <= 5.0 * math.sqrt(2.0 / z.size)
+    for err in (t_hats - truths, _ls_errors(task)):
+        z = (err * (math.sqrt(pilot_len) / task.sigma)).ravel()
+        assert z.size >= 100_000
+        assert abs(z.mean()) <= 5.0 / math.sqrt(z.size)
+        assert abs(z.var() - 1.0) <= 5.0 * math.sqrt(2.0 / z.size)
+
+
+@pytest.mark.parametrize(
+    "kind, m, n", [(Kind.BISTATIC, 4, 3), (Kind.BISTATIC, 24, 24), (Kind.MONOSTATIC, 6, 6)]
+)
+def test_refined_error_is_the_projected_ls_error(kind, m, n):
+    """Both estimators are linear and a true delay matrix lies in the
+    outer-sum subspace, so refining an LS estimate and subtracting the
+    truth gives the refined LS error up to rounding: within
+    16 eps max|truth| on full scene chunks.  mse and crlb chunks rely on
+    this to draw no scene."""
+    cfg = _cfg(
+        kind=kind, m=m, n=n, pilot_lengths=(2,), sigma_grid=(1e-10, 3e-9), trials=CHUNK_TRIALS
+    )
+    for task in _chunk_tasks(cfg):
+        _, _, _, truths, t_hats, t_refs = _simulate_chunk(task)
+        projected = refine_estimate(t_hats - truths, cfg.topology)
+        gap = np.abs((t_refs - truths) - projected).max()
+        assert gap <= 16 * np.finfo(float).eps * np.abs(truths).max()
+
+
+def test_mse_and_crlb_sweeps_draw_no_scene(monkeypatch):
+    """mse and crlb CSVs do not depend on the scene: they are byte-equal at
+    cube sides 1 and 10 and never compute true delays.  A localization CSV
+    does depend on the cube side."""
+    def csv(experiment, kind, m, cube_side):
+        cfg = _cfg(
+            experiment=experiment, kind=kind, m=m, n=m - 1 if kind is Kind.BISTATIC else m,
+            pilot_lengths=(8, 2), trials=600, cube_side=cube_side, master_seed=29,
+        )
+        return run_sweep(cfg, workers=1).to_csv()
+
+    def forbidden(*args):
+        raise AssertionError("an mse or crlb chunk computed true delays")
+
+    shapes = ((Kind.BISTATIC, 4), (Kind.MONOSTATIC, 6))
+    for kind, m in shapes:
+        loc = ExperimentKind.LOCALIZATION
+        assert csv(loc, kind, m, 1.0) != csv(loc, kind, m, 10.0), kind
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "true_delays_batch", forbidden)
+        for experiment in (ExperimentKind.MSE, ExperimentKind.CRLB):
+            for kind, m in shapes:
+                assert csv(experiment, kind, m, 1.0) == csv(experiment, kind, m, 10.0), kind
 
 
 def test_mse_sweep_ls_row_matches_real_pilots():
@@ -275,13 +334,13 @@ def test_mse_sweep_ls_row_matches_real_pilots():
 
 def _dense_cov_frob_rel_err(cfg):
     """Per grid point, ||flat.T @ flat / N - s B||_F / ||s B||_F over the
-    sweep's refined errors, with the dense projector B."""
+    sweep's refined errors: each chunk's LS errors, drawn by the stream
+    contract, through the dense projector B."""
     topo = cfg.topology
     b = weighting_matrix(correlation_matrix(topo))
     cov = {}
     for task in _chunk_tasks(cfg):
-        _, _, _, truths, _, t_refs = _simulate_chunk(task)
-        flat = (t_refs - truths).transpose(0, 2, 1).reshape(len(truths), -1)
+        flat = np.stack([b @ vec(err) for err in _reference_errors(task)])
         cov[task.point_index] = cov.get(task.point_index, 0.0) + flat.T @ flat
     out = {}
     for index, (sigma, pilot_len) in enumerate(cfg.grid_points):
