@@ -14,6 +14,7 @@ from .analysis import (
 from .channel import (
     SPEED_OF_LIGHT,
     Scene,
+    noise_rng,
     random_scene,
     stream_rng,
     synth_observations,
@@ -41,6 +42,7 @@ from .estimator import (
     refine_monostatic,
 )
 from .harness import (
+    STREAM_CONTRACT,
     ExperimentKind,
     SweepConfig,
     SweepResult,

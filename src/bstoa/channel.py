@@ -41,6 +41,18 @@ def stream_rng(master_seed: int, stream_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def noise_rng(master_seed: int, stream_index: int) -> np.random.Generator:
+    """Fast generator for draws that are pure noise, reproducible per
+    (seed, index) pair.
+
+    An SFC64 generator seeded by ``SeedSequence([seed, index])``, each
+    taken mod 2**64.  Its normals cost about two thirds of Philox's, and
+    mse and crlb sweep chunks draw nothing else.
+    """
+    seed = np.random.SeedSequence([master_seed % 2**64, stream_index % 2**64])
+    return np.random.Generator(np.random.SFC64(seed))
+
+
 @dataclass
 class Scene:
     """Antenna and tag geometry plus the tag processing delay.

@@ -6,20 +6,24 @@ per-trial statistics are reduced into CSV rows of the fixed schema
 
     sigma,pilot_len,method,metric,value,theory,low_confidence
 
-Reproducibility contract (stream contract v5): the trials of grid point
-k are cut into fixed chunks of ``CHUNK_TRIALS``, and chunk c draws from
-the counter stream ``k * ceil(trials / CHUNK_TRIALS) + c`` of the master
-seed (``channel.stream_rng``).  The LS estimate of a delay is the mean of
-L iid N(t, sigma^2) pilots, which is exactly N(t, sigma^2 / L), so a
-chunk draws that mean's noise directly instead of its L pilots, as one
-``(m, n, trials)`` plane of standard normals in C order scaled by
-``sigma / sqrt(L)``.  A localization chunk first draws the unit
-coordinates of all its scenes, one row per trial, then that plane, and
-adds it to the true delays.  An mse or crlb chunk draws only the plane:
-both estimators are linear and every true delay matrix lies in the
-outer-sum subspace, which the projection leaves fixed, so the refined
-error is exactly the projection of the LS error; the scene would add only
-rounding.
+Reproducibility contract (stream contract v6, ``STREAM_CONTRACT``): the
+trials of grid point k are cut into fixed chunks of ``CHUNK_TRIALS``, and
+chunk c draws from stream ``k * ceil(trials / CHUNK_TRIALS) + c`` of the
+master seed.  The LS estimate of a delay is the mean of L iid
+N(t, sigma^2) pilots, which is exactly N(t, sigma^2 / L), so a chunk
+draws that mean's noise directly instead of its L pilots, as one
+``(m, n, trials)`` plane z of standard normals in C order.
+
+* A localization chunk draws from the Philox stream of
+  ``channel.stream_rng``: first the unit coordinates of all its scenes,
+  one row per trial, then z, and its LS estimates are the true delays
+  plus ``(sigma / sqrt(L)) z``.
+* An mse or crlb chunk draws only z, from the SFC64 stream of
+  ``channel.noise_rng``.  Both estimators are linear and every true delay
+  matrix lies in the outer-sum subspace, which the projection leaves
+  fixed, so the refined error is exactly the projection of the LS error
+  ``(sigma / sqrt(L)) z``; the scene would add only rounding.
+
 Chunk partials are reduced in chunk order, so output bytes do not depend
 on the number of worker processes.  A single trial is reproduced by
 replaying its chunk.
@@ -29,9 +33,11 @@ its delays, estimates and sums act on whole ``(m, n, trials)`` planes.
 ``run_sweep`` is the entry point: it runs any of the three experiments
 (estimator MSE, localization RMSE, CRLB check) through the same chunked
 protocol and builds the rows from the per-point sums.  No experiment builds
-an (m n) x (m n) matrix: the bistatic CRLB check sums each refined error's
-m + n row/column coordinates, an (m + n) x (m + n) partial, and compares
-it with the bound in those coordinates (see ``_crlb_rows``).
+an (m n) x (m n) matrix or a refined plane: each refined error is an outer
+sum, so an mse or crlb chunk keeps its row/column coordinates' sum of
+outer products, an (m + n) x (m + n) partial (m x m for monostatic), and
+the rows read the refined squares and the CRLB check from it (see
+``_refined_squares`` and ``_crlb_rows``).
 
 Config files are flat ``key = value`` text; lists are comma-separated.
 Recognized keys are the SweepConfig fields: ``experiment`` (mse,
@@ -52,13 +58,15 @@ from typing import Callable
 import numpy as np
 
 from . import analysis
-from .channel import stream_rng, true_delays_batch
+from .channel import noise_rng, stream_rng, true_delays_batch
 from .errors import ConfigInvalid, InvalidValue, UnderDetermined
 from .estimator import refine_estimate
 from .localization import localize_bistatic_batch, localize_monostatic_batch
 from .topology import Kind, Topology
 
 CHUNK_TRIALS = 512
+# Bumped whenever the draws behind a sweep's CSV change (module docstring).
+STREAM_CONTRACT = 6
 LOW_CONFIDENCE_TRIALS = 1000
 
 # 3 cm to 3 m ranging error at the speed of light; a declared, overridable
@@ -251,17 +259,17 @@ def _reduce_by_point(tasks, results) -> dict[int, dict]:
     return accumulated
 
 
-def _chunk_rng(task: _ChunkTask) -> np.random.Generator:
-    """The chunk's generator: stream ``point_index * chunks + chunk`` of the
-    master seed, with ``chunks`` chunks per grid point."""
+def _stream_index(task: _ChunkTask) -> int:
+    """The chunk's stream: ``point_index * chunks + chunk`` of the master
+    seed, with ``chunks`` chunks per grid point."""
     chunks = -(-task.cfg.trials // CHUNK_TRIALS)
-    return stream_rng(task.cfg.master_seed, task.point_index * chunks + task.start // CHUNK_TRIALS)
+    return task.point_index * chunks + task.start // CHUNK_TRIALS
 
 
 def _simulate_chunk(task: _ChunkTask):
     """Draw and estimate a localization chunk's trials as one batch, with
     the trials on the last, contiguous axis of every array.  (mse and crlb
-    chunks need no scene; they draw only the noise, see ``_ls_errors``.)
+    chunks need no scene; they draw only the noise, see ``_noise_plane``.)
 
     The chunk draws from one generator, ``stream_rng(master_seed,
     point_index * chunks + chunk)`` with ``chunks`` chunks per point.  One
@@ -286,7 +294,7 @@ def _simulate_chunk(task: _ChunkTask):
     m = topo.m
     n_rx = topo.n if topo.kind is Kind.BISTATIC else 0
     count = task.stop - task.start
-    rng = _chunk_rng(task)
+    rng = stream_rng(cfg.master_seed, _stream_index(task))
     points = np.empty((3, m + n_rx + 1, count))
     np.multiply(rng.random((count, m + n_rx + 1, 3)).T, cfg.cube_side, out=points)
     txs, tags = points[:, :m].T, points[:, -1].T
@@ -315,48 +323,49 @@ def _ls_estimates(
     return means.transpose(2, 0, 1)
 
 
-def _squares(err: np.ndarray) -> np.ndarray:
-    """Sum of squares over the trials, axis 0 of a ``(T, m, n)`` batch."""
-    return (err * err).sum(axis=0)
-
-
-def _ls_errors(task: _ChunkTask) -> np.ndarray:
-    """``(T, m, n)`` errors of the chunk's LS estimates, with no scene.
-
-    The chunk's stream starts with the ``(m, n, T)`` standard normal plane
-    in C order, scaled in place by ``sigma / sqrt(L)``: the noise that
-    ``_ls_estimates`` adds to the true delays.  The returned view keeps
-    the trials on the contiguous axis.
-    """
+def _noise_plane(task: _ChunkTask) -> np.ndarray:
+    """The mse or crlb chunk's ``(m, n, T)`` standard normal plane z, drawn
+    in C order from ``noise_rng(master_seed, stream index)``; the chunk's
+    LS errors are ``(sigma / sqrt(L)) z``."""
     cfg = task.cfg
-    err = _chunk_rng(task).standard_normal((cfg.m, cfg.n, task.stop - task.start))
-    err *= task.sigma / math.sqrt(task.pilot_len)
-    return err.transpose(2, 0, 1)
+    rng = noise_rng(cfg.master_seed, _stream_index(task))
+    return rng.standard_normal((cfg.m, cfg.n, task.stop - task.start))
 
 
-def _run_mse_chunk(task: _ChunkTask) -> dict:
-    # The refined error is the projection of the LS error (see the module
-    # docstring), so no scene is drawn.
-    err = _ls_errors(task)
-    refined = refine_estimate(err, task.cfg.topology)
-    return {"sq_ls": _squares(err), "sq_proposed": _squares(refined)}
+def _run_noise_chunk(task: _ChunkTask) -> dict:
+    """The mse and crlb partial of a chunk: ``sq_ls``, the per-entry sum
+    of squared LS errors, and ``rowcol``, the sum over trials of ``c c^T``
+    for the refined error's row/column coordinates c.
+
+    The refined error is the projection of the LS error (see the module
+    docstring), an outer sum that keeps the LS error's row and column
+    means.  For bistatic, ``c = [row means; column means - grand mean]``
+    (m + n values, refined entry ``c_i + c_{m+j}``); for monostatic the
+    symmetrized entry is ``(c_i + c_j) / 2`` with ``c = row means +
+    column means - grand mean`` (m values).  Both sums are taken over the
+    unscaled plane and scaled by ``sigma^2 / L`` once.
+    """
+    z = _noise_plane(task)
+    rows = z.mean(axis=1)
+    cols = z.mean(axis=0)
+    cols -= rows.mean(axis=0)
+    coords = np.concatenate((rows, cols)) if task.cfg.kind is Kind.BISTATIC else rows + cols
+    scale = task.sigma**2 / task.pilot_len
+    return {
+        "sq_ls": np.einsum("ijt,ijt->ij", z, z) * scale,
+        "rowcol": (coords @ coords.T) * scale,
+    }
 
 
-def _run_crlb_chunk(task: _ChunkTask) -> dict:
-    err = _ls_errors(task)
-    if task.cfg.kind is Kind.BISTATIC:
-        # Each refined error is an outer sum a (+) b; keep its m + n
-        # row/column coordinates c = [row means; column means - grand mean],
-        # as an (m + n, T) array with the trials last.  The projection
-        # keeps the row and column means, so c comes straight from the LS
-        # errors.
-        err = err.transpose(1, 2, 0)
-        rows = err.mean(axis=1)
-        cols = err.mean(axis=0)
-        cols -= rows.mean(axis=0)
-        coords = np.concatenate((rows, cols))
-        return {"rowcol_proposed": coords @ coords.T}
-    return {"sq_proposed": _squares(refine_estimate(err, task.cfg.topology))}
+def _refined_squares(topo: Topology, rowcol: np.ndarray) -> np.ndarray:
+    """``(m, n)`` per-entry sums of squared refined errors, read off a
+    ``rowcol`` partial: ``S[i, i] + S[m + j, m + j] + 2 S[i, m + j]`` for
+    bistatic, ``(S[i, i] + S[j, j] + 2 S[i, j]) / 4`` for monostatic."""
+    diag = np.diagonal(rowcol)
+    if topo.kind is Kind.BISTATIC:
+        m = topo.m
+        return diag[:m, None] + diag[None, m:] + 2.0 * rowcol[:m, m:]
+    return (diag[:, None] + diag[None, :] + 2.0 * rowcol) / 4.0
 
 
 def _run_loc_chunk(task: _ChunkTask) -> dict:
@@ -393,8 +402,9 @@ def _mse_rows(cfg: SweepConfig, sigma: float, pilot_len: int, sums: dict):
     topo = cfg.topology
     sigma0_sq = sigma**2 / pilot_len
     theory = analysis.theoretical_mse_iid(topo, sigma0_sq).per_entry_mse
+    squares = {"ls": sums["sq_ls"], "proposed": _refined_squares(topo, sums["rowcol"])}
     for method, ref in (("ls", np.full_like(theory, sigma0_sq)), ("proposed", theory)):
-        mse = sums[f"sq_{method}"] / cfg.trials
+        mse = squares[method] / cfg.trials
         if topo.kind is Kind.MONOSTATIC and topo.m > 1:
             yield method, "diag_mse", float(np.trace(mse) / topo.m), float(ref[0, 0])
             yield method, "offdiag_mse", _offdiag_mean(mse), float(ref[0, 1])
@@ -414,9 +424,18 @@ def _crlb_rows(cfg: SweepConfig, sigma: float, pilot_len: int, sums: dict):
     Cramer-Rao bound.
 
     Bistatic points emit the Frobenius relative error between the empirical
-    error covariance and the bound ``s B`` with ``s = sigma^2 / L`` (ideal
-    value 0); monostatic points emit the mean diagonal and off-diagonal MSE
-    over their bound values (ideal value 1).
+    error covariance and the bound ``s B`` with ``s = sigma^2 / L``;
+    monostatic points emit the mean diagonal and off-diagonal MSE over
+    their bound values (ideal value 1).
+
+    The bistatic theory is the statistic's root mean square when the bound
+    is attained, ``sqrt((m + n) / N)``, not 0, which no N-trial sample
+    covariance reaches.  The N refined errors are then iid N(0, s B), and
+    for a zero-mean Gaussian sample covariance ``C^ = sum x x^T / N``,
+    ``E (C^ - C)_kl^2 = (C_kk C_ll + C_kl^2) / N``.  Summed over k, l with
+    ``C = s B`` and B a projector of rank ``r = m + n - 1``,
+    ``E ||C^ - s B||_F^2 = s^2 (tr(B)^2 + ||B||_F^2) / N = s^2 (r^2 + r) / N``;
+    divided by ``||s B||_F^2 = s^2 r`` this is ``(r + 1) / N = (m + n) / N``.
 
     The bistatic statistic is computed in row/column coordinates.  Each
     refined error is ``vec(E) = K c`` with ``c = [a; b]`` and
@@ -445,12 +464,13 @@ def _crlb_rows(cfg: SweepConfig, sigma: float, pilot_len: int, sums: dict):
         ginv[:m, :m] = np.eye(m) / n
         ginv[m:, m:] = (np.eye(n) - 1.0 / n) / m
         scale = sigma**2 / pilot_len
-        dg = (sums["rowcol_proposed"] / cfg.trials - scale * ginv) @ gram
+        dg = (sums["rowcol"] / cfg.trials - scale * ginv) @ gram
         rel = math.sqrt(max(float(np.einsum("ij,ji->", dg, dg)), 0.0))
-        yield "proposed", "cov_frob_rel_err", rel / (scale * math.sqrt(m + n - 1)), 0.0
+        value = rel / (scale * math.sqrt(m + n - 1))
+        yield "proposed", "cov_frob_rel_err", value, math.sqrt((m + n) / cfg.trials)
         return
     bounds = analysis.crlb_monostatic(topo, sigma**2, pilot_len).subchannel_bounds
-    emp = sums["sq_proposed"] / cfg.trials
+    emp = _refined_squares(topo, sums["rowcol"]) / cfg.trials
     yield "proposed", "diag_bound_ratio", float(np.trace(emp) / np.trace(bounds)), 1.0
     if topo.m > 1:
         ratio = _offdiag_mean(emp) / _offdiag_mean(bounds)
@@ -461,9 +481,9 @@ def _crlb_rows(cfg: SweepConfig, sigma: float, pilot_len: int, sums: dict):
 # trials, and the row function that turns one grid point's summed partials
 # into (method, metric, value, theory) tuples.
 _EXPERIMENTS = {
-    ExperimentKind.MSE: (_run_mse_chunk, _mse_rows),
+    ExperimentKind.MSE: (_run_noise_chunk, _mse_rows),
     ExperimentKind.LOCALIZATION: (_run_loc_chunk, _loc_rows),
-    ExperimentKind.CRLB: (_run_crlb_chunk, _crlb_rows),
+    ExperimentKind.CRLB: (_run_noise_chunk, _crlb_rows),
 }
 
 

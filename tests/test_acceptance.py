@@ -7,7 +7,7 @@ functions, and are shared across criteria.  They keep the pilot-level
 model on purpose: each trial's L pilot rows are drawn and averaged by
 ``ls_estimate``, where a sweep draws the pilots' mean as one Gaussian, so
 criteria 3-6 check the closed forms on the pilot path itself.  mse and
-crlb sweeps draw no scene at all (stream contract v5), so these fixtures
+crlb sweeps draw no scene at all (since stream contract v5), so these fixtures
 are now the check of the scene-plus-pilot path: true delays, pilot rows
 and their LS means, refined and compared with the truth.
 """

@@ -6,6 +6,7 @@ import pytest
 from bstoa.channel import (
     SPEED_OF_LIGHT,
     Scene,
+    noise_rng,
     random_scene,
     stream_rng,
     synth_observations,
@@ -255,3 +256,20 @@ def test_stream_keys_wrap_mod_2_64():
     wrapped = stream_rng(2**64 + 9, 2**64 + 5).random(8)
     assert np.array_equal(wrapped, stream_rng(9, 5).random(8))
     assert np.array_equal(stream_rng(-1, -1).random(8), stream_rng(2**64 - 1, 2**64 - 1).random(8))
+
+
+def test_noise_stream_keys_wrap_mod_2_64():
+    wrapped = noise_rng(2**64 + 9, 2**64 + 5).standard_normal(8)
+    assert np.array_equal(wrapped, noise_rng(9, 5).standard_normal(8))
+    assert np.array_equal(
+        noise_rng(-1, -1).standard_normal(8), noise_rng(2**64 - 1, 2**64 - 1).standard_normal(8)
+    )
+
+
+def test_noise_stream_is_sfc64_seeded_by_the_pair():
+    """Stream contract v6: mse and crlb chunks draw from SFC64 seeded by
+    ``SeedSequence([seed, index])``; neighbouring keys give other draws."""
+    want = np.random.Generator(np.random.SFC64(np.random.SeedSequence([7, 3])))
+    assert np.array_equal(noise_rng(7, 3).standard_normal(16), want.standard_normal(16))
+    draws = [noise_rng(*key).standard_normal(4) for key in ((7, 3), (7, 4), (8, 3), (3, 7))]
+    assert len({d.tobytes() for d in draws}) == 4

@@ -12,19 +12,27 @@ import pytest
 import bstoa
 from bstoa import harness
 from bstoa.analysis import theoretical_mse_iid
-from bstoa.channel import Scene, random_scene, stream_rng, synth_observations, true_delays
+from bstoa.channel import (
+    Scene,
+    noise_rng,
+    random_scene,
+    stream_rng,
+    synth_observations,
+    true_delays,
+)
 from bstoa.errors import ConfigInvalid, UnderDetermined
 from bstoa.estimator import ls_estimate, refine_estimate
 from bstoa.harness import (
     CHUNK_TRIALS,
     DEFAULT_PILOT_LENGTHS,
     DEFAULT_SIGMA_GRID,
+    STREAM_CONTRACT,
     ExperimentKind,
     SweepConfig,
     _chunk_tasks,
-    _ls_errors,
-    _run_crlb_chunk,
-    _run_mse_chunk,
+    _noise_plane,
+    _refined_squares,
+    _run_noise_chunk,
     _simulate_chunk,
     parse_config,
     run_sweep,
@@ -211,23 +219,34 @@ def _outer_sum_basis(m, n):
     return np.hstack([np.kron(np.ones((n, 1)), np.eye(m)), np.kron(np.eye(n), np.ones((m, 1)))])
 
 
+def _squares(err):
+    """Sum of squares over the trials, axis 0 of a ``(T, m, n)`` batch."""
+    return (err * err).sum(axis=0)
+
+
 def _reference_errors(task):
-    """The chunk's LS errors by stream contract v5, one trial at a time: an
-    mse or crlb chunk's stream starts with one (m, n, trials) plane z of
-    standard normals in C order, and trial i's LS error is
-    (sigma / sqrt(L)) z[..., i]."""
+    """The chunk's LS errors by stream contract v6, one trial at a time: an
+    mse or crlb chunk draws one (m, n, trials) plane z of standard normals
+    in C order from the SFC64 stream ``noise_rng``, and trial i's LS error
+    is (sigma / sqrt(L)) z[..., i]."""
     cfg = task.cfg
     count = task.stop - task.start
     chunks = math.ceil(cfg.trials / CHUNK_TRIALS)
-    rng = stream_rng(cfg.master_seed, task.point_index * chunks + task.start // CHUNK_TRIALS)
+    rng = noise_rng(cfg.master_seed, task.point_index * chunks + task.start // CHUNK_TRIALS)
     z = rng.standard_normal((cfg.m, cfg.n, count))
     return [(task.sigma / math.sqrt(task.pilot_len)) * z[..., i] for i in range(count)]
 
 
+def test_stream_contract_is_6():
+    assert STREAM_CONTRACT == bstoa.STREAM_CONTRACT == 6
+
+
 def test_chunk_matches_per_trial_reference():
     """A batched chunk reproduces a per-trial loop over the chunk's draws,
-    refined through the dense projector B; the CRLB partial, mapped back
-    through K, is the sum of the per-trial error outer products."""
+    refined through the dense projector B: the squares read off the
+    row/column partial are the per-trial refined squares, and the partial,
+    mapped back through K, is the sum of the per-trial error outer
+    products."""
     cfg = _cfg(experiment=ExperimentKind.CRLB, m=3, n=2, trials=40)
     topo = cfg.topology
     b = weighting_matrix(correlation_matrix(topo))
@@ -240,12 +259,12 @@ def test_chunk_matches_per_trial_reference():
         sq_ls += err**2
         sq_ref += unvec(err_ref**2, topo.m, topo.n)
         cov += np.outer(err_ref, err_ref)
-    mse = _run_mse_chunk(task)
-    crlb = _run_crlb_chunk(task)
-    assert np.abs(mse["sq_ls"] - sq_ls).max() <= 1e-12 * sq_ls.max()
-    assert np.abs(mse["sq_proposed"] - sq_ref).max() <= 1e-12 * sq_ref.max()
+    partial = _run_noise_chunk(task)
+    sq_proposed = _refined_squares(topo, partial["rowcol"])
+    assert np.abs(partial["sq_ls"] - sq_ls).max() <= 1e-12 * sq_ls.max()
+    assert np.abs(sq_proposed - sq_ref).max() <= 1e-12 * sq_ref.max()
     k = _outer_sum_basis(topo.m, topo.n)
-    rebuilt = k @ crlb["rowcol_proposed"] @ k.T
+    rebuilt = k @ partial["rowcol"] @ k.T
     assert np.abs(rebuilt - cov).max() <= 1e-12 * np.abs(cov).max()
 
 
@@ -254,12 +273,13 @@ def test_chunk_ls_noise_is_the_pilot_mean_distribution(pilot_len):
     """The mean of L iid N(t, sigma^2) pilots is N(t, sigma^2 / L): over
     the 131072 values of a 16x16 chunk, err sqrt(L) / sigma has mean 0 and
     variance 1 within 5 standard errors, both for a localization chunk's
-    t_hat - truth and for the errors an mse chunk draws.  Each pilot
-    length is its own grid point, so each draws from its own stream."""
+    t_hat - truth and for the errors an mse chunk draws, its plane scaled
+    by sigma / sqrt(L).  Each pilot length is its own grid point, so each
+    draws from its own stream."""
     cfg = _cfg(m=16, n=16, pilot_lengths=(1, 2, 8), sigma_grid=(1e-9,), trials=CHUNK_TRIALS)
     (task,) = [task for task in _chunk_tasks(cfg) if task.pilot_len == pilot_len]
     _, _, _, truths, t_hats, _ = _simulate_chunk(task)
-    for err in (t_hats - truths, _ls_errors(task)):
+    for err in (t_hats - truths, _noise_plane(task) * (task.sigma / math.sqrt(pilot_len))):
         z = (err * (math.sqrt(pilot_len) / task.sigma)).ravel()
         assert z.size >= 100_000
         assert abs(z.mean()) <= 5.0 / math.sqrt(z.size)
@@ -283,6 +303,51 @@ def test_refined_error_is_the_projected_ls_error(kind, m, n):
         projected = refine_estimate(t_hats - truths, cfg.topology)
         gap = np.abs((t_refs - truths) - projected).max()
         assert gap <= 16 * np.finfo(float).eps * np.abs(truths).max()
+
+
+@pytest.mark.parametrize(
+    "kind, m, n",
+    [
+        (Kind.BISTATIC, 4, 3), (Kind.BISTATIC, 1, 5), (Kind.BISTATIC, 5, 1),
+        (Kind.BISTATIC, 24, 24), (Kind.MONOSTATIC, 1, 1), (Kind.MONOSTATIC, 6, 6),
+    ],
+)
+def test_squares_from_the_partial_are_the_refined_squares(kind, m, n):
+    """The per-entry refined squares read off a chunk's row/column partial
+    equal the squares of ``refine_estimate`` on the chunk's LS errors
+    within 1e-12 relative, on a full and a partial chunk."""
+    cfg = _cfg(kind=kind, m=m, n=n, pilot_lengths=(2,), sigma_grid=(3e-9,), trials=700)
+    for task in _chunk_tasks(cfg):
+        err = np.stack(_reference_errors(task))
+        want = _squares(refine_estimate(err, cfg.topology))
+        got = _refined_squares(cfg.topology, _run_noise_chunk(task)["rowcol"])
+        assert got.shape == (m, n)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_mse_and_crlb_sweeps_never_refine(monkeypatch):
+    """mse and crlb rows come from the row/column partial: no sweep of
+    either calls the refinement or builds a refined plane.  A localization
+    sweep still does."""
+    import bstoa.estimator
+
+    def forbidden(*args):
+        raise AssertionError("an mse or crlb sweep refined an estimate")
+
+    for mod, name in (
+        (harness, "refine_estimate"),
+        (bstoa.estimator, "refine_estimate"),
+        (bstoa.estimator, "refine_bistatic"),
+        (bstoa.estimator, "refine_monostatic"),
+    ):
+        monkeypatch.setattr(mod, name, forbidden)
+    for experiment in (ExperimentKind.MSE, ExperimentKind.CRLB):
+        for kind, m, n in ((Kind.BISTATIC, 4, 3), (Kind.MONOSTATIC, 6, 6)):
+            cfg = _cfg(experiment=experiment, kind=kind, m=m, n=n, trials=600)
+            assert run_sweep(cfg, workers=1).rows
+    loc = _cfg(experiment=ExperimentKind.LOCALIZATION, m=4, n=3, trials=8)
+    with pytest.raises(AssertionError, match="refined"):
+        run_sweep(loc, workers=1)
 
 
 def test_mse_and_crlb_sweeps_draw_no_scene(monkeypatch):
@@ -363,6 +428,28 @@ def test_crlb_sweep_matches_dense_formula(m, n, workers):
     for row in rows:
         want = dense[row.sigma, row.pilot_len]
         assert abs(row.value - want) <= 1e-10 * want
+
+
+def test_crlb_bistatic_theory_is_the_finite_n_floor():
+    """Under the bound an N-trial ``cov_frob_rel_err`` has mean square
+    (m + n) / N, and the row's theory is its root.  At 10^4 trials on the
+    default 20-point grid every 24x24 value lies within 10% of it, and the
+    mean square over 4x3, whose values spread wider, within 25%."""
+    trials = 10_000
+    for (m, n), check in (((24, 24), "each"), ((4, 3), "mean")):
+        cfg = SweepConfig(
+            experiment=ExperimentKind.CRLB, kind=Kind.BISTATIC, m=m, n=n,
+            trials=trials, master_seed=1601,
+        )
+        rows = run_sweep(cfg, workers=1).rows
+        floor = math.sqrt((m + n) / trials)
+        assert len(rows) == 20
+        assert all(row.theory == floor for row in rows)
+        if check == "each":
+            assert all(abs(row.value / floor - 1.0) <= 0.10 for row in rows)
+        else:
+            mean_sq = sum(row.value**2 for row in rows) / len(rows)
+            assert abs(mean_sq / floor**2 - 1.0) <= 0.25
 
 
 def test_sweeps_never_build_dense_matrices(monkeypatch):
