@@ -25,10 +25,17 @@ draws that mean's noise directly instead of its L pilots, as one
   ``(sigma / sqrt(L)) z``; the scene would add only rounding.
 
 Chunk partials are reduced in chunk order, so output bytes do not depend
-on the number of worker processes.  A single trial is reproduced by
-replaying its chunk.
+on the number of worker processes, nor on whether a pool runs at all.  A
+single trial is reproduced by replaying its chunk.
 A chunk keeps its trials on the last, contiguous axis of every array, so
 its delays, estimates and sums act on whole ``(m, n, trials)`` planes.
+
+``workers`` (None: one per CPU) caps the processes a sweep may use, and a
+pool opens only when it pays: the first two chunks run in this process,
+the second timed, and only when that time times the chunks left exceeds
+the break-even ``_POOL_BREAK_EVEN_S``, measured on a 2-core host, do the
+rest go to a ``ProcessPoolExecutor``, as contiguous runs of chunks.  Until
+then ``concurrent.futures`` and ``multiprocessing`` are not imported.
 
 ``run_sweep`` is the entry point: it runs any of the three experiments
 (estimator MSE, localization RMSE, CRLB check) through the same chunked
@@ -50,7 +57,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -68,6 +75,15 @@ CHUNK_TRIALS = 512
 # Bumped whenever the draws behind a sweep's CSV change (module docstring).
 STREAM_CONTRACT = 6
 LOW_CONFIDENCE_TRIALS = 1000
+# Work left after the timed chunk (its seconds times the chunks left) above
+# which a sweep with more than one worker opens a process pool.  On a 2-core
+# host a two-worker pool broke even with the in-process loop at 65-85 ms of
+# it on mse, crlb and localization sweeps, and won in 9 to 14 of 15 pairs at
+# 90-110 ms (the scan is in CHANGES.md).
+_POOL_BREAK_EVEN_S = 0.1
+# Contiguous runs of chunks per pool worker: a few per worker even out
+# unequal runs, and each run is one task, so few runs keep the IPC small.
+_RUNS_PER_WORKER = 4
 
 # 3 cm to 3 m ranging error at the speed of light; a declared, overridable
 # default since no canonical grid exists.
@@ -236,15 +252,57 @@ def _chunk_tasks(cfg: SweepConfig) -> list[_ChunkTask]:
 
 
 def _execute(tasks: list[_ChunkTask], runner: Callable, workers: int | None) -> list:
-    """Run chunk tasks, returning results in task order regardless of
-    completion order; this keeps the floating-point reduction fixed."""
+    """Run one sweep's chunk tasks (``_chunk_tasks`` of its config),
+    returning results in task order regardless of which process ran them;
+    this keeps the floating-point reduction fixed.
+
+    With more than one worker the first two chunks run here, and the
+    second is timed: the first pays the process's one-off costs (numpy
+    imports ``numpy.random`` on first use, ~14 ms, 70 times a 4x3 chunk).
+    A pool opens only when that time times the chunks left exceeds
+    ``_POOL_BREAK_EVEN_S``; the rest then go to the pool as about
+    ``_RUNS_PER_WORKER`` contiguous runs of chunks per worker, and the
+    config reaches each worker once, through the pool initializer.
+    """
     if workers is None:
         workers = os.cpu_count() or 1
-    if workers <= 1 or len(tasks) <= 1:
+    # A pool needs two chunks left after the timed one to run any side by side.
+    if workers <= 1 or len(tasks) < 4:
         return [runner(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        futures = [pool.submit(runner, task) for task in tasks]
-        return [future.result() for future in futures]
+    results = [runner(tasks[0])]
+    begin = time.perf_counter()
+    results.append(runner(tasks[1]))
+    done = len(results)
+    left = len(tasks) - done
+    if (time.perf_counter() - begin) * left <= _POOL_BREAK_EVEN_S:
+        return results + [runner(task) for task in tasks[done:]]
+    from concurrent.futures import ProcessPoolExecutor
+
+    runs = min(left, _RUNS_PER_WORKER * workers)
+    bounds = [done + left * k // runs for k in range(runs + 1)]
+    with ProcessPoolExecutor(
+        min(workers, runs), initializer=_serve_sweep, initargs=(tasks[0].cfg, runner)
+    ) as pool:
+        futures = [pool.submit(_run_chunks, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        for future in futures:
+            results.extend(future.result())
+    return results
+
+
+# The sweep a pool worker serves: its chunk tasks and chunk function, set
+# once per worker process by ``_serve_sweep``.
+_served: tuple[list[_ChunkTask], Callable] | None = None
+
+
+def _serve_sweep(cfg: SweepConfig, runner: Callable) -> None:
+    global _served
+    _served = (_chunk_tasks(cfg), runner)
+
+
+def _run_chunks(lo: int, hi: int) -> list:
+    """Partials of the served sweep's chunks ``lo`` to ``hi - 1``."""
+    tasks, runner = _served
+    return [runner(task) for task in tasks[lo:hi]]
 
 
 def _reduce_by_point(tasks, results) -> dict[int, dict]:
@@ -286,8 +344,8 @@ def _simulate_chunk(task: _ChunkTask):
     ``(T, ...)`` views of them.
 
     Returns the transmitter, receiver and tag positions, ``(T, k, 3)`` and
-    ``(T, 3)``, and the true delays, LS and refined estimates, ``(T, m,
-    n)``: views whose trial axis has a stride of one value.
+    ``(T, 3)``, and the LS and refined estimates, ``(T, m, n)``: views
+    whose trial axis has a stride of one value.
     """
     cfg = task.cfg
     topo = cfg.topology
@@ -299,9 +357,8 @@ def _simulate_chunk(task: _ChunkTask):
     np.multiply(rng.random((count, m + n_rx + 1, 3)).T, cfg.cube_side, out=points)
     txs, tags = points[:, :m].T, points[:, -1].T
     rxs = points[:, m:-1].T if n_rx else txs
-    truths = true_delays_batch(txs, rxs, tags)
-    t_hats = _ls_estimates(rng, truths, task.sigma, task.pilot_len)
-    return txs, rxs, tags, truths, t_hats, refine_estimate(t_hats, topo)
+    t_hats = _ls_estimates(rng, true_delays_batch(txs, rxs, tags), task.sigma, task.pilot_len)
+    return txs, rxs, tags, t_hats, refine_estimate(t_hats, topo)
 
 
 def _ls_estimates(
@@ -333,9 +390,9 @@ def _noise_plane(task: _ChunkTask) -> np.ndarray:
 
 
 def _run_noise_chunk(task: _ChunkTask) -> dict:
-    """The mse and crlb partial of a chunk: ``sq_ls``, the per-entry sum
-    of squared LS errors, and ``rowcol``, the sum over trials of ``c c^T``
-    for the refined error's row/column coordinates c.
+    """The mse and crlb partial of a chunk: ``rowcol``, the sum over trials
+    of ``c c^T`` for the refined error's row/column coordinates c, and for
+    mse also ``sq_ls``, the per-entry sum of squared LS errors.
 
     The refined error is the projection of the LS error (see the module
     docstring), an outer sum that keeps the LS error's row and column
@@ -351,10 +408,10 @@ def _run_noise_chunk(task: _ChunkTask) -> dict:
     cols -= rows.mean(axis=0)
     coords = np.concatenate((rows, cols)) if task.cfg.kind is Kind.BISTATIC else rows + cols
     scale = task.sigma**2 / task.pilot_len
-    return {
-        "sq_ls": np.einsum("ijt,ijt->ij", z, z) * scale,
-        "rowcol": (coords @ coords.T) * scale,
-    }
+    partial = {"rowcol": (coords @ coords.T) * scale}
+    if task.cfg.experiment is ExperimentKind.MSE:
+        partial["sq_ls"] = np.einsum("ijt,ijt->ij", z, z) * scale
+    return partial
 
 
 def _refined_squares(topo: Topology, rowcol: np.ndarray) -> np.ndarray:
@@ -369,7 +426,7 @@ def _refined_squares(topo: Topology, rowcol: np.ndarray) -> np.ndarray:
 
 
 def _run_loc_chunk(task: _ChunkTask) -> dict:
-    txs, rxs, tags, _, t_hats, t_refs = _simulate_chunk(task)
+    txs, rxs, tags, t_hats, t_refs = _simulate_chunk(task)
     if task.cfg.kind is Kind.BISTATIC:
         # A delay matrix and its projection have one bistatic fix (see
         # localize_bistatic_batch), so each scene is solved once.

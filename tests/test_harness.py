@@ -2,9 +2,12 @@
 
 import inspect
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from bstoa.channel import (
     stream_rng,
     synth_observations,
     true_delays,
+    true_delays_batch,
 )
 from bstoa.errors import ConfigInvalid, UnderDetermined
 from bstoa.estimator import ls_estimate, refine_estimate
@@ -247,7 +251,7 @@ def test_chunk_matches_per_trial_reference():
     row/column partial are the per-trial refined squares, and the partial,
     mapped back through K, is the sum of the per-trial error outer
     products."""
-    cfg = _cfg(experiment=ExperimentKind.CRLB, m=3, n=2, trials=40)
+    cfg = _cfg(m=3, n=2, trials=40)
     topo = cfg.topology
     b = weighting_matrix(correlation_matrix(topo))
     task = _chunk_tasks(cfg)[1]
@@ -278,7 +282,8 @@ def test_chunk_ls_noise_is_the_pilot_mean_distribution(pilot_len):
     draws from its own stream."""
     cfg = _cfg(m=16, n=16, pilot_lengths=(1, 2, 8), sigma_grid=(1e-9,), trials=CHUNK_TRIALS)
     (task,) = [task for task in _chunk_tasks(cfg) if task.pilot_len == pilot_len]
-    _, _, _, truths, t_hats, _ = _simulate_chunk(task)
+    txs, rxs, tags, t_hats, _ = _simulate_chunk(task)
+    truths = true_delays_batch(txs, rxs, tags)
     for err in (t_hats - truths, _noise_plane(task) * (task.sigma / math.sqrt(pilot_len))):
         z = (err * (math.sqrt(pilot_len) / task.sigma)).ravel()
         assert z.size >= 100_000
@@ -299,7 +304,8 @@ def test_refined_error_is_the_projected_ls_error(kind, m, n):
         kind=kind, m=m, n=n, pilot_lengths=(2,), sigma_grid=(1e-10, 3e-9), trials=CHUNK_TRIALS
     )
     for task in _chunk_tasks(cfg):
-        _, _, _, truths, t_hats, t_refs = _simulate_chunk(task)
+        txs, rxs, tags, t_hats, t_refs = _simulate_chunk(task)
+        truths = true_delays_batch(txs, rxs, tags)
         projected = refine_estimate(t_hats - truths, cfg.topology)
         gap = np.abs((t_refs - truths) - projected).max()
         assert gap <= 16 * np.finfo(float).eps * np.abs(truths).max()
@@ -526,7 +532,8 @@ def test_chunk_is_bitwise_the_per_trial_loop(kind, m, n, pilot_len):
     sizes = [(t.point_index, t.stop - t.start) for t in tasks]
     assert sizes == [(0, 512), (0, 188), (1, 512), (1, 188)]
     for task in (tasks[1], tasks[2]):
-        *got, t_refs = _simulate_chunk(task)
+        txs, rxs, tags, t_hats, t_refs = _simulate_chunk(task)
+        got = (txs, rxs, tags, true_delays_batch(txs, rxs, tags), t_hats)
         want = _reference_chunk(task)
         for name, g, w in zip(("tx", "rx", "tag", "truth", "t_hat"), got, want):
             assert np.array_equal(g, w), name
@@ -557,9 +564,9 @@ def test_chunk_keeps_the_trials_on_the_contiguous_axis(kind, m, n):
     for task in _chunk_tasks(cfg)[:2]:
         count = task.stop - task.start
         out = _simulate_chunk(task)
-        shapes = [(count, m, 3), (count, n, 3), (count, 3)] + [(count, m, n)] * 3
+        shapes = [(count, m, 3), (count, n, 3), (count, 3)] + [(count, m, n)] * 2
         assert [a.shape for a in out] == shapes
-        for name, array in zip(("tx", "rx", "tag", "truth", "t_hat", "t_ref"), out):
+        for name, array in zip(("tx", "rx", "tag", "t_hat", "t_ref"), out):
             assert array.strides[0] == array.itemsize == 8, name
 
 
@@ -578,7 +585,7 @@ def test_chunk_memory_stays_near_its_output():
         tracemalloc.stop()
     owners = {id(b): b for b in (a if a.base is None else a.base for a in out)}
     retained = sum(b.nbytes for b in owners.values())
-    assert retained > 7_000_000
+    assert retained > 5_000_000
     assert peak - retained <= 2**20
 
 
@@ -601,14 +608,21 @@ def test_sweep_rejects_workers_below_one(workers):
 
 
 def test_pool_is_capped_at_the_task_count(monkeypatch):
-    """A sweep of two chunks opens a pool of two workers however many are
-    asked for.  The fake pool records its size and runs each task in this
-    process, so no process starts."""
-    sizes = []
+    """Past the break-even, the first two chunks run here and the rest go
+    to the pool as contiguous runs, about four per worker: six chunks at
+    workers=64 make four one-chunk runs and a pool of four workers, twenty
+    chunks at workers=2 make eight runs and a pool of two.  Each run is
+    submitted as its chunk bounds alone; the config reaches the pool once,
+    through its initializer.  The stub pool records this and runs each
+    task in this process, so no process starts."""
+    import concurrent.futures
+
+    pools = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def __init__(self, max_workers, initializer, initargs):
+            pools.append({"workers": max_workers, "initargs": initargs, "runs": []})
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -617,16 +631,84 @@ def test_pool_is_capped_at_the_task_count(monkeypatch):
             return False
 
         def submit(self, fn, *args):
+            pools[-1]["runs"].append(args)
             future = Future()
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
-    cfg = _cfg(sigma_grid=(1e-9,), trials=600)
-    assert len(_chunk_tasks(cfg)) == 2
-    csv = run_sweep(cfg, workers=64).to_csv()
-    assert sizes == [2]
-    assert csv == run_sweep(cfg, workers=1).to_csv()
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness, "_POOL_BREAK_EVEN_S", 0.0)
+    monkeypatch.setattr(harness, "_served", None)
+    for sigmas, trials, workers, size, runs in (
+        ((1e-9, 2e-9, 3e-9), 600, 64, 4, 4),
+        ((1e-9, 2e-9), 5000, 2, 2, 8),
+    ):
+        cfg = _cfg(sigma_grid=sigmas, trials=trials)
+        chunks = len(_chunk_tasks(cfg))
+        pools.clear()
+        csv = run_sweep(cfg, workers=workers).to_csv()
+        (pool,) = pools
+        assert pool["workers"] == size
+        assert pool["initargs"][0] is cfg
+        assert len(pool["runs"]) == runs
+        bounds = [lo for lo, _ in pool["runs"]] + [pool["runs"][-1][1]]
+        assert bounds[0] == 2 and bounds[-1] == chunks
+        assert pool["runs"] == list(zip(bounds, bounds[1:]))
+        assert max(hi - lo for lo, hi in pool["runs"]) <= -(-(chunks - 2) // runs)
+        assert csv == run_sweep(cfg, workers=1).to_csv()
+
+
+@pytest.mark.parametrize("break_even", [0.0, math.inf], ids=["pool", "in-process"])
+def test_csv_does_not_depend_on_the_pool_gate(monkeypatch, break_even):
+    """mse, crlb and localization sweeps of six chunks give the same CSV at
+    workers 2 and None as at workers=1, whether the gate opens a pool for
+    every one of them (break-even 0) or for none (break-even inf).  No
+    pool starts more processes than the host has CPUs."""
+    import concurrent.futures
+
+    cpus = os.cpu_count() or 1
+    opened = []
+    real_pool = concurrent.futures.ProcessPoolExecutor
+
+    class CountingPool(real_pool):
+        def __init__(self, max_workers, **kwargs):
+            assert max_workers <= cpus
+            opened.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(harness, "_POOL_BREAK_EVEN_S", break_even)
+    worker_counts = (min(2, cpus), None)
+    for experiment in ExperimentKind:
+        cfg = _cfg(experiment=experiment, m=4, n=3, trials=1100)
+        assert len(_chunk_tasks(cfg)) == 6
+        want = run_sweep(cfg, workers=1).to_csv()
+        for workers in worker_counts:
+            assert run_sweep(cfg, workers=workers).to_csv() == want, (experiment, workers)
+    pooled = 2 * len(ExperimentKind) if break_even == 0.0 and cpus > 1 else 0
+    assert len(opened) == pooled
+
+
+def test_sweeps_below_the_break_even_import_no_pool():
+    """In a fresh interpreter, importing bstoa and running sweeps at
+    workers=1 and, below the break-even, at workers=2 leaves the pool
+    machinery unimported."""
+    code = (
+        "import sys, bstoa\n"
+        "cfg = bstoa.SweepConfig(bstoa.ExperimentKind.MSE, bstoa.Kind.BISTATIC, 4, 3,"
+        " sigma_grid=(1e-9, 2e-9), pilot_lengths=(2,), trials=1100)\n"
+        "for workers in (1, 2):\n"
+        "    bstoa.run_sweep(cfg, workers=workers)\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.partition('.')[0] in ('concurrent', 'multiprocessing')))\n"
+    )
+    paths = (str(Path(bstoa.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_seed_changes_output():

@@ -104,7 +104,7 @@ def _bistatic_chunk(sigma, chunk=0):
         pilot_lengths=(2,), sigma_grid=(sigma,), trials=8 * CHUNK_TRIALS, master_seed=6_100,
     )
     task = _ChunkTask(cfg, 0, sigma, 2, chunk * CHUNK_TRIALS, (chunk + 1) * CHUNK_TRIALS)
-    txs, rxs, _, _, t_hats, t_refs = _simulate_chunk(task)
+    txs, rxs, _, t_hats, t_refs = _simulate_chunk(task)
     return txs, rxs, t_hats, t_refs
 
 
@@ -291,7 +291,7 @@ def test_bistatic_batch_does_not_depend_on_layout():
         experiment=ExperimentKind.LOCALIZATION, kind=Kind.BISTATIC, m=12, n=9,
         pilot_lengths=(2,), sigma_grid=(1e-9,), trials=64, master_seed=7,
     )
-    txs, rxs, _, _, t_hats, _ = _simulate_chunk(_ChunkTask(cfg, 0, 1e-9, 2, 0, 64))
+    txs, rxs, _, t_hats, _ = _simulate_chunk(_ChunkTask(cfg, 0, 1e-9, 2, 0, 64))
     assert t_hats.strides[0] == 8
     views = localize_bistatic_batch(t_hats, txs, rxs)
     copies = localize_bistatic_batch(*(np.ascontiguousarray(x) for x in (t_hats, txs, rxs)))
