@@ -59,6 +59,11 @@ class Scene:
 
     For monostatic topologies ``rx`` is forced to be the same array object
     as ``tx``, so leave it as None.
+
+    Raises:
+        NonFiniteInput: if a coordinate or ``delta`` is NaN or inf.
+        DimensionMismatch: if an array does not match the topology.
+        InvalidValue: if ``delta`` is negative.
     """
 
     topo: Topology
@@ -76,6 +81,8 @@ class Scene:
             if self.rx is None:
                 raise DimensionMismatch("bistatic scene requires rx positions")
             self.rx = np.asarray(self.rx, dtype=np.float64)
+        if not all(np.isfinite(v).all() for v in (self.tx, self.rx, self.tag, self.delta)):
+            raise NonFiniteInput("scene coordinates and delta must be finite")
         if self.tx.shape != (self.topo.m, 3):
             raise DimensionMismatch(
                 f"tx shape {self.tx.shape} does not match m={self.topo.m}"
@@ -132,14 +139,8 @@ class Scene:
                 raise ConfigInvalid(f"scene record has a duplicate {key!r} entry")
             fields[key] = value.strip()
 
-        def number(text: str) -> float:
-            value = float(text)
-            if not math.isfinite(value):
-                raise NonFiniteInput(f"scene value {text.strip()!r} is not finite")
-            return value
-
         def triple(key: str) -> list[float]:
-            return [number(x) for x in fields[key].split(",")]
+            return [float(x) for x in fields[key].split(",")]
 
         try:
             kind = Kind(fields["kind"])
@@ -159,7 +160,7 @@ class Scene:
                 tx=tx,
                 rx=rx,
                 tag=np.array(triple("tag")),
-                delta=number(fields.get("delta", "0.0")),
+                delta=float(fields.get("delta", "0.0")),
             )
         except BstoaError:
             raise
@@ -176,7 +177,13 @@ def random_scene(
 
     The tag delay defaults to zero.  Coincident points are legal: they only
     produce zero delays.
+
+    Raises:
+        NonFiniteInput: if ``cube_side`` is NaN or inf.
+        InvalidValue: if ``cube_side`` is not positive.
     """
+    if not math.isfinite(cube_side):
+        raise NonFiniteInput(f"cube_side must be finite, got {cube_side}")
     if cube_side <= 0.0:
         raise InvalidValue(f"cube_side must be > 0, got {cube_side}")
     tx = rng.uniform(0.0, cube_side, size=(topo.m, 3))
@@ -219,10 +226,17 @@ def synth_observations(
     reproduces the delays exactly.  The result has shape
     ``(pilot_len * m, n)``: rows ``i L .. i L + L - 1`` observe transmitter
     i, the layout :func:`bstoa.estimator.ls_estimate` reads.
+
+    Raises:
+        InvalidValue: if ``pilot_len`` is not an integer >= 1 or ``sigma``
+            is negative.
+        NonFiniteInput: if ``sigma`` is NaN or inf.
     """
     t = np.asarray(t, dtype=np.float64)
-    if pilot_len < 1:
-        raise InvalidValue(f"pilot_len must be >= 1, got {pilot_len}")
+    if not isinstance(pilot_len, (int, np.integer)) or pilot_len < 1:
+        raise InvalidValue(f"pilot_len must be an integer >= 1, got {pilot_len!r}")
+    if not math.isfinite(sigma):
+        raise NonFiniteInput(f"sigma must be finite, got {sigma}")
     if sigma < 0.0:
         raise InvalidValue(f"sigma must be >= 0, got {sigma}")
     y = np.repeat(t, pilot_len, axis=0)

@@ -48,18 +48,24 @@ def ls_estimate(y: np.ndarray, topo: Topology) -> np.ndarray:
     return _sum_in_order(y.reshape(*y.shape[:-2], m, length, n), -2) / length
 
 
-def _sum_in_order(x: np.ndarray, axis: int) -> np.ndarray:
-    """Sum over ``axis`` (counted from the end, so negative) by adding its
-    slices in order.
+def _sum_in_order(x: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Sum over ``axis`` by adding its slices in order, from +0.0 as
+    ``np.sum`` starts.
 
-    ``np.sum`` adds a contiguous axis pairwise from 8 elements on and any
-    other axis in order, so its bits depend on the memory layout; these do
-    not, and a matrix sums alike alone or in a batch of any layout.
+    ``np.sum`` adds whole slices in order when the last axis is contiguous,
+    holds two or more values and is not the one summed, so it does the
+    work then.  It adds a contiguous summed axis pairwise from 8 elements
+    on, and so its bits would depend on the memory layout; any other
+    layout is summed here by adding views of the slices in a loop.  So a
+    matrix or a lone scene sums alike alone or in a batch of any layout.
     """
-    rest = (slice(None),) * (-1 - axis)
-    total = x[(..., 0, *rest)].copy(order="K")
+    axis %= x.ndim
+    if axis != x.ndim - 1 and x.shape[-1] > 1 and x.strides[-1] == x.itemsize:
+        return x.sum(axis)
+    lead = (slice(None),) * axis
+    total = x[(*lead, 0)] + 0.0
     for i in range(1, x.shape[axis]):
-        total += x[(..., i, *rest)]
+        total += x[(*lead, i)]
     return total
 
 

@@ -7,12 +7,15 @@ per-trial statistics are reduced into CSV rows of the fixed schema
     sigma,pilot_len,method,metric,value,theory,low_confidence
 
 Reproducibility contract (stream contract v6, ``STREAM_CONTRACT``): the
-trials of grid point k are cut into fixed chunks of ``CHUNK_TRIALS``, and
-chunk c draws from stream ``k * ceil(trials / CHUNK_TRIALS) + c`` of the
-master seed.  The LS estimate of a delay is the mean of L iid
-N(t, sigma^2) pilots, which is exactly N(t, sigma^2 / L), so a chunk
-draws that mean's noise directly instead of its L pilots, as one
-``(m, n, trials)`` plane z of standard normals in C order.
+trials of each grid point are cut into ``chunks = ceil(trials /
+CHUNK_TRIALS)`` fixed chunks, and chunk c of the sweep, counted
+point-major, draws from stream c of the master seed.  So chunk c holds
+trials ``(c % chunks) * CHUNK_TRIALS`` onwards of grid point ``c //
+chunks``, and that index is the only handle a sweep passes around.  The
+LS estimate of a delay is the mean of L iid N(t, sigma^2) pilots, which
+is exactly N(t, sigma^2 / L), so a chunk draws that mean's noise directly
+instead of its L pilots, as one ``(m, n, trials)`` plane z of standard
+normals in C order.
 
 * A localization chunk draws from the Philox stream of
   ``channel.stream_rng``: first the unit coordinates of all its scenes,
@@ -24,8 +27,9 @@ draws that mean's noise directly instead of its L pilots, as one
   fixed, so the refined error is exactly the projection of the LS error
   ``(sigma / sqrt(L)) z``; the scene would add only rounding.
 
-Chunk partials are reduced in chunk order, so output bytes do not depend
-on the number of worker processes, nor on whether a pool runs at all.  A
+A grid point's partials, chunks ``point * chunks`` to ``(point + 1) *
+chunks - 1``, are added in chunk order, so output bytes do not depend on
+the number of worker processes, nor on whether a pool runs at all.  A
 single trial is reproduced by replaying its chunk.
 A chunk keeps its trials on the last, contiguous axis of every array, so
 its delays, estimates and sums act on whole ``(m, n, trials)`` planes.
@@ -56,10 +60,12 @@ localization, crlb), ``kind`` (bistatic, monostatic), ``m``, ``n``,
 from __future__ import annotations
 
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -232,29 +238,23 @@ class SweepResult:
             handle.write(self.to_csv())
 
 
-@dataclass(frozen=True)
-class _ChunkTask:
-    cfg: SweepConfig
-    point_index: int
-    sigma: float
-    pilot_len: int
-    start: int
-    stop: int
+def _chunks_per_point(cfg: SweepConfig) -> int:
+    return -(-cfg.trials // CHUNK_TRIALS)
 
 
-def _chunk_tasks(cfg: SweepConfig) -> list[_ChunkTask]:
-    tasks = []
-    for point_index, (sigma, pilot_len) in enumerate(cfg.grid_points):
-        for start in range(0, cfg.trials, CHUNK_TRIALS):
-            stop = min(start + CHUNK_TRIALS, cfg.trials)
-            tasks.append(_ChunkTask(cfg, point_index, sigma, pilot_len, start, stop))
-    return tasks
+def _chunk_span(cfg: SweepConfig, c: int) -> tuple[int, int, int]:
+    """Chunk c's grid point and its trials ``start .. stop - 1`` of that
+    point.  Chunks are counted point-major, ``_chunks_per_point`` to a
+    grid point, and chunk c draws from stream c."""
+    point, chunk = divmod(c, _chunks_per_point(cfg))
+    start = chunk * CHUNK_TRIALS
+    return point, start, min(start + CHUNK_TRIALS, cfg.trials)
 
 
-def _execute(tasks: list[_ChunkTask], runner: Callable, workers: int | None) -> list:
-    """Run one sweep's chunk tasks (``_chunk_tasks`` of its config),
-    returning results in task order regardless of which process ran them;
-    this keeps the floating-point reduction fixed.
+def _execute(cfg: SweepConfig, runner: Callable, workers: int | None) -> list:
+    """Run ``runner(cfg, c)`` for every chunk c of the sweep, returning the
+    partials in chunk order regardless of which process ran them; this
+    keeps the floating-point reduction fixed.
 
     With more than one worker the first two chunks run here, and the
     second is timed: the first pays the process's one-off costs (numpy
@@ -264,24 +264,24 @@ def _execute(tasks: list[_ChunkTask], runner: Callable, workers: int | None) -> 
     ``_RUNS_PER_WORKER`` contiguous runs of chunks per worker, and the
     config reaches each worker once, through the pool initializer.
     """
+    total = len(cfg.grid_points) * _chunks_per_point(cfg)
     if workers is None:
         workers = os.cpu_count() or 1
     # A pool needs two chunks left after the timed one to run any side by side.
-    if workers <= 1 or len(tasks) < 4:
-        return [runner(task) for task in tasks]
-    results = [runner(tasks[0])]
+    if workers <= 1 or total < 4:
+        return [runner(cfg, c) for c in range(total)]
+    results = [runner(cfg, 0)]
     begin = time.perf_counter()
-    results.append(runner(tasks[1]))
-    done = len(results)
-    left = len(tasks) - done
+    results.append(runner(cfg, 1))
+    left = total - 2
     if (time.perf_counter() - begin) * left <= _POOL_BREAK_EVEN_S:
-        return results + [runner(task) for task in tasks[done:]]
+        return results + [runner(cfg, c) for c in range(2, total)]
     from concurrent.futures import ProcessPoolExecutor
 
     runs = min(left, _RUNS_PER_WORKER * workers)
-    bounds = [done + left * k // runs for k in range(runs + 1)]
+    bounds = [2 + left * k // runs for k in range(runs + 1)]
     with ProcessPoolExecutor(
-        min(workers, runs), initializer=_serve_sweep, initargs=(tasks[0].cfg, runner)
+        min(workers, runs), initializer=_serve_sweep, initargs=(cfg, runner)
     ) as pool:
         futures = [pool.submit(_run_chunks, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         for future in futures:
@@ -289,48 +289,29 @@ def _execute(tasks: list[_ChunkTask], runner: Callable, workers: int | None) -> 
     return results
 
 
-# The sweep a pool worker serves: its chunk tasks and chunk function, set
-# once per worker process by ``_serve_sweep``.
-_served: tuple[list[_ChunkTask], Callable] | None = None
+# The sweep a pool worker serves: its config and chunk function, set once
+# per worker process by ``_serve_sweep``.
+_served: tuple[SweepConfig, Callable] | None = None
 
 
 def _serve_sweep(cfg: SweepConfig, runner: Callable) -> None:
     global _served
-    _served = (_chunk_tasks(cfg), runner)
+    _served = (cfg, runner)
 
 
 def _run_chunks(lo: int, hi: int) -> list:
     """Partials of the served sweep's chunks ``lo`` to ``hi - 1``."""
-    tasks, runner = _served
-    return [runner(task) for task in tasks[lo:hi]]
+    cfg, runner = _served
+    return [runner(cfg, c) for c in range(lo, hi)]
 
 
-def _reduce_by_point(tasks, results) -> dict[int, dict]:
-    accumulated: dict[int, dict] = {}
-    for task, partial in zip(tasks, results):
-        bucket = accumulated.setdefault(task.point_index, {})
-        for key, value in partial.items():
-            if key in bucket:
-                bucket[key] = bucket[key] + value
-            else:
-                bucket[key] = value
-    return accumulated
-
-
-def _stream_index(task: _ChunkTask) -> int:
-    """The chunk's stream: ``point_index * chunks + chunk`` of the master
-    seed, with ``chunks`` chunks per grid point."""
-    chunks = -(-task.cfg.trials // CHUNK_TRIALS)
-    return task.point_index * chunks + task.start // CHUNK_TRIALS
-
-
-def _simulate_chunk(task: _ChunkTask):
-    """Draw and estimate a localization chunk's trials as one batch, with
+def _simulate_chunk(cfg: SweepConfig, c: int):
+    """Draw and estimate chunk c of a localization sweep as one batch, with
     the trials on the last, contiguous axis of every array.  (mse and crlb
     chunks need no scene; they draw only the noise, see ``_noise_plane``.)
 
-    The chunk draws from one generator, ``stream_rng(master_seed,
-    point_index * chunks + chunk)`` with ``chunks`` chunks per point.  One
+    Chunk c of the sweep, counted point-major, draws from stream c: one
+    generator, ``stream_rng(master_seed, c)`` (see ``_chunk_span``).  One
     ``random`` call gives the unit coordinates of every scene, a row of
     tx, then rx if bistatic, then tag per trial.  One ``standard_normal``
     call then gives an ``(m, n, T)`` plane z in C order, and the LS
@@ -347,17 +328,18 @@ def _simulate_chunk(task: _ChunkTask):
     ``(T, 3)``, and the LS and refined estimates, ``(T, m, n)``: views
     whose trial axis has a stride of one value.
     """
-    cfg = task.cfg
+    point, start, stop = _chunk_span(cfg, c)
+    sigma, pilot_len = cfg.grid_points[point]
     topo = cfg.topology
     m = topo.m
     n_rx = topo.n if topo.kind is Kind.BISTATIC else 0
-    count = task.stop - task.start
-    rng = stream_rng(cfg.master_seed, _stream_index(task))
+    count = stop - start
+    rng = stream_rng(cfg.master_seed, c)
     points = np.empty((3, m + n_rx + 1, count))
     np.multiply(rng.random((count, m + n_rx + 1, 3)).T, cfg.cube_side, out=points)
     txs, tags = points[:, :m].T, points[:, -1].T
     rxs = points[:, m:-1].T if n_rx else txs
-    t_hats = _ls_estimates(rng, true_delays_batch(txs, rxs, tags), task.sigma, task.pilot_len)
+    t_hats = _ls_estimates(rng, true_delays_batch(txs, rxs, tags), sigma, pilot_len)
     return txs, rxs, tags, t_hats, refine_estimate(t_hats, topo)
 
 
@@ -380,17 +362,15 @@ def _ls_estimates(
     return means.transpose(2, 0, 1)
 
 
-def _noise_plane(task: _ChunkTask) -> np.ndarray:
-    """The mse or crlb chunk's ``(m, n, T)`` standard normal plane z, drawn
-    in C order from ``noise_rng(master_seed, stream index)``; the chunk's
-    LS errors are ``(sigma / sqrt(L)) z``."""
-    cfg = task.cfg
-    rng = noise_rng(cfg.master_seed, _stream_index(task))
-    return rng.standard_normal((cfg.m, cfg.n, task.stop - task.start))
+def _noise_plane(cfg: SweepConfig, c: int, count: int) -> np.ndarray:
+    """The ``(m, n, count)`` standard normal plane z of chunk c of an mse
+    or crlb sweep, drawn in C order from ``noise_rng(master_seed, c)``; the
+    chunk's LS errors are ``(sigma / sqrt(L)) z``."""
+    return noise_rng(cfg.master_seed, c).standard_normal((cfg.m, cfg.n, count))
 
 
-def _run_noise_chunk(task: _ChunkTask) -> dict:
-    """The mse and crlb partial of a chunk: ``rowcol``, the sum over trials
+def _run_noise_chunk(cfg: SweepConfig, c: int) -> dict:
+    """The mse and crlb partial of chunk c: ``rowcol``, the sum over trials
     of ``c c^T`` for the refined error's row/column coordinates c, and for
     mse also ``sq_ls``, the per-entry sum of squared LS errors.
 
@@ -402,14 +382,16 @@ def _run_noise_chunk(task: _ChunkTask) -> dict:
     column means - grand mean`` (m values).  Both sums are taken over the
     unscaled plane and scaled by ``sigma^2 / L`` once.
     """
-    z = _noise_plane(task)
+    point, start, stop = _chunk_span(cfg, c)
+    sigma, pilot_len = cfg.grid_points[point]
+    z = _noise_plane(cfg, c, stop - start)
     rows = z.mean(axis=1)
     cols = z.mean(axis=0)
     cols -= rows.mean(axis=0)
-    coords = np.concatenate((rows, cols)) if task.cfg.kind is Kind.BISTATIC else rows + cols
-    scale = task.sigma**2 / task.pilot_len
+    coords = np.concatenate((rows, cols)) if cfg.kind is Kind.BISTATIC else rows + cols
+    scale = sigma**2 / pilot_len
     partial = {"rowcol": (coords @ coords.T) * scale}
-    if task.cfg.experiment is ExperimentKind.MSE:
+    if cfg.experiment is ExperimentKind.MSE:
         partial["sq_ls"] = np.einsum("ijt,ijt->ij", z, z) * scale
     return partial
 
@@ -425,9 +407,9 @@ def _refined_squares(topo: Topology, rowcol: np.ndarray) -> np.ndarray:
     return (diag[:, None] + diag[None, :] + 2.0 * rowcol) / 4.0
 
 
-def _run_loc_chunk(task: _ChunkTask) -> dict:
-    txs, rxs, tags, t_hats, t_refs = _simulate_chunk(task)
-    if task.cfg.kind is Kind.BISTATIC:
+def _run_loc_chunk(cfg: SweepConfig, c: int) -> dict:
+    txs, rxs, tags, t_hats, t_refs = _simulate_chunk(cfg, c)
+    if cfg.kind is Kind.BISTATIC:
         # A delay matrix and its projection have one bistatic fix (see
         # localize_bistatic_batch), so each scene is solved once.
         p_ref, _, _ = localize_bistatic_batch(t_refs, txs, rxs)
@@ -564,12 +546,13 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
         if ranges < 4:
             raise UnderDetermined(f"{ranges} independent ranges cannot fix a 3D position")
     run_chunk, point_rows = _EXPERIMENTS[cfg.experiment]
-    tasks = _chunk_tasks(cfg)
-    by_point = _reduce_by_point(tasks, _execute(tasks, run_chunk, workers))
+    partials = _execute(cfg, run_chunk, workers)
+    chunks = _chunks_per_point(cfg)
     flag = int(cfg.trials < LOW_CONFIDENCE_TRIALS)
     result = SweepResult(config=cfg)
-    for point_index, (sigma, pilot_len) in enumerate(cfg.grid_points):
-        sums = by_point[point_index]
+    for point, (sigma, pilot_len) in enumerate(cfg.grid_points):
+        run = partials[point * chunks : (point + 1) * chunks]
+        sums = {key: reduce(operator.add, (partial[key] for partial in run)) for key in run[0]}
         for method, metric, value, theory in point_rows(cfg, sigma, pilot_len, sums):
             result.rows.append(SweepRow(sigma, pilot_len, method, metric, value, theory, flag))
     return result

@@ -29,10 +29,12 @@ Gauss-Newton step then polishes the closed-form fix.
 
 All solvers run on batches with the scenes on the last, contiguous axis:
 anchors (3, k, T), positions (3, T), per-anchor terms (k, T).  Sums over
-anchors or coordinates add whole planes in order, so no scene's result
-depends on its batch; the single-scene functions are batch-of-one
-wrappers.  3x3 systems are solved in closed form through the adjugate, and
-a scene that stops iterating leaves the Newton loop's working arrays.
+anchors or coordinates go through the estimator's ``_sum_in_order``, which
+adds whole planes in order in every layout, so no scene's result depends
+on its batch, and a lone scene (T = 1) rounds like one of a batch; the
+single-scene functions are batch-of-one wrappers.  3x3 systems are solved
+in closed form through the adjugate, and a scene that stops iterating
+leaves the Newton loop's working arrays.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import numpy as np
 
 from .channel import SPEED_OF_LIGHT
 from .errors import DimensionMismatch, NonFiniteInput, SingularGeometry, UnderDetermined
-from .estimator import refine_bistatic
+from .estimator import _sum_in_order, refine_bistatic
 
 MAX_ITERATIONS = 100
 STEP_TOL = 1e-10          # meters; convergence when the accepted step is shorter
@@ -93,19 +95,6 @@ def _require_finite(*values) -> None:
         raise NonFiniteInput("delays, anchor positions and delta must be finite")
 
 
-def _plane_sum(x: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Sum over one axis by adding its planes in order.
-
-    With two or more scenes on the last, contiguous axis, ``np.sum`` adds
-    whole planes in order.  With one scene the summed axis may be the
-    contiguous one, which ``np.sum`` adds pairwise from 8 elements on, so
-    such input is summed as two copies of itself to round like any batch.
-    """
-    if x.shape[-1] < 2 or x.strides[-1] != x.itemsize:
-        return np.repeat(x, 2, axis=-1).sum(axis)[..., ::2]
-    return x.sum(axis)
-
-
 def _adjugate3(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Adjugate and determinant of a (3, 3, T) stack, so h^-1 = adj / det;
     adj[2, 2] is the leading 2x2 minor, which Sylvester's criterion reads."""
@@ -117,18 +106,18 @@ def _adjugate3(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _rank_below3(h: np.ndarray, det: np.ndarray) -> np.ndarray:
     """Scale-free rank test on a (3, 3, T) stack and its determinants."""
-    frob = np.sqrt(_plane_sum(h.reshape(9, -1) ** 2))
+    frob = np.sqrt(_sum_in_order(h.reshape(9, -1) ** 2))
     return np.abs(det) <= _DET3_RTOL * np.maximum(frob, 1e-300) ** 3
 
 
 def _gram(u: np.ndarray) -> np.ndarray:
     """sum_k u_k u_k' as a (3, 3, T) stack, for u (3, k, T)."""
-    return np.stack([_plane_sum(u[a] * u[b]) for a, b in zip(_ROW, _COL)])[_FULL]
+    return np.stack([_sum_in_order(u[a] * u[b]) for a, b in zip(_ROW, _COL)])[_FULL]
 
 
 def _solve3(adj: np.ndarray, det: np.ndarray, g: np.ndarray) -> np.ndarray:
     """adj @ g / det on stacks: (3, 3, T), (T,) and (3, T)."""
-    return _plane_sum(adj * g[None], axis=1) / det
+    return _sum_in_order(adj * g[None], axis=1) / det
 
 
 def _least_squares3(u: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,7 +126,7 @@ def _least_squares3(u: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarra
     h = _gram(u)
     adj, det = _adjugate3(h)
     bad = _rank_below3(h, det)
-    return _solve3(adj, np.where(bad, 1.0, det), _plane_sum(u * r, axis=1)), bad
+    return _solve3(adj, np.where(bad, 1.0, det), _sum_in_order(u * r, axis=1)), bad
 
 
 def _warm_start(anchors: np.ndarray, col: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -157,21 +146,23 @@ def _warm_start(anchors: np.ndarray, col: np.ndarray, row: np.ndarray) -> np.nda
     # One equation per anchor after the first: tx_1..tx_m-1, then every rx.
     design = -2.0 * (anchors[:, 1:] - first[:, None])
     tau = np.concatenate([-2.0 * h, 2.0 * row])
-    rhs = np.concatenate([h, row]) ** 2 - _plane_sum(anchors[:, 1:] ** 2) + _plane_sum(first**2)
+    rhs = np.concatenate([h, row]) ** 2 - _sum_in_order(anchors[:, 1:] ** 2)
+    rhs += _sum_in_order(first**2)
     block = _gram(design)
-    cross = _plane_sum(design * tau, axis=1)
-    tau_sq = _plane_sum(tau * tau)
+    cross = _sum_in_order(design * tau, axis=1)
+    tau_sq = _sum_in_order(tau * tau)
     inv = 1.0 / np.maximum(tau_sq, 1e-300)
     schur = block - cross[:, None] * cross[None] * inv
     adj, det = _adjugate3(schur)
-    frob = np.sqrt(_plane_sum(block.reshape(9, -1) ** 2) + 2.0 * _plane_sum(cross**2) + tau_sq**2)
+    frob = _sum_in_order(block.reshape(9, -1) ** 2) + 2.0 * _sum_in_order(cross**2)
+    frob = np.sqrt(frob + tau_sq**2)
     solvable = np.abs(tau_sq * det) > _DET4_RTOL * np.maximum(frob, 1e-300) ** 4
-    moment = _plane_sum(design * rhs, axis=1) - cross * (_plane_sum(tau * rhs) * inv)
+    moment = _sum_in_order(design * rhs, axis=1) - cross * (_sum_in_order(tau * rhs) * inv)
     candidate = _solve3(adj, np.where(solvable, det, 1.0), moment)
     lo, hi = anchors.min(axis=1), anchors.max(axis=1)
     span = np.maximum((hi - lo).max(axis=0), 1.0)
     inside = ((candidate >= lo - span) & (candidate <= hi + span)).all(axis=0)
-    centroid = _plane_sum(anchors, axis=1) / anchors.shape[1]
+    centroid = _sum_in_order(anchors, axis=1) / anchors.shape[1]
     return np.where(solvable & inside, candidate, centroid)
 
 
@@ -191,12 +182,12 @@ def _fit_residuals(
     """
     n = anchors.shape[1] - m
     offset = anchors - p[:, None, :]
-    d = np.sqrt(_plane_sum(offset * offset))
+    d = np.sqrt(_sum_in_order(offset * offset))
     e = fit - d
-    xm = _plane_sum(e[:m]) / m
-    ym = _plane_sum(e[m:]) / n
+    xm = _sum_in_order(e[:m]) / m
+    ym = _sum_in_order(e[m:]) / n
     xc, yc = e[:m] - xm, e[m:] - ym
-    sq = n * _plane_sum(xc * xc) + m * _plane_sum(yc * yc) + (m * n) * (xm + ym) ** 2
+    sq = n * _sum_in_order(xc * xc) + m * _sum_in_order(yc * yc) + (m * n) * (xm + ym) ** 2
     return offset, d, e, sq
 
 
@@ -208,7 +199,7 @@ def _damped_update(residuals, inputs, p, step, state, tries) -> tuple[np.ndarray
     ``state`` holds them at p; both are updated in place.  The misses of
     the full steps try their halvings in blocks.  Returns the accepted
     flags and step lengths."""
-    step_len = np.sqrt(_plane_sum(step * step))
+    step_len = np.sqrt(_sum_in_order(step * step))
     cand = p + step
     terms = residuals(*inputs, cand)
     accepted = tries & (terms[-1] <= state[-1]) & (MAX_HALVINGS >= 0)
@@ -230,7 +221,7 @@ def _damped_update(residuals, inputs, p, step, state, tries) -> tuple[np.ndarray
         for dst, src in zip((p, *state), (cand, *terms)):
             dst[..., hit] = np.take(src, pick, axis=-1)
         accepted[hit] = True
-        step_len[hit] = np.sqrt(_plane_sum(np.take(trial, pick, axis=1) ** 2))
+        step_len[hit] = np.sqrt(_sum_in_order(np.take(trial, pick, axis=1) ** 2))
         pending, scales = pending[~found], scales[block.size :]
     return accepted, step_len
 
@@ -245,7 +236,7 @@ def _newton_step(
     dist = np.maximum(d, _DISTANCE_FLOOR)
     # Row sums of R for the transmitters, column sums for the receivers;
     # each transmitter enters n range sums and each receiver m.
-    sums = np.concatenate([n * e[:m] + _plane_sum(e[m:]), m * e[m:] + _plane_sum(e[:m])])
+    sums = np.concatenate([n * e[:m] + _sum_in_order(e[m:]), m * e[m:] + _sum_in_order(e[:m])])
     # Per-anchor terms u, u u' (packed), curv u u', sums u and curv, each
     # summed once over the transmitters and once over the receivers.
     terms = np.empty((19, k, t))
@@ -255,7 +246,7 @@ def _newton_step(
     curv = np.divide(sums, dist, out=terms[18])
     np.multiply(terms[3:9], curv, out=terms[9:15])
     np.multiply(unit, sums, out=terms[15:18])
-    tx, rx = _plane_sum(terms[:, :m], axis=1), _plane_sum(terms[:, m:], axis=1)
+    tx, rx = _sum_in_order(terms[:, :m], axis=1), _sum_in_order(terms[:, m:], axis=1)
     del terms, unit, curv  # free the per-anchor terms before the 3x3 algebra
     su, sv = tx[:3], rx[:3]
     gn = n * tx[3:9] + m * rx[3:9] + (su[_ROW] * sv[_COL] + sv[_ROW] * su[_COL])
@@ -314,7 +305,7 @@ def _newton_batch(
         if work[0].size == 0:
             break
         step, grad, bad = _newton_step(*work[4:7], m)
-        stop = bad | ~(-_plane_sum(grad * step) > DECREASE_RTOL * work[-1])
+        stop = bad | ~(-_sum_in_order(grad * step) > DECREASE_RTOL * work[-1])
         if stop.any():
             singular[work[0][bad]] = True
             work, step = leave(work, stop, it - 1), np.compress(~stop, step, axis=1)
@@ -360,7 +351,7 @@ def localize_bistatic_batch(
     ks = SPEED_OF_LIGHT * (ts - delta)
     fitted = refine_bistatic(ks)
     off = ks - fitted
-    off_sq = _plane_sum((off * off).transpose(1, 2, 0).reshape(m * n, -1))
+    off_sq = _sum_in_order((off * off).transpose(1, 2, 0).reshape(m * n, -1))
     # Any split of the fitted matrix into a_i + b_j serves; its first
     # column and its first row less their shared corner give one.
     fit = np.concatenate([fitted[:, :, 0], fitted[:, 0, :] - fitted[:, 0:1, 0]], axis=1)
@@ -413,7 +404,7 @@ def localize_monostatic_batch(
     ranges = (SPEED_OF_LIGHT * (np.diagonal(ts, axis1=1, axis2=2) - delta) / 2.0).T.copy()
     points = anchors.transpose(2, 1, 0).copy()
     del ts, anchors  # a caller's stacked inputs can be freed; only copies are used below
-    norms = _plane_sum(points * points)
+    norms = _sum_in_order(points * points)
     rhs = 0.5 * (norms[1:] - norms[0] - (ranges[1:] ** 2 - ranges[0] ** 2))
     p, bad = _least_squares3(points[:, 1:] - points[:, :1], rhs)
     if bad.any():
@@ -432,9 +423,9 @@ def _range_residuals(
     """Range residuals of a batch at points (3,T), from anchors (3,m,T) and
     ranges (m,T): the distances, f = ranges - distances and |f|."""
     offset = anchors - points[:, None, :]
-    dist = np.sqrt(_plane_sum(np.square(offset, out=offset)))
+    dist = np.sqrt(_sum_in_order(np.square(offset, out=offset)))
     f = ranges - dist
-    return dist, f, np.sqrt(_plane_sum(f * f))
+    return dist, f, np.sqrt(_sum_in_order(f * f))
 
 
 def localize_monostatic(t: np.ndarray, anchors: np.ndarray, delta: float = 0.0) -> PositionFix:

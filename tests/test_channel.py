@@ -20,7 +20,7 @@ from bstoa.errors import (
     InvalidValue,
     NonFiniteInput,
 )
-from bstoa.topology import Topology, correlation_matrix, vec
+from bstoa.topology import Kind, Topology, correlation_matrix, vec
 
 
 def test_random_scene_bounds_and_shapes():
@@ -240,16 +240,65 @@ def test_true_delays_batch_matches_per_scene():
     [
         lambda: Scene(Topology.monostatic(1), tx=np.zeros((1, 3)), tag=np.zeros(3), delta=-1.0),
         lambda: synth_observations(np.zeros((2, 2)), 0, 1e-9, stream_rng(1, 0)),
+        lambda: synth_observations(np.zeros((2, 2)), 2.5, 1e-9, stream_rng(1, 0)),
+        lambda: synth_observations(np.zeros((2, 2)), 2.0, 1e-9, stream_rng(1, 0)),
         lambda: synth_observations(np.zeros((2, 2)), 2, -1e-9, stream_rng(1, 0)),
         lambda: random_scene(Topology.bistatic(2, 2), 0.0, stream_rng(1, 0)),
     ],
-    ids=["scene-delta", "synth-pilot-len", "synth-sigma", "cube-side"],
+    ids=[
+        "scene-delta", "synth-pilot-len", "synth-pilot-len-2.5", "synth-pilot-len-2.0",
+        "synth-sigma", "cube-side",
+    ],
 )
 def test_bad_scalar_arguments_raise_package_error(call):
+    """A pilot length of 2.5 used to repeat each row twice."""
     with pytest.raises(BstoaError) as info:
         call()
     assert isinstance(info.value, InvalidValue)
     assert isinstance(info.value, ValueError)  # what callers caught before
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda bad: synth_observations(np.zeros((2, 2)), 2, bad, stream_rng(1, 0)),
+        lambda bad: random_scene(Topology.bistatic(2, 2), bad, stream_rng(1, 0)),
+    ],
+    ids=["synth-sigma", "cube-side"],
+)
+def test_non_finite_scalar_arguments_raise_non_finite_input(call, bad):
+    """A NaN sigma used to give finite, noise-free rows, and a NaN or inf
+    cube side raised OverflowError from the generator."""
+    with pytest.raises(NonFiniteInput):
+        call(bad)
+
+
+def test_synth_observations_accepts_numpy_integer_pilot_len():
+    t = np.arange(4.0).reshape(2, 2)
+    y = synth_observations(t, np.int64(3), 0.0, stream_rng(1, 0))
+    assert np.array_equal(y, np.repeat(t, 3, axis=0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "kind, field",
+    [(Kind.BISTATIC, field) for field in ("tx", "rx", "tag", "delta")]
+    + [(Kind.MONOSTATIC, field) for field in ("tx", "tag", "delta")],
+)
+def test_scene_rejects_non_finite_values(kind, field, bad):
+    """The constructor checks finiteness, as ``Scene.from_text`` did."""
+    topo = Topology(kind, 2, 3 if kind is Kind.BISTATIC else 2)
+    scene = random_scene(topo, 10.0, stream_rng(8, 8))
+    values = {"tx": scene.tx.copy(), "tag": scene.tag.copy(), "delta": 1e-9}
+    if topo.kind is Kind.BISTATIC:
+        values["rx"] = scene.rx.copy()
+    if field == "delta":
+        values["delta"] = bad
+    else:
+        values[field].flat[-1] = bad
+    with pytest.raises(NonFiniteInput):
+        Scene(topo, **values)
 
 
 def test_stream_keys_wrap_mod_2_64():

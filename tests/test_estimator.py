@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bstoa.channel import random_scene, stream_rng, synth_observations, true_delays
 from bstoa.errors import ConstraintViolated, DimensionMismatch, NonFiniteInput
@@ -9,6 +12,7 @@ from bstoa.estimator import (
     decompose_delays,
     ls_estimate,
     _constraint_residual,
+    _sum_in_order,
     refine_bistatic,
     refine_estimate,
     refine_monostatic,
@@ -328,3 +332,48 @@ def test_decompose_rejects_non_finite(bad, value):
         args[bad] = value
     with pytest.raises(NonFiniteInput):
         decompose_delays(**args)
+
+
+@st.composite
+def _laid_out_sums(draw):
+    """An array in one of four memory layouts (C, F, transposed, strided
+    with steps of +-2) and an axis to sum over.  The last axis may hold no
+    values, one (a lone scene) or a batch.  The summed axis holds 1 to 12,
+    so also more than the 8 from which ``np.sum`` adds pairwise.  Values
+    span 24 orders of magnitude and include -0.0, so any other order of
+    addition shows in the bits."""
+    ndim = draw(st.integers(1, 4))
+    axis = draw(st.integers(-ndim, ndim - 1))
+    shape = [draw(st.integers(0, 4)) for _ in range(ndim - 1)]
+    shape.append(draw(st.sampled_from([0, 1]) | st.integers(2, 9)))
+    shape[axis] = draw(st.integers(1, 12))
+    values = st.sampled_from([-0.0, 0.0]) | st.floats(-1e12, 1e12) | st.floats(-1e-12, 1e-12)
+    base = draw(arrays(np.float64, tuple(shape), elements=values))
+    layout = draw(st.sampled_from(["C", "F", "transposed", "strided"]))
+    if layout == "F":
+        return np.asfortranarray(base), axis
+    if layout == "transposed":
+        perm = draw(st.permutations(range(ndim)))
+        return np.ascontiguousarray(base.transpose(perm)).transpose(np.argsort(perm)), axis
+    if layout == "strided":
+        steps = [draw(st.sampled_from([2, -2])) for _ in range(ndim)]
+        view = np.zeros([2 * size for size in shape])[tuple(slice(None, None, k) for k in steps)]
+        view[...] = base
+        return view, axis
+    return np.ascontiguousarray(base), axis
+
+
+@settings(derandomize=True, database=None, max_examples=400)
+@given(_laid_out_sums())
+def test_sum_in_order_is_the_slice_loop_in_every_layout(case):
+    """The one fixed-order sum of the library, used by the estimators and
+    the localization solvers, is bit-equal to adding the slices of the
+    summed axis in a Python loop from 0.0, in every layout."""
+    x, axis = case
+    want = 0.0
+    for piece in np.moveaxis(x, axis, 0):
+        want = want + piece
+    got = np.asarray(_sum_in_order(x, axis))
+    want = np.asarray(want)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

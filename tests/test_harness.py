@@ -33,7 +33,8 @@ from bstoa.harness import (
     STREAM_CONTRACT,
     ExperimentKind,
     SweepConfig,
-    _chunk_tasks,
+    _chunk_span,
+    _execute,
     _noise_plane,
     _refined_squares,
     _run_noise_chunk,
@@ -228,17 +229,26 @@ def _squares(err):
     return (err * err).sum(axis=0)
 
 
-def _reference_errors(task):
-    """The chunk's LS errors by stream contract v6, one trial at a time: an
-    mse or crlb chunk draws one (m, n, trials) plane z of standard normals
-    in C order from the SFC64 stream ``noise_rng``, and trial i's LS error
-    is (sigma / sqrt(L)) z[..., i]."""
-    cfg = task.cfg
-    count = task.stop - task.start
+def _point_chunks(cfg):
+    """``(point, chunk, c)`` for every chunk of the sweep: chunk ``chunk``
+    of grid point ``point`` is chunk c of the sweep, counted point-major."""
     chunks = math.ceil(cfg.trials / CHUNK_TRIALS)
-    rng = noise_rng(cfg.master_seed, task.point_index * chunks + task.start // CHUNK_TRIALS)
+    return [(p, k, p * chunks + k) for p in range(len(cfg.grid_points)) for k in range(chunks)]
+
+
+def _reference_errors(cfg, point, chunk):
+    """The LS errors of chunk ``chunk`` of grid point ``point`` by stream
+    contract v6, one trial at a time: the chunk holds trials ``chunk *
+    CHUNK_TRIALS`` onwards and draws from stream ``point * chunks + chunk``;
+    an mse or crlb chunk draws one (m, n, trials) plane z of standard
+    normals in C order from the SFC64 stream ``noise_rng``, and trial i's
+    LS error is (sigma / sqrt(L)) z[..., i]."""
+    sigma, pilot_len = cfg.grid_points[point]
+    count = min(CHUNK_TRIALS, cfg.trials - chunk * CHUNK_TRIALS)
+    chunks = math.ceil(cfg.trials / CHUNK_TRIALS)
+    rng = noise_rng(cfg.master_seed, point * chunks + chunk)
     z = rng.standard_normal((cfg.m, cfg.n, count))
-    return [(task.sigma / math.sqrt(task.pilot_len)) * z[..., i] for i in range(count)]
+    return [(sigma / math.sqrt(pilot_len)) * z[..., i] for i in range(count)]
 
 
 def test_stream_contract_is_6():
@@ -254,16 +264,15 @@ def test_chunk_matches_per_trial_reference():
     cfg = _cfg(m=3, n=2, trials=40)
     topo = cfg.topology
     b = weighting_matrix(correlation_matrix(topo))
-    task = _chunk_tasks(cfg)[1]
     sq_ls = np.zeros((topo.m, topo.n))
     sq_ref = np.zeros((topo.m, topo.n))
     cov = np.zeros((topo.mn, topo.mn))
-    for err in _reference_errors(task):
+    for err in _reference_errors(cfg, 1, 0):
         err_ref = b @ vec(err)
         sq_ls += err**2
         sq_ref += unvec(err_ref**2, topo.m, topo.n)
         cov += np.outer(err_ref, err_ref)
-    partial = _run_noise_chunk(task)
+    partial = _run_noise_chunk(cfg, 1)
     sq_proposed = _refined_squares(topo, partial["rowcol"])
     assert np.abs(partial["sq_ls"] - sq_ls).max() <= 1e-12 * sq_ls.max()
     assert np.abs(sq_proposed - sq_ref).max() <= 1e-12 * sq_ref.max()
@@ -281,11 +290,12 @@ def test_chunk_ls_noise_is_the_pilot_mean_distribution(pilot_len):
     by sigma / sqrt(L).  Each pilot length is its own grid point, so each
     draws from its own stream."""
     cfg = _cfg(m=16, n=16, pilot_lengths=(1, 2, 8), sigma_grid=(1e-9,), trials=CHUNK_TRIALS)
-    (task,) = [task for task in _chunk_tasks(cfg) if task.pilot_len == pilot_len]
-    txs, rxs, tags, t_hats, _ = _simulate_chunk(task)
+    c = cfg.pilot_lengths.index(pilot_len)
+    txs, rxs, tags, t_hats, _ = _simulate_chunk(cfg, c)
     truths = true_delays_batch(txs, rxs, tags)
-    for err in (t_hats - truths, _noise_plane(task) * (task.sigma / math.sqrt(pilot_len))):
-        z = (err * (math.sqrt(pilot_len) / task.sigma)).ravel()
+    drawn = _noise_plane(cfg, c, CHUNK_TRIALS) * (1e-9 / math.sqrt(pilot_len))
+    for err in (t_hats - truths, drawn):
+        z = (err * (math.sqrt(pilot_len) / 1e-9)).ravel()
         assert z.size >= 100_000
         assert abs(z.mean()) <= 5.0 / math.sqrt(z.size)
         assert abs(z.var() - 1.0) <= 5.0 * math.sqrt(2.0 / z.size)
@@ -303,8 +313,8 @@ def test_refined_error_is_the_projected_ls_error(kind, m, n):
     cfg = _cfg(
         kind=kind, m=m, n=n, pilot_lengths=(2,), sigma_grid=(1e-10, 3e-9), trials=CHUNK_TRIALS
     )
-    for task in _chunk_tasks(cfg):
-        txs, rxs, tags, t_hats, t_refs = _simulate_chunk(task)
+    for _, _, c in _point_chunks(cfg):
+        txs, rxs, tags, t_hats, t_refs = _simulate_chunk(cfg, c)
         truths = true_delays_batch(txs, rxs, tags)
         projected = refine_estimate(t_hats - truths, cfg.topology)
         gap = np.abs((t_refs - truths) - projected).max()
@@ -323,10 +333,10 @@ def test_squares_from_the_partial_are_the_refined_squares(kind, m, n):
     equal the squares of ``refine_estimate`` on the chunk's LS errors
     within 1e-12 relative, on a full and a partial chunk."""
     cfg = _cfg(kind=kind, m=m, n=n, pilot_lengths=(2,), sigma_grid=(3e-9,), trials=700)
-    for task in _chunk_tasks(cfg):
-        err = np.stack(_reference_errors(task))
+    for point, chunk, c in _point_chunks(cfg):
+        err = np.stack(_reference_errors(cfg, point, chunk))
         want = _squares(refine_estimate(err, cfg.topology))
-        got = _refined_squares(cfg.topology, _run_noise_chunk(task)["rowcol"])
+        got = _refined_squares(cfg.topology, _run_noise_chunk(cfg, c)["rowcol"])
         assert got.shape == (m, n)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -410,9 +420,9 @@ def _dense_cov_frob_rel_err(cfg):
     topo = cfg.topology
     b = weighting_matrix(correlation_matrix(topo))
     cov = {}
-    for task in _chunk_tasks(cfg):
-        flat = np.stack([b @ vec(err) for err in _reference_errors(task)])
-        cov[task.point_index] = cov.get(task.point_index, 0.0) + flat.T @ flat
+    for point, chunk, _ in _point_chunks(cfg):
+        flat = np.stack([b @ vec(err) for err in _reference_errors(cfg, point, chunk)])
+        cov[point] = cov.get(point, 0.0) + flat.T @ flat
     out = {}
     for index, (sigma, pilot_len) in enumerate(cfg.grid_points):
         bound = (sigma**2 / pilot_len) * b
@@ -484,18 +494,19 @@ def test_sweeps_never_build_dense_matrices(monkeypatch):
             assert run_sweep(cfg, workers=1).rows
 
 
-def _reference_chunk(task):
-    """The chunk's trials by the stream contract, one trial at a time
-    through the public functions: the chunk's stream gives every scene's
-    unit coordinates (tx, rx if bistatic, tag), then one (m, n, trials)
-    plane z, and trial i's LS estimate is truth + (sigma / sqrt(L)) z[..., i]."""
-    cfg = task.cfg
+def _reference_chunk(cfg, point, chunk):
+    """The trials of chunk ``chunk`` of grid point ``point`` by the stream
+    contract, one trial at a time through the public functions: the
+    chunk's stream, ``point * chunks + chunk``, gives every scene's unit
+    coordinates (tx, rx if bistatic, tag), then one (m, n, trials) plane z,
+    and trial i's LS estimate is truth + (sigma / sqrt(L)) z[..., i]."""
     topo = cfg.topology
     m, n = topo.m, topo.n
     n_rx = n if topo.kind is Kind.BISTATIC else 0
-    count = task.stop - task.start
+    sigma, pilot_len = cfg.grid_points[point]
+    count = min(CHUNK_TRIALS, cfg.trials - chunk * CHUNK_TRIALS)
     chunks = math.ceil(cfg.trials / CHUNK_TRIALS)
-    rng = stream_rng(cfg.master_seed, task.point_index * chunks + task.start // CHUNK_TRIALS)
+    rng = stream_rng(cfg.master_seed, point * chunks + chunk)
     u = rng.random((count, 3 * (m + n_rx + 1)))
     z = rng.standard_normal((m, n, count))
     stacks = {key: [] for key in ("tx", "rx", "tag", "truth", "t_hat")}
@@ -504,7 +515,7 @@ def _reference_chunk(task):
         rx = points[m : m + n_rx] if n_rx else None
         scene = Scene(topo, tx=points[:m], rx=rx, tag=points[-1])
         truth = true_delays(scene)
-        t_hat = truth + (task.sigma / math.sqrt(task.pilot_len)) * z[..., i]
+        t_hat = truth + (sigma / math.sqrt(pilot_len)) * z[..., i]
         for key, value in zip(stacks, (scene.tx, scene.rx, scene.tag, truth, t_hat)):
             stacks[key].append(value)
     return [np.stack(values) for values in stacks.values()]
@@ -528,16 +539,33 @@ def test_chunk_is_bitwise_the_per_trial_loop(kind, m, n, pilot_len):
     delays and LS estimates, bit for bit, on the second point's full chunk
     and on a partial last chunk."""
     cfg = _cfg(kind=kind, m=m, n=n, pilot_lengths=(pilot_len,), trials=700, master_seed=5)
-    tasks = _chunk_tasks(cfg)
-    sizes = [(t.point_index, t.stop - t.start) for t in tasks]
+    spans = [_chunk_span(cfg, c) for c in range(4)]
+    sizes = [(point, stop - start) for point, start, stop in spans]
     assert sizes == [(0, 512), (0, 188), (1, 512), (1, 188)]
-    for task in (tasks[1], tasks[2]):
-        txs, rxs, tags, t_hats, t_refs = _simulate_chunk(task)
+    for point, chunk, c in _point_chunks(cfg)[1:3]:
+        txs, rxs, tags, t_hats, t_refs = _simulate_chunk(cfg, c)
         got = (txs, rxs, tags, true_delays_batch(txs, rxs, tags), t_hats)
-        want = _reference_chunk(task)
+        want = _reference_chunk(cfg, point, chunk)
         for name, g, w in zip(("tx", "rx", "tag", "truth", "t_hat"), got, want):
             assert np.array_equal(g, w), name
         assert np.array_equal(t_refs, refine_estimate(want[-1], cfg.topology))
+
+
+@pytest.mark.parametrize("trials", [700, 1025, 1100])
+def test_chunks_cover_each_points_trials_once(trials):
+    """The chunks a sweep runs, counted point-major, cover each of its four
+    grid points' trials exactly once, when the trials do not fill the last
+    chunk (1025 leaves it one trial)."""
+    cfg = _cfg(sigma_grid=(1e-9, 2e-9), pilot_lengths=(2, 8), trials=trials)
+    for workers in (1, 2):
+        spans = _execute(cfg, _chunk_span, workers)
+        points = [point for point, _, _ in spans]
+        assert points == sorted(points)
+        covered = np.zeros((len(cfg.grid_points), trials), dtype=int)
+        for point, start, stop in spans:
+            assert 0 < stop - start <= CHUNK_TRIALS
+            covered[point, start:stop] += 1
+        assert (covered == 1).all()
 
 
 @pytest.mark.parametrize(
@@ -547,8 +575,7 @@ def test_chunks_draw_distinct_coordinates(kind, m, n):
     """The two chunks of a point and the first chunk of the next point draw
     pairwise different coordinates."""
     cfg = _cfg(kind=kind, m=m, n=n, pilot_lengths=(8,), trials=700)
-    tasks = _chunk_tasks(cfg)
-    txs = [_simulate_chunk(task)[0] for task in tasks[:3]]
+    txs = [_simulate_chunk(cfg, c)[0] for c in range(3)]
     for i, j in ((0, 1), (0, 2), (1, 2)):
         assert np.intersect1d(txs[i], txs[j]).size == 0, (i, j)
 
@@ -561,9 +588,8 @@ def test_chunk_keeps_the_trials_on_the_contiguous_axis(kind, m, n):
     reductions over the trials run along memory, on full and partial
     chunks."""
     cfg = _cfg(kind=kind, m=m, n=n, trials=700)
-    for task in _chunk_tasks(cfg)[:2]:
-        count = task.stop - task.start
-        out = _simulate_chunk(task)
+    for c, count in enumerate((CHUNK_TRIALS, 700 - CHUNK_TRIALS)):
+        out = _simulate_chunk(cfg, c)
         shapes = [(count, m, 3), (count, n, 3), (count, 3)] + [(count, m, n)] * 2
         assert [a.shape for a in out] == shapes
         for name, array in zip(("tx", "rx", "tag", "t_hat", "t_ref"), out):
@@ -575,11 +601,10 @@ def test_chunk_memory_stays_near_its_output():
     returns; one more (m, n, trials) buffer would add 2.4 MB, and the
     chunk's L pilot planes 18.9 MB."""
     cfg = _cfg(m=24, n=24, pilot_lengths=(8,), sigma_grid=(1e-9,), trials=CHUNK_TRIALS)
-    task = _chunk_tasks(cfg)[0]
-    _simulate_chunk(task)
+    _simulate_chunk(cfg, 0)
     tracemalloc.start()
     try:
-        out = _simulate_chunk(task)
+        out = _simulate_chunk(cfg, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -644,7 +669,7 @@ def test_pool_is_capped_at_the_task_count(monkeypatch):
         ((1e-9, 2e-9), 5000, 2, 2, 8),
     ):
         cfg = _cfg(sigma_grid=sigmas, trials=trials)
-        chunks = len(_chunk_tasks(cfg))
+        chunks = len(_point_chunks(cfg))
         pools.clear()
         csv = run_sweep(cfg, workers=workers).to_csv()
         (pool,) = pools
@@ -681,7 +706,7 @@ def test_csv_does_not_depend_on_the_pool_gate(monkeypatch, break_even):
     worker_counts = (min(2, cpus), None)
     for experiment in ExperimentKind:
         cfg = _cfg(experiment=experiment, m=4, n=3, trials=1100)
-        assert len(_chunk_tasks(cfg)) == 6
+        assert len(_point_chunks(cfg)) == 6
         want = run_sweep(cfg, workers=1).to_csv()
         for workers in worker_counts:
             assert run_sweep(cfg, workers=workers).to_csv() == want, (experiment, workers)

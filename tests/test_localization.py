@@ -12,7 +12,7 @@ from bstoa.localization import (
     localize_monostatic,
     localize_monostatic_batch,
 )
-from bstoa.harness import CHUNK_TRIALS, ExperimentKind, SweepConfig, _ChunkTask, _simulate_chunk
+from bstoa.harness import CHUNK_TRIALS, ExperimentKind, SweepConfig, _simulate_chunk
 from bstoa.topology import Kind, Topology
 
 
@@ -103,8 +103,7 @@ def _bistatic_chunk(sigma, chunk=0):
         experiment=ExperimentKind.LOCALIZATION, kind=Kind.BISTATIC, m=4, n=3,
         pilot_lengths=(2,), sigma_grid=(sigma,), trials=8 * CHUNK_TRIALS, master_seed=6_100,
     )
-    task = _ChunkTask(cfg, 0, sigma, 2, chunk * CHUNK_TRIALS, (chunk + 1) * CHUNK_TRIALS)
-    txs, rxs, _, t_hats, t_refs = _simulate_chunk(task)
+    txs, rxs, _, t_hats, t_refs = _simulate_chunk(cfg, chunk)
     return txs, rxs, t_hats, t_refs
 
 
@@ -291,7 +290,7 @@ def test_bistatic_batch_does_not_depend_on_layout():
         experiment=ExperimentKind.LOCALIZATION, kind=Kind.BISTATIC, m=12, n=9,
         pilot_lengths=(2,), sigma_grid=(1e-9,), trials=64, master_seed=7,
     )
-    txs, rxs, _, t_hats, _ = _simulate_chunk(_ChunkTask(cfg, 0, 1e-9, 2, 0, 64))
+    txs, rxs, _, t_hats, _ = _simulate_chunk(cfg, 0)
     assert t_hats.strides[0] == 8
     views = localize_bistatic_batch(t_hats, txs, rxs)
     copies = localize_bistatic_batch(*(np.ascontiguousarray(x) for x in (t_hats, txs, rxs)))
