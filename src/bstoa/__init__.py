@@ -26,11 +26,9 @@ from .errors import (
     ConfigInvalid,
     ConstraintViolated,
     DimensionMismatch,
-    IndexOutOfRange,
     InvalidValue,
     NonFiniteInput,
     SingularGeometry,
-    SingularSystem,
     UnderDetermined,
     WrongTopology,
 )
@@ -59,10 +57,8 @@ from .localization import (
     localize_monostatic_batch,
 )
 from .topology import (
-    EntryType,
     Kind,
     Topology,
-    classify_entry,
     correlation_matrix,
     entry_weights,
     unvec,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidValue, NonFiniteInput, WrongTopology
-from .topology import Kind, Topology, entry_weights, unvec
+from .topology import Kind, Topology, entry_weights, weighting_matrix
 
 
 @dataclass
@@ -133,13 +133,10 @@ def theoretical_mse_independent(
 def crlb_bistatic(topo: Topology, sigma_sq: float, pilot_len: int) -> CrlbReport:
     """Error covariance bound for bistatic delay estimation.
 
-    The bound is (sigma^2 / L) B, the noise variance scaled projector, so
-    its diagonal equals the refined estimator's per-entry MSE.  B is filled
-    from its four entry weights (see ``entry_weights``) by what the two
-    subchannels share, with no constraint matrix and no solve:
-
-        B[z, r] = w4 + (w2 - w4) [same tx] + (w3 - w4) [same rx]
-                     + (w1 - w2 - w3 + w4) [r == z]
+    The bound is (sigma^2 / L) B, the noise variance scaled projector
+    (``weighting_matrix``), so its diagonal is the refined estimator's
+    per-entry MSE, which ``subchannel_bounds`` holds
+    (``theoretical_mse_iid`` at sigma^2 / L).
 
     Raises:
         NonFiniteInput: if ``sigma_sq`` is NaN or infinite.
@@ -149,14 +146,11 @@ def crlb_bistatic(topo: Topology, sigma_sq: float, pilot_len: int) -> CrlbReport
         raise WrongTopology("crlb_bistatic requires a bistatic topology")
     _check_variance("sigma_sq", sigma_sq)
     _check_pilot_len(pilot_len)
-    w1, w2, w3, w4 = entry_weights(topo)
-    flat = np.arange(topo.mn)
-    tx, rx = flat % topo.m, flat // topo.m
-    b = w4 + (w2 - w4) * (tx[:, None] == tx) + (w3 - w4) * (rx[:, None] == rx)
-    b.flat[:: topo.mn + 1] += w1 - w2 - w3 + w4
-    b *= sigma_sq / pilot_len
-    per_entry = unvec(np.diag(b).copy(), topo.m, topo.n)
-    return CrlbReport(covariance_bound=b, subchannel_bounds=per_entry)
+    sigma0_sq = sigma_sq / pilot_len
+    per_entry = theoretical_mse_iid(topo, sigma0_sq).per_entry_mse
+    return CrlbReport(
+        covariance_bound=sigma0_sq * weighting_matrix(topo), subchannel_bounds=per_entry
+    )
 
 
 def crlb_monostatic(topo: Topology, sigma_sq: float, pilot_len: int) -> CrlbReport:

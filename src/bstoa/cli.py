@@ -20,14 +20,15 @@ import numpy as np
 
 from .analysis import crlb_bistatic, crlb_monostatic
 from .channel import Scene
-from .errors import BstoaError, NonFiniteInput, SingularGeometry, SingularSystem
+from .errors import BstoaError, NonFiniteInput, SingularGeometry
 from .estimator import ls_estimate, refine_estimate
 from .harness import load_config, run_sweep
 from .localization import localize_bistatic, localize_monostatic
 from .topology import Kind, Topology, correlation_matrix, weighting_matrix
 
-_CONFIG_ERRORS = (BstoaError, OSError, ValueError)
-_NUMERICAL_ERRORS = (SingularSystem, SingularGeometry, np.linalg.LinAlgError)
+# A dense matrix too large for memory is bad input, not a numerical failure.
+_CONFIG_ERRORS = (BstoaError, OSError, ValueError, MemoryError)
+_NUMERICAL_ERRORS = (SingularGeometry,)
 
 
 def _topology_from_args(args: argparse.Namespace) -> Topology:
@@ -52,13 +53,13 @@ def _add_topology_args(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_gen_matrix(args: argparse.Namespace) -> int:
     topo = _topology_from_args(args)
-    a = correlation_matrix(topo)
     if args.which == "a":
+        a = correlation_matrix(topo)
         if a.shape[0] == 0:
             return 0
         _print_matrix(a, integer=True)
     else:
-        _print_matrix(weighting_matrix(a))
+        _print_matrix(weighting_matrix(topo))
     return 0
 
 

@@ -9,14 +9,6 @@ class DimensionMismatch(BstoaError, ValueError):
     """Input array shapes are inconsistent with the declared topology."""
 
 
-class IndexOutOfRange(BstoaError, IndexError):
-    """Flat subchannel index outside 0..m*n-1."""
-
-
-class SingularSystem(BstoaError, ArithmeticError):
-    """A linear solve failed on input that should have been regular."""
-
-
 class ConstraintViolated(BstoaError, ValueError):
     """Delay matrix does not satisfy the topology constraint."""
 

@@ -109,8 +109,10 @@ def refine_estimate(t_hat: np.ndarray, topo: Topology) -> np.ndarray:
 
 
 def _constraint_residual(t: np.ndarray) -> float:
-    """Max-norm of the adjacent 2x2 double differences, the rows of
-    ``A vec(t)`` up to sign and order; 0 when there is no 2x2 submatrix."""
+    """Max-norm of ``A vec(t)``.  The adjacent 2x2 double differences
+    ``diff(diff(t, axis=0), axis=1)`` are the entries of ``A vec(t)``, with
+    the same signs, in column-major order, which is A's row order; 0 when
+    there is no 2x2 submatrix."""
     return float(np.abs(np.diff(np.diff(t, axis=0), axis=1)).max(initial=0.0))
 
 

@@ -116,8 +116,13 @@ class SweepConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.experiment, ExperimentKind):
+            try:
+                object.__setattr__(self, "experiment", ExperimentKind(self.experiment))
+            except ValueError as exc:
+                raise ConfigInvalid(f"unknown experiment {self.experiment!r}") from exc
         try:
-            self.topology
+            object.__setattr__(self, "kind", self.topology.kind)
         except InvalidValue as exc:
             raise ConfigInvalid(str(exc)) from exc
         if self.trials < 1:

@@ -3,8 +3,10 @@
 Every backscatter delay matrix is an outer sum ``delta + h (+) g``, so each
 2x2 submatrix of adjacent-index entries satisfies a linear identity.  This
 module builds the integer correlation matrix ``A`` encoding those identities,
-the orthogonal projector ``B = I - A^T (A A^T)^-1 A`` onto their null space,
-and the closed-form values taken by the entries of ``B``.
+the orthogonal projector ``B`` onto their null space, and the closed-form
+values taken by the entries of ``B``.  Both matrices are Kronecker forms
+with no solve: ``A = D_n (x) D_m`` for the first-difference matrix ``D_k``,
+and ``B`` is row mean + column mean - grand mean.
 
 Flat subchannel indices are column-major throughout the package: index ``z``
 of an m x n matrix maps to transmitter ``z % m`` and receiver ``z // m``.
@@ -12,13 +14,12 @@ of an m x n matrix maps to transmitter ``z % m`` and receiver ``z // m``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from enum import Enum, IntEnum
+from enum import Enum
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidValue, SingularSystem
+from .errors import InvalidValue
 
 
 class Kind(str, Enum):
@@ -30,7 +31,9 @@ class Kind(str, Enum):
 class Topology:
     """Channel topology: m transmit antennas, n receive antennas.
 
-    Monostatic channels share one antenna array, so m == n is enforced.
+    ``kind`` may be given as a :class:`Kind` or its value (``"bistatic"``,
+    ``"monostatic"``) and is stored as the member.  Monostatic channels
+    share one antenna array, so m == n is enforced.
     """
 
     kind: Kind
@@ -38,6 +41,11 @@ class Topology:
     n: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, Kind):
+            try:
+                object.__setattr__(self, "kind", Kind(self.kind))
+            except ValueError as exc:
+                raise InvalidValue(f"unknown topology kind {self.kind!r}") from exc
         if self.m < 1 or self.n < 1:
             raise InvalidValue(f"antenna counts must be >= 1, got m={self.m}, n={self.n}")
         if self.kind is Kind.MONOSTATIC and self.m != self.n:
@@ -56,15 +64,6 @@ class Topology:
         return self.m * self.n
 
 
-class EntryType(IntEnum):
-    """Relation of subchannel r to subchannel z, for z = (tx i, rx j)."""
-
-    SHARED_BOTH = 1   # r == z
-    SHARED_TX = 2     # same transmitter, different receiver
-    SHARED_RX = 3     # same receiver, different transmitter
-    SHARED_NONE = 4   # neither shared
-
-
 def vec(matrix: np.ndarray) -> np.ndarray:
     """Column-major vectorization."""
     return np.ravel(matrix, order="F")
@@ -76,49 +75,38 @@ def unvec(values: np.ndarray, m: int, n: int) -> np.ndarray:
 
 
 def correlation_matrix(topo: Topology) -> np.ndarray:
-    """Build the constraint matrix A for the given topology.
+    """Build the constraint matrix ``A = D_n (x) D_m`` for the given topology.
 
-    Row p (1-based) places the pattern ``1, -1, -1, 1`` at columns
-    ``q, q+1, q+m, q+m+1`` with ``q = p + ceil(p / (m-1)) - 1``, which pins
-    one 2x2 submatrix of the column-major delay vector.  With m == 1 or
+    ``D_k`` is the (k-1) x k first-difference matrix, so row
+    ``j (m-1) + i`` of A is the double difference of the 2x2 submatrix at
+    (i, j): ``1, -1, -1, 1`` at columns ``q, q+1, q+m, q+m+1`` with
+    ``q = j m + i``.  These are the rows of the paper's loop, in its order
+    (1-based row p at ``q = p + ceil(p / (m-1)) - 1``).  With m == 1 or
     n == 1 there is no 2x2 submatrix and the matrix has zero rows.
 
     Returns an ``(m-1)(n-1) x m*n`` array of int8 in {-1, 0, 1}.
     """
-    m, n = topo.m, topo.n
-    rows = (m - 1) * (n - 1)
-    a = np.zeros((rows, m * n), dtype=np.int8)
-    for p in range(1, rows + 1):
-        q = p + math.ceil(p / (m - 1)) - 1
-        a[p - 1, q - 1] = 1
-        a[p - 1, q] = -1
-        a[p - 1, q + m - 1] = -1
-        a[p - 1, q + m] = 1
-    return a
+    d_m, d_n = (np.diff(np.eye(k, dtype=np.int8), axis=0) for k in (topo.m, topo.n))
+    return np.kron(d_n, d_m)
 
 
-def weighting_matrix(a: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the null space of ``a``.
+def weighting_matrix(topo: Topology) -> np.ndarray:
+    """Orthogonal projector B onto the null space of the correlation matrix.
 
-    Computed as ``I - A^T X`` where ``X`` solves ``(A A^T) X = A``; the
-    Gram matrix is never inverted explicitly.  A zero-row ``a`` yields the
-    identity (no constraints).
+    ``B vec(T) = vec(row mean + column mean - grand mean of T)``, that is
 
-    Raises:
-        SingularSystem: if the Gram solve fails, which cannot happen for a
-            matrix produced by :func:`correlation_matrix` and signals a
-            corrupted input.
+        B = (J_n / n) (x) I_m + I_n (x) (J_m / m) - 1 / (m n)
+
+    with ``J_k`` the k x k all-ones matrix.  Entry (z, r) depends only on
+    whether subchannels z and r share their transmitter or receiver, so B
+    is exactly symmetric.  A topology with m == 1 or n == 1 has no
+    constraint and B is the identity up to rounding.
     """
-    a = np.asarray(a)
-    order = a.shape[1]
-    if a.shape[0] == 0:
-        return np.eye(order)
-    af = a.astype(np.float64)
-    try:
-        x = np.linalg.solve(af @ af.T, af)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"constraint Gram matrix is singular: {exc}") from exc
-    return np.eye(order) - af.T @ x
+    m, n = topo.m, topo.n
+    b = np.kron(np.full((n, n), 1.0 / n), np.eye(m))
+    b += np.kron(np.eye(n), np.full((m, m), 1.0 / m))
+    b -= 1.0 / (m * n)
+    return b
 
 
 def entry_weights(topo: Topology) -> tuple[float, float, float, float]:
@@ -138,25 +126,3 @@ def entry_weights(topo: Topology) -> tuple[float, float, float, float]:
     m, n = topo.m, topo.n
     mn = m * n
     return ((m + n - 1) / mn, (m - 1) / mn, (n - 1) / mn, -1.0 / mn)
-
-
-def classify_entry(topo: Topology, z: int, r: int) -> EntryType:
-    """Classify projector entry (z, r) by what subchannels z and r share.
-
-    Both indices are 0-based column-major flat subchannel indices.
-    """
-    mn = topo.mn
-    if not (0 <= z < mn):
-        raise IndexOutOfRange(f"z={z} outside 0..{mn - 1}")
-    if not (0 <= r < mn):
-        raise IndexOutOfRange(f"r={r} outside 0..{mn - 1}")
-    if r == z:
-        return EntryType.SHARED_BOTH
-    m = topo.m
-    zi, zj = z % m, z // m
-    ri, rj = r % m, r // m
-    if ri == zi:
-        return EntryType.SHARED_TX
-    if rj == zj:
-        return EntryType.SHARED_RX
-    return EntryType.SHARED_NONE

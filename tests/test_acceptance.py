@@ -35,7 +35,6 @@ from bstoa.localization import localize_bistatic, localize_monostatic
 from bstoa.topology import (
     Kind,
     Topology,
-    classify_entry,
     correlation_matrix,
     entry_weights,
     unvec,
@@ -108,19 +107,24 @@ def _per_entry_mse(mc: MonteCarlo, which: str) -> np.ndarray:
 
 
 def test_criterion_01_projector_identities(report):
-    """B1=1, BA^T=0, B^2=B, B=B^T within 1e-10 for all M, N in 1..8, < 1s."""
+    """B1=1, BA^T=0, B^2=B, B=B^T and trace(B)=M+N-1 within 1e-10 for all
+    M, N in 1..8, < 1s.  A symmetric idempotent B with BA^T = 0 projects
+    onto a subspace of null(A), which has dimension M+N-1, so the trace
+    pins B as the projector onto all of it."""
     start = time.perf_counter()
     worst = 0.0
     for m in range(1, 9):
         for n in range(1, 9):
-            a = correlation_matrix(Topology.bistatic(m, n))
-            b = weighting_matrix(a)
+            topo = Topology.bistatic(m, n)
+            a = correlation_matrix(topo)
+            b = weighting_matrix(topo)
             mn = m * n
             worst = max(worst, np.abs(b @ np.ones(mn) - 1.0).max())
             if a.shape[0]:
                 worst = max(worst, np.abs(b @ a.T.astype(float)).max())
             worst = max(worst, np.abs(b @ b - b).max())
             worst = max(worst, np.abs(b - b.T).max())
+            worst = max(worst, abs(np.trace(b) - (m + n - 1)))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-10 and elapsed < 1.0
     report(1, ok, f"worst residual {worst:.2e}, runtime {elapsed:.3f}s")
@@ -135,12 +139,12 @@ def test_criterion_02_entry_pattern(report):
             if m == n:
                 topologies.append(Topology.monostatic(m))
             for topo in topologies:
-                b = weighting_matrix(correlation_matrix(topo))
-                weights = entry_weights(topo)
-                pattern = np.empty_like(b)
-                for z in range(m * n):
-                    for r in range(m * n):
-                        pattern[z, r] = weights[classify_entry(topo, z, r) - 1]
+                b = weighting_matrix(topo)
+                w1, w2, w3, w4 = entry_weights(topo)
+                z = np.arange(m * n)
+                same_tx = (z % m)[:, None] == z % m
+                same_rx = (z // m)[:, None] == z // m
+                pattern = np.select([same_tx & same_rx, same_tx, same_rx], [w1, w2, w3], w4)
                 worst = max(worst, np.abs(b - pattern).max())
     ok = worst < 1e-10
     report(2, ok, f"worst |B - pattern| {worst:.2e}")
@@ -203,7 +207,7 @@ def test_criterion_06_crlb_attainment(report, bistatic_mc, monostatic_mc):
 def _heteroscedastic_errors(topo: Topology, sigmas: np.ndarray, trials: int,
                             seed: int) -> np.ndarray:
     """Refined-estimator errors with per-subchannel noise, pilot length 1."""
-    b = weighting_matrix(correlation_matrix(topo))
+    b = weighting_matrix(topo)
     m, n = topo.m, topo.n
     noise = stream_rng(seed, 0).normal(size=(trials, m, n)) * sigmas
     flat = noise.transpose(0, 2, 1).reshape(trials, m * n)
@@ -252,7 +256,7 @@ def test_criterion_08_symmetrization_keeps_constraint(report):
     for m in range(2, 7):
         topo = Topology.monostatic(m)
         a = correlation_matrix(topo).astype(float)
-        b = weighting_matrix(correlation_matrix(topo))
+        b = weighting_matrix(topo)
         rng = stream_rng(40_000 + m, 0)
         anchors = rng.uniform(0.0, 10.0, size=(per_m, m, 3))
         tags = rng.uniform(0.0, 10.0, size=(per_m, 3))

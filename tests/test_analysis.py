@@ -74,7 +74,7 @@ def _dense_independent_mse(topo, sigmas_sq, pilot_len):
     """Reference: weights from the dense projector B, squared and applied
     to the estimate-level variances."""
     m, n = topo.m, topo.n
-    b = weighting_matrix(correlation_matrix(topo))
+    b = weighting_matrix(topo)
     if topo.kind is Kind.MONOSTATIC:
         flat = np.arange(m * n)
         zbar = (flat // m) + (flat % m) * m
@@ -117,7 +117,7 @@ def test_bad_scalar_arguments_raise_package_error(call):
 def test_crlb_bistatic_2x2_is_projector():
     topo = Topology.bistatic(2, 2)
     report = crlb_bistatic(topo, 1.0, 1)
-    b = weighting_matrix(correlation_matrix(topo))
+    b = weighting_matrix(topo)
     assert np.abs(report.covariance_bound - b).max() < 1e-14
     assert np.abs(np.diag(report.covariance_bound) - 0.75).max() < 1e-14
 
@@ -125,15 +125,21 @@ def test_crlb_bistatic_2x2_is_projector():
 @pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("m", range(1, 9))
 def test_crlb_bistatic_matches_dense_projector(m, n):
-    """The bound filled by entry type equals (sigma^2 / L) B with B from
-    the constraint-matrix solve."""
+    """The bound equals (sigma^2 / L) B with B from the pseudoinverse of
+    the constraint matrix, and its subchannel bounds are the iid MSE, which
+    is the bound's diagonal up to rounding."""
     topo = Topology.bistatic(m, n)
     sigma_sq, length = 2.5e-19, 4
-    dense = (sigma_sq / length) * weighting_matrix(correlation_matrix(topo))
+    a = correlation_matrix(topo).astype(float)
+    oracle = np.eye(m * n) - np.linalg.pinv(a) @ a if a.shape[0] else np.eye(m * n)
+    dense = (sigma_sq / length) * oracle
     report = crlb_bistatic(topo, sigma_sq, length)
     assert report.covariance_bound.shape == (m * n, m * n)
     assert np.abs(report.covariance_bound - dense).max() <= 1e-12 * np.abs(dense).max()
-    assert np.array_equal(report.subchannel_bounds, unvec(np.diag(report.covariance_bound), m, n))
+    iid = theoretical_mse_iid(topo, sigma_sq / length).per_entry_mse
+    assert np.array_equal(report.subchannel_bounds, iid)
+    diag = unvec(np.diag(report.covariance_bound), m, n)
+    assert np.abs(report.subchannel_bounds - diag).max() <= 1e-15 * np.abs(diag).max()
 
 
 _BISTATIC_BOUND = (crlb_bistatic, Topology.bistatic(3, 2))
@@ -234,7 +240,7 @@ def test_independent_mse_monostatic_matches_simulation():
     sigmas = 0.5 * (sigmas + sigmas.T)  # any positive matrix works; keep it tidy
     predicted = theoretical_mse_independent(topo, sigmas**2, 1).per_entry_mse
 
-    b = weighting_matrix(correlation_matrix(topo))
+    b = weighting_matrix(topo)
     trials = 200_000
     noise = stream_rng(91, 1).normal(size=(trials, m, m)) * sigmas
     flat = noise.transpose(0, 2, 1).reshape(trials, m * m)

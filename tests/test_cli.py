@@ -5,7 +5,7 @@ import pytest
 
 from bstoa.channel import Scene, random_scene, stream_rng, synth_observations, true_delays
 from bstoa.cli import main
-from bstoa.topology import Topology, correlation_matrix, weighting_matrix
+from bstoa.topology import Topology, weighting_matrix
 
 
 def run_cli(capsys, *argv):
@@ -30,7 +30,7 @@ def test_gen_matrix_b_matches_library(capsys):
     code, out, _ = run_cli(capsys, "gen-matrix", "--topology", "mono", "--m", "2", "--which", "b")
     assert code == 0
     got = np.array([[float(x) for x in line.split(",")] for line in out.strip().split("\n")])
-    expected = weighting_matrix(correlation_matrix(Topology.monostatic(2)))
+    expected = weighting_matrix(Topology.monostatic(2))
     assert np.abs(got - expected).max() < 1e-15
 
 
@@ -97,6 +97,45 @@ def test_crlb_output(capsys):
     assert code == 0
     got = np.array([[float(x) for x in line.split(",")] for line in out.strip().split("\n")])
     assert np.abs(got - 0.25 * np.array([[0.75, -0.25], [-0.25, 0.75]])).max() < 1e-15
+
+
+@pytest.mark.parametrize("m, n", [("1", "1"), ("1", "3"), ("3", "2"), ("4", "5")])
+def test_crlb_at_unit_variance_prints_gen_matrix_b(capsys, m, n):
+    """The bistatic bound at sigma = 1, L = 1 is B itself, to the byte, and
+    the printed B is exactly symmetric."""
+    topo = ["--topology", "bi", "--m", m, "--n", n]
+    code, b_text, _ = run_cli(capsys, "gen-matrix", *topo, "--which", "b")
+    assert code == 0
+    code, bound_text, _ = run_cli(capsys, "crlb", *topo, "--sigma", "1", "--pilot-len", "1")
+    assert code == 0
+    assert bound_text == b_text
+    cells = [line.split(",") for line in b_text.splitlines()]
+    assert cells == [list(column) for column in zip(*cells)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-matrix", "--topology", "bi", "--m", "200", "--n", "200", "--which", "b"],
+        ["crlb", "--topology", "bi", "--m", "200", "--n", "200", "--sigma", "1e-9"],
+    ],
+    ids=["gen-matrix", "crlb"],
+)
+def test_dense_matrix_out_of_memory_exit_code(monkeypatch, capsys, argv):
+    """A dense B that does not fit in memory ends in exit 2 and an error
+    line, not a traceback.  The allocation failure is simulated."""
+    import bstoa.analysis
+    import bstoa.cli
+
+    def out_of_memory(topo):
+        raise MemoryError(f"Unable to allocate B for {topo.mn} subchannels")
+
+    monkeypatch.setattr(bstoa.cli, "weighting_matrix", out_of_memory)
+    monkeypatch.setattr(bstoa.analysis, "weighting_matrix", out_of_memory)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: Unable to allocate B for 40000 subchannels\n"
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,7 @@ from bstoa.topology import (
 
 
 def _b(topo):
-    return weighting_matrix(correlation_matrix(topo))
+    return weighting_matrix(topo)
 
 
 def test_ls_estimate_is_pilot_mean():
@@ -214,8 +214,12 @@ def test_constraint_residual_matches_dense_rows():
     for topo in _small_topologies():
         t = rng.normal(size=(topo.m, topo.n))
         a = correlation_matrix(topo).astype(float)
-        expected = np.abs(a @ vec(t)).max() if a.shape[0] else 0.0
+        rows = a @ vec(t)
+        expected = np.abs(rows).max() if a.shape[0] else 0.0
         assert _constraint_residual(t) == pytest.approx(expected, rel=1e-14, abs=0.0)
+        # The double differences are A vec(t) itself, row for row.
+        double_diff = vec(np.diff(np.diff(t, axis=0), axis=1))
+        assert np.abs(double_diff - rows).max(initial=0.0) <= 1e-14 * np.abs(t).max()
 
 
 def _full_estimate(t, pilot_len, rng, topo):

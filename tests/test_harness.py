@@ -42,7 +42,7 @@ from bstoa.harness import (
     parse_config,
     run_sweep,
 )
-from bstoa.topology import Kind, Topology, correlation_matrix, unvec, vec, weighting_matrix
+from bstoa.topology import Kind, Topology, unvec, vec, weighting_matrix
 
 
 def _cfg(**overrides):
@@ -130,6 +130,38 @@ def test_parse_config_rejects(text):
 def test_parse_config_bad_value_message(text, message):
     with pytest.raises(ConfigInvalid, match=message):
         parse_config(text)
+
+
+@pytest.mark.parametrize("experiment", list(ExperimentKind))
+@pytest.mark.parametrize(
+    "kind, m, n", [(Kind.BISTATIC, 4, 3), (Kind.BISTATIC, 4, 4), (Kind.MONOSTATIC, 4, 4)]
+)
+def test_config_from_values_runs_as_from_members(experiment, kind, m, n):
+    """Plain strings for the experiment and the kind are stored as their
+    members, so the sweep takes the same path and writes the same bytes."""
+    by_member = _cfg(experiment=experiment, kind=kind, m=m, n=n, trials=64)
+    by_value = _cfg(experiment=experiment.value, kind=kind.value, m=m, n=n, trials=64)
+    assert by_value.experiment is experiment and by_value.kind is kind
+    assert by_value == by_member
+    assert run_sweep(by_value, workers=1).to_csv() == run_sweep(by_member, workers=1).to_csv()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"experiment": "warp"},
+        {"experiment": "MSE"},
+        {"experiment": None},
+        {"kind": "bi"},
+        {"kind": "tri"},
+        {"kind": Kind},
+    ],
+    ids=["experiment-warp", "experiment-upper", "experiment-none", "kind-bi", "kind-tri",
+         "kind-class"],
+)
+def test_config_rejects_unknown_experiment_or_kind(overrides):
+    with pytest.raises(ConfigInvalid):
+        _cfg(**overrides)
 
 
 @pytest.mark.parametrize("lengths", [(2, 2), (8, 2, 8), (1, 1, 1)])
@@ -263,7 +295,7 @@ def test_chunk_matches_per_trial_reference():
     products."""
     cfg = _cfg(m=3, n=2, trials=40)
     topo = cfg.topology
-    b = weighting_matrix(correlation_matrix(topo))
+    b = weighting_matrix(topo)
     sq_ls = np.zeros((topo.m, topo.n))
     sq_ref = np.zeros((topo.m, topo.n))
     cov = np.zeros((topo.mn, topo.mn))
@@ -418,7 +450,7 @@ def _dense_cov_frob_rel_err(cfg):
     sweep's refined errors: each chunk's LS errors, drawn by the stream
     contract, through the dense projector B."""
     topo = cfg.topology
-    b = weighting_matrix(correlation_matrix(topo))
+    b = weighting_matrix(topo)
     cov = {}
     for point, chunk, _ in _point_chunks(cfg):
         flat = np.stack([b @ vec(err) for err in _reference_errors(cfg, point, chunk)])

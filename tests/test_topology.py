@@ -1,16 +1,15 @@
 """Constraint matrix, projector, and entry-pattern tests."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from bstoa.errors import BstoaError, IndexOutOfRange, SingularSystem
+from bstoa.errors import BstoaError
 from bstoa.topology import (
-    EntryType,
     Kind,
     Topology,
-    classify_entry,
     correlation_matrix,
     entry_weights,
     unvec,
@@ -30,11 +29,56 @@ def test_topology_validation():
 
 
 @pytest.mark.parametrize(
-    "kind, m, n", [(Kind.BISTATIC, 0, 3), (Kind.BISTATIC, 2, 0), (Kind.MONOSTATIC, 2, 3)]
+    "kind, m, n",
+    [
+        (Kind.BISTATIC, 0, 3),
+        (Kind.BISTATIC, 2, 0),
+        (Kind.MONOSTATIC, 2, 3),
+        ("bi", 4, 3),
+        ("BISTATIC", 4, 3),
+        ("", 4, 3),
+        (None, 4, 3),
+    ],
 )
 def test_topology_validation_raises_package_error(kind, m, n):
     with pytest.raises(BstoaError):
         Topology(kind, m, n)
+
+
+def test_topology_stores_the_kind_member_for_its_value():
+    for kind in Kind:
+        topo = Topology(kind.value, 3, 3)
+        assert topo.kind is kind
+        assert topo == Topology(kind, 3, 3)
+
+
+def _topologies(m, n):
+    yield Topology.bistatic(m, n)
+    if m == n:
+        yield Topology.monostatic(m)
+
+
+def _paper_rows(m, n):
+    """The paper's construction of A: row p (1-based) holds 1, -1, -1, 1 at
+    columns q, q+1, q+m, q+m+1 with q = p + ceil(p / (m-1)) - 1."""
+    rows = (m - 1) * (n - 1)
+    a = np.zeros((rows, m * n), dtype=np.int8)
+    for p in range(1, rows + 1):
+        q = p + math.ceil(p / (m - 1)) - 1
+        a[p - 1, q - 1] = 1
+        a[p - 1, q] = -1
+        a[p - 1, q + m - 1] = -1
+        a[p - 1, q + m] = 1
+    return a
+
+
+@pytest.mark.parametrize("m,n", GRID)
+def test_correlation_matrix_is_the_paper_row_loop(m, n):
+    for topo in _topologies(m, n):
+        a = correlation_matrix(topo)
+        assert a.dtype == np.int8
+        assert a.shape == ((m - 1) * (n - 1), m * n)
+        assert np.array_equal(a, _paper_rows(m, n))
 
 
 def test_correlation_matrix_2x2():
@@ -75,7 +119,7 @@ def test_correlation_matrix_rank(m, n):
 
 def test_weighting_matrix_2x2_value():
     # Frozen from the pseudoinverse oracle: B = I - pinv(A) @ A.
-    b = weighting_matrix(correlation_matrix(Topology.bistatic(2, 2)))
+    b = weighting_matrix(Topology.bistatic(2, 2))
     expected = 0.25 * np.array(
         [
             [3, 1, 1, -1],
@@ -88,27 +132,29 @@ def test_weighting_matrix_2x2_value():
 
 
 def test_weighting_matrix_empty_constraints_is_identity():
-    b = weighting_matrix(correlation_matrix(Topology.bistatic(1, 4)))
+    b = weighting_matrix(Topology.bistatic(1, 4))
     assert np.array_equal(b, np.eye(4))
 
 
 def test_weighting_matrix_trace_4x3():
-    b = weighting_matrix(correlation_matrix(Topology.bistatic(4, 3)))
+    b = weighting_matrix(Topology.bistatic(4, 3))
     assert abs(np.trace(b) - 6.0) < 1e-12
 
 
 @pytest.mark.parametrize("m,n", GRID)
 def test_weighting_matrix_matches_pseudoinverse_oracle(m, n):
-    a = correlation_matrix(Topology.bistatic(m, n)).astype(float)
-    b = weighting_matrix(a)
+    topo = Topology.bistatic(m, n)
+    a = correlation_matrix(topo).astype(float)
+    b = weighting_matrix(topo)
     oracle = np.eye(m * n) - np.linalg.pinv(a) @ a if a.shape[0] else np.eye(m * n)
     assert np.abs(b - oracle).max() < 1e-12
 
 
 @pytest.mark.parametrize("m,n", GRID)
 def test_projector_identities(m, n):
-    a = correlation_matrix(Topology.bistatic(m, n))
-    b = weighting_matrix(a)
+    topo = Topology.bistatic(m, n)
+    a = correlation_matrix(topo)
+    b = weighting_matrix(topo)
     mn = m * n
     assert np.abs(b @ np.ones(mn) - 1.0).max() < 1e-10
     if a.shape[0]:
@@ -139,47 +185,37 @@ def test_entry_weights_rational_row_sum_identity():
             assert abs(float(exact) - got) < 1e-15
 
 
-def test_classify_entry_examples():
-    topo = Topology.bistatic(2, 2)
-    assert classify_entry(topo, 0, 0) is EntryType.SHARED_BOTH
-    assert classify_entry(topo, 0, 2) is EntryType.SHARED_TX
-    assert classify_entry(topo, 0, 1) is EntryType.SHARED_RX
-    wide = Topology.bistatic(2, 3)
-    assert classify_entry(wide, 0, 3) is EntryType.SHARED_NONE
+def _entry_pattern(topo):
+    """The closed-form weight of every projector entry (z, r), chosen by
+    whether the subchannels share transmitter z % m and receiver z // m."""
+    z = np.arange(topo.mn)
+    same_tx = (z % topo.m)[:, None] == z % topo.m
+    same_rx = (z // topo.m)[:, None] == z // topo.m
+    w1, w2, w3, w4 = entry_weights(topo)
+    return np.select([same_tx & same_rx, same_tx, same_rx], [w1, w2, w3], w4)
 
 
-def test_classify_entry_rejects_bad_indices():
-    topo = Topology.bistatic(2, 2)
-    with pytest.raises(IndexOutOfRange):
-        classify_entry(topo, -1, 0)
-    with pytest.raises(IndexOutOfRange):
-        classify_entry(topo, 0, 4)
-
-
-def _topologies(m, n):
-    yield Topology.bistatic(m, n)
-    if m == n:
-        yield Topology.monostatic(m)
+def test_entry_pattern_examples():
+    # z = (tx z % m, rx z // m): in 2x2, 0 = (0, 0), 1 = (1, 0), 2 = (0, 1).
+    pattern = _entry_pattern(Topology.bistatic(2, 2))
+    assert pattern[0, 0] == 0.75
+    assert pattern[0, 2] == 0.25
+    assert pattern[0, 1] == 0.25
+    assert _entry_pattern(Topology.bistatic(2, 3))[0, 3] == -1 / 6
 
 
 @pytest.mark.parametrize("m,n", GRID)
 def test_entry_pattern_matches_projector(m, n):
     """Every projector entry equals the closed-form weight of its type."""
     for topo in _topologies(m, n):
-        b = weighting_matrix(correlation_matrix(topo))
-        weights = entry_weights(topo)
-        mn = m * n
-        for z in range(mn):
-            for r in range(mn):
-                expected = weights[classify_entry(topo, z, r) - 1]
-                assert abs(b[z, r] - expected) < 1e-10
+        assert np.abs(weighting_matrix(topo) - _entry_pattern(topo)).max() < 1e-10
 
 
-def test_weighting_matrix_singular_input():
-    row = np.array([[1, -1, -1, 1]], dtype=np.int8)
-    corrupted = np.vstack([row, row])
-    with pytest.raises(SingularSystem):
-        weighting_matrix(corrupted)
+@pytest.mark.parametrize("m,n", GRID)
+def test_weighting_matrix_is_bitwise_symmetric(m, n):
+    for topo in _topologies(m, n):
+        b = weighting_matrix(topo)
+        assert np.array_equal(b, b.T)
 
 
 def test_vec_unvec_column_major_round_trip():
