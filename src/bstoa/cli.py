@@ -8,12 +8,15 @@ Subcommands:
     sweep        run a Monte-Carlo sweep from a config file
 
 Exit codes: 0 success, 2 bad configuration or input, 3 numerical failure.
+A reader that closes the output pipe early (``| head``) ends the command
+quietly with exit code 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 import numpy as np
@@ -156,6 +159,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader has all it wanted.  Point stdout at devnull so the
+        # interpreter's last flush of the unsent output finds no pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except _NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

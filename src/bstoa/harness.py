@@ -25,7 +25,13 @@ normals in C order.
   ``channel.noise_rng``.  Both estimators are linear and every true delay
   matrix lies in the outer-sum subspace, which the projection leaves
   fixed, so the refined error is exactly the projection of the LS error
-  ``(sigma / sqrt(L)) z``; the scene would add only rounding.
+  ``(sigma / sqrt(L)) z``; the scene would add only rounding.  It draws z
+  in blocks of rows into one buffer of at most ``_BLOCK_BYTES`` (one row
+  where a row is larger) and folds each block into its sums before the
+  next: the stream gives the same values in the same order, and the column
+  sum adds the rows in the order a whole-plane reduction does, so the
+  bytes are those of one ``(m, n, trials)`` plane, and the chunk holds
+  O((m + n) trials) values, not m n trials.
 
 A grid point's partials, chunks ``point * chunks`` to ``(point + 1) *
 chunks - 1``, are added in chunk order, so output bytes do not depend on
@@ -90,6 +96,9 @@ _POOL_BREAK_EVEN_S = 0.1
 # Contiguous runs of chunks per pool worker: a few per worker even out
 # unequal runs, and each run is one task, so few runs keep the IPC small.
 _RUNS_PER_WORKER = 4
+# Bytes of the buffer an mse or crlb chunk draws its noise plane into, a
+# block of rows at a time (``_run_noise_chunk``): small enough to stay in L2.
+_BLOCK_BYTES = 2**18
 
 # 3 cm to 3 m ranging error at the speed of light; a declared, overridable
 # default since no canonical grid exists.
@@ -267,7 +276,9 @@ def _execute(cfg: SweepConfig, runner: Callable, workers: int | None) -> list:
     A pool opens only when that time times the chunks left exceeds
     ``_POOL_BREAK_EVEN_S``; the rest then go to the pool as about
     ``_RUNS_PER_WORKER`` contiguous runs of chunks per worker, and the
-    config reaches each worker once, through the pool initializer.
+    config reaches each worker once, through the pool initializer.  A run
+    comes back stacked, one array per key (``_run_chunks``), and is split
+    here into its chunks' partials, row views of those arrays.
     """
     total = len(cfg.grid_points) * _chunks_per_point(cfg)
     if workers is None:
@@ -290,7 +301,8 @@ def _execute(cfg: SweepConfig, runner: Callable, workers: int | None) -> list:
     ) as pool:
         futures = [pool.submit(_run_chunks, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         for future in futures:
-            results.extend(future.result())
+            stacked = future.result()
+            results.extend(dict(zip(stacked, values)) for values in zip(*stacked.values()))
     return results
 
 
@@ -304,16 +316,19 @@ def _serve_sweep(cfg: SweepConfig, runner: Callable) -> None:
     _served = (cfg, runner)
 
 
-def _run_chunks(lo: int, hi: int) -> list:
-    """Partials of the served sweep's chunks ``lo`` to ``hi - 1``."""
+def _run_chunks(lo: int, hi: int) -> dict:
+    """Partials of the served sweep's chunks ``lo`` to ``hi - 1``, stacked:
+    one array per key, whose row k is chunk ``lo + k``'s value, so a run
+    goes back to the parent as a few arrays, not one dict per chunk."""
     cfg, runner = _served
-    return [runner(cfg, c) for c in range(lo, hi)]
+    run = [runner(cfg, c) for c in range(lo, hi)]
+    return {key: np.stack([partial[key] for partial in run]) for key in run[0]}
 
 
 def _simulate_chunk(cfg: SweepConfig, c: int):
     """Draw and estimate chunk c of a localization sweep as one batch, with
     the trials on the last, contiguous axis of every array.  (mse and crlb
-    chunks need no scene; they draw only the noise, see ``_noise_plane``.)
+    chunks need no scene; they draw only the noise, see ``_run_noise_chunk``.)
 
     Chunk c of the sweep, counted point-major, draws from stream c: one
     generator, ``stream_rng(master_seed, c)`` (see ``_chunk_span``).  One
@@ -367,13 +382,6 @@ def _ls_estimates(
     return means.transpose(2, 0, 1)
 
 
-def _noise_plane(cfg: SweepConfig, c: int, count: int) -> np.ndarray:
-    """The ``(m, n, count)`` standard normal plane z of chunk c of an mse
-    or crlb sweep, drawn in C order from ``noise_rng(master_seed, c)``; the
-    chunk's LS errors are ``(sigma / sqrt(L)) z``."""
-    return noise_rng(cfg.master_seed, c).standard_normal((cfg.m, cfg.n, count))
-
-
 def _run_noise_chunk(cfg: SweepConfig, c: int) -> dict:
     """The mse and crlb partial of chunk c: ``rowcol``, the sum over trials
     of ``c c^T`` for the refined error's row/column coordinates c, and for
@@ -385,20 +393,62 @@ def _run_noise_chunk(cfg: SweepConfig, c: int) -> dict:
     (m + n values, refined entry ``c_i + c_{m+j}``); for monostatic the
     symmetrized entry is ``(c_i + c_j) / 2`` with ``c = row means +
     column means - grand mean`` (m values).  Both sums are taken over the
-    unscaled plane and scaled by ``sigma^2 / L`` once.
+    unscaled plane z and scaled by ``sigma^2 / L`` once.
+
+    z, ``(m, n, T)`` standard normals in C order from ``noise_rng(
+    master_seed, c)``, is drawn a block of rows at a time into one reused
+    buffer of at most ``_BLOCK_BYTES`` (one row where a row is larger), so
+    besides its ``(m, T)`` row sums and ``(n, T)`` column sum the chunk
+    holds one block, not the plane: 0.6 MB at 24x24 and 2.3 MB at 96x96
+    against 2.4 and 37.7 MB for a 512-trial plane.  Successive draws
+    continue the stream, so the blocks hold the values of one ``(m, n,
+    T)`` call, and a plane that fits in one block is drawn whole.  Each
+    block is folded while it is in cache (``_fold_rows``), and every sum
+    has the bits of the same reduction over the whole plane.
     """
     point, start, stop = _chunk_span(cfg, c)
     sigma, pilot_len = cfg.grid_points[point]
-    z = _noise_plane(cfg, c, stop - start)
-    rows = z.mean(axis=1)
-    cols = z.mean(axis=0)
-    cols -= rows.mean(axis=0)
+    m, n, count = cfg.m, cfg.n, stop - start
+    rng = noise_rng(cfg.master_seed, c)
+    step = min(m, max(1, _BLOCK_BYTES // (8 * n * count)))
+    block = np.empty((step, n, count))
+    rows = np.empty((m, count))
+    cols = np.empty((n, count))
+    squares = np.empty((m, n)) if cfg.experiment is ExperimentKind.MSE else None
+    for lo in range(0, m, step):
+        z = block[: m - lo]
+        rng.standard_normal(out=z)
+        _fold_rows(z, lo, rows, cols, squares)
+    rows /= n
+    cols /= m
+    # The grand mean as rows.mean(axis=0) computes it, without its overhead.
+    cols -= np.add.reduce(rows, axis=0) / m
     coords = np.concatenate((rows, cols)) if cfg.kind is Kind.BISTATIC else rows + cols
     scale = sigma**2 / pilot_len
     partial = {"rowcol": (coords @ coords.T) * scale}
-    if cfg.experiment is ExperimentKind.MSE:
-        partial["sq_ls"] = np.einsum("ijt,ijt->ij", z, z) * scale
+    if squares is not None:
+        squares *= scale
+        partial["sq_ls"] = squares
     return partial
+
+
+def _fold_rows(
+    z: np.ndarray, lo: int, rows: np.ndarray, cols: np.ndarray, squares: np.ndarray | None
+) -> None:
+    """Fold rows ``lo`` onwards of a noise plane, the block z, into its
+    ``(m, T)`` row sums, its ``(n, T)`` column sum and, unless None, its
+    ``(m, n)`` per-entry sums of squares.  The first block starts the column
+    sum; each later row is added to it in turn, the order in which
+    ``np.add.reduce`` adds the rows of a whole plane."""
+    hi = lo + len(z)
+    np.add.reduce(z, axis=1, out=rows[lo:hi])
+    if lo == 0:
+        np.add.reduce(z, axis=0, out=cols)
+    else:
+        for row in z:
+            cols += row
+    if squares is not None:
+        np.einsum("ijt,ijt->ij", z, z, out=squares[lo:hi])
 
 
 def _refined_squares(topo: Topology, rowcol: np.ndarray) -> np.ndarray:

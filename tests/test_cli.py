@@ -1,8 +1,14 @@
 """Command line interface tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bstoa
 from bstoa.channel import Scene, random_scene, stream_rng, synth_observations, true_delays
 from bstoa.cli import main
 from bstoa.topology import Topology, weighting_matrix
@@ -383,3 +389,23 @@ def test_localize_singular_geometry_exit_code(tmp_path, capsys):
     )
     assert code == 3
     assert "error" in err
+
+
+def test_reader_closing_the_pipe_early_exits_zero():
+    """A reader that takes the first bytes and closes the pipe (as ``head
+    -c 20`` does) ends the command with exit 0 and nothing on stderr; the
+    30x30 projector's ~20 MB of CSV cannot fit in the pipe's buffer."""
+    paths = (str(Path(bstoa.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    argv = ["gen-matrix", "--topology", "bi", "--m", "30", "--n", "30", "--which", "b"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bstoa.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(20)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
+    assert head.startswith(b"6.5555555555555")

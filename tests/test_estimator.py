@@ -367,6 +367,31 @@ def _laid_out_sums(draw):
     return np.ascontiguousarray(base), axis
 
 
+def _slice_loop(x, axis):
+    """The summed axis's slices added in order, the first plus 0.0."""
+    lead = (slice(None),) * axis
+    total = x[(*lead, 0)] + 0.0
+    for i in range(1, x.shape[axis]):
+        total += x[(*lead, i)]
+    return total
+
+
+@pytest.mark.parametrize("count", range(1, 51))
+def test_lone_scene_sum_is_the_slice_loop(count):
+    """With one scene on the last axis ``_sum_in_order`` accumulates; it is
+    bit-equal to the slice loop on (k, 1) and (q, k, 1) arrays whose values
+    span 40 decades with both signs and signed zeros, and an all -0.0
+    input sums to +0.0."""
+    rng = np.random.default_rng(count)
+    for shape, axis in (((count, 1), 0), ((3, count, 1), 1)):
+        for _ in range(20):
+            x = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 21, shape)
+            x[rng.random(shape) < 0.1] = -0.0
+            assert _sum_in_order(x, axis).tobytes() == _slice_loop(x, axis).tobytes()
+        zeros = _sum_in_order(np.full(shape, -0.0), axis)
+        assert not np.signbit(zeros).any() and not zeros.any()
+
+
 @settings(derandomize=True, database=None, max_examples=400)
 @given(_laid_out_sums())
 def test_sum_in_order_is_the_slice_loop_in_every_layout(case):

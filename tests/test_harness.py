@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import Future
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +36,10 @@ from bstoa.harness import (
     SweepConfig,
     _chunk_span,
     _execute,
-    _noise_plane,
     _refined_squares,
+    _run_chunks,
     _run_noise_chunk,
+    _serve_sweep,
     _simulate_chunk,
     parse_config,
     run_sweep,
@@ -268,19 +270,24 @@ def _point_chunks(cfg):
     return [(p, k, p * chunks + k) for p in range(len(cfg.grid_points)) for k in range(chunks)]
 
 
-def _reference_errors(cfg, point, chunk):
-    """The LS errors of chunk ``chunk`` of grid point ``point`` by stream
-    contract v6, one trial at a time: the chunk holds trials ``chunk *
-    CHUNK_TRIALS`` onwards and draws from stream ``point * chunks + chunk``;
-    an mse or crlb chunk draws one (m, n, trials) plane z of standard
-    normals in C order from the SFC64 stream ``noise_rng``, and trial i's
-    LS error is (sigma / sqrt(L)) z[..., i]."""
-    sigma, pilot_len = cfg.grid_points[point]
+def _reference_plane(cfg, point, chunk):
+    """The noise plane of chunk ``chunk`` of grid point ``point`` of an mse
+    or crlb sweep by stream contract v6, in one call: the chunk holds trials
+    ``chunk * CHUNK_TRIALS`` onwards and draws one (m, n, trials) plane z of
+    standard normals in C order from the SFC64 stream ``noise_rng`` of
+    ``point * chunks + chunk``."""
     count = min(CHUNK_TRIALS, cfg.trials - chunk * CHUNK_TRIALS)
     chunks = math.ceil(cfg.trials / CHUNK_TRIALS)
-    rng = noise_rng(cfg.master_seed, point * chunks + chunk)
-    z = rng.standard_normal((cfg.m, cfg.n, count))
-    return [(sigma / math.sqrt(pilot_len)) * z[..., i] for i in range(count)]
+    return noise_rng(cfg.master_seed, point * chunks + chunk).standard_normal((cfg.m, cfg.n, count))
+
+
+def _reference_errors(cfg, point, chunk):
+    """The LS errors of chunk ``chunk`` of grid point ``point``, one trial
+    at a time: trial i's LS error is (sigma / sqrt(L)) z[..., i] for the
+    chunk's plane z."""
+    sigma, pilot_len = cfg.grid_points[point]
+    z = _reference_plane(cfg, point, chunk)
+    return [(sigma / math.sqrt(pilot_len)) * z[..., i] for i in range(z.shape[-1])]
 
 
 def test_stream_contract_is_6():
@@ -325,7 +332,8 @@ def test_chunk_ls_noise_is_the_pilot_mean_distribution(pilot_len):
     c = cfg.pilot_lengths.index(pilot_len)
     txs, rxs, tags, t_hats, _ = _simulate_chunk(cfg, c)
     truths = true_delays_batch(txs, rxs, tags)
-    drawn = _noise_plane(cfg, c, CHUNK_TRIALS) * (1e-9 / math.sqrt(pilot_len))
+    drawn = noise_rng(cfg.master_seed, c).standard_normal((16, 16, CHUNK_TRIALS))
+    drawn *= 1e-9 / math.sqrt(pilot_len)
     for err in (t_hats - truths, drawn):
         z = (err * (math.sqrt(pilot_len) / 1e-9)).ravel()
         assert z.size >= 100_000
@@ -371,6 +379,37 @@ def test_squares_from_the_partial_are_the_refined_squares(kind, m, n):
         got = _refined_squares(cfg.topology, _run_noise_chunk(cfg, c)["rowcol"])
         assert got.shape == (m, n)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize(
+    "kind, m, n",
+    [
+        (Kind.BISTATIC, 4, 3), (Kind.BISTATIC, 1, 5), (Kind.BISTATIC, 5, 1),
+        (Kind.BISTATIC, 24, 24), (Kind.BISTATIC, 25, 7), (Kind.BISTATIC, 96, 96),
+        (Kind.MONOSTATIC, 1, 1), (Kind.MONOSTATIC, 6, 6),
+    ],
+)
+def test_blocked_chunk_is_bitwise_the_whole_plane(kind, m, n):
+    """A chunk draws its plane a block of rows at a time and folds each
+    block as it goes; its ``sq_ls`` and ``rowcol`` are bit-equal to the same
+    reductions of the chunk's plane drawn in one call, on a full and a
+    partial chunk: 25x7 splits into blocks of 9, 9 and 7 rows (24 and 1 on
+    the partial chunk), 96x96 into one row per block, and the other planes
+    fit in one block.  crlb chunks keep the same ``rowcol``."""
+    cfg = _cfg(kind=kind, m=m, n=n, pilot_lengths=(8,), sigma_grid=(3e-9,), trials=700)
+    scale = 3e-9**2 / 8
+    for point, chunk, c in _point_chunks(cfg):
+        z = _reference_plane(cfg, point, chunk)
+        rows = z.mean(axis=1)
+        cols = z.mean(axis=0)
+        cols -= rows.mean(axis=0)
+        coords = np.concatenate((rows, cols)) if kind is Kind.BISTATIC else rows + cols
+        partial = _run_noise_chunk(cfg, c)
+        assert np.array_equal(partial["rowcol"], (coords @ coords.T) * scale)
+        assert np.array_equal(partial["sq_ls"], np.einsum("ijt,ijt->ij", z, z) * scale)
+        crlb = _run_noise_chunk(replace(cfg, experiment=ExperimentKind.CRLB), c)
+        assert crlb.keys() == {"rowcol"}
+        assert np.array_equal(crlb["rowcol"], partial["rowcol"])
 
 
 def test_mse_and_crlb_sweeps_never_refine(monkeypatch):
@@ -646,6 +685,22 @@ def test_chunk_memory_stays_near_its_output():
     assert peak - retained <= 2**20
 
 
+@pytest.mark.parametrize("m, bound", [(24, 2**20), (96, 4 * 2**20)])
+def test_noise_chunk_memory_does_not_hold_the_plane(m, bound):
+    """A 512-trial m x m mse chunk never holds its (m, m, trials) plane: it
+    peaks below 1 MB at 24x24 (the plane is 2.4 MB) and below 4 MB at 96x96
+    (the plane is 37.7 MB)."""
+    cfg = _cfg(m=m, n=m, pilot_lengths=(8,), sigma_grid=(1e-9,), trials=CHUNK_TRIALS)
+    _run_noise_chunk(cfg, 0)
+    tracemalloc.start()
+    try:
+        _run_noise_chunk(cfg, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
 def test_sweep_determinism_same_config():
     cfg = _cfg(trials=300)
     assert run_sweep(cfg, workers=1).to_csv() == run_sweep(cfg, workers=1).to_csv()
@@ -717,10 +772,11 @@ def test_pool_is_capped_at_the_task_count(monkeypatch):
 
 @pytest.mark.parametrize("break_even", [0.0, math.inf], ids=["pool", "in-process"])
 def test_csv_does_not_depend_on_the_pool_gate(monkeypatch, break_even):
-    """mse, crlb and localization sweeps of six chunks give the same CSV at
-    workers 2 and None as at workers=1, whether the gate opens a pool for
-    every one of them (break-even 0) or for none (break-even inf).  No
-    pool starts more processes than the host has CPUs."""
+    """mse, crlb and localization sweeps of six chunks, bistatic 4x3 and
+    monostatic 6, give the same CSV at workers 2 and None as at workers=1,
+    whether the gate opens a pool for every one of them (break-even 0) or
+    for none (break-even inf).  No pool starts more processes than the
+    host has CPUs."""
     import concurrent.futures
 
     cpus = os.cpu_count() or 1
@@ -736,14 +792,33 @@ def test_csv_does_not_depend_on_the_pool_gate(monkeypatch, break_even):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(harness, "_POOL_BREAK_EVEN_S", break_even)
     worker_counts = (min(2, cpus), None)
+    shapes = ((Kind.BISTATIC, 4, 3), (Kind.MONOSTATIC, 6, 6))
     for experiment in ExperimentKind:
-        cfg = _cfg(experiment=experiment, m=4, n=3, trials=1100)
-        assert len(_point_chunks(cfg)) == 6
-        want = run_sweep(cfg, workers=1).to_csv()
-        for workers in worker_counts:
-            assert run_sweep(cfg, workers=workers).to_csv() == want, (experiment, workers)
-    pooled = 2 * len(ExperimentKind) if break_even == 0.0 and cpus > 1 else 0
+        for kind, m, n in shapes:
+            cfg = _cfg(experiment=experiment, kind=kind, m=m, n=n, trials=1100)
+            assert len(_point_chunks(cfg)) == 6
+            want = run_sweep(cfg, workers=1).to_csv()
+            for workers in worker_counts:
+                csv = run_sweep(cfg, workers=workers).to_csv()
+                assert csv == want, (experiment, kind, workers)
+    pooled = 2 * len(shapes) * len(ExperimentKind) if break_even == 0.0 and cpus > 1 else 0
     assert len(opened) == pooled
+
+
+def test_pool_runs_return_stacked_partials(monkeypatch):
+    """A pool run returns its chunks' partials as one array per key, row k
+    holding chunk lo + k's value, across a grid point boundary, so a run is
+    pickled as a few arrays (the CSVs are checked by the pool gate test)."""
+    monkeypatch.setattr(harness, "_served", None)
+    for experiment in ExperimentKind:
+        cfg = _cfg(experiment=experiment, m=4, n=3, trials=600)
+        runner = harness._EXPERIMENTS[experiment][0]
+        _serve_sweep(cfg, runner)
+        stacked = _run_chunks(1, 4)
+        for c in range(1, 4):
+            for key, value in runner(cfg, c).items():
+                assert stacked[key].shape[0] == 3
+                assert np.array_equal(stacked[key][c - 1], value), (experiment, key)
 
 
 def test_sweeps_below_the_break_even_import_no_pool():
