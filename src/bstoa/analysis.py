@@ -15,6 +15,7 @@ which coincide with the corresponding Cramer-Rao bounds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,39 @@ def _check_variance(name: str, value: float) -> None:
 def _check_pilot_len(pilot_len: int) -> None:
     if pilot_len < 1:
         raise InvalidValue(f"pilot_len must be >= 1, got {pilot_len}")
+
+
+def check_sigma(
+    sigma: float, pilot_lengths: tuple[int, ...], max_variance: float = sys.float_info.max
+) -> None:
+    """Accept a noise standard deviation ``sigma`` (seconds) only where its
+    estimate-level variance ``sigma^2 / L`` is a positive normal float no
+    larger than ``max_variance`` for every pilot length L, and ``sigma^2``
+    is finite.
+
+    Below that range ``sigma^2 / L`` underflows, and every MSE, bound and
+    ratio built on it reads 0 or divides by it; above it the caller's sums
+    would overflow.  ``sigma * sigma`` is taken, not ``sigma**2``, so an
+    overflow is a comparison with inf rather than an ``OverflowError``.
+
+    Raises:
+        InvalidValue: for a pilot length below 1, or a sigma outside the
+            range, which the message names.
+    """
+    for length in pilot_lengths:
+        _check_pilot_len(length)
+    tiny = sys.float_info.min
+    if all(tiny <= sigma * sigma / length <= max_variance for length in pilot_lengths):
+        return
+    low = math.sqrt(tiny * max(pilot_lengths))
+    high = min(
+        math.sqrt(max_variance) * math.sqrt(min(pilot_lengths)), math.sqrt(sys.float_info.max)
+    )
+    raise InvalidValue(
+        f"sigma must lie in [{low:.4g}, {high:.4g}] s for pilot lengths "
+        f"{tuple(pilot_lengths)}, so that sigma^2 / L is a normal float between "
+        f"{tiny:.4g} and {max_variance:.4g} s^2; got {sigma!r}"
+    )
 
 
 def theoretical_mse_iid(topo: Topology, sigma0_sq: float) -> MseReport:

@@ -21,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .analysis import crlb_bistatic, crlb_monostatic
+from .analysis import check_sigma, crlb_bistatic, crlb_monostatic
 from .channel import Scene
 from .errors import BstoaError, NonFiniteInput, SingularGeometry
 from .estimator import ls_estimate, refine_estimate
@@ -80,8 +80,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 def _cmd_crlb(args: argparse.Namespace) -> int:
     topo = _topology_from_args(args)
-    # Multiplication overflows to inf, which the bound rejects; ** would
-    # raise OverflowError instead.
+    check_sigma(args.sigma, (args.pilot_len,))
     sigma_sq = args.sigma * args.sigma
     if topo.kind is Kind.MONOSTATIC:
         report = crlb_monostatic(topo, sigma_sq, args.pilot_len)

@@ -6,7 +6,7 @@ per-trial statistics are reduced into CSV rows of the fixed schema
 
     sigma,pilot_len,method,metric,value,theory,low_confidence
 
-Reproducibility contract (stream contract v6, ``STREAM_CONTRACT``): the
+Reproducibility contract (stream contract v7, ``STREAM_CONTRACT``): the
 trials of each grid point are cut into ``chunks = ceil(trials /
 CHUNK_TRIALS)`` fixed chunks, and chunk c of the sweep, counted
 point-major, draws from stream c of the master seed.  So chunk c holds
@@ -14,24 +14,32 @@ trials ``(c % chunks) * CHUNK_TRIALS`` onwards of grid point ``c //
 chunks``, and that index is the only handle a sweep passes around.  The
 LS estimate of a delay is the mean of L iid N(t, sigma^2) pilots, which
 is exactly N(t, sigma^2 / L), so a chunk draws that mean's noise directly
-instead of its L pilots, as one ``(m, n, trials)`` plane z of standard
-normals in C order.
+instead of its L pilots: the LS error is ``(sigma / sqrt(L)) z`` for an
+``(m, n, trials)`` plane z of standard normals.
 
 * A localization chunk draws from the Philox stream of
   ``channel.stream_rng``: first the unit coordinates of all its scenes,
-  one row per trial, then z, and its LS estimates are the true delays
-  plus ``(sigma / sqrt(L)) z``.
-* An mse or crlb chunk draws only z, from the SFC64 stream of
-  ``channel.noise_rng``.  Both estimators are linear and every true delay
-  matrix lies in the outer-sum subspace, which the projection leaves
-  fixed, so the refined error is exactly the projection of the LS error
-  ``(sigma / sqrt(L)) z``; the scene would add only rounding.  It draws z
-  in blocks of rows into one buffer of at most ``_BLOCK_BYTES`` (one row
-  where a row is larger) and folds each block into its sums before the
-  next: the stream gives the same values in the same order, and the column
-  sum adds the rows in the order a whole-plane reduction does, so the
-  bytes are those of one ``(m, n, trials)`` plane, and the chunk holds
-  O((m + n) trials) values, not m n trials.
+  one row per trial, then z in C order, and its LS estimates are the true
+  delays plus ``(sigma / sqrt(L)) z``.
+* An mse or crlb chunk draws from the SFC64 stream of
+  ``channel.noise_rng`` and no scene.  Both estimators are linear and
+  every true delay matrix lies in the outer-sum subspace, which the
+  projection leaves fixed, so the refined error is exactly the projection
+  of the LS error; the scene would add only rounding.  Its rows read only
+  the refined error's row/column coordinates and the LS errors' squares.
+  A monostatic chunk draws z in C order, a block of rows at a time, and
+  folds each block before the next, with the bytes of a whole-plane draw.
+  A bistatic chunk reads only the LS errors' total energy, so it draws
+  the statistics of z instead of z.  The two-way additive fit splits each
+  trial's plane into grand mean g, row effects alpha, column effects beta
+  and a doubly centred rest Qz, orthogonal projections of z, so
+
+      |z|^2 = m n g^2 + n |alpha|^2 + m |beta|^2 + |Qz|^2
+
+  has independent Gaussian parts (Cochran's theorem), and the chunk draws
+  the row means ``g + alpha``, beta and the chi-square ``|Qz|^2`` summed
+  over its trials (``_run_noise_chunk``).  It holds O((m + n) trials)
+  values and draws m + n normals a trial, not m n.
 
 A grid point's partials, chunks ``point * chunks`` to ``(point + 1) *
 chunks - 1``, are added in chunk order, so output bytes do not depend on
@@ -56,6 +64,12 @@ outer products, an (m + n) x (m + n) partial (m x m for monostatic), and
 the rows read the refined squares and the CRLB check from it (see
 ``_refined_squares`` and ``_crlb_rows``).
 
+``SweepConfig`` accepts a sigma only where ``sigma^2 / L`` is a positive
+normal float for every pilot length L and the sweep's sums stay finite
+with ``_HEADROOM_SDS`` standard deviations of room (``analysis.check_sigma``
+names the range), so no row is computed from an underflowed variance or an
+overflowed sum.
+
 Config files are flat ``key = value`` text; lists are comma-separated.
 Recognized keys are the SweepConfig fields: ``experiment`` (mse,
 localization, crlb), ``kind`` (bistatic, monostatic), ``m``, ``n``,
@@ -68,6 +82,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -77,7 +92,8 @@ from typing import Callable
 import numpy as np
 
 from . import analysis
-from .channel import noise_rng, stream_rng, true_delays_batch
+from .analysis import check_sigma
+from .channel import SPEED_OF_LIGHT, noise_rng, stream_rng, true_delays_batch
 from .errors import ConfigInvalid, InvalidValue, UnderDetermined
 from .estimator import refine_estimate
 from .localization import localize_bistatic_batch, localize_monostatic_batch
@@ -85,7 +101,7 @@ from .topology import Kind, Topology
 
 CHUNK_TRIALS = 512
 # Bumped whenever the draws behind a sweep's CSV change (module docstring).
-STREAM_CONTRACT = 6
+STREAM_CONTRACT = 7
 LOW_CONFIDENCE_TRIALS = 1000
 # Work left after the timed chunk (its seconds times the chunks left) above
 # which a sweep with more than one worker opens a process pool.  On a 2-core
@@ -96,9 +112,13 @@ _POOL_BREAK_EVEN_S = 0.1
 # Contiguous runs of chunks per pool worker: a few per worker even out
 # unequal runs, and each run is one task, so few runs keep the IPC small.
 _RUNS_PER_WORKER = 4
-# Bytes of the buffer an mse or crlb chunk draws its noise plane into, a
-# block of rows at a time (``_run_noise_chunk``): small enough to stay in L2.
+# Bytes of the buffer a monostatic mse or crlb chunk draws its noise plane
+# into, a block of rows at a time (``_run_noise_chunk``): small enough to
+# stay in L2.
 _BLOCK_BYTES = 2**18
+# Standard deviations of noise a sweep's sums leave room for (SweepConfig's
+# sigma range); a standard normal draw lies beyond 40 with odds below 1e-348.
+_HEADROOM_SDS = 40.0
 
 # 3 cm to 3 m ranging error at the speed of light; a declared, overridable
 # default since no canonical grid exists.
@@ -150,6 +170,20 @@ class SweepConfig:
             raise ConfigInvalid(f"sigma grid values must be finite and > 0, got {self.sigma_grid}")
         if any(b <= a for a, b in zip(self.sigma_grid, self.sigma_grid[1:])):
             raise ConfigInvalid("sigma grid must be strictly ascending")
+        if self.experiment is ExperimentKind.LOCALIZATION:
+            # _HEADROOM_SDS deviations of range noise, c sigma / sqrt(L), stay
+            # below 2^128 m, whose 8th power the bistatic rank tests form.
+            limit = (2.0**128 / (_HEADROOM_SDS * SPEED_OF_LIGHT)) ** 2
+        else:
+            # The largest sum a sweep forms, the LS energy over all its
+            # trials and entries or a refined square's four terms, stays
+            # finite with every value _HEADROOM_SDS deviations out.
+            limit = sys.float_info.max / (4.0 * _HEADROOM_SDS**2 * self.trials * self.topology.mn)
+        try:
+            for sigma in self.sigma_grid:
+                check_sigma(sigma, self.pilot_lengths, limit)
+        except InvalidValue as exc:
+            raise ConfigInvalid(f"{self.experiment.value} sweep: {exc}") from exc
 
     @property
     def topology(self) -> Topology:
@@ -385,36 +419,76 @@ def _ls_estimates(
 def _run_noise_chunk(cfg: SweepConfig, c: int) -> dict:
     """The mse and crlb partial of chunk c: ``rowcol``, the sum over trials
     of ``c c^T`` for the refined error's row/column coordinates c, and for
-    mse also ``sq_ls``, the per-entry sum of squared LS errors.
+    mse also ``sq_ls``, the LS errors' sum of squares: per entry, ``(m,
+    n)``, for monostatic; for bistatic the mean over entries, the one
+    number its mse row reads.  Both are drawn at unit variance and scaled
+    by ``sigma^2 / L``.
 
     The refined error is the projection of the LS error (see the module
     docstring), an outer sum that keeps the LS error's row and column
     means.  For bistatic, ``c = [row means; column means - grand mean]``
     (m + n values, refined entry ``c_i + c_{m+j}``); for monostatic the
     symmetrized entry is ``(c_i + c_j) / 2`` with ``c = row means +
-    column means - grand mean`` (m values).  Both sums are taken over the
-    unscaled plane z and scaled by ``sigma^2 / L`` once.
+    column means - grand mean`` (m values).
 
-    z, ``(m, n, T)`` standard normals in C order from ``noise_rng(
-    master_seed, c)``, is drawn a block of rows at a time into one reused
-    buffer of at most ``_BLOCK_BYTES`` (one row where a row is larger), so
-    besides its ``(m, T)`` row sums and ``(n, T)`` column sum the chunk
-    holds one block, not the plane: 0.6 MB at 24x24 and 2.3 MB at 96x96
-    against 2.4 and 37.7 MB for a 512-trial plane.  Successive draws
-    continue the stream, so the blocks hold the values of one ``(m, n,
-    T)`` call, and a plane that fits in one block is drawn whole.  Each
-    block is folded while it is in cache (``_fold_rows``), and every sum
-    has the bits of the same reduction over the whole plane.
+    A bistatic chunk draws these statistics, not the noise plane z they
+    come from.  Split an iid N(0, 1) ``(m, n)`` plane z by the two-way
+    additive fit into its grand mean g, row effects alpha, column effects
+    beta and the doubly centred rest Qz:
+
+        |z|^2 = m n g^2 + n |alpha|^2 + m |beta|^2 + |Qz|^2.
+
+    The four parts are projections of z onto orthogonal subspaces of
+    dimension 1, m - 1, n - 1 and (m - 1)(n - 1), so they are independent
+    and each is a standard normal vector in its subspace (Cochran's
+    theorem).  The row means ``r = g + alpha`` are then iid N(0, 1 / n);
+    beta has the law of m iid N(0, 1 / m) values less their mean,
+    independent of r; and ``|Qz|^2`` is chi-square with (m - 1)(n - 1)
+    degrees of freedom, independent of both.  A row reads Qz only through
+    the LS energy ``|z|^2 = n |r|^2 + m |beta|^2 + |Qz|^2``.  So from ``noise_rng(master_seed, c)`` the chunk draws one
+    ``(m + n, T)`` standard normal array, whose first m rows over
+    ``sqrt(n)`` are r and whose last n rows over ``sqrt(m)``, less their
+    per-trial mean, are beta, and for mse then one ``2 standard_gamma(T (m
+    - 1)(n - 1) / 2)``, the chunk's total ``|Qz|^2`` (0 when m or n is 1).
+    It holds O((m + n) T) values and draws m + n normals a trial, not m n.
+
+    A monostatic row also reads the LS diagonal, which these statistics do
+    not carry, so a monostatic chunk draws z itself, ``(m, m, T)`` standard
+    normals in C order, a block of rows at a time into one reused buffer of
+    at most ``_BLOCK_BYTES`` (one row where a row is larger).  Besides its
+    ``(m, T)`` row sums and column sum it holds one block, not the plane,
+    so a 512-trial chunk peaks at 1.7 MiB at 96x96, against 36 MiB for
+    its plane.  Successive draws continue the stream, so the blocks hold
+    the values of one ``(m, m, T)`` call, and each is folded while it is
+    in cache (``_fold_rows``), so every sum has the bits of the same
+    reduction over the whole plane.
     """
     point, start, stop = _chunk_span(cfg, c)
     sigma, pilot_len = cfg.grid_points[point]
     m, n, count = cfg.m, cfg.n, stop - start
     rng = noise_rng(cfg.master_seed, c)
+    mse = cfg.experiment is ExperimentKind.MSE
+    scale = sigma**2 / pilot_len
+    if cfg.kind is Kind.BISTATIC:
+        coords = rng.standard_normal((m + n, count))
+        coords[:m] /= math.sqrt(n)
+        beta = coords[m:]
+        beta /= math.sqrt(m)
+        beta -= np.add.reduce(beta, axis=0) / n
+        rowcol = coords @ coords.T
+        partial = {"rowcol": rowcol}
+        if mse:
+            diag = np.diagonal(rowcol)
+            energy = n * diag[:m].sum() + m * diag[m:].sum()
+            energy += 2.0 * rng.standard_gamma(count * (m - 1) * (n - 1) / 2)
+            partial["sq_ls"] = energy * (scale / (m * n))
+        rowcol *= scale
+        return partial
     step = min(m, max(1, _BLOCK_BYTES // (8 * n * count)))
     block = np.empty((step, n, count))
     rows = np.empty((m, count))
     cols = np.empty((n, count))
-    squares = np.empty((m, n)) if cfg.experiment is ExperimentKind.MSE else None
+    squares = np.empty((m, n)) if mse else None
     for lo in range(0, m, step):
         z = block[: m - lo]
         rng.standard_normal(out=z)
@@ -423,8 +497,7 @@ def _run_noise_chunk(cfg: SweepConfig, c: int) -> dict:
     cols /= m
     # The grand mean as rows.mean(axis=0) computes it, without its overhead.
     cols -= np.add.reduce(rows, axis=0) / m
-    coords = np.concatenate((rows, cols)) if cfg.kind is Kind.BISTATIC else rows + cols
-    scale = sigma**2 / pilot_len
+    coords = rows + cols
     partial = {"rowcol": (coords @ coords.T) * scale}
     if squares is not None:
         squares *= scale
@@ -557,10 +630,10 @@ def _crlb_rows(cfg: SweepConfig, sigma: float, pilot_len: int, sums: dict):
         ginv = np.zeros((m + n, m + n))
         ginv[:m, :m] = np.eye(m) / n
         ginv[m:, m:] = (np.eye(n) - 1.0 / n) / m
-        scale = sigma**2 / pilot_len
-        dg = (sums["rowcol"] / cfg.trials - scale * ginv) @ gram
+        # D / s, so that no s^2 is formed, which underflows for small sigma.
+        dg = (sums["rowcol"] / (cfg.trials * (sigma**2 / pilot_len)) - ginv) @ gram
         rel = math.sqrt(max(float(np.einsum("ij,ji->", dg, dg)), 0.0))
-        value = rel / (scale * math.sqrt(m + n - 1))
+        value = rel / math.sqrt(m + n - 1)
         yield "proposed", "cov_frob_rel_err", value, math.sqrt((m + n) / cfg.trials)
         return
     bounds = analysis.crlb_monostatic(topo, sigma**2, pilot_len).subchannel_bounds

@@ -1,9 +1,14 @@
 """Closed-form MSE and bound tests, with numeric oracles."""
 
+import math
+import re
+import sys
+
 import numpy as np
 import pytest
 
 from bstoa.analysis import (
+    check_sigma,
     crlb_bistatic,
     crlb_monostatic,
     theoretical_mse_iid,
@@ -112,6 +117,40 @@ def test_bad_scalar_arguments_raise_package_error(call):
     with pytest.raises(BstoaError) as info:
         call()
     assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "sigma, lengths, limit, ok",
+    [
+        (2e-154, (1,), sys.float_info.max, True),
+        (1e-154, (1,), sys.float_info.max, False),  # 1e-308 is subnormal
+        (2e-154, (1, 8), sys.float_info.max, False),  # 5e-309 at L = 8
+        (1e154, (1,), sys.float_info.max, True),
+        (2e154, (1,), sys.float_info.max, False),  # 4e308 overflows
+        (2e154, (8,), sys.float_info.max, False),  # sigma^2 overflows
+        (1e-9, (2,), 1e-18, True),
+        (1e-9, (1, 4), 6e-19, False),  # 1e-18 at L = 1
+        (math.nan, (1,), sys.float_info.max, False),
+        (math.inf, (1,), sys.float_info.max, False),
+    ],
+)
+def test_check_sigma_takes_positive_normal_variances(sigma, lengths, limit, ok):
+    """sigma passes when sigma^2 / L is a normal float at most ``limit``
+    for every pilot length L; otherwise the message names the range."""
+    if ok:
+        check_sigma(sigma, lengths, limit)
+        return
+    low = math.sqrt(sys.float_info.min * max(lengths))
+    high = min(math.sqrt(limit * min(lengths)), math.sqrt(sys.float_info.max))
+    message = re.escape(f"sigma must lie in [{low:.4g}, {high:.4g}] s")
+    with pytest.raises(InvalidValue, match=message):
+        check_sigma(sigma, lengths, limit)
+
+
+@pytest.mark.parametrize("lengths", [(0,), (2, -1)])
+def test_check_sigma_rejects_pilot_lengths_below_one(lengths):
+    with pytest.raises(InvalidValue, match="pilot_len must be >= 1"):
+        check_sigma(1e-9, lengths)
 
 
 def test_crlb_bistatic_2x2_is_projector():

@@ -345,6 +345,42 @@ def test_sweep_cli_non_finite_config_exit_code(tmp_path, capsys, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        "experiment = mse\nkind = bistatic\nm = 4\nn = 3\nsigma_grid = 1e200\n",
+        "experiment = crlb\nkind = bistatic\nm = 4\nn = 3\nsigma_grid = 1e-320\n",
+        "experiment = mse\nkind = bistatic\nm = 4\nn = 3\nsigma_grid = 1e-170\n",
+        "experiment = localization\nkind = bistatic\nm = 4\nn = 3\nsigma_grid = 1e300\n",
+        "experiment = localization\nkind = monostatic\nm = 6\nsigma_grid = 1e300\n",
+    ],
+    ids=["mse-overflow", "crlb-underflow", "mse-underflow", "loc-bistatic", "loc-monostatic"],
+)
+def test_sweep_cli_sigma_out_of_range_exit_code(tmp_path, capsys, body):
+    """A sigma outside the float range of its sweep exits 2 and names the
+    range, with no CSV written: no traceback, no rows of 0, inf or nan."""
+    config = tmp_path / "sigma.cfg"
+    config.write_text(body + "trials = 64\npilot_lengths = 2\n")
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(capsys, "sweep", "--config", str(config), "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: ") and "sigma must lie in [" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "topology", [["bi", "--m", "3", "--n", "2"], ["mono", "--m", "3"]], ids=["bi", "mono"]
+)
+@pytest.mark.parametrize("sigma", ["1e-200", "1e-320", "2e154"])
+def test_crlb_sigma_out_of_range_exit_code(capsys, topology, sigma):
+    """``crlb --sigma`` takes the sweep's rule: a sigma whose sigma^2 / L
+    underflows (it used to print an all-zero bound) or overflows exits 2."""
+    code, out, err = run_cli(capsys, "crlb", "--topology", *topology, "--sigma", sigma)
+    assert code == 2
+    assert out == ""
+    assert "sigma must lie in [" in err
+
+
 def test_sweep_cli_under_determined_localization_exit_code(tmp_path, capsys):
     """A bistatic 2x2 matrix holds 3 independent range sums: too few."""
     config = tmp_path / "loc.cfg"

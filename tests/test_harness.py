@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bstoa
 from bstoa import harness
@@ -166,6 +168,63 @@ def test_config_rejects_unknown_experiment_or_kind(overrides):
         _cfg(**overrides)
 
 
+@pytest.mark.parametrize(
+    "experiment, kind, m, sigma",
+    [
+        (ExperimentKind.MSE, Kind.BISTATIC, 4, 1e200),
+        (ExperimentKind.CRLB, Kind.BISTATIC, 4, 1e-320),
+        (ExperimentKind.MSE, Kind.BISTATIC, 4, 1e-170),
+        (ExperimentKind.LOCALIZATION, Kind.BISTATIC, 4, 1e300),
+        (ExperimentKind.LOCALIZATION, Kind.MONOSTATIC, 6, 1e300),
+    ],
+    ids=["mse-overflow", "crlb-underflow", "mse-underflow", "loc-bistatic", "loc-monostatic"],
+)
+def test_config_rejects_sigma_outside_the_float_range(experiment, kind, m, sigma):
+    """A sigma whose sigma^2 / L underflows or whose sweep sums would
+    overflow is a ConfigInvalid that names the accepted range.  These
+    configs used to end in an OverflowError or ZeroDivisionError, or in
+    rows of 0, 6.48 m or nan."""
+    n = m - 1 if kind is Kind.BISTATIC else m
+    with pytest.raises(ConfigInvalid, match=r"sigma must lie in \[\S+, \S+\] s"):
+        _cfg(experiment=experiment, kind=kind, m=m, n=n, sigma_grid=tuple(sorted((1e-9, sigma))))
+
+
+@pytest.mark.parametrize("experiment", list(ExperimentKind))
+def test_config_range_depends_on_the_sweep(experiment):
+    """The upper end of the range shrinks with the sweep's sums (trials
+    times entries) for mse and crlb, and is one range-noise bound for
+    localization; the lower end is sqrt(tiny L) for the largest L."""
+    def message(**overrides):
+        with pytest.raises(ConfigInvalid) as info:
+            _cfg(experiment=experiment, m=4, n=3, sigma_grid=(1e-320,), **overrides)
+        return str(info.value)
+
+    small, large = message(trials=10), message(trials=10**6)
+    low = math.sqrt(sys.float_info.min * 8)
+    assert f"[{low:.4g}, " in message(pilot_lengths=(2, 8))
+    assert (small == large) is (experiment is ExperimentKind.LOCALIZATION)
+
+
+@pytest.mark.parametrize(
+    "experiment, kind, m", [
+        (experiment, kind, m)
+        for experiment in (ExperimentKind.MSE, ExperimentKind.CRLB)
+        for kind, m in ((Kind.BISTATIC, 4), (Kind.MONOSTATIC, 6))
+    ],
+)
+@pytest.mark.parametrize("sigma", [1e-150, 1e140])
+def test_sigma_near_the_ends_of_the_range_gives_true_rows(experiment, kind, m, sigma):
+    """Just inside either end of the range, every mse and crlb row is
+    finite and within a factor of 3 of its theory (a factor of 10 for the
+    bistatic crlb statistic, whose theory is its root mean square)."""
+    n = m - 1 if kind is Kind.BISTATIC else m
+    cfg = _cfg(experiment=experiment, kind=kind, m=m, n=n, sigma_grid=(sigma,), trials=256)
+    for row in run_sweep(cfg, workers=1).rows:
+        ratio = row.value / row.theory
+        spread = 10.0 if row.metric == "cov_frob_rel_err" else 3.0
+        assert math.isfinite(row.value) and 1.0 / spread < ratio < spread, row
+
+
 @pytest.mark.parametrize("lengths", [(2, 2), (8, 2, 8), (1, 1, 1)])
 def test_config_rejects_duplicate_pilot_lengths(lengths):
     """A repeated pilot length would give two rows under one CSV key."""
@@ -270,33 +329,67 @@ def _point_chunks(cfg):
     return [(p, k, p * chunks + k) for p in range(len(cfg.grid_points)) for k in range(chunks)]
 
 
-def _reference_plane(cfg, point, chunk):
-    """The noise plane of chunk ``chunk`` of grid point ``point`` of an mse
-    or crlb sweep by stream contract v6, in one call: the chunk holds trials
-    ``chunk * CHUNK_TRIALS`` onwards and draws one (m, n, trials) plane z of
-    standard normals in C order from the SFC64 stream ``noise_rng`` of
-    ``point * chunks + chunk``."""
+def _chunk_stream(cfg, point, chunk):
+    """Trial count and ``noise_rng`` stream of chunk ``chunk`` of grid point
+    ``point`` of an mse or crlb sweep: the chunk holds trials ``chunk *
+    CHUNK_TRIALS`` onwards and draws from stream ``point * chunks +
+    chunk``."""
     count = min(CHUNK_TRIALS, cfg.trials - chunk * CHUNK_TRIALS)
     chunks = math.ceil(cfg.trials / CHUNK_TRIALS)
-    return noise_rng(cfg.master_seed, point * chunks + chunk).standard_normal((cfg.m, cfg.n, count))
+    return count, noise_rng(cfg.master_seed, point * chunks + chunk)
+
+
+def _reference_plane(cfg, point, chunk):
+    """The noise plane of a monostatic mse or crlb chunk by stream contract
+    v7, in one call: one (m, m, trials) plane z of standard normals in C
+    order from the chunk's stream."""
+    count, rng = _chunk_stream(cfg, point, chunk)
+    return rng.standard_normal((cfg.m, cfg.n, count))
+
+
+def _replayed_statistics(cfg, point, chunk):
+    """What a bistatic mse or crlb chunk draws by stream contract v7,
+    replayed from its stream: one (m + n, trials) standard normal array
+    whose first m rows over sqrt(n) are the row means r and whose last n
+    rows over sqrt(m), less their per-trial mean, are the column effects
+    beta, then the chi-square energy of the plane off the outer-sum
+    subspace, summed over the chunk (an mse chunk's last draw)."""
+    m, n = cfg.m, cfg.n
+    count, rng = _chunk_stream(cfg, point, chunk)
+    u = rng.standard_normal((m + n, count))
+    rows = u[:m] / math.sqrt(n)
+    beta = u[m:] / math.sqrt(m)
+    beta -= np.add.reduce(beta, axis=0) / n
+    return rows, beta, 2.0 * rng.standard_gamma(count * (m - 1) * (n - 1) / 2)
 
 
 def _reference_errors(cfg, point, chunk):
     """The LS errors of chunk ``chunk`` of grid point ``point``, one trial
-    at a time: trial i's LS error is (sigma / sqrt(L)) z[..., i] for the
-    chunk's plane z."""
+    at a time: trial i's LS error is (sigma / sqrt(L)) z[..., i].  For
+    monostatic z is the chunk's plane.  A bistatic chunk draws no plane, so
+    z is a plane with the chunk's statistics: ``z[i, j] = r_i + beta_j +
+    q_ij``, where q is one doubly centred matrix whose squares, over all the
+    chunk's trials, add up to its chi-square energy."""
     sigma, pilot_len = cfg.grid_points[point]
-    z = _reference_plane(cfg, point, chunk)
+    if cfg.kind is Kind.MONOSTATIC:
+        z = _reference_plane(cfg, point, chunk)
+    else:
+        rows, beta, energy = _replayed_statistics(cfg, point, chunk)
+        centred = np.outer(np.arange(cfg.m) - (cfg.m - 1) / 2, np.arange(cfg.n) - (cfg.n - 1) / 2)
+        norm = np.linalg.norm(centred)
+        q = centred * (math.sqrt(energy / rows.shape[1]) / norm) if norm else centred
+        z = rows[:, None, :] + beta[None, :, :] + q[:, :, None]
     return [(sigma / math.sqrt(pilot_len)) * z[..., i] for i in range(z.shape[-1])]
 
 
-def test_stream_contract_is_6():
-    assert STREAM_CONTRACT == bstoa.STREAM_CONTRACT == 6
+def test_stream_contract_is_7():
+    assert STREAM_CONTRACT == bstoa.STREAM_CONTRACT == 7
 
 
 def test_chunk_matches_per_trial_reference():
-    """A batched chunk reproduces a per-trial loop over the chunk's draws,
-    refined through the dense projector B: the squares read off the
+    """A batched chunk reproduces a per-trial loop over LS errors with the
+    chunk's draws, refined through the dense projector B: its ``sq_ls`` is
+    the mean over entries of the LS squares, the squares read off the
     row/column partial are the per-trial refined squares, and the partial,
     mapped back through K, is the sum of the per-trial error outer
     products."""
@@ -313,7 +406,7 @@ def test_chunk_matches_per_trial_reference():
         cov += np.outer(err_ref, err_ref)
     partial = _run_noise_chunk(cfg, 1)
     sq_proposed = _refined_squares(topo, partial["rowcol"])
-    assert np.abs(partial["sq_ls"] - sq_ls).max() <= 1e-12 * sq_ls.max()
+    assert abs(partial["sq_ls"] - sq_ls.mean()) <= 1e-12 * sq_ls.mean()
     assert np.abs(sq_proposed - sq_ref).max() <= 1e-12 * sq_ref.max()
     k = _outer_sum_basis(topo.m, topo.n)
     rebuilt = k @ partial["rowcol"] @ k.T
@@ -325,9 +418,9 @@ def test_chunk_ls_noise_is_the_pilot_mean_distribution(pilot_len):
     """The mean of L iid N(t, sigma^2) pilots is N(t, sigma^2 / L): over
     the 131072 values of a 16x16 chunk, err sqrt(L) / sigma has mean 0 and
     variance 1 within 5 standard errors, both for a localization chunk's
-    t_hat - truth and for the errors an mse chunk draws, its plane scaled
-    by sigma / sqrt(L).  Each pilot length is its own grid point, so each
-    draws from its own stream."""
+    t_hat - truth and for the errors a monostatic mse chunk draws, its
+    plane scaled by sigma / sqrt(L).  Each pilot length is its own grid
+    point, so each draws from its own stream."""
     cfg = _cfg(m=16, n=16, pilot_lengths=(1, 2, 8), sigma_grid=(1e-9,), trials=CHUNK_TRIALS)
     c = cfg.pilot_lengths.index(pilot_len)
     txs, rxs, tags, t_hats, _ = _simulate_chunk(cfg, c)
@@ -370,8 +463,9 @@ def test_refined_error_is_the_projected_ls_error(kind, m, n):
 )
 def test_squares_from_the_partial_are_the_refined_squares(kind, m, n):
     """The per-entry refined squares read off a chunk's row/column partial
-    equal the squares of ``refine_estimate`` on the chunk's LS errors
-    within 1e-12 relative, on a full and a partial chunk."""
+    equal the squares of ``refine_estimate`` on the chunk's LS errors (for
+    bistatic, a plane with the chunk's draws) within 1e-12 relative, on a
+    full and a partial chunk."""
     cfg = _cfg(kind=kind, m=m, n=n, pilot_lengths=(2,), sigma_grid=(3e-9,), trials=700)
     for point, chunk, c in _point_chunks(cfg):
         err = np.stack(_reference_errors(cfg, point, chunk))
@@ -390,26 +484,150 @@ def test_squares_from_the_partial_are_the_refined_squares(kind, m, n):
     ],
 )
 def test_blocked_chunk_is_bitwise_the_whole_plane(kind, m, n):
-    """A chunk draws its plane a block of rows at a time and folds each
-    block as it goes; its ``sq_ls`` and ``rowcol`` are bit-equal to the same
-    reductions of the chunk's plane drawn in one call, on a full and a
-    partial chunk: 25x7 splits into blocks of 9, 9 and 7 rows (24 and 1 on
-    the partial chunk), 96x96 into one row per block, and the other planes
-    fit in one block.  crlb chunks keep the same ``rowcol``."""
+    """A chunk's ``sq_ls`` and ``rowcol`` are bit-equal to the same
+    reductions of a replay of its stream, on a full and a partial chunk.
+    A bistatic chunk replays as its (m + n, trials) normals, then its
+    chi-square; its rowcol is ``c c^T`` for ``c = [r; beta]`` and its
+    ``sq_ls`` the LS energy ``n |r|^2 + m |beta|^2 + chi2`` over m n.  A
+    monostatic chunk draws its plane a block of rows at a time and folds
+    each block as it goes, with the bits of the plane drawn in one call.
+    crlb chunks keep the same ``rowcol``."""
     cfg = _cfg(kind=kind, m=m, n=n, pilot_lengths=(8,), sigma_grid=(3e-9,), trials=700)
     scale = 3e-9**2 / 8
     for point, chunk, c in _point_chunks(cfg):
-        z = _reference_plane(cfg, point, chunk)
-        rows = z.mean(axis=1)
-        cols = z.mean(axis=0)
-        cols -= rows.mean(axis=0)
-        coords = np.concatenate((rows, cols)) if kind is Kind.BISTATIC else rows + cols
+        if kind is Kind.BISTATIC:
+            rows, beta, chi2 = _replayed_statistics(cfg, point, chunk)
+            coords = np.concatenate((rows, beta))
+            gram = coords @ coords.T
+            diag = np.diagonal(gram)
+            energy = n * diag[:m].sum() + m * diag[m:].sum() + chi2
+            sq_ls = energy * (scale / (m * n))
+        else:
+            z = _reference_plane(cfg, point, chunk)
+            rows = z.mean(axis=1)
+            cols = z.mean(axis=0)
+            cols -= rows.mean(axis=0)
+            coords = rows + cols
+            sq_ls = np.einsum("ijt,ijt->ij", z, z) * scale
         partial = _run_noise_chunk(cfg, c)
         assert np.array_equal(partial["rowcol"], (coords @ coords.T) * scale)
-        assert np.array_equal(partial["sq_ls"], np.einsum("ijt,ijt->ij", z, z) * scale)
+        assert np.array_equal(partial["sq_ls"], sq_ls)
         crlb = _run_noise_chunk(replace(cfg, experiment=ExperimentKind.CRLB), c)
         assert crlb.keys() == {"rowcol"}
         assert np.array_equal(crlb["rowcol"], partial["rowcol"])
+
+
+class _RecordingStream:
+    """A ``noise_rng`` generator that logs the shape of every normal draw
+    and the shape parameter of every gamma draw before making it."""
+
+    def __init__(self, rng, log):
+        self._rng, self._log = rng, log
+
+    def standard_normal(self, *args, **kwargs):
+        self._log.append(("normal", kwargs["out"].shape if "out" in kwargs else args[0]))
+        return self._rng.standard_normal(*args, **kwargs)
+
+    def standard_gamma(self, shape):
+        self._log.append(("gamma", shape))
+        return self._rng.standard_gamma(shape)
+
+
+@pytest.mark.parametrize("m, n", [(4, 3), (24, 24), (1, 5)])
+def test_bistatic_chunk_draws_m_plus_n_normals_a_trial(monkeypatch, m, n):
+    """A bistatic mse chunk makes one (m + n, trials) normal draw and one
+    gamma draw of shape trials (m - 1)(n - 1) / 2, and a crlb chunk only
+    the normal draw: no draw has m n trials values.  A monostatic chunk
+    still draws its (m, m, trials) plane, in blocks of rows."""
+    log = []
+    monkeypatch.setattr(
+        harness, "noise_rng", lambda *key: _RecordingStream(noise_rng(*key), log)
+    )
+    for experiment in (ExperimentKind.MSE, ExperimentKind.CRLB):
+        cfg = _cfg(experiment=experiment, m=m, n=n, trials=700)
+        for c, count in enumerate((CHUNK_TRIALS, 700 - CHUNK_TRIALS)):
+            log.clear()
+            _run_noise_chunk(cfg, c)
+            want = [("normal", (m + n, count))]
+            if experiment is ExperimentKind.MSE:
+                want.append(("gamma", count * (m - 1) * (n - 1) / 2))
+            assert log == want
+    log.clear()
+    _run_noise_chunk(_cfg(kind=Kind.MONOSTATIC, m=6, n=6, trials=700), 0)
+    assert sum(math.prod(shape) for _, shape in log) == 6 * 6 * CHUNK_TRIALS
+
+
+def _two_sample_gap(x, y):
+    """Largest gap, in standard errors of the difference, between the
+    column means of samples x and y (rows are draws), between their
+    column variances, and between the correlations of their first two
+    columns (on Fisher's z scale)."""
+    def moments(a):
+        dev = a - a.mean(axis=0)
+        sq = dev**2
+        return a.mean(axis=0), a.var(axis=0) / len(a), sq.mean(axis=0), sq.var(axis=0) / len(a)
+
+    mx, vmx, sx, vsx = moments(x)
+    my, vmy, sy, vsy = moments(y)
+    gaps = [np.abs(mx - my) / np.sqrt(vmx + vmy), np.abs(sx - sy) / np.sqrt(vsx + vsy)]
+    fisher = [np.arctanh(np.corrcoef(a[:, 0], a[:, 1])[0, 1]) for a in (x, y)]
+    gaps.append(abs(fisher[0] - fisher[1]) / math.sqrt(2.0 / (len(x) - 3)))
+    return max(float(np.max(g)) for g in gaps)
+
+
+@pytest.mark.parametrize("m, n", [(4, 3), (2, 5), (1, 4)])
+def test_bistatic_statistics_match_a_folded_plane(m, n):
+    """Over 2000 eight-trial bistatic mse chunks, the LS energy, tr(rowcol)
+    and every rowcol entry have the means and variances of the same
+    statistics folded from 2000 real (m, n, 8) planes of standard normals,
+    and the LS energy is as correlated with tr(rowcol), all within 5
+    standard errors of the difference.  The drawn means also lie within 5
+    standard errors of their expectations, m n 8 for the LS energy and
+    8 (m / n + (n - 1) / m) for tr(rowcol)."""
+    points, trials = 2000, 8
+    cfg = _cfg(
+        m=m, n=n, pilot_lengths=tuple(range(1, points + 1)), sigma_grid=(1.0,), trials=trials
+    )
+    drawn, folded = [], []
+    for c in range(points):
+        # Grid point c has pilot length c + 1, so its partial is in units of 1 / (c + 1).
+        partial = _run_noise_chunk(cfg, c)
+        rowcol = partial["rowcol"] * (c + 1)
+        drawn.append([partial["sq_ls"] * (c + 1) * m * n, np.trace(rowcol), *rowcol.ravel()])
+        z = noise_rng(cfg.master_seed + 1, c).standard_normal((m, n, trials))
+        rows = z.mean(axis=1)
+        coords = np.concatenate((rows, z.mean(axis=0) - rows.mean(axis=0)))
+        rowcol = coords @ coords.T
+        folded.append([(z * z).sum(), np.trace(rowcol), *rowcol.ravel()])
+    drawn, folded = np.array(drawn), np.array(folded)
+    assert _two_sample_gap(drawn, folded) <= 5.0
+    expected = np.array([m * n * trials, trials * (m / n + (n - 1) / m)])
+    se = drawn[:, :2].std(axis=0) / math.sqrt(points)
+    assert np.all(np.abs(drawn[:, :2].mean(axis=0) - expected) <= 5.0 * se)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    n=st.integers(1, 12),
+    trials=st.integers(1, 1100),
+    seed=st.integers(0, 2**64 - 1),
+    sigma=st.floats(1e-12, 1e-6),
+    pilot_len=st.integers(1, 16),
+)
+def test_ls_energy_is_at_least_the_refined_energy(m, n, trials, seed, sigma, pilot_len):
+    """In every bistatic mse chunk the LS errors' energy, ``m n sq_ls``, is
+    at least the refined errors' energy read off ``rowcol``.  They differ
+    by the chi-square energy off the outer-sum subspace, which is 0 when m
+    or n is 1; there the two agree up to rounding (1e-12 relative)."""
+    cfg = _cfg(
+        m=m, n=n, pilot_lengths=(pilot_len,), sigma_grid=(sigma,), trials=trials,
+        master_seed=seed,
+    )
+    for _, _, c in _point_chunks(cfg):
+        partial = _run_noise_chunk(cfg, c)
+        refined = _refined_squares(cfg.topology, partial["rowcol"]).sum()
+        assert partial["sq_ls"] * (m * n) >= refined * (1.0 - 1e-12)
 
 
 def test_mse_and_crlb_sweeps_never_refine(monkeypatch):
@@ -685,12 +903,21 @@ def test_chunk_memory_stays_near_its_output():
     assert peak - retained <= 2**20
 
 
-@pytest.mark.parametrize("m, bound", [(24, 2**20), (96, 4 * 2**20)])
-def test_noise_chunk_memory_does_not_hold_the_plane(m, bound):
-    """A 512-trial m x m mse chunk never holds its (m, m, trials) plane: it
-    peaks below 1 MB at 24x24 (the plane is 2.4 MB) and below 4 MB at 96x96
-    (the plane is 37.7 MB)."""
-    cfg = _cfg(m=m, n=m, pilot_lengths=(8,), sigma_grid=(1e-9,), trials=CHUNK_TRIALS)
+@pytest.mark.parametrize(
+    "kind, m, bound",
+    [
+        (Kind.BISTATIC, 24, 2**20), (Kind.BISTATIC, 96, 1.5 * 2**20),
+        (Kind.MONOSTATIC, 24, 2**20), (Kind.MONOSTATIC, 96, 4 * 2**20),
+    ],
+)
+def test_noise_chunk_memory_does_not_hold_the_plane(kind, m, bound):
+    """A 512-trial m x m mse chunk never holds its (m, m, trials) plane,
+    2.3 MiB at 24x24 and 36 MiB at 96x96.  A bistatic chunk holds its (2 m,
+    trials) normals and their (2 m, 2 m) products, and peaks below 1 MiB
+    at 24x24 and 1.5 MiB at 96x96 (0.26 and 1.0 MiB measured); a
+    monostatic chunk holds one block of its plane, and peaks below 1 MiB
+    at 24x24 and 4 MiB at 96x96 (0.5 and 1.7 MiB measured)."""
+    cfg = _cfg(kind=kind, m=m, n=m, pilot_lengths=(8,), sigma_grid=(1e-9,), trials=CHUNK_TRIALS)
     _run_noise_chunk(cfg, 0)
     tracemalloc.start()
     try:
@@ -803,6 +1030,28 @@ def test_csv_does_not_depend_on_the_pool_gate(monkeypatch, break_even):
                 assert csv == want, (experiment, kind, workers)
     pooled = 2 * len(shapes) * len(ExperimentKind) if break_even == 0.0 and cpus > 1 else 0
     assert len(opened) == pooled
+
+
+def test_bistatic_24x24_csv_does_not_depend_on_the_pool(monkeypatch):
+    """Bistatic 24x24 mse and crlb CSVs are byte-equal at workers=1 and at
+    workers=2 with the pool forced open (break-even 0)."""
+    import concurrent.futures
+
+    opened = []
+    real_pool = concurrent.futures.ProcessPoolExecutor
+
+    class CountingPool(real_pool):
+        def __init__(self, max_workers, **kwargs):
+            opened.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(harness, "_POOL_BREAK_EVEN_S", 0.0)
+    for experiment in (ExperimentKind.MSE, ExperimentKind.CRLB):
+        cfg = _cfg(experiment=experiment, m=24, n=24, trials=1100)
+        pooled = run_sweep(cfg, workers=2).to_csv()
+        assert pooled == run_sweep(cfg, workers=1).to_csv(), experiment
+    assert opened == [2, 2]
 
 
 def test_pool_runs_return_stacked_partials(monkeypatch):
