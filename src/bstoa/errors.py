@@ -30,7 +30,7 @@ class SingularGeometry(BstoaError, ArithmeticError):
 
 
 class NonFiniteInput(BstoaError, ValueError):
-    """Input holds NaN or infinite values."""
+    """Input holds NaN or infinite values, or values that overflow in use."""
 
 
 class InvalidValue(BstoaError, ValueError):

@@ -6,47 +6,41 @@ per-trial statistics are reduced into CSV rows of the fixed schema
 
     sigma,pilot_len,method,metric,value,theory,low_confidence
 
-Reproducibility contract (stream contract v7, ``STREAM_CONTRACT``): the
+Reproducibility contract (stream contract v8, ``STREAM_CONTRACT``): the
 trials of each grid point are cut into ``chunks = ceil(trials /
 CHUNK_TRIALS)`` fixed chunks, and chunk c of the sweep, counted
-point-major, draws from stream c of the master seed.  So chunk c holds
-trials ``(c % chunks) * CHUNK_TRIALS`` onwards of grid point ``c //
-chunks``, and that index is the only handle a sweep passes around.  The
-LS estimate of a delay is the mean of L iid N(t, sigma^2) pilots, which
-is exactly N(t, sigma^2 / L), so a chunk draws that mean's noise directly
-instead of its L pilots: the LS error is ``(sigma / sqrt(L)) z`` for an
-``(m, n, trials)`` plane z of standard normals.
+point-major, draws from stream c of the master seed, the SFC64 generator
+``channel.noise_rng(master_seed, c)``.  So chunk c holds trials ``(c %
+chunks) * CHUNK_TRIALS`` onwards of grid point ``c // chunks``, and that
+index is the only handle a sweep passes around.  The LS estimate of a
+delay is the mean of L iid N(t, sigma^2) pilots, which is exactly N(t,
+sigma^2 / L), so a chunk draws that mean's noise directly instead of its
+L pilots: the LS error is ``(sigma / sqrt(L)) z`` for an ``(m, n,
+trials)`` plane z of standard normals.  Both estimators are linear and
+every true delay matrix lies in the outer-sum subspace, which the
+projection leaves fixed, so the refined error is exactly the projection
+of the LS error, an outer sum of z's row means and column means less its
+grand mean; no chunk builds a delay or estimate matrix.
 
-* A localization chunk draws from the Philox stream of
-  ``channel.stream_rng``: first the unit coordinates of all its scenes,
-  one row per trial, then z in C order, and its LS estimates are the true
-  delays plus ``(sigma / sqrt(L)) z``.
-* An mse or crlb chunk draws from the SFC64 stream of
-  ``channel.noise_rng`` and no scene.  Both estimators are linear and
-  every true delay matrix lies in the outer-sum subspace, which the
-  projection leaves fixed, so the refined error is exactly the projection
-  of the LS error; the scene would add only rounding.  Its rows read only
-  the refined error's row/column coordinates and the LS errors' squares.
-  A monostatic chunk draws z in C order, a block of rows at a time, and
-  folds each block before the next, with the bytes of a whole-plane draw.
-  A bistatic chunk reads only the LS errors' total energy, so it draws
-  the statistics of z instead of z.  The two-way additive fit splits each
-  trial's plane into grand mean g, row effects alpha, column effects beta
-  and a doubly centred rest Qz, orthogonal projections of z, so
-
-      |z|^2 = m n g^2 + n |alpha|^2 + m |beta|^2 + |Qz|^2
-
-  has independent Gaussian parts (Cochran's theorem), and the chunk draws
-  the row means ``g + alpha``, beta and the chi-square ``|Qz|^2`` summed
-  over its trials (``_run_noise_chunk``).  It holds O((m + n) trials)
-  values and draws m + n normals a trial, not m n.
+* A localization chunk first draws the unit coordinates of all its
+  scenes, a row of tx, then rx if bistatic, then tag per trial, then z in
+  C order, a block of rows at a time, each folded into its row and column
+  sums (and, for monostatic, its diagonal) before the next (``_fold_plane``).
+  Its solvers read per-anchor terms only: the true ranges ``|anchor -
+  tag|`` plus the folded noise in meters (``_loc_terms``).
+* An mse or crlb chunk draws no scene: the scene would add only rounding.
+  Its rows read only the refined error's row/column coordinates and the LS
+  errors' squares.  A monostatic chunk folds z as a localization chunk
+  does, with the per-entry squares.  A bistatic chunk reads only the LS
+  errors' total energy, so it draws the statistics of z, m + n normals a
+  trial, not z (Cochran's theorem; see ``_run_noise_chunk``).
 
 A grid point's partials, chunks ``point * chunks`` to ``(point + 1) *
 chunks - 1``, are added in chunk order, so output bytes do not depend on
 the number of worker processes, nor on whether a pool runs at all.  A
 single trial is reproduced by replaying its chunk.
 A chunk keeps its trials on the last, contiguous axis of every array, so
-its delays, estimates and sums act on whole ``(m, n, trials)`` planes.
+its sums act on whole ``(k, trials)`` planes.
 
 ``workers`` (None: one per CPU) caps the processes a sweep may use, and a
 pool opens only when it pays: the first two chunks run in this process,
@@ -59,10 +53,10 @@ then ``concurrent.futures`` and ``multiprocessing`` are not imported.
 (estimator MSE, localization RMSE, CRLB check) through the same chunked
 protocol and builds the rows from the per-point sums.  No experiment builds
 an (m n) x (m n) matrix or a refined plane: each refined error is an outer
-sum, so an mse or crlb chunk keeps its row/column coordinates' sum of
-outer products, an (m + n) x (m + n) partial (m x m for monostatic), and
-the rows read the refined squares and the CRLB check from it (see
-``_refined_squares`` and ``_crlb_rows``).
+sum, so a localization chunk solves on per-anchor terms and an mse or crlb
+chunk keeps its row/column coordinates' sum of outer products, an (m + n)
+x (m + n) partial (m x m for monostatic), and the rows read the refined
+squares and the CRLB check from it (``_refined_squares``, ``_crlb_rows``).
 
 ``SweepConfig`` accepts a sigma only where ``sigma^2 / L`` is a positive
 normal float for every pilot length L and the sweep's sums stay finite
@@ -84,24 +78,24 @@ import operator
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
 
 from . import analysis
 from .analysis import check_sigma
-from .channel import SPEED_OF_LIGHT, noise_rng, stream_rng, true_delays_batch
+from .channel import SPEED_OF_LIGHT, noise_rng
 from .errors import ConfigInvalid, InvalidValue, UnderDetermined
-from .estimator import refine_estimate
-from .localization import localize_bistatic_batch, localize_monostatic_batch
+from .estimator import _sum_in_order
+from .localization import RANGE_LIMIT, _fix_bistatic, _fix_monostatic
 from .topology import Kind, Topology
 
 CHUNK_TRIALS = 512
 # Bumped whenever the draws behind a sweep's CSV change (module docstring).
-STREAM_CONTRACT = 7
+STREAM_CONTRACT = 8
 LOW_CONFIDENCE_TRIALS = 1000
 # Work left after the timed chunk (its seconds times the chunks left) above
 # which a sweep with more than one worker opens a process pool.  On a 2-core
@@ -112,9 +106,8 @@ _POOL_BREAK_EVEN_S = 0.1
 # Contiguous runs of chunks per pool worker: a few per worker even out
 # unequal runs, and each run is one task, so few runs keep the IPC small.
 _RUNS_PER_WORKER = 4
-# Bytes of the buffer a monostatic mse or crlb chunk draws its noise plane
-# into, a block of rows at a time (``_run_noise_chunk``): small enough to
-# stay in L2.
+# Bytes of the buffer a chunk draws its noise plane into, a block of rows
+# at a time (``_fold_plane``): small enough to stay in L2.
 _BLOCK_BYTES = 2**18
 # Standard deviations of noise a sweep's sums leave room for (SweepConfig's
 # sigma range); a standard normal draw lies beyond 40 with odds below 1e-348.
@@ -172,8 +165,8 @@ class SweepConfig:
             raise ConfigInvalid("sigma grid must be strictly ascending")
         if self.experiment is ExperimentKind.LOCALIZATION:
             # _HEADROOM_SDS deviations of range noise, c sigma / sqrt(L), stay
-            # below 2^128 m, whose 8th power the bistatic rank tests form.
-            limit = (2.0**128 / (_HEADROOM_SDS * SPEED_OF_LIGHT)) ** 2
+            # below the solvers' RANGE_LIMIT.
+            limit = (RANGE_LIMIT / (_HEADROOM_SDS * SPEED_OF_LIGHT)) ** 2
         else:
             # The largest sum a sweep forms, the LS energy over all its
             # trials and entries or a refined square's four terms, stays
@@ -185,13 +178,18 @@ class SweepConfig:
         except InvalidValue as exc:
             raise ConfigInvalid(f"{self.experiment.value} sweep: {exc}") from exc
 
-    @property
+    # Built once per config, as every chunk reads them; no part of the state
+    # (``__getstate__``), so a config pickles alike whether or not read.
+    @cached_property
     def topology(self) -> Topology:
         return Topology(self.kind, self.m, self.n)
 
-    @property
-    def grid_points(self) -> list[tuple[float, int]]:
-        return [(s, length) for s in self.sigma_grid for length in self.pilot_lengths]
+    @cached_property
+    def grid_points(self) -> tuple[tuple[float, int], ...]:
+        return tuple((s, length) for s in self.sigma_grid for length in self.pilot_lengths)
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _list_of(conv: Callable) -> Callable[[str], tuple]:
@@ -304,15 +302,12 @@ def _execute(cfg: SweepConfig, runner: Callable, workers: int | None) -> list:
     partials in chunk order regardless of which process ran them; this
     keeps the floating-point reduction fixed.
 
-    With more than one worker the first two chunks run here, and the
-    second is timed: the first pays the process's one-off costs (numpy
-    imports ``numpy.random`` on first use, ~14 ms, 70 times a 4x3 chunk).
-    A pool opens only when that time times the chunks left exceeds
-    ``_POOL_BREAK_EVEN_S``; the rest then go to the pool as about
-    ``_RUNS_PER_WORKER`` contiguous runs of chunks per worker, and the
-    config reaches each worker once, through the pool initializer.  A run
-    comes back stacked, one array per key (``_run_chunks``), and is split
-    here into its chunks' partials, row views of those arrays.
+    Of the two chunks run here before the pool gate (module docstring),
+    the first pays the process's one-off costs (numpy imports
+    ``numpy.random`` on first use, ~14 ms), so the second is timed.  The
+    config reaches each pool worker once, through the pool initializer; a
+    run comes back stacked (``_run_chunks``) and is split here into its
+    chunks' partials, row views of those arrays.
     """
     total = len(cfg.grid_points) * _chunks_per_point(cfg)
     if workers is None:
@@ -359,109 +354,37 @@ def _run_chunks(lo: int, hi: int) -> dict:
     return {key: np.stack([partial[key] for partial in run]) for key in run[0]}
 
 
-def _simulate_chunk(cfg: SweepConfig, c: int):
-    """Draw and estimate chunk c of a localization sweep as one batch, with
-    the trials on the last, contiguous axis of every array.  (mse and crlb
-    chunks need no scene; they draw only the noise, see ``_run_noise_chunk``.)
-
-    Chunk c of the sweep, counted point-major, draws from stream c: one
-    generator, ``stream_rng(master_seed, c)`` (see ``_chunk_span``).  One
-    ``random`` call gives the unit coordinates of every scene, a row of
-    tx, then rx if bistatic, then tag per trial.  One ``standard_normal``
-    call then gives an ``(m, n, T)`` plane z in C order, and the LS
-    estimate of subchannel (i, j) in trial t is ``t + (sigma / sqrt(L))
-    z[i, j, t]`` (see ``_ls_estimates``).  Coordinates are scaled by
-    ``cube_side`` afterwards.  A trial is reproduced by replaying its
-    chunk.
-
-    Positions are stored as ``(3, k, T)``, true delays and estimates as
-    ``(m, n, T)``; ``true_delays_batch`` and ``refine_estimate`` run on
-    ``(T, ...)`` views of them.
-
-    Returns the transmitter, receiver and tag positions, ``(T, k, 3)`` and
-    ``(T, 3)``, and the LS and refined estimates, ``(T, m, n)``: views
-    whose trial axis has a stride of one value.
-    """
-    point, start, stop = _chunk_span(cfg, c)
-    sigma, pilot_len = cfg.grid_points[point]
-    topo = cfg.topology
-    m = topo.m
-    n_rx = topo.n if topo.kind is Kind.BISTATIC else 0
-    count = stop - start
-    rng = stream_rng(cfg.master_seed, c)
-    points = np.empty((3, m + n_rx + 1, count))
-    np.multiply(rng.random((count, m + n_rx + 1, 3)).T, cfg.cube_side, out=points)
-    txs, tags = points[:, :m].T, points[:, -1].T
-    rxs = points[:, m:-1].T if n_rx else txs
-    t_hats = _ls_estimates(rng, true_delays_batch(txs, rxs, tags), sigma, pilot_len)
-    return txs, rxs, tags, t_hats, refine_estimate(t_hats, topo)
-
-
-def _ls_estimates(
-    rng: np.random.Generator, truths: np.ndarray, sigma: float, length: int
-) -> np.ndarray:
-    """``(T, m, n)`` LS estimates of the ``(T, m, n)`` true delays from
-    ``length`` pilots of noise ``sigma`` each.
-
-    The pilots' mean is drawn in one piece: a standard normal ``(m, n, T)``
-    plane in C order, scaled by ``sigma / sqrt(length)``, plus the true
-    delays.  The mean of L iid N(t, sigma^2) values is N(t, sigma^2 / L)
-    exactly, so this has the distribution of ``ls_estimate`` on L drawn
-    pilot rows at 1 / L of the draws.
-    """
-    count, m, n = truths.shape
-    means = rng.standard_normal((m, n, count))
-    means *= sigma / math.sqrt(length)
-    means += truths.transpose(1, 2, 0)
-    return means.transpose(2, 0, 1)
-
-
 def _run_noise_chunk(cfg: SweepConfig, c: int) -> dict:
     """The mse and crlb partial of chunk c: ``rowcol``, the sum over trials
     of ``c c^T`` for the refined error's row/column coordinates c, and for
-    mse also ``sq_ls``, the LS errors' sum of squares: per entry, ``(m,
-    n)``, for monostatic; for bistatic the mean over entries, the one
-    number its mse row reads.  Both are drawn at unit variance and scaled
-    by ``sigma^2 / L``.
+    mse ``sq_ls``, the LS errors' sum of squares (per entry for monostatic,
+    its mean for bistatic), drawn at unit variance, scaled by sigma^2 / L.
 
     The refined error is the projection of the LS error (see the module
-    docstring), an outer sum that keeps the LS error's row and column
-    means.  For bistatic, ``c = [row means; column means - grand mean]``
-    (m + n values, refined entry ``c_i + c_{m+j}``); for monostatic the
-    symmetrized entry is ``(c_i + c_j) / 2`` with ``c = row means +
+    docstring): for bistatic, ``c = [row means; column means - grand
+    mean]`` (m + n values, refined entry ``c_i + c_{m+j}``); for monostatic
+    the symmetrized entry is ``(c_i + c_j) / 2`` with ``c = row means +
     column means - grand mean`` (m values).
 
-    A bistatic chunk draws these statistics, not the noise plane z they
-    come from.  Split an iid N(0, 1) ``(m, n)`` plane z by the two-way
-    additive fit into its grand mean g, row effects alpha, column effects
-    beta and the doubly centred rest Qz:
-
-        |z|^2 = m n g^2 + n |alpha|^2 + m |beta|^2 + |Qz|^2.
-
-    The four parts are projections of z onto orthogonal subspaces of
-    dimension 1, m - 1, n - 1 and (m - 1)(n - 1), so they are independent
-    and each is a standard normal vector in its subspace (Cochran's
-    theorem).  The row means ``r = g + alpha`` are then iid N(0, 1 / n);
-    beta has the law of m iid N(0, 1 / m) values less their mean,
-    independent of r; and ``|Qz|^2`` is chi-square with (m - 1)(n - 1)
-    degrees of freedom, independent of both.  A row reads Qz only through
-    the LS energy ``|z|^2 = n |r|^2 + m |beta|^2 + |Qz|^2``.  So from ``noise_rng(master_seed, c)`` the chunk draws one
-    ``(m + n, T)`` standard normal array, whose first m rows over
-    ``sqrt(n)`` are r and whose last n rows over ``sqrt(m)``, less their
-    per-trial mean, are beta, and for mse then one ``2 standard_gamma(T (m
-    - 1)(n - 1) / 2)``, the chunk's total ``|Qz|^2`` (0 when m or n is 1).
-    It holds O((m + n) T) values and draws m + n normals a trial, not m n.
+    A bistatic chunk draws these statistics, not the plane z.  The grand
+    mean g, row effects alpha, column effects beta and doubly centred rest
+    Qz of an iid N(0, 1) ``(m, n)`` plane are its projections onto
+    orthogonal subspaces of dimension 1, m - 1, n - 1 and (m - 1)(n - 1),
+    so they are independent standard normal vectors in their subspaces
+    (Cochran's theorem): the row means ``r = g + alpha`` are iid N(0, 1 /
+    n), beta has the law of m iid N(0, 1 / m) values less their mean, and
+    ``|Qz|^2`` is chi-square with (m - 1)(n - 1) degrees of freedom.  A row
+    reads Qz only through the LS energy ``|z|^2 = n |r|^2 + m |beta|^2 +
+    |Qz|^2``.  So the chunk draws one ``(m + n, T)`` standard normal array,
+    whose first m rows over ``sqrt(n)`` are r and whose last n rows over
+    ``sqrt(m)``, less their per-trial mean, are beta, and for mse then one
+    ``2 standard_gamma(T (m - 1)(n - 1) / 2)``, the chunk's total
+    ``|Qz|^2`` (0 when m or n is 1).
 
     A monostatic row also reads the LS diagonal, which these statistics do
-    not carry, so a monostatic chunk draws z itself, ``(m, m, T)`` standard
-    normals in C order, a block of rows at a time into one reused buffer of
-    at most ``_BLOCK_BYTES`` (one row where a row is larger).  Besides its
-    ``(m, T)`` row sums and column sum it holds one block, not the plane,
-    so a 512-trial chunk peaks at 1.7 MiB at 96x96, against 36 MiB for
-    its plane.  Successive draws continue the stream, so the blocks hold
-    the values of one ``(m, m, T)`` call, and each is folded while it is
-    in cache (``_fold_rows``), so every sum has the bits of the same
-    reduction over the whole plane.
+    not carry, so a monostatic chunk folds z itself (``_fold_plane``),
+    holding one block of it: a 512-trial chunk peaks at 1.7 MiB at 96x96,
+    against 36 MiB for its plane.
     """
     point, start, stop = _chunk_span(cfg, c)
     sigma, pilot_len = cfg.grid_points[point]
@@ -484,19 +407,8 @@ def _run_noise_chunk(cfg: SweepConfig, c: int) -> dict:
             partial["sq_ls"] = energy * (scale / (m * n))
         rowcol *= scale
         return partial
-    step = min(m, max(1, _BLOCK_BYTES // (8 * n * count)))
-    block = np.empty((step, n, count))
-    rows = np.empty((m, count))
-    cols = np.empty((n, count))
     squares = np.empty((m, n)) if mse else None
-    for lo in range(0, m, step):
-        z = block[: m - lo]
-        rng.standard_normal(out=z)
-        _fold_rows(z, lo, rows, cols, squares)
-    rows /= n
-    cols /= m
-    # The grand mean as rows.mean(axis=0) computes it, without its overhead.
-    cols -= np.add.reduce(rows, axis=0) / m
+    rows, cols = _fold_plane(rng, m, n, count, squares=squares)
     coords = rows + cols
     partial = {"rowcol": (coords @ coords.T) * scale}
     if squares is not None:
@@ -505,23 +417,39 @@ def _run_noise_chunk(cfg: SweepConfig, c: int) -> dict:
     return partial
 
 
-def _fold_rows(
-    z: np.ndarray, lo: int, rows: np.ndarray, cols: np.ndarray, squares: np.ndarray | None
-) -> None:
-    """Fold rows ``lo`` onwards of a noise plane, the block z, into its
-    ``(m, T)`` row sums, its ``(n, T)`` column sum and, unless None, its
-    ``(m, n)`` per-entry sums of squares.  The first block starts the column
-    sum; each later row is added to it in turn, the order in which
-    ``np.add.reduce`` adds the rows of a whole plane."""
-    hi = lo + len(z)
-    np.add.reduce(z, axis=1, out=rows[lo:hi])
-    if lo == 0:
-        np.add.reduce(z, axis=0, out=cols)
-    else:
-        for row in z:
-            cols += row
-    if squares is not None:
-        np.einsum("ijt,ijt->ij", z, z, out=squares[lo:hi])
+def _fold_plane(rng, m: int, n: int, count: int, squares=None, diag=None) -> tuple:
+    """Draw an ``(m, n, count)`` standard normal plane z from ``rng`` and
+    return its ``(m, count)`` row means and its ``(n, count)`` column means
+    less the grand mean; where given, fill ``squares`` ``(m, n)`` with its
+    per-entry sums of squares and ``diag`` ``(m, count)`` with its diagonal.
+    z is drawn in C order a block of rows at a time, into one buffer of at
+    most ``_BLOCK_BYTES`` (one row where a row is larger), and each block
+    is folded while in cache, each row added to the column sum in turn as
+    ``np.add.reduce`` adds a whole plane's: the bits of a whole-plane fold.
+    """
+    step = min(m, max(1, _BLOCK_BYTES // (8 * n * count)))
+    block = np.empty((step, n, count))
+    rows = np.empty((m, count))
+    cols = np.empty((n, count))
+    for lo in range(0, m, step):
+        z = block[: m - lo]
+        rng.standard_normal(out=z)
+        hi = lo + len(z)
+        np.add.reduce(z, axis=1, out=rows[lo:hi])
+        if lo == 0:
+            np.add.reduce(z, axis=0, out=cols)
+        else:
+            for row in z:
+                cols += row
+        if squares is not None:
+            np.einsum("ijt,ijt->ij", z, z, out=squares[lo:hi])
+        if diag is not None:
+            diag[lo:hi] = np.diagonal(z, lo).T
+    rows /= n
+    cols /= m
+    # The grand mean as rows.mean(axis=0) computes it, without its overhead.
+    cols -= np.add.reduce(rows, axis=0) / m
+    return rows, cols
 
 
 def _refined_squares(topo: Topology, rowcol: np.ndarray) -> np.ndarray:
@@ -535,24 +463,60 @@ def _refined_squares(topo: Topology, rowcol: np.ndarray) -> np.ndarray:
     return (diag[:, None] + diag[None, :] + 2.0 * rowcol) / 4.0
 
 
+def _loc_terms(cfg: SweepConfig, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw chunk c of a localization sweep: the anchors ``(3, k, T)``
+    (transmitters, then receivers if bistatic), the tags ``(3, T)`` and the
+    per-anchor terms its solvers read, in meters.  One ``random((T, k + 1,
+    3))`` call gives every scene's unit coordinates, then the noise plane
+    is folded (``_fold_plane``).  With d the true ranges ``|anchor - tag|``
+    and ``s = c sigma / sqrt(L)``, the terms are those the public solvers
+    take from the LS delays ``(d_i + d_j) / c + (sigma / sqrt(L)) z`` and
+    their refinement, up to rounding.  Bistatic, ``(m + n, T)``: the fit
+    ``a_i + b_j`` with ``a = d_tx + s (row means)`` and ``b = d_rx + s
+    (column means - grand mean)``, its first column ``a + b_0`` over its
+    first row ``a_0 + b``.  Monostatic, ``(m, 2 T)``: the LS ranges ``d +
+    (s / 2) z_ii``, then the refined ``d + (s / 2) (row mean_i + column
+    mean_i - grand mean)``.
+    """
+    point, start, stop = _chunk_span(cfg, c)
+    sigma, pilot_len = cfg.grid_points[point]
+    m, n, count = cfg.m, cfg.n, stop - start
+    bistatic = cfg.kind is Kind.BISTATIC
+    k = m + n if bistatic else m
+    rng = noise_rng(cfg.master_seed, c)
+    points = np.empty((3, k + 1, count))
+    np.multiply(rng.random((count, k + 1, 3)).T, cfg.cube_side, out=points)
+    anchors, tags = points[:, :k], points[:, k]
+    offset = anchors - tags[:, None]
+    ranges = _sum_in_order(np.square(offset, out=offset))
+    np.sqrt(ranges, out=ranges)
+    del offset  # not held while the plane is folded
+    diag = None if bistatic else np.empty((m, count))
+    rows, cols = _fold_plane(rng, m, n, count, diag=diag)
+    scale = SPEED_OF_LIGHT * sigma / math.sqrt(pilot_len)
+    if bistatic:
+        ranges[:m] += scale * rows
+        ranges[m:] += scale * cols
+        return anchors, tags, np.concatenate([ranges[:m] + ranges[m], ranges[0] + ranges[m:]])
+    rows += cols
+    rows *= scale / 2.0
+    diag *= scale / 2.0
+    return anchors, tags, np.concatenate([ranges + diag, ranges + rows], axis=1)
+
+
 def _run_loc_chunk(cfg: SweepConfig, c: int) -> dict:
-    txs, rxs, tags, t_hats, t_refs = _simulate_chunk(cfg, c)
+    anchors, tags, terms = _loc_terms(cfg, c)
     if cfg.kind is Kind.BISTATIC:
         # A delay matrix and its projection have one bistatic fix (see
         # localize_bistatic_batch), so each scene is solved once.
-        p_ref, _, _ = localize_bistatic_batch(t_refs, txs, rxs)
+        p_ref, _, _ = _fix_bistatic(anchors, terms, cfg.m)
         p_ls = p_ref
     else:
-        # One call fixes the LS and the refined estimates; no scene's
+        # One call fixes the LS and the refined ranges; no scene's
         # arithmetic depends on the rest of its batch.
-        both, _, _ = localize_monostatic_batch(
-            np.concatenate((t_hats, t_refs)), np.concatenate((txs, txs))
-        )
-        p_ls, p_ref = both[: len(tags)], both[len(tags) :]
-    return {
-        "sqerr_ls": ((p_ls - tags) ** 2).sum(),
-        "sqerr_proposed": ((p_ref - tags) ** 2).sum(),
-    }
+        both, _, _ = _fix_monostatic(np.concatenate((anchors, anchors), axis=2), terms)
+        p_ls, p_ref = np.split(both, 2, axis=1)
+    return {"sqerr_ls": ((p_ls - tags) ** 2).sum(), "sqerr_proposed": ((p_ref - tags) ** 2).sum()}
 
 
 def _offdiag_mean(matrix: np.ndarray) -> float:

@@ -32,9 +32,12 @@ anchors (3, k, T), positions (3, T), per-anchor terms (k, T).  Sums over
 anchors or coordinates go through the estimator's ``_sum_in_order``, which
 adds whole planes in order in every layout, so no scene's result depends
 on its batch, and a lone scene (T = 1) rounds like one of a batch; the
-single-scene functions are batch-of-one wrappers.  3x3 systems are solved
-in closed form through the adjugate, and a scene that stops iterating
-leaves the Newton loop's working arrays.
+single-scene functions are batch-of-one wrappers.  The batch functions
+reduce delay matrices to per-anchor terms for ``_fix_bistatic`` or
+``_fix_monostatic``, which sweeps call directly and which reject ranges
+beyond ``RANGE_LIMIT``.  3x3 systems are solved in closed form through the
+adjugate, and a scene that stops iterating leaves the Newton loop's
+working arrays.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ MAX_HALVINGS = 20
 # of the step would be rejected.
 DECREASE_RTOL = 1e-14
 _DISTANCE_FLOOR = 1e-12   # meters; avoids 0/0 in unit vectors at an anchor
+RANGE_LIMIT = 2.0**128    # meters; bounds the ranges, whose 8th power the rank tests form
 # Rank tests use the scale-free ratio det(H) / |H|_F^k.  Random scene
 # geometry stays above 1e-5 (3x3) / 4e-8 (4x4); collinear or coplanar
 # anchors with metrology-level jitter fall below 1e-18.
@@ -93,6 +97,16 @@ def _check_shapes(ts: np.ndarray, txs: np.ndarray, rxs: np.ndarray) -> None:
 def _require_finite(*values) -> None:
     if not all(np.isfinite(v).all() for v in values):
         raise NonFiniteInput("delays, anchor positions and delta must be finite")
+
+
+def _require_in_range(ranges: np.ndarray) -> None:
+    """The solvers' check of the ranges they use: c (t - delta) overflows
+    for finite delays, and so do the powers of a range the solvers form."""
+    if not (np.abs(ranges) < RANGE_LIMIT).all():
+        raise NonFiniteInput(
+            "ranges c (t - delta) and their fitted sums must be finite and below 2^128 m "
+            f"in magnitude (|t - delta| below {RANGE_LIMIT / SPEED_OF_LIGHT:.3g} s)"
+        )
 
 
 def _adjugate3(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -309,6 +323,8 @@ def _newton_batch(
         if stop.any():
             singular[work[0][bad]] = True
             work, step = leave(work, stop, it - 1), np.compress(~stop, step, axis=1)
+            if work[0].size == 0:
+                break
         accepted, step_len = _damped_update(
             lambda a, f, q: _fit_residuals(a, f, m, q),
             work[2:4], work[1], step, work[4:], np.ones(step.shape[1], dtype=bool),
@@ -333,13 +349,14 @@ def localize_bistatic_batch(
     additive fit a (+) b (``refine_bistatic``: row mean + column mean -
     grand mean) and the off-subspace energy |K - a (+) b|^2.  The model da (+) db lies in the
     same subspace, so |K - da (+) db|^2 = |(a - da) (+) (b - db)|^2 plus
-    that constant, and the solver works on the (m,T) and (n,T) terms only.
-    It follows that a delay matrix and its projection have one fix.
+    that constant, and the solver works on the (m,T) and (n,T) terms only
+    (``_fix_bistatic``), so a delay matrix and its projection have one fix.
 
     Raises:
         DimensionMismatch: unless the three stacks agree as above.
         UnderDetermined: if m + n - 1 < 4 (the independent range sums).
-        NonFiniteInput: if a delay, anchor coordinate or delta is NaN or inf.
+        NonFiniteInput: if a delay, anchor coordinate or delta is NaN or
+            inf, or a fitted range sum is out of ``RANGE_LIMIT``.
         SingularGeometry: if any scene's Jacobian loses rank 3.
     """
     ts, txs, rxs = (np.asarray(x, dtype=np.float64) for x in (ts, txs, rxs))
@@ -348,19 +365,31 @@ def localize_bistatic_batch(
     if m + n - 1 < 4:
         raise UnderDetermined(f"{m + n - 1} independent range sums cannot fix a 3D position")
     _require_finite(ts, txs, rxs, delta)
-    ks = SPEED_OF_LIGHT * (ts - delta)
-    fitted = refine_bistatic(ks)
+    with np.errstate(over="ignore", invalid="ignore"):  # _fix_bistatic rejects an overflow
+        ks = SPEED_OF_LIGHT * (ts - delta)
+        fitted = refine_bistatic(ks)
+    edges = np.concatenate([fitted[:, :, 0].T, fitted[:, 0, :].T])
+    anchors = np.concatenate([txs, rxs], axis=1).transpose(2, 1, 0).copy()
+    p, fit_sq, iterations = _fix_bistatic(anchors, edges, m)
     off = ks - fitted
     off_sq = _sum_in_order((off * off).transpose(1, 2, 0).reshape(m * n, -1))
-    # Any split of the fitted matrix into a_i + b_j serves; its first
-    # column and its first row less their shared corner give one.
-    fit = np.concatenate([fitted[:, :, 0], fitted[:, 0, :] - fitted[:, 0:1, 0]], axis=1)
-    anchors = np.concatenate([txs, rxs], axis=1).transpose(2, 1, 0).copy()
-    p0 = _warm_start(anchors, fitted[:, :, 0].T, fitted[:, 0, :].T)
-    p, fit_sq, iterations, singular = _newton_batch(anchors, fit.T.copy(), m, p0)
-    if singular.any():
-        raise SingularGeometry(f"rank-deficient geometry in {singular.sum()} of {len(ts)} scenes")
     return p.T, np.sqrt(fit_sq + off_sq), iterations
+
+
+def _fix_bistatic(anchors: np.ndarray, edges: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
+    """Positions (3,T), fitted |R|^2 and iterations from anchors (3,m+n,T),
+    transmitters over receivers, and ``edges`` (m+n,T), the fitted range
+    sums' first column over their first row, in meters.  The warm start
+    reads the edges; Newton splits the fit into the column and the row
+    less their shared corner."""
+    _require_in_range(edges)
+    fit = edges.copy()
+    fit[m:] -= fit[0]
+    p0 = _warm_start(anchors, edges[:m], edges[m:])
+    p, fit_sq, iterations, singular = _newton_batch(anchors, fit, m, p0)
+    if singular.any():
+        raise SingularGeometry(f"rank-deficient geometry in {singular.sum()} of {p[0].size} scenes")
+    return p, fit_sq, iterations
 
 
 def localize_bistatic(
@@ -372,9 +401,7 @@ def localize_bistatic(
     p, rnorm, iterations = localize_bistatic_batch(
         np.asarray(t)[None], np.asarray(tx)[None], np.asarray(rx)[None], delta=delta
     )
-    return PositionFix(
-        position=p[0], residual_norm=float(rnorm[0]), iterations=int(iterations[0])
-    )
+    return PositionFix(p[0], float(rnorm[0]), int(iterations[0]))
 
 
 def localize_monostatic_batch(
@@ -386,35 +413,45 @@ def localize_monostatic_batch(
     c (t[i, i] - delta) / 2.  Subtracting the first squared sphere equation
     from the others leaves a linear system in p, solved by least squares;
     one damped Gauss-Newton step on the full range residual then polishes
-    the fix.
+    the fix (``_fix_monostatic``).
 
     Raises:
         DimensionMismatch: unless the two stacks agree as above.
         UnderDetermined: if fewer than 4 anchors.
-        NonFiniteInput: if a delay, anchor coordinate or delta is NaN or inf.
+        NonFiniteInput: if a delay, anchor coordinate or delta is NaN or
+            inf, or a range is out of ``RANGE_LIMIT``.
         SingularGeometry: if the linear system has rank < 3 (coplanar
             anchors) for any scene.
     """
     ts, anchors = np.asarray(ts, dtype=np.float64), np.asarray(anchors, dtype=np.float64)
     _check_shapes(ts, anchors, anchors)
-    count, m, _ = anchors.shape
+    m = anchors.shape[1]
     if m < 4:
         raise UnderDetermined(f"{m} ranges cannot fix a 3D position")
     _require_finite(ts, anchors, delta)
-    ranges = (SPEED_OF_LIGHT * (np.diagonal(ts, axis1=1, axis2=2) - delta) / 2.0).T.copy()
+    with np.errstate(over="ignore"):  # _fix_monostatic rejects an overflow
+        ranges = (SPEED_OF_LIGHT * (np.diagonal(ts, axis1=1, axis2=2) - delta) / 2.0).T.copy()
     points = anchors.transpose(2, 1, 0).copy()
     del ts, anchors  # a caller's stacked inputs can be freed; only copies are used below
+    p, fnorm, accepted = _fix_monostatic(points, ranges)
+    return p.T, fnorm, accepted.astype(np.int64)
+
+
+def _fix_monostatic(points: np.ndarray, ranges: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Positions (3,T), range residual norms and polish-step flags from
+    anchors (3,m,T) and ranges (m,T) in meters."""
+    _require_in_range(ranges)
     norms = _sum_in_order(points * points)
     rhs = 0.5 * (norms[1:] - norms[0] - (ranges[1:] ** 2 - ranges[0] ** 2))
     p, bad = _least_squares3(points[:, 1:] - points[:, :1], rhs)
     if bad.any():
-        raise SingularGeometry(f"coplanar anchors in {int(bad.sum())} of {count} scenes")
+        raise SingularGeometry(f"coplanar anchors in {int(bad.sum())} of {bad.size} scenes")
     state = list(_range_residuals(points, ranges, p))
     step, bad = _least_squares3(  # Gauss-Newton: Jacobian rows are unit vectors
         (points - p[:, None]) / np.maximum(state[0], _DISTANCE_FLOOR), state[1]
     )
     accepted, _ = _damped_update(_range_residuals, [points, ranges], p, -step, state, ~bad)
-    return p.T, state[-1], accepted.astype(np.int64)
+    return p, state[-1], accepted
 
 
 def _range_residuals(
@@ -433,6 +470,4 @@ def localize_monostatic(t: np.ndarray, anchors: np.ndarray, delta: float = 0.0) 
     p, fnorm, iterations = localize_monostatic_batch(
         np.asarray(t)[None], np.asarray(anchors)[None], delta=delta
     )
-    return PositionFix(
-        position=p[0], residual_norm=float(fnorm[0]), iterations=int(iterations[0])
-    )
+    return PositionFix(p[0], float(fnorm[0]), int(iterations[0]))

@@ -3,6 +3,7 @@
 import inspect
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -19,13 +20,13 @@ import bstoa
 from bstoa import harness
 from bstoa.analysis import theoretical_mse_iid
 from bstoa.channel import (
+    SPEED_OF_LIGHT,
     Scene,
     noise_rng,
     random_scene,
     stream_rng,
     synth_observations,
     true_delays,
-    true_delays_batch,
 )
 from bstoa.errors import ConfigInvalid, UnderDetermined
 from bstoa.estimator import ls_estimate, refine_estimate
@@ -38,13 +39,19 @@ from bstoa.harness import (
     SweepConfig,
     _chunk_span,
     _execute,
+    _loc_terms,
     _refined_squares,
     _run_chunks,
     _run_noise_chunk,
     _serve_sweep,
-    _simulate_chunk,
     parse_config,
     run_sweep,
+)
+from bstoa.localization import (
+    _fix_bistatic,
+    _fix_monostatic,
+    localize_bistatic_batch,
+    localize_monostatic_batch,
 )
 from bstoa.topology import Kind, Topology, unvec, vec, weighting_matrix
 
@@ -62,6 +69,23 @@ def _cfg(**overrides):
     )
     base.update(overrides)
     return SweepConfig(**base)
+
+
+def test_config_builds_its_grid_and_topology_once():
+    """Every chunk reads its config's grid points and topology, so each is
+    built once per config; the cache is no part of a pickled config, whose
+    bytes do not depend on whether it was read, and an unpickled config
+    rebuilds the same values."""
+    cfg = _cfg(sigma_grid=(1e-9, 2e-9, 3e-9), pilot_lengths=(2, 8))
+    fresh = pickle.dumps(cfg)
+    assert cfg.grid_points is cfg.grid_points
+    assert cfg.topology is cfg.topology
+    assert cfg.grid_points == tuple((s, k) for s in (1e-9, 2e-9, 3e-9) for k in (2, 8))
+    assert pickle.dumps(cfg) == fresh
+    clone = pickle.loads(fresh)
+    assert clone == cfg
+    assert clone.grid_points == cfg.grid_points and clone.topology == cfg.topology
+    assert replace(cfg, pilot_lengths=(4,)).grid_points == ((1e-9, 4), (2e-9, 4), (3e-9, 4))
 
 
 def test_parse_config_full():
@@ -382,8 +406,8 @@ def _reference_errors(cfg, point, chunk):
     return [(sigma / math.sqrt(pilot_len)) * z[..., i] for i in range(z.shape[-1])]
 
 
-def test_stream_contract_is_7():
-    assert STREAM_CONTRACT == bstoa.STREAM_CONTRACT == 7
+def test_stream_contract_is_8():
+    assert STREAM_CONTRACT == bstoa.STREAM_CONTRACT == 8
 
 
 def test_chunk_matches_per_trial_reference():
@@ -415,19 +439,27 @@ def test_chunk_matches_per_trial_reference():
 
 @pytest.mark.parametrize("pilot_len", [1, 2, 8])
 def test_chunk_ls_noise_is_the_pilot_mean_distribution(pilot_len):
-    """The mean of L iid N(t, sigma^2) pilots is N(t, sigma^2 / L): over
-    the 131072 values of a 16x16 chunk, err sqrt(L) / sigma has mean 0 and
-    variance 1 within 5 standard errors, both for a localization chunk's
-    t_hat - truth and for the errors a monostatic mse chunk draws, its
-    plane scaled by sigma / sqrt(L).  Each pilot length is its own grid
-    point, so each draws from its own stream."""
-    cfg = _cfg(m=16, n=16, pilot_lengths=(1, 2, 8), sigma_grid=(1e-9,), trials=CHUNK_TRIALS)
-    c = cfg.pilot_lengths.index(pilot_len)
-    txs, rxs, tags, t_hats, _ = _simulate_chunk(cfg, c)
-    truths = true_delays_batch(txs, rxs, tags)
-    drawn = noise_rng(cfg.master_seed, c).standard_normal((16, 16, CHUNK_TRIALS))
+    """The mean of L iid N(t, sigma^2) pilots is N(t, sigma^2 / L):
+    err sqrt(L) / sigma has mean 0 and variance 1 within 5 standard errors
+    over 106496 values, both for the LS delay errors of a 16x16 monostatic
+    localization grid point's 13 chunks (their LS ranges less the true
+    ranges, over c / 2) and for the errors a monostatic mse chunk draws, a
+    131072-value plane scaled by sigma / sqrt(L).  Each pilot length is
+    its own grid point, so each draws from its own streams."""
+    cfg = _cfg(
+        experiment=ExperimentKind.LOCALIZATION, kind=Kind.MONOSTATIC, m=16, n=16,
+        pilot_lengths=(1, 2, 8), sigma_grid=(1e-9,), trials=13 * CHUNK_TRIALS,
+    )
+    point = cfg.pilot_lengths.index(pilot_len)
+    streams = [c for p, _, c in _point_chunks(cfg) if p == point]
+    errors = []
+    for c in streams:
+        anchors, tags, terms = _loc_terms(cfg, c)
+        ranges = np.sqrt(((anchors - tags[:, None]) ** 2).sum(axis=0))
+        errors.append((terms[:, : tags.shape[1]] - ranges) * (2.0 / SPEED_OF_LIGHT))
+    drawn = noise_rng(cfg.master_seed, streams[0]).standard_normal((16, 16, CHUNK_TRIALS))
     drawn *= 1e-9 / math.sqrt(pilot_len)
-    for err in (t_hats - truths, drawn):
+    for err in (np.concatenate(errors, axis=1), drawn):
         z = (err * (math.sqrt(pilot_len) / 1e-9)).ravel()
         assert z.size >= 100_000
         assert abs(z.mean()) <= 5.0 / math.sqrt(z.size)
@@ -441,17 +473,23 @@ def test_refined_error_is_the_projected_ls_error(kind, m, n):
     """Both estimators are linear and a true delay matrix lies in the
     outer-sum subspace, so refining an LS estimate and subtracting the
     truth gives the refined LS error up to rounding: within
-    16 eps max|truth| on full scene chunks.  mse and crlb chunks rely on
-    this to draw no scene."""
+    16 eps max|truth| on full scene chunks.  Every chunk relies on this: an
+    mse or crlb chunk draws no scene, and a localization chunk's terms are
+    the true ranges plus the projected noise, within the same bound of the
+    terms of truth + the refined LS error."""
     cfg = _cfg(
-        kind=kind, m=m, n=n, pilot_lengths=(2,), sigma_grid=(1e-10, 3e-9), trials=CHUNK_TRIALS
+        experiment=ExperimentKind.LOCALIZATION, kind=kind, m=m, n=n, pilot_lengths=(2,),
+        sigma_grid=(1e-10, 3e-9), trials=CHUNK_TRIALS,
     )
-    for _, _, c in _point_chunks(cfg):
-        txs, rxs, tags, t_hats, t_refs = _simulate_chunk(cfg, c)
-        truths = true_delays_batch(txs, rxs, tags)
+    eps = np.finfo(float).eps
+    for point, chunk, c in _point_chunks(cfg):
+        *_, truths, t_hats, t_refs = _reference_chunk(cfg, point, chunk)
         projected = refine_estimate(t_hats - truths, cfg.topology)
         gap = np.abs((t_refs - truths) - projected).max()
-        assert gap <= 16 * np.finfo(float).eps * np.abs(truths).max()
+        assert gap <= 16 * eps * np.abs(truths).max()
+        _, _, terms = _loc_terms(cfg, c)
+        want = _reference_terms(cfg, t_hats, truths + projected)
+        assert np.abs(terms - want).max() <= 16 * eps * SPEED_OF_LIGHT * np.abs(truths).max()
 
 
 @pytest.mark.parametrize(
@@ -630,35 +668,50 @@ def test_ls_energy_is_at_least_the_refined_energy(m, n, trials, seed, sigma, pil
         assert partial["sq_ls"] * (m * n) >= refined * (1.0 - 1e-12)
 
 
+def _forbid(monkeypatch, functions, message):
+    """Rebind every binding of ``functions`` in the bstoa modules to a
+    function that raises AssertionError(message)."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError(message)
+
+    originals = {id(fn) for fn in functions}
+    modules = [mod for key, mod in sys.modules.items() if key == "bstoa" or key.startswith("bstoa.")]
+    for mod in modules:
+        for name, obj in list(vars(mod).items()):
+            if id(obj) in originals:
+                monkeypatch.setattr(mod, name, forbidden)
+
+
 def test_mse_and_crlb_sweeps_never_refine(monkeypatch):
-    """mse and crlb rows come from the row/column partial: no sweep of
-    either calls the refinement or builds a refined plane.  A localization
-    sweep still does."""
+    """Every row comes from per-anchor terms or the row/column partial: no
+    sweep of any experiment calls the refinement or builds a refined
+    plane, and a localization sweep does not go through the public batch
+    localizers, which refine."""
     import bstoa.estimator
 
-    def forbidden(*args):
-        raise AssertionError("an mse or crlb sweep refined an estimate")
-
-    for mod, name in (
-        (harness, "refine_estimate"),
-        (bstoa.estimator, "refine_estimate"),
-        (bstoa.estimator, "refine_bistatic"),
-        (bstoa.estimator, "refine_monostatic"),
-    ):
-        monkeypatch.setattr(mod, name, forbidden)
-    for experiment in (ExperimentKind.MSE, ExperimentKind.CRLB):
+    _forbid(
+        monkeypatch,
+        (
+            bstoa.estimator.refine_estimate,
+            bstoa.estimator.refine_bistatic,
+            bstoa.estimator.refine_monostatic,
+        ),
+        "a sweep refined an estimate",
+    )
+    with pytest.raises(AssertionError, match="refined"):
+        bstoa.estimator.refine_bistatic(np.zeros((2, 2)))
+    for experiment in ExperimentKind:
         for kind, m, n in ((Kind.BISTATIC, 4, 3), (Kind.MONOSTATIC, 6, 6)):
             cfg = _cfg(experiment=experiment, kind=kind, m=m, n=n, trials=600)
             assert run_sweep(cfg, workers=1).rows
-    loc = _cfg(experiment=ExperimentKind.LOCALIZATION, m=4, n=3, trials=8)
-    with pytest.raises(AssertionError, match="refined"):
-        run_sweep(loc, workers=1)
 
 
 def test_mse_and_crlb_sweeps_draw_no_scene(monkeypatch):
     """mse and crlb CSVs do not depend on the scene: they are byte-equal at
-    cube sides 1 and 10 and never compute true delays.  A localization CSV
-    does depend on the cube side."""
+    cube sides 1 and 10.  A localization CSV does depend on the cube side.
+    No sweep computes a true delay matrix."""
+    import bstoa.channel
+
     def csv(experiment, kind, m, cube_side):
         cfg = _cfg(
             experiment=experiment, kind=kind, m=m, n=m - 1 if kind is Kind.BISTATIC else m,
@@ -666,18 +719,16 @@ def test_mse_and_crlb_sweeps_draw_no_scene(monkeypatch):
         )
         return run_sweep(cfg, workers=1).to_csv()
 
-    def forbidden(*args):
-        raise AssertionError("an mse or crlb chunk computed true delays")
-
-    shapes = ((Kind.BISTATIC, 4), (Kind.MONOSTATIC, 6))
-    for kind, m in shapes:
+    _forbid(
+        monkeypatch,
+        (bstoa.channel.true_delays, bstoa.channel.true_delays_batch),
+        "a sweep computed true delays",
+    )
+    for kind, m in ((Kind.BISTATIC, 4), (Kind.MONOSTATIC, 6)):
         loc = ExperimentKind.LOCALIZATION
         assert csv(loc, kind, m, 1.0) != csv(loc, kind, m, 10.0), kind
-    with monkeypatch.context() as patch:
-        patch.setattr(harness, "true_delays_batch", forbidden)
         for experiment in (ExperimentKind.MSE, ExperimentKind.CRLB):
-            for kind, m in shapes:
-                assert csv(experiment, kind, m, 1.0) == csv(experiment, kind, m, 10.0), kind
+            assert csv(experiment, kind, m, 1.0) == csv(experiment, kind, m, 10.0), kind
 
 
 def test_mse_sweep_ls_row_matches_real_pilots():
@@ -762,19 +813,15 @@ def test_sweeps_never_build_dense_matrices(monkeypatch):
     import bstoa.analysis
     import bstoa.topology
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a sweep built a dense (mn)^2 matrix")
-
-    originals = {
-        id(bstoa.topology.correlation_matrix),
-        id(bstoa.topology.weighting_matrix),
-        id(bstoa.analysis.crlb_bistatic),
-    }
-    modules = [mod for key, mod in sys.modules.items() if key == "bstoa" or key.startswith("bstoa.")]
-    for mod in modules:
-        for name, obj in list(vars(mod).items()):
-            if id(obj) in originals:
-                monkeypatch.setattr(mod, name, forbidden)
+    _forbid(
+        monkeypatch,
+        (
+            bstoa.topology.correlation_matrix,
+            bstoa.topology.weighting_matrix,
+            bstoa.analysis.crlb_bistatic,
+        ),
+        "a sweep built a dense (mn)^2 matrix",
+    )
     with pytest.raises(AssertionError):
         bstoa.topology.weighting_matrix(None)
     for experiment in ExperimentKind:
@@ -784,30 +831,44 @@ def test_sweeps_never_build_dense_matrices(monkeypatch):
 
 
 def _reference_chunk(cfg, point, chunk):
-    """The trials of chunk ``chunk`` of grid point ``point`` by the stream
-    contract, one trial at a time through the public functions: the
-    chunk's stream, ``point * chunks + chunk``, gives every scene's unit
-    coordinates (tx, rx if bistatic, tag), then one (m, n, trials) plane z,
-    and trial i's LS estimate is truth + (sigma / sqrt(L)) z[..., i]."""
+    """The trials of chunk ``chunk`` of grid point ``point`` of a
+    localization sweep by stream contract v8, one trial at a time through
+    the public functions: the chunk's stream, ``noise_rng(master_seed,
+    point * chunks + chunk)``, gives every scene's unit coordinates (tx, rx
+    if bistatic, tag), then one (m, n, trials) plane z; trial i's LS
+    estimate is truth + (sigma / sqrt(L)) z[..., i], refined by
+    ``refine_estimate``.  Returns the (trials, ...) stacks of tx, rx, tag,
+    truth, LS and refined estimates."""
     topo = cfg.topology
     m, n = topo.m, topo.n
     n_rx = n if topo.kind is Kind.BISTATIC else 0
     sigma, pilot_len = cfg.grid_points[point]
-    count = min(CHUNK_TRIALS, cfg.trials - chunk * CHUNK_TRIALS)
-    chunks = math.ceil(cfg.trials / CHUNK_TRIALS)
-    rng = stream_rng(cfg.master_seed, point * chunks + chunk)
-    u = rng.random((count, 3 * (m + n_rx + 1)))
+    count, rng = _chunk_stream(cfg, point, chunk)
+    u = rng.random((count, m + n_rx + 1, 3))
     z = rng.standard_normal((m, n, count))
-    stacks = {key: [] for key in ("tx", "rx", "tag", "truth", "t_hat")}
+    stacks = {key: [] for key in ("tx", "rx", "tag", "truth", "t_hat", "t_ref")}
     for i in range(count):
-        points = (u[i] * cfg.cube_side).reshape(-1, 3)
+        points = u[i] * cfg.cube_side
         rx = points[m : m + n_rx] if n_rx else None
         scene = Scene(topo, tx=points[:m], rx=rx, tag=points[-1])
         truth = true_delays(scene)
         t_hat = truth + (sigma / math.sqrt(pilot_len)) * z[..., i]
-        for key, value in zip(stacks, (scene.tx, scene.rx, scene.tag, truth, t_hat)):
+        values = (scene.tx, scene.rx, scene.tag, truth, t_hat, refine_estimate(t_hat, topo))
+        for key, value in zip(stacks, values):
             stacks[key].append(value)
     return [np.stack(values) for values in stacks.values()]
+
+
+def _reference_terms(cfg, t_hats, t_refs):
+    """The per-anchor terms, in meters, that the public localizers take
+    from ``(trials, m, n)`` LS and refined delay stacks: for bistatic the
+    refined first column over the refined first row, ``(m + n, trials)``;
+    for monostatic the LS then the refined diagonal ranges, ``(m, 2
+    trials)``."""
+    if cfg.kind is Kind.BISTATIC:
+        return SPEED_OF_LIGHT * np.concatenate([t_refs[:, :, 0].T, t_refs[:, 0, :].T])
+    diagonals = [np.diagonal(t, axis1=1, axis2=2).T for t in (t_hats, t_refs)]
+    return SPEED_OF_LIGHT * np.concatenate(diagonals, axis=1) / 2.0
 
 
 @pytest.mark.parametrize(
@@ -823,21 +884,51 @@ def _reference_chunk(cfg, point, chunk):
     + [(Kind.BISTATIC, 24, 24, 8)],
 )
 def test_chunk_is_bitwise_the_per_trial_loop(kind, m, n, pilot_len):
-    """The batched chunk draws and computes exactly what a per-trial loop
-    over the chunk's draws does with the public functions: same positions,
-    delays and LS estimates, bit for bit, on the second point's full chunk
-    and on a partial last chunk."""
-    cfg = _cfg(kind=kind, m=m, n=n, pilot_lengths=(pilot_len,), trials=700, master_seed=5)
+    """A localization chunk draws exactly what a per-trial loop over the
+    chunk's draws does with the public functions: the same anchors and
+    tags, bit for bit, and solver terms within 16 eps max|truth| of those
+    the public localizers take from the loop's LS and refined delays (the
+    chunk forms them from per-anchor ranges, the loop from delay
+    matrices), on the second point's full chunk and on a partial last
+    chunk."""
+    cfg = _cfg(
+        experiment=ExperimentKind.LOCALIZATION, kind=kind, m=m, n=n,
+        pilot_lengths=(pilot_len,), trials=700, master_seed=5,
+    )
     spans = [_chunk_span(cfg, c) for c in range(4)]
     sizes = [(point, stop - start) for point, start, stop in spans]
     assert sizes == [(0, 512), (0, 188), (1, 512), (1, 188)]
+    bistatic = kind is Kind.BISTATIC
     for point, chunk, c in _point_chunks(cfg)[1:3]:
-        txs, rxs, tags, t_hats, t_refs = _simulate_chunk(cfg, c)
-        got = (txs, rxs, tags, true_delays_batch(txs, rxs, tags), t_hats)
-        want = _reference_chunk(cfg, point, chunk)
-        for name, g, w in zip(("tx", "rx", "tag", "truth", "t_hat"), got, want):
-            assert np.array_equal(g, w), name
-        assert np.array_equal(t_refs, refine_estimate(want[-1], cfg.topology))
+        anchors, tags, terms = _loc_terms(cfg, c)
+        txs, rxs, want_tags, truths, t_hats, t_refs = _reference_chunk(cfg, point, chunk)
+        want_anchors = np.concatenate([txs, rxs], axis=1) if bistatic else txs
+        assert np.array_equal(anchors, want_anchors.transpose(2, 1, 0))
+        assert np.array_equal(tags, want_tags.T)
+        gap = np.abs(terms - _reference_terms(cfg, t_hats, t_refs)).max()
+        assert gap <= 16 * np.finfo(float).eps * SPEED_OF_LIGHT * np.abs(truths).max()
+
+
+@pytest.mark.parametrize(
+    "kind, m, n", [(Kind.BISTATIC, 4, 3), (Kind.MONOSTATIC, 6, 6)], ids=["bi4x3", "mono6"]
+)
+def test_chunk_fixes_are_the_public_fixes(kind, m, n):
+    """The fixes a localization chunk makes from its terms agree within the
+    1e-6 m tie margin of acceptance criterion 10 with the public batch
+    localizers on the per-trial loop's LS and refined delay matrices."""
+    cfg = _cfg(experiment=ExperimentKind.LOCALIZATION, kind=kind, m=m, n=n, trials=CHUNK_TRIALS)
+    for point, chunk, c in _point_chunks(cfg):
+        anchors, tags, terms = _loc_terms(cfg, c)
+        txs, rxs, _, _, t_hats, t_refs = _reference_chunk(cfg, point, chunk)
+        if kind is Kind.BISTATIC:
+            got = [_fix_bistatic(anchors, terms, m)[0]] * 2
+            want = [localize_bistatic_batch(t, txs, rxs)[0] for t in (t_hats, t_refs)]
+        else:
+            both = _fix_monostatic(np.concatenate((anchors, anchors), axis=2), terms)[0]
+            got = np.split(both, 2, axis=1)
+            want = [localize_monostatic_batch(t, txs)[0] for t in (t_hats, t_refs)]
+        for p, q in zip(got, want):
+            assert np.linalg.norm(p.T - q, axis=1).max() < 1e-6
 
 
 @pytest.mark.parametrize("trials", [700, 1025, 1100])
@@ -863,43 +954,51 @@ def test_chunks_cover_each_points_trials_once(trials):
 def test_chunks_draw_distinct_coordinates(kind, m, n):
     """The two chunks of a point and the first chunk of the next point draw
     pairwise different coordinates."""
-    cfg = _cfg(kind=kind, m=m, n=n, pilot_lengths=(8,), trials=700)
-    txs = [_simulate_chunk(cfg, c)[0] for c in range(3)]
+    cfg = _cfg(
+        experiment=ExperimentKind.LOCALIZATION, kind=kind, m=m, n=n, pilot_lengths=(8,),
+        trials=700,
+    )
+    anchors = [_loc_terms(cfg, c)[0] for c in range(3)]
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        assert np.intersect1d(txs[i], txs[j]).size == 0, (i, j)
+        assert np.intersect1d(anchors[i], anchors[j]).size == 0, (i, j)
 
 
 @pytest.mark.parametrize(
     "kind, m, n", [(Kind.BISTATIC, 4, 3), (Kind.BISTATIC, 1, 5), (Kind.MONOSTATIC, 6, 6)]
 )
 def test_chunk_keeps_the_trials_on_the_contiguous_axis(kind, m, n):
-    """Every array a chunk returns steps one value from trial to trial, so
-    reductions over the trials run along memory, on full and partial
-    chunks."""
-    cfg = _cfg(kind=kind, m=m, n=n, trials=700)
+    """Every array a localization chunk draws steps one value from trial to
+    trial, so its sums and its solvers' run along memory, on full and
+    partial chunks."""
+    cfg = _cfg(experiment=ExperimentKind.LOCALIZATION, kind=kind, m=m, n=n, trials=700)
+    k = m + n if kind is Kind.BISTATIC else m
     for c, count in enumerate((CHUNK_TRIALS, 700 - CHUNK_TRIALS)):
-        out = _simulate_chunk(cfg, c)
-        shapes = [(count, m, 3), (count, n, 3), (count, 3)] + [(count, m, n)] * 2
-        assert [a.shape for a in out] == shapes
-        for name, array in zip(("tx", "rx", "tag", "t_hat", "t_ref"), out):
-            assert array.strides[0] == array.itemsize == 8, name
+        out = _loc_terms(cfg, c)
+        width = count if kind is Kind.BISTATIC else 2 * count
+        assert [a.shape for a in out] == [(3, k, count), (3, count), (k, width)]
+        for name, array in zip(("anchors", "tags", "terms"), out):
+            assert array.strides[-1] == array.itemsize == 8, name
 
 
 def test_chunk_memory_stays_near_its_output():
-    """A 512-trial 24x24 L=8 chunk peaks within 1 MB of the arrays it
-    returns; one more (m, n, trials) buffer would add 2.4 MB, and the
-    chunk's L pilot planes 18.9 MB."""
-    cfg = _cfg(m=24, n=24, pilot_lengths=(8,), sigma_grid=(1e-9,), trials=CHUNK_TRIALS)
-    _simulate_chunk(cfg, 0)
+    """A 512-trial 24x24 L=8 localization chunk peaks within 1 MB of the
+    arrays it returns while it draws its scenes and folds its noise, and
+    returns less than one (m, n, trials) plane: one plane would add 2.4
+    MB, and the chunk's L pilot planes 18.9 MB."""
+    cfg = _cfg(
+        experiment=ExperimentKind.LOCALIZATION, m=24, n=24, pilot_lengths=(8,),
+        sigma_grid=(1e-9,), trials=CHUNK_TRIALS,
+    )
+    _loc_terms(cfg, 0)
     tracemalloc.start()
     try:
-        out = _simulate_chunk(cfg, 0)
+        out = _loc_terms(cfg, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     owners = {id(b): b for b in (a if a.base is None else a.base for a in out)}
     retained = sum(b.nbytes for b in owners.values())
-    assert retained > 5_000_000
+    assert retained < 24 * 24 * CHUNK_TRIALS * 8
     assert peak - retained <= 2**20
 
 

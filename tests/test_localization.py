@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bstoa import localization
-from bstoa.channel import SPEED_OF_LIGHT, random_scene, stream_rng, true_delays
+from bstoa.channel import SPEED_OF_LIGHT, random_scene, stream_rng, true_delays, true_delays_batch
 from bstoa.errors import DimensionMismatch, NonFiniteInput, SingularGeometry, UnderDetermined
 from bstoa.localization import (
     localize_bistatic,
@@ -12,8 +12,8 @@ from bstoa.localization import (
     localize_monostatic,
     localize_monostatic_batch,
 )
-from bstoa.harness import CHUNK_TRIALS, ExperimentKind, SweepConfig, _simulate_chunk
-from bstoa.topology import Kind, Topology
+from bstoa.estimator import refine_bistatic
+from bstoa.topology import Topology
 
 
 def _bistatic_case(seed, m=4, n=3, sigma=0.0):
@@ -96,15 +96,28 @@ def _reference_gauss_newton(ts, txs, rxs, p0, max_iterations=5000):
     return p, cost
 
 
+CHUNK_TRIALS = 512
+
+
+def _trials_last_batch(m, n, sigma, count, master_seed, stream, pilot_len=2):
+    """A batch of bistatic scenes at L = 2 with the trials on the last,
+    contiguous axis: from ``stream_rng(master_seed, stream)``, the unit
+    coordinates of every scene (a row of tx, rx and tag per trial) scaled
+    to a 10 m cube, then an (m, n, count) standard normal plane z, and LS
+    delays truth + (sigma / sqrt(L)) z.  Returns the anchors and the LS and
+    refined delay matrices as (count, ...) views."""
+    rng = stream_rng(master_seed, stream)
+    points = np.ascontiguousarray(rng.random((count, m + n + 1, 3)).T) * 10.0
+    txs, rxs, tags = points[:, :m].T, points[:, m:-1].T, points[:, -1].T
+    z = rng.standard_normal((m, n, count)) * (sigma / np.sqrt(pilot_len))
+    t_hats = (z + true_delays_batch(txs, rxs, tags).transpose(1, 2, 0)).transpose(2, 0, 1)
+    return txs, rxs, t_hats, refine_bistatic(t_hats)
+
+
 def _bistatic_chunk(sigma, chunk=0):
-    """One 512-trial harness chunk of bistatic 4x3 scenes at L = 2: anchors,
-    LS and refined delay matrices."""
-    cfg = SweepConfig(
-        experiment=ExperimentKind.LOCALIZATION, kind=Kind.BISTATIC, m=4, n=3,
-        pilot_lengths=(2,), sigma_grid=(sigma,), trials=8 * CHUNK_TRIALS, master_seed=6_100,
-    )
-    txs, rxs, _, t_hats, t_refs = _simulate_chunk(cfg, chunk)
-    return txs, rxs, t_hats, t_refs
+    """One 512-trial batch of bistatic 4x3 scenes at L = 2: anchors, LS and
+    refined delay matrices."""
+    return _trials_last_batch(4, 3, sigma, CHUNK_TRIALS, 6_100, chunk)
 
 
 def _sum_squared_residual(t, tx, rx, delta, p):
@@ -237,6 +250,21 @@ def test_monostatic_rejects_non_finite_input(bad, where):
         localize_monostatic_batch(args["t"][None], args["anchors"][None], delta=args["delta"])
 
 
+@pytest.mark.parametrize("delay", [1e150, 1e301])
+def test_localizers_reject_ranges_that_overflow(delay):
+    """Finite delays whose ranges c (t - delta) overflow (1e301 s), or
+    whose ranges' powers in the solvers do (1e150 s), make both batch
+    localizers raise instead of returning the anchor centroid with a NaN
+    residual."""
+    bi, t_bi = _bistatic_case(3402)
+    mono, t_mono = _monostatic_case(3403)
+    huge_bi, huge_mono = np.full_like(t_bi, delay), np.full_like(t_mono, delay)
+    with pytest.raises(NonFiniteInput, match="2\\^128 m"):
+        localize_bistatic_batch(huge_bi[None], bi.tx[None], bi.rx[None])
+    with pytest.raises(NonFiniteInput, match="2\\^128 m"):
+        localize_monostatic_batch(huge_mono[None], mono.tx[None])
+
+
 def _assert_bistatic_batch_matches_scalar_calls(seed, m, n, sigma=1e-9):
     scenes = [_bistatic_case(seed + i, m=m, n=n, sigma=sigma) for i in range(6)]
     ts = np.stack([t for _, t in scenes])
@@ -286,11 +314,7 @@ def test_bistatic_batch_does_not_depend_on_layout():
     bit-equal positions, residual norms and iteration counts, with 108
     range sums per scene, where np.sum over a contiguous axis would add
     pairwise; so does a lone scene."""
-    cfg = SweepConfig(
-        experiment=ExperimentKind.LOCALIZATION, kind=Kind.BISTATIC, m=12, n=9,
-        pilot_lengths=(2,), sigma_grid=(1e-9,), trials=64, master_seed=7,
-    )
-    txs, rxs, _, t_hats, _ = _simulate_chunk(cfg, 0)
+    txs, rxs, t_hats, _ = _trials_last_batch(12, 9, 1e-9, 64, 7, 0)
     assert t_hats.strides[0] == 8
     views = localize_bistatic_batch(t_hats, txs, rxs)
     copies = localize_bistatic_batch(*(np.ascontiguousarray(x) for x in (t_hats, txs, rxs)))
