@@ -59,10 +59,10 @@ def _check_pilot_len(pilot_len: int) -> None:
 def check_sigma(
     sigma: float, pilot_lengths: tuple[int, ...], max_variance: float = sys.float_info.max
 ) -> None:
-    """Accept a noise standard deviation ``sigma`` (seconds) only where its
-    estimate-level variance ``sigma^2 / L`` is a positive normal float no
-    larger than ``max_variance`` for every pilot length L, and ``sigma^2``
-    is finite.
+    """Accept a noise standard deviation ``sigma`` (seconds) only where it
+    is positive, its estimate-level variance ``sigma^2 / L`` is a positive
+    normal float no larger than ``max_variance`` for every pilot length L,
+    and ``sigma^2`` is finite.
 
     Below that range ``sigma^2 / L`` underflows, and every MSE, bound and
     ratio built on it reads 0 or divides by it; above it the caller's sums
@@ -76,7 +76,8 @@ def check_sigma(
     for length in pilot_lengths:
         _check_pilot_len(length)
     tiny = sys.float_info.min
-    if all(tiny <= sigma * sigma / length <= max_variance for length in pilot_lengths):
+    variances = (sigma * sigma / length for length in pilot_lengths)
+    if sigma > 0.0 and all(tiny <= v <= max_variance for v in variances):
         return
     low = math.sqrt(tiny * max(pilot_lengths))
     high = min(

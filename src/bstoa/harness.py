@@ -58,11 +58,13 @@ chunk keeps its row/column coordinates' sum of outer products, an (m + n)
 x (m + n) partial (m x m for monostatic), and the rows read the refined
 squares and the CRLB check from it (``_refined_squares``, ``_crlb_rows``).
 
-``SweepConfig`` accepts a sigma only where ``sigma^2 / L`` is a positive
-normal float for every pilot length L and the sweep's sums stay finite
-with ``_HEADROOM_SDS`` standard deviations of room (``analysis.check_sigma``
-names the range), so no row is computed from an underflowed variance or an
-overflowed sum.
+``SweepConfig`` accepts a sigma only where it is positive, ``sigma^2 / L``
+is a positive normal float for every pilot length L and the sweep's sums
+stay finite with ``_HEADROOM_SDS`` standard deviations of room
+(``analysis.check_sigma`` names the range), so no row is computed from an
+underflowed variance or an overflowed sum.  A localization sweep keeps its
+cube's longest range sum, ``2 sqrt(3) cube_side``, plus ``_HEADROOM_SDS``
+deviations of range noise below the solvers' ``RANGE_LIMIT``.
 
 Config files are flat ``key = value`` text; lists are comma-separated.
 Recognized keys are the SweepConfig fields: ``experiment`` (mse,
@@ -159,14 +161,20 @@ class SweepConfig:
             raise ConfigInvalid(f"pilot lengths must be distinct, got {self.pilot_lengths}")
         if not self.sigma_grid:
             raise ConfigInvalid("sigma_grid must not be empty")
-        if not all(math.isfinite(s) and s > 0.0 for s in self.sigma_grid):
-            raise ConfigInvalid(f"sigma grid values must be finite and > 0, got {self.sigma_grid}")
         if any(b <= a for a, b in zip(self.sigma_grid, self.sigma_grid[1:])):
             raise ConfigInvalid("sigma grid must be strictly ascending")
         if self.experiment is ExperimentKind.LOCALIZATION:
+            # The cube's longest range sum, 2 sqrt(3) cube_side, and
             # _HEADROOM_SDS deviations of range noise, c sigma / sqrt(L), stay
-            # below the solvers' RANGE_LIMIT.
-            limit = (RANGE_LIMIT / (_HEADROOM_SDS * SPEED_OF_LIGHT)) ** 2
+            # below the solvers' RANGE_LIMIT together.
+            longest = 2.0 * math.sqrt(3.0) * self.cube_side
+            if not longest < RANGE_LIMIT:
+                raise ConfigInvalid(
+                    "localization sweep: cube_side must lie in (0, "
+                    f"{RANGE_LIMIT / (2.0 * math.sqrt(3.0)):.4g}) m, so that range sums "
+                    f"of up to 2 sqrt(3) cube_side stay below 2^128 m; got {self.cube_side!r}"
+                )
+            limit = ((RANGE_LIMIT - longest) / (_HEADROOM_SDS * SPEED_OF_LIGHT)) ** 2
         else:
             # The largest sum a sweep forms, the LS energy over all its
             # trials and entries or a refined square's four terms, stays

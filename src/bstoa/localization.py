@@ -16,16 +16,19 @@ projection onto the outer-sum subspace share the fitted terms, the
 projection (``refine_bistatic``) does not move the bistatic fix, and an
 m x n matrix carries only m + n - 1 independent range sums.
 
-The solver is seeded with an algebraic warm start: differencing the
-squared sphere equations makes the system linear in (p, tau), where tau is
-the unknown first transmitter range, and the linear least squares solution
-lands in the attraction basin of the global minimum in practice.  A plain
-centroid start converges to local minima on a few percent of random
-scenes, which the warm start eliminates.
-
 Monostatic delays give plain ranges from the diagonal entries, which
 linearize exactly by subtracting the first sphere equation; one damped
 Gauss-Newton step then polishes the closed-form fix.
+
+The bistatic solver is seeded with the same closed form.  With tau the
+unknown range to the first transmitter, every other anchor range is
+affine in tau, so the differenced sphere equations are the monostatic
+ones with right-hand sides affine in tau.  Their least squares solution
+for fixed tau is p0 + tau p1, two right-hand sides through one 3x3 normal
+matrix, and the tau that minimizes the residual, which is affine in tau
+too, gives the least squares solution in (p, tau).  It lands in the
+attraction basin of the global minimum on most scenes, where a plain
+centroid start converges to local minima on a few percent of them.
 
 All solvers run on batches with the scenes on the last, contiguous axis:
 anchors (3, k, T), positions (3, T), per-anchor terms (k, T).  Sums over
@@ -35,7 +38,8 @@ on its batch, and a lone scene (T = 1) rounds like one of a batch; the
 single-scene functions are batch-of-one wrappers.  The batch functions
 reduce delay matrices to per-anchor terms for ``_fix_bistatic`` or
 ``_fix_monostatic``, which sweeps call directly and which reject ranges
-beyond ``RANGE_LIMIT``.  3x3 systems are solved in closed form through the
+beyond ``RANGE_LIMIT``; the batch functions reject anchor coordinates
+beyond it too.  3x3 systems are solved in closed form through the
 adjugate, and a scene that stops iterating leaves the Newton loop's
 working arrays.
 """
@@ -58,12 +62,14 @@ MAX_HALVINGS = 20
 # of the step would be rejected.
 DECREASE_RTOL = 1e-14
 _DISTANCE_FLOOR = 1e-12   # meters; avoids 0/0 in unit vectors at an anchor
-RANGE_LIMIT = 2.0**128    # meters; bounds the ranges, whose 8th power the rank tests form
-# Rank tests use the scale-free ratio det(H) / |H|_F^k.  Random scene
-# geometry stays above 1e-5 (3x3) / 4e-8 (4x4); collinear or coplanar
-# anchors with metrology-level jitter fall below 1e-18.
+# Meters; bounds the ranges and anchor coordinates the solvers take.  The
+# adjugate solve of the linearized sphere equations forms a length's 7th
+# power, which stays finite with 2^128 to spare for sums over anchors.
+RANGE_LIMIT = 2.0**128
+# The rank test uses the scale-free ratio det(H) / |H|_F^3.  Random scene
+# geometry stays above 1e-5; collinear or coplanar anchors with
+# metrology-level jitter fall below 1e-18.
 _DET3_RTOL = 1e-12
-_DET4_RTOL = 1e-14
 # adj[i, j] = h[j+1, i+1] h[j+2, i+2] - h[j+1, i+2] h[j+2, i+1] (indices
 # mod 3): the four factors as indices into the flattened (9, T) stack.
 _AXIS = np.arange(3)
@@ -96,16 +102,19 @@ def _check_shapes(ts: np.ndarray, txs: np.ndarray, rxs: np.ndarray) -> None:
 
 def _require_finite(*values) -> None:
     if not all(np.isfinite(v).all() for v in values):
-        raise NonFiniteInput("delays, anchor positions and delta must be finite")
+        raise NonFiniteInput("delays and delta must be finite")
 
 
-def _require_in_range(ranges: np.ndarray) -> None:
-    """The solvers' check of the ranges they use: c (t - delta) overflows
-    for finite delays, and so do the powers of a range the solvers form."""
-    if not (np.abs(ranges) < RANGE_LIMIT).all():
+def _require_in_range(
+    lengths: np.ndarray,
+    what: str = "ranges c (t - delta) and their fitted sums "
+    f"(|t - delta| below {RANGE_LIMIT / SPEED_OF_LIGHT:.3g} s)",
+) -> None:
+    """The solvers' check of the lengths they take: c (t - delta) overflows
+    for finite delays, and so do the powers of a length the solvers form."""
+    if not (np.abs(lengths) < RANGE_LIMIT).all():
         raise NonFiniteInput(
-            "ranges c (t - delta) and their fitted sums must be finite and below 2^128 m "
-            f"in magnitude (|t - delta| below {RANGE_LIMIT / SPEED_OF_LIGHT:.3g} s)"
+            f"{what} must be finite and below 2^128 m = {RANGE_LIMIT:.3g} m in magnitude"
         )
 
 
@@ -134,13 +143,15 @@ def _solve3(adj: np.ndarray, det: np.ndarray, g: np.ndarray) -> np.ndarray:
     return _sum_in_order(adj * g[None], axis=1) / det
 
 
-def _least_squares3(u: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """x (3, T) minimizing sum_k (u_k' x - r_k)^2 for u (3, k, T) and r (k, T),
-    and the scenes whose normal matrix has rank < 3, where x means nothing."""
+def _least_squares3(u: np.ndarray, *rhs: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """For u (3, k, T) and each r (k, T) in ``rhs``, the x (3, T) minimizing
+    sum_k (u_k' x - r_k)^2, all through one normal matrix, and the scenes
+    whose normal matrix has rank < 3, where x means nothing."""
     h = _gram(u)
     adj, det = _adjugate3(h)
     bad = _rank_below3(h, det)
-    return _solve3(adj, np.where(bad, 1.0, det), _sum_in_order(u * r, axis=1)), bad
+    det = np.where(bad, 1.0, det)
+    return [_solve3(adj, det, _sum_in_order(u * r, axis=1)) for r in rhs], bad
 
 
 def _warm_start(anchors: np.ndarray, col: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -148,31 +159,33 @@ def _warm_start(anchors: np.ndarray, col: np.ndarray, row: np.ndarray) -> np.nda
     (3, m+n, T) and the range sums' first column (m, T) and row (n, T).
 
     With tau the unknown range to the first transmitter, the range-sum
-    matrix fixes every other anchor range as an affine function of tau;
-    subtracting the first transmitter's squared sphere equation from the
-    rest yields m - 1 + n >= 4 equations linear in (p, tau).  Eliminating
-    tau from their 4x4 normal equations leaves a 3x3 system in p.  Scenes
-    where the 4x4 system is numerically singular fall back to the anchor
-    centroid, as do solutions that land far outside the anchor box.
+    matrix fixes every other anchor range as an affine function of tau.
+    Subtracting the first transmitter's squared sphere equation from the
+    rest leaves m - 1 + n >= 4 equations (a_k - a_0)' p = base_k +
+    tau slope_k: the monostatic fix's equations, with ranges affine in
+    tau.  For fixed tau their least squares solution is p0 + tau p1, two
+    right-hand sides through one 3x3 normal matrix, and the residual
+    r0 + tau r1 is affine in tau, so tau = -(r0 . r1) / (r1 . r1) gives the
+    least squares solution in (p, tau).  r1 = U p1 - slope is orthogonal
+    to the columns of U, the rows a_k - a_0, so r0 . r1 = -base . r1.
+    Scenes whose normal matrix has rank < 3 or whose r1 vanishes fall back
+    to the anchor centroid, as do solutions that land far outside the
+    anchor box.
     """
-    first = anchors[:, 0]
     h = col[1:] - col[0]                  # range to tx_i minus range to tx_0
     # One equation per anchor after the first: tx_1..tx_m-1, then every rx.
-    design = -2.0 * (anchors[:, 1:] - first[:, None])
-    tau = np.concatenate([-2.0 * h, 2.0 * row])
-    rhs = np.concatenate([h, row]) ** 2 - _sum_in_order(anchors[:, 1:] ** 2)
-    rhs += _sum_in_order(first**2)
-    block = _gram(design)
-    cross = _sum_in_order(design * tau, axis=1)
-    tau_sq = _sum_in_order(tau * tau)
-    inv = 1.0 / np.maximum(tau_sq, 1e-300)
-    schur = block - cross[:, None] * cross[None] * inv
-    adj, det = _adjugate3(schur)
-    frob = _sum_in_order(block.reshape(9, -1) ** 2) + 2.0 * _sum_in_order(cross**2)
-    frob = np.sqrt(frob + tau_sq**2)
-    solvable = np.abs(tau_sq * det) > _DET4_RTOL * np.maximum(frob, 1e-300) ** 4
-    moment = _sum_in_order(design * rhs, axis=1) - cross * (_sum_in_order(tau * rhs) * inv)
-    candidate = _solve3(adj, np.where(solvable, det, 1.0), moment)
+    u = anchors[:, 1:] - anchors[:, :1]
+    norms = _sum_in_order(anchors * anchors)
+    base = 0.5 * (norms[1:] - norms[0] - np.concatenate([h, row]) ** 2)
+    slope = np.concatenate([-h, row])
+    (p0, p1), bad = _least_squares3(u, base, slope)
+    # Where bad, p0 and p1 mean nothing and r1 may overflow, as may a
+    # barely fixed tau; neither scene passes the tests below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        r1 = _sum_in_order(u * p1[:, None]) - slope
+        r1_sq = _sum_in_order(r1 * r1)
+        solvable = ~bad & (r1_sq > 0.0)
+        candidate = p0 + (_sum_in_order(base * r1) / np.where(solvable, r1_sq, 1.0)) * p1
     lo, hi = anchors.min(axis=1), anchors.max(axis=1)
     span = np.maximum((hi - lo).max(axis=0), 1.0)
     inside = ((candidate >= lo - span) & (candidate <= hi + span)).all(axis=0)
@@ -216,7 +229,7 @@ def _damped_update(residuals, inputs, p, step, state, tries) -> tuple[np.ndarray
     step_len = np.sqrt(_sum_in_order(step * step))
     cand = p + step
     terms = residuals(*inputs, cand)
-    accepted = tries & (terms[-1] <= state[-1]) & (MAX_HALVINGS >= 0)
+    accepted = tries & (terms[-1] <= state[-1])
     for dst, src in zip((p, *state), (cand, *terms)):
         np.copyto(dst, src, where=accepted)
     pending = np.flatnonzero(tries & ~accepted)
@@ -355,8 +368,8 @@ def localize_bistatic_batch(
     Raises:
         DimensionMismatch: unless the three stacks agree as above.
         UnderDetermined: if m + n - 1 < 4 (the independent range sums).
-        NonFiniteInput: if a delay, anchor coordinate or delta is NaN or
-            inf, or a fitted range sum is out of ``RANGE_LIMIT``.
+        NonFiniteInput: if a delay or delta is NaN or inf, or an anchor
+            coordinate, range or fitted range sum is out of ``RANGE_LIMIT``.
         SingularGeometry: if any scene's Jacobian loses rank 3.
     """
     ts, txs, rxs = (np.asarray(x, dtype=np.float64) for x in (ts, txs, rxs))
@@ -364,12 +377,14 @@ def localize_bistatic_batch(
     m, n = txs.shape[1], rxs.shape[1]
     if m + n - 1 < 4:
         raise UnderDetermined(f"{m + n - 1} independent range sums cannot fix a 3D position")
-    _require_finite(ts, txs, rxs, delta)
-    with np.errstate(over="ignore", invalid="ignore"):  # _fix_bistatic rejects an overflow
-        ks = SPEED_OF_LIGHT * (ts - delta)
-        fitted = refine_bistatic(ks)
-    edges = np.concatenate([fitted[:, :, 0].T, fitted[:, 0, :].T])
+    _require_finite(ts, delta)
     anchors = np.concatenate([txs, rxs], axis=1).transpose(2, 1, 0).copy()
+    _require_in_range(anchors, "anchor coordinates")
+    with np.errstate(over="ignore"):  # rejected below
+        ks = SPEED_OF_LIGHT * (ts - delta)
+    _require_in_range(ks)
+    fitted = refine_bistatic(ks)
+    edges = np.concatenate([fitted[:, :, 0].T, fitted[:, 0, :].T])
     p, fit_sq, iterations = _fix_bistatic(anchors, edges, m)
     off = ks - fitted
     off_sq = _sum_in_order((off * off).transpose(1, 2, 0).reshape(m * n, -1))
@@ -418,8 +433,8 @@ def localize_monostatic_batch(
     Raises:
         DimensionMismatch: unless the two stacks agree as above.
         UnderDetermined: if fewer than 4 anchors.
-        NonFiniteInput: if a delay, anchor coordinate or delta is NaN or
-            inf, or a range is out of ``RANGE_LIMIT``.
+        NonFiniteInput: if a delay or delta is NaN or inf, or an anchor
+            coordinate or range is out of ``RANGE_LIMIT``.
         SingularGeometry: if the linear system has rank < 3 (coplanar
             anchors) for any scene.
     """
@@ -428,10 +443,11 @@ def localize_monostatic_batch(
     m = anchors.shape[1]
     if m < 4:
         raise UnderDetermined(f"{m} ranges cannot fix a 3D position")
-    _require_finite(ts, anchors, delta)
+    _require_finite(ts, delta)
+    points = anchors.transpose(2, 1, 0).copy()
+    _require_in_range(points, "anchor coordinates")
     with np.errstate(over="ignore"):  # _fix_monostatic rejects an overflow
         ranges = (SPEED_OF_LIGHT * (np.diagonal(ts, axis1=1, axis2=2) - delta) / 2.0).T.copy()
-    points = anchors.transpose(2, 1, 0).copy()
     del ts, anchors  # a caller's stacked inputs can be freed; only copies are used below
     p, fnorm, accepted = _fix_monostatic(points, ranges)
     return p.T, fnorm, accepted.astype(np.int64)
@@ -443,11 +459,11 @@ def _fix_monostatic(points: np.ndarray, ranges: np.ndarray) -> tuple[np.ndarray,
     _require_in_range(ranges)
     norms = _sum_in_order(points * points)
     rhs = 0.5 * (norms[1:] - norms[0] - (ranges[1:] ** 2 - ranges[0] ** 2))
-    p, bad = _least_squares3(points[:, 1:] - points[:, :1], rhs)
+    (p,), bad = _least_squares3(points[:, 1:] - points[:, :1], rhs)
     if bad.any():
         raise SingularGeometry(f"coplanar anchors in {int(bad.sum())} of {bad.size} scenes")
     state = list(_range_residuals(points, ranges, p))
-    step, bad = _least_squares3(  # Gauss-Newton: Jacobian rows are unit vectors
+    (step,), bad = _least_squares3(  # Gauss-Newton: Jacobian rows are unit vectors
         (points - p[:, None]) / np.maximum(state[0], _DISTANCE_FLOOR), state[1]
     )
     accepted, _ = _damped_update(_range_residuals, [points, ranges], p, -step, state, ~bad)

@@ -149,12 +149,12 @@ def test_dense_matrix_out_of_memory_exit_code(monkeypatch, capsys, argv):
 )
 @pytest.mark.parametrize(
     "sigma, pilot_len",
-    [("nan", "2"), ("1e200", "2"), ("1e-9", "0"), ("1e-9", "-3")],
-    ids=["sigma-nan", "sigma-overflow", "pilot-len-0", "pilot-len-negative"],
+    [("nan", "2"), ("1e200", "2"), ("-1e-9", "2"), ("1e-9", "0"), ("1e-9", "-3")],
+    ids=["sigma-nan", "sigma-overflow", "sigma-negative", "pilot-len-0", "pilot-len-negative"],
 )
 def test_crlb_bad_input_exit_code(capsys, topology, sigma, pilot_len):
     code, out, err = run_cli(
-        capsys, "crlb", "--topology", *topology, "--sigma", sigma, "--pilot-len", pilot_len,
+        capsys, "crlb", "--topology", *topology, f"--sigma={sigma}", "--pilot-len", pilot_len,
     )
     assert code == 2
     assert out == ""
@@ -379,6 +379,40 @@ def test_crlb_sigma_out_of_range_exit_code(capsys, topology, sigma):
     assert code == 2
     assert out == ""
     assert "sigma must lie in [" in err
+
+
+def test_sweep_cli_cube_beyond_the_range_limit_exit_code(tmp_path, capsys):
+    """A localization cube of 1e40 m exits 2 at the config check and names
+    the accepted cube_side; it used to fail in its first chunk with a
+    message about delays that the config never gave."""
+    config = tmp_path / "cube.cfg"
+    config.write_text(
+        "experiment = localization\nkind = bistatic\nm = 4\nn = 3\ntrials = 16\n"
+        "cube_side = 1e40\n"
+    )
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(capsys, "sweep", "--config", str(config), "--out", str(out))
+    assert code == 2
+    assert "cube_side must lie in (0, 9.823e+37) m" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "anchors",
+    [1e100 * np.random.default_rng(5).random((5, 3)), 1e100 * np.vstack([np.zeros(3), np.eye(3)])],
+    ids=["random", "tetrahedron"],
+)
+def test_localize_anchors_beyond_the_range_limit_exit_code(tmp_path, capsys, anchors):
+    """Monostatic anchors near 1e100 m with delays of 100 ns exit 2 and name
+    the accepted range.  Random anchors used to print nan,nan,nan,nan with
+    exit 0, and an axis-aligned tetrahedron to exit 3 for "coplanar
+    anchors": the solvers' sums of squared coordinates overflowed."""
+    scene = Scene(topo=Topology.monostatic(len(anchors)), tx=anchors, tag=anchors.mean(axis=0))
+    scene_path, toa_path = _localize_files(tmp_path, scene, np.full((len(anchors),) * 2, 1e-7))
+    code, out, err = run_cli(capsys, "localize", "--scene", scene_path, "--toa", toa_path)
+    assert code == 2
+    assert out == ""
+    assert "anchor coordinates must be finite and below 2^128 m" in err
 
 
 def test_sweep_cli_under_determined_localization_exit_code(tmp_path, capsys):

@@ -134,6 +134,8 @@ def test_parse_config_defaults():
         "experiment = mse\nkind = bistatic\nm = 2\ntrials = 0\n",    # bad trials
         "experiment = mse\nkind = bistatic\nm = 2\nsigma_grid = 2e-9, 1e-9\n",
         "experiment = mse\nkind = bistatic\nm = 2\nsigma_grid = 0, 1e-9\n",
+        "experiment = mse\nkind = bistatic\nm = 2\nsigma_grid = -1e-9\n",
+        "experiment = localization\nkind = bistatic\nm = 4\nn = 3\ncube_side = 1e40\n",
         "experiment = mse\nkind = bistatic\nm = 2\npilot_lengths = 0\n",
         "experiment = mse\nkind = bistatic\nm = 2\npilot_lengths = 2, 8, 2\n",
         "experiment = mse\nkind = bistatic\nm = 2\nsigma_grid = nan\n",
@@ -227,6 +229,18 @@ def test_config_range_depends_on_the_sweep(experiment):
     low = math.sqrt(sys.float_info.min * 8)
     assert f"[{low:.4g}, " in message(pilot_lengths=(2, 8))
     assert (small == large) is (experiment is ExperimentKind.LOCALIZATION)
+
+
+@pytest.mark.parametrize("kind, m, n", [(Kind.BISTATIC, 4, 3), (Kind.MONOSTATIC, 6, 6)])
+def test_localization_cube_just_inside_the_range_limit_runs(kind, m, n):
+    """A cube just below its limit, 2^128 / (2 sqrt(3)) m, passes the
+    config check and every fix stays finite and near its tag."""
+    cfg = _cfg(
+        experiment=ExperimentKind.LOCALIZATION, kind=kind, m=m, n=n, cube_side=9.8e37,
+        sigma_grid=(1e-9,), pilot_lengths=(2,), trials=64,
+    )
+    for row in run_sweep(cfg, workers=1).rows:
+        assert 0.0 <= row.value < 1e-12 * cfg.cube_side, row
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,22 @@
 """Localization solver tests, with a brute-force grid oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bstoa import localization
 from bstoa.channel import SPEED_OF_LIGHT, random_scene, stream_rng, true_delays, true_delays_batch
-from bstoa.errors import DimensionMismatch, NonFiniteInput, SingularGeometry, UnderDetermined
+from bstoa.errors import (
+    BstoaError,
+    DimensionMismatch,
+    NonFiniteInput,
+    SingularGeometry,
+    UnderDetermined,
+)
 from bstoa.localization import (
     localize_bistatic,
     localize_bistatic_batch,
@@ -265,6 +276,174 @@ def test_localizers_reject_ranges_that_overflow(delay):
         localize_monostatic_batch(huge_mono[None], mono.tx[None])
 
 
+@pytest.mark.parametrize("scale", [2.0**128, 1e100])
+def test_localizers_reject_anchors_beyond_the_range_limit(scale):
+    """Anchor coordinates that reach 2^128 m raise, naming the range, even
+    where the delays give small ranges: the solvers' sums of squared
+    coordinates used to overflow to a NaN fix or a false singular one."""
+    bi, t_bi = _bistatic_case(3404)
+    mono, t_mono = _monostatic_case(3405)
+    rx = bi.rx.copy()
+    rx[1, 2] = scale
+    with pytest.raises(NonFiniteInput, match="anchor coordinates .* 2\\^128 m"):
+        localize_bistatic_batch(t_bi[None], bi.tx[None], rx[None])
+    tx = mono.tx.copy()
+    tx[3, 0] = -scale
+    with pytest.raises(NonFiniteInput, match="anchor coordinates .* 2\\^128 m"):
+        localize_monostatic_batch(t_mono[None], tx[None])
+
+
+def test_bistatic_rejects_an_off_subspace_range_that_overflows():
+    """A delay matrix whose fitted sums are in range but whose own range
+    sums are not would give an infinite residual norm; it raises."""
+    bi, t = _bistatic_case(3406)
+    t = t.copy()
+    t[1:3, 1:3] += np.array([[1.0, -1.0], [-1.0, 1.0]]) * 1e299
+    with pytest.raises(NonFiniteInput, match="2\\^128 m"):
+        localize_bistatic_batch(t[None], bi.tx[None], bi.rx[None])
+
+
+def _scaled_scene(seed, scale, monostatic=False):
+    """A noiseless 4x3 bistatic (or 6-anchor monostatic) scene in a 10 m
+    cube with every coordinate multiplied by ``scale``, and its range sums
+    (monostatic: ranges) in meters, computed at that scale."""
+    scene, _ = _monostatic_case(seed) if monostatic else _bistatic_case(seed)
+    tx, rx, tag = scene.tx * scale, scene.rx * scale, scene.tag * scale
+    da, db = np.linalg.norm(tx - tag, axis=1), np.linalg.norm(rx - tag, axis=1)
+    return tx, rx, tag, da if monostatic else da[:, None] + db[None, :]
+
+
+def test_fixes_at_1e38_m_are_finite_and_exact():
+    """Anchors at 1e37-1e38 m, just inside the range limit, give finite
+    fixes within 1e-9 relative of the tag, with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tx, rx, tag, ks = _scaled_scene(3407, 1e37)
+        p, rnorm, _ = localize_bistatic_batch((ks / SPEED_OF_LIGHT)[None], tx[None], rx[None])
+        assert np.isfinite(rnorm).all()
+        assert np.linalg.norm(p[0] - tag) <= 1e-9 * np.linalg.norm(tag)
+        tx, _, tag, ranges = _scaled_scene(3408, 1e37, monostatic=True)
+        t = (ranges[:, None] + ranges[None, :]) / SPEED_OF_LIGHT
+        p, rnorm, _ = localize_monostatic_batch(t[None], tx[None])
+        assert np.isfinite(rnorm).all()
+        assert np.linalg.norm(p[0] - tag) <= 1e-9 * np.linalg.norm(tag)
+
+
+def _warm_start_of(txs, rxs, ks):
+    """``_warm_start`` on (T, ...) stacks of anchors and range sums."""
+    anchors = np.ascontiguousarray(np.concatenate([txs, rxs], axis=1).transpose(2, 1, 0))
+    return localization._warm_start(anchors, ks[:, :, 0].T, ks[:, 0, :].T).T
+
+
+def _lstsq_start(tx, rx, k):
+    """The (p, tau) least squares solution of the differenced squared
+    sphere equations of one scene, by LAPACK: with d_0 = tau the range to
+    tx_0, the range to anchor a is s tau + c (s = 1, c = k[i, 0] - k[0, 0]
+    for tx_i; s = -1, c = k[0, j] for rx_j), and |p - a|^2 - |p - tx_0|^2 =
+    (s tau + c)^2 - tau^2 is linear in (p, tau)."""
+    anchors = np.concatenate([tx[1:], rx])
+    s = np.concatenate([np.ones(len(tx) - 1), -np.ones(len(rx))])
+    c = np.concatenate([k[1:, 0] - k[0, 0], k[0, :]])
+    design = np.column_stack([-2.0 * (anchors - tx[0]), -2.0 * s * c])
+    rhs = c**2 - (anchors**2).sum(axis=1) + (tx[0] ** 2).sum()
+    return np.linalg.lstsq(design, rhs, rcond=None)[0][:3]
+
+
+@pytest.mark.parametrize("m, n", [(4, 3), (8, 3)])
+def test_warm_start_is_the_least_squares_solution_in_p_and_tau(m, n):
+    """p0 + tau p1 at the minimizing tau is the least squares solution of
+    the 4-unknown system, to 1e-9 relative, on noisy random scenes."""
+    txs, rxs, t_hats, _ = _trials_last_batch(m, n, 1e-9, 64, 8, 0)
+    ks = SPEED_OF_LIGHT * t_hats
+    got = _warm_start_of(txs, rxs, ks)
+    want = np.array([_lstsq_start(*scene) for scene in zip(txs, rxs, ks)])
+    assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-9 * np.linalg.norm(want, axis=1))
+
+
+def test_warm_start_falls_back_to_the_centroid_on_collinear_anchors():
+    tx = np.column_stack([np.arange(1.0, 5.0), np.zeros(4), np.zeros(4)])
+    rx = np.column_stack([np.arange(6.0, 9.0), np.zeros(3), np.zeros(3)])
+    tag = np.array([2.0, 1.0, 0.5])
+    k = np.linalg.norm(tx - tag, axis=1)[:, None] + np.linalg.norm(rx - tag, axis=1)[None, :]
+    got = _warm_start_of(tx[None], rx[None], k[None])
+    assert np.array_equal(got[0], np.concatenate([tx, rx]).mean(axis=0))
+
+
+def test_warm_start_at_1e38_m_is_exact():
+    """The closed form forms no power of a length above the 7th, so a
+    noiseless scene at 1e38 m starts within 1e-9 relative of its tag with
+    no overflow warning (the 4x4 rank rule overflowed there and fell back
+    to the centroid, 9% off)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tx, rx, tag, ks = _scaled_scene(3409, 1e37)
+        got = _warm_start_of(tx[None], rx[None], ks[None])[0]
+    assert np.abs(ks).max() < localization.RANGE_LIMIT
+    assert np.linalg.norm(got - tag) <= 1e-9 * np.linalg.norm(tag)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _any_scale_scene(draw, monostatic):
+    """A batch of one or two scenes with finite anchors and delays over the
+    full float64 exponent range: unit coordinates (uniform, or drawn by
+    Hypothesis, which favours degenerate ones) times 2^e for one e, or
+    coordinates drawn one by one over the range.  The delays are the
+    scene's own (tag drawn with the anchors) or drawn one by one."""
+    count = draw(st.integers(1, 2))
+    m = draw(st.integers(4, 6)) if monostatic else draw(st.integers(1, 5))
+    n = m if monostatic else draw(st.integers(max(1, 5 - m), 4))
+    shape = (count, m + (0 if monostatic else n) + 1, 3)
+    exponent = draw(st.integers(-1074, 1023))
+    kind = draw(st.sampled_from(["uniform", "drawn", "any"]))
+    unit = None
+    if kind == "uniform":
+        unit = np.random.default_rng(draw(st.integers(0, 2**32))).uniform(-1.0, 1.0, shape)
+    elif kind == "drawn":
+        unit = draw(arrays(np.float64, shape, elements=st.floats(-1.0, 1.0)))
+    if unit is None:
+        points = draw(arrays(np.float64, shape, elements=_FINITE))
+    else:
+        points = np.ldexp(unit, exponent)
+    txs, rxs = points[:, :m], points[:, m:-1]
+    if unit is not None and draw(st.booleans()):
+        tag = unit[:, -1:]
+        da = np.linalg.norm(unit[:, :m] - tag, axis=2)
+        db = da if monostatic else np.linalg.norm(unit[:, m:-1] - tag, axis=2)
+        ts = np.ldexp((da[:, :, None] + db[:, None, :]) / SPEED_OF_LIGHT, exponent)
+    else:
+        ts = draw(arrays(np.float64, (count, m, n), elements=_FINITE))
+    return ts, txs, rxs
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(case=_any_scale_scene(monostatic=False))
+def test_bistatic_batch_is_finite_or_raises(case):
+    """Finite in, finite out: over the full exponent range the bistatic
+    batch localizer returns finite positions, residuals and iterations, or
+    raises a BstoaError; a warning would fail the test."""
+    ts, txs, rxs = case
+    try:
+        out = localize_bistatic_batch(ts, txs, rxs)
+    except BstoaError:
+        return
+    assert all(np.isfinite(x).all() for x in out)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(case=_any_scale_scene(monostatic=True))
+def test_monostatic_batch_is_finite_or_raises(case):
+    """The monostatic counterpart of ``test_bistatic_batch_is_finite_or_raises``."""
+    ts, anchors, _ = case
+    try:
+        out = localize_monostatic_batch(ts, anchors)
+    except BstoaError:
+        return
+    assert all(np.isfinite(x).all() for x in out)
+
+
 def _assert_bistatic_batch_matches_scalar_calls(seed, m, n, sigma=1e-9):
     scenes = [_bistatic_case(seed + i, m=m, n=n, sigma=sigma) for i in range(6)]
     ts = np.stack([t for _, t in scenes])
@@ -386,10 +565,14 @@ def test_rank_test_flags_what_the_determinant_rule_flags(jitter):
 
 def test_monostatic_polish_flag(monkeypatch):
     """The polish step never raises the residual of the closed-form fix,
-    which is what a step budget of no attempts returns."""
+    which is what a step update that accepts nothing returns."""
     scene, t = _monostatic_case(3500, sigma=1e-9)
     polished = localize_monostatic(t, scene.tx)
-    monkeypatch.setattr(localization, "MAX_HALVINGS", -1)
+
+    def accept_nothing(residuals, inputs, p, step, state, tries):
+        return np.zeros_like(tries), np.zeros(tries.shape)
+
+    monkeypatch.setattr(localization, "_damped_update", accept_nothing)
     raw = localize_monostatic(t, scene.tx)
     assert raw.iterations == 0
     assert polished.iterations <= 1
@@ -508,9 +691,7 @@ def test_fix_objective_no_worse_than_long_gauss_newton(sigma):
     """From the same warm start, the row/column Newton fix is at least as
     good on the full objective as plain Gauss-Newton run to convergence."""
     txs, rxs, t_hats, t_refs = _bistatic_chunk(sigma)
-    ks = SPEED_OF_LIGHT * t_refs
-    anchors = np.ascontiguousarray(np.concatenate([txs, rxs], axis=1).transpose(2, 1, 0))
-    p0 = localization._warm_start(anchors, ks[:, :, 0].T, ks[:, 0, :].T).T
+    p0 = _warm_start_of(txs, rxs, SPEED_OF_LIGHT * t_refs)
     _, cost_ref = _reference_gauss_newton(t_hats, txs, rxs, p0)
     p, _, _ = localize_bistatic_batch(t_hats, txs, rxs)
     cost = np.array([
