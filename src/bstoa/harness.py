@@ -6,7 +6,7 @@ per-trial statistics are reduced into CSV rows of the fixed schema
 
     sigma,pilot_len,method,metric,value,theory,low_confidence
 
-Reproducibility contract (stream contract v8, ``STREAM_CONTRACT``): the
+Reproducibility contract (stream contract v9, ``STREAM_CONTRACT``): the
 trials of each grid point are cut into ``chunks = ceil(trials /
 CHUNK_TRIALS)`` fixed chunks, and chunk c of the sweep, counted
 point-major, draws from stream c of the master seed, the SFC64 generator
@@ -23,17 +23,19 @@ of the LS error, an outer sum of z's row means and column means less its
 grand mean; no chunk builds a delay or estimate matrix.
 
 * A localization chunk first draws the unit coordinates of all its
-  scenes, a row of tx, then rx if bistatic, then tag per trial, then z in
-  C order, a block of rows at a time, each folded into its row and column
-  sums (and, for monostatic, its diagonal) before the next (``_fold_plane``).
-  Its solvers read per-anchor terms only: the true ranges ``|anchor -
-  tag|`` plus the folded noise in meters (``_loc_terms``).
+  scenes, a row of tx, then rx if bistatic, then tag per trial, then its
+  noise.  A bistatic chunk draws z in C order, a block of rows at a time,
+  each folded into its row and column sums before the next
+  (``_fold_plane``).  Its solvers read per-anchor terms only: the true
+  ranges ``|anchor - tag|`` plus the noise in meters (``_loc_terms``).
 * An mse or crlb chunk draws no scene: the scene would add only rounding.
   Its rows read only the refined error's row/column coordinates and the LS
-  errors' squares.  A monostatic chunk folds z as a localization chunk
-  does, with the per-entry squares.  A bistatic chunk reads only the LS
-  errors' total energy, so it draws the statistics of z, m + n normals a
-  trial, not z (Cochran's theorem; see ``_run_noise_chunk``).
+  errors' energy, so it draws the statistics of z, not z: m + n normals a
+  trial for bistatic (Cochran's theorem; see ``_run_noise_chunk``).
+* A monostatic chunk of any experiment draws 2 m normals a trial, z's
+  diagonal and what its symmetric part adds to the row and column sums,
+  not the m x m plane (``_monostatic_statistics``); v9 changed the
+  monostatic CSVs (bar the 1x1 crlb one) and no bistatic one.
 
 A grid point's partials, chunks ``point * chunks`` to ``(point + 1) *
 chunks - 1``, are added in chunk order, so output bytes do not depend on
@@ -64,7 +66,8 @@ stay finite with ``_HEADROOM_SDS`` standard deviations of room
 (``analysis.check_sigma`` names the range), so no row is computed from an
 underflowed variance or an overflowed sum.  A localization sweep keeps its
 cube's longest range sum, ``2 sqrt(3) cube_side``, plus ``_HEADROOM_SDS``
-deviations of range noise below the solvers' ``RANGE_LIMIT``.
+deviations of range noise below the solvers' ``RANGE_LIMIT``, and its
+cube_side at least ``CUBE_FLOOR``.
 
 Config files are flat ``key = value`` text; lists are comma-separated.
 Recognized keys are the SweepConfig fields: ``experiment`` (mse,
@@ -92,12 +95,12 @@ from .analysis import check_sigma
 from .channel import SPEED_OF_LIGHT, noise_rng
 from .errors import ConfigInvalid, InvalidValue, UnderDetermined
 from .estimator import _sum_in_order
-from .localization import RANGE_LIMIT, _fix_bistatic, _fix_monostatic
+from .localization import RANGE_LIMIT, STEP_TOL, _fix_bistatic, _fix_monostatic
 from .topology import Kind, Topology
 
 CHUNK_TRIALS = 512
 # Bumped whenever the draws behind a sweep's CSV change (module docstring).
-STREAM_CONTRACT = 8
+STREAM_CONTRACT = 9
 LOW_CONFIDENCE_TRIALS = 1000
 # Work left after the timed chunk (its seconds times the chunks left) above
 # which a sweep with more than one worker opens a process pool.  On a 2-core
@@ -108,9 +111,18 @@ _POOL_BREAK_EVEN_S = 0.1
 # Contiguous runs of chunks per pool worker: a few per worker even out
 # unequal runs, and each run is one task, so few runs keep the IPC small.
 _RUNS_PER_WORKER = 4
-# Bytes of the buffer a chunk draws its noise plane into, a block of rows
-# at a time (``_fold_plane``): small enough to stay in L2.
+# Bytes of the buffer a bistatic localization chunk draws its noise plane
+# into, a block of rows at a time (``_fold_plane``): small enough to stay in
+# L2.
 _BLOCK_BYTES = 2**18
+# Meters; the shortest cube side a localization sweep accepts.  The solvers
+# stop on an absolute step length, STEP_TOL, and floor distances at
+# _DISTANCE_FLOOR, 100 times shorter, so a fix scales with its scene only
+# while both are far below it.  With sigma scaled alike, the rmse rows over
+# the cube side of 512-trial bistatic 4x3 and monostatic 6 sweeps read
+# within 1e-7 of a 10 m cube's at 10^4 STEP_TOL = 1e-6 m, up to 22% off at
+# 1e-10 m, 37% at 1e-12 m and 96 times at 1e-50 m.
+CUBE_FLOOR = 1e4 * STEP_TOL
 # Standard deviations of noise a sweep's sums leave room for (SweepConfig's
 # sigma range); a standard normal draw lies beyond 40 with odds below 1e-348.
 _HEADROOM_SDS = 40.0
@@ -168,11 +180,12 @@ class SweepConfig:
             # _HEADROOM_SDS deviations of range noise, c sigma / sqrt(L), stay
             # below the solvers' RANGE_LIMIT together.
             longest = 2.0 * math.sqrt(3.0) * self.cube_side
-            if not longest < RANGE_LIMIT:
+            if not (CUBE_FLOOR <= self.cube_side and longest < RANGE_LIMIT):
                 raise ConfigInvalid(
-                    "localization sweep: cube_side must lie in (0, "
-                    f"{RANGE_LIMIT / (2.0 * math.sqrt(3.0)):.4g}) m, so that range sums "
-                    f"of up to 2 sqrt(3) cube_side stay below 2^128 m; got {self.cube_side!r}"
+                    f"localization sweep: cube_side must lie in [{CUBE_FLOOR:.4g}, "
+                    f"{RANGE_LIMIT / (2.0 * math.sqrt(3.0)):.4g}) m, so that the solvers' "
+                    "absolute step tolerance stays 1e-4 of it and range sums of up to "
+                    f"2 sqrt(3) cube_side stay below 2^128 m; got {self.cube_side!r}"
                 )
             limit = ((RANGE_LIMIT - longest) / (_HEADROOM_SDS * SPEED_OF_LIGHT)) ** 2
         else:
@@ -365,8 +378,9 @@ def _run_chunks(lo: int, hi: int) -> dict:
 def _run_noise_chunk(cfg: SweepConfig, c: int) -> dict:
     """The mse and crlb partial of chunk c: ``rowcol``, the sum over trials
     of ``c c^T`` for the refined error's row/column coordinates c, and for
-    mse ``sq_ls``, the LS errors' sum of squares (per entry for monostatic,
-    its mean for bistatic), drawn at unit variance, scaled by sigma^2 / L.
+    mse ``sq_ls``, the LS errors' sum of squares (for bistatic its mean
+    over entries; for monostatic its diagonal and off-diagonal totals),
+    drawn at unit variance, scaled by sigma^2 / L.
 
     The refined error is the projection of the LS error (see the module
     docstring): for bistatic, ``c = [row means; column means - grand
@@ -374,25 +388,23 @@ def _run_noise_chunk(cfg: SweepConfig, c: int) -> dict:
     the symmetrized entry is ``(c_i + c_j) / 2`` with ``c = row means +
     column means - grand mean`` (m values).
 
-    A bistatic chunk draws these statistics, not the plane z.  The grand
-    mean g, row effects alpha, column effects beta and doubly centred rest
-    Qz of an iid N(0, 1) ``(m, n)`` plane are its projections onto
+    No chunk draws the plane z, only the statistics its rows read.  The
+    grand mean g, row effects alpha, column effects beta and doubly centred
+    rest Qz of an iid N(0, 1) ``(m, n)`` plane are its projections onto
     orthogonal subspaces of dimension 1, m - 1, n - 1 and (m - 1)(n - 1),
     so they are independent standard normal vectors in their subspaces
     (Cochran's theorem): the row means ``r = g + alpha`` are iid N(0, 1 /
     n), beta has the law of m iid N(0, 1 / m) values less their mean, and
     ``|Qz|^2`` is chi-square with (m - 1)(n - 1) degrees of freedom.  A row
     reads Qz only through the LS energy ``|z|^2 = n |r|^2 + m |beta|^2 +
-    |Qz|^2``.  So the chunk draws one ``(m + n, T)`` standard normal array,
-    whose first m rows over ``sqrt(n)`` are r and whose last n rows over
-    ``sqrt(m)``, less their per-trial mean, are beta, and for mse then one
-    ``2 standard_gamma(T (m - 1)(n - 1) / 2)``, the chunk's total
-    ``|Qz|^2`` (0 when m or n is 1).
-
-    A monostatic row also reads the LS diagonal, which these statistics do
-    not carry, so a monostatic chunk folds z itself (``_fold_plane``),
-    holding one block of it: a 512-trial chunk peaks at 1.7 MiB at 96x96,
-    against 36 MiB for its plane.
+    |Qz|^2``.  So a bistatic chunk draws one ``(m + n, T)`` standard normal
+    array, whose first m rows over ``sqrt(n)`` are r and whose last n rows
+    over ``sqrt(m)``, less their per-trial mean, are beta, and for mse then
+    one ``2 standard_gamma(T (m - 1)(n - 1) / 2)``, the chunk's total
+    ``|Qz|^2`` (0 when m or n is 1).  A monostatic chunk draws ``2 m``
+    normals a trial and, for mse, one gamma (``_monostatic_statistics``).
+    A 512-trial 96x96 chunk peaks at about 1.0 MiB (bistatic) and 0.9 MiB
+    (monostatic), against 36 MiB for its plane.
     """
     point, start, stop = _chunk_span(cfg, c)
     sigma, pilot_len = cfg.grid_points[point]
@@ -415,25 +427,66 @@ def _run_noise_chunk(cfg: SweepConfig, c: int) -> dict:
             partial["sq_ls"] = energy * (scale / (m * n))
         rowcol *= scale
         return partial
-    squares = np.empty((m, n)) if mse else None
-    rows, cols = _fold_plane(rng, m, n, count, squares=squares)
-    coords = rows + cols
+    _, coords, energies = _monostatic_statistics(rng, m, count, energies=mse)
     partial = {"rowcol": (coords @ coords.T) * scale}
-    if squares is not None:
-        squares *= scale
-        partial["sq_ls"] = squares
+    if mse:
+        partial["sq_ls"] = energies * scale
     return partial
 
 
-def _fold_plane(rng, m: int, n: int, count: int, squares=None, diag=None) -> tuple:
+def _monostatic_statistics(rng, m: int, count: int, energies: bool = False) -> tuple:
+    """Draw from ``rng`` what a monostatic row reads of an ``(m, m,
+    count)`` standard normal plane z, without z: its diagonal d, its
+    refined coordinates ``w = row means + column means - grand mean`` (each
+    ``(m, count)``), and where ``energies`` is set the chunk's LS energy
+    totals ``[|d|^2, sum of z_ij^2 over i != j]``, else None.
+
+    z splits into its symmetric and antisymmetric parts, which are
+    independent: the diagonal d ~ N(0, 1), the M = m (m - 1) / 2 upper
+    entries s of ``(z + z^T) / 2`` and a of ``(z - z^T) / 2``, iid N(0,
+    1/2).  Row sum plus column sum is ``2 (d + B s)``, B the m x M
+    vertex-edge incidence matrix of the complete graph, so ``w = (2 / m) R
+    - sum(R) / m^2`` with ``R = d + B s``.  ``B s`` is normal with
+    covariance ``B B^T / 2 = ((m - 2) I + J) / 2``: the law of
+    ``sqrt((m - 2) / 2) (x - mean(x)) + sqrt(m - 1) mean(x)`` for x iid N(0,
+    1) (0 when m is 1).  The off-diagonal energy is ``2 |P s|^2 + 2 |Q s|^2
+    + 2 |a|^2``, P the projection onto B's row space, of rank r = m for m
+    >= 3 and m - 1 below; ``2 |P s|^2`` is ``|x|^2`` for m >= 3 and ``m
+    mean(x)^2`` for m = 2, and the rest is chi-square with ``m (m - 1) -
+    r`` degrees of freedom, independent of d and x.  So one ``(2 m,
+    count)`` normal draw gives d, then x, and the energies take one more
+    ``2 standard_gamma(count (m (m - 1) - r) / 2)`` (none when m is 1).
+    d and w are the two halves of that draw, w overwriting x.
+    """
+    u = rng.standard_normal((2 * m, count))
+    d, x = u[:m], u[m:]
+    mean = np.add.reduce(x, axis=0) / m
+    totals = None
+    if energies:
+        totals = np.array([np.vdot(d, d), 0.0])
+        if m >= 3:
+            totals[1] = np.vdot(x, x) + 2.0 * rng.standard_gamma(count * m * (m - 2) / 2)
+        elif m == 2:
+            totals[1] = m * np.vdot(mean, mean) + 2.0 * rng.standard_gamma(count / 2)
+    # x becomes B s, then R = d + B s, then w.
+    x -= mean
+    x *= math.sqrt(max(m - 2, 0) / 2)
+    x += math.sqrt(m - 1) * mean
+    x += d
+    total = np.add.reduce(x, axis=0)
+    x *= 2.0 / m
+    x -= total / (m * m)
+    return d, x, totals
+
+
+def _fold_plane(rng, m: int, n: int, count: int) -> tuple:
     """Draw an ``(m, n, count)`` standard normal plane z from ``rng`` and
     return its ``(m, count)`` row means and its ``(n, count)`` column means
-    less the grand mean; where given, fill ``squares`` ``(m, n)`` with its
-    per-entry sums of squares and ``diag`` ``(m, count)`` with its diagonal.
-    z is drawn in C order a block of rows at a time, into one buffer of at
-    most ``_BLOCK_BYTES`` (one row where a row is larger), and each block
-    is folded while in cache, each row added to the column sum in turn as
-    ``np.add.reduce`` adds a whole plane's: the bits of a whole-plane fold.
+    less the grand mean.  z is drawn in C order a block of rows at a time,
+    into one buffer of at most ``_BLOCK_BYTES`` (one row where a row is
+    larger), and each block is folded while in cache, each row added to
+    the column sum in turn as ``np.add.reduce`` adds a whole plane's: the
+    bits of a whole-plane fold.
     """
     step = min(m, max(1, _BLOCK_BYTES // (8 * n * count)))
     block = np.empty((step, n, count))
@@ -442,17 +495,12 @@ def _fold_plane(rng, m: int, n: int, count: int, squares=None, diag=None) -> tup
     for lo in range(0, m, step):
         z = block[: m - lo]
         rng.standard_normal(out=z)
-        hi = lo + len(z)
-        np.add.reduce(z, axis=1, out=rows[lo:hi])
+        np.add.reduce(z, axis=1, out=rows[lo : lo + len(z)])
         if lo == 0:
             np.add.reduce(z, axis=0, out=cols)
         else:
             for row in z:
                 cols += row
-        if squares is not None:
-            np.einsum("ijt,ijt->ij", z, z, out=squares[lo:hi])
-        if diag is not None:
-            diag[lo:hi] = np.diagonal(z, lo).T
     rows /= n
     cols /= m
     # The grand mean as rows.mean(axis=0) computes it, without its overhead.
@@ -475,16 +523,17 @@ def _loc_terms(cfg: SweepConfig, c: int) -> tuple[np.ndarray, np.ndarray, np.nda
     """Draw chunk c of a localization sweep: the anchors ``(3, k, T)``
     (transmitters, then receivers if bistatic), the tags ``(3, T)`` and the
     per-anchor terms its solvers read, in meters.  One ``random((T, k + 1,
-    3))`` call gives every scene's unit coordinates, then the noise plane
-    is folded (``_fold_plane``).  With d the true ranges ``|anchor - tag|``
-    and ``s = c sigma / sqrt(L)``, the terms are those the public solvers
-    take from the LS delays ``(d_i + d_j) / c + (sigma / sqrt(L)) z`` and
-    their refinement, up to rounding.  Bistatic, ``(m + n, T)``: the fit
+    3))`` call gives every scene's unit coordinates, then the noise.  With
+    d the true ranges ``|anchor - tag|`` and ``s = c sigma / sqrt(L)``, the
+    terms are those the public solvers take from the LS delays ``(d_i +
+    d_j) / c + (sigma / sqrt(L)) z`` and their refinement, up to rounding.
+    Bistatic, ``(m + n, T)``: z is folded (``_fold_plane``) into the fit
     ``a_i + b_j`` with ``a = d_tx + s (row means)`` and ``b = d_rx + s
     (column means - grand mean)``, its first column ``a + b_0`` over its
     first row ``a_0 + b``.  Monostatic, ``(m, 2 T)``: the LS ranges ``d +
     (s / 2) z_ii``, then the refined ``d + (s / 2) (row mean_i + column
-    mean_i - grand mean)``.
+    mean_i - grand mean)``, from z's statistics
+    (``_monostatic_statistics``).
     """
     point, start, stop = _chunk_span(cfg, c)
     sigma, pilot_len = cfg.grid_points[point]
@@ -498,18 +547,17 @@ def _loc_terms(cfg: SweepConfig, c: int) -> tuple[np.ndarray, np.ndarray, np.nda
     offset = anchors - tags[:, None]
     ranges = _sum_in_order(np.square(offset, out=offset))
     np.sqrt(ranges, out=ranges)
-    del offset  # not held while the plane is folded
-    diag = None if bistatic else np.empty((m, count))
-    rows, cols = _fold_plane(rng, m, n, count, diag=diag)
+    del offset  # not held while the noise is drawn
     scale = SPEED_OF_LIGHT * sigma / math.sqrt(pilot_len)
     if bistatic:
+        rows, cols = _fold_plane(rng, m, n, count)
         ranges[:m] += scale * rows
         ranges[m:] += scale * cols
         return anchors, tags, np.concatenate([ranges[:m] + ranges[m], ranges[0] + ranges[m:]])
-    rows += cols
-    rows *= scale / 2.0
+    diag, refined, _ = _monostatic_statistics(rng, m, count)
     diag *= scale / 2.0
-    return anchors, tags, np.concatenate([ranges + diag, ranges + rows], axis=1)
+    refined *= scale / 2.0
+    return anchors, tags, np.concatenate([ranges + diag, ranges + refined], axis=1)
 
 
 def _run_loc_chunk(cfg: SweepConfig, c: int) -> dict:
@@ -536,19 +584,25 @@ def _mse_rows(cfg: SweepConfig, sigma: float, pilot_len: int, sums: dict):
     """Empirical versus theoretical estimator MSE.
 
     Bistatic points emit one ``mse`` row per method (mean over entries);
-    monostatic points emit ``diag_mse`` and ``offdiag_mse`` rows.
+    monostatic points emit ``diag_mse`` and ``offdiag_mse`` rows (one
+    ``mse`` row at m = 1).
     """
     topo = cfg.topology
+    m = topo.m
     sigma0_sq = sigma**2 / pilot_len
     theory = analysis.theoretical_mse_iid(topo, sigma0_sq).per_entry_mse
-    squares = {"ls": sums["sq_ls"], "proposed": _refined_squares(topo, sums["rowcol"])}
-    for method, ref in (("ls", np.full_like(theory, sigma0_sq)), ("proposed", theory)):
-        mse = squares[method] / cfg.trials
-        if topo.kind is Kind.MONOSTATIC and topo.m > 1:
-            yield method, "diag_mse", float(np.trace(mse) / topo.m), float(ref[0, 0])
-            yield method, "offdiag_mse", _offdiag_mean(mse), float(ref[0, 1])
-        else:
-            yield method, "mse", float(mse.mean()), float(ref[0, 0])
+    ls = sums["sq_ls"] / cfg.trials
+    proposed = _refined_squares(topo, sums["rowcol"]) / cfg.trials
+    if topo.kind is Kind.MONOSTATIC and m > 1:
+        yield "ls", "diag_mse", float(ls[0] / m), sigma0_sq
+        yield "ls", "offdiag_mse", float(ls[1] / (m * m - m)), sigma0_sq
+        yield "proposed", "diag_mse", float(np.trace(proposed) / m), float(theory[0, 0])
+        yield "proposed", "offdiag_mse", _offdiag_mean(proposed), float(theory[0, 1])
+        return
+    # A bistatic sq_ls is already the mean over entries; a 1x1 monostatic
+    # one is its diagonal total and a zero.
+    yield "ls", "mse", float(ls if topo.kind is Kind.BISTATIC else ls[0]), sigma0_sq
+    yield "proposed", "mse", float(proposed.mean()), float(theory[0, 0])
 
 
 def _loc_rows(cfg: SweepConfig, sigma: float, pilot_len: int, sums: dict):

@@ -393,7 +393,23 @@ def test_sweep_cli_cube_beyond_the_range_limit_exit_code(tmp_path, capsys):
     out = tmp_path / "x.csv"
     code, _, err = run_cli(capsys, "sweep", "--config", str(config), "--out", str(out))
     assert code == 2
-    assert "cube_side must lie in (0, 9.823e+37) m" in err
+    assert "cube_side must lie in [1e-06, 9.823e+37) m" in err
+    assert not out.exists()
+
+
+def test_sweep_cli_cube_below_the_floor_exit_code(tmp_path, capsys):
+    """A localization cube of 1e-12 m, whose fixes the solvers' absolute
+    tolerances would swamp, exits 2 at the config check and names the
+    accepted cube_side."""
+    config = tmp_path / "cube.cfg"
+    config.write_text(
+        "experiment = localization\nkind = monostatic\nm = 6\ntrials = 16\n"
+        "cube_side = 1e-12\n"
+    )
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(capsys, "sweep", "--config", str(config), "--out", str(out))
+    assert code == 2
+    assert "cube_side must lie in [1e-06, 9.823e+37) m" in err and "1e-12" in err
     assert not out.exists()
 
 

@@ -4,6 +4,7 @@ import inspect
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -136,6 +137,8 @@ def test_parse_config_defaults():
         "experiment = mse\nkind = bistatic\nm = 2\nsigma_grid = 0, 1e-9\n",
         "experiment = mse\nkind = bistatic\nm = 2\nsigma_grid = -1e-9\n",
         "experiment = localization\nkind = bistatic\nm = 4\nn = 3\ncube_side = 1e40\n",
+        "experiment = localization\nkind = bistatic\nm = 4\nn = 3\ncube_side = 1e-12\n",
+        "experiment = localization\nkind = bistatic\nm = 4\nn = 3\ncube_side = 1e-50\n",
         "experiment = mse\nkind = bistatic\nm = 2\npilot_lengths = 0\n",
         "experiment = mse\nkind = bistatic\nm = 2\npilot_lengths = 2, 8, 2\n",
         "experiment = mse\nkind = bistatic\nm = 2\nsigma_grid = nan\n",
@@ -241,6 +244,26 @@ def test_localization_cube_just_inside_the_range_limit_runs(kind, m, n):
     )
     for row in run_sweep(cfg, workers=1).rows:
         assert 0.0 <= row.value < 1e-12 * cfg.cube_side, row
+
+
+@pytest.mark.parametrize("kind, m, n", [(Kind.BISTATIC, 4, 3), (Kind.MONOSTATIC, 6, 6)])
+def test_localization_cube_just_above_the_floor_scales_the_rows(kind, m, n):
+    """A cube just above CUBE_FLOOR passes the config check, and with sigma
+    scaled alike its rmse rows over the cube side lie within 1% of a 10 m
+    cube's on the same seed: the solvers' absolute tolerances do not yet
+    show.  A cube just below it is rejected."""
+    def rows(cube_side):
+        cfg = _cfg(
+            experiment=ExperimentKind.LOCALIZATION, kind=kind, m=m, n=n, cube_side=cube_side,
+            sigma_grid=(1e-10 * cube_side, 3e-10 * cube_side), trials=512,
+        )
+        return [row.value / cube_side for row in run_sweep(cfg, workers=1).sorted_rows()]
+
+    small = harness.CUBE_FLOOR * (1.0 + 1e-9)
+    for got, want in zip(rows(small), rows(10.0), strict=True):
+        assert abs(got / want - 1.0) <= 0.01
+    with pytest.raises(ConfigInvalid, match="cube_side must lie in"):
+        _cfg(experiment=ExperimentKind.LOCALIZATION, cube_side=harness.CUBE_FLOOR * (1.0 - 1e-9))
 
 
 @pytest.mark.parametrize(
@@ -377,12 +400,40 @@ def _chunk_stream(cfg, point, chunk):
     return count, noise_rng(cfg.master_seed, point * chunks + chunk)
 
 
-def _reference_plane(cfg, point, chunk):
-    """The noise plane of a monostatic mse or crlb chunk by stream contract
-    v7, in one call: one (m, m, trials) plane z of standard normals in C
-    order from the chunk's stream."""
-    count, rng = _chunk_stream(cfg, point, chunk)
-    return rng.standard_normal((cfg.m, cfg.n, count))
+def _replayed_monostatic(rng, m, count):
+    """What a monostatic chunk draws by stream contract v9, replayed from
+    its stream ``rng``: one (2 m, trials) standard normal array, whose
+    first m rows are z's diagonal d and whose last m rows x give ``B s =
+    sqrt((m - 2) / 2) (x - mean(x)) + sqrt(m - 1) mean(x)``, B the
+    vertex-edge incidence matrix of the complete graph on m vertices and s
+    the upper entries of ``(z + z^T) / 2``; then the chi-square energy an
+    mse chunk draws last, summed over the chunk (0 for m = 1).  Returns d,
+    B s, x and that energy."""
+    u = rng.standard_normal((2 * m, count))
+    d, x = u[:m], u[m:]
+    mean = x.mean(axis=0)
+    bs = math.sqrt(max(m - 2, 0) / 2) * (x - mean) + math.sqrt(m - 1) * mean
+    rank = m if m >= 3 else m - 1
+    chi2 = 2.0 * rng.standard_gamma(count * (m * (m - 1) - rank) / 2) if m > 1 else 0.0
+    return d, bs, x, chi2
+
+
+def _monostatic_plane(d, bs):
+    """An (m, m, trials) plane with the statistics a monostatic chunk
+    draws: diagonal d, symmetric off-diagonal entries s, the least-norm
+    solution of ``B s = bs``, and no antisymmetric part.  Its row plus
+    column sums are ``2 (d + B s)``, so its LS diagonal and its refined
+    errors are those of the chunk."""
+    m, count = d.shape
+    upper, lower = np.triu_indices(m, 1)
+    edges = np.arange(len(upper))
+    incidence = np.zeros((m, len(upper)))
+    incidence[upper, edges] = incidence[lower, edges] = 1.0
+    s = np.linalg.pinv(incidence) @ bs
+    z = np.zeros((m, m, count))
+    z[upper, lower] = z[lower, upper] = s
+    z[np.arange(m), np.arange(m)] = d
+    return z
 
 
 def _replayed_statistics(cfg, point, chunk):
@@ -403,14 +454,15 @@ def _replayed_statistics(cfg, point, chunk):
 
 def _reference_errors(cfg, point, chunk):
     """The LS errors of chunk ``chunk`` of grid point ``point``, one trial
-    at a time: trial i's LS error is (sigma / sqrt(L)) z[..., i].  For
-    monostatic z is the chunk's plane.  A bistatic chunk draws no plane, so
-    z is a plane with the chunk's statistics: ``z[i, j] = r_i + beta_j +
-    q_ij``, where q is one doubly centred matrix whose squares, over all the
-    chunk's trials, add up to its chi-square energy."""
+    at a time: trial i's LS error is (sigma / sqrt(L)) z[..., i].  No chunk
+    draws a plane, so z is a plane with the chunk's statistics.  Bistatic,
+    ``z[i, j] = r_i + beta_j + q_ij``, where q is one doubly centred matrix
+    whose squares, over all the chunk's trials, add up to its chi-square
+    energy; monostatic, ``_monostatic_plane``."""
     sigma, pilot_len = cfg.grid_points[point]
     if cfg.kind is Kind.MONOSTATIC:
-        z = _reference_plane(cfg, point, chunk)
+        count, rng = _chunk_stream(cfg, point, chunk)
+        z = _monostatic_plane(*_replayed_monostatic(rng, cfg.m, count)[:2])
     else:
         rows, beta, energy = _replayed_statistics(cfg, point, chunk)
         centred = np.outer(np.arange(cfg.m) - (cfg.m - 1) / 2, np.arange(cfg.n) - (cfg.n - 1) / 2)
@@ -420,8 +472,16 @@ def _reference_errors(cfg, point, chunk):
     return [(sigma / math.sqrt(pilot_len)) * z[..., i] for i in range(z.shape[-1])]
 
 
-def test_stream_contract_is_8():
-    assert STREAM_CONTRACT == bstoa.STREAM_CONTRACT == 8
+def test_stream_contract_is_9():
+    assert STREAM_CONTRACT == bstoa.STREAM_CONTRACT == 9
+
+
+def test_readme_names_the_stream_contract():
+    """The README's "(stream contract vN, `bstoa.STREAM_CONTRACT`)" names
+    the exported contract."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    named = re.findall(r"stream contract v(\d+), `bstoa\.STREAM_CONTRACT`", readme)
+    assert named == [str(bstoa.STREAM_CONTRACT)]
 
 
 def test_chunk_matches_per_trial_reference():
@@ -457,8 +517,8 @@ def test_chunk_ls_noise_is_the_pilot_mean_distribution(pilot_len):
     err sqrt(L) / sigma has mean 0 and variance 1 within 5 standard errors
     over 106496 values, both for the LS delay errors of a 16x16 monostatic
     localization grid point's 13 chunks (their LS ranges less the true
-    ranges, over c / 2) and for the errors a monostatic mse chunk draws, a
-    131072-value plane scaled by sigma / sqrt(L).  Each pilot length is
+    ranges, over c / 2) and for a 131072-value plane drawn from the point's
+    first stream, scaled by sigma / sqrt(L).  Each pilot length is
     its own grid point, so each draws from its own streams."""
     cfg = _cfg(
         experiment=ExperimentKind.LOCALIZATION, kind=Kind.MONOSTATIC, m=16, n=16,
@@ -532,7 +592,7 @@ def test_squares_from_the_partial_are_the_refined_squares(kind, m, n):
     [
         (Kind.BISTATIC, 4, 3), (Kind.BISTATIC, 1, 5), (Kind.BISTATIC, 5, 1),
         (Kind.BISTATIC, 24, 24), (Kind.BISTATIC, 25, 7), (Kind.BISTATIC, 96, 96),
-        (Kind.MONOSTATIC, 1, 1), (Kind.MONOSTATIC, 6, 6),
+        (Kind.MONOSTATIC, 1, 1), (Kind.MONOSTATIC, 2, 2), (Kind.MONOSTATIC, 6, 6),
     ],
 )
 def test_blocked_chunk_is_bitwise_the_whole_plane(kind, m, n):
@@ -541,9 +601,11 @@ def test_blocked_chunk_is_bitwise_the_whole_plane(kind, m, n):
     A bistatic chunk replays as its (m + n, trials) normals, then its
     chi-square; its rowcol is ``c c^T`` for ``c = [r; beta]`` and its
     ``sq_ls`` the LS energy ``n |r|^2 + m |beta|^2 + chi2`` over m n.  A
-    monostatic chunk draws its plane a block of rows at a time and folds
-    each block as it goes, with the bits of the plane drawn in one call.
-    crlb chunks keep the same ``rowcol``."""
+    monostatic chunk replays as its (2 m, trials) normals d and x, then its
+    chi-square; its rowcol is ``w w^T`` for ``w = (2 / m) R - sum(R) / m^2``
+    with ``R = d + B s``, and its ``sq_ls`` the diagonal energy ``|d|^2``
+    and the off-diagonal energy ``|x|^2 + chi2``.  crlb chunks keep the
+    same ``rowcol``."""
     cfg = _cfg(kind=kind, m=m, n=n, pilot_lengths=(8,), sigma_grid=(3e-9,), trials=700)
     scale = 3e-9**2 / 8
     for point, chunk, c in _point_chunks(cfg):
@@ -555,12 +617,13 @@ def test_blocked_chunk_is_bitwise_the_whole_plane(kind, m, n):
             energy = n * diag[:m].sum() + m * diag[m:].sum() + chi2
             sq_ls = energy * (scale / (m * n))
         else:
-            z = _reference_plane(cfg, point, chunk)
-            rows = z.mean(axis=1)
-            cols = z.mean(axis=0)
-            cols -= rows.mean(axis=0)
-            coords = rows + cols
-            sq_ls = np.einsum("ijt,ijt->ij", z, z) * scale
+            count, rng = _chunk_stream(cfg, point, chunk)
+            d, bs, x, chi2 = _replayed_monostatic(rng, m, count)
+            r = d + bs
+            coords = r * (2.0 / m) - r.sum(axis=0) / (m * m)
+            mean = x.mean(axis=0)
+            projected = {1: 0.0, 2: 2.0 * np.vdot(mean, mean)}.get(m, np.vdot(x, x))
+            sq_ls = np.array([np.vdot(d, d), projected + chi2]) * scale
         partial = _run_noise_chunk(cfg, c)
         assert np.array_equal(partial["rowcol"], (coords @ coords.T) * scale)
         assert np.array_equal(partial["sq_ls"], sq_ls)
@@ -570,11 +633,16 @@ def test_blocked_chunk_is_bitwise_the_whole_plane(kind, m, n):
 
 
 class _RecordingStream:
-    """A ``noise_rng`` generator that logs the shape of every normal draw
-    and the shape parameter of every gamma draw before making it."""
+    """A ``noise_rng`` generator that logs the shape of every uniform and
+    normal draw and the shape parameter of every gamma draw before making
+    it."""
 
     def __init__(self, rng, log):
         self._rng, self._log = rng, log
+
+    def random(self, shape):
+        self._log.append(("uniform", shape))
+        return self._rng.random(shape)
 
     def standard_normal(self, *args, **kwargs):
         self._log.append(("normal", kwargs["out"].shape if "out" in kwargs else args[0]))
@@ -589,8 +657,9 @@ class _RecordingStream:
 def test_bistatic_chunk_draws_m_plus_n_normals_a_trial(monkeypatch, m, n):
     """A bistatic mse chunk makes one (m + n, trials) normal draw and one
     gamma draw of shape trials (m - 1)(n - 1) / 2, and a crlb chunk only
-    the normal draw: no draw has m n trials values.  A monostatic chunk
-    still draws its (m, m, trials) plane, in blocks of rows."""
+    the normal draw: no draw has m n trials values.  A 6x6 monostatic mse
+    chunk draws 12 normals a trial and one gamma, not its 36-value
+    plane."""
     log = []
     monkeypatch.setattr(
         harness, "noise_rng", lambda *key: _RecordingStream(noise_rng(*key), log)
@@ -606,14 +675,41 @@ def test_bistatic_chunk_draws_m_plus_n_normals_a_trial(monkeypatch, m, n):
             assert log == want
     log.clear()
     _run_noise_chunk(_cfg(kind=Kind.MONOSTATIC, m=6, n=6, trials=700), 0)
-    assert sum(math.prod(shape) for _, shape in log) == 6 * 6 * CHUNK_TRIALS
+    assert log == [("normal", (12, CHUNK_TRIALS)), ("gamma", CHUNK_TRIALS * 6 * 4 / 2)]
 
 
-def _two_sample_gap(x, y):
+@pytest.mark.parametrize("m", [1, 2, 3, 6])
+def test_monostatic_chunk_draws_2m_normals_a_trial(monkeypatch, m):
+    """A monostatic mse chunk makes one (2 m, trials) normal draw and, for
+    m > 1, one gamma draw of shape trials (m (m - 1) - r) / 2, with r = m
+    for m >= 3 and m - 1 below; a crlb chunk makes only the normal draw,
+    and a localization chunk its scenes' uniform draw and then the same
+    normal draw.  No draw has m^2 trials values (for m > 2)."""
+    log = []
+    monkeypatch.setattr(
+        harness, "noise_rng", lambda *key: _RecordingStream(noise_rng(*key), log)
+    )
+    rank = m if m >= 3 else m - 1
+    for experiment in ExperimentKind:
+        cfg = _cfg(experiment=experiment, kind=Kind.MONOSTATIC, m=m, n=m, trials=700)
+        for c, count in enumerate((CHUNK_TRIALS, 700 - CHUNK_TRIALS)):
+            log.clear()
+            if experiment is ExperimentKind.LOCALIZATION:
+                _loc_terms(cfg, c)
+                want = [("uniform", (count, m + 1, 3)), ("normal", (2 * m, count))]
+            else:
+                _run_noise_chunk(cfg, c)
+                want = [("normal", (2 * m, count))]
+            if experiment is ExperimentKind.MSE and m > 1:
+                want.append(("gamma", count * (m * (m - 1) - rank) / 2))
+            assert log == want, experiment
+
+
+def _two_sample_gap(x, y, pairs=((0, 1),)):
     """Largest gap, in standard errors of the difference, between the
     column means of samples x and y (rows are draws), between their
-    column variances, and between the correlations of their first two
-    columns (on Fisher's z scale)."""
+    column variances, and between the correlations of each pair of columns
+    in ``pairs`` (on Fisher's z scale)."""
     def moments(a):
         dev = a - a.mean(axis=0)
         sq = dev**2
@@ -622,8 +718,9 @@ def _two_sample_gap(x, y):
     mx, vmx, sx, vsx = moments(x)
     my, vmy, sy, vsy = moments(y)
     gaps = [np.abs(mx - my) / np.sqrt(vmx + vmy), np.abs(sx - sy) / np.sqrt(vsx + vsy)]
-    fisher = [np.arctanh(np.corrcoef(a[:, 0], a[:, 1])[0, 1]) for a in (x, y)]
-    gaps.append(abs(fisher[0] - fisher[1]) / math.sqrt(2.0 / (len(x) - 3)))
+    for i, j in pairs:
+        fisher = [np.arctanh(np.corrcoef(a[:, i], a[:, j])[0, 1]) for a in (x, y)]
+        gaps.append(abs(fisher[0] - fisher[1]) / math.sqrt(2.0 / (len(x) - 3)))
     return max(float(np.max(g)) for g in gaps)
 
 
@@ -656,6 +753,44 @@ def test_bistatic_statistics_match_a_folded_plane(m, n):
     expected = np.array([m * n * trials, trials * (m / n + (n - 1) / m)])
     se = drawn[:, :2].std(axis=0) / math.sqrt(points)
     assert np.all(np.abs(drawn[:, :2].mean(axis=0) - expected) <= 5.0 * se)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6])
+def test_monostatic_statistics_match_a_folded_plane(m):
+    """Over 2000 eight-trial monostatic mse chunks, the LS diagonal energy,
+    the off-diagonal energy, tr(rowcol) and every rowcol entry have the
+    means and variances of the same statistics folded from 2000 real (m, m,
+    8) planes of standard normals, and both energies are as correlated with
+    tr(rowcol), all within 5 standard errors of the difference.  The drawn
+    means of the three also lie within 5 standard errors of their
+    expectations, 8 m, 8 m (m - 1) and 8 (2 m - 1) / m.  At m = 1 there is
+    no off-diagonal energy and tr(rowcol) is the diagonal energy, so only
+    means and variances are compared."""
+    points, trials = 2000, 8
+    cfg = _cfg(
+        kind=Kind.MONOSTATIC, m=m, n=m, pilot_lengths=tuple(range(1, points + 1)),
+        sigma_grid=(1.0,), trials=trials,
+    )
+    drawn, folded = [], []
+    for c in range(points):
+        # Grid point c has pilot length c + 1, so its partial is in units of 1 / (c + 1).
+        partial = _run_noise_chunk(cfg, c)
+        rowcol = partial["rowcol"] * (c + 1)
+        drawn.append([*(partial["sq_ls"] * (c + 1)), np.trace(rowcol), *rowcol.ravel()])
+        z = noise_rng(cfg.master_seed + 1, c).standard_normal((m, m, trials))
+        diag = (np.diagonal(z) ** 2).sum()
+        coords = z.mean(axis=1) + z.mean(axis=0) - z.mean(axis=(0, 1))
+        rowcol = coords @ coords.T
+        folded.append([diag, (z * z).sum() - diag, np.trace(rowcol), *rowcol.ravel()])
+    drawn, folded = np.array(drawn), np.array(folded)
+    if m == 1:
+        assert not drawn[:, 1].any() and not folded[:, 1].any()
+        assert _two_sample_gap(np.delete(drawn, 1, axis=1), np.delete(folded, 1, axis=1), ()) <= 5.0
+    else:
+        assert _two_sample_gap(drawn, folded, pairs=((0, 2), (1, 2))) <= 5.0
+    expected = np.array([m, m * (m - 1), (2 * m - 1) / m]) * trials
+    se = drawn[:, :3].std(axis=0) / math.sqrt(points)
+    assert np.all(np.abs(drawn[:, :3].mean(axis=0) - expected) <= 5.0 * se)
 
 
 @settings(max_examples=60, deadline=None)
@@ -846,10 +981,12 @@ def test_sweeps_never_build_dense_matrices(monkeypatch):
 
 def _reference_chunk(cfg, point, chunk):
     """The trials of chunk ``chunk`` of grid point ``point`` of a
-    localization sweep by stream contract v8, one trial at a time through
+    localization sweep by stream contract v9, one trial at a time through
     the public functions: the chunk's stream, ``noise_rng(master_seed,
     point * chunks + chunk)``, gives every scene's unit coordinates (tx, rx
-    if bistatic, tag), then one (m, n, trials) plane z; trial i's LS
+    if bistatic, tag), then one (m, n, trials) plane z for bistatic, or
+    for monostatic the statistics that make a plane z with the chunk's
+    diagonal and refined errors (``_monostatic_plane``); trial i's LS
     estimate is truth + (sigma / sqrt(L)) z[..., i], refined by
     ``refine_estimate``.  Returns the (trials, ...) stacks of tx, rx, tag,
     truth, LS and refined estimates."""
@@ -859,7 +996,10 @@ def _reference_chunk(cfg, point, chunk):
     sigma, pilot_len = cfg.grid_points[point]
     count, rng = _chunk_stream(cfg, point, chunk)
     u = rng.random((count, m + n_rx + 1, 3))
-    z = rng.standard_normal((m, n, count))
+    if n_rx:
+        z = rng.standard_normal((m, n, count))
+    else:
+        z = _monostatic_plane(*_replayed_monostatic(rng, m, count)[:2])
     stacks = {key: [] for key in ("tx", "rx", "tag", "truth", "t_hat", "t_ref")}
     for i in range(count):
         points = u[i] * cfg.cube_side
@@ -1034,8 +1174,8 @@ def _noise_chunk_peak(kind, m):
 def test_noise_chunk_memory_does_not_hold_the_plane(m, bound):
     """A 512-trial m x m mse chunk never holds its (m, m, trials) plane,
     2.3 MiB at 24x24 and 36 MiB at 96x96: bistatic and monostatic chunks
-    both peak below 1 MiB at 24x24 and 4 MiB at 96x96.  A monostatic chunk
-    holds one block of its plane (0.5 and 1.7 MiB measured)."""
+    both peak below 1 MiB at 24x24 and 4 MiB at 96x96 (0.26 and 0.26 MiB
+    at 24x24, 1.0 and 0.9 MiB at 96x96 measured)."""
     for kind in Kind:
         assert _noise_chunk_peak(kind, m) < bound, kind
 
@@ -1045,6 +1185,13 @@ def test_bistatic_noise_chunk_memory_is_its_statistics():
     (2 m, 2 m) products: a 512-trial 96x96 chunk peaks below 1.5 MiB (1.0
     MiB measured; one block of the plane would add 2.3 MiB)."""
     assert _noise_chunk_peak(Kind.BISTATIC, 96) < 1.5 * 2**20
+
+
+def test_monostatic_noise_chunk_memory_is_its_statistics():
+    """A monostatic chunk holds only its (2 m, trials) normals and its
+    (m, m) products: a 512-trial 96x96 chunk peaks below 1.5 MiB (0.9 MiB
+    measured; its plane would be 36 MiB)."""
+    assert _noise_chunk_peak(Kind.MONOSTATIC, 96) < 1.5 * 2**20
 
 
 def test_sweep_determinism_same_config():
