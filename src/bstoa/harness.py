@@ -6,7 +6,7 @@ per-trial statistics are reduced into CSV rows of the fixed schema
 
     sigma,pilot_len,method,metric,value,theory,low_confidence
 
-Reproducibility contract (stream contract v9, ``STREAM_CONTRACT``): the
+Reproducibility contract (stream contract v10, ``STREAM_CONTRACT``): the
 trials of each grid point are cut into ``chunks = ceil(trials /
 CHUNK_TRIALS)`` fixed chunks, and chunk c of the sweep, counted
 point-major, draws from stream c of the master seed, the SFC64 generator
@@ -28,21 +28,28 @@ grand mean; no chunk builds a delay or estimate matrix.
   each folded into its row and column sums before the next
   (``_fold_plane``).  Its solvers read per-anchor terms only: the true
   ranges ``|anchor - tag|`` plus the noise in meters (``_loc_terms``).
+* A trial's rows read z only through k standard normals, a linear map of
+  z, and a chi-square: k = m + n for bistatic (Cochran's theorem; see
+  ``_run_noise_chunk``); for monostatic k = 2 m, z's diagonal and what
+  its symmetric part adds to the row and column sums
+  (``_monostatic_statistics``).  A monostatic localization chunk draws
+  those 2 m normals a trial, not the m x m plane.
 * An mse or crlb chunk draws no scene: the scene would add only rounding.
-  Its rows read only the refined error's row/column coordinates and the LS
-  errors' energy, so it draws the statistics of z, not z: m + n normals a
-  trial for bistatic (Cochran's theorem; see ``_run_noise_chunk``).
-* A monostatic chunk of any experiment draws 2 m normals a trial, z's
-  diagonal and what its symmetric part adds to the row and column sums,
-  not the m x m plane (``_monostatic_statistics``); v9 changed the
-  monostatic CSVs (bar the 1x1 crlb one) and no bistatic one.
+  Its rows are quadratic forms of its trials' k normals, so it draws only
+  their sum of outer products, Wishart over its T trials, as one Bartlett
+  factor: a ``(k, min(k, T))`` normal draw and a gamma vector
+  (``_bartlett_factor``), then for mse one chi-square; O(k^2) values, not
+  k T (k = 1 for a 1x1 monostatic chunk, which reads only z's diagonal).
+  v10 changed every mse and crlb CSV and no localization CSV.
 
 A grid point's partials, chunks ``point * chunks`` to ``(point + 1) *
 chunks - 1``, are added in chunk order, so output bytes do not depend on
 the number of worker processes, nor on whether a pool runs at all.  A
-single trial is reproduced by replaying its chunk.
-A chunk keeps its trials on the last, contiguous axis of every array, so
-its sums act on whole ``(k, trials)`` planes.
+single localization trial is reproduced by replaying its chunk; an mse or
+crlb chunk replays as its Bartlett factor, whose columns stand for its
+trials.  A chunk keeps its trials (or those columns) on the last,
+contiguous axis of every array, so its sums act on whole ``(k, trials)``
+planes.
 
 ``workers`` (None: one per CPU) caps the processes a sweep may use, and a
 pool opens only when it pays: the first two chunks run in this process,
@@ -100,7 +107,7 @@ from .topology import Kind, Topology
 
 CHUNK_TRIALS = 512
 # Bumped whenever the draws behind a sweep's CSV change (module docstring).
-STREAM_CONTRACT = 9
+STREAM_CONTRACT = 10
 LOW_CONFIDENCE_TRIALS = 1000
 # Work left after the timed chunk (its seconds times the chunks left) above
 # which a sweep with more than one worker opens a process pool.  On a 2-core
@@ -397,14 +404,25 @@ def _run_noise_chunk(cfg: SweepConfig, c: int) -> dict:
     n), beta has the law of m iid N(0, 1 / m) values less their mean, and
     ``|Qz|^2`` is chi-square with (m - 1)(n - 1) degrees of freedom.  A row
     reads Qz only through the LS energy ``|z|^2 = n |r|^2 + m |beta|^2 +
-    |Qz|^2``.  So a bistatic chunk draws one ``(m + n, T)`` standard normal
-    array, whose first m rows over ``sqrt(n)`` are r and whose last n rows
-    over ``sqrt(m)``, less their per-trial mean, are beta, and for mse then
-    one ``2 standard_gamma(T (m - 1)(n - 1) / 2)``, the chunk's total
-    ``|Qz|^2`` (0 when m or n is 1).  A monostatic chunk draws ``2 m``
-    normals a trial and, for mse, one gamma (``_monostatic_statistics``).
-    A 512-trial 96x96 chunk peaks at about 1.0 MiB (bistatic) and 0.9 MiB
-    (monostatic), against 36 MiB for its plane.
+    |Qz|^2``.  So a trial's bistatic statistics are a fixed linear map of
+    k = m + n standard normals u (the first m over ``sqrt(n)`` are r, the
+    last n over ``sqrt(m)``, less their mean, are beta) and one
+    independent chi-square; a monostatic trial's are a linear map of k = 2
+    m normals (k = 1 at m = 1) and, for mse, a chi-square
+    (``_monostatic_statistics``).
+
+    Every partial is a quadratic form of the chunk's u's, so it reads them
+    only through ``sum_t u_t u_t^T``, which is Wishart_k(I, T) over T
+    trials.  The chunk draws that sum as a Bartlett factor L
+    (``_bartlett_factor``): one ``(k, r)`` normal draw, then one gamma
+    vector for its diagonal, r = min(k, T), and folds L's r columns as if
+    they were r trials.  An mse chunk then draws one ``2
+    standard_gamma(T dof / 2)``, its chi-square total: dof = (m - 1)(n -
+    1) for bistatic, and for monostatic ``m (m - 1)`` less B's rank (m for
+    m >= 3, m - 1 below; no draw at m = 1).  So a chunk draws O(k^2)
+    values, not k T: a 512-trial 96x96 chunk peaks at about 0.6 MiB
+    (bistatic and monostatic, tracemalloc), against 36 MiB for its plane
+    and 0.9-1.0 MiB for its k T normals.
     """
     point, start, stop = _chunk_span(cfg, c)
     sigma, pilot_len = cfg.grid_points[point]
@@ -412,13 +430,14 @@ def _run_noise_chunk(cfg: SweepConfig, c: int) -> dict:
     rng = noise_rng(cfg.master_seed, c)
     mse = cfg.experiment is ExperimentKind.MSE
     scale = sigma**2 / pilot_len
-    if cfg.kind is Kind.BISTATIC:
-        coords = rng.standard_normal((m + n, count))
-        coords[:m] /= math.sqrt(n)
-        beta = coords[m:]
+    bistatic = cfg.kind is Kind.BISTATIC
+    u = _bartlett_factor(rng, m + n if bistatic else (2 * m if m > 1 else 1), count)
+    if bistatic:
+        u[:m] /= math.sqrt(n)
+        beta = u[m:]
         beta /= math.sqrt(m)
         beta -= np.add.reduce(beta, axis=0) / n
-        rowcol = coords @ coords.T
+        rowcol = u @ u.T
         partial = {"rowcol": rowcol}
         if mse:
             diag = np.diagonal(rowcol)
@@ -427,19 +446,45 @@ def _run_noise_chunk(cfg: SweepConfig, c: int) -> dict:
             partial["sq_ls"] = energy * (scale / (m * n))
         rowcol *= scale
         return partial
-    _, coords, energies = _monostatic_statistics(rng, m, count, energies=mse)
-    partial = {"rowcol": (coords @ coords.T) * scale}
+    partial = {}
     if mse:
-        partial["sq_ls"] = energies * scale
+        # 2 |P s|^2 (``_monostatic_statistics``): |x|^2 for m >= 3, m
+        # mean(x)^2 at m = 2, none at m = 1; the rest is chi-square.
+        d, x = u[:m], u[m:]
+        if m >= 3:
+            projected = np.vdot(x, x) + 2.0 * rng.standard_gamma(count * m * (m - 2) / 2)
+        elif m == 2:
+            mean = np.add.reduce(x, axis=0) / m
+            projected = m * np.vdot(mean, mean) + 2.0 * rng.standard_gamma(count / 2)
+        else:
+            projected = 0.0
+        partial["sq_ls"] = np.array([np.vdot(d, d), projected]) * scale
+    _, coords = _monostatic_statistics(u, m)
+    partial["rowcol"] = (coords @ coords.T) * scale
     return partial
 
 
-def _monostatic_statistics(rng, m: int, count: int, energies: bool = False) -> tuple:
-    """Draw from ``rng`` what a monostatic row reads of an ``(m, m,
-    count)`` standard normal plane z, without z: its diagonal d, its
-    refined coordinates ``w = row means + column means - grand mean`` (each
-    ``(m, count)``), and where ``energies`` is set the chunk's LS energy
-    totals ``[|d|^2, sum of z_ij^2 over i != j]``, else None.
+def _bartlett_factor(rng, k: int, count: int) -> np.ndarray:
+    """A ``(k, r)`` factor L, r = min(k, count), drawn from ``rng`` so that
+    ``L L^T`` has the law of ``sum_t u_t u_t^T`` over ``count`` iid N(0,
+    I_k) vectors u_t, Wishart_k(I, count) (Bartlett's decomposition).  One
+    ``(k, r)`` normal draw gives L's strictly lower part, and one gamma
+    vector its diagonal, ``L_ii = sqrt(chi-square with count - i degrees
+    of freedom)``.  This is the L of the LQ decomposition ``U = L Q`` of
+    the ``(k, count)`` array of the u's: when count < k, its rows below r
+    are U's in the basis Q, iid N(0, 1) too."""
+    r = min(k, count)
+    factor = np.tril(rng.standard_normal((k, r)), -1)
+    np.fill_diagonal(factor, np.sqrt(2.0 * rng.standard_gamma((count - np.arange(r)) / 2)))
+    return factor
+
+
+def _monostatic_statistics(u: np.ndarray, m: int) -> tuple:
+    """What a monostatic row reads of an ``(m, m, cols)`` standard normal
+    plane z, as a linear map of a ``(2 m, cols)`` array u of standard
+    normals (at m = 1, u's first row alone is read): z's diagonal d and its
+    refined coordinates ``w = row means + column means - grand mean``, each
+    ``(m, cols)``.  d is u's first m rows and w overwrites the last m, x.
 
     z splits into its symmetric and antisymmetric parts, which are
     independent: the diagonal d ~ N(0, 1), the M = m (m - 1) / 2 upper
@@ -449,34 +494,26 @@ def _monostatic_statistics(rng, m: int, count: int, energies: bool = False) -> t
     - sum(R) / m^2`` with ``R = d + B s``.  ``B s`` is normal with
     covariance ``B B^T / 2 = ((m - 2) I + J) / 2``: the law of
     ``sqrt((m - 2) / 2) (x - mean(x)) + sqrt(m - 1) mean(x)`` for x iid N(0,
-    1) (0 when m is 1).  The off-diagonal energy is ``2 |P s|^2 + 2 |Q s|^2
-    + 2 |a|^2``, P the projection onto B's row space, of rank r = m for m
-    >= 3 and m - 1 below; ``2 |P s|^2`` is ``|x|^2`` for m >= 3 and ``m
-    mean(x)^2`` for m = 2, and the rest is chi-square with ``m (m - 1) -
-    r`` degrees of freedom, independent of d and x.  So one ``(2 m,
-    count)`` normal draw gives d, then x, and the energies take one more
-    ``2 standard_gamma(count (m (m - 1) - r) / 2)`` (none when m is 1).
-    d and w are the two halves of that draw, w overwriting x.
+    1) (0 when m is 1, where w = d).  The off-diagonal energy is ``2 |P
+    s|^2 + 2 |Q s|^2 + 2 |a|^2``, P the projection onto B's row space, of
+    rank r = m for m >= 3 and m - 1 below; ``2 |P s|^2`` is ``|x|^2`` for m
+    >= 3 and ``m mean(x)^2`` for m = 2, and the rest is chi-square with ``m
+    (m - 1) - r`` degrees of freedom, independent of d and x.
     """
-    u = rng.standard_normal((2 * m, count))
-    d, x = u[:m], u[m:]
+    d = u[:m]
+    if m == 1:
+        return d, d.copy()
+    x = u[m:]
     mean = np.add.reduce(x, axis=0) / m
-    totals = None
-    if energies:
-        totals = np.array([np.vdot(d, d), 0.0])
-        if m >= 3:
-            totals[1] = np.vdot(x, x) + 2.0 * rng.standard_gamma(count * m * (m - 2) / 2)
-        elif m == 2:
-            totals[1] = m * np.vdot(mean, mean) + 2.0 * rng.standard_gamma(count / 2)
     # x becomes B s, then R = d + B s, then w.
     x -= mean
-    x *= math.sqrt(max(m - 2, 0) / 2)
+    x *= math.sqrt((m - 2) / 2)
     x += math.sqrt(m - 1) * mean
     x += d
     total = np.add.reduce(x, axis=0)
     x *= 2.0 / m
     x -= total / (m * m)
-    return d, x, totals
+    return d, x
 
 
 def _fold_plane(rng, m: int, n: int, count: int) -> tuple:
@@ -554,7 +591,7 @@ def _loc_terms(cfg: SweepConfig, c: int) -> tuple[np.ndarray, np.ndarray, np.nda
         ranges[:m] += scale * rows
         ranges[m:] += scale * cols
         return anchors, tags, np.concatenate([ranges[:m] + ranges[m], ranges[0] + ranges[m:]])
-    diag, refined, _ = _monostatic_statistics(rng, m, count)
+    diag, refined = _monostatic_statistics(rng.standard_normal((2 * m, count)), m)
     diag *= scale / 2.0
     refined *= scale / 2.0
     return anchors, tags, np.concatenate([ranges + diag, ranges + refined], axis=1)
@@ -646,18 +683,24 @@ def _crlb_rows(cfg: SweepConfig, sigma: float, pilot_len: int, sums: dict):
     chose nor the choice of generalized inverse matters: any ``H`` with
     ``G H G = G`` may stand for ``G^+``.  ``H = diag(I_m / n,
     (I_n - 1 1^T / n) / m)`` is one, read off ``G [a; b] = [n a + sum(b);
-    sum(a) + m b]``; it needs no solve, so no BLAS threads are woken.
+    sum(a) + m b]``; it needs no solve, so no BLAS threads are woken.  By
+    the same blocks, ``D G = [n D_1 + D_2 1 1^T, D_1 1 1^T + m D_2]`` for
+    D's column blocks ``D = [D_1, D_2]``, so neither G nor H is built.
     Nothing here is (m n) x (m n).
     """
     topo = cfg.topology
     if topo.kind is Kind.BISTATIC:
         m, n = topo.m, topo.n
-        gram = np.block([[n * np.eye(m), np.ones((m, n))], [np.ones((n, m)), m * np.eye(n)]])
-        ginv = np.zeros((m + n, m + n))
-        ginv[:m, :m] = np.eye(m) / n
-        ginv[m:, m:] = (np.eye(n) - 1.0 / n) / m
         # D / s, so that no s^2 is formed, which underflows for small sigma.
-        dg = (sums["rowcol"] / (cfg.trials * (sigma**2 / pilot_len)) - ginv) @ gram
+        d = sums["rowcol"] / (cfg.trials * (sigma**2 / pilot_len))
+        # G's diagonal [n 1_m; m 1_n]; H's diagonal is its reciprocal.
+        lam = np.repeat((float(n), float(m)), (m, n))
+        d.flat[:: m + n + 1] -= 1.0 / lam
+        d[m:, m:] += 1.0 / (m * n)
+        # D G: D's columns times G's diagonal, plus the row sums of each of
+        # D's column blocks added to the other block's columns.
+        dg = d * lam
+        dg += np.repeat(np.add.reduceat(d, (0, m), axis=1)[:, ::-1], (m, n), axis=1)
         rel = math.sqrt(max(float(np.einsum("ij,ji->", dg, dg)), 0.0))
         value = rel / math.sqrt(m + n - 1)
         yield "proposed", "cov_frob_rel_err", value, math.sqrt((m + n) / cfg.trials)

@@ -400,22 +400,57 @@ def _chunk_stream(cfg, point, chunk):
     return count, noise_rng(cfg.master_seed, point * chunks + chunk)
 
 
-def _replayed_monostatic(rng, m, count):
-    """What a monostatic chunk draws by stream contract v9, replayed from
-    its stream ``rng``: one (2 m, trials) standard normal array, whose
-    first m rows are z's diagonal d and whose last m rows x give ``B s =
-    sqrt((m - 2) / 2) (x - mean(x)) + sqrt(m - 1) mean(x)``, B the
-    vertex-edge incidence matrix of the complete graph on m vertices and s
-    the upper entries of ``(z + z^T) / 2``; then the chi-square energy an
-    mse chunk draws last, summed over the chunk (0 for m = 1).  Returns d,
-    B s, x and that energy."""
-    u = rng.standard_normal((2 * m, count))
+def _replayed_factor(rng, k, count):
+    """The Bartlett factor an mse or crlb chunk of ``count`` trials draws
+    first by stream contract v10, replayed from its stream ``rng``: a (k,
+    r) array, r = min(k, count), whose strictly lower entries are those of
+    one (k, r) standard normal draw and whose diagonal is the square root
+    of a chi-square vector with count, count - 1, ..., count - r + 1
+    degrees of freedom, one gamma draw.  Its r columns stand for the
+    chunk's trials: the chunk folds them as it folded per-trial normals by
+    v9."""
+    r = min(k, count)
+    normals = rng.standard_normal((k, r))
+    chi = np.sqrt(2.0 * rng.standard_gamma((count - np.arange(r)) / 2))
+    factor = np.where(np.arange(k)[:, None] > np.arange(r), normals, 0.0)
+    factor[np.arange(r), np.arange(r)] = chi
+    return factor
+
+
+def _noise_factor(cfg, point, chunk):
+    """Trial count, stream and replayed Bartlett factor of chunk ``chunk``
+    of grid point ``point`` of an mse or crlb sweep: k = m + n for
+    bistatic, 2 m for monostatic (1 at m = 1)."""
+    count, rng = _chunk_stream(cfg, point, chunk)
+    m = cfg.m
+    k = m + cfg.n if cfg.kind is Kind.BISTATIC else (2 * m if m > 1 else 1)
+    return count, rng, _replayed_factor(rng, k, count)
+
+
+def _replayed_monostatic(u, m):
+    """The monostatic statistics of a (2 m, cols) standard normal array u
+    (at m = 1 only its first row is read): its first m rows are z's
+    diagonal d, and its last m rows x give ``B s = sqrt((m - 2) / 2) (x -
+    mean(x)) + sqrt(m - 1) mean(x)``, B the vertex-edge incidence matrix of
+    the complete graph on m vertices and s the upper entries of ``(z +
+    z^T) / 2`` (0 at m = 1).  Returns d, B s and x."""
     d, x = u[:m], u[m:]
+    if m == 1:
+        return d, np.zeros_like(d), x
     mean = x.mean(axis=0)
-    bs = math.sqrt(max(m - 2, 0) / 2) * (x - mean) + math.sqrt(m - 1) * mean
+    bs = math.sqrt((m - 2) / 2) * (x - mean) + math.sqrt(m - 1) * mean
+    return d, bs, x
+
+
+def _monostatic_chi2(rng, m, count):
+    """The chi-square energy a monostatic mse chunk of ``count`` trials
+    draws last, summed over the chunk: ``m (m - 1) - r`` degrees of
+    freedom a trial, r = m for m >= 3 and m - 1 below (no draw at m =
+    1)."""
+    if m == 1:
+        return 0.0
     rank = m if m >= 3 else m - 1
-    chi2 = 2.0 * rng.standard_gamma(count * (m * (m - 1) - rank) / 2) if m > 1 else 0.0
-    return d, bs, x, chi2
+    return 2.0 * rng.standard_gamma(count * (m * (m - 1) - rank) / 2)
 
 
 def _monostatic_plane(d, bs):
@@ -437,15 +472,15 @@ def _monostatic_plane(d, bs):
 
 
 def _replayed_statistics(cfg, point, chunk):
-    """What a bistatic mse or crlb chunk draws by stream contract v7,
-    replayed from its stream: one (m + n, trials) standard normal array
-    whose first m rows over sqrt(n) are the row means r and whose last n
-    rows over sqrt(m), less their per-trial mean, are the column effects
-    beta, then the chi-square energy of the plane off the outer-sum
-    subspace, summed over the chunk (an mse chunk's last draw)."""
+    """What a bistatic mse or crlb chunk draws by stream contract v10,
+    replayed from its stream: its Bartlett factor (``_replayed_factor``),
+    whose columns are pseudo-trials: the first m rows over sqrt(n) are the
+    row means r and the last n rows over sqrt(m), less their per-column
+    mean, are the column effects beta; then the chi-square energy of the
+    plane off the outer-sum subspace, summed over the chunk's trials (an
+    mse chunk's last draw)."""
     m, n = cfg.m, cfg.n
-    count, rng = _chunk_stream(cfg, point, chunk)
-    u = rng.standard_normal((m + n, count))
+    count, rng, u = _noise_factor(cfg, point, chunk)
     rows = u[:m] / math.sqrt(n)
     beta = u[m:] / math.sqrt(m)
     beta -= np.add.reduce(beta, axis=0) / n
@@ -453,16 +488,18 @@ def _replayed_statistics(cfg, point, chunk):
 
 
 def _reference_errors(cfg, point, chunk):
-    """The LS errors of chunk ``chunk`` of grid point ``point``, one trial
-    at a time: trial i's LS error is (sigma / sqrt(L)) z[..., i].  No chunk
-    draws a plane, so z is a plane with the chunk's statistics.  Bistatic,
-    ``z[i, j] = r_i + beta_j + q_ij``, where q is one doubly centred matrix
-    whose squares, over all the chunk's trials, add up to its chi-square
-    energy; monostatic, ``_monostatic_plane``."""
+    """The LS errors of chunk ``chunk`` of grid point ``point``, one
+    pseudo-trial at a time: pseudo-trial i's LS error is (sigma / sqrt(L))
+    z[..., i].  No chunk draws a plane, nor a trial's statistics, so z is a
+    plane with the statistics of the Bartlett factor's columns, and its
+    sums over pseudo-trials are the chunk's sums over its trials.
+    Bistatic, ``z[i, j] = r_i + beta_j + q_ij``, where q is one doubly
+    centred matrix whose squares, over all the pseudo-trials, add up to
+    the chunk's chi-square energy; monostatic, ``_monostatic_plane``."""
     sigma, pilot_len = cfg.grid_points[point]
     if cfg.kind is Kind.MONOSTATIC:
-        count, rng = _chunk_stream(cfg, point, chunk)
-        z = _monostatic_plane(*_replayed_monostatic(rng, cfg.m, count)[:2])
+        _, _, u = _noise_factor(cfg, point, chunk)
+        z = _monostatic_plane(*_replayed_monostatic(u, cfg.m)[:2])
     else:
         rows, beta, energy = _replayed_statistics(cfg, point, chunk)
         centred = np.outer(np.arange(cfg.m) - (cfg.m - 1) / 2, np.arange(cfg.n) - (cfg.n - 1) / 2)
@@ -472,8 +509,8 @@ def _reference_errors(cfg, point, chunk):
     return [(sigma / math.sqrt(pilot_len)) * z[..., i] for i in range(z.shape[-1])]
 
 
-def test_stream_contract_is_9():
-    assert STREAM_CONTRACT == bstoa.STREAM_CONTRACT == 9
+def test_stream_contract_is_10():
+    assert STREAM_CONTRACT == bstoa.STREAM_CONTRACT == 10
 
 
 def test_readme_names_the_stream_contract():
@@ -486,7 +523,8 @@ def test_readme_names_the_stream_contract():
 
 def test_chunk_matches_per_trial_reference():
     """A batched chunk reproduces a per-trial loop over LS errors with the
-    chunk's draws, refined through the dense projector B: its ``sq_ls`` is
+    chunk's draws (its Bartlett factor's columns as pseudo-trials),
+    refined through the dense projector B: its ``sq_ls`` is
     the mean over entries of the LS squares, the squares read off the
     row/column partial are the per-trial refined squares, and the partial,
     mapped back through K, is the sum of the per-trial error outer
@@ -513,13 +551,16 @@ def test_chunk_matches_per_trial_reference():
 
 @pytest.mark.parametrize("pilot_len", [1, 2, 8])
 def test_chunk_ls_noise_is_the_pilot_mean_distribution(pilot_len):
-    """The mean of L iid N(t, sigma^2) pilots is N(t, sigma^2 / L):
-    err sqrt(L) / sigma has mean 0 and variance 1 within 5 standard errors
-    over 106496 values, both for the LS delay errors of a 16x16 monostatic
-    localization grid point's 13 chunks (their LS ranges less the true
-    ranges, over c / 2) and for a 131072-value plane drawn from the point's
-    first stream, scaled by sigma / sqrt(L).  Each pilot length is
-    its own grid point, so each draws from its own streams."""
+    """The mean of L iid N(t, sigma^2) pilots is N(t, sigma^2 / L).  The LS
+    delay errors of a 16x16 monostatic localization grid point's 13 chunks
+    (their LS ranges less the true ranges, over c / 2), times sqrt(L) /
+    sigma, have mean 0 and variance 1 within 5 standard errors over
+    106496 values.  A bistatic 16x16 mse chunk's own LS energy then has the
+    law of 16 16 T such errors: over a grid point's 1000 512-trial chunks,
+    ``sq_ls / (T sigma^2 / L)``, a chi-square with 16 16 T degrees of
+    freedom over them, has mean 1 and variance 2 / (16 16 T) within 5
+    standard errors.  Each pilot length is its own grid point, so each
+    draws from its own streams."""
     cfg = _cfg(
         experiment=ExperimentKind.LOCALIZATION, kind=Kind.MONOSTATIC, m=16, n=16,
         pilot_lengths=(1, 2, 8), sigma_grid=(1e-9,), trials=13 * CHUNK_TRIALS,
@@ -531,13 +572,18 @@ def test_chunk_ls_noise_is_the_pilot_mean_distribution(pilot_len):
         anchors, tags, terms = _loc_terms(cfg, c)
         ranges = np.sqrt(((anchors - tags[:, None]) ** 2).sum(axis=0))
         errors.append((terms[:, : tags.shape[1]] - ranges) * (2.0 / SPEED_OF_LIGHT))
-    drawn = noise_rng(cfg.master_seed, streams[0]).standard_normal((16, 16, CHUNK_TRIALS))
-    drawn *= 1e-9 / math.sqrt(pilot_len)
-    for err in (np.concatenate(errors, axis=1), drawn):
-        z = (err * (math.sqrt(pilot_len) / 1e-9)).ravel()
-        assert z.size >= 100_000
-        assert abs(z.mean()) <= 5.0 / math.sqrt(z.size)
-        assert abs(z.var() - 1.0) <= 5.0 * math.sqrt(2.0 / z.size)
+    z = (np.concatenate(errors, axis=1) * (math.sqrt(pilot_len) / 1e-9)).ravel()
+    assert z.size >= 100_000
+    assert abs(z.mean()) <= 5.0 / math.sqrt(z.size)
+    assert abs(z.var() - 1.0) <= 5.0 * math.sqrt(2.0 / z.size)
+
+    chunks = 1000
+    mse = replace(cfg, experiment=ExperimentKind.MSE, kind=Kind.BISTATIC, trials=chunks * CHUNK_TRIALS)
+    scale = 1e-9**2 / pilot_len * CHUNK_TRIALS
+    ratios = np.array([_run_noise_chunk(mse, point * chunks + k)["sq_ls"] / scale for k in range(chunks)])
+    var = 2.0 / (16 * 16 * CHUNK_TRIALS)
+    assert abs(ratios.mean() - 1.0) <= 5.0 * math.sqrt(var / chunks)
+    assert abs(ratios.var() - var) <= 5.0 * var * math.sqrt(2.0 / (chunks - 1))
 
 
 @pytest.mark.parametrize(
@@ -575,9 +621,9 @@ def test_refined_error_is_the_projected_ls_error(kind, m, n):
 )
 def test_squares_from_the_partial_are_the_refined_squares(kind, m, n):
     """The per-entry refined squares read off a chunk's row/column partial
-    equal the squares of ``refine_estimate`` on the chunk's LS errors (for
-    bistatic, a plane with the chunk's draws) within 1e-12 relative, on a
-    full and a partial chunk."""
+    equal the squares of ``refine_estimate`` on the chunk's LS errors (a
+    plane with the chunk's draws, ``_reference_errors``) within 1e-12
+    relative, on a full and a partial chunk."""
     cfg = _cfg(kind=kind, m=m, n=n, pilot_lengths=(2,), sigma_grid=(3e-9,), trials=700)
     for point, chunk, c in _point_chunks(cfg):
         err = np.stack(_reference_errors(cfg, point, chunk))
@@ -598,14 +644,15 @@ def test_squares_from_the_partial_are_the_refined_squares(kind, m, n):
 def test_blocked_chunk_is_bitwise_the_whole_plane(kind, m, n):
     """A chunk's ``sq_ls`` and ``rowcol`` are bit-equal to the same
     reductions of a replay of its stream, on a full and a partial chunk.
-    A bistatic chunk replays as its (m + n, trials) normals, then its
+    Both kinds replay their Bartlett factor first, whose columns stand for
+    trials.  A bistatic chunk replays as that (m + n, r) factor, then its
     chi-square; its rowcol is ``c c^T`` for ``c = [r; beta]`` and its
     ``sq_ls`` the LS energy ``n |r|^2 + m |beta|^2 + chi2`` over m n.  A
-    monostatic chunk replays as its (2 m, trials) normals d and x, then its
-    chi-square; its rowcol is ``w w^T`` for ``w = (2 / m) R - sum(R) / m^2``
-    with ``R = d + B s``, and its ``sq_ls`` the diagonal energy ``|d|^2``
-    and the off-diagonal energy ``|x|^2 + chi2``.  crlb chunks keep the
-    same ``rowcol``."""
+    monostatic chunk replays as its (2 m, r) factor, d and x (d alone at m
+    = 1), then its chi-square; its rowcol is ``w w^T`` for ``w = (2 / m) R
+    - sum(R) / m^2`` with ``R = d + B s``, and its ``sq_ls`` the diagonal
+    energy ``|d|^2`` and the off-diagonal energy ``|x|^2 + chi2``.  crlb
+    chunks keep the same ``rowcol``."""
     cfg = _cfg(kind=kind, m=m, n=n, pilot_lengths=(8,), sigma_grid=(3e-9,), trials=700)
     scale = 3e-9**2 / 8
     for point, chunk, c in _point_chunks(cfg):
@@ -617,12 +664,18 @@ def test_blocked_chunk_is_bitwise_the_whole_plane(kind, m, n):
             energy = n * diag[:m].sum() + m * diag[m:].sum() + chi2
             sq_ls = energy * (scale / (m * n))
         else:
-            count, rng = _chunk_stream(cfg, point, chunk)
-            d, bs, x, chi2 = _replayed_monostatic(rng, m, count)
+            count, rng, u = _noise_factor(cfg, point, chunk)
+            d, bs, x = _replayed_monostatic(u, m)
             r = d + bs
             coords = r * (2.0 / m) - r.sum(axis=0) / (m * m)
-            mean = x.mean(axis=0)
-            projected = {1: 0.0, 2: 2.0 * np.vdot(mean, mean)}.get(m, np.vdot(x, x))
+            if m == 1:
+                projected = 0.0
+            elif m == 2:
+                mean = x.mean(axis=0)
+                projected = 2.0 * np.vdot(mean, mean)
+            else:
+                projected = np.vdot(x, x)
+            chi2 = _monostatic_chi2(rng, m, count)
             sq_ls = np.array([np.vdot(d, d), projected + chi2]) * scale
         partial = _run_noise_chunk(cfg, c)
         assert np.array_equal(partial["rowcol"], (coords @ coords.T) * scale)
@@ -634,8 +687,8 @@ def test_blocked_chunk_is_bitwise_the_whole_plane(kind, m, n):
 
 class _RecordingStream:
     """A ``noise_rng`` generator that logs the shape of every uniform and
-    normal draw and the shape parameter of every gamma draw before making
-    it."""
+    normal draw and the shape parameter of every gamma draw (a float, or a
+    list for a vector draw) before making it."""
 
     def __init__(self, rng, log):
         self._rng, self._log = rng, log
@@ -649,47 +702,59 @@ class _RecordingStream:
         return self._rng.standard_normal(*args, **kwargs)
 
     def standard_gamma(self, shape):
-        self._log.append(("gamma", shape))
+        self._log.append(("gamma", np.asarray(shape).tolist()))
         return self._rng.standard_gamma(shape)
 
 
 @pytest.mark.parametrize("m, n", [(4, 3), (24, 24), (1, 5)])
 def test_bistatic_chunk_draws_m_plus_n_normals_a_trial(monkeypatch, m, n):
-    """A bistatic mse chunk makes one (m + n, trials) normal draw and one
-    gamma draw of shape trials (m - 1)(n - 1) / 2, and a crlb chunk only
-    the normal draw: no draw has m n trials values.  A 6x6 monostatic mse
-    chunk draws 12 normals a trial and one gamma, not its 36-value
-    plane."""
+    """A bistatic mse or crlb chunk of T trials draws the Bartlett factor
+    of its m + n normals a trial: one (m + n, r) normal draw, r = min(m +
+    n, T), and one gamma vector of shapes ``(T - i) / 2``, i < r; an mse
+    chunk then one gamma draw of shape T (m - 1)(n - 1) / 2.  No draw has
+    (m + n) T values where m + n < T, nor m n T anywhere.  A 6x6 monostatic
+    mse chunk draws a (12, 12) factor and one gamma, not its 12 normals a
+    trial nor its 36-value plane."""
     log = []
     monkeypatch.setattr(
         harness, "noise_rng", lambda *key: _RecordingStream(noise_rng(*key), log)
     )
+    k = m + n
     for experiment in (ExperimentKind.MSE, ExperimentKind.CRLB):
         cfg = _cfg(experiment=experiment, m=m, n=n, trials=700)
         for c, count in enumerate((CHUNK_TRIALS, 700 - CHUNK_TRIALS)):
             log.clear()
             _run_noise_chunk(cfg, c)
-            want = [("normal", (m + n, count))]
+            r = min(k, count)
+            want = [("normal", (k, r)), ("gamma", [(count - i) / 2 for i in range(r)])]
             if experiment is ExperimentKind.MSE:
                 want.append(("gamma", count * (m - 1) * (n - 1) / 2))
             assert log == want
     log.clear()
     _run_noise_chunk(_cfg(kind=Kind.MONOSTATIC, m=6, n=6, trials=700), 0)
-    assert log == [("normal", (12, CHUNK_TRIALS)), ("gamma", CHUNK_TRIALS * 6 * 4 / 2)]
+    assert log == [
+        ("normal", (12, 12)),
+        ("gamma", [(CHUNK_TRIALS - i) / 2 for i in range(12)]),
+        ("gamma", CHUNK_TRIALS * 6 * 4 / 2),
+    ]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 6])
 def test_monostatic_chunk_draws_2m_normals_a_trial(monkeypatch, m):
-    """A monostatic mse chunk makes one (2 m, trials) normal draw and, for
-    m > 1, one gamma draw of shape trials (m (m - 1) - r) / 2, with r = m
-    for m >= 3 and m - 1 below; a crlb chunk makes only the normal draw,
-    and a localization chunk its scenes' uniform draw and then the same
-    normal draw.  No draw has m^2 trials values (for m > 2)."""
+    """A localization chunk makes its scenes' uniform draw and then one
+    (2 m, trials) normal draw, 2 m normals a trial.  A monostatic mse or
+    crlb chunk of T trials draws the Bartlett factor of k such normals a
+    trial, k = 2 m (k = 1 at m = 1, whose rows read only d): one (k, r)
+    normal draw, r = min(k, T), and one gamma vector of shapes ``(T - i) /
+    2``, i < r; an mse chunk then, for m > 1, one gamma draw of shape T (m
+    (m - 1) - r') / 2, with r' = m for m >= 3 and m - 1 below.  No mse or
+    crlb draw has k T values."""
     log = []
     monkeypatch.setattr(
         harness, "noise_rng", lambda *key: _RecordingStream(noise_rng(*key), log)
     )
     rank = m if m >= 3 else m - 1
+    k = 2 * m if m > 1 else 1
     for experiment in ExperimentKind:
         cfg = _cfg(experiment=experiment, kind=Kind.MONOSTATIC, m=m, n=m, trials=700)
         for c, count in enumerate((CHUNK_TRIALS, 700 - CHUNK_TRIALS)):
@@ -699,10 +764,75 @@ def test_monostatic_chunk_draws_2m_normals_a_trial(monkeypatch, m):
                 want = [("uniform", (count, m + 1, 3)), ("normal", (2 * m, count))]
             else:
                 _run_noise_chunk(cfg, c)
-                want = [("normal", (2 * m, count))]
+                r = min(k, count)
+                want = [("normal", (k, r)), ("gamma", [(count - i) / 2 for i in range(r)])]
             if experiment is ExperimentKind.MSE and m > 1:
                 want.append(("gamma", count * (m * (m - 1) - rank) / 2))
             assert log == want, experiment
+
+
+@pytest.mark.parametrize(
+    "k, count", [(1, CHUNK_TRIALS), (7, CHUNK_TRIALS), (48, CHUNK_TRIALS), (48, 8), (12, 8)]
+)
+def test_bartlett_factor_has_the_wishart_law(k, count):
+    """Over 2000 streams, the entries of ``L L^T`` for a drawn Bartlett
+    factor L have the moments of ``sum_t u_t u_t^T`` over ``count`` iid
+    N(0, I_k) vectors: mean ``count delta_ij`` and variance ``count (1 +
+    delta_ij)``, each within 5 standard errors, and ``L L^T`` has rank r =
+    min(k, count).  Covers T >= k (a 4x3 and a 24x24 full chunk, a 1x1
+    monostatic chunk) and T < k (a 24x24 and a 6x6 monostatic last chunk of
+    8 trials)."""
+    draws = 2000
+    r = min(k, count)
+    upper = np.triu_indices(k)
+    delta = (upper[0] == upper[1]).astype(float)
+    entries = np.empty((draws, len(delta)))
+    for seed in range(draws):
+        factor = harness._bartlett_factor(noise_rng(seed, 0), k, count)
+        assert factor.shape == (k, r)
+        wishart = factor @ factor.T
+        assert np.linalg.matrix_rank(wishart) == r
+        entries[seed] = wishart[upper]
+    mean, var = count * delta, count * (1.0 + delta)
+    assert np.all(np.abs(entries.mean(axis=0) - mean) <= 5.0 * np.sqrt(var / draws))
+    sq = (entries - entries.mean(axis=0)) ** 2
+    assert np.all(np.abs(sq.mean(axis=0) - var) <= 5.0 * sq.std(axis=0) / math.sqrt(draws))
+
+
+@pytest.mark.parametrize(
+    "kind, m, n",
+    [(Kind.BISTATIC, 4, 3), (Kind.BISTATIC, 24, 24), (Kind.MONOSTATIC, 2, 2), (Kind.MONOSTATIC, 6, 6)],
+)
+def test_bartlett_partials_match_per_trial_partials(monkeypatch, kind, m, n):
+    """Over 2000 eight-trial mse chunks, the partials a chunk folds from its
+    Bartlett factor have the law of the partials the same fold makes from
+    per-trial normals, a (k, 8) array, from other streams: the LS
+    energies, tr(rowcol) and every upper rowcol entry agree in mean and
+    variance, and the energies in their correlation with tr(rowcol), within
+    5 standard errors of the difference.  At 4x3 and monostatic 2, k <= 8
+    and the factor is square; at 24x24 and monostatic 6, k > 8 and it has 8
+    columns."""
+    points, trials = 2000, 8
+    cfg = _cfg(
+        kind=kind, m=m, n=n, pilot_lengths=tuple(range(1, points + 1)), sigma_grid=(1.0,),
+        trials=trials,
+    )
+    upper = np.triu_indices(m + n if kind is Kind.BISTATIC else m)
+
+    def partials(cfg):
+        out = []
+        for c in range(points):
+            # Grid point c has pilot length c + 1, so its partial is in units of 1 / (c + 1).
+            partial = _run_noise_chunk(cfg, c)
+            rowcol = partial["rowcol"] * (c + 1)
+            out.append([*np.ravel(partial["sq_ls"] * (c + 1)), np.trace(rowcol), *rowcol[upper]])
+        return np.array(out)
+
+    drawn = partials(cfg)
+    monkeypatch.setattr(harness, "_bartlett_factor", lambda rng, k, count: rng.standard_normal((k, count)))
+    per_trial = partials(replace(cfg, master_seed=cfg.master_seed + 1))
+    pairs = ((0, 1),) if kind is Kind.BISTATIC else ((0, 2), (1, 2))
+    assert _two_sample_gap(drawn, per_trial, pairs) <= 5.0
 
 
 def _two_sample_gap(x, y, pairs=((0, 1),)):
@@ -981,12 +1111,13 @@ def test_sweeps_never_build_dense_matrices(monkeypatch):
 
 def _reference_chunk(cfg, point, chunk):
     """The trials of chunk ``chunk`` of grid point ``point`` of a
-    localization sweep by stream contract v9, one trial at a time through
-    the public functions: the chunk's stream, ``noise_rng(master_seed,
-    point * chunks + chunk)``, gives every scene's unit coordinates (tx, rx
-    if bistatic, tag), then one (m, n, trials) plane z for bistatic, or
-    for monostatic the statistics that make a plane z with the chunk's
-    diagonal and refined errors (``_monostatic_plane``); trial i's LS
+    localization sweep by stream contract v10 (as by v9), one trial at a
+    time through the public functions: the chunk's stream,
+    ``noise_rng(master_seed, point * chunks + chunk)``, gives every scene's
+    unit coordinates (tx, rx if bistatic, tag), then one (m, n, trials)
+    plane z for bistatic, or for monostatic one (2 m, trials) normal array
+    whose statistics make a plane z with the chunk's diagonal and refined
+    errors (``_monostatic_plane``); trial i's LS
     estimate is truth + (sigma / sqrt(L)) z[..., i], refined by
     ``refine_estimate``.  Returns the (trials, ...) stacks of tx, rx, tag,
     truth, LS and refined estimates."""
@@ -999,7 +1130,8 @@ def _reference_chunk(cfg, point, chunk):
     if n_rx:
         z = rng.standard_normal((m, n, count))
     else:
-        z = _monostatic_plane(*_replayed_monostatic(rng, m, count)[:2])
+        u_noise = rng.standard_normal((2 * m, count))
+        z = _monostatic_plane(*_replayed_monostatic(u_noise, m)[:2])
     stacks = {key: [] for key in ("tx", "rx", "tag", "truth", "t_hat", "t_ref")}
     for i in range(count):
         points = u[i] * cfg.cube_side
@@ -1174,22 +1306,22 @@ def _noise_chunk_peak(kind, m):
 def test_noise_chunk_memory_does_not_hold_the_plane(m, bound):
     """A 512-trial m x m mse chunk never holds its (m, m, trials) plane,
     2.3 MiB at 24x24 and 36 MiB at 96x96: bistatic and monostatic chunks
-    both peak below 1 MiB at 24x24 and 4 MiB at 96x96 (0.26 and 0.26 MiB
-    at 24x24, 1.0 and 0.9 MiB at 96x96 measured)."""
+    both peak below 1 MiB at 24x24 and 4 MiB at 96x96 (0.04 and 0.04 MiB
+    at 24x24, 0.6 and 0.6 MiB at 96x96 measured)."""
     for kind in Kind:
         assert _noise_chunk_peak(kind, m) < bound, kind
 
 
 def test_bistatic_noise_chunk_memory_is_its_statistics():
-    """A bistatic chunk holds only its (2 m, trials) normals and their
-    (2 m, 2 m) products: a 512-trial 96x96 chunk peaks below 1.5 MiB (1.0
+    """A bistatic chunk holds only its (2 m, 2 m) Bartlett factor and its
+    (2 m, 2 m) products: a 512-trial 96x96 chunk peaks below 1.5 MiB (0.6
     MiB measured; one block of the plane would add 2.3 MiB)."""
     assert _noise_chunk_peak(Kind.BISTATIC, 96) < 1.5 * 2**20
 
 
 def test_monostatic_noise_chunk_memory_is_its_statistics():
-    """A monostatic chunk holds only its (2 m, trials) normals and its
-    (m, m) products: a 512-trial 96x96 chunk peaks below 1.5 MiB (0.9 MiB
+    """A monostatic chunk holds only its (2 m, 2 m) Bartlett factor and its
+    (m, m) products: a 512-trial 96x96 chunk peaks below 1.5 MiB (0.6 MiB
     measured; its plane would be 36 MiB)."""
     assert _noise_chunk_peak(Kind.MONOSTATIC, 96) < 1.5 * 2**20
 
