@@ -45,10 +45,15 @@ class CrlbReport:
 
 
 def _check_variance(name: str, value: float) -> None:
+    """Accept an estimate-level variance only where it is a positive normal
+    float, ``check_sigma``'s rule in variance form: below that, every MSE
+    and bound built on it reads 0 or has lost its precision."""
     if not math.isfinite(value):
         raise NonFiniteInput(f"{name} must be finite, got {value}")
-    if value < 0.0:
-        raise InvalidValue(f"{name} must be >= 0, got {value}")
+    if not value >= sys.float_info.min:
+        raise InvalidValue(
+            f"{name} must be a normal float of at least {sys.float_info.min:.4g}, got {value}"
+        )
 
 
 def _check_pilot_len(pilot_len: int) -> None:
@@ -91,7 +96,12 @@ def check_sigma(
 
 
 def theoretical_mse_iid(topo: Topology, sigma0_sq: float) -> MseReport:
-    """Refined-estimator MSE per subchannel under iid noise."""
+    """Refined-estimator MSE per subchannel under iid noise.
+
+    Raises:
+        NonFiniteInput: if ``sigma0_sq`` is NaN or infinite.
+        InvalidValue: if ``sigma0_sq`` is not a positive normal float.
+    """
     _check_variance("sigma0_sq", sigma0_sq)
     m, n = topo.m, topo.n
     if topo.kind is Kind.MONOSTATIC:
@@ -175,13 +185,14 @@ def crlb_bistatic(topo: Topology, sigma_sq: float, pilot_len: int) -> CrlbReport
 
     Raises:
         NonFiniteInput: if ``sigma_sq`` is NaN or infinite.
-        InvalidValue: if ``sigma_sq < 0`` or ``pilot_len < 1``.
+        InvalidValue: if ``pilot_len < 1``, or ``sigma_sq / pilot_len``
+            is not a positive normal float (zero, subnormal or negative).
     """
     if topo.kind is not Kind.BISTATIC:
         raise WrongTopology("crlb_bistatic requires a bistatic topology")
-    _check_variance("sigma_sq", sigma_sq)
     _check_pilot_len(pilot_len)
     sigma0_sq = sigma_sq / pilot_len
+    _check_variance("sigma_sq / pilot_len", sigma0_sq)
     per_entry = theoretical_mse_iid(topo, sigma0_sq).per_entry_mse
     return CrlbReport(
         covariance_bound=sigma0_sq * weighting_matrix(topo), subchannel_bounds=per_entry
@@ -204,12 +215,13 @@ def crlb_monostatic(topo: Topology, sigma_sq: float, pilot_len: int) -> CrlbRepo
 
     Raises:
         NonFiniteInput: if ``sigma_sq`` is NaN or infinite.
-        InvalidValue: if ``sigma_sq < 0`` or ``pilot_len < 1``.
+        InvalidValue: if ``pilot_len < 1``, or ``sigma_sq / pilot_len``
+            is not a positive normal float (zero, subnormal or negative).
     """
     if topo.kind is not Kind.MONOSTATIC:
         raise WrongTopology("crlb_monostatic requires a monostatic topology")
-    _check_variance("sigma_sq", sigma_sq)
     _check_pilot_len(pilot_len)
+    _check_variance("sigma_sq / pilot_len", sigma_sq / pilot_len)
     m = topo.m
     scale = sigma_sq / (4.0 * pilot_len)
     cov = np.full((m, m), scale * (-1.0) / m**2)

@@ -18,12 +18,13 @@ import argparse
 import dataclasses
 import os
 import sys
+import warnings
 
 import numpy as np
 
 from .analysis import check_sigma, crlb_bistatic, crlb_monostatic
 from .channel import Scene
-from .errors import BstoaError, NonFiniteInput, SingularGeometry
+from .errors import BstoaError, DimensionMismatch, NonFiniteInput, SingularGeometry
 from .estimator import ls_estimate, refine_estimate
 from .harness import load_config, run_sweep
 from .localization import localize_bistatic, localize_monostatic
@@ -66,11 +67,27 @@ def _cmd_gen_matrix(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_csv(path: str, what: str) -> np.ndarray:
+    """The finite 2D array of numbers in the CSV file at ``path``.
+
+    Raises:
+        DimensionMismatch: if the file holds no data.
+        NonFiniteInput: if a value is NaN or infinite.
+    """
+    with warnings.catch_warnings():
+        # numpy warns on input with no data; the check below says so instead.
+        warnings.simplefilter("ignore", UserWarning)
+        values = np.loadtxt(path, delimiter=",", ndmin=2)
+    if values.size == 0:
+        raise DimensionMismatch(f"{what} in {path}: the file holds no data")
+    if not np.isfinite(values).all():
+        raise NonFiniteInput(f"{what} in {path} must be finite")
+    return values
+
+
 def _cmd_estimate(args: argparse.Namespace) -> int:
     topo = _topology_from_args(args)
-    y = np.loadtxt(args.input, delimiter=",", ndmin=2)
-    if not np.isfinite(y).all():
-        raise NonFiniteInput(f"observations in {args.input} must be finite")
+    y = _read_csv(args.input, "observations")
     t_hat = ls_estimate(y, topo)
     if args.method == "proposed":
         t_hat = refine_estimate(t_hat, topo)
@@ -93,7 +110,7 @@ def _cmd_crlb(args: argparse.Namespace) -> int:
 def _cmd_localize(args: argparse.Namespace) -> int:
     with open(args.scene, "r", encoding="utf-8") as handle:
         scene = Scene.from_text(handle.read())
-    t = np.loadtxt(args.toa, delimiter=",", ndmin=2)
+    t = _read_csv(args.toa, "delays")
     if args.method == "proposed":
         t = refine_estimate(t, scene.topo)
     if scene.topo.kind is Kind.MONOSTATIC:

@@ -6,7 +6,7 @@ per-trial statistics are reduced into CSV rows of the fixed schema
 
     sigma,pilot_len,method,metric,value,theory,low_confidence
 
-Reproducibility contract (stream contract v10, ``STREAM_CONTRACT``): the
+Reproducibility contract (stream contract v11, ``STREAM_CONTRACT``): the
 trials of each grid point are cut into ``chunks = ceil(trials /
 CHUNK_TRIALS)`` fixed chunks, and chunk c of the sweep, counted
 point-major, draws from stream c of the master seed, the SFC64 generator
@@ -14,33 +14,34 @@ point-major, draws from stream c of the master seed, the SFC64 generator
 chunks) * CHUNK_TRIALS`` onwards of grid point ``c // chunks``, and that
 index is the only handle a sweep passes around.  The LS estimate of a
 delay is the mean of L iid N(t, sigma^2) pilots, which is exactly N(t,
-sigma^2 / L), so a chunk draws that mean's noise directly instead of its
-L pilots: the LS error is ``(sigma / sqrt(L)) z`` for an ``(m, n,
-trials)`` plane z of standard normals.  Both estimators are linear and
+sigma^2 / L), so the LS error is ``(sigma / sqrt(L)) z`` for an ``(m,
+n)`` plane z of standard normals a trial.  Both estimators are linear and
 every true delay matrix lies in the outer-sum subspace, which the
 projection leaves fixed, so the refined error is exactly the projection
 of the LS error, an outer sum of z's row means and column means less its
 grand mean; no chunk builds a delay or estimate matrix.
 
+No chunk draws z.  A trial's rows read z only through k standard normals,
+a linear map of z, and a chi-square, and each topology has one such map,
+shared by every experiment: k = m + n for bistatic, z's row means and
+column means less its grand mean (Cochran's theorem; see
+``_run_noise_chunk`` and ``_bistatic_statistics``); k = 2 m for
+monostatic, z's diagonal and what its symmetric part adds to the row and
+column sums (``_monostatic_statistics``).
+
 * A localization chunk first draws the unit coordinates of all its
-  scenes, a row of tx, then rx if bistatic, then tag per trial, then its
-  noise.  A bistatic chunk draws z in C order, a block of rows at a time,
-  each folded into its row and column sums before the next
-  (``_fold_plane``).  Its solvers read per-anchor terms only: the true
-  ranges ``|anchor - tag|`` plus the noise in meters (``_loc_terms``).
-* A trial's rows read z only through k standard normals, a linear map of
-  z, and a chi-square: k = m + n for bistatic (Cochran's theorem; see
-  ``_run_noise_chunk``); for monostatic k = 2 m, z's diagonal and what
-  its symmetric part adds to the row and column sums
-  (``_monostatic_statistics``).  A monostatic localization chunk draws
-  those 2 m normals a trial, not the m x m plane.
+  scenes, a row of tx, then rx if bistatic, then tag per trial, then one
+  ``(k, trials)`` normal array.  Its solvers read per-anchor terms only:
+  the true ranges ``|anchor - tag|`` plus the noise in meters
+  (``_loc_terms``).
 * An mse or crlb chunk draws no scene: the scene would add only rounding.
   Its rows are quadratic forms of its trials' k normals, so it draws only
   their sum of outer products, Wishart over its T trials, as one Bartlett
   factor: a ``(k, min(k, T))`` normal draw and a gamma vector
   (``_bartlett_factor``), then for mse one chi-square; O(k^2) values, not
   k T (k = 1 for a 1x1 monostatic chunk, which reads only z's diagonal).
-  v10 changed every mse and crlb CSV and no localization CSV.
+
+v11 changed the bistatic localization CSVs and no other.
 
 A grid point's partials, chunks ``point * chunks`` to ``(point + 1) *
 chunks - 1``, are added in chunk order, so output bytes do not depend on
@@ -71,10 +72,11 @@ squares and the CRLB check from it (``_refined_squares``, ``_crlb_rows``).
 is a positive normal float for every pilot length L and the sweep's sums
 stay finite with ``_HEADROOM_SDS`` standard deviations of room
 (``analysis.check_sigma`` names the range), so no row is computed from an
-underflowed variance or an overflowed sum.  A localization sweep keeps its
-cube's longest range sum, ``2 sqrt(3) cube_side``, plus ``_HEADROOM_SDS``
-deviations of range noise below the solvers' ``RANGE_LIMIT``, and its
-cube_side at least ``CUBE_FLOOR``.
+underflowed variance or an overflowed sum.  A localization sweep needs at
+least 4 independent ranges (m + n - 1 for bistatic, m for monostatic),
+keeps its cube's longest range sum, ``2 sqrt(3) cube_side``, plus
+``_HEADROOM_SDS`` deviations of range noise below the solvers'
+``RANGE_LIMIT``, and its cube_side at least ``CUBE_FLOOR``.
 
 Config files are flat ``key = value`` text; lists are comma-separated.
 Recognized keys are the SweepConfig fields: ``experiment`` (mse,
@@ -100,14 +102,14 @@ import numpy as np
 from . import analysis
 from .analysis import check_sigma
 from .channel import SPEED_OF_LIGHT, noise_rng
-from .errors import ConfigInvalid, InvalidValue, UnderDetermined
+from .errors import ConfigInvalid, InvalidValue
 from .estimator import _sum_in_order
 from .localization import RANGE_LIMIT, STEP_TOL, _fix_bistatic, _fix_monostatic
 from .topology import Kind, Topology
 
 CHUNK_TRIALS = 512
 # Bumped whenever the draws behind a sweep's CSV change (module docstring).
-STREAM_CONTRACT = 10
+STREAM_CONTRACT = 11
 LOW_CONFIDENCE_TRIALS = 1000
 # Work left after the timed chunk (its seconds times the chunks left) above
 # which a sweep with more than one worker opens a process pool.  On a 2-core
@@ -118,10 +120,6 @@ _POOL_BREAK_EVEN_S = 0.1
 # Contiguous runs of chunks per pool worker: a few per worker even out
 # unequal runs, and each run is one task, so few runs keep the IPC small.
 _RUNS_PER_WORKER = 4
-# Bytes of the buffer a bistatic localization chunk draws its noise plane
-# into, a block of rows at a time (``_fold_plane``): small enough to stay in
-# L2.
-_BLOCK_BYTES = 2**18
 # Meters; the shortest cube side a localization sweep accepts.  The solvers
 # stop on an absolute step length, STEP_TOL, and floor distances at
 # _DISTANCE_FLOOR, 100 times shorter, so a fix scales with its scene only
@@ -183,6 +181,11 @@ class SweepConfig:
         if any(b <= a for a, b in zip(self.sigma_grid, self.sigma_grid[1:])):
             raise ConfigInvalid("sigma grid must be strictly ascending")
         if self.experiment is ExperimentKind.LOCALIZATION:
+            # A bistatic m x n matrix holds m + n - 1 independent range sums.
+            topo = self.topology
+            ranges = topo.m + topo.n - 1 if topo.kind is Kind.BISTATIC else topo.m
+            if ranges < 4:
+                raise ConfigInvalid(f"{ranges} independent ranges cannot fix a 3D position")
             # The cube's longest range sum, 2 sqrt(3) cube_side, and
             # _HEADROOM_SDS deviations of range noise, c sigma / sqrt(L), stay
             # below the solvers' RANGE_LIMIT together.
@@ -405,8 +408,7 @@ def _run_noise_chunk(cfg: SweepConfig, c: int) -> dict:
     ``|Qz|^2`` is chi-square with (m - 1)(n - 1) degrees of freedom.  A row
     reads Qz only through the LS energy ``|z|^2 = n |r|^2 + m |beta|^2 +
     |Qz|^2``.  So a trial's bistatic statistics are a fixed linear map of
-    k = m + n standard normals u (the first m over ``sqrt(n)`` are r, the
-    last n over ``sqrt(m)``, less their mean, are beta) and one
+    k = m + n standard normals u (``_bistatic_statistics``) and one
     independent chi-square; a monostatic trial's are a linear map of k = 2
     m normals (k = 1 at m = 1) and, for mse, a chi-square
     (``_monostatic_statistics``).
@@ -433,10 +435,7 @@ def _run_noise_chunk(cfg: SweepConfig, c: int) -> dict:
     bistatic = cfg.kind is Kind.BISTATIC
     u = _bartlett_factor(rng, m + n if bistatic else (2 * m if m > 1 else 1), count)
     if bistatic:
-        u[:m] /= math.sqrt(n)
-        beta = u[m:]
-        beta /= math.sqrt(m)
-        beta -= np.add.reduce(beta, axis=0) / n
+        u = _bistatic_statistics(u, m)
         rowcol = u @ u.T
         partial = {"rowcol": rowcol}
         if mse:
@@ -479,6 +478,22 @@ def _bartlett_factor(rng, k: int, count: int) -> np.ndarray:
     return factor
 
 
+def _bistatic_statistics(u: np.ndarray, m: int) -> np.ndarray:
+    """What a bistatic row reads of an ``(m, n, cols)`` standard normal
+    plane z, as a linear map of an ``(m + n, cols)`` array u of standard
+    normals, done in place: u's first m rows over ``sqrt(n)`` become z's
+    row means r, iid N(0, 1 / n), and its last n rows over ``sqrt(m)``,
+    less their mean, z's column means less its grand mean, beta
+    (``_run_noise_chunk`` gives the law).  Returns u, now ``[r; beta]``,
+    the refined error's row/column coordinates."""
+    n = len(u) - m
+    u[:m] /= math.sqrt(n)
+    beta = u[m:]
+    beta /= math.sqrt(m)
+    beta -= np.add.reduce(beta, axis=0) / n
+    return u
+
+
 def _monostatic_statistics(u: np.ndarray, m: int) -> tuple:
     """What a monostatic row reads of an ``(m, m, cols)`` standard normal
     plane z, as a linear map of a ``(2 m, cols)`` array u of standard
@@ -516,35 +531,6 @@ def _monostatic_statistics(u: np.ndarray, m: int) -> tuple:
     return d, x
 
 
-def _fold_plane(rng, m: int, n: int, count: int) -> tuple:
-    """Draw an ``(m, n, count)`` standard normal plane z from ``rng`` and
-    return its ``(m, count)`` row means and its ``(n, count)`` column means
-    less the grand mean.  z is drawn in C order a block of rows at a time,
-    into one buffer of at most ``_BLOCK_BYTES`` (one row where a row is
-    larger), and each block is folded while in cache, each row added to
-    the column sum in turn as ``np.add.reduce`` adds a whole plane's: the
-    bits of a whole-plane fold.
-    """
-    step = min(m, max(1, _BLOCK_BYTES // (8 * n * count)))
-    block = np.empty((step, n, count))
-    rows = np.empty((m, count))
-    cols = np.empty((n, count))
-    for lo in range(0, m, step):
-        z = block[: m - lo]
-        rng.standard_normal(out=z)
-        np.add.reduce(z, axis=1, out=rows[lo : lo + len(z)])
-        if lo == 0:
-            np.add.reduce(z, axis=0, out=cols)
-        else:
-            for row in z:
-                cols += row
-    rows /= n
-    cols /= m
-    # The grand mean as rows.mean(axis=0) computes it, without its overhead.
-    cols -= np.add.reduce(rows, axis=0) / m
-    return rows, cols
-
-
 def _refined_squares(topo: Topology, rowcol: np.ndarray) -> np.ndarray:
     """``(m, n)`` per-entry sums of squared refined errors, read off a
     ``rowcol`` partial: ``S[i, i] + S[m + j, m + j] + 2 S[i, m + j]`` for
@@ -564,13 +550,14 @@ def _loc_terms(cfg: SweepConfig, c: int) -> tuple[np.ndarray, np.ndarray, np.nda
     d the true ranges ``|anchor - tag|`` and ``s = c sigma / sqrt(L)``, the
     terms are those the public solvers take from the LS delays ``(d_i +
     d_j) / c + (sigma / sqrt(L)) z`` and their refinement, up to rounding.
-    Bistatic, ``(m + n, T)``: z is folded (``_fold_plane``) into the fit
-    ``a_i + b_j`` with ``a = d_tx + s (row means)`` and ``b = d_rx + s
-    (column means - grand mean)``, its first column ``a + b_0`` over its
-    first row ``a_0 + b``.  Monostatic, ``(m, 2 T)``: the LS ranges ``d +
-    (s / 2) z_ii``, then the refined ``d + (s / 2) (row mean_i + column
-    mean_i - grand mean)``, from z's statistics
-    (``_monostatic_statistics``).
+    No chunk draws z, only the statistics its rows read, one ``(2 m, T)``
+    or ``(m + n, T)`` normal draw after the scenes'.  Bistatic, ``(m + n,
+    T)``: the fit ``a_i + b_j`` with ``[a; b] = d + s [r; beta]``, z's row
+    means r and column means less grand mean beta
+    (``_bistatic_statistics``), its first column ``a + b_0`` over its first
+    row ``a_0 + b``.  Monostatic, ``(m, 2 T)``: the LS ranges ``d + (s / 2)
+    z_ii``, then the refined ``d + (s / 2) (row mean_i + column mean_i -
+    grand mean)`` (``_monostatic_statistics``).
     """
     point, start, stop = _chunk_span(cfg, c)
     sigma, pilot_len = cfg.grid_points[point]
@@ -587,9 +574,9 @@ def _loc_terms(cfg: SweepConfig, c: int) -> tuple[np.ndarray, np.ndarray, np.nda
     del offset  # not held while the noise is drawn
     scale = SPEED_OF_LIGHT * sigma / math.sqrt(pilot_len)
     if bistatic:
-        rows, cols = _fold_plane(rng, m, n, count)
-        ranges[:m] += scale * rows
-        ranges[m:] += scale * cols
+        coords = _bistatic_statistics(rng.standard_normal((k, count)), m)
+        coords *= scale
+        ranges += coords
         return anchors, tags, np.concatenate([ranges[:m] + ranges[m], ranges[0] + ranges[m:]])
     diag, refined = _monostatic_statistics(rng.standard_normal((2 * m, count)), m)
     diag *= scale / 2.0
@@ -731,17 +718,11 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
 
     Raises:
         ConfigInvalid: if ``workers`` is below 1.
-        UnderDetermined: for a localization sweep over fewer than 4
-            independent ranges (m + n - 1 for bistatic, m for monostatic).
+        SingularGeometry: if a localization chunk draws a scene whose fix
+            is not unique.
     """
     if workers is not None and workers < 1:
         raise ConfigInvalid(f"workers must be >= 1, got {workers}")
-    topo = cfg.topology
-    if cfg.experiment is ExperimentKind.LOCALIZATION:
-        # A bistatic m x n matrix holds m + n - 1 independent range sums.
-        ranges = topo.m + topo.n - 1 if topo.kind is Kind.BISTATIC else topo.m
-        if ranges < 4:
-            raise UnderDetermined(f"{ranges} independent ranges cannot fix a 3D position")
     run_chunk, point_rows = _EXPERIMENTS[cfg.experiment]
     partials = _execute(cfg, run_chunk, workers)
     chunks = _chunks_per_point(cfg)

@@ -108,10 +108,16 @@ def test_independent_mse_shape_check():
     "call",
     [
         lambda: theoretical_mse_iid(Topology.bistatic(2, 2), -1e-18),
+        lambda: theoretical_mse_iid(Topology.bistatic(4, 3), 0.0),
+        lambda: theoretical_mse_iid(Topology.bistatic(4, 3), 1e-320),
+        lambda: theoretical_mse_iid(Topology.monostatic(3), sys.float_info.min / 2),
         lambda: theoretical_mse_independent(Topology.bistatic(2, 2), -np.ones((2, 2)), 1),
         lambda: theoretical_mse_independent(Topology.bistatic(2, 2), np.ones((2, 2)), 0),
     ],
-    ids=["iid-sigma0-sq", "independent-variance", "independent-pilot-len"],
+    ids=[
+        "iid-sigma0-sq", "iid-zero-sigma0-sq", "iid-subnormal-sigma0-sq",
+        "iid-subnormal-monostatic", "independent-variance", "independent-pilot-len",
+    ],
 )
 def test_bad_scalar_arguments_raise_package_error(call):
     with pytest.raises(BstoaError) as info:
@@ -194,8 +200,14 @@ _MONOSTATIC_BOUND = (crlb_monostatic, Topology.monostatic(3))
         (1e-18, 0, InvalidValue),
         (1e-18, -3, InvalidValue),
         (-1e-18, 2, InvalidValue),
+        (0.0, 2, InvalidValue),
+        (1e-320, 1, InvalidValue),
+        (sys.float_info.min, 2, InvalidValue),
     ],
-    ids=["nan-variance", "inf-variance", "pilot-len-0", "pilot-len-negative", "negative-variance"],
+    ids=[
+        "nan-variance", "inf-variance", "pilot-len-0", "pilot-len-negative", "negative-variance",
+        "zero-variance", "subnormal-variance", "subnormal-over-pilot-len",
+    ],
 )
 def test_crlb_rejects_bad_arguments(bound, topo, sigma_sq, pilot_len, error):
     with pytest.raises(error):

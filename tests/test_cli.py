@@ -1,17 +1,22 @@
 """Command line interface tests."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bstoa
 from bstoa.channel import Scene, random_scene, stream_rng, synth_observations, true_delays
 from bstoa.cli import main
-from bstoa.topology import Topology, weighting_matrix
+from bstoa.topology import Kind, Topology, weighting_matrix
 
 
 def run_cli(capsys, *argv):
@@ -495,3 +500,124 @@ def test_reader_closing_the_pipe_early_exits_zero():
     assert proc.wait(timeout=120) == 0
     assert err == b""
     assert head.startswith(b"6.5555555555555")
+
+
+@pytest.mark.parametrize("content", ["", "# no data\n"], ids=["empty", "comment-only"])
+@pytest.mark.parametrize("command", ["estimate", "localize"])
+def test_csv_with_no_data_exit_code(tmp_path, capsys, command, content):
+    """An observations or delay CSV with no data is bad input: exit 2 with
+    one error line, and no numpy warning on stderr (under the project's
+    warnings-as-errors, no exception out of ``main``)."""
+    empty = tmp_path / "empty.csv"
+    empty.write_text(content)
+    if command == "estimate":
+        argv = ["estimate", "--topology", "bi", "--m", "2", "--n", "2", "--input", str(empty)]
+        what = "observations"
+    else:
+        scene = random_scene(Topology.bistatic(4, 3), 10.0, stream_rng(5, 5))
+        scene_path, _ = _localize_files(tmp_path, scene, true_delays(scene))
+        argv = ["localize", "--scene", scene_path, "--toa", str(empty)]
+        what = "delays"
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {what} in {empty}: the file holds no data\n"
+
+
+_CELLS = st.one_of(
+    st.floats(-1e-6, 1e-6).map(repr), st.sampled_from(["nan", "inf", "-1e300", "x", ""])
+)
+# CSV text: rows of up to 6 cells, not always of one length, or no rows.
+_CSV_TEXTS = st.lists(
+    st.lists(_CELLS, min_size=1, max_size=6).map(",".join), max_size=8
+).map(lambda rows: "".join(row + "\n" for row in rows))
+_TOPOLOGY_ARGS = st.builds(
+    lambda topology, m, n: ["--topology", topology, "--m", m, *([] if n is None else ["--n", n])],
+    st.sampled_from(["bi", "mono"]),
+    st.sampled_from(["2", "1", "3", "4", "6", "0", "-1"]),
+    st.none() | st.sampled_from(["2", "1", "3", "6", "0"]),
+)
+_METHOD_ARGS = st.sampled_from([[], ["--method", "ls"], ["--method", "proposed"]])
+
+
+@st.composite
+def _scene_files(draw):
+    """A scene record, possibly with a line dropped or a coordinate spoilt,
+    and a delay CSV: the scene's true delays plus noise, or any CSV text."""
+    kind = draw(st.sampled_from([Kind.BISTATIC, Kind.MONOSTATIC]))
+    counts = st.sampled_from([4, 3, 6, 1])
+    m = draw(counts)
+    topo = Topology(kind, m, m if kind is Kind.MONOSTATIC else draw(counts))
+    cube_side = draw(st.sampled_from([1e-3, 10.0, 1e6]))
+    scene = random_scene(topo, cube_side, stream_rng(draw(st.integers(0, 99)), 0))
+    lines = scene.to_text().splitlines()
+    edit = draw(st.sampled_from(["none", "drop", "nan"]))
+    index = draw(st.integers(0, len(lines) - 1))
+    if edit == "drop":
+        del lines[index]
+    elif edit == "nan":
+        key, _, value = lines[index].partition("=")
+        lines[index] = f"{key}=nan{value[value.find(','):] if ',' in value else ''}"
+    noise = draw(st.sampled_from([0.0, 1e-9, 1e-6]))
+    t = true_delays(scene) + noise * stream_rng(1, 1).standard_normal((topo.m, topo.n))
+    delays = "".join(",".join(repr(float(x)) for x in row) + "\n" for row in t)
+    toa = draw(st.just(delays) | _CSV_TEXTS)
+    return "\n".join(lines) + "\n", toa
+
+
+# Sweep configs, n absent (n = m) half the time; the last value in each of
+# the last three lists is invalid.
+_SWEEP_CONFIGS = st.builds(
+    "experiment = {}\nkind = {}\nm = {}\n{}trials = {}\nsigma_grid = {}\npilot_lengths = {}\n".format,
+    st.sampled_from(["mse", "crlb", "localization"]),
+    st.sampled_from(["bistatic", "monostatic"]),
+    st.sampled_from(["4", "6", "2", "1"]),
+    st.sampled_from(["", "n = 3\n"]),
+    st.sampled_from(["600", "64", "1", "0"]),
+    st.sampled_from(["1e-9", "1e-9, 3e-9", "1e-5", "1e300"]),
+    st.sampled_from(["2", "1, 8", "0"]),
+)
+
+
+@st.composite
+def _cli_calls(draw):
+    """argv of one subcommand drawn from the parser's grammar, each value
+    one that its argparse type accepts, and the files it names: (argv,
+    {file name: text})."""
+    command = draw(st.sampled_from(["gen-matrix", "estimate", "crlb", "localize", "sweep"]))
+    if command == "gen-matrix":
+        return [command, *draw(_TOPOLOGY_ARGS), "--which", draw(st.sampled_from(["a", "b"]))], {}
+    if command == "estimate":
+        argv = [command, *draw(_TOPOLOGY_ARGS), "--input", "obs.csv", *draw(_METHOD_ARGS)]
+        return argv, {"obs.csv": draw(_CSV_TEXTS)}
+    if command == "crlb":
+        sigma = draw(st.sampled_from(["1e-9", "1", "0", "-1e-9", "1e-160", "1e200", "nan", "inf"]))
+        pilot = draw(st.sampled_from([[], *(["--pilot-len", k] for k in ("1", "8", "0"))]))
+        return [command, *draw(_TOPOLOGY_ARGS), f"--sigma={sigma}", *pilot], {}
+    if command == "localize":
+        scene, toa = draw(_scene_files())
+        argv = [command, "--scene", "scene.txt", "--toa", "toa.csv", *draw(_METHOD_ARGS)]
+        return argv, {"scene.txt": scene, "toa.csv": toa}
+    workers = draw(st.sampled_from(["1", "0"]))
+    seed = draw(st.sampled_from([[], ["--seed", "7"]]))
+    argv = [command, "--config", "sweep.cfg", "--out", "out.csv", "--workers", workers, *seed]
+    return argv, {"sweep.cfg": draw(_SWEEP_CONFIGS)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(call=_cli_calls())
+def test_cli_exits_0_2_or_3_without_traceback_or_warning(call):
+    """``main`` on argv drawn from the parser's grammar, with small drawn
+    files, returns 0, 2 or 3, and its stderr holds neither a traceback nor
+    a warning (warnings are errors here, so none escapes ``main``)."""
+    argv, files = call
+    with tempfile.TemporaryDirectory() as folder:
+        for name, text in files.items():
+            Path(folder, name).write_text(text)
+        argv = [str(Path(folder, arg)) if arg in files or arg == "out.csv" else arg for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue() and "Warning" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")

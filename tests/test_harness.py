@@ -1,5 +1,6 @@
 """Sweep driver tests: config parsing, determinism, row contents."""
 
+import hashlib
 import inspect
 import math
 import os
@@ -29,7 +30,7 @@ from bstoa.channel import (
     synth_observations,
     true_delays,
 )
-from bstoa.errors import ConfigInvalid, UnderDetermined
+from bstoa.errors import ConfigInvalid, SingularGeometry
 from bstoa.estimator import ls_estimate, refine_estimate
 from bstoa.harness import (
     CHUNK_TRIALS,
@@ -263,7 +264,10 @@ def test_localization_cube_just_above_the_floor_scales_the_rows(kind, m, n):
     for got, want in zip(rows(small), rows(10.0), strict=True):
         assert abs(got / want - 1.0) <= 0.01
     with pytest.raises(ConfigInvalid, match="cube_side must lie in"):
-        _cfg(experiment=ExperimentKind.LOCALIZATION, cube_side=harness.CUBE_FLOOR * (1.0 - 1e-9))
+        _cfg(
+            experiment=ExperimentKind.LOCALIZATION, kind=kind, m=m, n=n,
+            cube_side=harness.CUBE_FLOOR * (1.0 - 1e-9),
+        )
 
 
 @pytest.mark.parametrize(
@@ -286,6 +290,68 @@ def test_sigma_near_the_ends_of_the_range_gives_true_rows(experiment, kind, m, s
         assert math.isfinite(row.value) and 1.0 / spread < ratio < spread, row
 
 
+def _texts(valid, invalid):
+    """Texts of a config value, each valid one three times as likely as
+    each invalid one, so that most drawn configs run."""
+    return st.sampled_from([*valid, *valid, *valid, *invalid])
+
+
+def _joined(values):
+    return st.lists(values, min_size=1, max_size=2).map(", ".join)
+
+
+# Sigma texts: the default grid's decades, the whole float range, and values
+# that are no sigma at all.
+_SIGMA_TEXTS = st.one_of(
+    st.builds("{:.3g}e{}".format, st.floats(1.0, 9.99), st.integers(-12, -7)),
+    st.builds("{:.3g}e{}".format, st.floats(1.0, 9.99), st.integers(-330, 310)),
+    st.sampled_from(["0", "-1e-9", "nan", "inf", "1e-9x"]),
+)
+
+# Config key -> text of its value, drawn from the key = value grammar.
+# experiment, kind, m and trials are always given: an absent trials key
+# means 10^4 trials.
+_CONFIG_TEXTS = {
+    "experiment": _texts(["mse", "localization", "crlb"], ["warp"]),
+    "kind": _texts(["bistatic", "monostatic"], ["tri"]),
+    "m": _texts(["1", "2", "3", "4", "5", "6"], ["-1", "0", "two"]),
+    "trials": _texts(["1", "64", "513", "600"], ["-1", "0", "1e3"]),
+    "n": _texts(["1", "3", "4", "6"], ["0", "2.5"]),
+    "pilot_lengths": _joined(_texts(["1", "2", "8"], ["-1", "0", "x"])),
+    "sigma_grid": _joined(_SIGMA_TEXTS),
+    "cube_side": _texts(["1e-3", "10", "1e6"], ["0", "-1", "1e40", "nan", "inf"]),
+    "master_seed": st.integers(0, 2**64 - 1).map(str),
+}
+_GIVEN_KEYS = ("experiment", "kind", "m", "trials")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    fields=st.fixed_dictionaries(
+        {key: _CONFIG_TEXTS[key] for key in _GIVEN_KEYS},
+        optional={key: text for key, text in _CONFIG_TEXTS.items() if key not in _GIVEN_KEYS},
+    )
+)
+def test_parsed_configs_run_or_fail_at_the_config(fields):
+    """Config text drawn from the key = value grammar (m, n <= 6, at most
+    600 trials) either raises ConfigInvalid at ``parse_config`` or gives a
+    config that ``run_sweep`` completes, with a finite row for every grid
+    point.  The one other outcome is SingularGeometry from a bistatic
+    localization sweep whose noise swamps its cube: one degenerate scene
+    still aborts a sweep (ROADMAP item 4)."""
+    try:
+        cfg = parse_config("\n".join(f"{key} = {value}" for key, value in fields.items()))
+    except ConfigInvalid:
+        return
+    try:
+        rows = run_sweep(cfg, workers=1).rows
+    except SingularGeometry:
+        assert cfg.experiment is ExperimentKind.LOCALIZATION and cfg.kind is Kind.BISTATIC
+        return
+    assert {(row.sigma, row.pilot_len) for row in rows} == set(cfg.grid_points)
+    assert all(math.isfinite(row.value) for row in rows)
+
+
 @pytest.mark.parametrize("lengths", [(2, 2), (8, 2, 8), (1, 1, 1)])
 def test_config_rejects_duplicate_pilot_lengths(lengths):
     """A repeated pilot length would give two rows under one CSV key."""
@@ -299,9 +365,11 @@ def test_config_rejects_duplicate_pilot_lengths(lengths):
     ids=["bistatic-1x3", "bistatic-2x2", "monostatic-3"],
 )
 def test_localization_sweep_under_determined(kind, m, n):
-    cfg = _cfg(experiment=ExperimentKind.LOCALIZATION, kind=kind, m=m, n=n)
-    with pytest.raises(UnderDetermined):
-        run_sweep(cfg, workers=1)
+    """A localization config over fewer than 4 independent ranges fails at
+    the config, before any sweep runs."""
+    ranges = m + n - 1 if kind is Kind.BISTATIC else m
+    with pytest.raises(ConfigInvalid, match=f"^{ranges} independent ranges cannot fix a 3D position$"):
+        _cfg(experiment=ExperimentKind.LOCALIZATION, kind=kind, m=m, n=n)
 
 
 def test_mse_sweep_rows_and_theory_column():
@@ -471,19 +539,27 @@ def _monostatic_plane(d, bs):
     return z
 
 
+def _replayed_bistatic(u, m):
+    """The bistatic statistics of an (m + n, cols) standard normal array u:
+    its first m rows over sqrt(n) are the row means r and its last n rows
+    over sqrt(m), less their per-column mean, are the column effects beta.
+    Returns r and beta."""
+    n = len(u) - m
+    beta = u[m:] / math.sqrt(m)
+    beta -= np.add.reduce(beta, axis=0) / n
+    return u[:m] / math.sqrt(n), beta
+
+
 def _replayed_statistics(cfg, point, chunk):
-    """What a bistatic mse or crlb chunk draws by stream contract v10,
-    replayed from its stream: its Bartlett factor (``_replayed_factor``),
-    whose columns are pseudo-trials: the first m rows over sqrt(n) are the
-    row means r and the last n rows over sqrt(m), less their per-column
-    mean, are the column effects beta; then the chi-square energy of the
+    """What a bistatic mse or crlb chunk draws by stream contract v11 (as by
+    v10), replayed from its stream: its Bartlett factor
+    (``_replayed_factor``), whose columns are pseudo-trials, mapped to r
+    and beta (``_replayed_bistatic``); then the chi-square energy of the
     plane off the outer-sum subspace, summed over the chunk's trials (an
     mse chunk's last draw)."""
     m, n = cfg.m, cfg.n
     count, rng, u = _noise_factor(cfg, point, chunk)
-    rows = u[:m] / math.sqrt(n)
-    beta = u[m:] / math.sqrt(m)
-    beta -= np.add.reduce(beta, axis=0) / n
+    rows, beta = _replayed_bistatic(u, m)
     return rows, beta, 2.0 * rng.standard_gamma(count * (m - 1) * (n - 1) / 2)
 
 
@@ -509,8 +585,37 @@ def _reference_errors(cfg, point, chunk):
     return [(sigma / math.sqrt(pilot_len)) * z[..., i] for i in range(z.shape[-1])]
 
 
-def test_stream_contract_is_10():
-    assert STREAM_CONTRACT == bstoa.STREAM_CONTRACT == 10
+def test_stream_contract_is_11():
+    assert STREAM_CONTRACT == bstoa.STREAM_CONTRACT == 11
+
+
+# sha256 of the CSV of test_csv_bytes_are_pinned's sweep per (experiment,
+# kind), by stream contract v11.
+_GOLDEN_CSV = {
+    ("mse", "bistatic"): "29483855b349504f18876547a84eac2572887e08015fa35e15e2c737aad029f9",
+    ("mse", "monostatic"): "c45bd5d8ce4478541c9ccfd986461df5550bd807f621aa599922dca7974cb22c",
+    ("crlb", "bistatic"): "5b566dd984acfca1dfeed9348271db856ea5a0314ad3468200b3f88cf0c15a01",
+    ("crlb", "monostatic"): "3888eacacae8fe991d5e7eae6c6d41245342efb766f46e770765f20727f8af47",
+    ("localization", "bistatic"): "a83600117cba723325d1258551aa04eca67d0b07d495983fd3188b97ce197765",
+    ("localization", "monostatic"): "d4dc455f20d1bd489920cf7c57989e16446b6f32cc0a101995d1140ca6623350",
+}
+
+
+@pytest.mark.parametrize("experiment, kind", list(_GOLDEN_CSV))
+def test_csv_bytes_are_pinned(experiment, kind):
+    """A small sweep of each (experiment, kind), bistatic 4x3 or
+    monostatic 6 with 2 chunks, 2 sigmas and 2 pilot lengths, writes the
+    CSV whose sha256 is pinned.  A stream contract bump re-pins exactly the
+    hashes it changes: v11 set the bistatic localization hash and left the
+    other five as v10 wrote them."""
+    m, n = (4, 3) if kind == "bistatic" else (6, 6)
+    cfg = SweepConfig(
+        experiment, kind, m, n, pilot_lengths=(2, 8), sigma_grid=(1e-9, 3e-9), trials=600,
+        master_seed=26,
+    )
+    assert len(_point_chunks(cfg)) == 8
+    digest = hashlib.sha256(run_sweep(cfg, workers=1).to_csv().encode()).hexdigest()
+    assert digest == _GOLDEN_CSV[experiment, kind]
 
 
 def test_readme_names_the_stream_contract():
@@ -711,10 +816,12 @@ def test_bistatic_chunk_draws_m_plus_n_normals_a_trial(monkeypatch, m, n):
     """A bistatic mse or crlb chunk of T trials draws the Bartlett factor
     of its m + n normals a trial: one (m + n, r) normal draw, r = min(m +
     n, T), and one gamma vector of shapes ``(T - i) / 2``, i < r; an mse
-    chunk then one gamma draw of shape T (m - 1)(n - 1) / 2.  No draw has
-    (m + n) T values where m + n < T, nor m n T anywhere.  A 6x6 monostatic
-    mse chunk draws a (12, 12) factor and one gamma, not its 12 normals a
-    trial nor its 36-value plane."""
+    chunk then one gamma draw of shape T (m - 1)(n - 1) / 2.  A
+    localization chunk draws its scenes' (T, m + n + 1, 3) uniforms, then
+    one (m + n, T) normal array, m + n normals a trial.  No draw has (m +
+    n) T values where m + n < T in an mse or crlb chunk, nor m n T
+    anywhere.  A 6x6 monostatic mse chunk draws a (12, 12) factor and one
+    gamma, not its 12 normals a trial nor its 36-value plane."""
     log = []
     monkeypatch.setattr(
         harness, "noise_rng", lambda *key: _RecordingStream(noise_rng(*key), log)
@@ -730,6 +837,11 @@ def test_bistatic_chunk_draws_m_plus_n_normals_a_trial(monkeypatch, m, n):
             if experiment is ExperimentKind.MSE:
                 want.append(("gamma", count * (m - 1) * (n - 1) / 2))
             assert log == want
+    cfg = _cfg(experiment=ExperimentKind.LOCALIZATION, m=m, n=n, trials=700)
+    for c, count in enumerate((CHUNK_TRIALS, 700 - CHUNK_TRIALS)):
+        log.clear()
+        _loc_terms(cfg, c)
+        assert log == [("uniform", (count, k + 1, 3)), ("normal", (k, count))]
     log.clear()
     _run_noise_chunk(_cfg(kind=Kind.MONOSTATIC, m=6, n=6, trials=700), 0)
     assert log == [
@@ -741,8 +853,9 @@ def test_bistatic_chunk_draws_m_plus_n_normals_a_trial(monkeypatch, m, n):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 6])
 def test_monostatic_chunk_draws_2m_normals_a_trial(monkeypatch, m):
-    """A localization chunk makes its scenes' uniform draw and then one
-    (2 m, trials) normal draw, 2 m normals a trial.  A monostatic mse or
+    """A localization chunk (m >= 4, the smallest array a localization
+    sweep accepts) makes its scenes' uniform draw and then one (2 m,
+    trials) normal draw, 2 m normals a trial.  A monostatic mse or
     crlb chunk of T trials draws the Bartlett factor of k such normals a
     trial, k = 2 m (k = 1 at m = 1, whose rows read only d): one (k, r)
     normal draw, r = min(k, T), and one gamma vector of shapes ``(T - i) /
@@ -756,6 +869,8 @@ def test_monostatic_chunk_draws_2m_normals_a_trial(monkeypatch, m):
     rank = m if m >= 3 else m - 1
     k = 2 * m if m > 1 else 1
     for experiment in ExperimentKind:
+        if experiment is ExperimentKind.LOCALIZATION and m < 4:
+            continue
         cfg = _cfg(experiment=experiment, kind=Kind.MONOSTATIC, m=m, n=m, trials=700)
         for c, count in enumerate((CHUNK_TRIALS, 700 - CHUNK_TRIALS)):
             log.clear()
@@ -862,7 +977,12 @@ def test_bistatic_statistics_match_a_folded_plane(m, n):
     and the LS energy is as correlated with tr(rowcol), all within 5
     standard errors of the difference.  The drawn means also lie within 5
     standard errors of their expectations, m n 8 for the LS energy and
-    8 (m / n + (n - 1) / m) for tr(rowcol)."""
+    8 (m / n + (n - 1) / m) for tr(rowcol).
+
+    The same map draws a localization chunk's noise: over 2048 trials, a
+    trial's terms less its true range sums, over ``c sigma / sqrt(L)``,
+    have the means, variances and row/column cross-correlations of the
+    refined error's first column and first row over 2048 real planes."""
     points, trials = 2000, 8
     cfg = _cfg(
         m=m, n=n, pilot_lengths=tuple(range(1, points + 1)), sigma_grid=(1.0,), trials=trials
@@ -883,6 +1003,28 @@ def test_bistatic_statistics_match_a_folded_plane(m, n):
     expected = np.array([m * n * trials, trials * (m / n + (n - 1) / m)])
     se = drawn[:, :2].std(axis=0) / math.sqrt(points)
     assert np.all(np.abs(drawn[:, :2].mean(axis=0) - expected) <= 5.0 * se)
+
+    chunks = 4
+    loc = _cfg(
+        experiment=ExperimentKind.LOCALIZATION, m=m, n=n, pilot_lengths=(2,), sigma_grid=(1e-8,),
+        trials=chunks * CHUNK_TRIALS,
+    )
+    scale = SPEED_OF_LIGHT * 1e-8 / math.sqrt(2)
+    drawn, folded = [], []
+    for c in range(chunks):
+        anchors, tags, terms = _loc_terms(loc, c)
+        d = np.sqrt(((anchors - tags[:, None]) ** 2).sum(axis=0))
+        drawn.append((terms - np.concatenate([d[:m] + d[m], d[0] + d[m:]])) / scale)
+        z = noise_rng(loc.master_seed + 1, c).standard_normal((m, n, CHUNK_TRIALS))
+        rows = z.mean(axis=1)
+        cols = z.mean(axis=0) - rows.mean(axis=0)
+        folded.append(np.concatenate([rows + cols[0], rows[0] + cols]))
+    # Terms 0 and m are both a_0 + b_0; pair a column entry with a column
+    # entry, a row entry with a row entry and a column entry with a row entry.
+    pairs = [(0, 1), (1, m + 1)] if m > 1 else []
+    pairs += [(m, m + 1)] if n > 1 else []
+    gap = _two_sample_gap(np.concatenate(drawn, axis=1).T, np.concatenate(folded, axis=1).T, pairs)
+    assert gap <= 5.0
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 6])
@@ -1111,16 +1253,17 @@ def test_sweeps_never_build_dense_matrices(monkeypatch):
 
 def _reference_chunk(cfg, point, chunk):
     """The trials of chunk ``chunk`` of grid point ``point`` of a
-    localization sweep by stream contract v10 (as by v9), one trial at a
-    time through the public functions: the chunk's stream,
-    ``noise_rng(master_seed, point * chunks + chunk)``, gives every scene's
-    unit coordinates (tx, rx if bistatic, tag), then one (m, n, trials)
-    plane z for bistatic, or for monostatic one (2 m, trials) normal array
-    whose statistics make a plane z with the chunk's diagonal and refined
-    errors (``_monostatic_plane``); trial i's LS
-    estimate is truth + (sigma / sqrt(L)) z[..., i], refined by
-    ``refine_estimate``.  Returns the (trials, ...) stacks of tx, rx, tag,
-    truth, LS and refined estimates."""
+    localization sweep by stream contract v11, one trial at a time through
+    the public functions: the chunk's stream, ``noise_rng(master_seed,
+    point * chunks + chunk)``, gives every scene's unit coordinates (tx, rx
+    if bistatic, tag), then one normal array whose statistics make a plane
+    z with the chunk's refined errors: for bistatic an (m + n, trials)
+    array, whose r and beta (``_replayed_bistatic``) make ``z[i, j] = r_i +
+    beta_j``; for monostatic a (2 m, trials) array, whose statistics also
+    give z's diagonal (``_monostatic_plane``).  Trial i's LS estimate is
+    truth + (sigma / sqrt(L)) z[..., i], refined by ``refine_estimate``.
+    Returns the (trials, ...) stacks of tx, rx, tag, truth, LS and refined
+    estimates."""
     topo = cfg.topology
     m, n = topo.m, topo.n
     n_rx = n if topo.kind is Kind.BISTATIC else 0
@@ -1128,7 +1271,8 @@ def _reference_chunk(cfg, point, chunk):
     count, rng = _chunk_stream(cfg, point, chunk)
     u = rng.random((count, m + n_rx + 1, 3))
     if n_rx:
-        z = rng.standard_normal((m, n, count))
+        rows, beta = _replayed_bistatic(rng.standard_normal((m + n, count)), m)
+        z = rows[:, None, :] + beta[None, :, :]
     else:
         u_noise = rng.standard_normal((2 * m, count))
         z = _monostatic_plane(*_replayed_monostatic(u_noise, m)[:2])
@@ -1163,7 +1307,7 @@ def _reference_terms(cfg, t_hats, t_refs):
         (kind, m, n, pilot_len)
         for kind, m, n in [
             (Kind.BISTATIC, 4, 3), (Kind.BISTATIC, 1, 5),
-            (Kind.MONOSTATIC, 1, 1), (Kind.MONOSTATIC, 6, 6),
+            (Kind.MONOSTATIC, 4, 4), (Kind.MONOSTATIC, 6, 6),
         ]
         for pilot_len in (1, 2, 8)
     ]
@@ -1176,7 +1320,8 @@ def test_chunk_is_bitwise_the_per_trial_loop(kind, m, n, pilot_len):
     the public localizers take from the loop's LS and refined delays (the
     chunk forms them from per-anchor ranges, the loop from delay
     matrices), on the second point's full chunk and on a partial last
-    chunk."""
+    chunk.  Monostatic 4 is the smallest array a localization sweep
+    accepts."""
     cfg = _cfg(
         experiment=ExperimentKind.LOCALIZATION, kind=kind, m=m, n=n,
         pilot_lengths=(pilot_len,), trials=700, master_seed=5,
@@ -1268,7 +1413,7 @@ def test_chunk_keeps_the_trials_on_the_contiguous_axis(kind, m, n):
 
 def test_chunk_memory_stays_near_its_output():
     """A 512-trial 24x24 L=8 localization chunk peaks within 1 MB of the
-    arrays it returns while it draws its scenes and folds its noise, and
+    arrays it returns while it draws its scenes and its noise, and
     returns less than one (m, n, trials) plane: one plane would add 2.4
     MB, and the chunk's L pilot planes 18.9 MB."""
     cfg = _cfg(
