@@ -44,15 +44,25 @@ class CrlbReport:
     subchannel_bounds: np.ndarray
 
 
-def _check_variance(name: str, value: float) -> None:
+def _check_variance(name: str, value: float, *entries: float) -> None:
     """Accept an estimate-level variance only where it is a positive normal
-    float, ``check_sigma``'s rule in variance form: below that, every MSE
-    and bound built on it reads 0 or has lost its precision."""
+    float, ``check_sigma``'s rule in variance form, and every nonzero
+    entry built on it, given as the scalars that fill the arrays (so that
+    no array is checked entry by entry), is a finite normal float: below
+    that, every MSE and bound built on it reads 0 or has lost its
+    precision."""
     if not math.isfinite(value):
         raise NonFiniteInput(f"{name} must be finite, got {value}")
-    if not value >= sys.float_info.min:
+    if not all(math.isfinite(e) for e in entries):
+        raise NonFiniteInput(f"{name} = {value!r} overflows in an entry built on it")
+    tiny = sys.float_info.min
+    if not value >= tiny:
+        raise InvalidValue(f"{name} must be a normal float of at least {tiny:.4g}, got {value}")
+    smallest = min((abs(e) for e in entries if e), default=value)
+    if smallest < tiny:
         raise InvalidValue(
-            f"{name} must be a normal float of at least {sys.float_info.min:.4g}, got {value}"
+            f"{name} = {value!r} gives a subnormal entry, {smallest:.4g}; it must be at "
+            f"least {value * (tiny / smallest):.4g}, so that every entry is a normal float"
         )
 
 
@@ -100,15 +110,19 @@ def theoretical_mse_iid(topo: Topology, sigma0_sq: float) -> MseReport:
 
     Raises:
         NonFiniteInput: if ``sigma0_sq`` is NaN or infinite.
-        InvalidValue: if ``sigma0_sq`` is not a positive normal float.
+        InvalidValue: if ``sigma0_sq`` or an entry is not a positive
+            normal float.
     """
-    _check_variance("sigma0_sq", sigma0_sq)
     m, n = topo.m, topo.n
     if topo.kind is Kind.MONOSTATIC:
-        per_entry = np.full((m, m), (m - 1) / m**2 * sigma0_sq)
-        np.fill_diagonal(per_entry, (2 * m - 1) / m**2 * sigma0_sq)
+        off, diag = (m - 1) / m**2 * sigma0_sq, (2 * m - 1) / m**2 * sigma0_sq
+        _check_variance("sigma0_sq", sigma0_sq, off, diag)
+        per_entry = np.full((m, m), off)
+        np.fill_diagonal(per_entry, diag)
     else:
-        per_entry = np.full((m, n), (m + n - 1) / (m * n) * sigma0_sq)
+        entry = (m + n - 1) / (m * n) * sigma0_sq
+        _check_variance("sigma0_sq", sigma0_sq, entry)
+        per_entry = np.full((m, n), entry)
     return MseReport(per_entry_mse=per_entry)
 
 
@@ -149,6 +163,10 @@ def theoretical_mse_independent(
         raise NonFiniteInput("all subchannel variances must be finite")
     if np.any(sigmas_sq < 0.0):
         raise InvalidValue("all subchannel variances must be >= 0")
+    # The sums below add up to (m + 1)(n + 1) variances, times at most 4.
+    limit = sys.float_info.max / (4 * (m + 1) * (n + 1))
+    if not sigmas_sq.max(initial=0.0) <= limit:
+        raise NonFiniteInput(f"subchannel variances must be at most {limit:.4g}, or sums overflow")
     _check_pilot_len(pilot_len)
     v = sigmas_sq / pilot_len
     rows = v.sum(axis=1)[:, None]
@@ -186,13 +204,18 @@ def crlb_bistatic(topo: Topology, sigma_sq: float, pilot_len: int) -> CrlbReport
     Raises:
         NonFiniteInput: if ``sigma_sq`` is NaN or infinite.
         InvalidValue: if ``pilot_len < 1``, or ``sigma_sq / pilot_len``
-            is not a positive normal float (zero, subnormal or negative).
+            or an entry of the bound is not a positive normal float (zero,
+            subnormal or negative).
     """
     if topo.kind is not Kind.BISTATIC:
         raise WrongTopology("crlb_bistatic requires a bistatic topology")
     _check_pilot_len(pilot_len)
     sigma0_sq = sigma_sq / pilot_len
-    _check_variance("sigma_sq / pilot_len", sigma0_sq)
+    m, n = topo.m, topo.n
+    # B's smallest entry is -1 / (m n), where an entry shares neither
+    # antenna; with m or n at 1 every entry shares one, and each is 0 or ~1.
+    smallest = sigma0_sq * (1.0 / (m * n)) if m > 1 and n > 1 else sigma0_sq
+    _check_variance("sigma_sq / pilot_len", sigma0_sq, smallest)
     per_entry = theoretical_mse_iid(topo, sigma0_sq).per_entry_mse
     return CrlbReport(
         covariance_bound=sigma0_sq * weighting_matrix(topo), subchannel_bounds=per_entry
@@ -216,16 +239,18 @@ def crlb_monostatic(topo: Topology, sigma_sq: float, pilot_len: int) -> CrlbRepo
     Raises:
         NonFiniteInput: if ``sigma_sq`` is NaN or infinite.
         InvalidValue: if ``pilot_len < 1``, or ``sigma_sq / pilot_len``
-            is not a positive normal float (zero, subnormal or negative).
+            or an entry of the bound is not a positive normal float (zero,
+            subnormal or negative).
     """
     if topo.kind is not Kind.MONOSTATIC:
         raise WrongTopology("crlb_monostatic requires a monostatic topology")
     _check_pilot_len(pilot_len)
-    _check_variance("sigma_sq / pilot_len", sigma_sq / pilot_len)
     m = topo.m
     scale = sigma_sq / (4.0 * pilot_len)
-    cov = np.full((m, m), scale * (-1.0) / m**2)
-    np.fill_diagonal(cov, scale * (2 * m - 1) / m**2)
+    off, diag = scale * (-1.0) / m**2, scale * (2 * m - 1) / m**2
+    _check_variance("sigma_sq / pilot_len", sigma_sq / pilot_len, off if m > 1 else 0.0, diag)
+    cov = np.full((m, m), off)
+    np.fill_diagonal(cov, diag)
     per_entry = theoretical_mse_iid(topo, sigma_sq / pilot_len).per_entry_mse
     return CrlbReport(covariance_bound=cov, subchannel_bounds=per_entry)
 

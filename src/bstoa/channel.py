@@ -15,6 +15,7 @@ Pilot observations are plain ``(L m, n)`` arrays, L rows per transmitter.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,13 @@ from .errors import (
 from .topology import Kind, Topology
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact SI value
+# Meters; bounds the coordinates ``true_delays_batch`` takes, so that the
+# sum of three squared coordinate differences, below 3 (2^511)^2, is finite.
+_COORDINATE_LIMIT = 2.0**510
+# Standard deviations of noise that ``synth_observations`` and a sweep's
+# sums (SweepConfig's sigma range) leave room for; a standard normal draw
+# lies beyond 40 with odds below 1e-348.
+_HEADROOM_SDS = 40.0
 
 
 def stream_rng(master_seed: int, stream_index: int) -> np.random.Generator:
@@ -201,8 +209,20 @@ def true_delays_batch(
 
     ``tx`` is ``(..., m, 3)``, ``rx`` is ``(..., n, 3)`` and ``tag`` is
     ``(..., 3)``; the result is ``(..., m, n)``.
+
+    Raises:
+        NonFiniteInput: if ``delta`` is NaN or inf, or a coordinate is NaN,
+            inf or beyond 2^510 m, where the squared distances overflow.
     """
-    tag = np.asarray(tag, dtype=np.float64)[..., None, :]
+    tx, rx, tag = (np.asarray(x, dtype=np.float64) for x in (tx, rx, tag))
+    if not all(np.abs(x).max(initial=0.0) <= _COORDINATE_LIMIT for x in (tx, rx, tag)):
+        raise NonFiniteInput(
+            f"coordinates must be finite and at most 2^510 m = {_COORDINATE_LIMIT:.4g} m "
+            "in magnitude"
+        )
+    if not math.isfinite(delta):
+        raise NonFiniteInput(f"delta must be finite, got {delta}")
+    tag = tag[..., None, :]
     up = np.linalg.norm(tx - tag, axis=-1)
     down = np.linalg.norm(rx - tag, axis=-1)
     return delta + (up[..., :, None] + down[..., None, :]) / SPEED_OF_LIGHT
@@ -228,17 +248,23 @@ def synth_observations(
     i, the layout :func:`bstoa.estimator.ls_estimate` reads.
 
     Raises:
-        InvalidValue: if ``pilot_len`` is not an integer >= 1 or ``sigma``
-            is negative.
-        NonFiniteInput: if ``sigma`` is NaN or inf.
+        InvalidValue: if ``pilot_len`` is not an integer >= 1, or ``sigma``
+            is negative or so large that ``_HEADROOM_SDS`` deviations of
+            noise on a delay could overflow.
+        NonFiniteInput: if ``sigma`` or a delay is NaN or inf, or a delay
+            is above half the largest float in magnitude.
     """
     t = np.asarray(t, dtype=np.float64)
     if not isinstance(pilot_len, (int, np.integer)) or pilot_len < 1:
         raise InvalidValue(f"pilot_len must be an integer >= 1, got {pilot_len!r}")
     if not math.isfinite(sigma):
         raise NonFiniteInput(f"sigma must be finite, got {sigma}")
-    if sigma < 0.0:
-        raise InvalidValue(f"sigma must be >= 0, got {sigma}")
+    # A delay and its noise each take at most half the float range.
+    half = sys.float_info.max / 2.0
+    if not 0.0 <= sigma <= half / _HEADROOM_SDS:
+        raise InvalidValue(f"sigma must lie in [0, {half / _HEADROOM_SDS:.4g}] s, got {sigma}")
+    if not np.abs(t).max(initial=0.0) <= half:
+        raise NonFiniteInput(f"delays must be finite and at most {half:.4g} s in magnitude")
     y = np.repeat(t, pilot_len, axis=0)
     if sigma > 0.0:
         y = y + rng.normal(0.0, sigma, size=y.shape)

@@ -18,10 +18,19 @@ estimates is processed in one call.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from .errors import ConstraintViolated, DimensionMismatch, NonFiniteInput
 from .topology import Kind, Topology
+
+
+def _require_in_range(x: np.ndarray, limit: float, what: str) -> None:
+    """Reject an array holding NaN, inf or a magnitude above ``limit``, the
+    largest its caller's sums can take without overflow."""
+    if not np.abs(x).max(initial=0.0) <= limit:
+        raise NonFiniteInput(f"{what} must be finite and at most {limit:.4g} in magnitude")
 
 
 def ls_estimate(y: np.ndarray, topo: Topology) -> np.ndarray:
@@ -37,6 +46,8 @@ def ls_estimate(y: np.ndarray, topo: Topology) -> np.ndarray:
     Raises:
         DimensionMismatch: unless the last axis has n entries and the row
             count is a positive multiple of m.
+        NonFiniteInput: if an observation is NaN or inf, or so large that
+            the sum of L of them overflows.
     """
     y = np.asarray(y, dtype=np.float64)
     m, n = topo.m, topo.n
@@ -45,6 +56,7 @@ def ls_estimate(y: np.ndarray, topo: Topology) -> np.ndarray:
             f"observations {y.shape} are not L*m x n pilot rows for m={m}, n={n}"
         )
     length = y.shape[-2] // m
+    _require_in_range(y, sys.float_info.max / length, "observations")
     return _sum_in_order(y.reshape(*y.shape[:-2], m, length, n), -2) / length
 
 
@@ -78,11 +90,20 @@ def _sum_in_order(x: np.ndarray, axis: int = 0) -> np.ndarray:
 def refine_bistatic(t_hat: np.ndarray) -> np.ndarray:
     """Project ``(..., m, n)`` estimates onto the constraint subspace:
     row mean + column mean - grand mean of each m x n slice.  The result
-    does not depend on the memory layout of the batch."""
+    does not depend on the memory layout of the batch.
+
+    Raises:
+        DimensionMismatch: if there are fewer than two axes.
+        NonFiniteInput: if an estimate is NaN or inf, or so large that a
+            row or column sum, or a symmetrized entry, overflows.
+    """
     t_hat = np.asarray(t_hat, dtype=np.float64)
     if t_hat.ndim < 2:
         raise DimensionMismatch(f"delay matrices need two axes, got {t_hat.shape}")
     m, n = t_hat.shape[-2:]
+    # Sums of max(m, n) estimates, and a refined entry, up to 3 of them,
+    # doubled by refine_monostatic's symmetrization, stay finite.
+    _require_in_range(t_hat, sys.float_info.max / (2 * max(m, n, 3)), "delay estimates")
     row = _sum_in_order(t_hat, -1)[..., None] / n
     col = _sum_in_order(t_hat, -2)[..., None, :] / m
     return row + (col - _sum_in_order(row, -2)[..., None] / m)
@@ -134,15 +155,18 @@ def decompose_delays(
     passing ``gauge_g1 = (t[0, 0] - delta) / 2``.
 
     Raises:
-        NonFiniteInput: if ``t``, ``delta`` or ``gauge_g1`` holds NaN or inf.
+        NonFiniteInput: if ``t``, ``delta`` or ``gauge_g1`` holds NaN or
+            inf, or a magnitude above 1/8 of the largest float, where the
+            differences below could overflow.
         ConstraintViolated: if ``t`` does not satisfy the topology
             constraint to within 1e-9 * max(1, max|t|).
     """
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 2:
         raise DimensionMismatch(f"delay matrix must have two axes, got {t.shape}")
-    if not (np.isfinite(t).all() and np.isfinite(delta) and np.isfinite(gauge_g1)):
-        raise NonFiniteInput("delays, delta and gauge_g1 must be finite")
+    _require_in_range(
+        np.append(t, (delta, gauge_g1)), sys.float_info.max / 8, "delays, delta and gauge_g1"
+    )
     residual = _constraint_residual(t)
     tol = 1e-9 * max(1.0, np.abs(t).max())
     if residual > tol:

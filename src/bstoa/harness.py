@@ -32,8 +32,8 @@ column sums (``_monostatic_statistics``).
 * A localization chunk first draws the unit coordinates of all its
   scenes, a row of tx, then rx if bistatic, then tag per trial, then one
   ``(k, trials)`` normal array.  Its solvers read per-anchor terms only:
-  the true ranges ``|anchor - tag|`` plus the noise in meters
-  (``_loc_terms``).
+  the true ranges ``|anchor - tag|`` plus the noise, in the sweep's scene
+  unit, the power of two at or above cube_side (``_loc_terms``).
 * An mse or crlb chunk draws no scene: the scene would add only rounding.
   Its rows are quadratic forms of its trials' k normals, so it draws only
   their sum of outer products, Wishart over its T trials, as one Bartlett
@@ -72,11 +72,14 @@ squares and the CRLB check from it (``_refined_squares``, ``_crlb_rows``).
 is a positive normal float for every pilot length L and the sweep's sums
 stay finite with ``_HEADROOM_SDS`` standard deviations of room
 (``analysis.check_sigma`` names the range), so no row is computed from an
-underflowed variance or an overflowed sum.  A localization sweep needs at
+underflowed variance or an overflowed sum; nor does a row carry a
+subnormal theory value.  A localization sweep needs at
 least 4 independent ranges (m + n - 1 for bistatic, m for monostatic),
-keeps its cube's longest range sum, ``2 sqrt(3) cube_side``, plus
+and keeps its cube's longest range sum, ``2 sqrt(3) cube_side``, plus
 ``_HEADROOM_SDS`` deviations of range noise below the solvers'
-``RANGE_LIMIT``, and its cube_side at least ``CUBE_FLOOR``.
+``RANGE_LIMIT`` in meters and in scene units.  Any cube_side below that
+bound runs: the solvers work in scene units, so a sweep's rows scale
+with its cube, exactly when sigma scales by the same power of two.
 
 Config files are flat ``key = value`` text; lists are comma-separated.
 Recognized keys are the SweepConfig fields: ``experiment`` (mse,
@@ -101,10 +104,10 @@ import numpy as np
 
 from . import analysis
 from .analysis import check_sigma
-from .channel import SPEED_OF_LIGHT, noise_rng
-from .errors import ConfigInvalid, InvalidValue
+from .channel import SPEED_OF_LIGHT, _HEADROOM_SDS, noise_rng
+from .errors import ConfigInvalid, InvalidValue, SingularGeometry
 from .estimator import _sum_in_order
-from .localization import RANGE_LIMIT, STEP_TOL, _fix_bistatic, _fix_monostatic
+from .localization import RANGE_LIMIT, _fix_bistatic, _fix_monostatic
 from .topology import Kind, Topology
 
 CHUNK_TRIALS = 512
@@ -120,17 +123,6 @@ _POOL_BREAK_EVEN_S = 0.1
 # Contiguous runs of chunks per pool worker: a few per worker even out
 # unequal runs, and each run is one task, so few runs keep the IPC small.
 _RUNS_PER_WORKER = 4
-# Meters; the shortest cube side a localization sweep accepts.  The solvers
-# stop on an absolute step length, STEP_TOL, and floor distances at
-# _DISTANCE_FLOOR, 100 times shorter, so a fix scales with its scene only
-# while both are far below it.  With sigma scaled alike, the rmse rows over
-# the cube side of 512-trial bistatic 4x3 and monostatic 6 sweeps read
-# within 1e-7 of a 10 m cube's at 10^4 STEP_TOL = 1e-6 m, up to 22% off at
-# 1e-10 m, 37% at 1e-12 m and 96 times at 1e-50 m.
-CUBE_FLOOR = 1e4 * STEP_TOL
-# Standard deviations of noise a sweep's sums leave room for (SweepConfig's
-# sigma range); a standard normal draw lies beyond 40 with odds below 1e-348.
-_HEADROOM_SDS = 40.0
 
 # 3 cm to 3 m ranging error at the speed of light; a declared, overridable
 # default since no canonical grid exists.
@@ -188,16 +180,18 @@ class SweepConfig:
                 raise ConfigInvalid(f"{ranges} independent ranges cannot fix a 3D position")
             # The cube's longest range sum, 2 sqrt(3) cube_side, and
             # _HEADROOM_SDS deviations of range noise, c sigma / sqrt(L), stay
-            # below the solvers' RANGE_LIMIT together.
+            # below the solvers' RANGE_LIMIT together, in meters and in the
+            # scene unit of _loc_terms.
             longest = 2.0 * math.sqrt(3.0) * self.cube_side
-            if not (CUBE_FLOOR <= self.cube_side and longest < RANGE_LIMIT):
+            if not longest < RANGE_LIMIT:
                 raise ConfigInvalid(
-                    f"localization sweep: cube_side must lie in [{CUBE_FLOOR:.4g}, "
-                    f"{RANGE_LIMIT / (2.0 * math.sqrt(3.0)):.4g}) m, so that the solvers' "
-                    "absolute step tolerance stays 1e-4 of it and range sums of up to "
-                    f"2 sqrt(3) cube_side stay below 2^128 m; got {self.cube_side!r}"
+                    "localization sweep: cube_side must be below "
+                    f"{RANGE_LIMIT / (2.0 * math.sqrt(3.0)):.4g} m, so that range sums of up "
+                    f"to 2 sqrt(3) cube_side stay below 2^128 m; got {self.cube_side!r}"
                 )
-            limit = ((RANGE_LIMIT - longest) / (_HEADROOM_SDS * SPEED_OF_LIGHT)) ** 2
+            unit = 2.0 ** math.ceil(math.log2(self.cube_side))
+            room = RANGE_LIMIT * min(1.0, unit) - longest
+            limit = (room / (_HEADROOM_SDS * SPEED_OF_LIGHT)) ** 2
         else:
             # The largest sum a sweep forms, the LS energy over all its
             # trials and entries or a refined square's four terms, stays
@@ -206,6 +200,13 @@ class SweepConfig:
         try:
             for sigma in self.sigma_grid:
                 check_sigma(sigma, self.pilot_lengths, limit)
+            # Every theory value a row carries is a normal float too; the
+            # smallest sigma and the longest pilot give the smallest.
+            sigma, length = self.sigma_grid[0], max(self.pilot_lengths)
+            if self.experiment is ExperimentKind.MSE:
+                analysis.theoretical_mse_iid(self.topology, sigma**2 / length)
+            elif self.experiment is ExperimentKind.CRLB and self.kind is Kind.MONOSTATIC:
+                analysis.crlb_monostatic(self.topology, sigma**2, length)
         except InvalidValue as exc:
             raise ConfigInvalid(f"{self.experiment.value} sweep: {exc}") from exc
 
@@ -542,14 +543,18 @@ def _refined_squares(topo: Topology, rowcol: np.ndarray) -> np.ndarray:
     return (diag[:, None] + diag[None, :] + 2.0 * rowcol) / 4.0
 
 
-def _loc_terms(cfg: SweepConfig, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _loc_terms(cfg: SweepConfig, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Draw chunk c of a localization sweep: the anchors ``(3, k, T)``
     (transmitters, then receivers if bistatic), the tags ``(3, T)`` and the
-    per-anchor terms its solvers read, in meters.  One ``random((T, k + 1,
-    3))`` call gives every scene's unit coordinates, then the noise.  With
-    d the true ranges ``|anchor - tag|`` and ``s = c sigma / sqrt(L)``, the
-    terms are those the public solvers take from the LS delays ``(d_i +
-    d_j) / c + (sigma / sqrt(L)) z`` and their refinement, up to rounding.
+    per-anchor terms its solvers read, all in scene units, and the unit in
+    meters, ``2^ceil(log2 cube_side)``.  Each length is its value in meters
+    over the unit, exactly: the unit is folded into the coordinates' and
+    the noise's scale factors.  One ``random((T, k + 1, 3))`` call gives
+    every scene's unit coordinates, then the noise.  With d the true
+    ranges ``|anchor - tag|`` and ``s = c sigma / sqrt(L)``, the terms
+    times the unit are those the public solvers take from the LS delays
+    ``(d_i + d_j) / c + (sigma / sqrt(L)) z`` and their refinement, up to
+    rounding.
     No chunk draws z, only the statistics its rows read, one ``(2 m, T)``
     or ``(m + n, T)`` normal draw after the scenes'.  Bistatic, ``(m + n,
     T)``: the fit ``a_i + b_j`` with ``[a; b] = d + s [r; beta]``, z's row
@@ -565,38 +570,52 @@ def _loc_terms(cfg: SweepConfig, c: int) -> tuple[np.ndarray, np.ndarray, np.nda
     bistatic = cfg.kind is Kind.BISTATIC
     k = m + n if bistatic else m
     rng = noise_rng(cfg.master_seed, c)
+    unit = 2.0 ** math.ceil(math.log2(cfg.cube_side))
     points = np.empty((3, k + 1, count))
-    np.multiply(rng.random((count, k + 1, 3)).T, cfg.cube_side, out=points)
+    np.multiply(rng.random((count, k + 1, 3)).T, cfg.cube_side / unit, out=points)
     anchors, tags = points[:, :k], points[:, k]
     offset = anchors - tags[:, None]
     ranges = _sum_in_order(np.square(offset, out=offset))
     np.sqrt(ranges, out=ranges)
     del offset  # not held while the noise is drawn
-    scale = SPEED_OF_LIGHT * sigma / math.sqrt(pilot_len)
+    scale = SPEED_OF_LIGHT * sigma / math.sqrt(pilot_len) / unit
     if bistatic:
         coords = _bistatic_statistics(rng.standard_normal((k, count)), m)
         coords *= scale
         ranges += coords
-        return anchors, tags, np.concatenate([ranges[:m] + ranges[m], ranges[0] + ranges[m:]])
+        edges = np.concatenate([ranges[:m] + ranges[m], ranges[0] + ranges[m:]])
+        return anchors, tags, edges, unit
     diag, refined = _monostatic_statistics(rng.standard_normal((2 * m, count)), m)
     diag *= scale / 2.0
     refined *= scale / 2.0
-    return anchors, tags, np.concatenate([ranges + diag, ranges + refined], axis=1)
+    return anchors, tags, np.concatenate([ranges + diag, ranges + refined], axis=1), unit
 
 
 def _run_loc_chunk(cfg: SweepConfig, c: int) -> dict:
-    anchors, tags, terms = _loc_terms(cfg, c)
+    anchors, tags, terms, unit = _loc_terms(cfg, c)
     if cfg.kind is Kind.BISTATIC:
         # A delay matrix and its projection have one bistatic fix (see
-        # localize_bistatic_batch), so each scene is solved once.
-        p_ref, _, _ = _fix_bistatic(anchors, terms, cfg.m)
+        # localize_bistatic_batch), so each scene is solved once.  Its rank
+        # test reads the noisy range sums, so a singular scene may be noise.
+        try:
+            p_ref, _, _ = _fix_bistatic(anchors, terms, cfg.m)
+        except SingularGeometry as exc:
+            sigma, pilot_len = cfg.grid_points[_chunk_span(cfg, c)[0]]
+            raise SingularGeometry(
+                f"{exc} at the noisy range sums of sigma = {sigma!r} s, L = {pilot_len} "
+                f"(chunk {c})"
+            ) from exc
         p_ls = p_ref
     else:
         # One call fixes the LS and the refined ranges; no scene's
         # arithmetic depends on the rest of its batch.
         both, _, _ = _fix_monostatic(np.concatenate((anchors, anchors), axis=2), terms)
         p_ls, p_ref = np.split(both, 2, axis=1)
-    return {"sqerr_ls": ((p_ls - tags) ** 2).sum(), "sqerr_proposed": ((p_ref - tags) ** 2).sum()}
+    # Squared errors in meters: the scene unit squared is a power of two.
+    return {
+        "sqerr_ls": ((p_ls - tags) ** 2).sum() * unit**2,
+        "sqerr_proposed": ((p_ref - tags) ** 2).sum() * unit**2,
+    }
 
 
 def _offdiag_mean(matrix: np.ndarray) -> float:
@@ -718,8 +737,9 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
 
     Raises:
         ConfigInvalid: if ``workers`` is below 1.
-        SingularGeometry: if a localization chunk draws a scene whose fix
-            is not unique.
+        SingularGeometry: if a bistatic localization chunk's Gauss-Newton
+            matrix loses rank 3 at a scene's noisy range sums; the message
+            names the grid point and the chunk.
     """
     if workers is not None and workers < 1:
         raise ConfigInvalid(f"workers must be >= 1, got {workers}")

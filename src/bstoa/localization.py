@@ -35,13 +35,20 @@ anchors (3, k, T), positions (3, T), per-anchor terms (k, T).  Sums over
 anchors or coordinates go through the estimator's ``_sum_in_order``, which
 adds whole planes in order in every layout, so no scene's result depends
 on its batch, and a lone scene (T = 1) rounds like one of a batch; the
-single-scene functions are batch-of-one wrappers.  The batch functions
-reduce delay matrices to per-anchor terms for ``_fix_bistatic`` or
-``_fix_monostatic``, which sweeps call directly and which reject ranges
-beyond ``RANGE_LIMIT``; the batch functions reject anchor coordinates
-beyond it too.  3x3 systems are solved in closed form through the
-adjugate, and a scene that stops iterating leaves the Newton loop's
-working arrays.
+single-scene functions are batch-of-one wrappers.  3x3 systems are solved
+in closed form through the adjugate, and a scene that stops iterating
+leaves the Newton loop's working arrays.
+
+The solvers ``_fix_bistatic`` and ``_fix_monostatic`` work in scene units,
+in which the scene's anchors span about 1, so every length they compare
+with a tolerance scales with the scene.  The batch functions reject anchor
+coordinates and ranges beyond ``RANGE_LIMIT`` in meters, reduce the delay
+matrices to per-anchor terms, and take each scene to its frame
+(``_frame``): they subtract its anchor centroid and divide by a power of
+two at or above its anchor span and its longest range, which is exact.
+They solve there and map the fix and the residual back.  Sweeps call the
+solvers directly, with every length of a sweep divided by one power of
+two (``harness._loc_terms``).
 """
 
 from __future__ import annotations
@@ -55,16 +62,21 @@ from .errors import DimensionMismatch, NonFiniteInput, SingularGeometry, UnderDe
 from .estimator import _sum_in_order, refine_bistatic
 
 MAX_ITERATIONS = 100
-STEP_TOL = 1e-10          # meters; convergence when the accepted step is shorter
+# Scene units (module docstring), 1e-10 m and 1e-12 m in the unit of a 10 m
+# cube, 16 m: convergence when the accepted step is shorter than STEP_TOL;
+# _DISTANCE_FLOOR avoids 0/0 in unit vectors at an anchor.
+STEP_TOL = 1e-10 / 16
+_DISTANCE_FLOOR = 1e-12 / 16
 MAX_HALVINGS = 20
 # A scene also stops when its step predicts a decrease of |R|^2 below this
 # share of it: rounding in |R|^2 hides such a decrease, and every halving
 # of the step would be rejected.
 DECREASE_RTOL = 1e-14
-_DISTANCE_FLOOR = 1e-12   # meters; avoids 0/0 in unit vectors at an anchor
-# Meters; bounds the ranges and anchor coordinates the solvers take.  The
-# adjugate solve of the linearized sphere equations forms a length's 7th
-# power, which stays finite with 2^128 to spare for sums over anchors.
+# Meters; bounds the anchor coordinates and ranges the batch functions take,
+# and a sweep's lengths in meters and in scene units.  Below it a scene's
+# span and frame stay finite, and so does the 7th power of a length that
+# the adjugate solve of the linearized sphere equations forms, with 2^128 to
+# spare for sums over anchors.
 RANGE_LIMIT = 2.0**128
 # The rank test uses the scale-free ratio det(H) / |H|_F^3.  Random scene
 # geometry stays above 1e-5; collinear or coplanar anchors with
@@ -154,6 +166,18 @@ def _least_squares3(u: np.ndarray, *rhs: np.ndarray) -> tuple[list[np.ndarray], 
     return [_solve3(adj, det, _sum_in_order(u * r, axis=1)) for r in rhs], bad
 
 
+def _frame(anchors: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each scene's frame, from anchors (3, k, T) and lengths (j, T): its
+    anchor centroid (3, T) and its unit (T,), the power of two at or above
+    the larger of its anchor span and its longest length.  A point x maps to
+    (x - centroid) / unit in scene units, and a length l to l / unit; the
+    division is exact."""
+    centroid = _sum_in_order(anchors, axis=1) / anchors.shape[1]
+    span = (anchors.max(axis=1) - anchors.min(axis=1)).max(axis=0)
+    mantissa, exponent = np.frexp(np.maximum(span, np.abs(lengths).max(axis=0)))
+    return centroid, np.ldexp(1.0, exponent - (mantissa == 0.5))
+
+
 def _warm_start(anchors: np.ndarray, col: np.ndarray, row: np.ndarray) -> np.ndarray:
     """Algebraic initial points (3, T) for bistatic scenes from anchors
     (3, m+n, T) and the range sums' first column (m, T) and row (n, T).
@@ -187,7 +211,7 @@ def _warm_start(anchors: np.ndarray, col: np.ndarray, row: np.ndarray) -> np.nda
         solvable = ~bad & (r1_sq > 0.0)
         candidate = p0 + (_sum_in_order(base * r1) / np.where(solvable, r1_sq, 1.0)) * p1
     lo, hi = anchors.min(axis=1), anchors.max(axis=1)
-    span = np.maximum((hi - lo).max(axis=0), 1.0)
+    span = (hi - lo).max(axis=0)
     inside = ((candidate >= lo - span) & (candidate <= hi + span)).all(axis=0)
     centroid = _sum_in_order(anchors, axis=1) / anchors.shape[1]
     return np.where(solvable & inside, candidate, centroid)
@@ -307,7 +331,7 @@ def _newton_batch(
     A scene takes the full Newton step where the exact Hessian is positive
     definite and the Gauss-Newton step otherwise.  Each step is halved up
     to MAX_HALVINGS times whenever it would increase the residual norm.  A
-    scene stops once its accepted step is shorter than STEP_TOL meters, its
+    scene stops once its accepted step is shorter than STEP_TOL, its
     predicted decrease falls below DECREASE_RTOL of |R|^2, or no damped
     step is accepted; everything stops after MAX_ITERATIONS.  A scene that
     stops writes out its fix and leaves the working arrays.
@@ -369,7 +393,7 @@ def localize_bistatic_batch(
         DimensionMismatch: unless the three stacks agree as above.
         UnderDetermined: if m + n - 1 < 4 (the independent range sums).
         NonFiniteInput: if a delay or delta is NaN or inf, or an anchor
-            coordinate, range or fitted range sum is out of ``RANGE_LIMIT``.
+            coordinate or range sum is out of ``RANGE_LIMIT``.
         SingularGeometry: if any scene's Jacobian loses rank 3.
     """
     ts, txs, rxs = (np.asarray(x, dtype=np.float64) for x in (ts, txs, rxs))
@@ -383,21 +407,24 @@ def localize_bistatic_batch(
     with np.errstate(over="ignore"):  # rejected below
         ks = SPEED_OF_LIGHT * (ts - delta)
     _require_in_range(ks)
+    centroid, unit = _frame(anchors, ks.reshape(len(ks), m * n).T)
+    anchors -= centroid[:, None]
+    anchors /= unit
+    ks /= unit[:, None, None]
     fitted = refine_bistatic(ks)
     edges = np.concatenate([fitted[:, :, 0].T, fitted[:, 0, :].T])
     p, fit_sq, iterations = _fix_bistatic(anchors, edges, m)
     off = ks - fitted
     off_sq = _sum_in_order((off * off).transpose(1, 2, 0).reshape(m * n, -1))
-    return p.T, np.sqrt(fit_sq + off_sq), iterations
+    return (p * unit + centroid).T, np.sqrt(fit_sq + off_sq) * unit, iterations
 
 
 def _fix_bistatic(anchors: np.ndarray, edges: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
     """Positions (3,T), fitted |R|^2 and iterations from anchors (3,m+n,T),
     transmitters over receivers, and ``edges`` (m+n,T), the fitted range
-    sums' first column over their first row, in meters.  The warm start
-    reads the edges; Newton splits the fit into the column and the row
-    less their shared corner."""
-    _require_in_range(edges)
+    sums' first column over their first row, in scene units.  The warm
+    start reads the edges; Newton splits the fit into the column and the
+    row less their shared corner."""
     fit = edges.copy()
     fit[m:] -= fit[0]
     p0 = _warm_start(anchors, edges[:m], edges[m:])
@@ -446,17 +473,21 @@ def localize_monostatic_batch(
     _require_finite(ts, delta)
     points = anchors.transpose(2, 1, 0).copy()
     _require_in_range(points, "anchor coordinates")
-    with np.errstate(over="ignore"):  # _fix_monostatic rejects an overflow
+    with np.errstate(over="ignore"):  # rejected below
         ranges = (SPEED_OF_LIGHT * (np.diagonal(ts, axis1=1, axis2=2) - delta) / 2.0).T.copy()
+    _require_in_range(ranges)
     del ts, anchors  # a caller's stacked inputs can be freed; only copies are used below
+    centroid, unit = _frame(points, ranges)
+    points -= centroid[:, None]
+    points /= unit
+    ranges /= unit
     p, fnorm, accepted = _fix_monostatic(points, ranges)
-    return p.T, fnorm, accepted.astype(np.int64)
+    return (p * unit + centroid).T, fnorm * unit, accepted.astype(np.int64)
 
 
 def _fix_monostatic(points: np.ndarray, ranges: np.ndarray) -> tuple[np.ndarray, ...]:
     """Positions (3,T), range residual norms and polish-step flags from
-    anchors (3,m,T) and ranges (m,T) in meters."""
-    _require_in_range(ranges)
+    anchors (3,m,T) and ranges (m,T) in scene units."""
     norms = _sum_in_order(points * points)
     rhs = 0.5 * (norms[1:] - norms[0] - (ranges[1:] ** 2 - ranges[0] ** 2))
     (p,), bad = _least_squares3(points[:, 1:] - points[:, :1], rhs)

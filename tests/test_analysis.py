@@ -111,12 +111,15 @@ def test_independent_mse_shape_check():
         lambda: theoretical_mse_iid(Topology.bistatic(4, 3), 0.0),
         lambda: theoretical_mse_iid(Topology.bistatic(4, 3), 1e-320),
         lambda: theoretical_mse_iid(Topology.monostatic(3), sys.float_info.min / 2),
+        lambda: theoretical_mse_iid(Topology.bistatic(48, 48), 2.3e-308),
+        lambda: theoretical_mse_iid(Topology.monostatic(3), 2.3e-308),
         lambda: theoretical_mse_independent(Topology.bistatic(2, 2), -np.ones((2, 2)), 1),
         lambda: theoretical_mse_independent(Topology.bistatic(2, 2), np.ones((2, 2)), 0),
     ],
     ids=[
         "iid-sigma0-sq", "iid-zero-sigma0-sq", "iid-subnormal-sigma0-sq",
-        "iid-subnormal-monostatic", "independent-variance", "independent-pilot-len",
+        "iid-subnormal-monostatic", "iid-subnormal-entry-48x48", "iid-subnormal-entry-monostatic",
+        "independent-variance", "independent-pilot-len",
     ],
 )
 def test_bad_scalar_arguments_raise_package_error(call):
@@ -203,10 +206,11 @@ _MONOSTATIC_BOUND = (crlb_monostatic, Topology.monostatic(3))
         (0.0, 2, InvalidValue),
         (1e-320, 1, InvalidValue),
         (sys.float_info.min, 2, InvalidValue),
+        (2.3e-308, 1, InvalidValue),
     ],
     ids=[
         "nan-variance", "inf-variance", "pilot-len-0", "pilot-len-negative", "negative-variance",
-        "zero-variance", "subnormal-variance", "subnormal-over-pilot-len",
+        "zero-variance", "subnormal-variance", "subnormal-over-pilot-len", "subnormal-entry",
     ],
 )
 def test_crlb_rejects_bad_arguments(bound, topo, sigma_sq, pilot_len, error):

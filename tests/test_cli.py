@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import bstoa
 from bstoa.channel import Scene, random_scene, stream_rng, synth_observations, true_delays
 from bstoa.cli import main
+from bstoa.harness import DEFAULT_SIGMA_GRID
 from bstoa.topology import Kind, Topology, weighting_matrix
 
 
@@ -180,6 +181,21 @@ def test_localize_scene_file(tmp_path, capsys):
     values = [float(x) for x in out.strip().split(",")]
     assert len(values) == 4
     assert np.linalg.norm(np.array(values[:3]) - scene.tag) < 1e-6
+
+
+def test_localize_scene_scaled_by_1e_minus_50(tmp_path, capsys):
+    """A bistatic 4x3 scene file scaled by 1e-50 fixes its tag within 1e-9
+    of its 1e-49 m cube: the localizers solve in the scene's own frame.  It
+    used to print a fix 0.87 cube sides off with exit 0."""
+    scene = random_scene(Topology.bistatic(4, 3), 10.0, stream_rng(1, 0))
+    small = Scene(
+        topo=scene.topo, tx=scene.tx * 1e-50, rx=scene.rx * 1e-50, tag=scene.tag * 1e-50
+    )
+    scene_path, toa_path = _localize_files(tmp_path, small, true_delays(small))
+    code, out, err = run_cli(capsys, "localize", "--scene", scene_path, "--toa", toa_path)
+    assert (code, err) == (0, "")
+    values = [float(x) for x in out.strip().split(",")]
+    assert np.linalg.norm(np.array(values[:3]) - small.tag) <= 1e-9 * 1e-49
 
 
 def test_localize_monostatic_proposed(tmp_path, capsys):
@@ -398,14 +414,14 @@ def test_sweep_cli_cube_beyond_the_range_limit_exit_code(tmp_path, capsys):
     out = tmp_path / "x.csv"
     code, _, err = run_cli(capsys, "sweep", "--config", str(config), "--out", str(out))
     assert code == 2
-    assert "cube_side must lie in [1e-06, 9.823e+37) m" in err
+    assert "cube_side must be below 9.823e+37 m" in err
     assert not out.exists()
 
 
-def test_sweep_cli_cube_below_the_floor_exit_code(tmp_path, capsys):
-    """A localization cube of 1e-12 m, whose fixes the solvers' absolute
-    tolerances would swamp, exits 2 at the config check and names the
-    accepted cube_side."""
+def test_sweep_cli_tiny_cube_runs(tmp_path, capsys):
+    """A localization cube of 1e-12 m runs: the solvers work in scene
+    units, so no cube is too small for their tolerances.  It used to exit 2
+    at a cube floor of 1e-6 m."""
     config = tmp_path / "cube.cfg"
     config.write_text(
         "experiment = localization\nkind = monostatic\nm = 6\ntrials = 16\n"
@@ -413,9 +429,8 @@ def test_sweep_cli_cube_below_the_floor_exit_code(tmp_path, capsys):
     )
     out = tmp_path / "x.csv"
     code, _, err = run_cli(capsys, "sweep", "--config", str(config), "--out", str(out))
-    assert code == 2
-    assert "cube_side must lie in [1e-06, 9.823e+37) m" in err and "1e-12" in err
-    assert not out.exists()
+    assert (code, err) == (0, "")
+    assert len(out.read_text().splitlines()) == 1 + 2 * 2 * len(DEFAULT_SIGMA_GRID)
 
 
 @pytest.mark.parametrize(
@@ -480,6 +495,25 @@ def test_localize_singular_geometry_exit_code(tmp_path, capsys):
     )
     assert code == 3
     assert "error" in err
+
+
+def test_sweep_cli_singular_geometry_names_the_grid_point(tmp_path, capsys):
+    """A bistatic sweep whose range noise swamps its cube exits 3, and the
+    message names the grid point and chunk, and that the rank test ran on
+    the noisy range sums; it used to name only the scene count."""
+    config = tmp_path / "noisy.cfg"
+    config.write_text(
+        "experiment = localization\nkind = bistatic\nm = 4\nn = 3\npilot_lengths = 2\n"
+        "sigma_grid = 1e-4\ntrials = 512\nmaster_seed = 11\n"
+    )
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(capsys, "sweep", "--config", str(config), "--out", str(out))
+    assert code == 3
+    assert err == (
+        "error: rank-deficient geometry in 157 of 512 scenes at the noisy range sums of "
+        "sigma = 0.0001 s, L = 2 (chunk 0)\n"
+    )
+    assert not out.exists()
 
 
 def test_reader_closing_the_pipe_early_exits_zero():

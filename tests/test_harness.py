@@ -138,9 +138,13 @@ def test_parse_config_defaults():
         "experiment = mse\nkind = bistatic\nm = 2\nsigma_grid = 0, 1e-9\n",
         "experiment = mse\nkind = bistatic\nm = 2\nsigma_grid = -1e-9\n",
         "experiment = localization\nkind = bistatic\nm = 4\nn = 3\ncube_side = 1e40\n",
-        "experiment = localization\nkind = bistatic\nm = 4\nn = 3\ncube_side = 1e-12\n",
         "experiment = localization\nkind = bistatic\nm = 4\nn = 3\ncube_side = 1e-50\n",
         "experiment = mse\nkind = bistatic\nm = 2\npilot_lengths = 0\n",
+        # sigma^2 / L is normal, but a theory value would be subnormal.
+        "experiment = mse\nkind = bistatic\nm = 48\npilot_lengths = 1\nsigma_grid = 1.517e-154\n",
+        "experiment = mse\nkind = monostatic\nm = 3\npilot_lengths = 1\nsigma_grid = 1.517e-154\n",
+        "experiment = crlb\nkind = monostatic\nm = 3\npilot_lengths = 1, 2\n"
+        "sigma_grid = 2.2e-154, 1e-9\n",
         "experiment = mse\nkind = bistatic\nm = 2\npilot_lengths = 2, 8, 2\n",
         "experiment = mse\nkind = bistatic\nm = 2\nsigma_grid = nan\n",
         "experiment = mse\nkind = bistatic\nm = 2\nsigma_grid = 1e-9, inf\n",
@@ -248,25 +252,45 @@ def test_localization_cube_just_inside_the_range_limit_runs(kind, m, n):
 
 
 @pytest.mark.parametrize("kind, m, n", [(Kind.BISTATIC, 4, 3), (Kind.MONOSTATIC, 6, 6)])
-def test_localization_cube_just_above_the_floor_scales_the_rows(kind, m, n):
-    """A cube just above CUBE_FLOOR passes the config check, and with sigma
-    scaled alike its rmse rows over the cube side lie within 1% of a 10 m
-    cube's on the same seed: the solvers' absolute tolerances do not yet
-    show.  A cube just below it is rejected."""
+def test_localization_rows_scale_exactly_with_the_cube(kind, m, n):
+    """The solvers work in scene units, so a cube of 10 2^k m with every
+    sigma times 2^k gives rmse rows of exactly 2^k times the 10 m cube's,
+    bit for bit, from k = -150 to 120."""
+    def rows(k):
+        cfg = _cfg(
+            experiment=ExperimentKind.LOCALIZATION, kind=kind, m=m, n=n,
+            cube_side=math.ldexp(10.0, k),
+            sigma_grid=(math.ldexp(1e-10, k), math.ldexp(3e-9, k)), trials=512,
+        )
+        return [row.value for row in run_sweep(cfg, workers=1).sorted_rows()]
+
+    base = rows(0)
+    for k in (-150, -30, 30, 120):
+        assert rows(k) == [math.ldexp(value, k) for value in base], k
+
+
+@pytest.mark.parametrize("kind, m, n", [(Kind.BISTATIC, 4, 3), (Kind.MONOSTATIC, 6, 6)])
+def test_localization_tiny_cubes_run_or_name_the_sigma_range(kind, m, n):
+    """A cube of 1e-12 m or 1e-50 m runs with sigma scaled alike, and its
+    rows over the cube side lie near a 10 m cube's.  Noise that would put
+    a length in scene units past RANGE_LIMIT is a ConfigInvalid that names
+    the sigma range: at 1e-50 m, the default grid's 3 cm of range noise is
+    2^166 scene units."""
     def rows(cube_side):
         cfg = _cfg(
             experiment=ExperimentKind.LOCALIZATION, kind=kind, m=m, n=n, cube_side=cube_side,
-            sigma_grid=(1e-10 * cube_side, 3e-10 * cube_side), trials=512,
+            sigma_grid=(1e-10 * cube_side,), trials=64,
         )
         return [row.value / cube_side for row in run_sweep(cfg, workers=1).sorted_rows()]
 
-    small = harness.CUBE_FLOOR * (1.0 + 1e-9)
-    for got, want in zip(rows(small), rows(10.0), strict=True):
-        assert abs(got / want - 1.0) <= 0.01
-    with pytest.raises(ConfigInvalid, match="cube_side must lie in"):
+    want = rows(10.0)
+    for cube_side in (1e-12, 1e-50):
+        for got, ref in zip(rows(cube_side), want, strict=True):
+            assert abs(got / ref - 1.0) <= 1e-6
+    with pytest.raises(ConfigInvalid, match=r"sigma must lie in \[\S+, \S+\] s"):
         _cfg(
-            experiment=ExperimentKind.LOCALIZATION, kind=kind, m=m, n=n,
-            cube_side=harness.CUBE_FLOOR * (1.0 - 1e-9),
+            experiment=ExperimentKind.LOCALIZATION, kind=kind, m=m, n=n, cube_side=1e-50,
+            sigma_grid=DEFAULT_SIGMA_GRID,
         )
 
 
@@ -674,9 +698,9 @@ def test_chunk_ls_noise_is_the_pilot_mean_distribution(pilot_len):
     streams = [c for p, _, c in _point_chunks(cfg) if p == point]
     errors = []
     for c in streams:
-        anchors, tags, terms = _loc_terms(cfg, c)
+        anchors, tags, terms, unit = _loc_terms(cfg, c)
         ranges = np.sqrt(((anchors - tags[:, None]) ** 2).sum(axis=0))
-        errors.append((terms[:, : tags.shape[1]] - ranges) * (2.0 / SPEED_OF_LIGHT))
+        errors.append((terms[:, : tags.shape[1]] - ranges) * (2.0 * unit / SPEED_OF_LIGHT))
     z = (np.concatenate(errors, axis=1) * (math.sqrt(pilot_len) / 1e-9)).ravel()
     assert z.size >= 100_000
     assert abs(z.mean()) <= 5.0 / math.sqrt(z.size)
@@ -712,9 +736,9 @@ def test_refined_error_is_the_projected_ls_error(kind, m, n):
         projected = refine_estimate(t_hats - truths, cfg.topology)
         gap = np.abs((t_refs - truths) - projected).max()
         assert gap <= 16 * eps * np.abs(truths).max()
-        _, _, terms = _loc_terms(cfg, c)
+        _, _, terms, unit = _loc_terms(cfg, c)
         want = _reference_terms(cfg, t_hats, truths + projected)
-        assert np.abs(terms - want).max() <= 16 * eps * SPEED_OF_LIGHT * np.abs(truths).max()
+        assert np.abs(terms * unit - want).max() <= 16 * eps * SPEED_OF_LIGHT * np.abs(truths).max()
 
 
 @pytest.mark.parametrize(
@@ -1012,9 +1036,9 @@ def test_bistatic_statistics_match_a_folded_plane(m, n):
     scale = SPEED_OF_LIGHT * 1e-8 / math.sqrt(2)
     drawn, folded = [], []
     for c in range(chunks):
-        anchors, tags, terms = _loc_terms(loc, c)
+        anchors, tags, terms, unit = _loc_terms(loc, c)
         d = np.sqrt(((anchors - tags[:, None]) ** 2).sum(axis=0))
-        drawn.append((terms - np.concatenate([d[:m] + d[m], d[0] + d[m:]])) / scale)
+        drawn.append((terms - np.concatenate([d[:m] + d[m], d[0] + d[m:]])) * (unit / scale))
         z = noise_rng(loc.master_seed + 1, c).standard_normal((m, n, CHUNK_TRIALS))
         rows = z.mean(axis=1)
         cols = z.mean(axis=0) - rows.mean(axis=0)
@@ -1316,7 +1340,8 @@ def _reference_terms(cfg, t_hats, t_refs):
 def test_chunk_is_bitwise_the_per_trial_loop(kind, m, n, pilot_len):
     """A localization chunk draws exactly what a per-trial loop over the
     chunk's draws does with the public functions: the same anchors and
-    tags, bit for bit, and solver terms within 16 eps max|truth| of those
+    tags, bit for bit, once its scene unit multiplies them, and solver
+    terms, times the unit, within 16 eps max|truth| of those
     the public localizers take from the loop's LS and refined delays (the
     chunk forms them from per-anchor ranges, the loop from delay
     matrices), on the second point's full chunk and on a partial last
@@ -1331,12 +1356,12 @@ def test_chunk_is_bitwise_the_per_trial_loop(kind, m, n, pilot_len):
     assert sizes == [(0, 512), (0, 188), (1, 512), (1, 188)]
     bistatic = kind is Kind.BISTATIC
     for point, chunk, c in _point_chunks(cfg)[1:3]:
-        anchors, tags, terms = _loc_terms(cfg, c)
+        anchors, tags, terms, unit = _loc_terms(cfg, c)
         txs, rxs, want_tags, truths, t_hats, t_refs = _reference_chunk(cfg, point, chunk)
         want_anchors = np.concatenate([txs, rxs], axis=1) if bistatic else txs
-        assert np.array_equal(anchors, want_anchors.transpose(2, 1, 0))
-        assert np.array_equal(tags, want_tags.T)
-        gap = np.abs(terms - _reference_terms(cfg, t_hats, t_refs)).max()
+        assert np.array_equal(anchors * unit, want_anchors.transpose(2, 1, 0))
+        assert np.array_equal(tags * unit, want_tags.T)
+        gap = np.abs(terms * unit - _reference_terms(cfg, t_hats, t_refs)).max()
         assert gap <= 16 * np.finfo(float).eps * SPEED_OF_LIGHT * np.abs(truths).max()
 
 
@@ -1349,14 +1374,14 @@ def test_chunk_fixes_are_the_public_fixes(kind, m, n):
     localizers on the per-trial loop's LS and refined delay matrices."""
     cfg = _cfg(experiment=ExperimentKind.LOCALIZATION, kind=kind, m=m, n=n, trials=CHUNK_TRIALS)
     for point, chunk, c in _point_chunks(cfg):
-        anchors, tags, terms = _loc_terms(cfg, c)
+        anchors, tags, terms, unit = _loc_terms(cfg, c)
         txs, rxs, _, _, t_hats, t_refs = _reference_chunk(cfg, point, chunk)
         if kind is Kind.BISTATIC:
-            got = [_fix_bistatic(anchors, terms, m)[0]] * 2
+            got = [_fix_bistatic(anchors, terms, m)[0] * unit] * 2
             want = [localize_bistatic_batch(t, txs, rxs)[0] for t in (t_hats, t_refs)]
         else:
             both = _fix_monostatic(np.concatenate((anchors, anchors), axis=2), terms)[0]
-            got = np.split(both, 2, axis=1)
+            got = np.split(both * unit, 2, axis=1)
             want = [localize_monostatic_batch(t, txs)[0] for t in (t_hats, t_refs)]
         for p, q in zip(got, want):
             assert np.linalg.norm(p.T - q, axis=1).max() < 1e-6
@@ -1404,7 +1429,7 @@ def test_chunk_keeps_the_trials_on_the_contiguous_axis(kind, m, n):
     cfg = _cfg(experiment=ExperimentKind.LOCALIZATION, kind=kind, m=m, n=n, trials=700)
     k = m + n if kind is Kind.BISTATIC else m
     for c, count in enumerate((CHUNK_TRIALS, 700 - CHUNK_TRIALS)):
-        out = _loc_terms(cfg, c)
+        out = _loc_terms(cfg, c)[:3]
         width = count if kind is Kind.BISTATIC else 2 * count
         assert [a.shape for a in out] == [(3, k, count), (3, count), (k, width)]
         for name, array in zip(("anchors", "tags", "terms"), out):
@@ -1423,7 +1448,7 @@ def test_chunk_memory_stays_near_its_output():
     _loc_terms(cfg, 0)
     tracemalloc.start()
     try:
-        out = _loc_terms(cfg, 0)
+        out = _loc_terms(cfg, 0)[:3]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -329,6 +329,79 @@ def test_fixes_at_1e38_m_are_finite_and_exact():
         assert np.linalg.norm(p[0] - tag) <= 1e-9 * np.linalg.norm(tag)
 
 
+def _fix_of(tx, rx, tag, t, monostatic):
+    """The public batch fix of one scene: position and iterations."""
+    if monostatic:
+        p, _, iterations = localize_monostatic_batch(t[None], tx[None])
+    else:
+        p, _, iterations = localize_bistatic_batch(t[None], tx[None], rx[None])
+    return p[0], int(iterations[0])
+
+
+@pytest.mark.parametrize(
+    "monostatic, scale, shift",
+    [
+        (False, 1e30, 0.0), (False, 1e-50, 0.0), (True, 1e-50, 0.0),
+        (False, 1.0, 1e8), (True, 1.0, 1e7), (True, 1.0, 1e8),
+    ],
+    ids=["bi-1e30", "bi-1e-50", "mono-1e-50", "bi-shift-1e8", "mono-shift-1e7", "mono-shift-1e8"],
+)
+def test_scaled_and_shifted_scenes_fix_in_their_frame(monostatic, scale, shift):
+    """Noiseless scenes of a 10 m cube scaled by ``scale`` and shifted by
+    ``shift`` m per axis fix within 1e-9 of the scaled cube, plus 4 ulps of
+    the shift, in at most 10 iterations.  The solvers' meter tolerances
+    used to run the 1e30 bistatic scene to MAX_ITERATIONS, leave the 1e-50
+    scenes 0.87 (bistatic) and 1.5 (monostatic) cube sides off after 0
+    iterations, and leave the monostatic scene 1.45e-6 m off at a 1e7 m
+    shift and 2.37e-3 m at 1e8 m."""
+    tx, rx, tag, ks = _scaled_scene(1, scale, monostatic)
+    tx, rx, tag = tx + shift, rx + shift, tag + shift
+    t = (ks[:, None] + ks[None, :] if monostatic else ks) / SPEED_OF_LIGHT
+    p, iterations = _fix_of(tx, rx, tag, t, monostatic)
+    assert np.linalg.norm(p - tag) <= 1e-9 * 10.0 * scale + 4 * np.spacing(shift)
+    assert iterations <= 10
+
+
+@st.composite
+def _moved_scene(draw):
+    """A 4x3 bistatic or 6-anchor monostatic scene in a 10 m cube, noiseless
+    or with 3 cm of delay noise (sigma = 1e-10 s), and the move s x + o of
+    it: s = 2^k for k in [-150, 120], o up to 1e6 s span per axis."""
+    monostatic = draw(st.booleans())
+    seed = draw(st.integers(0, 2**16))
+    sigma = draw(st.sampled_from([0.0, 1e-10]))
+    scene, t = _monostatic_case(seed, sigma=sigma) if monostatic else _bistatic_case(
+        seed, sigma=sigma
+    )
+    k = draw(st.integers(-150, 120))
+    anchors = np.concatenate([scene.tx, scene.rx])
+    span = np.ptp(anchors, axis=0).max()
+    unit_offset = draw(arrays(np.float64, 3, elements=st.floats(-1e6, 1e6)))
+    return scene, t, sigma, k, np.ldexp(unit_offset * span, k), span
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=_moved_scene())
+def test_fixes_move_with_their_scene(case):
+    """fix(s scene + o) lies within 1e-9 s span, plus 4 ulps of o, of s
+    fix(scene) + o, for s = 2^k with k in [-150, 120] and |o| <= 1e6 s span
+    per axis; a noiseless scene takes at most 10 iterations either way.  A
+    move that takes an anchor past RANGE_LIMIT raises NonFiniteInput."""
+    scene, t, sigma, k, offset, span = case
+    monostatic = scene.topo.kind.value == "monostatic"
+    p, iterations = _fix_of(scene.tx, scene.rx, scene.tag, t, monostatic)
+    moved = [np.ldexp(x, k) + offset for x in (scene.tx, scene.rx, scene.tag)]
+    if max(np.abs(x).max() for x in moved[:2]) >= localization.RANGE_LIMIT:
+        with pytest.raises(NonFiniteInput, match="anchor coordinates"):
+            _fix_of(*moved, np.ldexp(t, k), monostatic)
+        return
+    q, moved_iterations = _fix_of(*moved, np.ldexp(t, k), monostatic)
+    gap = np.abs(q - (np.ldexp(p, k) + offset)).max()
+    assert gap <= 1e-9 * np.ldexp(span, k) + 4 * np.spacing(np.abs(offset)).max()
+    if sigma == 0.0:
+        assert max(iterations, moved_iterations) <= 10
+
+
 def _warm_start_of(txs, rxs, ks):
     """``_warm_start`` on (T, ...) stacks of anchors and range sums."""
     anchors = np.ascontiguousarray(np.concatenate([txs, rxs], axis=1).transpose(2, 1, 0))
