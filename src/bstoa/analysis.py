@@ -152,6 +152,14 @@ def theoretical_mse_independent(
             - (D_i + D_j) / m^3 + S / m^4.
 
     Both forms cost O(m n).
+
+    Raises:
+        DimensionMismatch: unless ``sigmas_sq`` is (m, n).
+        NonFiniteInput: if a variance is NaN, inf or so large that the sums
+            overflow.
+        InvalidValue: if a variance is negative, ``pilot_len`` is below 1,
+            or a nonzero variance over ``pilot_len`` or a nonzero entry is
+            subnormal.
     """
     m, n = topo.m, topo.n
     sigmas_sq = np.asarray(sigmas_sq, dtype=np.float64)
@@ -189,6 +197,14 @@ def theoretical_mse_independent(
             + w2**2 * (rows - v)
             + w3**2 * (cols - v)
             + w4**2 * (total - rows - cols + v)
+        )
+    # Zero-variance subchannels may give zero entries; no nonzero variance
+    # or entry may be subnormal, as _check_variance rules for the iid theory.
+    built = np.abs(np.concatenate([v[sigmas_sq != 0.0], per_entry[per_entry != 0.0]]))
+    if built.min(initial=math.inf) < sys.float_info.min:
+        raise InvalidValue(
+            f"subchannel variances over pilot_len = {pilot_len} give a subnormal value, "
+            f"{built.min():.4g}; every nonzero variance and entry must be a normal float"
         )
     return MseReport(per_entry_mse=per_entry)
 

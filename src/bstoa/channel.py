@@ -61,6 +61,31 @@ def noise_rng(master_seed: int, stream_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(seed))
 
 
+def _read_record(text: str) -> dict[str, str]:
+    """The entries of a flat ``key = value`` text, the grammar of sweep
+    configs and scene records: one entry a line, both sides stripped, blank
+    lines and lines starting with ``#`` skipped.  Each caller checks the
+    keys against its own set and converts the values.
+
+    Raises:
+        ConfigInvalid: naming the line, for a line without ``=`` or a key
+            given twice.
+    """
+    entries: dict[str, str] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        key, sep, value = stripped.partition("=")
+        if not sep:
+            raise ConfigInvalid(f"line {lineno}: unknown entry {stripped!r}, expected key = value")
+        key = key.strip()
+        if key in entries:
+            raise ConfigInvalid(f"line {lineno}: duplicate key {key!r}")
+        entries[key] = value.strip()
+    return entries
+
+
 @dataclass
 class Scene:
     """Antenna and tag geometry plus the tag processing delay.
@@ -125,27 +150,18 @@ class Scene:
 
     @classmethod
     def from_text(cls, text: str) -> "Scene":
-        """Parse a ``to_text`` record.
+        """Parse a ``to_text`` record (``_read_record``'s grammar).
 
         Raises:
-            ConfigInvalid: if a key is missing, unknown or given twice,
-                ``kind`` is unknown, or a count or coordinate does not
-                parse.  The keys are ``kind``, ``m``, ``n``, ``delta``,
-                ``tx0`` .. ``tx{m-1}``, ``tag`` and, for a bistatic
-                record, ``rx0`` .. ``rx{n-1}``.
+            ConfigInvalid: if a line is not ``key = value``, a key is
+                missing, unknown or given twice, ``kind`` is unknown, or a
+                count or coordinate does not parse.  The keys are
+                ``kind``, ``m``, ``n``, ``delta``, ``tx0`` .. ``tx{m-1}``,
+                ``tag`` and, for a bistatic record, ``rx0`` .. ``rx{n-1}``.
             NonFiniteInput: if a coordinate or ``delta`` is NaN or inf.
             DimensionMismatch: if a coordinate is not a 3D point.
         """
-        fields: dict[str, str] = {}
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in fields:
-                raise ConfigInvalid(f"scene record has a duplicate {key!r} entry")
-            fields[key] = value.strip()
+        fields = _read_record(text)
 
         def triple(key: str) -> list[float]:
             return [float(x) for x in fields[key].split(",")]

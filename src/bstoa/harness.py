@@ -33,7 +33,8 @@ column sums (``_monostatic_statistics``).
   scenes, a row of tx, then rx if bistatic, then tag per trial, then one
   ``(k, trials)`` normal array.  Its solvers read per-anchor terms only:
   the true ranges ``|anchor - tag|`` plus the noise, in the sweep's scene
-  unit, the power of two at or above cube_side (``_loc_terms``).
+  unit, the power of two at or above cube_side (``_scene_unit``,
+  ``_loc_terms``).
 * An mse or crlb chunk draws no scene: the scene would add only rounding.
   Its rows are quadratic forms of its trials' k normals, so it draws only
   their sum of outer products, Wishart over its T trials, as one Bartlett
@@ -104,7 +105,7 @@ import numpy as np
 
 from . import analysis
 from .analysis import check_sigma
-from .channel import SPEED_OF_LIGHT, _HEADROOM_SDS, noise_rng
+from .channel import SPEED_OF_LIGHT, _HEADROOM_SDS, _read_record, noise_rng
 from .errors import ConfigInvalid, InvalidValue, SingularGeometry
 from .estimator import _sum_in_order
 from .localization import RANGE_LIMIT, _fix_bistatic, _fix_monostatic
@@ -189,8 +190,7 @@ class SweepConfig:
                     f"{RANGE_LIMIT / (2.0 * math.sqrt(3.0)):.4g} m, so that range sums of up "
                     f"to 2 sqrt(3) cube_side stay below 2^128 m; got {self.cube_side!r}"
                 )
-            unit = 2.0 ** math.ceil(math.log2(self.cube_side))
-            room = RANGE_LIMIT * min(1.0, unit) - longest
+            room = RANGE_LIMIT * min(1.0, _scene_unit(self.cube_side)) - longest
             limit = (room / (_HEADROOM_SDS * SPEED_OF_LIGHT)) ** 2
         else:
             # The largest sum a sweep forms, the LS energy over all its
@@ -224,6 +224,13 @@ class SweepConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+def _scene_unit(cube_side: float) -> float:
+    """A localization sweep's scene unit in meters, the power of two at or
+    above its cube side: every length ``_loc_terms`` draws is its value in
+    meters over the unit, exactly."""
+    return 2.0 ** math.ceil(math.log2(cube_side))
+
+
 def _list_of(conv: Callable) -> Callable[[str], tuple]:
     return lambda value: tuple(conv(x.strip()) for x in value.split(",") if x.strip())
 
@@ -243,25 +250,14 @@ _CONFIG_FIELDS: dict[str, Callable[[str], object]] = {
 
 
 def parse_config(text: str) -> SweepConfig:
-    """Parse the flat key = value config format.
+    """Parse the flat key = value config format (``channel._read_record``).
 
     Absent keys take the SweepConfig defaults; ``n`` defaults to ``m``.
     """
-    raw: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        key, sep, value = stripped.partition("=")
-        if not sep:
-            raise ConfigInvalid(f"line {lineno}: expected key = value, got {stripped!r}")
-        key = key.strip()
-        if key not in _CONFIG_FIELDS:
-            raise ConfigInvalid(f"line {lineno}: unknown key {key!r}")
-        if key in raw:
-            raise ConfigInvalid(f"line {lineno}: duplicate key {key!r}")
-        raw[key] = value.strip()
-
+    raw = _read_record(text)
+    unknown = sorted(raw.keys() - _CONFIG_FIELDS.keys())
+    if unknown:
+        raise ConfigInvalid(f"config has unknown keys {unknown}")
     for required in ("experiment", "kind", "m"):
         if required not in raw:
             raise ConfigInvalid(f"missing required key {required!r}")
@@ -547,7 +543,7 @@ def _loc_terms(cfg: SweepConfig, c: int) -> tuple[np.ndarray, np.ndarray, np.nda
     """Draw chunk c of a localization sweep: the anchors ``(3, k, T)``
     (transmitters, then receivers if bistatic), the tags ``(3, T)`` and the
     per-anchor terms its solvers read, all in scene units, and the unit in
-    meters, ``2^ceil(log2 cube_side)``.  Each length is its value in meters
+    meters (``_scene_unit``).  Each length is its value in meters
     over the unit, exactly: the unit is folded into the coordinates' and
     the noise's scale factors.  One ``random((T, k + 1, 3))`` call gives
     every scene's unit coordinates, then the noise.  With d the true
@@ -557,10 +553,10 @@ def _loc_terms(cfg: SweepConfig, c: int) -> tuple[np.ndarray, np.ndarray, np.nda
     rounding.
     No chunk draws z, only the statistics its rows read, one ``(2 m, T)``
     or ``(m + n, T)`` normal draw after the scenes'.  Bistatic, ``(m + n,
-    T)``: the fit ``a_i + b_j`` with ``[a; b] = d + s [r; beta]``, z's row
-    means r and column means less grand mean beta
-    (``_bistatic_statistics``), its first column ``a + b_0`` over its first
-    row ``a_0 + b``.  Monostatic, ``(m, 2 T)``: the LS ranges ``d + (s / 2)
+    T)``: the fit ``a_i + b_j``'s row terms over its column terms, ``[a; b]
+    = d + s [r; beta]``, with z's row means r and column means less grand
+    mean beta (``_bistatic_statistics``), which ``_fix_bistatic`` takes as
+    they are.  Monostatic, ``(m, 2 T)``: the LS ranges ``d + (s / 2)
     z_ii``, then the refined ``d + (s / 2) (row mean_i + column mean_i -
     grand mean)`` (``_monostatic_statistics``).
     """
@@ -570,7 +566,7 @@ def _loc_terms(cfg: SweepConfig, c: int) -> tuple[np.ndarray, np.ndarray, np.nda
     bistatic = cfg.kind is Kind.BISTATIC
     k = m + n if bistatic else m
     rng = noise_rng(cfg.master_seed, c)
-    unit = 2.0 ** math.ceil(math.log2(cfg.cube_side))
+    unit = _scene_unit(cfg.cube_side)
     points = np.empty((3, k + 1, count))
     np.multiply(rng.random((count, k + 1, 3)).T, cfg.cube_side / unit, out=points)
     anchors, tags = points[:, :k], points[:, k]
@@ -583,8 +579,7 @@ def _loc_terms(cfg: SweepConfig, c: int) -> tuple[np.ndarray, np.ndarray, np.nda
         coords = _bistatic_statistics(rng.standard_normal((k, count)), m)
         coords *= scale
         ranges += coords
-        edges = np.concatenate([ranges[:m] + ranges[m], ranges[0] + ranges[m:]])
-        return anchors, tags, edges, unit
+        return anchors, tags, ranges, unit
     diag, refined = _monostatic_statistics(rng.standard_normal((2 * m, count)), m)
     diag *= scale / 2.0
     refined *= scale / 2.0

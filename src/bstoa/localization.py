@@ -41,12 +41,12 @@ leaves the Newton loop's working arrays.
 
 The solvers ``_fix_bistatic`` and ``_fix_monostatic`` work in scene units,
 in which the scene's anchors span about 1, so every length they compare
-with a tolerance scales with the scene.  The batch functions reject anchor
-coordinates and ranges beyond ``RANGE_LIMIT`` in meters, reduce the delay
-matrices to per-anchor terms, and take each scene to its frame
-(``_frame``): they subtract its anchor centroid and divide by a power of
-two at or above its anchor span and its longest range, which is exact.
-They solve there and map the fix and the residual back.  Sweeps call the
+with a tolerance scales with the scene.  The batch functions take each
+scene to its frame (``_to_frame``): they reject anchor coordinates and
+ranges beyond ``RANGE_LIMIT`` in meters, subtract the anchor centroid and
+divide by a power of two at or above the anchor span and the longest
+range, which is exact.  They reduce the delay matrices to per-anchor terms
+there, solve, and map the fix and the residual back.  Sweeps call the
 solvers directly, with every length of a sweep divided by one power of
 two (``harness._loc_terms``).
 """
@@ -59,7 +59,7 @@ import numpy as np
 
 from .channel import SPEED_OF_LIGHT
 from .errors import DimensionMismatch, NonFiniteInput, SingularGeometry, UnderDetermined
-from .estimator import _sum_in_order, refine_bistatic
+from .estimator import _sum_in_order
 
 MAX_ITERATIONS = 100
 # Scene units (module docstring), 1e-10 m and 1e-12 m in the unit of a 10 m
@@ -117,19 +117,6 @@ def _require_finite(*values) -> None:
         raise NonFiniteInput("delays and delta must be finite")
 
 
-def _require_in_range(
-    lengths: np.ndarray,
-    what: str = "ranges c (t - delta) and their fitted sums "
-    f"(|t - delta| below {RANGE_LIMIT / SPEED_OF_LIGHT:.3g} s)",
-) -> None:
-    """The solvers' check of the lengths they take: c (t - delta) overflows
-    for finite delays, and so do the powers of a length the solvers form."""
-    if not (np.abs(lengths) < RANGE_LIMIT).all():
-        raise NonFiniteInput(
-            f"{what} must be finite and below 2^128 m = {RANGE_LIMIT:.3g} m in magnitude"
-        )
-
-
 def _adjugate3(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Adjugate and determinant of a (3, 3, T) stack, so h^-1 = adj / det;
     adj[2, 2] is the leading 2x2 minor, which Sylvester's criterion reads."""
@@ -166,16 +153,34 @@ def _least_squares3(u: np.ndarray, *rhs: np.ndarray) -> tuple[list[np.ndarray], 
     return [_solve3(adj, det, _sum_in_order(u * r, axis=1)) for r in rhs], bad
 
 
-def _frame(anchors: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each scene's frame, from anchors (3, k, T) and lengths (j, T): its
+def _to_frame(anchors: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Check anchors (3, k, T), then lengths (..., T), against
+    ``RANGE_LIMIT`` and move both in place into each scene's frame: its
     anchor centroid (3, T) and its unit (T,), the power of two at or above
-    the larger of its anchor span and its longest length.  A point x maps to
-    (x - centroid) / unit in scene units, and a length l to l / unit; the
-    division is exact."""
+    the larger of its anchor span and its longest length, both returned.  A
+    point x maps to (x - centroid) / unit in scene units, and a length l to
+    l / unit; the division is exact."""
+    # The check reads the extremes the frame needs; NaN fails it.  c (t -
+    # delta) overflows for finite delays, and so do the powers of a length
+    # the solvers form.
+    hi, lo = anchors.max(axis=1), anchors.min(axis=1)
+    longest = np.abs(lengths).max(axis=tuple(range(lengths.ndim - 1)))
+    ranges = (
+        "ranges c (t - delta) and their fitted sums "
+        f"(|t - delta| below {RANGE_LIMIT / SPEED_OF_LIGHT:.3g} s)"
+    )
+    for extent, what in ((np.maximum(hi, -lo), "anchor coordinates"), (longest, ranges)):
+        if not (extent < RANGE_LIMIT).all():
+            raise NonFiniteInput(
+                f"{what} must be finite and below 2^128 m = {RANGE_LIMIT:.3g} m in magnitude"
+            )
     centroid = _sum_in_order(anchors, axis=1) / anchors.shape[1]
-    span = (anchors.max(axis=1) - anchors.min(axis=1)).max(axis=0)
-    mantissa, exponent = np.frexp(np.maximum(span, np.abs(lengths).max(axis=0)))
-    return centroid, np.ldexp(1.0, exponent - (mantissa == 0.5))
+    mantissa, exponent = np.frexp(np.maximum((hi - lo).max(axis=0), longest))
+    unit = np.ldexp(1.0, exponent - (mantissa == 0.5))
+    anchors -= centroid[:, None]
+    anchors /= unit
+    lengths /= unit
+    return centroid, unit
 
 
 def _warm_start(anchors: np.ndarray, col: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -382,12 +387,14 @@ def localize_bistatic_batch(
     Returns (positions (T,3), residual_norms (T,), iterations (T,)); the
     residual norm is taken over all m n range sums of ``ts``.
 
-    The range sums K = c (ts - delta) are split once into their two-way
-    additive fit a (+) b (``refine_bistatic``: row mean + column mean -
-    grand mean) and the off-subspace energy |K - a (+) b|^2.  The model da (+) db lies in the
-    same subspace, so |K - da (+) db|^2 = |(a - da) (+) (b - db)|^2 plus
-    that constant, and the solver works on the (m,T) and (n,T) terms only
-    (``_fix_bistatic``), so a delay matrix and its projection have one fix.
+    The range sums K = c (ts - delta) are split once, in their frame, into
+    their two-way additive fit a (+) b, the row means a and the column
+    means less the grand mean b, summed as ``refine_bistatic`` sums them,
+    and the off-subspace energy |K - a (+) b|^2.  The model da (+) db lies
+    in the same subspace, so |K - da (+) db|^2 = |(a - da) (+) (b - db)|^2
+    plus that constant, and the solver works on the (m + n, T) terms
+    [a; b] only (``_fix_bistatic``), so a delay matrix and its projection
+    have one fix.
 
     Raises:
         DimensionMismatch: unless the three stacks agree as above.
@@ -403,31 +410,28 @@ def localize_bistatic_batch(
         raise UnderDetermined(f"{m + n - 1} independent range sums cannot fix a 3D position")
     _require_finite(ts, delta)
     anchors = np.concatenate([txs, rxs], axis=1).transpose(2, 1, 0).copy()
-    _require_in_range(anchors, "anchor coordinates")
-    with np.errstate(over="ignore"):  # rejected below
+    with np.errstate(over="ignore"):  # rejected in _to_frame
         ks = SPEED_OF_LIGHT * (ts - delta)
-    _require_in_range(ks)
-    centroid, unit = _frame(anchors, ks.reshape(len(ks), m * n).T)
-    anchors -= centroid[:, None]
-    anchors /= unit
-    ks /= unit[:, None, None]
-    fitted = refine_bistatic(ks)
-    edges = np.concatenate([fitted[:, :, 0].T, fitted[:, 0, :].T])
-    p, fit_sq, iterations = _fix_bistatic(anchors, edges, m)
-    off = ks - fitted
+    centroid, unit = _to_frame(anchors, ks.T)
+    rows = _sum_in_order(ks, -1)[..., None] / n
+    cols = _sum_in_order(ks, -2)[..., None, :] / m - _sum_in_order(rows, -2)[..., None] / m
+    terms = np.concatenate([rows[..., 0].T, cols[:, 0].T])
+    p, fit_sq, iterations = _fix_bistatic(anchors, terms, m)
+    off = ks - (rows + cols)
     off_sq = _sum_in_order((off * off).transpose(1, 2, 0).reshape(m * n, -1))
     return (p * unit + centroid).T, np.sqrt(fit_sq + off_sq) * unit, iterations
 
 
-def _fix_bistatic(anchors: np.ndarray, edges: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
+def _fix_bistatic(anchors: np.ndarray, terms: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
     """Positions (3,T), fitted |R|^2 and iterations from anchors (3,m+n,T),
-    transmitters over receivers, and ``edges`` (m+n,T), the fitted range
-    sums' first column over their first row, in scene units.  The warm
-    start reads the edges; Newton splits the fit into the column and the
-    row less their shared corner."""
-    fit = edges.copy()
-    fit[m:] -= fit[0]
-    p0 = _warm_start(anchors, edges[:m], edges[m:])
+    transmitters over receivers, and ``terms`` (m+n,T), the range sums' fit
+    in scene units: its row terms a over its column terms b, so that range
+    sum (i, j) is fitted by a_i + b_j.  The warm start reads the fit's first
+    column a + b_0 and first row a_0 + b, built here; Newton splits the fit
+    into that column and the row less their shared corner."""
+    col, row = terms[:m] + terms[m], terms[0] + terms[m:]
+    p0 = _warm_start(anchors, col, row)
+    fit = np.concatenate([col, row - col[0]])
     p, fit_sq, iterations, singular = _newton_batch(anchors, fit, m, p0)
     if singular.any():
         raise SingularGeometry(f"rank-deficient geometry in {singular.sum()} of {p[0].size} scenes")
@@ -472,15 +476,10 @@ def localize_monostatic_batch(
         raise UnderDetermined(f"{m} ranges cannot fix a 3D position")
     _require_finite(ts, delta)
     points = anchors.transpose(2, 1, 0).copy()
-    _require_in_range(points, "anchor coordinates")
-    with np.errstate(over="ignore"):  # rejected below
+    with np.errstate(over="ignore"):  # rejected in _to_frame
         ranges = (SPEED_OF_LIGHT * (np.diagonal(ts, axis1=1, axis2=2) - delta) / 2.0).T.copy()
-    _require_in_range(ranges)
     del ts, anchors  # a caller's stacked inputs can be freed; only copies are used below
-    centroid, unit = _frame(points, ranges)
-    points -= centroid[:, None]
-    points /= unit
-    ranges /= unit
+    centroid, unit = _to_frame(points, ranges)
     p, fnorm, accepted = _fix_monostatic(points, ranges)
     return (p * unit + centroid).T, fnorm * unit, accepted.astype(np.int64)
 

@@ -99,6 +99,16 @@ def test_independent_mse_matches_dense_formula():
             assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max(), topo
 
 
+def test_independent_mse_takes_zero_variance_subchannels():
+    """Zero-variance subchannels are legal: with one noisy subchannel, or
+    none, the entries match the dense formula, zeros included."""
+    for topo in (Topology.bistatic(4, 3), Topology.monostatic(3)):
+        for sigmas_sq in (np.zeros((topo.m, topo.n)), np.eye(topo.m, topo.n, 1) * 1e-18):
+            got = theoretical_mse_independent(topo, sigmas_sq, 2).per_entry_mse
+            expected = _dense_independent_mse(topo, sigmas_sq, 2)
+            assert np.abs(got - expected).max() <= 1e-12 * max(np.abs(expected).max(), 1e-300)
+
+
 def test_independent_mse_shape_check():
     with pytest.raises(DimensionMismatch):
         theoretical_mse_independent(Topology.bistatic(2, 2), np.ones((3, 2)), 1)
@@ -115,11 +125,14 @@ def test_independent_mse_shape_check():
         lambda: theoretical_mse_iid(Topology.monostatic(3), 2.3e-308),
         lambda: theoretical_mse_independent(Topology.bistatic(2, 2), -np.ones((2, 2)), 1),
         lambda: theoretical_mse_independent(Topology.bistatic(2, 2), np.ones((2, 2)), 0),
+        lambda: theoretical_mse_independent(Topology.bistatic(4, 3), np.full((4, 3), 2.3e-308), 1),
+        lambda: theoretical_mse_independent(Topology.monostatic(3), np.full((3, 3), 2.3e-308), 1),
     ],
     ids=[
         "iid-sigma0-sq", "iid-zero-sigma0-sq", "iid-subnormal-sigma0-sq",
         "iid-subnormal-monostatic", "iid-subnormal-entry-48x48", "iid-subnormal-entry-monostatic",
-        "independent-variance", "independent-pilot-len",
+        "independent-variance", "independent-pilot-len", "independent-subnormal-entry-4x3",
+        "independent-subnormal-entry-monostatic",
     ],
 )
 def test_bad_scalar_arguments_raise_package_error(call):
