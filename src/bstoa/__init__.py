@@ -49,13 +49,7 @@ from .harness import (
     parse_config,
     run_sweep,
 )
-from .localization import (
-    PositionFix,
-    localize_bistatic,
-    localize_bistatic_batch,
-    localize_monostatic,
-    localize_monostatic_batch,
-)
+from .localization import localize_bistatic, localize_monostatic
 from .topology import (
     Kind,
     Topology,

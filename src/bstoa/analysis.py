@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _check_pilot_len
 from .errors import DimensionMismatch, InvalidValue, NonFiniteInput, WrongTopology
 from .topology import Kind, Topology, entry_weights, weighting_matrix
 
@@ -66,11 +67,6 @@ def _check_variance(name: str, value: float, *entries: float) -> None:
         )
 
 
-def _check_pilot_len(pilot_len: int) -> None:
-    if pilot_len < 1:
-        raise InvalidValue(f"pilot_len must be >= 1, got {pilot_len}")
-
-
 def check_sigma(
     sigma: float, pilot_lengths: tuple[int, ...], max_variance: float = sys.float_info.max
 ) -> None:
@@ -85,8 +81,8 @@ def check_sigma(
     overflow is a comparison with inf rather than an ``OverflowError``.
 
     Raises:
-        InvalidValue: for a pilot length below 1, or a sigma outside the
-            range, which the message names.
+        InvalidValue: for a pilot length that is not an integer >= 1, or a
+            sigma outside the range, which the message names.
     """
     for length in pilot_lengths:
         _check_pilot_len(length)
@@ -157,9 +153,9 @@ def theoretical_mse_independent(
         DimensionMismatch: unless ``sigmas_sq`` is (m, n).
         NonFiniteInput: if a variance is NaN, inf or so large that the sums
             overflow.
-        InvalidValue: if a variance is negative, ``pilot_len`` is below 1,
-            or a nonzero variance over ``pilot_len`` or a nonzero entry is
-            subnormal.
+        InvalidValue: if a variance is negative, ``pilot_len`` is not an
+            integer >= 1, or a nonzero variance over ``pilot_len`` or a
+            nonzero entry is subnormal.
     """
     m, n = topo.m, topo.n
     sigmas_sq = np.asarray(sigmas_sq, dtype=np.float64)
@@ -219,9 +215,9 @@ def crlb_bistatic(topo: Topology, sigma_sq: float, pilot_len: int) -> CrlbReport
 
     Raises:
         NonFiniteInput: if ``sigma_sq`` is NaN or infinite.
-        InvalidValue: if ``pilot_len < 1``, or ``sigma_sq / pilot_len``
-            or an entry of the bound is not a positive normal float (zero,
-            subnormal or negative).
+        InvalidValue: if ``pilot_len`` is not an integer >= 1, or
+            ``sigma_sq / pilot_len`` or an entry of the bound is not a
+            positive normal float (zero, subnormal or negative).
     """
     if topo.kind is not Kind.BISTATIC:
         raise WrongTopology("crlb_bistatic requires a bistatic topology")
@@ -254,9 +250,9 @@ def crlb_monostatic(topo: Topology, sigma_sq: float, pilot_len: int) -> CrlbRepo
 
     Raises:
         NonFiniteInput: if ``sigma_sq`` is NaN or infinite.
-        InvalidValue: if ``pilot_len < 1``, or ``sigma_sq / pilot_len``
-            or an entry of the bound is not a positive normal float (zero,
-            subnormal or negative).
+        InvalidValue: if ``pilot_len`` is not an integer >= 1, or
+            ``sigma_sq / pilot_len`` or an entry of the bound is not a
+            positive normal float (zero, subnormal or negative).
     """
     if topo.kind is not Kind.MONOSTATIC:
         raise WrongTopology("crlb_monostatic requires a monostatic topology")

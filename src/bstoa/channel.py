@@ -9,7 +9,7 @@ processing delay ``delta``:
 Monostatic scenes share one antenna array, so ``rx`` aliases ``tx`` and the
 delay matrix is symmetric with diagonal ``delta + 2 |tx_i - tag| / c``.
 
-Pilot observations are plain ``(L m, n)`` arrays, L rows per transmitter.
+Pilot observations are plain ``(..., L m, n)`` arrays, L rows per transmitter.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import (
     InvalidValue,
     NonFiniteInput,
 )
-from .topology import Kind, Topology
+from .topology import Kind, Topology, _require_integer
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact SI value
 # Meters; bounds the coordinates ``true_delays_batch`` takes, so that the
@@ -37,6 +37,13 @@ _COORDINATE_LIMIT = 2.0**510
 # sums (SweepConfig's sigma range) leave room for; a standard normal draw
 # lies beyond 40 with odds below 1e-348.
 _HEADROOM_SDS = 40.0
+
+
+def _check_pilot_len(pilot_len: int) -> None:
+    """The one pilot-length rule: raise ``InvalidValue`` unless an integer
+    (``operator.index``) >= 1."""
+    if _require_integer(pilot_len, "pilot_len") < 1:
+        raise InvalidValue(f"pilot_len must be >= 1, got {pilot_len}")
 
 
 def stream_rng(master_seed: int, stream_index: int) -> np.random.Generator:
@@ -224,13 +231,23 @@ def true_delays_batch(
     """True delay matrices of a stack of scenes, in seconds.
 
     ``tx`` is ``(..., m, 3)``, ``rx`` is ``(..., n, 3)`` and ``tag`` is
-    ``(..., 3)``; the result is ``(..., m, n)``.
+    ``(..., 3)``, with leading axes that broadcast; the result is
+    ``(..., m, n)``.
 
     Raises:
+        DimensionMismatch: unless the three arrays are stacks of 3D points
+            as above.
         NonFiniteInput: if ``delta`` is NaN or inf, or a coordinate is NaN,
             inf or beyond 2^510 m, where the squared distances overflow.
     """
     tx, rx, tag = (np.asarray(x, dtype=np.float64) for x in (tx, rx, tag))
+    shapes = f"tx {tx.shape}, rx {rx.shape} and tag {tag.shape}"
+    if min(tx.ndim, rx.ndim) < 2 or (tx.shape[-1:], rx.shape[-1:], tag.shape[-1:]) != ((3,),) * 3:
+        raise DimensionMismatch(f"{shapes} are not (..., m, 3), (..., n, 3) and (..., 3) points")
+    try:
+        np.broadcast_shapes(tx.shape[:-2], rx.shape[:-2], tag.shape[:-1])
+    except ValueError as exc:
+        raise DimensionMismatch(f"the leading axes of {shapes} do not broadcast") from exc
     if not all(np.abs(x).max(initial=0.0) <= _COORDINATE_LIMIT for x in (tx, rx, tag)):
         raise NonFiniteInput(
             f"coordinates must be finite and at most 2^510 m = {_COORDINATE_LIMIT:.4g} m "
@@ -255,15 +272,16 @@ def synth_observations(
     sigma: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Generate noisy pilot observations for a delay matrix.
+    """Generate noisy pilot observations for ``(..., m, n)`` delay matrices.
 
     Each of the m delay rows is observed pilot_len times with iid Gaussian
     measurement error of standard deviation ``sigma`` seconds; sigma == 0
     reproduces the delays exactly.  The result has shape
-    ``(pilot_len * m, n)``: rows ``i L .. i L + L - 1`` observe transmitter
-    i, the layout :func:`bstoa.estimator.ls_estimate` reads.
+    ``(..., pilot_len * m, n)``: rows ``i L .. i L + L - 1`` observe
+    transmitter i, the layout :func:`bstoa.estimator.ls_estimate` reads.
 
     Raises:
+        DimensionMismatch: if ``t`` has fewer than two axes.
         InvalidValue: if ``pilot_len`` is not an integer >= 1, or ``sigma``
             is negative or so large that ``_HEADROOM_SDS`` deviations of
             noise on a delay could overflow.
@@ -271,8 +289,9 @@ def synth_observations(
             is above half the largest float in magnitude.
     """
     t = np.asarray(t, dtype=np.float64)
-    if not isinstance(pilot_len, (int, np.integer)) or pilot_len < 1:
-        raise InvalidValue(f"pilot_len must be an integer >= 1, got {pilot_len!r}")
+    if t.ndim < 2:
+        raise DimensionMismatch(f"delay matrices need two axes, got {t.shape}")
+    _check_pilot_len(pilot_len)
     if not math.isfinite(sigma):
         raise NonFiniteInput(f"sigma must be finite, got {sigma}")
     # A delay and its noise each take at most half the float range.
@@ -281,7 +300,7 @@ def synth_observations(
         raise InvalidValue(f"sigma must lie in [0, {half / _HEADROOM_SDS:.4g}] s, got {sigma}")
     if not np.abs(t).max(initial=0.0) <= half:
         raise NonFiniteInput(f"delays must be finite and at most {half:.4g} s in magnitude")
-    y = np.repeat(t, pilot_len, axis=0)
+    y = np.repeat(t, pilot_len, axis=-2)
     if sigma > 0.0:
         y = y + rng.normal(0.0, sigma, size=y.shape)
     return y

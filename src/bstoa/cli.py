@@ -114,11 +114,10 @@ def _cmd_localize(args: argparse.Namespace) -> int:
     if args.method == "proposed":
         t = refine_estimate(t, scene.topo)
     if scene.topo.kind is Kind.MONOSTATIC:
-        fix = localize_monostatic(t, scene.tx, delta=scene.delta)
+        p, rnorm, _ = localize_monostatic(t, scene.tx, delta=scene.delta)
     else:
-        fix = localize_bistatic(t, scene.tx, scene.rx, delta=scene.delta)
-    p = fix.position
-    print(f"{p[0]:.17e},{p[1]:.17e},{p[2]:.17e},{fix.residual_norm:.17e}")
+        p, rnorm, _ = localize_bistatic(t, scene.tx, scene.rx, delta=scene.delta)
+    print(f"{p[0]:.17e},{p[1]:.17e},{p[2]:.17e},{rnorm:.17e}")
     return 0
 
 

@@ -93,7 +93,8 @@ def refine_bistatic(t_hat: np.ndarray) -> np.ndarray:
     does not depend on the memory layout of the batch.
 
     Raises:
-        DimensionMismatch: if there are fewer than two axes.
+        DimensionMismatch: if there are fewer than two axes, or no entry
+            in a matrix.
         NonFiniteInput: if an estimate is NaN or inf, or so large that a
             row or column sum, or a symmetrized entry, overflows.
     """
@@ -101,12 +102,22 @@ def refine_bistatic(t_hat: np.ndarray) -> np.ndarray:
     if t_hat.ndim < 2:
         raise DimensionMismatch(f"delay matrices need two axes, got {t_hat.shape}")
     m, n = t_hat.shape[-2:]
+    if not m * n:
+        raise DimensionMismatch(f"delay matrices need a row and a column, got {t_hat.shape}")
     # Sums of max(m, n) estimates, and a refined entry, up to 3 of them,
     # doubled by refine_monostatic's symmetrization, stay finite.
     _require_in_range(t_hat, sys.float_info.max / (2 * max(m, n, 3)), "delay estimates")
-    row = _sum_in_order(t_hat, -1)[..., None] / n
-    col = _sum_in_order(t_hat, -2)[..., None, :] / m
-    return row + (col - _sum_in_order(row, -2)[..., None] / m)
+    rows, cols = _two_way_fit(t_hat)
+    return rows + cols
+
+
+def _two_way_fit(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two-way additive fit of ``(..., m, n)`` matrices as its row
+    means ``(..., m, 1)`` and its column means less the grand mean
+    ``(..., 1, n)``, summed in order; the fit is their sum."""
+    m, n = x.shape[-2:]
+    rows = _sum_in_order(x, -1)[..., None] / n
+    return rows, _sum_in_order(x, -2)[..., None, :] / m - _sum_in_order(rows, -2)[..., None] / m
 
 
 def refine_monostatic(t_hat: np.ndarray) -> np.ndarray:

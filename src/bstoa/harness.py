@@ -109,7 +109,7 @@ from .channel import SPEED_OF_LIGHT, _HEADROOM_SDS, _read_record, noise_rng
 from .errors import ConfigInvalid, InvalidValue, SingularGeometry
 from .estimator import _sum_in_order
 from .localization import RANGE_LIMIT, _fix_bistatic, _fix_monostatic
-from .topology import Kind, Topology
+from .topology import Kind, Topology, _require_integer
 
 CHUNK_TRIALS = 512
 # Bumped whenever the draws behind a sweep's CSV change (module docstring).
@@ -159,14 +159,14 @@ class SweepConfig:
             object.__setattr__(self, "kind", self.topology.kind)
         except InvalidValue as exc:
             raise ConfigInvalid(str(exc)) from exc
+        _require_integer(self.trials, "trials", ConfigInvalid)
+        _require_integer(self.master_seed, "master_seed", ConfigInvalid)
         if self.trials < 1:
             raise ConfigInvalid(f"trials must be >= 1, got {self.trials}")
         if not (math.isfinite(self.cube_side) and self.cube_side > 0.0):
             raise ConfigInvalid(f"cube_side must be finite and > 0, got {self.cube_side}")
         if not self.pilot_lengths:
             raise ConfigInvalid("pilot_lengths must not be empty")
-        if any(length < 1 for length in self.pilot_lengths):
-            raise ConfigInvalid(f"pilot lengths must be >= 1, got {self.pilot_lengths}")
         if len(set(self.pilot_lengths)) < len(self.pilot_lengths):
             raise ConfigInvalid(f"pilot lengths must be distinct, got {self.pilot_lengths}")
         if not self.sigma_grid:
@@ -198,6 +198,7 @@ class SweepConfig:
             # finite with every value _HEADROOM_SDS deviations out.
             limit = sys.float_info.max / (4.0 * _HEADROOM_SDS**2 * self.trials * self.topology.mn)
         try:
+            # check_sigma applies the pilot-length rule first.
             for sigma in self.sigma_grid:
                 check_sigma(sigma, self.pilot_lengths, limit)
             # Every theory value a row carries is a normal float too; the
@@ -590,7 +591,7 @@ def _run_loc_chunk(cfg: SweepConfig, c: int) -> dict:
     anchors, tags, terms, unit = _loc_terms(cfg, c)
     if cfg.kind is Kind.BISTATIC:
         # A delay matrix and its projection have one bistatic fix (see
-        # localize_bistatic_batch), so each scene is solved once.  Its rank
+        # localize_bistatic), so each scene is solved once.  Its rank
         # test reads the noisy range sums, so a singular scene may be noise.
         try:
             p_ref, _, _ = _fix_bistatic(anchors, terms, cfg.m)

@@ -30,18 +30,19 @@ too, gives the least squares solution in (p, tau).  It lands in the
 attraction basin of the global minimum on most scenes, where a plain
 centroid start converges to local minima on a few percent of them.
 
-All solvers run on batches with the scenes on the last, contiguous axis:
+The public localizers take delay matrices ``(..., m, n)`` with any
+leading axes, a lone scene included, and flatten them to T scenes.  All
+solvers run on batches with the scenes on the last, contiguous axis:
 anchors (3, k, T), positions (3, T), per-anchor terms (k, T).  Sums over
 anchors or coordinates go through the estimator's ``_sum_in_order``, which
 adds whole planes in order in every layout, so no scene's result depends
-on its batch, and a lone scene (T = 1) rounds like one of a batch; the
-single-scene functions are batch-of-one wrappers.  3x3 systems are solved
-in closed form through the adjugate, and a scene that stops iterating
-leaves the Newton loop's working arrays.
+on its batch, and a lone scene (T = 1) rounds like one of a batch.  3x3
+systems are solved in closed form through the adjugate, and a scene that
+stops iterating leaves the Newton loop's working arrays.
 
 The solvers ``_fix_bistatic`` and ``_fix_monostatic`` work in scene units,
 in which the scene's anchors span about 1, so every length they compare
-with a tolerance scales with the scene.  The batch functions take each
+with a tolerance scales with the scene.  The public localizers take each
 scene to its frame (``_to_frame``): they reject anchor coordinates and
 ranges beyond ``RANGE_LIMIT`` in meters, subtract the anchor centroid and
 divide by a power of two at or above the anchor span and the longest
@@ -53,13 +54,13 @@ two (``harness._loc_terms``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .channel import SPEED_OF_LIGHT
 from .errors import DimensionMismatch, NonFiniteInput, SingularGeometry, UnderDetermined
-from .estimator import _sum_in_order
+from .estimator import _sum_in_order, _two_way_fit
 
 MAX_ITERATIONS = 100
 # Scene units (module docstring), 1e-10 m and 1e-12 m in the unit of a 10 m
@@ -72,7 +73,7 @@ MAX_HALVINGS = 20
 # share of it: rounding in |R|^2 hides such a decrease, and every halving
 # of the step would be rejected.
 DECREASE_RTOL = 1e-14
-# Meters; bounds the anchor coordinates and ranges the batch functions take,
+# Meters; bounds the anchor coordinates and ranges the public localizers take,
 # and a sweep's lengths in meters and in scene units.  Below it a scene's
 # span and frame stay finite, and so does the 7th power of a length that
 # the adjugate solve of the linearized sphere equations forms, with 2^128 to
@@ -94,22 +95,24 @@ _ROW, _COL = np.triu_indices(3)
 _FULL = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
-@dataclass
-class PositionFix:
-    """A position estimate with the residual norm (meters) at the fix and
-    the number of accepted solver iterations."""
-
-    position: np.ndarray
-    residual_norm: float
-    iterations: int
-
-
-def _check_shapes(ts: np.ndarray, txs: np.ndarray, rxs: np.ndarray) -> None:
-    """Require delays (T,m,n) with transmitters (T,m,3) and receivers (T,n,3)."""
-    if ts.ndim != 3 or txs.shape != ts.shape[:2] + (3,) or rxs.shape != (*ts.shape[::2], 3):
+def _as_stacks(t, tx, rx) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """The leading shape of delays (..., m, n) with transmitters (..., m, 3)
+    and receivers (..., n, 3), and the three as (T, m, n), (T, m, 3) and
+    (T, n, 3) float stacks."""
+    ts, txs, rxs = (np.asarray(x, dtype=np.float64) for x in (t, tx, rx))
+    lead = ts.shape[:-2]
+    if ts.ndim < 2 or txs.shape != ts.shape[:-1] + (3,) or rxs.shape != (*lead, ts.shape[-1], 3):
         raise DimensionMismatch(
             f"delays {ts.shape} do not match anchors {txs.shape} and {rxs.shape}"
         )
+    count = math.prod(lead)
+    return lead, *(x.reshape(count, *x.shape[-2:]) for x in (ts, txs, rxs))
+
+
+def _unstack(lead: tuple[int, ...], p: np.ndarray, norms: np.ndarray, counts: np.ndarray) -> tuple:
+    """Positions (3, T), residual norms (T,) and counts (T,) reshaped to the
+    leading shape ``lead``: (..., 3), (...) and (...)."""
+    return p.T.reshape(*lead, 3), norms.reshape(lead), counts.reshape(lead)
 
 
 def _require_finite(*values) -> None:
@@ -378,23 +381,24 @@ def _newton_batch(
     return out_p, out_sq, iterations, singular
 
 
-def localize_bistatic_batch(
-    ts: np.ndarray, txs: np.ndarray, rxs: np.ndarray, delta: float = 0.0
+def localize_bistatic(
+    t: np.ndarray, tx: np.ndarray, rx: np.ndarray, delta: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fix a batch of scenes from their delay matrices.
+    """Fix the tags of bistatic scenes from their delay matrices.
 
-    ts (T,m,n) delays in seconds, txs (T,m,3), rxs (T,n,3) in meters.
-    Returns (positions (T,3), residual_norms (T,), iterations (T,)); the
-    residual norm is taken over all m n range sums of ``ts``.
+    t (..., m, n) delays in seconds, tx (..., m, 3) and rx (..., n, 3) in
+    meters, with any leading axes, none for a lone scene.  Returns
+    (positions (..., 3), residual_norms (...), iterations (...)); the
+    residual norm is taken over all m n range sums of ``t``.
 
-    The range sums K = c (ts - delta) are split once, in their frame, into
+    The range sums K = c (t - delta) are split once, in their frame, into
     their two-way additive fit a (+) b, the row means a and the column
     means less the grand mean b, summed as ``refine_bistatic`` sums them,
     and the off-subspace energy |K - a (+) b|^2.  The model da (+) db lies
     in the same subspace, so |K - da (+) db|^2 = |(a - da) (+) (b - db)|^2
     plus that constant, and the solver works on the (m + n, T) terms
-    [a; b] only (``_fix_bistatic``), so a delay matrix and its projection
-    have one fix.
+    [a; b] only (``_fix_bistatic``), from the algebraic warm start of the
+    module docstring, so a delay matrix and its projection have one fix.
 
     Raises:
         DimensionMismatch: unless the three stacks agree as above.
@@ -403,8 +407,7 @@ def localize_bistatic_batch(
             coordinate or range sum is out of ``RANGE_LIMIT``.
         SingularGeometry: if any scene's Jacobian loses rank 3.
     """
-    ts, txs, rxs = (np.asarray(x, dtype=np.float64) for x in (ts, txs, rxs))
-    _check_shapes(ts, txs, rxs)
+    lead, ts, txs, rxs = _as_stacks(t, tx, rx)
     m, n = txs.shape[1], rxs.shape[1]
     if m + n - 1 < 4:
         raise UnderDetermined(f"{m + n - 1} independent range sums cannot fix a 3D position")
@@ -413,13 +416,12 @@ def localize_bistatic_batch(
     with np.errstate(over="ignore"):  # rejected in _to_frame
         ks = SPEED_OF_LIGHT * (ts - delta)
     centroid, unit = _to_frame(anchors, ks.T)
-    rows = _sum_in_order(ks, -1)[..., None] / n
-    cols = _sum_in_order(ks, -2)[..., None, :] / m - _sum_in_order(rows, -2)[..., None] / m
+    rows, cols = _two_way_fit(ks)
     terms = np.concatenate([rows[..., 0].T, cols[:, 0].T])
     p, fit_sq, iterations = _fix_bistatic(anchors, terms, m)
     off = ks - (rows + cols)
     off_sq = _sum_in_order((off * off).transpose(1, 2, 0).reshape(m * n, -1))
-    return (p * unit + centroid).T, np.sqrt(fit_sq + off_sq) * unit, iterations
+    return _unstack(lead, p * unit + centroid, np.sqrt(fit_sq + off_sq) * unit, iterations)
 
 
 def _fix_bistatic(anchors: np.ndarray, terms: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
@@ -438,24 +440,14 @@ def _fix_bistatic(anchors: np.ndarray, terms: np.ndarray, m: int) -> tuple[np.nd
     return p, fit_sq, iterations
 
 
-def localize_bistatic(
-    t: np.ndarray, tx: np.ndarray, rx: np.ndarray, delta: float = 0.0
-) -> PositionFix:
-    """Fix the tag position from a bistatic delay matrix, starting the
-    damped Newton solver at the algebraic warm start described in the
-    module docstring (with the anchor centroid as its fallback)."""
-    p, rnorm, iterations = localize_bistatic_batch(
-        np.asarray(t)[None], np.asarray(tx)[None], np.asarray(rx)[None], delta=delta
-    )
-    return PositionFix(p[0], float(rnorm[0]), int(iterations[0]))
-
-
-def localize_monostatic_batch(
-    ts: np.ndarray, anchors: np.ndarray, delta: float = 0.0
+def localize_monostatic(
+    t: np.ndarray, anchors: np.ndarray, delta: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fix a batch of monostatic scenes from their delay matrix diagonals.
+    """Fix the tags of monostatic scenes from their delay matrix diagonals.
 
-    ts (T,m,m) delays in seconds, anchors (T,m,3) in meters.  Ranges are
+    t (..., m, m) delays in seconds, anchors (..., m, 3) in meters, with any
+    leading axes, none for a lone scene.  Returns (positions (..., 3),
+    range residual norms (...), polish steps taken (...)).  Ranges are
     c (t[i, i] - delta) / 2.  Subtracting the first squared sphere equation
     from the others leaves a linear system in p, solved by least squares;
     one damped Gauss-Newton step on the full range residual then polishes
@@ -469,8 +461,7 @@ def localize_monostatic_batch(
         SingularGeometry: if the linear system has rank < 3 (coplanar
             anchors) for any scene.
     """
-    ts, anchors = np.asarray(ts, dtype=np.float64), np.asarray(anchors, dtype=np.float64)
-    _check_shapes(ts, anchors, anchors)
+    lead, ts, anchors = _as_stacks(t, anchors, anchors)[:3]
     m = anchors.shape[1]
     if m < 4:
         raise UnderDetermined(f"{m} ranges cannot fix a 3D position")
@@ -478,10 +469,10 @@ def localize_monostatic_batch(
     points = anchors.transpose(2, 1, 0).copy()
     with np.errstate(over="ignore"):  # rejected in _to_frame
         ranges = (SPEED_OF_LIGHT * (np.diagonal(ts, axis1=1, axis2=2) - delta) / 2.0).T.copy()
-    del ts, anchors  # a caller's stacked inputs can be freed; only copies are used below
+    del t, ts, anchors  # a caller's stacked inputs can be freed; only copies are used below
     centroid, unit = _to_frame(points, ranges)
     p, fnorm, accepted = _fix_monostatic(points, ranges)
-    return (p * unit + centroid).T, fnorm * unit, accepted.astype(np.int64)
+    return _unstack(lead, p * unit + centroid, fnorm * unit, accepted.astype(np.int64))
 
 
 def _fix_monostatic(points: np.ndarray, ranges: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -509,11 +500,3 @@ def _range_residuals(
     dist = np.sqrt(_sum_in_order(np.square(offset, out=offset)))
     f = ranges - dist
     return dist, f, np.sqrt(_sum_in_order(f * f))
-
-
-def localize_monostatic(t: np.ndarray, anchors: np.ndarray, delta: float = 0.0) -> PositionFix:
-    """Fix the tag position from a monostatic delay matrix."""
-    p, fnorm, iterations = localize_monostatic_batch(
-        np.asarray(t)[None], np.asarray(anchors)[None], delta=delta
-    )
-    return PositionFix(p[0], float(fnorm[0]), int(iterations[0]))

@@ -14,12 +14,22 @@ of an m x n matrix maps to transmitter ``z % m`` and receiver ``z // m``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import InvalidValue
+
+
+def _require_integer(value, what: str, error: type[Exception] = InvalidValue) -> int:
+    """``value`` as an int through ``operator.index``, the package's rule for
+    counts; ``error`` names ``what`` if it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{what} must be an integer, got {value!r}") from None
 
 
 class Kind(str, Enum):
@@ -32,8 +42,9 @@ class Topology:
     """Channel topology: m transmit antennas, n receive antennas.
 
     ``kind`` may be given as a :class:`Kind` or its value (``"bistatic"``,
-    ``"monostatic"``) and is stored as the member.  Monostatic channels
-    share one antenna array, so m == n is enforced.
+    ``"monostatic"``) and is stored as the member.  m and n are integers
+    (``operator.index``) >= 1.  Monostatic channels share one antenna
+    array, so m == n is enforced.
     """
 
     kind: Kind
@@ -46,7 +57,7 @@ class Topology:
                 object.__setattr__(self, "kind", Kind(self.kind))
             except ValueError as exc:
                 raise InvalidValue(f"unknown topology kind {self.kind!r}") from exc
-        if self.m < 1 or self.n < 1:
+        if min(_require_integer(self.m, "m"), _require_integer(self.n, "n")) < 1:
             raise InvalidValue(f"antenna counts must be >= 1, got m={self.m}, n={self.n}")
         if self.kind is Kind.MONOSTATIC and self.m != self.n:
             raise InvalidValue(f"monostatic requires m == n, got m={self.m}, n={self.n}")

@@ -3,6 +3,12 @@
 import numpy as np
 import pytest
 
+from bstoa.analysis import (
+    check_sigma,
+    crlb_bistatic,
+    crlb_monostatic,
+    theoretical_mse_independent,
+)
 from bstoa.channel import (
     SPEED_OF_LIGHT,
     Scene,
@@ -20,6 +26,7 @@ from bstoa.errors import (
     InvalidValue,
     NonFiniteInput,
 )
+from bstoa.estimator import ls_estimate
 from bstoa.topology import Kind, Topology, correlation_matrix, vec
 
 
@@ -215,6 +222,10 @@ def test_scene_shape_validation():
         Scene(topo=topo, tx=np.zeros((3, 3)), rx=np.zeros((2, 3)), tag=np.zeros(3))
     with pytest.raises(DimensionMismatch):
         Scene(topo=topo, tx=np.zeros((2, 3)), rx=None, tag=np.zeros(3))
+    with pytest.raises(DimensionMismatch, match="rx shape"):
+        Scene(topo=topo, tx=np.zeros((2, 3)), rx=np.zeros((3, 3)), tag=np.zeros(3))
+    with pytest.raises(DimensionMismatch, match="tag must be a 3D point"):
+        Scene(topo=topo, tx=np.zeros((2, 3)), rx=np.zeros((2, 3)), tag=np.zeros(2))
 
 
 def test_coincident_points_give_zero_delay():
@@ -233,6 +244,73 @@ def test_true_delays_batch_matches_per_scene():
         np.stack([s.tag for s in scenes]),
     )
     assert np.array_equal(batch, np.stack([true_delays(s) for s in scenes]))
+
+
+@pytest.mark.parametrize(
+    "tx, rx, tag",
+    [
+        ((2, 4, 3), (3, 3, 3), (2, 3)),
+        ((2, 4, 3), (3, 3), (3, 3)),
+        ((4, 2), (3, 2), (2,)),
+        ((4, 3), (3, 3), (4,)),
+        ((3,), (3, 3), (3,)),
+        ((4, 3), (3, 3), ()),
+    ],
+    ids=["tx-rx-lead", "tag-lead", "2d-points", "4d-tag", "1d-tx", "0d-tag"],
+)
+def test_true_delays_batch_rejects_shapes_that_are_not_point_stacks(tx, rx, tag):
+    """Leading axes that do not broadcast raised numpy's ValueError, and 2D
+    or 4D points gave delay matrices."""
+    with pytest.raises(DimensionMismatch):
+        true_delays_batch(np.zeros(tx), np.zeros(rx), np.zeros(tag))
+
+
+def test_true_delays_batch_broadcasts_leading_axes():
+    """One anchor set against a stack of tags gives a stack of matrices."""
+    scene = random_scene(Topology.bistatic(4, 3), 10.0, stream_rng(12, 9))
+    tags = scene.tag + np.arange(6.0).reshape(2, 3, 1)
+    got = true_delays_batch(scene.tx, scene.rx[None], tags)
+    assert got.shape == (2, 3, 4, 3)
+    assert np.array_equal(got[1, 2], true_delays_batch(scene.tx, scene.rx, tags[1, 2]))
+
+
+def test_synth_observations_lays_out_a_stack_per_matrix():
+    """A (2, m, n) stack gives (2, L m, n) pilot rows, the layout
+    ``ls_estimate`` reads, and draws each matrix's noise as a lone matrix
+    draws it from the same stream in turn.  Repeating along axis 0 made a
+    (4, m, n) stack, which ``ls_estimate`` read as four estimates."""
+    t = np.arange(24.0).reshape(2, 4, 3) * 1e-9
+    y = synth_observations(t, 2, 0.0, stream_rng(1, 0))
+    assert y.shape == (2, 8, 3)
+    assert np.array_equal(ls_estimate(y, Topology.bistatic(4, 3)), t)
+    rng = stream_rng(1, 0)
+    each = np.stack([synth_observations(x, 2, 1e-9, rng) for x in t])
+    assert np.array_equal(synth_observations(t, 2, 1e-9, stream_rng(1, 0)), each)
+
+
+def test_synth_observations_rejects_a_vector():
+    with pytest.raises(DimensionMismatch):
+        synth_observations(np.zeros(3), 2, 0.0, stream_rng(1, 0))
+
+
+@pytest.mark.parametrize("length", [0, 2.5, 2.0, "2"])
+def test_pilot_length_rule_is_shared(length):
+    """``synth_observations`` and ``analysis`` apply one rule, an integer
+    (``operator.index``) >= 1, with one message; ``check_sigma`` and the
+    bounds took 2.5, which ``synth_observations`` rejected."""
+    calls = [
+        lambda: synth_observations(np.zeros((2, 2)), length, 1e-9, stream_rng(1, 0)),
+        lambda: check_sigma(1e-9, (length,)),
+        lambda: crlb_bistatic(Topology.bistatic(2, 2), 1e-18, length),
+        lambda: crlb_monostatic(Topology.monostatic(2), 1e-18, length),
+        lambda: theoretical_mse_independent(Topology.bistatic(2, 2), np.ones((2, 2)), length),
+    ]
+    messages = set()
+    for call in calls:
+        with pytest.raises(InvalidValue) as info:
+            call()
+        messages.add(str(info.value))
+    assert len(messages) == 1
 
 
 @pytest.mark.parametrize(

@@ -154,6 +154,16 @@ def test_refine_dimension_checks():
         refine_monostatic(np.zeros((2, 3)))
     with pytest.raises(DimensionMismatch):
         refine_estimate(np.zeros((2, 3)), Topology.bistatic(3, 2))
+    # A matrix with no row or no column raised IndexError from _sum_in_order.
+    for empty in ((0, 3), (2, 0), (5, 0, 3), (5, 2, 0)):
+        with pytest.raises(DimensionMismatch):
+            refine_bistatic(np.zeros(empty))
+    with pytest.raises(DimensionMismatch):
+        refine_monostatic(np.zeros((0, 0)))
+    with pytest.raises(DimensionMismatch):
+        refine_estimate(np.zeros((0, 3)), Topology.bistatic(2, 3))
+    with pytest.raises(DimensionMismatch):
+        decompose_delays(np.zeros(3), 0.0, 0.0)
 
 
 def _dense_refine(t, topo):

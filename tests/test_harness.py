@@ -52,8 +52,8 @@ from bstoa.harness import (
 from bstoa.localization import (
     _fix_bistatic,
     _fix_monostatic,
-    localize_bistatic_batch,
-    localize_monostatic_batch,
+    localize_bistatic,
+    localize_monostatic,
 )
 from bstoa.topology import Kind, Topology, unvec, vec, weighting_matrix
 
@@ -168,6 +168,34 @@ def test_parse_config_rejects(text):
 def test_parse_config_bad_value_message(text, message):
     with pytest.raises(ConfigInvalid, match=message):
         parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"pilot_lengths": ()}, "pilot_lengths must not be empty"),
+        ({"sigma_grid": ()}, "sigma_grid must not be empty"),
+        ({"pilot_lengths": (2.5,)}, "mse sweep: pilot_len must be an integer, got 2.5"),
+        ({"pilot_lengths": (2, 8.0)}, "mse sweep: pilot_len must be an integer, got 8.0"),
+        ({"pilot_lengths": (2, 0)}, "mse sweep: pilot_len must be >= 1, got 0"),
+        ({"trials": 200.0}, "trials must be an integer, got 200.0"),
+        ({"master_seed": 1.5}, "master_seed must be an integer, got 1.5"),
+        ({"m": 2.0}, "m must be an integer, got 2.0"),
+        ({"n": "2"}, "n must be an integer, got '2'"),
+    ],
+    ids=[
+        "empty-pilots", "empty-sigmas", "pilot-2.5", "pilot-8.0", "pilot-0", "trials", "seed", "m",
+        "n",
+    ],
+)
+def test_config_rejects_empty_grids_and_non_integer_counts(overrides, message):
+    """Empty grids, and counts or a seed that ``operator.index`` rejects,
+    are ConfigInvalid; pilot lengths take the package's one pilot-length
+    rule.  A pilot length of 2.5 used to run and write ``pilot_len=2.5``
+    rows; a float m, trials or seed raised TypeError deep inside the
+    sweep."""
+    with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}$"):
+        _cfg(**overrides)
 
 
 @pytest.mark.parametrize("experiment", list(ExperimentKind))
@@ -1419,7 +1447,7 @@ def test_chunk_is_bitwise_the_per_trial_loop(kind, m, n, pilot_len):
 )
 def test_chunk_fixes_are_the_public_fixes(kind, m, n):
     """The fixes a localization chunk makes from its terms agree within the
-    1e-6 m tie margin of acceptance criterion 10 with the public batch
+    1e-6 m tie margin of acceptance criterion 10 with the public
     localizers on the per-trial loop's LS and refined delay matrices."""
     cfg = _cfg(experiment=ExperimentKind.LOCALIZATION, kind=kind, m=m, n=n, trials=CHUNK_TRIALS)
     for point, chunk, c in _point_chunks(cfg):
@@ -1427,11 +1455,11 @@ def test_chunk_fixes_are_the_public_fixes(kind, m, n):
         txs, rxs, _, _, t_hats, t_refs = _reference_chunk(cfg, point, chunk)
         if kind is Kind.BISTATIC:
             got = [_fix_bistatic(anchors, terms, m)[0] * unit] * 2
-            want = [localize_bistatic_batch(t, txs, rxs)[0] for t in (t_hats, t_refs)]
+            want = [localize_bistatic(t, txs, rxs)[0] for t in (t_hats, t_refs)]
         else:
             both = _fix_monostatic(np.concatenate((anchors, anchors), axis=2), terms)[0]
             got = np.split(both * unit, 2, axis=1)
-            want = [localize_monostatic_batch(t, txs)[0] for t in (t_hats, t_refs)]
+            want = [localize_monostatic(t, txs)[0] for t in (t_hats, t_refs)]
         for p, q in zip(got, want):
             assert np.linalg.norm(p.T - q, axis=1).max() < 1e-6
 

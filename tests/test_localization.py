@@ -17,12 +17,7 @@ from bstoa.errors import (
     SingularGeometry,
     UnderDetermined,
 )
-from bstoa.localization import (
-    localize_bistatic,
-    localize_bistatic_batch,
-    localize_monostatic,
-    localize_monostatic_batch,
-)
+from bstoa.localization import localize_bistatic, localize_monostatic
 from bstoa.estimator import refine_bistatic
 from bstoa.topology import Topology
 
@@ -141,17 +136,17 @@ def _sum_squared_residual(t, tx, rx, delta, p):
 @pytest.mark.parametrize("seed", range(20))
 def test_bistatic_noiseless_exact_recovery(seed):
     scene, t = _bistatic_case(1000 + seed)
-    fix = localize_bistatic(t, scene.tx, scene.rx)
-    assert np.linalg.norm(fix.position - scene.tag) < 1e-6
-    assert fix.iterations <= 100
-    assert fix.residual_norm >= 0.0
+    p, rnorm, iterations = localize_bistatic(t, scene.tx, scene.rx)
+    assert np.linalg.norm(p - scene.tag) < 1e-6
+    assert iterations <= 100
+    assert rnorm >= 0.0
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_monostatic_noiseless_exact_recovery(seed):
     scene, t = _monostatic_case(2000 + seed)
-    fix = localize_monostatic(t, scene.tx)
-    assert np.linalg.norm(fix.position - scene.tag) < 1e-6
+    p, _, _ = localize_monostatic(t, scene.tx)
+    assert np.linalg.norm(p - scene.tag) < 1e-6
 
 
 def test_bistatic_under_determined():
@@ -162,26 +157,32 @@ def test_bistatic_under_determined():
         with pytest.raises(UnderDetermined):
             localize_bistatic(t, scene.tx, scene.rx)
         with pytest.raises(UnderDetermined):
-            localize_bistatic_batch(t[None], scene.tx[None], scene.rx[None])
+            localize_bistatic(t[None], scene.tx[None], scene.rx[None])
 
 
 @pytest.mark.parametrize(
     "func, shapes",
     [
-        (localize_bistatic_batch, [(1, 4, 3), (1, 4, 3), (1, 2, 3)]),
-        (localize_bistatic_batch, [(4, 3), (4, 3), (3, 3)]),
-        (localize_bistatic_batch, [(2, 4, 3), (3, 4, 3), (3, 3, 3)]),
-        (localize_bistatic_batch, [(1, 4, 3), (1, 4, 2), (1, 3, 2)]),
-        (localize_monostatic_batch, [(1, 6, 6), (1, 5, 3)]),
-        (localize_monostatic_batch, [(2, 6, 6), (1, 6, 3)]),
-        (localize_monostatic_batch, [(1, 6, 5), (1, 6, 3)]),
+        (localize_bistatic, [(1, 4, 3), (1, 4, 3), (1, 2, 3)]),
+        (localize_bistatic, [(4, 3), (1, 4, 3), (1, 3, 3)]),
+        (localize_bistatic, [(2, 4, 3), (3, 4, 3), (3, 3, 3)]),
+        (localize_bistatic, [(1, 4, 3), (1, 4, 2), (1, 3, 2)]),
+        (localize_monostatic, [(1, 6, 6), (1, 5, 3)]),
+        (localize_monostatic, [(2, 6, 6), (1, 6, 3)]),
+        (localize_monostatic, [(1, 6, 5), (1, 6, 3)]),
         (localize_bistatic, [(4, 3), (4, 3), (2, 3)]),
         (localize_monostatic, [(6, 6), (5, 3)]),
+        (localize_bistatic, [(2, 3, 4, 3), (3, 2, 4, 3), (2, 3, 3, 3)]),
+        (localize_monostatic, [(2, 3, 6, 6), (3, 2, 6, 3)]),
+        (localize_bistatic, [(4,), (4, 3), (1, 3)]),
     ],
     ids=["bi-rx-count", "bi-2d-ts", "bi-batch-size", "bi-2d-points", "mono-anchor-count",
-         "mono-batch-size", "mono-not-square", "bi-single", "mono-single"],
+         "mono-batch-size", "mono-not-square", "bi-single", "mono-single", "bi-nested-lead",
+         "mono-nested-lead", "bi-1d-ts"],
 )
 def test_localizers_reject_mismatched_shapes(func, shapes):
+    """The leading axes of delays and anchors must agree exactly: a lone
+    (2-D) delay matrix takes a lone scene's anchors, not a stack of one."""
     with pytest.raises(DimensionMismatch):
         func(*(np.zeros(shape) for shape in shapes))
 
@@ -219,12 +220,12 @@ def test_residual_nonincreasing_across_accepted_steps(monkeypatch):
     """Capping the solver at 0, 1, 2, ... iterations replays its iterates;
     the residual norm never increases from one to the next."""
     scene, t = _bistatic_case(3200, sigma=3e-9)
-    steps = localize_bistatic(t, scene.tx, scene.rx).iterations
+    steps = localize_bistatic(t, scene.tx, scene.rx)[2]
     assert steps >= 2
     norms = []
     for cap in range(steps + 2):
         monkeypatch.setattr(localization, "MAX_ITERATIONS", cap)
-        norms.append(localize_bistatic(t, scene.tx, scene.rx).residual_norm)
+        norms.append(localize_bistatic(t, scene.tx, scene.rx)[1])
     assert all(b <= a for a, b in zip(norms, norms[1:]))
     assert norms[-1] < norms[0]
 
@@ -241,9 +242,7 @@ def test_bistatic_rejects_non_finite_input(bad, where):
     with pytest.raises(NonFiniteInput):
         localize_bistatic(**args)
     with pytest.raises(NonFiniteInput):
-        localize_bistatic_batch(
-            args["t"][None], args["tx"][None], args["rx"][None], delta=args["delta"]
-        )
+        localize_bistatic(args["t"][None], args["tx"][None], args["rx"][None], delta=args["delta"])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -258,22 +257,22 @@ def test_monostatic_rejects_non_finite_input(bad, where):
     with pytest.raises(NonFiniteInput):
         localize_monostatic(**args)
     with pytest.raises(NonFiniteInput):
-        localize_monostatic_batch(args["t"][None], args["anchors"][None], delta=args["delta"])
+        localize_monostatic(args["t"][None], args["anchors"][None], delta=args["delta"])
 
 
 @pytest.mark.parametrize("delay", [1e150, 1e301])
 def test_localizers_reject_ranges_that_overflow(delay):
     """Finite delays whose ranges c (t - delta) overflow (1e301 s), or
-    whose ranges' powers in the solvers do (1e150 s), make both batch
+    whose ranges' powers in the solvers do (1e150 s), make both
     localizers raise instead of returning the anchor centroid with a NaN
     residual."""
     bi, t_bi = _bistatic_case(3402)
     mono, t_mono = _monostatic_case(3403)
     huge_bi, huge_mono = np.full_like(t_bi, delay), np.full_like(t_mono, delay)
     with pytest.raises(NonFiniteInput, match="2\\^128 m"):
-        localize_bistatic_batch(huge_bi[None], bi.tx[None], bi.rx[None])
+        localize_bistatic(huge_bi[None], bi.tx[None], bi.rx[None])
     with pytest.raises(NonFiniteInput, match="2\\^128 m"):
-        localize_monostatic_batch(huge_mono[None], mono.tx[None])
+        localize_monostatic(huge_mono[None], mono.tx[None])
 
 
 @pytest.mark.parametrize("scale", [2.0**128, 1e100])
@@ -286,11 +285,11 @@ def test_localizers_reject_anchors_beyond_the_range_limit(scale):
     rx = bi.rx.copy()
     rx[1, 2] = scale
     with pytest.raises(NonFiniteInput, match="anchor coordinates .* 2\\^128 m"):
-        localize_bistatic_batch(t_bi[None], bi.tx[None], rx[None])
+        localize_bistatic(t_bi[None], bi.tx[None], rx[None])
     tx = mono.tx.copy()
     tx[3, 0] = -scale
     with pytest.raises(NonFiniteInput, match="anchor coordinates .* 2\\^128 m"):
-        localize_monostatic_batch(t_mono[None], tx[None])
+        localize_monostatic(t_mono[None], tx[None])
 
 
 def test_bistatic_rejects_an_off_subspace_range_that_overflows():
@@ -300,7 +299,7 @@ def test_bistatic_rejects_an_off_subspace_range_that_overflows():
     t = t.copy()
     t[1:3, 1:3] += np.array([[1.0, -1.0], [-1.0, 1.0]]) * 1e299
     with pytest.raises(NonFiniteInput, match="2\\^128 m"):
-        localize_bistatic_batch(t[None], bi.tx[None], bi.rx[None])
+        localize_bistatic(t[None], bi.tx[None], bi.rx[None])
 
 
 def _scaled_scene(seed, scale, monostatic=False):
@@ -319,23 +318,23 @@ def test_fixes_at_1e38_m_are_finite_and_exact():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         tx, rx, tag, ks = _scaled_scene(3407, 1e37)
-        p, rnorm, _ = localize_bistatic_batch((ks / SPEED_OF_LIGHT)[None], tx[None], rx[None])
+        p, rnorm, _ = localize_bistatic((ks / SPEED_OF_LIGHT)[None], tx[None], rx[None])
         assert np.isfinite(rnorm).all()
         assert np.linalg.norm(p[0] - tag) <= 1e-9 * np.linalg.norm(tag)
         tx, _, tag, ranges = _scaled_scene(3408, 1e37, monostatic=True)
         t = (ranges[:, None] + ranges[None, :]) / SPEED_OF_LIGHT
-        p, rnorm, _ = localize_monostatic_batch(t[None], tx[None])
+        p, rnorm, _ = localize_monostatic(t[None], tx[None])
         assert np.isfinite(rnorm).all()
         assert np.linalg.norm(p[0] - tag) <= 1e-9 * np.linalg.norm(tag)
 
 
 def _fix_of(tx, rx, tag, t, monostatic):
-    """The public batch fix of one scene: position and iterations."""
+    """The public fix of one scene: position and iterations."""
     if monostatic:
-        p, _, iterations = localize_monostatic_batch(t[None], tx[None])
+        p, _, iterations = localize_monostatic(t, tx)
     else:
-        p, _, iterations = localize_bistatic_batch(t[None], tx[None], rx[None])
-    return p[0], int(iterations[0])
+        p, _, iterations = localize_bistatic(t, tx, rx)
+    return p, int(iterations)
 
 
 @pytest.mark.parametrize(
@@ -374,8 +373,8 @@ def test_bistatic_fix_does_not_depend_on_the_anchor_order(m, n, sigma):
     ill-conditioned scene at the rounding floor of |R|^2."""
     txs, rxs, t_hats, _ = _trials_last_batch(m, n, sigma, CHUNK_TRIALS, 6_300, 0)
     order = np.r_[0, m - 1 : 0 : -1]
-    p, rnorm, _ = localize_bistatic_batch(t_hats, txs, rxs)
-    q, qnorm, _ = localize_bistatic_batch(t_hats[:, order, ::-1], txs[:, order], rxs[:, ::-1])
+    p, rnorm, _ = localize_bistatic(t_hats, txs, rxs)
+    q, qnorm, _ = localize_bistatic(t_hats[:, order, ::-1], txs[:, order], rxs[:, ::-1])
     assert (np.abs(qnorm - rnorm) <= 1e-9 * rnorm).all()
     assert np.linalg.norm(q - p, axis=1).max() <= 1e-7 * 16.0
 
@@ -513,11 +512,12 @@ def _any_scale_scene(draw, monostatic):
 @given(case=_any_scale_scene(monostatic=False))
 def test_bistatic_batch_is_finite_or_raises(case):
     """Finite in, finite out: over the full exponent range the bistatic
-    batch localizer returns finite positions, residuals and iterations, or
-    raises a BstoaError; a warning would fail the test."""
+    localizer returns finite positions, residuals and iterations for a
+    stack of one or two scenes, or raises a BstoaError; a warning would fail
+    the test."""
     ts, txs, rxs = case
     try:
-        out = localize_bistatic_batch(ts, txs, rxs)
+        out = localize_bistatic(ts, txs, rxs)
     except BstoaError:
         return
     assert all(np.isfinite(x).all() for x in out)
@@ -529,10 +529,18 @@ def test_monostatic_batch_is_finite_or_raises(case):
     """The monostatic counterpart of ``test_bistatic_batch_is_finite_or_raises``."""
     ts, anchors, _ = case
     try:
-        out = localize_monostatic_batch(ts, anchors)
+        out = localize_monostatic(ts, anchors)
     except BstoaError:
         return
     assert all(np.isfinite(x).all() for x in out)
+
+
+def _assert_lone_scene_is(fix, batch, i):
+    """A lone scene's (3,), () and () outputs equal scene i of a (T, m, n)
+    stack's (T, 3), (T,) and (T,) outputs, bit for bit."""
+    assert [x.shape for x in fix] == [(3,), (), ()]
+    for got, want in zip(fix, batch):
+        assert np.array_equal(got, want[i])
 
 
 def _assert_bistatic_batch_matches_scalar_calls(seed, m, n, sigma=1e-9):
@@ -540,24 +548,18 @@ def _assert_bistatic_batch_matches_scalar_calls(seed, m, n, sigma=1e-9):
     ts = np.stack([t for _, t in scenes])
     txs = np.stack([s.tx for s, _ in scenes])
     rxs = np.stack([s.rx for s, _ in scenes])
-    batch_p, batch_rn, batch_it = localize_bistatic_batch(ts, txs, rxs)
+    batch = localize_bistatic(ts, txs, rxs)
     for i, (scene, t) in enumerate(scenes):
-        fix = localize_bistatic(t, scene.tx, scene.rx)
-        assert np.array_equal(fix.position, batch_p[i])
-        assert fix.residual_norm == batch_rn[i]
-        assert fix.iterations == batch_it[i]
+        _assert_lone_scene_is(localize_bistatic(t, scene.tx, scene.rx), batch, i)
 
 
 def _assert_monostatic_batch_matches_scalar_calls(seed, m):
     scenes = [_monostatic_case(seed + i, m=m, sigma=1e-9) for i in range(6)]
     ts = np.stack([t for _, t in scenes])
     anchors = np.stack([s.tx for s, _ in scenes])
-    batch_p, batch_rn, batch_it = localize_monostatic_batch(ts, anchors)
+    batch = localize_monostatic(ts, anchors)
     for i, (scene, t) in enumerate(scenes):
-        fix = localize_monostatic(t, scene.tx)
-        assert np.array_equal(fix.position, batch_p[i])
-        assert fix.residual_norm == batch_rn[i]
-        assert fix.iterations == batch_it[i]
+        _assert_lone_scene_is(localize_monostatic(t, scene.tx), batch, i)
 
 
 def test_batch_matches_scalar_calls():
@@ -586,14 +588,37 @@ def test_bistatic_batch_does_not_depend_on_layout():
     pairwise; so does a lone scene."""
     txs, rxs, t_hats, _ = _trials_last_batch(12, 9, 1e-9, 64, 7, 0)
     assert t_hats.strides[0] == 8
-    views = localize_bistatic_batch(t_hats, txs, rxs)
-    copies = localize_bistatic_batch(*(np.ascontiguousarray(x) for x in (t_hats, txs, rxs)))
+    views = localize_bistatic(t_hats, txs, rxs)
+    copies = localize_bistatic(*(np.ascontiguousarray(x) for x in (t_hats, txs, rxs)))
     for got, want in zip(views, copies):
         assert np.array_equal(got, want)
-    fix = localize_bistatic(t_hats[5], txs[5], rxs[5])
-    assert np.array_equal(fix.position, views[0][5])
-    assert fix.residual_norm == views[1][5]
-    assert fix.iterations == views[2][5]
+    _assert_lone_scene_is(localize_bistatic(t_hats[5], txs[5], rxs[5]), views, 5)
+
+
+@pytest.mark.parametrize("monostatic", [False, True], ids=["bi4x3", "mono6"])
+def test_nested_stack_is_the_reshaped_flat_stack(monostatic):
+    """A (2, 3, m, n) stack gives the (6, m, n) stack's outputs reshaped to
+    (2, 3, 3), (2, 3) and (2, 3), bit for bit."""
+    cases = [
+        _monostatic_case(3420 + i, sigma=1e-9) if monostatic
+        else _bistatic_case(3320 + i, sigma=1e-9)
+        for i in range(6)
+    ]
+    ts = np.stack([t for _, t in cases])
+    txs = np.stack([s.tx for s, _ in cases])
+    if monostatic:
+        flat, nested = localize_monostatic(ts, txs), localize_monostatic(
+            ts.reshape(2, 3, 6, 6), txs.reshape(2, 3, 6, 3)
+        )
+    else:
+        rxs = np.stack([s.rx for s, _ in cases])
+        flat = localize_bistatic(ts, txs, rxs)
+        nested = localize_bistatic(
+            ts.reshape(2, 3, 4, 3), txs.reshape(2, 3, 4, 3), rxs.reshape(2, 3, 3, 3)
+        )
+    for got, want in zip(nested, flat):
+        assert got.shape == (2, 3) + want.shape[1:]
+        assert np.array_equal(got, want.reshape(got.shape))
 
 
 def _old_rank_rule(h):
@@ -665,9 +690,9 @@ def test_monostatic_polish_flag(monkeypatch):
 
     monkeypatch.setattr(localization, "_damped_update", accept_nothing)
     raw = localize_monostatic(t, scene.tx)
-    assert raw.iterations == 0
-    assert polished.iterations <= 1
-    assert polished.residual_norm <= raw.residual_norm
+    assert raw[2] == 0
+    assert polished[2] <= 1
+    assert polished[1] <= raw[1]
 
 
 def test_oracle_noiseless_grid_bound():
@@ -694,10 +719,10 @@ def test_solver_agrees_with_oracle_on_noisy_instances(seed):
     grid_step = 0.25
     bounds = (np.zeros(3), np.full(3, 10.0))
     oracle_point = _oracle_localize(t, scene.tx, scene.rx, 0.0, grid_step, bounds)
-    fix = localize_bistatic(t, scene.tx, scene.rx)
-    assert np.linalg.norm(fix.position - oracle_point) < 2 * grid_step
+    p, _, _ = localize_bistatic(t, scene.tx, scene.rx)
+    assert np.linalg.norm(p - oracle_point) < 2 * grid_step
     # The solver point should beat the grid point on the shared objective.
-    ss_solver = _sum_squared_residual(t, scene.tx, scene.rx, 0.0, fix.position)
+    ss_solver = _sum_squared_residual(t, scene.tx, scene.rx, 0.0, p)
     ss_oracle = _sum_squared_residual(t, scene.tx, scene.rx, 0.0, oracle_point)
     assert ss_solver <= ss_oracle + 1e-12
 
@@ -707,8 +732,8 @@ def test_noisy_fix_within_grid_resolution_of_oracle():
     grid_step = 0.25
     bounds = (np.zeros(3), np.full(3, 10.0))
     oracle_point = _oracle_localize(t, scene.tx, scene.rx, 0.0, grid_step, bounds)
-    fix = localize_bistatic(t, scene.tx, scene.rx)
-    assert np.linalg.norm(fix.position - oracle_point) < 3 * grid_step
+    p, _, _ = localize_bistatic(t, scene.tx, scene.rx)
+    assert np.linalg.norm(p - oracle_point) < 3 * grid_step
 
 
 def test_oracle_rejects_bad_step():
@@ -733,17 +758,17 @@ def test_refinement_does_not_move_the_global_minimizer():
         obs = synth_observations(t_true, 8, 1e-10, rng)
         t_hat = ls_estimate(obs, topo)
         t_ref = refine_bistatic(t_hat)
-        fix_hat = localize_bistatic(t_hat, scene.tx, scene.rx)
-        fix_ref = localize_bistatic(t_ref, scene.tx, scene.rx)
-        assert np.linalg.norm(fix_hat.position - fix_ref.position) < 1e-6
+        p_hat, _, _ = localize_bistatic(t_hat, scene.tx, scene.rx)
+        p_ref, _, _ = localize_bistatic(t_ref, scene.tx, scene.rx)
+        assert np.linalg.norm(p_hat - p_ref) < 1e-6
 
 
 def test_delta_is_honored():
     scene, _ = _bistatic_case(4100)
     scene.delta = 3e-8
     t = true_delays(scene)
-    fix = localize_bistatic(t, scene.tx, scene.rx, delta=scene.delta)
-    assert np.linalg.norm(fix.position - scene.tag) < 1e-6
+    p, _, _ = localize_bistatic(t, scene.tx, scene.rx, delta=scene.delta)
+    assert np.linalg.norm(p - scene.tag) < 1e-6
 
 
 @pytest.mark.parametrize("sigma", [1e-10, 1e-8])
@@ -751,7 +776,7 @@ def test_residual_norm_covers_every_range_sum(sigma):
     """The reported norm is that of all m n residuals of the input matrix,
     off-subspace part included, not only of the fitted terms."""
     txs, rxs, t_hats, _ = _bistatic_chunk(sigma)
-    p, rnorm, _ = localize_bistatic_batch(t_hats, txs, rxs)
+    p, rnorm, _ = localize_bistatic(t_hats, txs, rxs)
     full = np.sqrt([
         _sum_squared_residual(t, tx, rx, 0.0, q) for t, tx, rx, q in zip(t_hats, txs, rxs, p)
     ])
@@ -763,14 +788,14 @@ def test_ls_and_refined_matrices_give_one_fix(sigma):
     """Criterion 10's tie margin: the LS matrix and its projection have the
     same fitted terms, so their fixes agree within 1e-6 m in every scene."""
     txs, rxs, t_hats, t_refs = _bistatic_chunk(sigma)
-    p_hat, _, _ = localize_bistatic_batch(t_hats, txs, rxs)
-    p_ref, _, _ = localize_bistatic_batch(t_refs, txs, rxs)
+    p_hat, _, _ = localize_bistatic(t_hats, txs, rxs)
+    p_ref, _, _ = localize_bistatic(t_refs, txs, rxs)
     assert np.linalg.norm(p_hat - p_ref, axis=1).max() < 1e-6
 
 
 def test_no_scene_reaches_the_iteration_cap():
     iterations = np.concatenate([
-        localize_bistatic_batch(t_refs, txs, rxs)[2]
+        localize_bistatic(t_refs, txs, rxs)[2]
         for txs, rxs, _, t_refs in (_bistatic_chunk(1e-8, chunk) for chunk in range(8))
     ])
     assert iterations.size == 8 * CHUNK_TRIALS
@@ -784,7 +809,7 @@ def test_fix_objective_no_worse_than_long_gauss_newton(sigma):
     txs, rxs, t_hats, t_refs = _bistatic_chunk(sigma)
     p0 = _warm_start_of(txs, rxs, SPEED_OF_LIGHT * t_refs)
     _, cost_ref = _reference_gauss_newton(t_hats, txs, rxs, p0)
-    p, _, _ = localize_bistatic_batch(t_hats, txs, rxs)
+    p, _, _ = localize_bistatic(t_hats, txs, rxs)
     cost = np.array([
         _sum_squared_residual(t, tx, rx, 0.0, q) for t, tx, rx, q in zip(t_hats, txs, rxs, p)
     ])

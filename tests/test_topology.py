@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bstoa.errors import BstoaError
+from bstoa.errors import BstoaError, InvalidValue
 from bstoa.topology import (
     Kind,
     Topology,
@@ -43,6 +43,18 @@ def test_topology_validation():
 def test_topology_validation_raises_package_error(kind, m, n):
     with pytest.raises(BstoaError):
         Topology(kind, m, n)
+
+
+@pytest.mark.parametrize("m, n", [(2.5, 3), ("2", 3), (4, 3.0), (np.float64(4.0), 3)])
+def test_topology_counts_must_be_integers(m, n):
+    """A count that ``operator.index`` rejects is InvalidValue: 2.5 used to
+    construct a topology, and "2" raised TypeError."""
+    with pytest.raises(InvalidValue, match="must be an integer"):
+        Topology.bistatic(m, n)
+
+
+def test_topology_takes_numpy_integer_counts():
+    assert Topology.bistatic(np.int64(4), np.uint8(3)) == Topology.bistatic(4, 3)
 
 
 def test_topology_stores_the_kind_member_for_its_value():
