@@ -16,10 +16,8 @@ from .channel import (
     Scene,
     noise_rng,
     random_scene,
-    stream_rng,
     synth_observations,
     true_delays,
-    true_delays_batch,
 )
 from .errors import (
     BstoaError,

@@ -30,7 +30,7 @@ from .errors import (
 from .topology import Kind, Topology, _require_integer
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact SI value
-# Meters; bounds the coordinates ``true_delays_batch`` takes, so that the
+# Meters; bounds the coordinates ``true_delays`` takes, so that the
 # sum of three squared coordinate differences, below 3 (2^511)^2, is finite.
 _COORDINATE_LIMIT = 2.0**510
 # Standard deviations of noise that ``synth_observations`` and a sweep's
@@ -46,23 +46,16 @@ def _check_pilot_len(pilot_len: int) -> None:
         raise InvalidValue(f"pilot_len must be >= 1, got {pilot_len}")
 
 
-def stream_rng(master_seed: int, stream_index: int) -> np.random.Generator:
-    """Counter-based generator, reproducible per (seed, index) pair.
-
-    A Philox generator keyed by the pair, each taken mod 2**64, so a
-    stream's draws do not depend on how work is scheduled across workers.
-    """
-    key = np.array([master_seed % 2**64, stream_index % 2**64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def noise_rng(master_seed: int, stream_index: int) -> np.random.Generator:
-    """Fast generator for draws that are pure noise, reproducible per
-    (seed, index) pair.
+    """The package's reproducible generator, one stream per (seed, index)
+    pair, so a stream's draws do not depend on how work is scheduled
+    across workers.
 
     An SFC64 generator seeded by ``SeedSequence([seed, index])``, each
-    taken mod 2**64.  Its normals cost about two thirds of Philox's, and
-    mse and crlb sweep chunks draw nothing else.
+    taken mod 2**64.  Chunk c of a sweep draws from ``noise_rng(seed, c)``:
+    mse and crlb chunks their noise statistics, localization chunks their
+    scenes, then their noise statistics.  So successive ``random_scene``
+    calls on that stream replay the scenes of localization chunk c.
     """
     seed = np.random.SeedSequence([master_seed % 2**64, stream_index % 2**64])
     return np.random.Generator(np.random.SFC64(seed))
@@ -217,6 +210,7 @@ def random_scene(
         raise NonFiniteInput(f"cube_side must be finite, got {cube_side}")
     if cube_side <= 0.0:
         raise InvalidValue(f"cube_side must be > 0, got {cube_side}")
+    # Drawn in the order of a localization chunk's rows (noise_rng): tx, rx, tag.
     tx = rng.uniform(0.0, cube_side, size=(topo.m, 3))
     rx = None
     if topo.kind is Kind.BISTATIC:
@@ -225,14 +219,15 @@ def random_scene(
     return Scene(topo=topo, tx=tx, rx=rx, tag=tag, delta=0.0)
 
 
-def true_delays_batch(
+def true_delays(
     tx: np.ndarray, rx: np.ndarray, tag: np.ndarray, delta: float = 0.0
 ) -> np.ndarray:
     """True delay matrices of a stack of scenes, in seconds.
 
     ``tx`` is ``(..., m, 3)``, ``rx`` is ``(..., n, 3)`` and ``tag`` is
     ``(..., 3)``, with leading axes that broadcast; the result is
-    ``(..., m, n)``.
+    ``(..., m, n)``.  A lone scene passes ``scene.tx, scene.rx, scene.tag,
+    scene.delta``.
 
     Raises:
         DimensionMismatch: unless the three arrays are stacks of 3D points
@@ -259,11 +254,6 @@ def true_delays_batch(
     up = np.linalg.norm(tx - tag, axis=-1)
     down = np.linalg.norm(rx - tag, axis=-1)
     return delta + (up[..., :, None] + down[..., None, :]) / SPEED_OF_LIGHT
-
-
-def true_delays(scene: Scene) -> np.ndarray:
-    """True delay matrix of the scene, in seconds."""
-    return true_delays_batch(scene.tx, scene.rx, scene.tag, scene.delta)
 
 
 def synth_observations(

@@ -166,6 +166,7 @@ def decompose_delays(
     passing ``gauge_g1 = (t[0, 0] - delta) / 2``.
 
     Raises:
+        DimensionMismatch: unless ``t`` is a matrix with a row and a column.
         NonFiniteInput: if ``t``, ``delta`` or ``gauge_g1`` holds NaN or
             inf, or a magnitude above 1/8 of the largest float, where the
             differences below could overflow.
@@ -173,8 +174,8 @@ def decompose_delays(
             constraint to within 1e-9 * max(1, max|t|).
     """
     t = np.asarray(t, dtype=np.float64)
-    if t.ndim != 2:
-        raise DimensionMismatch(f"delay matrix must have two axes, got {t.shape}")
+    if t.ndim != 2 or not t.size:
+        raise DimensionMismatch(f"delay matrix needs two axes, a row and a column, got {t.shape}")
     _require_in_range(
         np.append(t, (delta, gauge_g1)), sys.float_info.max / 8, "delays, delta and gauge_g1"
     )

@@ -92,6 +92,7 @@ localization, crlb), ``kind`` (bistatic, monostatic), ``m``, ``n``,
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import os
 import sys
@@ -163,8 +164,11 @@ class SweepConfig:
         _require_integer(self.master_seed, "master_seed", ConfigInvalid)
         if self.trials < 1:
             raise ConfigInvalid(f"trials must be >= 1, got {self.trials}")
-        if not (math.isfinite(self.cube_side) and self.cube_side > 0.0):
-            raise ConfigInvalid(f"cube_side must be finite and > 0, got {self.cube_side}")
+        side = self.cube_side
+        if not (isinstance(side, numbers.Real) and math.isfinite(side) and side > 0.0):
+            raise ConfigInvalid(f"cube_side must be a finite number > 0, got {side!r}")
+        if not all(isinstance(sigma, numbers.Real) for sigma in self.sigma_grid):
+            raise ConfigInvalid(f"sigma_grid must hold real numbers, got {self.sigma_grid!r}")
         if not self.pilot_lengths:
             raise ConfigInvalid("pilot_lengths must not be empty")
         if len(set(self.pilot_lengths)) < len(self.pilot_lengths):
@@ -594,24 +598,22 @@ def _run_loc_chunk(cfg: SweepConfig, c: int) -> dict:
         # localize_bistatic), so each scene is solved once.  Its rank
         # test reads the noisy range sums, so a singular scene may be noise.
         try:
-            p_ref, _, _ = _fix_bistatic(anchors, terms, cfg.m)
+            fix, _, _ = _fix_bistatic(anchors, terms, cfg.m)
         except SingularGeometry as exc:
             sigma, pilot_len = cfg.grid_points[_chunk_span(cfg, c)[0]]
             raise SingularGeometry(
                 f"{exc} at the noisy range sums of sigma = {sigma!r} s, L = {pilot_len} "
                 f"(chunk {c})"
             ) from exc
-        p_ls = p_ref
+        fixes = [fix]  # the ls and proposed rows share it
     else:
         # One call fixes the LS and the refined ranges; no scene's
         # arithmetic depends on the rest of its batch.
         both, _, _ = _fix_monostatic(np.concatenate((anchors, anchors), axis=2), terms)
-        p_ls, p_ref = np.split(both, 2, axis=1)
+        fixes = np.split(both, 2, axis=1)
     # Squared errors in meters: the scene unit squared is a power of two.
-    return {
-        "sqerr_ls": ((p_ls - tags) ** 2).sum() * unit**2,
-        "sqerr_proposed": ((p_ref - tags) ** 2).sum() * unit**2,
-    }
+    sqerr = [((p - tags) ** 2).sum() * unit**2 for p in fixes]
+    return {"sqerr_ls": sqerr[0], "sqerr_proposed": sqerr[-1]}
 
 
 def _offdiag_mean(matrix: np.ndarray) -> float:

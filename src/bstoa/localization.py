@@ -321,6 +321,21 @@ def _newton_step(
     return -_solve3(np.where(newton, adj[..., t:], adj[..., :t]), det, grad), grad, bad
 
 
+def _to_nearest_anchor(work: list, stuck: np.ndarray, m: int) -> None:
+    """Move each scene of ``stuck`` (indices into ``_newton_batch``'s
+    working set ``work``, updated in place) to its nearest anchor if |R|^2
+    is no larger there.  A range |p - anchor| has a cusp at the anchor,
+    where a scene's minimum can lie; the Newton steps overshoot it, and
+    MAX_HALVINGS halvings of a step leave a scene stuck about 2^-20 steps
+    short of it."""
+    _, p, anchors, fit, *state = work
+    q = anchors[:, state[1][:, stuck].argmin(axis=0), stuck]
+    terms = _fit_residuals(anchors[..., stuck], fit[:, stuck], m, q)
+    better = terms[-1] <= state[-1][stuck]
+    for dst, src in zip((p, *state), (q, *terms)):
+        dst[..., stuck[better]] = src[..., better]
+
+
 def _newton_batch(
     anchors: np.ndarray, fit: np.ndarray, m: int, p0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -341,8 +356,9 @@ def _newton_batch(
     to MAX_HALVINGS times whenever it would increase the residual norm.  A
     scene stops once its accepted step is shorter than STEP_TOL, its
     predicted decrease falls below DECREASE_RTOL of |R|^2, or no damped
-    step is accepted; everything stops after MAX_ITERATIONS.  A scene that
-    stops writes out its fix and leaves the working arrays.
+    step is accepted, when it takes its nearest anchor if that is no worse
+    (``_to_nearest_anchor``); everything stops after MAX_ITERATIONS.  A
+    scene that stops writes out its fix and leaves the working arrays.
 
     Returns (positions (3,T), |R|^2, iterations, singular_flags); a set
     singular flag means the Gauss-Newton matrix lost rank 3 at some iterate.
@@ -376,6 +392,8 @@ def _newton_batch(
         )
         stop = ~accepted | (step_len < STEP_TOL)
         if stop.any():
+            if not accepted.all():
+                _to_nearest_anchor(work, np.flatnonzero(~accepted), m)
             work = leave(work, stop, np.where(accepted[stop], it, it - 1))
     leave(work, np.ones(work[0].size, dtype=bool), MAX_ITERATIONS)
     return out_p, out_sq, iterations, singular

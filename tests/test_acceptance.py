@@ -2,10 +2,11 @@
 
 The Monte-Carlo fixtures follow the harness protocol for one grid point
 (a fresh uniform scene per trial; chunk c of 512 trials draws every
-scene's coordinates from counter stream c) through the public batch
-functions, and are shared across criteria.  They keep the pilot-level
-model on purpose: each trial's L pilot rows are drawn and averaged by
-``ls_estimate``, where a sweep draws the pilots' mean as one Gaussian, so
+scene's coordinates from ``noise_rng(master_seed, c)``, so they are the
+scenes of chunk c of a localization sweep with that seed and a 10 m cube)
+through the public stack functions, and are shared across criteria.
+They keep the pilot-level model on purpose: each trial's L pilot rows are
+drawn and averaged by ``ls_estimate``, where a sweep draws the pilots' mean as one Gaussian, so
 criteria 3-6 check the closed forms on the pilot path itself.  mse and
 crlb sweeps draw no scene at all (since stream contract v5), so these fixtures
 are now the check of the scene-plus-pilot path: true delays, pilot rows
@@ -23,7 +24,7 @@ from bstoa.analysis import (
     crlb_monostatic,
     theoretical_mse_independent,
 )
-from bstoa.channel import random_scene, stream_rng, true_delays, true_delays_batch
+from bstoa.channel import noise_rng, random_scene, true_delays
 from bstoa.estimator import decompose_delays, ls_estimate, refine_estimate
 from bstoa.harness import (
     CHUNK_TRIALS,
@@ -74,11 +75,11 @@ def _run_monte_carlo(topo: Topology, sigma: float, pilot_len: int, trials: int,
     errors_refined = np.empty((trials, topo.mn))
     for chunk, start in enumerate(range(0, trials, CHUNK_TRIALS)):
         count = min(CHUNK_TRIALS, trials - start)
-        rng = stream_rng(master_seed, chunk)
+        rng = noise_rng(master_seed, chunk)
         coords = 10.0 * rng.random((count, 3 * (m + n_rx + 1)))
         tx = coords[:, : 3 * m].reshape(count, m, 3)
         rx = coords[:, 3 * m : 3 * (m + n_rx)].reshape(count, n_rx, 3) if n_rx else tx
-        tmat = true_delays_batch(tx, rx, coords[:, 3 * (m + n_rx) :])
+        tmat = true_delays(tx, rx, coords[:, 3 * (m + n_rx) :])
         noise = rng.standard_normal((count, pilot_len * m, n))
         t_hat = ls_estimate(np.repeat(tmat, pilot_len, axis=1) + sigma * noise, topo)
         t_ref = refine_estimate(t_hat, topo)
@@ -209,7 +210,7 @@ def _heteroscedastic_errors(topo: Topology, sigmas: np.ndarray, trials: int,
     """Refined-estimator errors with per-subchannel noise, pilot length 1."""
     b = weighting_matrix(topo)
     m, n = topo.m, topo.n
-    noise = stream_rng(seed, 0).normal(size=(trials, m, n)) * sigmas
+    noise = noise_rng(seed, 0).normal(size=(trials, m, n)) * sigmas
     flat = noise.transpose(0, 2, 1).reshape(trials, m * n)
     projected = flat @ b.T
     if topo.kind is Kind.MONOSTATIC:
@@ -257,7 +258,7 @@ def test_criterion_08_symmetrization_keeps_constraint(report):
         topo = Topology.monostatic(m)
         a = correlation_matrix(topo).astype(float)
         b = weighting_matrix(topo)
-        rng = stream_rng(40_000 + m, 0)
+        rng = noise_rng(40_000 + m, 0)
         anchors = rng.uniform(0.0, 10.0, size=(per_m, m, 3))
         tags = rng.uniform(0.0, 10.0, size=(per_m, 3))
         dist = np.sqrt(((anchors - tags[:, None, :]) ** 2).sum(axis=2))
@@ -285,7 +286,7 @@ def test_criterion_09_decomposition_round_trip(report):
     """10^3 random (delta, h, g) triples rebuild exactly through decompose."""
     m, n = 4, 3
     a = correlation_matrix(Topology.bistatic(m, n)).astype(float)
-    rng = stream_rng(50_000, 0)
+    rng = noise_rng(50_000, 0)
     worst_constraint = 0.0
     worst_rebuild = 0.0
     for _ in range(1000):
@@ -342,12 +343,14 @@ def test_criterion_10_localization_ordering(report):
 
     worst_noiseless = 0.0
     for index in range(100):
-        scene = random_scene(Topology.bistatic(4, 3), 10.0, stream_rng(61_000, index))
-        p, _, _ = localize_bistatic(true_delays(scene), scene.tx, scene.rx)
+        scene = random_scene(Topology.bistatic(4, 3), 10.0, noise_rng(61_000, index))
+        t = true_delays(scene.tx, scene.rx, scene.tag, scene.delta)
+        p, _, _ = localize_bistatic(t, scene.tx, scene.rx)
         worst_noiseless = max(worst_noiseless, float(np.linalg.norm(p - scene.tag)))
     for index in range(100):
-        scene = random_scene(Topology.monostatic(6), 10.0, stream_rng(62_000, index))
-        p, _, _ = localize_monostatic(true_delays(scene), scene.tx)
+        scene = random_scene(Topology.monostatic(6), 10.0, noise_rng(62_000, index))
+        t = true_delays(scene.tx, scene.rx, scene.tag, scene.delta)
+        p, _, _ = localize_monostatic(t, scene.tx)
         worst_noiseless = max(worst_noiseless, float(np.linalg.norm(p - scene.tag)))
 
     ok = not violations and worst_noiseless < 1e-6

@@ -14,7 +14,7 @@ from bstoa.analysis import (
     theoretical_mse_iid,
     theoretical_mse_independent,
 )
-from bstoa.channel import stream_rng
+from bstoa.channel import noise_rng
 from bstoa.errors import (
     BstoaError,
     DimensionMismatch,
@@ -88,7 +88,7 @@ def _dense_independent_mse(topo, sigmas_sq, pilot_len):
 
 
 def test_independent_mse_matches_dense_formula():
-    rng = stream_rng(31, 0)
+    rng = noise_rng(31, 0)
     for m in range(1, 8):
         topologies = [Topology.bistatic(m, n) for n in range(1, 8)]
         topologies.append(Topology.monostatic(m))
@@ -303,14 +303,14 @@ def test_independent_mse_monostatic_matches_simulation():
     per-subchannel variances."""
     m = 3
     topo = Topology.monostatic(m)
-    rng = stream_rng(91, 0)
+    rng = noise_rng(91, 0)
     sigmas = rng.uniform(0.5, 2.0, size=(m, m))
     sigmas = 0.5 * (sigmas + sigmas.T)  # any positive matrix works; keep it tidy
     predicted = theoretical_mse_independent(topo, sigmas**2, 1).per_entry_mse
 
     b = weighting_matrix(topo)
     trials = 200_000
-    noise = stream_rng(91, 1).normal(size=(trials, m, m)) * sigmas
+    noise = noise_rng(91, 1).normal(size=(trials, m, m)) * sigmas
     flat = noise.transpose(0, 2, 1).reshape(trials, m * m)
     projected = flat @ b.T
     bar = projected.reshape(trials, m, m).transpose(0, 2, 1)

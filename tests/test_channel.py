@@ -14,10 +14,8 @@ from bstoa.channel import (
     Scene,
     noise_rng,
     random_scene,
-    stream_rng,
     synth_observations,
     true_delays,
-    true_delays_batch,
 )
 from bstoa.errors import (
     BstoaError,
@@ -32,7 +30,7 @@ from bstoa.topology import Kind, Topology, correlation_matrix, vec
 
 def test_random_scene_bounds_and_shapes():
     topo = Topology.bistatic(2, 2)
-    scene = random_scene(topo, 10.0, stream_rng(11, 0))
+    scene = random_scene(topo, 10.0, noise_rng(11, 0))
     points = np.vstack([scene.tx, scene.rx, scene.tag])
     assert points.shape == (5, 3)
     assert points.min() >= 0.0 and points.max() <= 10.0
@@ -40,15 +38,15 @@ def test_random_scene_bounds_and_shapes():
 
 
 def test_random_scene_monostatic_aliases_tx():
-    scene = random_scene(Topology.monostatic(3), 10.0, stream_rng(11, 1))
+    scene = random_scene(Topology.monostatic(3), 10.0, noise_rng(11, 1))
     assert scene.rx is scene.tx
     assert scene.tx.shape == (3, 3)
 
 
 def test_random_scene_deterministic():
     topo = Topology.bistatic(3, 2)
-    one = random_scene(topo, 10.0, stream_rng(99, 7))
-    two = random_scene(topo, 10.0, stream_rng(99, 7))
+    one = random_scene(topo, 10.0, noise_rng(99, 7))
+    two = random_scene(topo, 10.0, noise_rng(99, 7))
     assert np.array_equal(one.tx, two.tx)
     assert np.array_equal(one.rx, two.rx)
     assert np.array_equal(one.tag, two.tag)
@@ -62,23 +60,23 @@ def test_true_delays_3_4_5_geometry():
         rx=np.array([[0.0, 4.0, 0.0]]),
         tag=np.zeros(3),
     )
-    t = true_delays(scene)
+    t = true_delays(scene.tx, scene.rx, scene.tag, scene.delta)
     assert t.shape == (1, 1)
     assert t[0, 0] == pytest.approx(7.0 / SPEED_OF_LIGHT, rel=1e-15)
 
 
 def test_true_delays_delta_shift():
     topo = Topology.bistatic(2, 3)
-    scene = random_scene(topo, 10.0, stream_rng(5, 2))
-    base = true_delays(scene)
+    scene = random_scene(topo, 10.0, noise_rng(5, 2))
+    base = true_delays(scene.tx, scene.rx, scene.tag, scene.delta)
     scene.delta = 1e-7
-    shifted = true_delays(scene)
+    shifted = true_delays(scene.tx, scene.rx, scene.tag, scene.delta)
     assert np.abs(shifted - base - 1e-7).max() < 1e-21
 
 
 def test_true_delays_monostatic_diagonal_and_symmetry():
-    scene = random_scene(Topology.monostatic(4), 10.0, stream_rng(5, 3))
-    t = true_delays(scene)
+    scene = random_scene(Topology.monostatic(4), 10.0, noise_rng(5, 3))
+    t = true_delays(scene.tx, scene.rx, scene.tag, scene.delta)
     assert np.array_equal(t, t.T)
     expected = 2.0 * np.linalg.norm(scene.tx - scene.tag, axis=1) / SPEED_OF_LIGHT
     assert np.abs(np.diag(t) - expected).max() < 1e-24
@@ -90,32 +88,33 @@ def test_scene_delays_satisfy_constraint(m, n):
     topo = Topology.bistatic(m, n)
     a = correlation_matrix(topo).astype(float)
     for index in range(5):
-        t = true_delays(random_scene(topo, 10.0, stream_rng(31, index)))
+        scene = random_scene(topo, 10.0, noise_rng(31, index))
+        t = true_delays(scene.tx, scene.rx, scene.tag)
         if a.shape[0]:
             assert np.abs(a @ vec(t)).max() < 1e-12 * np.abs(t).max()
 
 
 def test_synth_observations_noiseless_identity():
     t = np.array([[1.0e-8, 2.0e-8], [3.0e-8, 4.0e-8]])
-    assert np.array_equal(synth_observations(t, 1, 0.0, stream_rng(1, 0)), t)
+    assert np.array_equal(synth_observations(t, 1, 0.0, noise_rng(1, 0)), t)
 
 
 def test_synth_observations_pilot_replication():
     t = np.array([[2.0]])
-    y = synth_observations(t, 3, 0.0, stream_rng(1, 0))
+    y = synth_observations(t, 3, 0.0, noise_rng(1, 0))
     assert np.array_equal(y, np.full((3, 1), 2.0))
 
 
 def test_synth_observations_block_layout():
     t = np.array([[1.0, 2.0], [3.0, 4.0]])
-    y = synth_observations(t, 2, 0.0, stream_rng(1, 0))
+    y = synth_observations(t, 2, 0.0, noise_rng(1, 0))
     assert np.array_equal(y, np.array([[1, 2], [1, 2], [3, 4], [3, 4]], dtype=float))
 
 
 def test_synth_observations_noise_variance():
     """Pooled residual variance concentrates at sigma^2 over 1e5 samples."""
     t = np.zeros((2, 2))
-    rng = stream_rng(77, 0)
+    rng = noise_rng(77, 0)
     sigma = 1e-9
     residuals = []
     for _ in range(3125):  # 3125 blocks x 32 entries = 1e5 samples
@@ -125,14 +124,14 @@ def test_synth_observations_noise_variance():
 
 
 def test_stream_independence():
-    first = stream_rng(123, 1).normal(size=100_000)
-    second = stream_rng(123, 2).normal(size=100_000)
+    first = noise_rng(123, 1).normal(size=100_000)
+    second = noise_rng(123, 2).normal(size=100_000)
     rho = np.corrcoef(first, second)[0, 1]
     assert abs(rho) < 0.01
 
 
 def test_scene_text_round_trip_bistatic():
-    scene = random_scene(Topology.bistatic(3, 2), 10.0, stream_rng(8, 4))
+    scene = random_scene(Topology.bistatic(3, 2), 10.0, noise_rng(8, 4))
     scene.delta = 2.5e-8
     parsed = Scene.from_text(scene.to_text())
     assert parsed.topo == scene.topo
@@ -143,7 +142,7 @@ def test_scene_text_round_trip_bistatic():
 
 
 def test_scene_text_round_trip_monostatic():
-    scene = random_scene(Topology.monostatic(4), 10.0, stream_rng(8, 5))
+    scene = random_scene(Topology.monostatic(4), 10.0, noise_rng(8, 5))
     parsed = Scene.from_text(scene.to_text())
     assert parsed.rx is parsed.tx
     assert np.array_equal(parsed.tx, scene.tx)
@@ -152,7 +151,7 @@ def test_scene_text_round_trip_monostatic():
 @pytest.mark.parametrize("key", ["tx1", "rx0", "tag", "delta"])
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_scene_from_text_rejects_non_finite(key, bad):
-    scene = random_scene(Topology.bistatic(2, 2), 10.0, stream_rng(8, 6))
+    scene = random_scene(Topology.bistatic(2, 2), 10.0, noise_rng(8, 6))
     lines = []
     for line in scene.to_text().splitlines():
         name, _, value = line.partition("=")
@@ -170,7 +169,7 @@ def test_scene_from_text_rejects_non_finite(key, bad):
 )
 def test_scene_from_text_rejects_malformed_record(key, value):
     """A missing key (value None) or an unparsable value is ConfigInvalid."""
-    scene = random_scene(Topology.bistatic(2, 2), 10.0, stream_rng(8, 7))
+    scene = random_scene(Topology.bistatic(2, 2), 10.0, noise_rng(8, 7))
     lines = []
     for line in scene.to_text().splitlines():
         if line.partition("=")[0] != key:
@@ -182,7 +181,7 @@ def test_scene_from_text_rejects_malformed_record(key, value):
 
 
 def _scene_record(topo, seed):
-    scene = random_scene(topo, 10.0, stream_rng(seed, 0))
+    scene = random_scene(topo, 10.0, noise_rng(seed, 0))
     scene.delta = 5e-8
     return scene.to_text()
 
@@ -232,18 +231,18 @@ def test_coincident_points_give_zero_delay():
     topo = Topology.bistatic(1, 1)
     point = np.array([[1.0, 2.0, 3.0]])
     scene = Scene(topo=topo, tx=point, rx=point.copy(), tag=point[0].copy())
-    assert true_delays(scene)[0, 0] == 0.0
+    assert true_delays(scene.tx, scene.rx, scene.tag, scene.delta)[0, 0] == 0.0
 
 
-def test_true_delays_batch_matches_per_scene():
+def test_true_delays_of_a_stack_match_each_scene():
     topo = Topology.bistatic(4, 3)
-    scenes = [random_scene(topo, 10.0, stream_rng(12, index)) for index in range(6)]
-    batch = true_delays_batch(
+    scenes = [random_scene(topo, 10.0, noise_rng(12, index)) for index in range(6)]
+    stack = true_delays(
         np.stack([s.tx for s in scenes]),
         np.stack([s.rx for s in scenes]),
         np.stack([s.tag for s in scenes]),
     )
-    assert np.array_equal(batch, np.stack([true_delays(s) for s in scenes]))
+    assert np.array_equal(stack, np.stack([true_delays(s.tx, s.rx, s.tag) for s in scenes]))
 
 
 @pytest.mark.parametrize(
@@ -258,20 +257,20 @@ def test_true_delays_batch_matches_per_scene():
     ],
     ids=["tx-rx-lead", "tag-lead", "2d-points", "4d-tag", "1d-tx", "0d-tag"],
 )
-def test_true_delays_batch_rejects_shapes_that_are_not_point_stacks(tx, rx, tag):
+def test_true_delays_rejects_shapes_that_are_not_point_stacks(tx, rx, tag):
     """Leading axes that do not broadcast raised numpy's ValueError, and 2D
     or 4D points gave delay matrices."""
     with pytest.raises(DimensionMismatch):
-        true_delays_batch(np.zeros(tx), np.zeros(rx), np.zeros(tag))
+        true_delays(np.zeros(tx), np.zeros(rx), np.zeros(tag))
 
 
-def test_true_delays_batch_broadcasts_leading_axes():
+def test_true_delays_broadcasts_leading_axes():
     """One anchor set against a stack of tags gives a stack of matrices."""
-    scene = random_scene(Topology.bistatic(4, 3), 10.0, stream_rng(12, 9))
+    scene = random_scene(Topology.bistatic(4, 3), 10.0, noise_rng(12, 9))
     tags = scene.tag + np.arange(6.0).reshape(2, 3, 1)
-    got = true_delays_batch(scene.tx, scene.rx[None], tags)
+    got = true_delays(scene.tx, scene.rx[None], tags)
     assert got.shape == (2, 3, 4, 3)
-    assert np.array_equal(got[1, 2], true_delays_batch(scene.tx, scene.rx, tags[1, 2]))
+    assert np.array_equal(got[1, 2], true_delays(scene.tx, scene.rx, tags[1, 2]))
 
 
 def test_synth_observations_lays_out_a_stack_per_matrix():
@@ -280,17 +279,17 @@ def test_synth_observations_lays_out_a_stack_per_matrix():
     draws it from the same stream in turn.  Repeating along axis 0 made a
     (4, m, n) stack, which ``ls_estimate`` read as four estimates."""
     t = np.arange(24.0).reshape(2, 4, 3) * 1e-9
-    y = synth_observations(t, 2, 0.0, stream_rng(1, 0))
+    y = synth_observations(t, 2, 0.0, noise_rng(1, 0))
     assert y.shape == (2, 8, 3)
     assert np.array_equal(ls_estimate(y, Topology.bistatic(4, 3)), t)
-    rng = stream_rng(1, 0)
+    rng = noise_rng(1, 0)
     each = np.stack([synth_observations(x, 2, 1e-9, rng) for x in t])
-    assert np.array_equal(synth_observations(t, 2, 1e-9, stream_rng(1, 0)), each)
+    assert np.array_equal(synth_observations(t, 2, 1e-9, noise_rng(1, 0)), each)
 
 
 def test_synth_observations_rejects_a_vector():
     with pytest.raises(DimensionMismatch):
-        synth_observations(np.zeros(3), 2, 0.0, stream_rng(1, 0))
+        synth_observations(np.zeros(3), 2, 0.0, noise_rng(1, 0))
 
 
 @pytest.mark.parametrize("length", [0, 2.5, 2.0, "2"])
@@ -299,7 +298,7 @@ def test_pilot_length_rule_is_shared(length):
     (``operator.index``) >= 1, with one message; ``check_sigma`` and the
     bounds took 2.5, which ``synth_observations`` rejected."""
     calls = [
-        lambda: synth_observations(np.zeros((2, 2)), length, 1e-9, stream_rng(1, 0)),
+        lambda: synth_observations(np.zeros((2, 2)), length, 1e-9, noise_rng(1, 0)),
         lambda: check_sigma(1e-9, (length,)),
         lambda: crlb_bistatic(Topology.bistatic(2, 2), 1e-18, length),
         lambda: crlb_monostatic(Topology.monostatic(2), 1e-18, length),
@@ -317,11 +316,11 @@ def test_pilot_length_rule_is_shared(length):
     "call",
     [
         lambda: Scene(Topology.monostatic(1), tx=np.zeros((1, 3)), tag=np.zeros(3), delta=-1.0),
-        lambda: synth_observations(np.zeros((2, 2)), 0, 1e-9, stream_rng(1, 0)),
-        lambda: synth_observations(np.zeros((2, 2)), 2.5, 1e-9, stream_rng(1, 0)),
-        lambda: synth_observations(np.zeros((2, 2)), 2.0, 1e-9, stream_rng(1, 0)),
-        lambda: synth_observations(np.zeros((2, 2)), 2, -1e-9, stream_rng(1, 0)),
-        lambda: random_scene(Topology.bistatic(2, 2), 0.0, stream_rng(1, 0)),
+        lambda: synth_observations(np.zeros((2, 2)), 0, 1e-9, noise_rng(1, 0)),
+        lambda: synth_observations(np.zeros((2, 2)), 2.5, 1e-9, noise_rng(1, 0)),
+        lambda: synth_observations(np.zeros((2, 2)), 2.0, 1e-9, noise_rng(1, 0)),
+        lambda: synth_observations(np.zeros((2, 2)), 2, -1e-9, noise_rng(1, 0)),
+        lambda: random_scene(Topology.bistatic(2, 2), 0.0, noise_rng(1, 0)),
     ],
     ids=[
         "scene-delta", "synth-pilot-len", "synth-pilot-len-2.5", "synth-pilot-len-2.0",
@@ -340,8 +339,8 @@ def test_bad_scalar_arguments_raise_package_error(call):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda bad: synth_observations(np.zeros((2, 2)), 2, bad, stream_rng(1, 0)),
-        lambda bad: random_scene(Topology.bistatic(2, 2), bad, stream_rng(1, 0)),
+        lambda bad: synth_observations(np.zeros((2, 2)), 2, bad, noise_rng(1, 0)),
+        lambda bad: random_scene(Topology.bistatic(2, 2), bad, noise_rng(1, 0)),
     ],
     ids=["synth-sigma", "cube-side"],
 )
@@ -354,7 +353,7 @@ def test_non_finite_scalar_arguments_raise_non_finite_input(call, bad):
 
 def test_synth_observations_accepts_numpy_integer_pilot_len():
     t = np.arange(4.0).reshape(2, 2)
-    y = synth_observations(t, np.int64(3), 0.0, stream_rng(1, 0))
+    y = synth_observations(t, np.int64(3), 0.0, noise_rng(1, 0))
     assert np.array_equal(y, np.repeat(t, 3, axis=0))
 
 
@@ -367,7 +366,7 @@ def test_synth_observations_accepts_numpy_integer_pilot_len():
 def test_scene_rejects_non_finite_values(kind, field, bad):
     """The constructor checks finiteness, as ``Scene.from_text`` did."""
     topo = Topology(kind, 2, 3 if kind is Kind.BISTATIC else 2)
-    scene = random_scene(topo, 10.0, stream_rng(8, 8))
+    scene = random_scene(topo, 10.0, noise_rng(8, 8))
     values = {"tx": scene.tx.copy(), "tag": scene.tag.copy(), "delta": 1e-9}
     if topo.kind is Kind.BISTATIC:
         values["rx"] = scene.rx.copy()
@@ -377,12 +376,6 @@ def test_scene_rejects_non_finite_values(kind, field, bad):
         values[field].flat[-1] = bad
     with pytest.raises(NonFiniteInput):
         Scene(topo, **values)
-
-
-def test_stream_keys_wrap_mod_2_64():
-    wrapped = stream_rng(2**64 + 9, 2**64 + 5).random(8)
-    assert np.array_equal(wrapped, stream_rng(9, 5).random(8))
-    assert np.array_equal(stream_rng(-1, -1).random(8), stream_rng(2**64 - 1, 2**64 - 1).random(8))
 
 
 def test_noise_stream_keys_wrap_mod_2_64():

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bstoa
-from bstoa.channel import Scene, random_scene, stream_rng, synth_observations, true_delays
+from bstoa.channel import Scene, noise_rng, random_scene, synth_observations, true_delays
 from bstoa.cli import main
 from bstoa.harness import DEFAULT_SIGMA_GRID
 from bstoa.topology import Kind, Topology, weighting_matrix
@@ -48,9 +48,10 @@ def test_gen_matrix_b_matches_library(capsys):
 
 def test_estimate_roundtrip(tmp_path, capsys):
     topo = Topology.bistatic(2, 2)
-    t = true_delays(random_scene(topo, 10.0, stream_rng(1, 0)))
+    scene = random_scene(topo, 10.0, noise_rng(1, 0))
+    t = true_delays(scene.tx, scene.rx, scene.tag)
     path = tmp_path / "obs.csv"
-    np.savetxt(path, synth_observations(t, 4, 0.0, stream_rng(1, 1)), delimiter=",")
+    np.savetxt(path, synth_observations(t, 4, 0.0, noise_rng(1, 1)), delimiter=",")
     code, out, _ = run_cli(
         capsys, "estimate", "--topology", "bi", "--m", "2", "--n", "2",
         "--input", str(path), "--method", "ls",
@@ -62,8 +63,9 @@ def test_estimate_roundtrip(tmp_path, capsys):
 
 def test_estimate_proposed_satisfies_constraint(tmp_path, capsys):
     topo = Topology.bistatic(2, 2)
-    rng = stream_rng(2, 0)
-    t = true_delays(random_scene(topo, 10.0, rng))
+    rng = noise_rng(2, 0)
+    scene = random_scene(topo, 10.0, rng)
+    t = true_delays(scene.tx, scene.rx, scene.tag)
     path = tmp_path / "obs.csv"
     np.savetxt(path, synth_observations(t, 2, 1e-9, rng), delimiter=",")
     code, out, _ = run_cli(
@@ -169,11 +171,11 @@ def test_crlb_bad_input_exit_code(capsys, topology, sigma, pilot_len):
 
 def test_localize_scene_file(tmp_path, capsys):
     topo = Topology.bistatic(4, 3)
-    scene = random_scene(topo, 10.0, stream_rng(3, 0))
+    scene = random_scene(topo, 10.0, noise_rng(3, 0))
     scene_path = tmp_path / "scene.txt"
     scene_path.write_text(scene.to_text())
     toa_path = tmp_path / "toa.csv"
-    np.savetxt(toa_path, true_delays(scene), delimiter=",")
+    np.savetxt(toa_path, true_delays(scene.tx, scene.rx, scene.tag, scene.delta), delimiter=",")
     code, out, _ = run_cli(
         capsys, "localize", "--scene", str(scene_path), "--toa", str(toa_path), "--method", "ls",
     )
@@ -187,11 +189,11 @@ def test_localize_scene_scaled_by_1e_minus_50(tmp_path, capsys):
     """A bistatic 4x3 scene file scaled by 1e-50 fixes its tag within 1e-9
     of its 1e-49 m cube: the localizers solve in the scene's own frame.  It
     used to print a fix 0.87 cube sides off with exit 0."""
-    scene = random_scene(Topology.bistatic(4, 3), 10.0, stream_rng(1, 0))
+    scene = random_scene(Topology.bistatic(4, 3), 10.0, noise_rng(1, 0))
     small = Scene(
         topo=scene.topo, tx=scene.tx * 1e-50, rx=scene.rx * 1e-50, tag=scene.tag * 1e-50
     )
-    scene_path, toa_path = _localize_files(tmp_path, small, true_delays(small))
+    scene_path, toa_path = _localize_files(tmp_path, small)
     code, out, err = run_cli(capsys, "localize", "--scene", scene_path, "--toa", toa_path)
     assert (code, err) == (0, "")
     values = [float(x) for x in out.strip().split(",")]
@@ -199,10 +201,11 @@ def test_localize_scene_scaled_by_1e_minus_50(tmp_path, capsys):
 
 
 def test_localize_monostatic_proposed(tmp_path, capsys):
-    scene = random_scene(Topology.monostatic(5), 10.0, stream_rng(4, 0))
+    scene = random_scene(Topology.monostatic(5), 10.0, noise_rng(4, 0))
     scene_path = tmp_path / "scene.txt"
     scene_path.write_text(scene.to_text())
-    t = true_delays(scene) + stream_rng(4, 1).normal(0.0, 1e-10, (5, 5))
+    t = true_delays(scene.tx, scene.rx, scene.tag, scene.delta)
+    t += noise_rng(4, 1).normal(0.0, 1e-10, (5, 5))
     toa_path = tmp_path / "toa.csv"
     np.savetxt(toa_path, t, delimiter=",")
     code, out, _ = run_cli(
@@ -214,7 +217,11 @@ def test_localize_monostatic_proposed(tmp_path, capsys):
     assert np.linalg.norm(np.array(values[:3]) - scene.tag) < 0.5
 
 
-def _localize_files(tmp_path, scene, t):
+def _localize_files(tmp_path, scene, t=None):
+    """Write the scene record and the delay CSV ``t``, by default the
+    scene's true delays; return both paths."""
+    if t is None:
+        t = true_delays(scene.tx, scene.rx, scene.tag, scene.delta)
     scene_path = tmp_path / "scene.txt"
     scene_path.write_text(scene.to_text())
     toa_path = tmp_path / "toa.csv"
@@ -225,8 +232,8 @@ def _localize_files(tmp_path, scene, t):
 @pytest.mark.parametrize("topo", [Topology.bistatic(4, 3), Topology.monostatic(5)])
 @pytest.mark.parametrize("method", ["ls", "proposed"])
 def test_localize_non_finite_toa_exit_code(tmp_path, capsys, topo, method):
-    scene = random_scene(topo, 10.0, stream_rng(5, 0))
-    t = true_delays(scene)
+    scene = random_scene(topo, 10.0, noise_rng(5, 0))
+    t = true_delays(scene.tx, scene.rx, scene.tag, scene.delta)
     t[0, 0] = np.nan
     scene_path, toa_path = _localize_files(tmp_path, scene, t)
     code, out, err = run_cli(
@@ -239,8 +246,8 @@ def test_localize_non_finite_toa_exit_code(tmp_path, capsys, topo, method):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_localize_non_finite_scene_exit_code(tmp_path, capsys, bad):
-    scene = random_scene(Topology.bistatic(4, 3), 10.0, stream_rng(5, 1))
-    t = true_delays(scene)
+    scene = random_scene(Topology.bistatic(4, 3), 10.0, noise_rng(5, 1))
+    t = true_delays(scene.tx, scene.rx, scene.tag, scene.delta)
     scene.tx[2, 1] = bad
     scene_path, toa_path = _localize_files(tmp_path, scene, t)
     code, out, err = run_cli(capsys, "localize", "--scene", scene_path, "--toa", toa_path)
@@ -252,8 +259,9 @@ def test_localize_non_finite_scene_exit_code(tmp_path, capsys, bad):
 @pytest.mark.parametrize("topo", [Topology.bistatic(4, 3), Topology.monostatic(5)])
 @pytest.mark.parametrize("method", ["ls", "proposed"])
 def test_localize_toa_shape_mismatch_exit_code(tmp_path, capsys, topo, method):
-    scene = random_scene(topo, 10.0, stream_rng(5, 2))
-    scene_path, toa_path = _localize_files(tmp_path, scene, true_delays(scene)[:, 1:])
+    scene = random_scene(topo, 10.0, noise_rng(5, 2))
+    t = true_delays(scene.tx, scene.rx, scene.tag, scene.delta)
+    scene_path, toa_path = _localize_files(tmp_path, scene, t[:, 1:])
     code, out, err = run_cli(
         capsys, "localize", "--scene", scene_path, "--toa", toa_path, "--method", method,
     )
@@ -264,8 +272,8 @@ def test_localize_toa_shape_mismatch_exit_code(tmp_path, capsys, topo, method):
 
 @pytest.mark.parametrize("drop", ["n", "tx1", "tag"])
 def test_localize_malformed_scene_exit_code(tmp_path, capsys, drop):
-    scene = random_scene(Topology.bistatic(4, 3), 10.0, stream_rng(5, 3))
-    scene_path, toa_path = _localize_files(tmp_path, scene, true_delays(scene))
+    scene = random_scene(Topology.bistatic(4, 3), 10.0, noise_rng(5, 3))
+    scene_path, toa_path = _localize_files(tmp_path, scene)
     lines = scene.to_text().splitlines()
     (tmp_path / "scene.txt").write_text("\n".join(x for x in lines if x.partition("=")[0] != drop))
     code, out, err = run_cli(capsys, "localize", "--scene", scene_path, "--toa", toa_path)
@@ -284,8 +292,8 @@ def test_localize_malformed_scene_exit_code(tmp_path, capsys, drop):
     ids=["misspelt-delta", "stray-tx7", "duplicate-tag"],
 )
 def test_localize_scene_with_unknown_or_duplicate_key_exit_code(tmp_path, capsys, edit, message):
-    scene = random_scene(Topology.bistatic(4, 3), 10.0, stream_rng(5, 4))
-    scene_path, toa_path = _localize_files(tmp_path, scene, true_delays(scene))
+    scene = random_scene(Topology.bistatic(4, 3), 10.0, noise_rng(5, 4))
+    scene_path, toa_path = _localize_files(tmp_path, scene)
     (tmp_path / "scene.txt").write_text(edit(scene.to_text()))
     code, out, err = run_cli(capsys, "localize", "--scene", scene_path, "--toa", toa_path)
     assert code == 2
@@ -466,8 +474,8 @@ def test_sweep_cli_under_determined_localization_exit_code(tmp_path, capsys):
 
 
 def test_localize_bistatic_2x2_exit_code(tmp_path, capsys):
-    scene = random_scene(Topology.bistatic(2, 2), 10.0, stream_rng(6, 0))
-    scene_path, toa_path = _localize_files(tmp_path, scene, true_delays(scene))
+    scene = random_scene(Topology.bistatic(2, 2), 10.0, noise_rng(6, 0))
+    scene_path, toa_path = _localize_files(tmp_path, scene)
     code, out, err = run_cli(capsys, "localize", "--scene", scene_path, "--toa", toa_path)
     assert code == 2
     assert out == ""
@@ -548,8 +556,8 @@ def test_csv_with_no_data_exit_code(tmp_path, capsys, command, content):
         argv = ["estimate", "--topology", "bi", "--m", "2", "--n", "2", "--input", str(empty)]
         what = "observations"
     else:
-        scene = random_scene(Topology.bistatic(4, 3), 10.0, stream_rng(5, 5))
-        scene_path, _ = _localize_files(tmp_path, scene, true_delays(scene))
+        scene = random_scene(Topology.bistatic(4, 3), 10.0, noise_rng(5, 5))
+        scene_path, _ = _localize_files(tmp_path, scene)
         argv = ["localize", "--scene", scene_path, "--toa", str(empty)]
         what = "delays"
     code, out, err = run_cli(capsys, *argv)
@@ -583,7 +591,7 @@ def _scene_files(draw):
     m = draw(counts)
     topo = Topology(kind, m, m if kind is Kind.MONOSTATIC else draw(counts))
     cube_side = draw(st.sampled_from([1e-3, 10.0, 1e6]))
-    scene = random_scene(topo, cube_side, stream_rng(draw(st.integers(0, 99)), 0))
+    scene = random_scene(topo, cube_side, noise_rng(draw(st.integers(0, 99)), 0))
     lines = scene.to_text().splitlines()
     edit = draw(st.sampled_from(["none", "drop", "nan"]))
     index = draw(st.integers(0, len(lines) - 1))
@@ -593,7 +601,8 @@ def _scene_files(draw):
         key, _, value = lines[index].partition("=")
         lines[index] = f"{key}=nan{value[value.find(','):] if ',' in value else ''}"
     noise = draw(st.sampled_from([0.0, 1e-9, 1e-6]))
-    t = true_delays(scene) + noise * stream_rng(1, 1).standard_normal((topo.m, topo.n))
+    t = true_delays(scene.tx, scene.rx, scene.tag, scene.delta)
+    t += noise * noise_rng(1, 1).standard_normal((topo.m, topo.n))
     delays = "".join(",".join(repr(float(x)) for x in row) + "\n" for row in t)
     toa = draw(st.just(delays) | _CSV_TEXTS)
     return "\n".join(lines) + "\n", toa

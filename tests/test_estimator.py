@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bstoa.channel import random_scene, stream_rng, synth_observations, true_delays
+from bstoa.channel import noise_rng, random_scene, synth_observations, true_delays
 from bstoa.errors import ConstraintViolated, DimensionMismatch, NonFiniteInput
 from bstoa.estimator import (
     decompose_delays,
@@ -38,7 +38,7 @@ def test_ls_estimate_is_pilot_mean():
 def test_ls_estimate_batch_equals_per_slice():
     """A (4, 5, L m, n) stack gives the per-slice estimates bit for bit."""
     topo = Topology.bistatic(3, 2)
-    y = stream_rng(4, 0).normal(size=(4, 5, 8 * topo.m, topo.n))
+    y = noise_rng(4, 0).normal(size=(4, 5, 8 * topo.m, topo.n))
     batch = ls_estimate(y, topo)
     assert batch.shape == (4, 5, topo.m, topo.n)
     for index in np.ndindex(4, 5):
@@ -47,11 +47,12 @@ def test_ls_estimate_batch_equals_per_slice():
 
 def test_ls_estimate_noiseless_recovers_truth():
     topo = Topology.bistatic(3, 2)
-    t = true_delays(random_scene(topo, 10.0, stream_rng(3, 0)))
+    scene = random_scene(topo, 10.0, noise_rng(3, 0))
+    t = true_delays(scene.tx, scene.rx, scene.tag)
     # Power-of-two pilot counts average identical values without rounding.
-    obs = synth_observations(t, 4, 0.0, stream_rng(3, 1))
+    obs = synth_observations(t, 4, 0.0, noise_rng(3, 1))
     assert np.array_equal(ls_estimate(obs, topo), t)
-    obs = synth_observations(t, 5, 0.0, stream_rng(3, 1))
+    obs = synth_observations(t, 5, 0.0, noise_rng(3, 1))
     assert np.abs(ls_estimate(obs, topo) - t).max() <= np.spacing(t).max()
 
 
@@ -59,8 +60,9 @@ def test_ls_estimate_matches_normal_equations_oracle():
     r"""Block means equal (S^T S)^-1 S^T y for S = I \otimes ones(L, 1)."""
     topo = Topology.bistatic(2, 2)
     length = 4
-    rng = stream_rng(17, 0)
-    t = true_delays(random_scene(topo, 10.0, rng))
+    rng = noise_rng(17, 0)
+    scene = random_scene(topo, 10.0, rng)
+    t = true_delays(scene.tx, scene.rx, scene.tag)
     y = synth_observations(t, length, 1e-9, rng)
     s = np.kron(np.eye(topo.mn), np.ones((length, 1)))
     oracle = np.linalg.solve(s.T @ s, s.T @ vec(y))
@@ -80,8 +82,9 @@ def test_refine_matches_kkt_oracle():
     [[S^T S, A^T], [A, 0]] on the raw observations."""
     topo = Topology.bistatic(3, 2)
     length = 4
-    rng = stream_rng(25, 0)
-    t = true_delays(random_scene(topo, 10.0, rng))
+    rng = noise_rng(25, 0)
+    scene = random_scene(topo, 10.0, rng)
+    t = true_delays(scene.tx, scene.rx, scene.tag)
     y = synth_observations(t, length, 2e-9, rng)
     a = correlation_matrix(topo).astype(float)
     s = np.kron(np.eye(topo.mn), np.ones((length, 1)))
@@ -103,13 +106,14 @@ def test_refine_bistatic_unit_vector():
 
 def test_refine_bistatic_fixes_constraint_satisfying_input():
     topo = Topology.bistatic(4, 3)
-    t = true_delays(random_scene(topo, 10.0, stream_rng(21, 0)))
+    scene = random_scene(topo, 10.0, noise_rng(21, 0))
+    t = true_delays(scene.tx, scene.rx, scene.tag)
     refined = refine_bistatic(t)
     assert np.abs(refined - t).max() < 1e-12 * np.abs(t).max()
 
 
 def test_refine_bistatic_idempotent():
-    rng = stream_rng(21, 1)
+    rng = noise_rng(21, 1)
     noisy = rng.normal(size=(3, 3))
     once = refine_bistatic(noisy)
     twice = refine_bistatic(once)
@@ -119,7 +123,7 @@ def test_refine_bistatic_idempotent():
 def test_refine_bistatic_result_satisfies_constraint():
     topo = Topology.bistatic(4, 3)
     a = correlation_matrix(topo).astype(float)
-    noisy = stream_rng(21, 2).normal(size=(4, 3))
+    noisy = noise_rng(21, 2).normal(size=(4, 3))
     refined = refine_bistatic(noisy)
     assert np.abs(a @ vec(refined)).max() < 1e-9 * max(1.0, np.abs(refined).max())
 
@@ -134,7 +138,7 @@ def test_refine_monostatic_hand_example():
 def test_refine_monostatic_symmetric_and_constrained():
     topo = Topology.monostatic(4)
     a = correlation_matrix(topo).astype(float)
-    noisy = stream_rng(21, 3).normal(size=(4, 4))
+    noisy = noise_rng(21, 3).normal(size=(4, 4))
     refined = refine_monostatic(noisy)
     assert np.array_equal(refined, refined.T)
     assert np.abs(a @ vec(refined)).max() < 1e-9 * max(1.0, np.abs(refined).max())
@@ -142,7 +146,8 @@ def test_refine_monostatic_symmetric_and_constrained():
 
 def test_refine_monostatic_fixed_point():
     topo = Topology.monostatic(3)
-    t = true_delays(random_scene(topo, 10.0, stream_rng(21, 4)))
+    scene = random_scene(topo, 10.0, noise_rng(21, 4))
+    t = true_delays(scene.tx, scene.rx, scene.tag)
     refined = refine_monostatic(t)
     assert np.abs(refined - t).max() < 1e-12 * np.abs(t).max()
 
@@ -164,6 +169,10 @@ def test_refine_dimension_checks():
         refine_estimate(np.zeros((0, 3)), Topology.bistatic(2, 3))
     with pytest.raises(DimensionMismatch):
         decompose_delays(np.zeros(3), 0.0, 0.0)
+    # An empty matrix raised numpy's ValueError from its max.
+    for empty in ((0, 3), (3, 0)):
+        with pytest.raises(DimensionMismatch):
+            decompose_delays(np.zeros(empty), 0.0, 0.0)
 
 
 def _dense_refine(t, topo):
@@ -182,7 +191,7 @@ def _small_topologies():
 
 
 def test_closed_form_refine_matches_dense_projector():
-    rng = stream_rng(22, 0)
+    rng = noise_rng(22, 0)
     for topo in _small_topologies():
         t = rng.normal(size=(topo.m, topo.n))
         expected = _dense_refine(t, topo)
@@ -191,7 +200,7 @@ def test_closed_form_refine_matches_dense_projector():
 
 
 def test_refine_batch_equals_per_slice():
-    rng = stream_rng(22, 1)
+    rng = noise_rng(22, 1)
     for topo in (Topology.bistatic(4, 3), Topology.bistatic(1, 5), Topology.monostatic(4)):
         batch = rng.normal(size=(2, 3, topo.m, topo.n))
         refined = refine_estimate(batch, topo)
@@ -208,7 +217,7 @@ def test_estimators_do_not_depend_on_batch_layout(topo):
     """Rows, columns and pilots of 8 and more are added in order whatever
     the memory layout: a trials-last batch, a C-order batch and each matrix
     alone give the same bits (np.sum would add a contiguous axis pairwise)."""
-    rng = stream_rng(22, 3)
+    rng = noise_rng(22, 3)
     pilots = rng.normal(size=(9, 8 * topo.m, topo.n))
     t_hats = rng.normal(size=(9, topo.m, topo.n))
     for estimate, batch in ((ls_estimate, pilots), (refine_estimate, t_hats)):
@@ -220,7 +229,7 @@ def test_estimators_do_not_depend_on_batch_layout(topo):
 
 
 def test_constraint_residual_matches_dense_rows():
-    rng = stream_rng(22, 2)
+    rng = noise_rng(22, 2)
     for topo in _small_topologies():
         t = rng.normal(size=(topo.m, topo.n))
         a = correlation_matrix(topo).astype(float)
@@ -240,16 +249,18 @@ def _full_estimate(t, pilot_len, rng, topo):
 
 def test_full_estimate_report():
     topo = Topology.bistatic(2, 2)
-    t = true_delays(random_scene(topo, 10.0, stream_rng(50, 0)))
-    t_hat, t_tilde = _full_estimate(t, 4, stream_rng(50, 1), topo)
+    scene = random_scene(topo, 10.0, noise_rng(50, 0))
+    t = true_delays(scene.tx, scene.rx, scene.tag)
+    t_hat, t_tilde = _full_estimate(t, 4, noise_rng(50, 1), topo)
     assert t_hat.shape == (2, 2)
     assert _constraint_residual(t_tilde) < 1e-9 * max(1.0, np.abs(t_tilde).max())
 
 
 def test_full_estimate_monostatic_symmetry():
     topo = Topology.monostatic(3)
-    t = true_delays(random_scene(topo, 10.0, stream_rng(51, 0)))
-    _, t_tilde = _full_estimate(t, 2, stream_rng(51, 1), topo)
+    scene = random_scene(topo, 10.0, noise_rng(51, 0))
+    t = true_delays(scene.tx, scene.rx, scene.tag)
+    _, t_tilde = _full_estimate(t, 2, noise_rng(51, 1), topo)
     assert np.array_equal(t_tilde, t_tilde.T)
     assert _constraint_residual(t_tilde) < 1e-9 * max(1.0, np.abs(t_tilde).max())
 
@@ -257,8 +268,9 @@ def test_full_estimate_monostatic_symmetry():
 def test_zero_noise_pipeline_exact():
     """scene -> delays -> pilots -> LS -> refinement reproduces the truth."""
     for topo in (Topology.bistatic(4, 3), Topology.monostatic(5)):
-        t = true_delays(random_scene(topo, 10.0, stream_rng(60, topo.m)))
-        y = synth_observations(t, 8, 0.0, stream_rng(60, 10 + topo.m))
+        scene = random_scene(topo, 10.0, noise_rng(60, topo.m))
+        t = true_delays(scene.tx, scene.rx, scene.tag)
+        y = synth_observations(t, 8, 0.0, noise_rng(60, 10 + topo.m))
         t_tilde = refine_estimate(ls_estimate(y, topo), topo)
         assert np.abs(t_tilde - t).max() < 1e-12 * np.abs(t).max()
 
@@ -268,8 +280,9 @@ def test_unbiasedness_monte_carlo():
     topo = Topology.bistatic(2, 2)
     b = _b(topo)
     length, sigma, trials = 2, 1e-9, 100_000
-    t = true_delays(random_scene(topo, 10.0, stream_rng(70, 0)))
-    noise = stream_rng(70, 1).normal(0.0, sigma, size=(trials, length * 2, 2))
+    scene = random_scene(topo, 10.0, noise_rng(70, 0))
+    t = true_delays(scene.tx, scene.rx, scene.tag)
+    noise = noise_rng(70, 1).normal(0.0, sigma, size=(trials, length * 2, 2))
     t_hats = t + noise.reshape(trials, 2, length, 2).mean(axis=2)
     # Column-major flattening per trial, then one projector application each.
     flat_errors = (t_hats - t).transpose(0, 2, 1).reshape(trials, 4)
@@ -280,7 +293,7 @@ def test_unbiasedness_monte_carlo():
 
 
 def test_decompose_recovers_known_components():
-    rng = stream_rng(80, 0)
+    rng = noise_rng(80, 0)
     m, n = 4, 3
     h = rng.uniform(0.0, 1e-7, m)
     g = rng.uniform(0.0, 1e-7, n)
@@ -294,7 +307,8 @@ def test_decompose_recovers_known_components():
 def test_decompose_gauge_freedom():
     """Different gauges shift h and g oppositely; the sums are invariant."""
     topo = Topology.bistatic(3, 3)
-    t = true_delays(random_scene(topo, 10.0, stream_rng(80, 1)))
+    scene = random_scene(topo, 10.0, noise_rng(80, 1))
+    t = true_delays(scene.tx, scene.rx, scene.tag)
     h1, g1 = decompose_delays(t, 0.0, gauge_g1=0.0)
     h2, g2 = decompose_delays(t, 0.0, gauge_g1=5e-9)
     sums1 = h1[:, None] + g1[None, :]
@@ -305,7 +319,8 @@ def test_decompose_gauge_freedom():
 def test_decompose_rebuild_round_trip():
     topo = Topology.bistatic(5, 4)
     for index in range(10):
-        t = true_delays(random_scene(topo, 10.0, stream_rng(80, 2 + index)))
+        scene = random_scene(topo, 10.0, noise_rng(80, 2 + index))
+        t = true_delays(scene.tx, scene.rx, scene.tag)
         delta = 1e-8
         t = t + delta
         h, g = decompose_delays(t, delta, gauge_g1=3e-9)
@@ -315,7 +330,8 @@ def test_decompose_rebuild_round_trip():
 
 def test_decompose_monostatic_gauge_gives_equal_vectors():
     topo = Topology.monostatic(4)
-    t = true_delays(random_scene(topo, 10.0, stream_rng(80, 20)))
+    scene = random_scene(topo, 10.0, noise_rng(80, 20))
+    t = true_delays(scene.tx, scene.rx, scene.tag)
     h, g = decompose_delays(t, 0.0, gauge_g1=t[0, 0] / 2.0)
     assert np.abs(h - g).max() < 1e-24
     assert h[0] == pytest.approx(t[0, 0] / 2.0, abs=0.0)
@@ -331,7 +347,7 @@ def test_decompose_monostatic_single_antenna():
 
 
 def test_decompose_rejects_unconstrained_input():
-    noisy = stream_rng(80, 30).normal(size=(3, 3))
+    noisy = noise_rng(80, 30).normal(size=(3, 3))
     with pytest.raises(ConstraintViolated):
         decompose_delays(noisy, 0.0, gauge_g1=0.0)
 

@@ -98,24 +98,20 @@ _CALLS = {
     "check_sigma": lambda draw, topo: analysis.check_sigma(
         draw(_ANY), (draw(st.integers(1, 8)),), abs(draw(_ANY))
     ),
-    "stream_rng": lambda draw, topo: channel.stream_rng(
-        draw(st.integers()), draw(st.integers())
-    ).random(2),
     "noise_rng": lambda draw, topo: channel.noise_rng(
         draw(st.integers()), draw(st.integers())
     ).random(2),
     "Scene": _scene,
     "Scene.from_text": lambda draw, topo: channel.Scene.from_text(_scene(draw, topo).to_text()),
     "random_scene": lambda draw, topo: channel.random_scene(
-        topo, draw(_ANY), channel.stream_rng(draw(st.integers(0, 99)), 0)
+        topo, draw(_ANY), channel.noise_rng(draw(st.integers(0, 99)), 0)
     ),
-    "true_delays": lambda draw, topo: channel.true_delays(_scene(draw, topo)),
-    "true_delays_batch": lambda draw, topo: channel.true_delays_batch(
+    "true_delays": lambda draw, topo: channel.true_delays(
         _matrix(draw, topo.m, 3), _matrix(draw, topo.n, 3), _matrix(draw, 1, 3)[0], draw(_ANY)
     ),
     "synth_observations": lambda draw, topo: channel.synth_observations(
         _matrix(draw, topo.m, topo.n), draw(st.integers(0, 3)), abs(draw(_ANY)),
-        channel.stream_rng(draw(st.integers(0, 99)), 0),
+        channel.noise_rng(draw(st.integers(0, 99)), 0),
     ),
 }
 
@@ -157,7 +153,7 @@ _HUGE = np.full((3, 3), 1e308)
         lambda: estimator.ls_estimate(np.full((2, 2), np.nan), Topology.bistatic(2, 2)),
         lambda: estimator.refine_bistatic(np.full((2, 2), np.nan)),
         lambda: estimator.decompose_delays(_HUGE, -1e308, 0.0),
-        lambda: channel.true_delays_batch(_HUGE / 1e8, -_HUGE / 1e8, np.zeros(3)),
+        lambda: channel.true_delays(_HUGE / 1e8, -_HUGE / 1e8, np.zeros(3)),
         lambda: analysis.theoretical_mse_independent(Topology.bistatic(3, 3), _HUGE, 1),
         lambda: analysis.crlb_monostatic(Topology.monostatic(6), 1e308, 1),
     ],

@@ -26,7 +26,6 @@ from bstoa.channel import (
     Scene,
     noise_rng,
     random_scene,
-    stream_rng,
     synth_observations,
     true_delays,
 )
@@ -182,18 +181,22 @@ def test_parse_config_bad_value_message(text, message):
         ({"master_seed": 1.5}, "master_seed must be an integer, got 1.5"),
         ({"m": 2.0}, "m must be an integer, got 2.0"),
         ({"n": "2"}, "n must be an integer, got '2'"),
+        ({"cube_side": "10"}, "cube_side must be a finite number > 0, got '10'"),
+        ({"sigma_grid": ("1e-9",)}, "sigma_grid must hold real numbers, got ('1e-9',)"),
+        ({"sigma_grid": (1e-9, "2e-9")}, "sigma_grid must hold real numbers, got (1e-09, '2e-9')"),
     ],
     ids=[
         "empty-pilots", "empty-sigmas", "pilot-2.5", "pilot-8.0", "pilot-0", "trials", "seed", "m",
-        "n",
+        "n", "cube-side-text", "sigma-text", "sigma-mixed",
     ],
 )
 def test_config_rejects_empty_grids_and_non_integer_counts(overrides, message):
-    """Empty grids, and counts or a seed that ``operator.index`` rejects,
-    are ConfigInvalid; pilot lengths take the package's one pilot-length
-    rule.  A pilot length of 2.5 used to run and write ``pilot_len=2.5``
-    rows; a float m, trials or seed raised TypeError deep inside the
-    sweep."""
+    """Empty grids, counts or a seed that ``operator.index`` rejects, and a
+    cube side or sigma that is not a real number are ConfigInvalid; pilot
+    lengths take the package's one pilot-length rule.  A pilot length of
+    2.5 used to run and write ``pilot_len=2.5`` rows; a float m, trials or
+    seed raised TypeError deep inside the sweep, and so did a text cube
+    side or sigma, from ``math.isfinite`` or a comparison."""
     with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}$"):
         _cfg(**overrides)
 
@@ -1230,7 +1233,7 @@ def test_mse_and_crlb_sweeps_draw_no_scene(monkeypatch):
 
     _forbid(
         monkeypatch,
-        (bstoa.channel.true_delays, bstoa.channel.true_delays_batch),
+        (bstoa.channel.true_delays,),
         "a sweep computed true delays",
     )
     for kind, m in ((Kind.BISTATIC, 4), (Kind.MONOSTATIC, 6)):
@@ -1250,9 +1253,10 @@ def test_mse_sweep_ls_row_matches_real_pilots():
     topo = cfg.topology
     values = trials * topo.mn
     swept = {row.pilot_len: row.value for row in run_sweep(cfg, workers=1).rows if row.method == "ls"}
-    truth = true_delays(random_scene(topo, cfg.cube_side, stream_rng(808, 0)))
+    scene = random_scene(topo, cfg.cube_side, noise_rng(808, 0))
+    truth = true_delays(scene.tx, scene.rx, scene.tag)
     for index, length in enumerate(lengths):
-        rng = stream_rng(808, 1 + index)
+        rng = noise_rng(808, 1 + index)
         sq = 0.0
         for _ in range(trials):
             err = ls_estimate(synth_observations(truth, length, sigma, rng), topo) - truth
@@ -1369,7 +1373,7 @@ def _reference_chunk(cfg, point, chunk):
         points = u[i] * cfg.cube_side
         rx = points[m : m + n_rx] if n_rx else None
         scene = Scene(topo, tx=points[:m], rx=rx, tag=points[-1])
-        truth = true_delays(scene)
+        truth = true_delays(scene.tx, scene.rx, scene.tag, scene.delta)
         t_hat = truth + (sigma / math.sqrt(pilot_len)) * z[..., i]
         values = (scene.tx, scene.rx, scene.tag, truth, t_hat, refine_estimate(t_hat, topo))
         for key, value in zip(stacks, values):
@@ -1440,6 +1444,31 @@ def test_chunk_is_bitwise_the_per_trial_loop(kind, m, n, pilot_len):
         assert np.array_equal(tags * unit, want_tags.T)
         gap = np.abs(_in_gauge(cfg, terms * unit) - _reference_terms(cfg, t_hats, t_refs)).max()
         assert gap <= 16 * np.finfo(float).eps * SPEED_OF_LIGHT * np.abs(truths).max()
+
+
+@pytest.mark.parametrize("cube_side", [3.7, 10.0])
+@pytest.mark.parametrize(
+    "kind, m, n", [(Kind.BISTATIC, 4, 3), (Kind.MONOSTATIC, 6, 6)], ids=["bi4x3", "mono6"]
+)
+def test_random_scene_replays_a_localization_chunk(kind, m, n, cube_side):
+    """Successive ``random_scene`` calls on ``noise_rng(master_seed, c)``
+    draw the scenes of localization chunk c bit for bit: its anchors and
+    tags times its scene unit, on full chunks and on the 76-trial last
+    chunk of 1100 trials, at cube sides that are not powers of two.  So the
+    public scene draw and the sweep share one stream contract."""
+    cfg = _cfg(
+        experiment=ExperimentKind.LOCALIZATION, kind=kind, m=m, n=n, trials=1100,
+        cube_side=cube_side,
+    )
+    for c, count in enumerate((CHUNK_TRIALS, CHUNK_TRIALS, 76)):
+        anchors, tags, _, unit = _loc_terms(cfg, c)
+        rng = noise_rng(cfg.master_seed, c)
+        scenes = [random_scene(cfg.topology, cube_side, rng) for _ in range(count)]
+        points = [
+            np.concatenate([s.tx, s.rx]) if kind is Kind.BISTATIC else s.tx for s in scenes
+        ]
+        assert np.array_equal(anchors * unit, np.stack(points).transpose(2, 1, 0))
+        assert np.array_equal(tags * unit, np.stack([s.tag for s in scenes]).T)
 
 
 @pytest.mark.parametrize(
