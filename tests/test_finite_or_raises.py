@@ -106,9 +106,16 @@ _CALLS = {
     "random_scene": lambda draw, topo: channel.random_scene(
         topo, draw(_ANY), channel.noise_rng(draw(st.integers(0, 99)), 0)
     ),
-    "true_delays": lambda draw, topo: channel.true_delays(
-        _matrix(draw, topo.m, 3), _matrix(draw, topo.n, 3), _matrix(draw, 1, 3)[0], draw(_ANY)
-    ),
+    # One drawn scene, and a stack of k scenes that share their receivers.
+    "true_delays": lambda draw, topo: (
+        lambda scene: channel.true_delays(scene.tx, scene.rx, scene.tag, scene.delta)
+    )(_scene(draw, topo)),
+    "true_delays_batch": lambda draw, topo: (
+        lambda k: channel.true_delays(
+            _matrix(draw, k * topo.m, 3).reshape(k, topo.m, 3), _matrix(draw, topo.n, 3),
+            _matrix(draw, k, 3), draw(_ANY),
+        )
+    )(draw(_SIZES)),
     "synth_observations": lambda draw, topo: channel.synth_observations(
         _matrix(draw, topo.m, topo.n), draw(st.integers(0, 3)), abs(draw(_ANY)),
         channel.noise_rng(draw(st.integers(0, 99)), 0),
