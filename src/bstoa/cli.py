@@ -157,7 +157,12 @@ def build_parser() -> argparse.ArgumentParser:
     loc = sub.add_parser("localize", help="fix a tag position from a TOA matrix")
     loc.add_argument("--scene", required=True, help="scene file (key=value record)")
     loc.add_argument("--toa", required=True, help="delay matrix CSV, m rows, n columns")
-    loc.add_argument("--method", choices=("ls", "proposed"), default="ls")
+    loc.add_argument(
+        "--method", choices=("ls", "proposed"), default="ls",
+        help="fix from the delays as read (ls) or from their projection (proposed); "
+        "a bistatic scene gets one fix from both, since a delay matrix and its "
+        "projection share their fitted terms",
+    )
     loc.set_defaults(func=_cmd_localize)
 
     sweep = sub.add_parser("sweep", help="run a Monte-Carlo sweep")

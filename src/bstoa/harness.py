@@ -113,7 +113,8 @@ from .localization import RANGE_LIMIT, _fix_bistatic, _fix_monostatic
 from .topology import Kind, Topology, _require_integer
 
 CHUNK_TRIALS = 512
-# Bumped whenever the draws behind a sweep's CSV change (module docstring).
+# Bumped whenever the draws behind a sweep's CSV change (module docstring;
+# tests/contract.py replays them).
 STREAM_CONTRACT = 11
 LOW_CONFIDENCE_TRIALS = 1000
 # Work left after the timed chunk (its seconds times the chunks left) above
@@ -593,24 +594,26 @@ def _loc_terms(cfg: SweepConfig, c: int) -> tuple[np.ndarray, np.ndarray, np.nda
 
 def _run_loc_chunk(cfg: SweepConfig, c: int) -> dict:
     anchors, tags, terms, unit = _loc_terms(cfg, c)
-    if cfg.kind is Kind.BISTATIC:
-        # A delay matrix and its projection have one bistatic fix (see
-        # localize_bistatic), so each scene is solved once.  Its rank
-        # test reads the noisy range sums, so a singular scene may be noise.
-        try:
-            fix, _, _ = _fix_bistatic(anchors, terms, cfg.m)
-        except SingularGeometry as exc:
-            sigma, pilot_len = cfg.grid_points[_chunk_span(cfg, c)[0]]
-            raise SingularGeometry(
-                f"{exc} at the noisy range sums of sigma = {sigma!r} s, L = {pilot_len} "
-                f"(chunk {c})"
-            ) from exc
-        fixes = [fix]  # the ls and proposed rows share it
-    else:
-        # One call fixes the LS and the refined ranges; no scene's
-        # arithmetic depends on the rest of its batch.
-        both, _, _ = _fix_monostatic(np.concatenate((anchors, anchors), axis=2), terms)
-        fixes = np.split(both, 2, axis=1)
+    bistatic = cfg.kind is Kind.BISTATIC
+    try:
+        if bistatic:
+            # A delay matrix and its projection have one bistatic fix (see
+            # localize_bistatic), so each scene is solved once, and the ls
+            # and proposed rows share it.  Its rank test reads the noisy
+            # range sums, so a singular scene may be noise.
+            fixes = [_fix_bistatic(anchors, terms, cfg.m)[0]]
+        else:
+            # One call fixes the LS and the refined ranges; no scene's
+            # arithmetic depends on the rest of its batch.
+            both, _, _ = _fix_monostatic(np.concatenate((anchors, anchors), axis=2), terms)
+            fixes = np.split(both, 2, axis=1)
+    except SingularGeometry as exc:
+        sigma, pilot_len = cfg.grid_points[_chunk_span(cfg, c)[0]]
+        where = "noisy range sums" if bistatic else "LS and refined ranges"
+        twice = "" if bistatic else f", each of its {tags.shape[1]} scenes solved twice"
+        raise SingularGeometry(
+            f"{exc} at the {where} of sigma = {sigma!r} s, L = {pilot_len} (chunk {c}{twice})"
+        ) from exc
     # Squared errors in meters: the scene unit squared is a power of two.
     sqerr = [((p - tags) ** 2).sum() * unit**2 for p in fixes]
     return {"sqerr_ls": sqerr[0], "sqerr_proposed": sqerr[-1]}

@@ -79,8 +79,13 @@ DECREASE_RTOL = 1e-14
 # the adjugate solve of the linearized sphere equations forms, with 2^128 to
 # spare for sums over anchors.
 RANGE_LIMIT = 2.0**128
-# The rank test uses the scale-free ratio det(H) / |H|_F^3.  Random scene
-# geometry stays above 1e-5; collinear or coplanar anchors with
+# The rank test uses the scale-free ratio det(H) / |H|_F^3, at most
+# 1 / cond(H), so at 1e-12 a 3x3 solve keeps at most about 4 digits.
+# Random geometry does not stay far above it: over the 100,000 scenes of
+# chunks 0-199 of a seed-0 monostatic 4 sweep (4 uniform anchors in a
+# cube; the closed form's H), 4.5% lie below 1e-5, the 1e-4, 1e-3 and 1e-2
+# quantiles are 6.5e-11, 4.4e-9 and 4.9e-7, and 2 scenes (chunks 111 and
+# 183) at or below 1e-12.  Collinear or coplanar anchors with
 # metrology-level jitter fall below 1e-18.
 _DET3_RTOL = 1e-12
 # adj[i, j] = h[j+1, i+1] h[j+2, i+2] - h[j+1, i+2] h[j+2, i+1] (indices

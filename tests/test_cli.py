@@ -506,9 +506,12 @@ def test_localize_singular_geometry_exit_code(tmp_path, capsys):
 
 
 def test_sweep_cli_singular_geometry_names_the_grid_point(tmp_path, capsys):
-    """A bistatic sweep whose range noise swamps its cube exits 3, and the
-    message names the grid point and chunk, and that the rank test ran on
-    the noisy range sums; it used to name only the scene count."""
+    """A localization sweep that meets a singular scene exits 3, and the
+    message names the grid point and chunk; it used to name only the scene
+    count.  Bistatic: range noise swamps the cube, and the rank test reads
+    the noisy range sums.  Monostatic 4 at seed 0: chunk 111 holds a
+    coplanar scene, counted twice, since each scene is solved for its LS
+    and its refined ranges."""
     config = tmp_path / "noisy.cfg"
     config.write_text(
         "experiment = localization\nkind = bistatic\nm = 4\nn = 3\npilot_lengths = 2\n"
@@ -521,6 +524,16 @@ def test_sweep_cli_singular_geometry_names_the_grid_point(tmp_path, capsys):
         "error: rank-deficient geometry in 157 of 512 scenes at the noisy range sums of "
         "sigma = 0.0001 s, L = 2 (chunk 0)\n"
     )
+    assert not out.exists()
+    config.write_text(
+        "experiment = localization\nkind = monostatic\nm = 4\npilot_lengths = 2\n"
+        f"sigma_grid = 1e-9\ntrials = {112 * 512}\nmaster_seed = 0\n"
+    )
+    code, _, err = run_cli(capsys, "sweep", "--config", str(config), "--out", str(out), "--workers", "1")
+    assert (code, err) == (3, (
+        "error: coplanar anchors in 2 of 1024 scenes at the LS and refined ranges of sigma = "
+        "1e-09 s, L = 2 (chunk 111, each of its 512 scenes solved twice)\n"
+    ))
     assert not out.exists()
 
 

@@ -19,11 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bstoa
+import contract
 from bstoa import harness
 from bstoa.analysis import theoretical_mse_iid
 from bstoa.channel import (
     SPEED_OF_LIGHT,
-    Scene,
     noise_rng,
     random_scene,
     synth_observations,
@@ -513,133 +513,6 @@ def _point_chunks(cfg):
     return [(p, k, p * chunks + k) for p in range(len(cfg.grid_points)) for k in range(chunks)]
 
 
-def _chunk_stream(cfg, point, chunk):
-    """Trial count and ``noise_rng`` stream of chunk ``chunk`` of grid point
-    ``point`` of an mse or crlb sweep: the chunk holds trials ``chunk *
-    CHUNK_TRIALS`` onwards and draws from stream ``point * chunks +
-    chunk``."""
-    count = min(CHUNK_TRIALS, cfg.trials - chunk * CHUNK_TRIALS)
-    chunks = math.ceil(cfg.trials / CHUNK_TRIALS)
-    return count, noise_rng(cfg.master_seed, point * chunks + chunk)
-
-
-def _replayed_factor(rng, k, count):
-    """The Bartlett factor an mse or crlb chunk of ``count`` trials draws
-    first by stream contract v10, replayed from its stream ``rng``: a (k,
-    r) array, r = min(k, count), whose strictly lower entries are those of
-    one (k, r) standard normal draw and whose diagonal is the square root
-    of a chi-square vector with count, count - 1, ..., count - r + 1
-    degrees of freedom, one gamma draw.  Its r columns stand for the
-    chunk's trials: the chunk folds them as it folded per-trial normals by
-    v9."""
-    r = min(k, count)
-    normals = rng.standard_normal((k, r))
-    chi = np.sqrt(2.0 * rng.standard_gamma((count - np.arange(r)) / 2))
-    factor = np.where(np.arange(k)[:, None] > np.arange(r), normals, 0.0)
-    factor[np.arange(r), np.arange(r)] = chi
-    return factor
-
-
-def _noise_factor(cfg, point, chunk):
-    """Trial count, stream and replayed Bartlett factor of chunk ``chunk``
-    of grid point ``point`` of an mse or crlb sweep: k = m + n for
-    bistatic, 2 m for monostatic (1 at m = 1)."""
-    count, rng = _chunk_stream(cfg, point, chunk)
-    m = cfg.m
-    k = m + cfg.n if cfg.kind is Kind.BISTATIC else (2 * m if m > 1 else 1)
-    return count, rng, _replayed_factor(rng, k, count)
-
-
-def _replayed_monostatic(u, m):
-    """The monostatic statistics of a (2 m, cols) standard normal array u
-    (at m = 1 only its first row is read): its first m rows are z's
-    diagonal d, and its last m rows x give ``B s = sqrt((m - 2) / 2) (x -
-    mean(x)) + sqrt(m - 1) mean(x)``, B the vertex-edge incidence matrix of
-    the complete graph on m vertices and s the upper entries of ``(z +
-    z^T) / 2`` (0 at m = 1).  Returns d, B s and x."""
-    d, x = u[:m], u[m:]
-    if m == 1:
-        return d, np.zeros_like(d), x
-    mean = x.mean(axis=0)
-    bs = math.sqrt((m - 2) / 2) * (x - mean) + math.sqrt(m - 1) * mean
-    return d, bs, x
-
-
-def _monostatic_chi2(rng, m, count):
-    """The chi-square energy a monostatic mse chunk of ``count`` trials
-    draws last, summed over the chunk: ``m (m - 1) - r`` degrees of
-    freedom a trial, r = m for m >= 3 and m - 1 below (no draw at m =
-    1)."""
-    if m == 1:
-        return 0.0
-    rank = m if m >= 3 else m - 1
-    return 2.0 * rng.standard_gamma(count * (m * (m - 1) - rank) / 2)
-
-
-def _monostatic_plane(d, bs):
-    """An (m, m, trials) plane with the statistics a monostatic chunk
-    draws: diagonal d, symmetric off-diagonal entries s, the least-norm
-    solution of ``B s = bs``, and no antisymmetric part.  Its row plus
-    column sums are ``2 (d + B s)``, so its LS diagonal and its refined
-    errors are those of the chunk."""
-    m, count = d.shape
-    upper, lower = np.triu_indices(m, 1)
-    edges = np.arange(len(upper))
-    incidence = np.zeros((m, len(upper)))
-    incidence[upper, edges] = incidence[lower, edges] = 1.0
-    s = np.linalg.pinv(incidence) @ bs
-    z = np.zeros((m, m, count))
-    z[upper, lower] = z[lower, upper] = s
-    z[np.arange(m), np.arange(m)] = d
-    return z
-
-
-def _replayed_bistatic(u, m):
-    """The bistatic statistics of an (m + n, cols) standard normal array u:
-    its first m rows over sqrt(n) are the row means r and its last n rows
-    over sqrt(m), less their per-column mean, are the column effects beta.
-    Returns r and beta."""
-    n = len(u) - m
-    beta = u[m:] / math.sqrt(m)
-    beta -= np.add.reduce(beta, axis=0) / n
-    return u[:m] / math.sqrt(n), beta
-
-
-def _replayed_statistics(cfg, point, chunk):
-    """What a bistatic mse or crlb chunk draws by stream contract v11 (as by
-    v10), replayed from its stream: its Bartlett factor
-    (``_replayed_factor``), whose columns are pseudo-trials, mapped to r
-    and beta (``_replayed_bistatic``); then the chi-square energy of the
-    plane off the outer-sum subspace, summed over the chunk's trials (an
-    mse chunk's last draw)."""
-    m, n = cfg.m, cfg.n
-    count, rng, u = _noise_factor(cfg, point, chunk)
-    rows, beta = _replayed_bistatic(u, m)
-    return rows, beta, 2.0 * rng.standard_gamma(count * (m - 1) * (n - 1) / 2)
-
-
-def _reference_errors(cfg, point, chunk):
-    """The LS errors of chunk ``chunk`` of grid point ``point``, one
-    pseudo-trial at a time: pseudo-trial i's LS error is (sigma / sqrt(L))
-    z[..., i].  No chunk draws a plane, nor a trial's statistics, so z is a
-    plane with the statistics of the Bartlett factor's columns, and its
-    sums over pseudo-trials are the chunk's sums over its trials.
-    Bistatic, ``z[i, j] = r_i + beta_j + q_ij``, where q is one doubly
-    centred matrix whose squares, over all the pseudo-trials, add up to
-    the chunk's chi-square energy; monostatic, ``_monostatic_plane``."""
-    sigma, pilot_len = cfg.grid_points[point]
-    if cfg.kind is Kind.MONOSTATIC:
-        _, _, u = _noise_factor(cfg, point, chunk)
-        z = _monostatic_plane(*_replayed_monostatic(u, cfg.m)[:2])
-    else:
-        rows, beta, energy = _replayed_statistics(cfg, point, chunk)
-        centred = np.outer(np.arange(cfg.m) - (cfg.m - 1) / 2, np.arange(cfg.n) - (cfg.n - 1) / 2)
-        norm = np.linalg.norm(centred)
-        q = centred * (math.sqrt(energy / rows.shape[1]) / norm) if norm else centred
-        z = rows[:, None, :] + beta[None, :, :] + q[:, :, None]
-    return [(sigma / math.sqrt(pilot_len)) * z[..., i] for i in range(z.shape[-1])]
-
-
 def test_stream_contract_is_11():
     assert STREAM_CONTRACT == bstoa.STREAM_CONTRACT == 11
 
@@ -695,7 +568,7 @@ def test_chunk_matches_per_trial_reference():
     sq_ls = np.zeros((topo.m, topo.n))
     sq_ref = np.zeros((topo.m, topo.n))
     cov = np.zeros((topo.mn, topo.mn))
-    for err in _reference_errors(cfg, 1, 0):
+    for err in contract.ls_errors(cfg, 1):
         err_ref = b @ vec(err)
         sq_ls += err**2
         sq_ref += unvec(err_ref**2, topo.m, topo.n)
@@ -756,21 +629,22 @@ def test_refined_error_is_the_projected_ls_error(kind, m, n):
     16 eps max|truth| on full scene chunks.  Every chunk relies on this: an
     mse or crlb chunk draws no scene, and a localization chunk's terms are
     the true ranges plus the projected noise, within the same bound of the
-    terms of truth + the refined LS error in one gauge (``_in_gauge``)."""
+    terms of truth + the refined LS error in one gauge
+    (``contract.public_gauge``)."""
     cfg = _cfg(
         experiment=ExperimentKind.LOCALIZATION, kind=kind, m=m, n=n, pilot_lengths=(2,),
         sigma_grid=(1e-10, 3e-9), trials=CHUNK_TRIALS,
     )
     eps = np.finfo(float).eps
-    for point, chunk, c in _point_chunks(cfg):
-        *_, truths, t_hats, t_refs = _reference_chunk(cfg, point, chunk)
-        projected = refine_estimate(t_hats - truths, cfg.topology)
-        gap = np.abs((t_refs - truths) - projected).max()
-        assert gap <= 16 * eps * np.abs(truths).max()
+    for _, _, c in _point_chunks(cfg):
+        ref = contract.localization_chunk(cfg, c)
+        projected = refine_estimate(ref.t_hat - ref.truth, cfg.topology)
+        gap = np.abs((ref.t_ref - ref.truth) - projected).max()
+        assert gap <= 16 * eps * np.abs(ref.truth).max()
         _, _, terms, unit = _loc_terms(cfg, c)
-        want = _reference_terms(cfg, t_hats, truths + projected)
-        gap = np.abs(_in_gauge(cfg, terms * unit) - want).max()
-        assert gap <= 16 * eps * SPEED_OF_LIGHT * np.abs(truths).max()
+        want = contract.localizer_terms(cfg, ref.t_hat, ref.truth + projected)
+        gap = np.abs(contract.public_gauge(cfg, terms * unit) - want).max()
+        assert gap <= 16 * eps * SPEED_OF_LIGHT * np.abs(ref.truth).max()
 
 
 @pytest.mark.parametrize(
@@ -783,12 +657,11 @@ def test_refined_error_is_the_projected_ls_error(kind, m, n):
 def test_squares_from_the_partial_are_the_refined_squares(kind, m, n):
     """The per-entry refined squares read off a chunk's row/column partial
     equal the squares of ``refine_estimate`` on the chunk's LS errors (a
-    plane with the chunk's draws, ``_reference_errors``) within 1e-12
+    plane with the chunk's draws, ``contract.ls_errors``) within 1e-12
     relative, on a full and a partial chunk."""
     cfg = _cfg(kind=kind, m=m, n=n, pilot_lengths=(2,), sigma_grid=(3e-9,), trials=700)
-    for point, chunk, c in _point_chunks(cfg):
-        err = np.stack(_reference_errors(cfg, point, chunk))
-        want = _squares(refine_estimate(err, cfg.topology))
+    for _, _, c in _point_chunks(cfg):
+        want = _squares(refine_estimate(contract.ls_errors(cfg, c), cfg.topology))
         got = _refined_squares(cfg.topology, _run_noise_chunk(cfg, c)["rowcol"])
         assert got.shape == (m, n)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -816,17 +689,16 @@ def test_blocked_chunk_is_bitwise_the_whole_plane(kind, m, n):
     chunks keep the same ``rowcol``."""
     cfg = _cfg(kind=kind, m=m, n=n, pilot_lengths=(8,), sigma_grid=(3e-9,), trials=700)
     scale = 3e-9**2 / 8
-    for point, chunk, c in _point_chunks(cfg):
+    for _, _, c in _point_chunks(cfg):
         if kind is Kind.BISTATIC:
-            rows, beta, chi2 = _replayed_statistics(cfg, point, chunk)
+            rows, beta, chi2 = contract.noise_draws(cfg, c)
             coords = np.concatenate((rows, beta))
             gram = coords @ coords.T
             diag = np.diagonal(gram)
             energy = n * diag[:m].sum() + m * diag[m:].sum() + chi2
             sq_ls = energy * (scale / (m * n))
         else:
-            count, rng, u = _noise_factor(cfg, point, chunk)
-            d, bs, x = _replayed_monostatic(u, m)
+            d, bs, x, chi2 = contract.noise_draws(cfg, c)
             r = d + bs
             coords = r * (2.0 / m) - r.sum(axis=0) / (m * m)
             if m == 1:
@@ -836,7 +708,6 @@ def test_blocked_chunk_is_bitwise_the_whole_plane(kind, m, n):
                 projected = 2.0 * np.vdot(mean, mean)
             else:
                 projected = np.vdot(x, x)
-            chi2 = _monostatic_chi2(rng, m, count)
             sq_ls = np.array([np.vdot(d, d), projected + chi2]) * scale
         partial = _run_noise_chunk(cfg, c)
         assert np.array_equal(partial["rowcol"], (coords @ coords.T) * scale)
@@ -1037,8 +908,8 @@ def test_bistatic_statistics_match_a_folded_plane(m, n):
 
     The same map draws a localization chunk's noise: a trial's terms less
     its true ranges, over ``c sigma / sqrt(L)``, are r and beta of the
-    chunk's replayed normal draw (``_replayed_bistatic``) within 4 eps of
-    the terms, and over 2048 trials they have the means, variances and
+    chunk's replayed normal draw (``contract.localization_draws``) within 4
+    eps of the terms, and over 2048 trials they have the means, variances and
     row/row, column/column and row/column correlations of the refined
     error's row terms (z's row means) and column terms (its column means
     less its grand mean) over 2048 real planes."""
@@ -1075,9 +946,7 @@ def test_bistatic_statistics_match_a_folded_plane(m, n):
         anchors, tags, terms, unit = _loc_terms(loc, c)
         d = np.sqrt(((anchors - tags[:, None]) ** 2).sum(axis=0))
         drawn.append((terms - d) * (unit / scale))
-        count, rng = _chunk_stream(loc, 0, c)
-        rng.random((count, m + n + 1, 3))
-        replayed = np.concatenate(_replayed_bistatic(rng.standard_normal((m + n, count)), m))
+        replayed = np.concatenate(contract.localization_draws(loc, c)[-1])
         assert np.abs(drawn[-1] - replayed).max() <= 4 * eps * np.abs(terms).max() * unit / scale
         z = noise_rng(loc.master_seed + 1, c).standard_normal((m, n, CHUNK_TRIALS))
         rows = z.mean(axis=1)
@@ -1273,8 +1142,8 @@ def _dense_cov_frob_rel_err(cfg):
     topo = cfg.topology
     b = weighting_matrix(topo)
     cov = {}
-    for point, chunk, _ in _point_chunks(cfg):
-        flat = np.stack([b @ vec(err) for err in _reference_errors(cfg, point, chunk)])
+    for point, _, c in _point_chunks(cfg):
+        flat = np.stack([b @ vec(err) for err in contract.ls_errors(cfg, c)])
         cov[point] = cov.get(point, 0.0) + flat.T @ flat
     out = {}
     for index, (sigma, pilot_len) in enumerate(cfg.grid_points):
@@ -1343,69 +1212,6 @@ def test_sweeps_never_build_dense_matrices(monkeypatch):
             assert run_sweep(cfg, workers=1).rows
 
 
-def _reference_chunk(cfg, point, chunk):
-    """The trials of chunk ``chunk`` of grid point ``point`` of a
-    localization sweep by stream contract v11, one trial at a time through
-    the public functions: the chunk's stream, ``noise_rng(master_seed,
-    point * chunks + chunk)``, gives every scene's unit coordinates (tx, rx
-    if bistatic, tag), then one normal array whose statistics make a plane
-    z with the chunk's refined errors: for bistatic an (m + n, trials)
-    array, whose r and beta (``_replayed_bistatic``) make ``z[i, j] = r_i +
-    beta_j``; for monostatic a (2 m, trials) array, whose statistics also
-    give z's diagonal (``_monostatic_plane``).  Trial i's LS estimate is
-    truth + (sigma / sqrt(L)) z[..., i], refined by ``refine_estimate``.
-    Returns the (trials, ...) stacks of tx, rx, tag, truth, LS and refined
-    estimates."""
-    topo = cfg.topology
-    m, n = topo.m, topo.n
-    n_rx = n if topo.kind is Kind.BISTATIC else 0
-    sigma, pilot_len = cfg.grid_points[point]
-    count, rng = _chunk_stream(cfg, point, chunk)
-    u = rng.random((count, m + n_rx + 1, 3))
-    if n_rx:
-        rows, beta = _replayed_bistatic(rng.standard_normal((m + n, count)), m)
-        z = rows[:, None, :] + beta[None, :, :]
-    else:
-        u_noise = rng.standard_normal((2 * m, count))
-        z = _monostatic_plane(*_replayed_monostatic(u_noise, m)[:2])
-    stacks = {key: [] for key in ("tx", "rx", "tag", "truth", "t_hat", "t_ref")}
-    for i in range(count):
-        points = u[i] * cfg.cube_side
-        rx = points[m : m + n_rx] if n_rx else None
-        scene = Scene(topo, tx=points[:m], rx=rx, tag=points[-1])
-        truth = true_delays(scene.tx, scene.rx, scene.tag, scene.delta)
-        t_hat = truth + (sigma / math.sqrt(pilot_len)) * z[..., i]
-        values = (scene.tx, scene.rx, scene.tag, truth, t_hat, refine_estimate(t_hat, topo))
-        for key, value in zip(stacks, values):
-            stacks[key].append(value)
-    return [np.stack(values) for values in stacks.values()]
-
-
-def _reference_terms(cfg, t_hats, t_refs):
-    """The per-anchor terms, in meters, that the public localizers take
-    from ``(trials, m, n)`` LS and refined delay stacks: for bistatic the
-    refined stack's row means over its column means less its grand mean,
-    ``(m + n, trials)``; for monostatic the LS then the refined diagonal
-    ranges, ``(m, 2 trials)``."""
-    if cfg.kind is Kind.BISTATIC:
-        rows = t_refs.mean(axis=2)
-        cols = t_refs.mean(axis=1) - rows.mean(axis=1)[:, None]
-        return SPEED_OF_LIGHT * np.concatenate([rows.T, cols.T])
-    diagonals = [np.diagonal(t, axis1=1, axis2=2).T for t in (t_hats, t_refs)]
-    return SPEED_OF_LIGHT * np.concatenate(diagonals, axis=1) / 2.0
-
-
-def _in_gauge(cfg, terms):
-    """Bistatic terms [a; b] fix their fit a_i + b_j only up to the gauge a +
-    t, b - t; this moves b's mean into a, so that b sums to 0, as in the
-    terms the public localizer takes (``_reference_terms``).  Monostatic
-    terms pass through."""
-    if cfg.kind is Kind.MONOSTATIC:
-        return terms
-    shift = terms[cfg.m :].mean(axis=0)
-    return np.concatenate([terms[: cfg.m] + shift, terms[cfg.m :] - shift])
-
-
 @pytest.mark.parametrize(
     "kind, m, n, pilot_len",
     [
@@ -1420,14 +1226,15 @@ def _in_gauge(cfg, terms):
 )
 def test_chunk_is_bitwise_the_per_trial_loop(kind, m, n, pilot_len):
     """A localization chunk draws exactly what a per-trial loop over the
-    chunk's draws does with the public functions: the same anchors and
-    tags, bit for bit, once its scene unit multiplies them, and solver
-    terms, times the unit and in one gauge (``_in_gauge``), within 16 eps
+    chunk's draws does with the public functions
+    (``contract.localization_chunk``): the same anchors and tags, bit for
+    bit, once its scene unit multiplies them, and solver terms, times the
+    unit and in one gauge (``contract.public_gauge``), within 16 eps
     max|truth| of those the public localizers take from the loop's LS and
     refined delays (the chunk forms them from per-anchor ranges, the loop
     from delay matrices), on the second point's full chunk and on a
-    partial last chunk.  Monostatic 4 is the smallest array a localization sweep
-    accepts."""
+    partial last chunk.  Monostatic 4 is the smallest array a localization
+    sweep accepts."""
     cfg = _cfg(
         experiment=ExperimentKind.LOCALIZATION, kind=kind, m=m, n=n,
         pilot_lengths=(pilot_len,), trials=700, master_seed=5,
@@ -1436,14 +1243,14 @@ def test_chunk_is_bitwise_the_per_trial_loop(kind, m, n, pilot_len):
     sizes = [(point, stop - start) for point, start, stop in spans]
     assert sizes == [(0, 512), (0, 188), (1, 512), (1, 188)]
     bistatic = kind is Kind.BISTATIC
-    for point, chunk, c in _point_chunks(cfg)[1:3]:
+    for _, _, c in _point_chunks(cfg)[1:3]:
         anchors, tags, terms, unit = _loc_terms(cfg, c)
-        txs, rxs, want_tags, truths, t_hats, t_refs = _reference_chunk(cfg, point, chunk)
-        want_anchors = np.concatenate([txs, rxs], axis=1) if bistatic else txs
+        ref = contract.localization_chunk(cfg, c)
+        want_anchors = np.concatenate([ref.tx, ref.rx], axis=1) if bistatic else ref.tx
         assert np.array_equal(anchors * unit, want_anchors.transpose(2, 1, 0))
-        assert np.array_equal(tags * unit, want_tags.T)
-        gap = np.abs(_in_gauge(cfg, terms * unit) - _reference_terms(cfg, t_hats, t_refs)).max()
-        assert gap <= 16 * np.finfo(float).eps * SPEED_OF_LIGHT * np.abs(truths).max()
+        assert np.array_equal(tags * unit, ref.tag.T)
+        gap = np.abs(contract.public_gauge(cfg, terms * unit) - ref.terms).max()
+        assert gap <= 16 * np.finfo(float).eps * SPEED_OF_LIGHT * np.abs(ref.truth).max()
 
 
 @pytest.mark.parametrize("cube_side", [3.7, 10.0])
@@ -1479,16 +1286,16 @@ def test_chunk_fixes_are_the_public_fixes(kind, m, n):
     1e-6 m tie margin of acceptance criterion 10 with the public
     localizers on the per-trial loop's LS and refined delay matrices."""
     cfg = _cfg(experiment=ExperimentKind.LOCALIZATION, kind=kind, m=m, n=n, trials=CHUNK_TRIALS)
-    for point, chunk, c in _point_chunks(cfg):
+    for _, _, c in _point_chunks(cfg):
         anchors, tags, terms, unit = _loc_terms(cfg, c)
-        txs, rxs, _, _, t_hats, t_refs = _reference_chunk(cfg, point, chunk)
+        ref = contract.localization_chunk(cfg, c)
         if kind is Kind.BISTATIC:
             got = [_fix_bistatic(anchors, terms, m)[0] * unit] * 2
-            want = [localize_bistatic(t, txs, rxs)[0] for t in (t_hats, t_refs)]
+            want = [localize_bistatic(t, ref.tx, ref.rx)[0] for t in (ref.t_hat, ref.t_ref)]
         else:
             both = _fix_monostatic(np.concatenate((anchors, anchors), axis=2), terms)[0]
             got = np.split(both * unit, 2, axis=1)
-            want = [localize_monostatic(t, txs)[0] for t in (t_hats, t_refs)]
+            want = [localize_monostatic(t, ref.tx)[0] for t in (ref.t_hat, ref.t_ref)]
         for p, q in zip(got, want):
             assert np.linalg.norm(p.T - q, axis=1).max() < 1e-6
 

@@ -1,5 +1,6 @@
 """Localization solver tests, with a brute-force grid oracle."""
 
+import functools
 import warnings
 
 import numpy as np
@@ -817,14 +818,26 @@ def test_no_scene_reaches_the_iteration_cap():
     assert iterations.max() < localization.MAX_ITERATIONS
 
 
+@functools.cache
+def _long_gauss_newton(sigma):
+    """``_bistatic_chunk(sigma)`` and the positions and costs of
+    ``_reference_gauss_newton`` on its LS delays from the library's warm
+    start, run once per sigma for the tests that compare against it.  The
+    arrays are read-only, since every caller shares them."""
+    txs, rxs, t_hats, t_refs = _bistatic_chunk(sigma)
+    p0 = _warm_start_of(txs, rxs, SPEED_OF_LIGHT * t_refs)
+    run = (txs, rxs, t_hats, *_reference_gauss_newton(t_hats, txs, rxs, p0))
+    for array in run:
+        array.flags.writeable = False
+    return run
+
+
 def test_a_minimum_at_an_anchor_is_the_anchor():
     """Where plain Gauss-Newton run long ends within 1e-9 m of an anchor,
     the fix is that anchor.  A range has a cusp at its anchor; the damped
     Newton steps overshoot it, and used to stop 2^-20 steps short of it,
     3.4e-8 m off with |R|^2 4e-9 relative above the anchor's."""
-    txs, rxs, t_hats, t_refs = _bistatic_chunk(1e-8)
-    p0 = _warm_start_of(txs, rxs, SPEED_OF_LIGHT * t_refs)
-    p_ref, _ = _reference_gauss_newton(t_hats, txs, rxs, p0)
+    txs, rxs, t_hats, p_ref, _ = _long_gauss_newton(1e-8)
     anchors = np.concatenate([txs, rxs], axis=1)
     scenes, nearest = np.nonzero(np.linalg.norm(anchors - p_ref[:, None], axis=2) < 1e-9)
     assert scenes.size
@@ -836,9 +849,7 @@ def test_a_minimum_at_an_anchor_is_the_anchor():
 def test_fix_objective_no_worse_than_long_gauss_newton(sigma):
     """From the same warm start, the row/column Newton fix is at least as
     good on the full objective as plain Gauss-Newton run to convergence."""
-    txs, rxs, t_hats, t_refs = _bistatic_chunk(sigma)
-    p0 = _warm_start_of(txs, rxs, SPEED_OF_LIGHT * t_refs)
-    _, cost_ref = _reference_gauss_newton(t_hats, txs, rxs, p0)
+    txs, rxs, t_hats, _, cost_ref = _long_gauss_newton(sigma)
     p, _, _ = localize_bistatic(t_hats, txs, rxs)
     cost = np.array([
         _sum_squared_residual(t, tx, rx, 0.0, q) for t, tx, rx, q in zip(t_hats, txs, rxs, p)
