@@ -4,8 +4,6 @@ Cramer-Rao bounds, tag localization, and a reproducible Monte-Carlo harness.
 """
 
 from .analysis import (
-    CrlbReport,
-    MseReport,
     crlb_bistatic,
     crlb_monostatic,
     theoretical_mse_iid,

@@ -1,48 +1,33 @@
 """Closed-form MSE expressions and Cramer-Rao bounds.
 
-All per-subchannel variances here are estimate-level: the observation noise
-variance sigma^2 divided by the pilot length L.  The plain least squares
-estimator attains exactly sigma0^2 = sigma^2 / L per entry; the refined
-estimator attains
+Every function here but ``check_sigma`` takes the estimate-level variance
+sigma0^2 = sigma^2 / L, the observation noise variance over the pilot
+length, which is the MSE of the plain least squares estimator per entry,
+and returns a plain array.  The caller divides by L once, after
+``check_sigma``, which with ``channel.synth_observations`` owns the
+pilot-length rule.  The refined estimator attains
 
     bistatic:             (m + n - 1) / (m n) * sigma0^2   (every entry)
     monostatic diagonal:  (2 m - 1) / m^2    * sigma0^2
     monostatic off-diag:  (m - 1) / m^2      * sigma0^2
 
-which coincide with the corresponding Cramer-Rao bounds.
+which coincide with the corresponding Cramer-Rao bounds.  The per-entry
+bound is read off the covariance bound C: bistatic, its diagonal
+(``unvec(np.diag(C), m, n)``); monostatic, ``C[i, i] + C[j, j] + 2 C[i, j]``
+for the delay matrix entry (i, j), the variance of ``t_i + t_j``, which is
+4 C[i, i] on the diagonal.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import _check_pilot_len
 from .errors import DimensionMismatch, InvalidValue, NonFiniteInput, WrongTopology
 from .topology import Kind, Topology, entry_weights, weighting_matrix
-
-
-@dataclass
-class MseReport:
-    """Per-subchannel mean square errors in seconds^2."""
-
-    per_entry_mse: np.ndarray
-
-
-@dataclass
-class CrlbReport:
-    """Lower bound on the error covariance of any unbiased delay estimator.
-
-    covariance_bound is the full matrix bound: (m n) x (m n) for bistatic
-    estimates, and the m x m bound on the one-way delay vector for
-    monostatic.  subchannel_bounds restates it per delay matrix entry.
-    """
-
-    covariance_bound: np.ndarray
-    subchannel_bounds: np.ndarray
 
 
 def _check_variance(name: str, value: float, *entries: float) -> None:
@@ -101,8 +86,9 @@ def check_sigma(
     )
 
 
-def theoretical_mse_iid(topo: Topology, sigma0_sq: float) -> MseReport:
-    """Refined-estimator MSE per subchannel under iid noise.
+def theoretical_mse_iid(topo: Topology, sigma0_sq: float) -> np.ndarray:
+    """Refined-estimator MSE per subchannel under iid noise, the (m, n)
+    array of per-entry MSEs for the estimate-level variance ``sigma0_sq``.
 
     Raises:
         NonFiniteInput: if ``sigma0_sq`` is NaN or infinite.
@@ -115,21 +101,18 @@ def theoretical_mse_iid(topo: Topology, sigma0_sq: float) -> MseReport:
         _check_variance("sigma0_sq", sigma0_sq, off, diag)
         per_entry = np.full((m, m), off)
         np.fill_diagonal(per_entry, diag)
-    else:
-        entry = (m + n - 1) / (m * n) * sigma0_sq
-        _check_variance("sigma0_sq", sigma0_sq, entry)
-        per_entry = np.full((m, n), entry)
-    return MseReport(per_entry_mse=per_entry)
+        return per_entry
+    entry = (m + n - 1) / (m * n) * sigma0_sq
+    _check_variance("sigma0_sq", sigma0_sq, entry)
+    return np.full((m, n), entry)
 
 
-def theoretical_mse_independent(
-    topo: Topology, sigmas_sq: np.ndarray, pilot_len: int
-) -> MseReport:
+def theoretical_mse_independent(topo: Topology, sigma0_sq: np.ndarray) -> np.ndarray:
     """Refined-estimator MSE when noise is independent but not identical.
 
-    ``sigmas_sq`` holds observation-level variances per subchannel; they are
-    divided by ``pilot_len`` internally into ``v``.  Entry z of the result
-    is the weighted sum over source subchannels r:
+    ``sigma0_sq`` is the (m, n) array ``v`` of estimate-level variances
+    sigma_ij^2 / L.  Entry z of the (m, n) result is the weighted sum over
+    source subchannels r:
 
         bistatic:    sum_r B[z, r]^2 v_r
         monostatic:  sum_r ((B[z, r] + B[zbar, r]) / 2)^2 v_r
@@ -150,29 +133,24 @@ def theoretical_mse_independent(
     Both forms cost O(m n).
 
     Raises:
-        DimensionMismatch: unless ``sigmas_sq`` is (m, n).
+        DimensionMismatch: unless ``sigma0_sq`` is (m, n).
         NonFiniteInput: if a variance is NaN, inf or so large that the sums
             overflow.
-        InvalidValue: if a variance is negative, ``pilot_len`` is not an
-            integer >= 1, or a nonzero variance over ``pilot_len`` or a
+        InvalidValue: if a variance is negative, or a nonzero variance or a
             nonzero entry is subnormal.
     """
     m, n = topo.m, topo.n
-    sigmas_sq = np.asarray(sigmas_sq, dtype=np.float64)
-    if sigmas_sq.shape != (m, n):
-        raise DimensionMismatch(
-            f"sigmas_sq shape {sigmas_sq.shape} does not match topology {m}x{n}"
-        )
-    if not np.isfinite(sigmas_sq).all():
+    v = np.asarray(sigma0_sq, dtype=np.float64)
+    if v.shape != (m, n):
+        raise DimensionMismatch(f"sigma0_sq shape {v.shape} does not match topology {m}x{n}")
+    if not np.isfinite(v).all():
         raise NonFiniteInput("all subchannel variances must be finite")
-    if np.any(sigmas_sq < 0.0):
+    if np.any(v < 0.0):
         raise InvalidValue("all subchannel variances must be >= 0")
     # The sums below add up to (m + 1)(n + 1) variances, times at most 4.
     limit = sys.float_info.max / (4 * (m + 1) * (n + 1))
-    if not sigmas_sq.max(initial=0.0) <= limit:
+    if not v.max(initial=0.0) <= limit:
         raise NonFiniteInput(f"subchannel variances must be at most {limit:.4g}, or sums overflow")
-    _check_pilot_len(pilot_len)
-    v = sigmas_sq / pilot_len
     rows = v.sum(axis=1)[:, None]
     cols = v.sum(axis=0)[None, :]
     total = v.sum()
@@ -196,73 +174,63 @@ def theoretical_mse_independent(
         )
     # Zero-variance subchannels may give zero entries; no nonzero variance
     # or entry may be subnormal, as _check_variance rules for the iid theory.
-    built = np.abs(np.concatenate([v[sigmas_sq != 0.0], per_entry[per_entry != 0.0]]))
+    built = np.abs(np.concatenate([v[v != 0.0], per_entry[per_entry != 0.0]]))
     if built.min(initial=math.inf) < sys.float_info.min:
         raise InvalidValue(
-            f"subchannel variances over pilot_len = {pilot_len} give a subnormal value, "
-            f"{built.min():.4g}; every nonzero variance and entry must be a normal float"
+            f"subchannel variances give a subnormal value, {built.min():.4g}; "
+            "every nonzero variance and entry must be a normal float"
         )
-    return MseReport(per_entry_mse=per_entry)
+    return per_entry
 
 
-def crlb_bistatic(topo: Topology, sigma_sq: float, pilot_len: int) -> CrlbReport:
-    """Error covariance bound for bistatic delay estimation.
-
-    The bound is (sigma^2 / L) B, the noise variance scaled projector
-    (``weighting_matrix``), so its diagonal is the refined estimator's
-    per-entry MSE, which ``subchannel_bounds`` holds
-    (``theoretical_mse_iid`` at sigma^2 / L).
+def crlb_bistatic(topo: Topology, sigma0_sq: float) -> np.ndarray:
+    """Error covariance bound for bistatic delay estimation, the (m n) x
+    (m n) matrix sigma0^2 B: the estimate-level variance times the
+    projector (``weighting_matrix``).  Its diagonal, as an (m, n) array
+    (``unvec``), is the per-entry bound, the refined estimator's MSE.
 
     Raises:
-        NonFiniteInput: if ``sigma_sq`` is NaN or infinite.
-        InvalidValue: if ``pilot_len`` is not an integer >= 1, or
-            ``sigma_sq / pilot_len`` or an entry of the bound is not a
+        WrongTopology: for a monostatic topology.
+        NonFiniteInput: if ``sigma0_sq`` is NaN or infinite.
+        InvalidValue: if ``sigma0_sq`` or an entry of the bound is not a
             positive normal float (zero, subnormal or negative).
     """
     if topo.kind is not Kind.BISTATIC:
         raise WrongTopology("crlb_bistatic requires a bistatic topology")
-    _check_pilot_len(pilot_len)
-    sigma0_sq = sigma_sq / pilot_len
     m, n = topo.m, topo.n
     # B's smallest entry is -1 / (m n), where an entry shares neither
     # antenna; with m or n at 1 every entry shares one, and each is 0 or ~1.
     smallest = sigma0_sq * (1.0 / (m * n)) if m > 1 and n > 1 else sigma0_sq
-    _check_variance("sigma_sq / pilot_len", sigma0_sq, smallest)
-    per_entry = theoretical_mse_iid(topo, sigma0_sq).per_entry_mse
-    return CrlbReport(
-        covariance_bound=sigma0_sq * weighting_matrix(topo), subchannel_bounds=per_entry
-    )
+    _check_variance("sigma0_sq", sigma0_sq, smallest)
+    return sigma0_sq * weighting_matrix(topo)
 
 
-def crlb_monostatic(topo: Topology, sigma_sq: float, pilot_len: int) -> CrlbReport:
-    """Error covariance bound for monostatic delay estimation.
+def crlb_monostatic(topo: Topology, sigma0_sq: float) -> np.ndarray:
+    """Error covariance bound for monostatic delay estimation, the m x m
+    bound on the one-way delay vector.
 
     The Fisher information of the one-way delay vector is
-    (2 L / sigma^2) (m I + 1 1^T); its inverse follows from the rank-one
+    (2 / sigma0^2) (m I + 1 1^T); its inverse follows from the rank-one
     update identity and is built here in closed form:
 
-        C[i, i] = (sigma^2 / 4 L) (2 m - 1) / m^2
-        C[i, j] = (sigma^2 / 4 L) (-1) / m^2     (i != j)
+        C[i, i] = (sigma0^2 / 4) (2 m - 1) / m^2
+        C[i, j] = (sigma0^2 / 4) (-1) / m^2     (i != j)
 
-    The derived subchannel bounds are 4 C[i, i] on the diagonal of the delay
-    matrix and C[i, i] + C[j, j] + 2 C[i, j] off it, which are the refined
-    estimator's MSE (``theoretical_mse_iid`` at sigma^2 / L).
+    The per-entry bounds of the delay matrix, 4 C[i, i] on its diagonal and
+    C[i, i] + C[j, j] + 2 C[i, j] off it, are the refined estimator's MSE.
 
     Raises:
-        NonFiniteInput: if ``sigma_sq`` is NaN or infinite.
-        InvalidValue: if ``pilot_len`` is not an integer >= 1, or
-            ``sigma_sq / pilot_len`` or an entry of the bound is not a
+        WrongTopology: for a bistatic topology.
+        NonFiniteInput: if ``sigma0_sq`` is NaN or infinite.
+        InvalidValue: if ``sigma0_sq`` or an entry of the bound is not a
             positive normal float (zero, subnormal or negative).
     """
     if topo.kind is not Kind.MONOSTATIC:
         raise WrongTopology("crlb_monostatic requires a monostatic topology")
-    _check_pilot_len(pilot_len)
     m = topo.m
-    scale = sigma_sq / (4.0 * pilot_len)
+    scale = sigma0_sq / 4.0
     off, diag = scale * (-1.0) / m**2, scale * (2 * m - 1) / m**2
-    _check_variance("sigma_sq / pilot_len", sigma_sq / pilot_len, off if m > 1 else 0.0, diag)
+    _check_variance("sigma0_sq", sigma0_sq, off if m > 1 else 0.0, diag)
     cov = np.full((m, m), off)
     np.fill_diagonal(cov, diag)
-    per_entry = theoretical_mse_iid(topo, sigma_sq / pilot_len).per_entry_mse
-    return CrlbReport(covariance_bound=cov, subchannel_bounds=per_entry)
-
+    return cov

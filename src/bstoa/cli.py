@@ -98,12 +98,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 def _cmd_crlb(args: argparse.Namespace) -> int:
     topo = _topology_from_args(args)
     check_sigma(args.sigma, (args.pilot_len,))
-    sigma_sq = args.sigma * args.sigma
-    if topo.kind is Kind.MONOSTATIC:
-        report = crlb_monostatic(topo, sigma_sq, args.pilot_len)
-    else:
-        report = crlb_bistatic(topo, sigma_sq, args.pilot_len)
-    _print_matrix(report.covariance_bound)
+    sigma0_sq = args.sigma * args.sigma / args.pilot_len
+    bound = crlb_monostatic if topo.kind is Kind.MONOSTATIC else crlb_bistatic
+    _print_matrix(bound(topo, sigma0_sq))
     return 0
 
 

@@ -212,7 +212,7 @@ class SweepConfig:
             if self.experiment is ExperimentKind.MSE:
                 analysis.theoretical_mse_iid(self.topology, sigma**2 / length)
             elif self.experiment is ExperimentKind.CRLB and self.kind is Kind.MONOSTATIC:
-                analysis.crlb_monostatic(self.topology, sigma**2, length)
+                analysis.crlb_monostatic(self.topology, sigma**2 / length)
         except InvalidValue as exc:
             raise ConfigInvalid(f"{self.experiment.value} sweep: {exc}") from exc
 
@@ -634,7 +634,7 @@ def _mse_rows(cfg: SweepConfig, sigma: float, pilot_len: int, sums: dict):
     topo = cfg.topology
     m = topo.m
     sigma0_sq = sigma**2 / pilot_len
-    theory = analysis.theoretical_mse_iid(topo, sigma0_sq).per_entry_mse
+    theory = analysis.theoretical_mse_iid(topo, sigma0_sq)
     ls = sums["sq_ls"] / cfg.trials
     proposed = _refined_squares(topo, sums["rowcol"]) / cfg.trials
     if topo.kind is Kind.MONOSTATIC and m > 1:
@@ -663,7 +663,11 @@ def _crlb_rows(cfg: SweepConfig, sigma: float, pilot_len: int, sums: dict):
     Bistatic points emit the Frobenius relative error between the empirical
     error covariance and the bound ``s B`` with ``s = sigma^2 / L``;
     monostatic points emit the mean diagonal and off-diagonal MSE over
-    their bound values (ideal value 1).
+    their bound values (ideal value 1).  The monostatic per-entry bounds,
+    4 C_ii and C_ii + C_jj + 2 C_ij of ``crlb_monostatic``'s covariance C,
+    are the refined MSE up to rounding; the rows read them from
+    ``theoretical_mse_iid`` at ``sigma^2 / L``, whose values the pinned CSV
+    bytes hold.
 
     The bistatic theory is the statistic's root mean square when the bound
     is attained, ``sqrt((m + n) / N)``, not 0, which no N-trial sample
@@ -712,7 +716,7 @@ def _crlb_rows(cfg: SweepConfig, sigma: float, pilot_len: int, sums: dict):
         value = rel / math.sqrt(m + n - 1)
         yield "proposed", "cov_frob_rel_err", value, math.sqrt((m + n) / cfg.trials)
         return
-    bounds = analysis.crlb_monostatic(topo, sigma**2, pilot_len).subchannel_bounds
+    bounds = analysis.theoretical_mse_iid(topo, sigma**2 / pilot_len)
     emp = _refined_squares(topo, sums["rowcol"]) / cfg.trials
     yield "proposed", "diag_bound_ratio", float(np.trace(emp) / np.trace(bounds)), 1.0
     if topo.m > 1:
@@ -739,8 +743,10 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
     Raises:
         ConfigInvalid: if ``workers`` is below 1.
         SingularGeometry: if a bistatic localization chunk's Gauss-Newton
-            matrix loses rank 3 at a scene's noisy range sums; the message
-            names the grid point and the chunk.
+            matrix loses rank 3 at a scene's noisy range sums, or a
+            monostatic chunk's closed form meets coplanar anchors at a
+            scene's LS or refined ranges; the message names the grid point
+            and the chunk.
     """
     if workers is not None and workers < 1:
         raise ConfigInvalid(f"workers must be >= 1, got {workers}")

@@ -26,56 +26,56 @@ from bstoa.topology import Kind, Topology, correlation_matrix, unvec, vec, weigh
 
 
 def test_iid_mse_bistatic_4x3():
-    report = theoretical_mse_iid(Topology.bistatic(4, 3), 1.0)
-    assert report.per_entry_mse.shape == (4, 3)
-    assert np.abs(report.per_entry_mse - 0.5).max() < 1e-15
+    per_entry = theoretical_mse_iid(Topology.bistatic(4, 3), 1.0)
+    assert per_entry.shape == (4, 3)
+    assert np.abs(per_entry - 0.5).max() < 1e-15
 
 
 def test_iid_mse_monostatic_6():
-    report = theoretical_mse_iid(Topology.monostatic(6), 1.0)
-    assert np.abs(np.diag(report.per_entry_mse) - 11 / 36).max() < 1e-15
-    off = report.per_entry_mse[~np.eye(6, dtype=bool)]
+    per_entry = theoretical_mse_iid(Topology.monostatic(6), 1.0)
+    assert np.abs(np.diag(per_entry) - 11 / 36).max() < 1e-15
+    off = per_entry[~np.eye(6, dtype=bool)]
     assert np.abs(off - 5 / 36).max() < 1e-15
 
 
 def test_iid_mse_degenerate_1x1():
-    report = theoretical_mse_iid(Topology.bistatic(1, 1), 3.7e-19)
-    assert report.per_entry_mse[0, 0] == pytest.approx(3.7e-19, rel=1e-15)
+    per_entry = theoretical_mse_iid(Topology.bistatic(1, 1), 3.7e-19)
+    assert per_entry[0, 0] == pytest.approx(3.7e-19, rel=1e-15)
 
 
 def test_independent_mse_bistatic_2x2_first_entry():
-    sigmas_sq = unvec(np.array([1.0, 2.0, 3.0, 4.0]), 2, 2)
-    report = theoretical_mse_independent(Topology.bistatic(2, 2), sigmas_sq, 1)
+    sigma0_sq = unvec(np.array([1.0, 2.0, 3.0, 4.0]), 2, 2)
+    per_entry = theoretical_mse_independent(Topology.bistatic(2, 2), sigma0_sq)
     expected = (9 * 1.0 + 2.0 + 3.0 + 4.0) / 16
-    assert report.per_entry_mse[0, 0] == pytest.approx(expected, rel=1e-14)
+    assert per_entry[0, 0] == pytest.approx(expected, rel=1e-14)
 
 
 def test_independent_mse_monostatic_2_offdiagonal():
-    sigmas_sq = unvec(np.array([1.0, 2.0, 3.0, 4.0]), 2, 2)
-    report = theoretical_mse_independent(Topology.monostatic(2), sigmas_sq, 1)
+    sigma0_sq = unvec(np.array([1.0, 2.0, 3.0, 4.0]), 2, 2)
+    per_entry = theoretical_mse_independent(Topology.monostatic(2), sigma0_sq)
     expected = (1.0 + 2.0 + 3.0 + 4.0) / 16
-    assert report.per_entry_mse[1, 0] == pytest.approx(expected, rel=1e-14)
-    assert report.per_entry_mse[0, 1] == pytest.approx(expected, rel=1e-14)
+    assert per_entry[1, 0] == pytest.approx(expected, rel=1e-14)
+    assert per_entry[0, 1] == pytest.approx(expected, rel=1e-14)
 
 
 @pytest.mark.parametrize("topo", [Topology.bistatic(4, 3), Topology.monostatic(5)])
 def test_independent_mse_reduces_to_iid(topo):
     sigma_sq, length = 2.56e-18, 4
-    equal = np.full((topo.m, topo.n), sigma_sq)
-    independent = theoretical_mse_independent(topo, equal, length)
+    equal = np.full((topo.m, topo.n), sigma_sq / length)
+    independent = theoretical_mse_independent(topo, equal)
     iid = theoretical_mse_iid(topo, sigma_sq / length)
-    assert np.abs(independent.per_entry_mse - iid.per_entry_mse).max() < 1e-12 * sigma_sq
+    assert np.abs(independent - iid).max() < 1e-12 * sigma_sq
 
 
 def test_independent_mse_scaling_by_pilot_length():
     topo = Topology.bistatic(2, 2)
     sigmas_sq = np.full((2, 2), 4.0)
-    by_one = theoretical_mse_independent(topo, sigmas_sq, 1)
-    by_four = theoretical_mse_independent(topo, sigmas_sq, 4)
-    assert np.abs(by_one.per_entry_mse - 4.0 * by_four.per_entry_mse).max() < 1e-14
+    by_one = theoretical_mse_independent(topo, sigmas_sq)
+    by_four = theoretical_mse_independent(topo, sigmas_sq / 4)
+    assert np.abs(by_one - 4.0 * by_four).max() < 1e-14
 
 
-def _dense_independent_mse(topo, sigmas_sq, pilot_len):
+def _dense_independent_mse(topo, sigma0_sq):
     """Reference: weights from the dense projector B, squared and applied
     to the estimate-level variances."""
     m, n = topo.m, topo.n
@@ -84,7 +84,7 @@ def _dense_independent_mse(topo, sigmas_sq, pilot_len):
         flat = np.arange(m * n)
         zbar = (flat // m) + (flat % m) * m
         b = 0.5 * (b + b[zbar, :])
-    return unvec((b**2) @ (vec(sigmas_sq) / pilot_len), m, n)
+    return unvec((b**2) @ vec(sigma0_sq), m, n)
 
 
 def test_independent_mse_matches_dense_formula():
@@ -93,9 +93,9 @@ def test_independent_mse_matches_dense_formula():
         topologies = [Topology.bistatic(m, n) for n in range(1, 8)]
         topologies.append(Topology.monostatic(m))
         for topo in topologies:
-            sigmas_sq = rng.uniform(0.1, 4.0, size=(topo.m, topo.n)) * 1e-18
-            got = theoretical_mse_independent(topo, sigmas_sq, 3).per_entry_mse
-            expected = _dense_independent_mse(topo, sigmas_sq, 3)
+            sigma0_sq = rng.uniform(0.1, 4.0, size=(topo.m, topo.n)) * 1e-18 / 3
+            got = theoretical_mse_independent(topo, sigma0_sq)
+            expected = _dense_independent_mse(topo, sigma0_sq)
             assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max(), topo
 
 
@@ -104,14 +104,14 @@ def test_independent_mse_takes_zero_variance_subchannels():
     none, the entries match the dense formula, zeros included."""
     for topo in (Topology.bistatic(4, 3), Topology.monostatic(3)):
         for sigmas_sq in (np.zeros((topo.m, topo.n)), np.eye(topo.m, topo.n, 1) * 1e-18):
-            got = theoretical_mse_independent(topo, sigmas_sq, 2).per_entry_mse
-            expected = _dense_independent_mse(topo, sigmas_sq, 2)
+            got = theoretical_mse_independent(topo, sigmas_sq / 2)
+            expected = _dense_independent_mse(topo, sigmas_sq / 2)
             assert np.abs(got - expected).max() <= 1e-12 * max(np.abs(expected).max(), 1e-300)
 
 
 def test_independent_mse_shape_check():
     with pytest.raises(DimensionMismatch):
-        theoretical_mse_independent(Topology.bistatic(2, 2), np.ones((3, 2)), 1)
+        theoretical_mse_independent(Topology.bistatic(2, 2), np.ones((3, 2)))
 
 
 @pytest.mark.parametrize(
@@ -123,15 +123,14 @@ def test_independent_mse_shape_check():
         lambda: theoretical_mse_iid(Topology.monostatic(3), sys.float_info.min / 2),
         lambda: theoretical_mse_iid(Topology.bistatic(48, 48), 2.3e-308),
         lambda: theoretical_mse_iid(Topology.monostatic(3), 2.3e-308),
-        lambda: theoretical_mse_independent(Topology.bistatic(2, 2), -np.ones((2, 2)), 1),
-        lambda: theoretical_mse_independent(Topology.bistatic(2, 2), np.ones((2, 2)), 0),
-        lambda: theoretical_mse_independent(Topology.bistatic(4, 3), np.full((4, 3), 2.3e-308), 1),
-        lambda: theoretical_mse_independent(Topology.monostatic(3), np.full((3, 3), 2.3e-308), 1),
+        lambda: theoretical_mse_independent(Topology.bistatic(2, 2), -np.ones((2, 2))),
+        lambda: theoretical_mse_independent(Topology.bistatic(4, 3), np.full((4, 3), 2.3e-308)),
+        lambda: theoretical_mse_independent(Topology.monostatic(3), np.full((3, 3), 2.3e-308)),
     ],
     ids=[
         "iid-sigma0-sq", "iid-zero-sigma0-sq", "iid-subnormal-sigma0-sq",
         "iid-subnormal-monostatic", "iid-subnormal-entry-48x48", "iid-subnormal-entry-monostatic",
-        "independent-variance", "independent-pilot-len", "independent-subnormal-entry-4x3",
+        "independent-variance", "independent-subnormal-entry-4x3",
         "independent-subnormal-entry-monostatic",
     ],
 )
@@ -175,32 +174,40 @@ def test_check_sigma_rejects_pilot_lengths_below_one(lengths):
         check_sigma(1e-9, lengths)
 
 
+def _per_entry_bounds(topo, cov):
+    """The per-entry bound read off a covariance bound: bistatic, its
+    diagonal; monostatic, the variance of t_i + t_j, C_ii + C_jj + 2 C_ij,
+    which is 4 C_ii on the diagonal."""
+    if topo.kind is Kind.BISTATIC:
+        return unvec(np.diag(cov), topo.m, topo.n)
+    d = np.diag(cov)
+    return d[:, None] + d[None, :] + 2.0 * cov
+
+
 def test_crlb_bistatic_2x2_is_projector():
     topo = Topology.bistatic(2, 2)
-    report = crlb_bistatic(topo, 1.0, 1)
+    cov = crlb_bistatic(topo, 1.0)
     b = weighting_matrix(topo)
-    assert np.abs(report.covariance_bound - b).max() < 1e-14
-    assert np.abs(np.diag(report.covariance_bound) - 0.75).max() < 1e-14
+    assert np.abs(cov - b).max() < 1e-14
+    assert np.abs(np.diag(cov) - 0.75).max() < 1e-14
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("m", range(1, 9))
 def test_crlb_bistatic_matches_dense_projector(m, n):
-    """The bound equals (sigma^2 / L) B with B from the pseudoinverse of
-    the constraint matrix, and its subchannel bounds are the iid MSE, which
-    is the bound's diagonal up to rounding."""
+    """The bound equals sigma0^2 B with B from the pseudoinverse of the
+    constraint matrix, and its diagonal, the per-entry bound, is the iid
+    MSE up to rounding."""
     topo = Topology.bistatic(m, n)
-    sigma_sq, length = 2.5e-19, 4
+    sigma0_sq = 2.5e-19 / 4
     a = correlation_matrix(topo).astype(float)
     oracle = np.eye(m * n) - np.linalg.pinv(a) @ a if a.shape[0] else np.eye(m * n)
-    dense = (sigma_sq / length) * oracle
-    report = crlb_bistatic(topo, sigma_sq, length)
-    assert report.covariance_bound.shape == (m * n, m * n)
-    assert np.abs(report.covariance_bound - dense).max() <= 1e-12 * np.abs(dense).max()
-    iid = theoretical_mse_iid(topo, sigma_sq / length).per_entry_mse
-    assert np.array_equal(report.subchannel_bounds, iid)
-    diag = unvec(np.diag(report.covariance_bound), m, n)
-    assert np.abs(report.subchannel_bounds - diag).max() <= 1e-15 * np.abs(diag).max()
+    dense = sigma0_sq * oracle
+    cov = crlb_bistatic(topo, sigma0_sq)
+    assert cov.shape == (m * n, m * n)
+    assert np.abs(cov - dense).max() <= 1e-12 * np.abs(dense).max()
+    iid = theoretical_mse_iid(topo, sigma0_sq)
+    assert np.abs(_per_entry_bounds(topo, cov) / iid - 1.0).max() <= 1e-15
 
 
 _BISTATIC_BOUND = (crlb_bistatic, Topology.bistatic(3, 2))
@@ -209,26 +216,25 @@ _MONOSTATIC_BOUND = (crlb_monostatic, Topology.monostatic(3))
 
 @pytest.mark.parametrize("bound, topo", [_BISTATIC_BOUND, _MONOSTATIC_BOUND], ids=["bi", "mono"])
 @pytest.mark.parametrize(
-    "sigma_sq, pilot_len, error",
+    "sigma0_sq, error",
     [
-        (np.nan, 2, NonFiniteInput),
-        (np.inf, 2, NonFiniteInput),
-        (1e-18, 0, InvalidValue),
-        (1e-18, -3, InvalidValue),
-        (-1e-18, 2, InvalidValue),
-        (0.0, 2, InvalidValue),
-        (1e-320, 1, InvalidValue),
-        (sys.float_info.min, 2, InvalidValue),
-        (2.3e-308, 1, InvalidValue),
+        (np.nan, NonFiniteInput),
+        (np.inf, NonFiniteInput),
+        (-1e-18, InvalidValue),
+        (0.0, InvalidValue),
+        (1e-320, InvalidValue),
+        # sigma^2 = 2.2e-308, the smallest normal float, over L = 2.
+        (sys.float_info.min / 2, InvalidValue),
+        (2.3e-308, InvalidValue),
     ],
     ids=[
-        "nan-variance", "inf-variance", "pilot-len-0", "pilot-len-negative", "negative-variance",
-        "zero-variance", "subnormal-variance", "subnormal-over-pilot-len", "subnormal-entry",
+        "nan-variance", "inf-variance", "negative-variance", "zero-variance",
+        "subnormal-variance", "subnormal-over-pilot-len", "subnormal-entry",
     ],
 )
-def test_crlb_rejects_bad_arguments(bound, topo, sigma_sq, pilot_len, error):
+def test_crlb_rejects_bad_arguments(bound, topo, sigma0_sq, error):
     with pytest.raises(error):
-        bound(topo, sigma_sq, pilot_len)
+        bound(topo, sigma0_sq)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -236,64 +242,69 @@ def test_crlb_rejects_bad_arguments(bound, topo, sigma_sq, pilot_len, error):
 def test_theoretical_mse_rejects_non_finite_variance(topo, bad):
     with pytest.raises(NonFiniteInput):
         theoretical_mse_iid(topo, bad)
-    sigmas_sq = np.ones((topo.m, topo.n))
-    sigmas_sq[0, -1] = bad
+    sigma0_sq = np.ones((topo.m, topo.n))
+    sigma0_sq[0, -1] = bad
     with pytest.raises(NonFiniteInput):
-        theoretical_mse_independent(topo, sigmas_sq, 1)
+        theoretical_mse_independent(topo, sigma0_sq)
 
 
 def test_crlb_bistatic_1x1_scalar():
-    report = crlb_bistatic(Topology.bistatic(1, 1), 4.0, 8)
-    assert report.covariance_bound.shape == (1, 1)
-    assert report.covariance_bound[0, 0] == pytest.approx(0.5, rel=1e-15)
+    cov = crlb_bistatic(Topology.bistatic(1, 1), 4.0 / 8)
+    assert cov.shape == (1, 1)
+    assert cov[0, 0] == pytest.approx(0.5, rel=1e-15)
 
 
 def test_crlb_bistatic_4x3_diagonal():
-    report = crlb_bistatic(Topology.bistatic(4, 3), 2.0, 8)
-    assert np.abs(np.diag(report.covariance_bound) - 0.125).max() < 1e-15
-    assert np.abs(report.subchannel_bounds - 0.125).max() < 1e-15
+    topo = Topology.bistatic(4, 3)
+    cov = crlb_bistatic(topo, 2.0 / 8)
+    assert np.abs(np.diag(cov) - 0.125).max() < 1e-15
+    assert np.abs(_per_entry_bounds(topo, cov) - 0.125).max() < 1e-15
 
 
 def test_crlb_bistatic_rejects_monostatic():
     with pytest.raises(WrongTopology):
-        crlb_bistatic(Topology.monostatic(3), 1.0, 1)
+        crlb_bistatic(Topology.monostatic(3), 1.0)
 
 
 def test_crlb_monostatic_m2_value():
-    report = crlb_monostatic(Topology.monostatic(2), 1.0, 1)
+    cov = crlb_monostatic(Topology.monostatic(2), 1.0)
     expected = 0.25 * np.array([[0.75, -0.25], [-0.25, 0.75]])
-    assert np.abs(report.covariance_bound - expected).max() < 1e-15
+    assert np.abs(cov - expected).max() < 1e-15
 
 
 def test_crlb_monostatic_m6_subchannel_bounds():
-    sigma_sq, length = 1.0, 1
-    report = crlb_monostatic(Topology.monostatic(6), sigma_sq, length)
-    assert np.abs(np.diag(report.subchannel_bounds) - 11 / 36).max() < 1e-15
-    off = report.subchannel_bounds[~np.eye(6, dtype=bool)]
+    topo = Topology.monostatic(6)
+    bounds = _per_entry_bounds(topo, crlb_monostatic(topo, 1.0))
+    assert np.abs(np.diag(bounds) - 11 / 36).max() < 1e-15
+    off = bounds[~np.eye(6, dtype=bool)]
     assert np.abs(off - 5 / 36).max() < 1e-15
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_crlb_monostatic_matches_numeric_fisher_inverse(m):
-    """Dense-inverse oracle for the closed-form covariance."""
-    sigma_sq, length = 3.0, 4
-    fisher = (2 * length / sigma_sq) * (m * np.eye(m) + np.ones((m, m)))
+    """Dense-inverse oracle for the closed-form covariance, whose
+    per-entry bounds are the iid MSE up to rounding."""
+    topo = Topology.monostatic(m)
+    sigma0_sq = 3.0 / 4
+    fisher = (2 / sigma0_sq) * (m * np.eye(m) + np.ones((m, m)))
     oracle = np.linalg.inv(fisher)
-    report = crlb_monostatic(Topology.monostatic(m), sigma_sq, length)
-    assert np.abs(report.covariance_bound - oracle).max() < 1e-10
+    cov = crlb_monostatic(topo, sigma0_sq)
+    assert np.abs(cov - oracle).max() < 1e-10
+    iid = theoretical_mse_iid(topo, sigma0_sq)
+    assert np.abs(_per_entry_bounds(topo, cov) / iid - 1.0).max() <= 1e-15
 
 
 def test_crlb_monostatic_rejects_bistatic():
     with pytest.raises(WrongTopology):
-        crlb_monostatic(Topology.bistatic(2, 2), 1.0, 1)
+        crlb_monostatic(Topology.bistatic(2, 2), 1.0)
 
 
 @pytest.mark.parametrize("topo", [Topology.bistatic(4, 3), Topology.monostatic(4)])
 def test_crlb_reports_are_symmetric_psd(topo):
     if topo.kind.value == "bistatic":
-        cov = crlb_bistatic(topo, 1.0, 2).covariance_bound
+        cov = crlb_bistatic(topo, 1.0 / 2)
     else:
-        cov = crlb_monostatic(topo, 1.0, 2).covariance_bound
+        cov = crlb_monostatic(topo, 1.0 / 2)
     assert np.abs(cov - cov.T).max() < 1e-14
     assert np.linalg.eigvalsh(cov).min() > -1e-12
 
@@ -306,7 +317,7 @@ def test_independent_mse_monostatic_matches_simulation():
     rng = noise_rng(91, 0)
     sigmas = rng.uniform(0.5, 2.0, size=(m, m))
     sigmas = 0.5 * (sigmas + sigmas.T)  # any positive matrix works; keep it tidy
-    predicted = theoretical_mse_independent(topo, sigmas**2, 1).per_entry_mse
+    predicted = theoretical_mse_independent(topo, sigmas**2)
 
     b = weighting_matrix(topo)
     trials = 200_000

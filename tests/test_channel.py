@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from bstoa.analysis import (
-    check_sigma,
-    crlb_bistatic,
-    crlb_monostatic,
-    theoretical_mse_independent,
-)
+from bstoa.analysis import check_sigma
 from bstoa.channel import (
     SPEED_OF_LIGHT,
     Scene,
@@ -294,15 +289,13 @@ def test_synth_observations_rejects_a_vector():
 
 @pytest.mark.parametrize("length", [0, 2.5, 2.0, "2"])
 def test_pilot_length_rule_is_shared(length):
-    """``synth_observations`` and ``analysis`` apply one rule, an integer
-    (``operator.index``) >= 1, with one message; ``check_sigma`` and the
-    bounds took 2.5, which ``synth_observations`` rejected."""
+    """``synth_observations`` and ``check_sigma``, the two owners of the
+    pilot length, apply one rule, an integer (``operator.index``) >= 1,
+    with one message; ``check_sigma`` took 2.5, which
+    ``synth_observations`` rejected."""
     calls = [
         lambda: synth_observations(np.zeros((2, 2)), length, 1e-9, noise_rng(1, 0)),
         lambda: check_sigma(1e-9, (length,)),
-        lambda: crlb_bistatic(Topology.bistatic(2, 2), 1e-18, length),
-        lambda: crlb_monostatic(Topology.monostatic(2), 1e-18, length),
-        lambda: theoretical_mse_independent(Topology.bistatic(2, 2), np.ones((2, 2)), length),
     ]
     messages = set()
     for call in calls:

@@ -1,6 +1,7 @@
 """Command line interface tests."""
 
 import contextlib
+import hashlib
 import io
 import os
 import subprocess
@@ -125,6 +126,33 @@ def test_crlb_at_unit_variance_prints_gen_matrix_b(capsys, m, n):
     assert bound_text == b_text
     cells = [line.split(",") for line in b_text.splitlines()]
     assert cells == [list(column) for column in zip(*cells)]
+
+
+# sha256 of ``bstoa crlb``'s stdout per argument list.  Away from the unit
+# variance of test_crlb_at_unit_variance_prints_gen_matrix_b, these pin the
+# division by L and the scaling of each bound, to the byte.
+_CRLB_STDOUT_SHA256 = {
+    "bi-4x3": (
+        ["--topology", "bi", "--m", "4", "--n", "3", "--sigma", "1e-9", "--pilot-len", "8"],
+        "0ffca560d526119c5b291a09a4b00aae8ce35997b9786cd4ea056cb3543797a3",
+    ),
+    "mono-6": (
+        ["--topology", "mono", "--m", "6", "--sigma", "1e-9", "--pilot-len", "8"],
+        "25cd21e10222b505804826771aa53dd823347c5b854ada0b2590de635d41b6a9",
+    ),
+    "mono-5": (
+        ["--topology", "mono", "--m", "5", "--sigma", "3.3e-10", "--pilot-len", "3"],
+        "d7b6aa6af182a766292524931279d9bcbca591ed26ffc3cd1d6498d1d50ee29b",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_CRLB_STDOUT_SHA256))
+def test_crlb_stdout_bytes_are_pinned(capsys, case):
+    argv, digest = _CRLB_STDOUT_SHA256[case]
+    code, out, _ = run_cli(capsys, "crlb", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -87,13 +87,13 @@ _CALLS = {
     ),
     "theoretical_mse_iid": lambda draw, topo: analysis.theoretical_mse_iid(topo, draw(_ANY)),
     "theoretical_mse_independent": lambda draw, topo: analysis.theoretical_mse_independent(
-        topo, np.abs(_matrix(draw, topo.m, topo.n)), draw(st.integers(0, 2))
+        topo, np.abs(_matrix(draw, topo.m, topo.n))
     ),
     "crlb_bistatic": lambda draw, topo: analysis.crlb_bistatic(
-        Topology.bistatic(topo.m, topo.n), draw(_ANY), draw(st.integers(0, 8))
+        Topology.bistatic(topo.m, topo.n), draw(_ANY)
     ),
     "crlb_monostatic": lambda draw, topo: analysis.crlb_monostatic(
-        Topology.monostatic(topo.m), draw(_ANY), draw(st.integers(0, 8))
+        Topology.monostatic(topo.m), draw(_ANY)
     ),
     "check_sigma": lambda draw, topo: analysis.check_sigma(
         draw(_ANY), (draw(st.integers(1, 8)),), abs(draw(_ANY))
@@ -125,7 +125,7 @@ _CALLS = {
 
 def _values(out):
     """The numbers in a function's output, as float arrays: arrays and
-    scalars, tuples, and the fields of report and scene dataclasses."""
+    scalars, tuples, and the fields of dataclasses such as scenes."""
     if isinstance(out, (tuple, list)):
         return [v for item in out for v in _values(item)]
     if dataclasses.is_dataclass(out):
@@ -161,8 +161,8 @@ _HUGE = np.full((3, 3), 1e308)
         lambda: estimator.refine_bistatic(np.full((2, 2), np.nan)),
         lambda: estimator.decompose_delays(_HUGE, -1e308, 0.0),
         lambda: channel.true_delays(_HUGE / 1e8, -_HUGE / 1e8, np.zeros(3)),
-        lambda: analysis.theoretical_mse_independent(Topology.bistatic(3, 3), _HUGE, 1),
-        lambda: analysis.crlb_monostatic(Topology.monostatic(6), 1e308, 1),
+        lambda: analysis.theoretical_mse_independent(Topology.bistatic(3, 3), _HUGE),
+        lambda: analysis.crlb_monostatic(Topology.monostatic(6), 1e308),
     ],
     ids=[
         "refine-bistatic-1e308", "refine-monostatic-1e308", "refine-estimate-1e308",

@@ -435,7 +435,7 @@ def test_mse_sweep_rows_and_theory_column():
     for row in rows:
         sigma0_sq = row.sigma**2 / row.pilot_len
         if row.method == "proposed":
-            expected = theoretical_mse_iid(cfg.topology, sigma0_sq).per_entry_mse[0, 0]
+            expected = theoretical_mse_iid(cfg.topology, sigma0_sq)[0, 0]
         else:
             expected = sigma0_sq
         assert row.theory == pytest.approx(expected, rel=1e-12)

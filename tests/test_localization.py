@@ -67,39 +67,44 @@ def _reference_gauss_newton(ts, txs, rxs, p0, max_iterations=5000):
     """Damped Gauss-Newton on all m n range-sum rows of a batch, run far
     past the library's iteration cap: the reference the row/column Newton
     solver is compared against.  Returns the positions and their sums of
-    squared residuals."""
+    squared residuals.  A scene leaves the working set once it stops, so
+    the slowest scenes iterate alone."""
     ks = SPEED_OF_LIGHT * ts
     count, m, n = ks.shape
 
-    def residuals(p):
-        da = np.linalg.norm(txs - p[:, None, :], axis=2)
-        db = np.linalg.norm(rxs - p[:, None, :], axis=2)
-        r = ks - da[:, :, None] - db[:, None, :]
+    def residuals(scene, p):
+        da = np.linalg.norm(txs[scene] - p[:, None, :], axis=2)
+        db = np.linalg.norm(rxs[scene] - p[:, None, :], axis=2)
+        r = ks[scene] - da[:, :, None] - db[:, None, :]
         return r, da, db, (r * r).sum(axis=(1, 2))
 
     p = p0.copy()
-    r, da, db, cost = residuals(p)
-    active = np.ones(count, dtype=bool)
+    # The working set: the batch index of each active scene and its terms.
+    scene = np.arange(count)
+    r, da, db, cost = residuals(scene, p)
     for _ in range(max_iterations):
-        if not active.any():
+        if not scene.size:
             break
-        u = (txs - p[:, None, :]) / da[:, :, None]
-        v = (rxs - p[:, None, :]) / db[:, :, None]
-        jac = (u[:, :, None, :] + v[:, None, :, :]).reshape(count, m * n, 3)
-        rhs = np.einsum("tki,tk->ti", jac, r.reshape(count, m * n))
+        u = (txs[scene] - p[scene, None, :]) / da[:, :, None]
+        v = (rxs[scene] - p[scene, None, :]) / db[:, :, None]
+        jac = (u[:, :, None, :] + v[:, None, :, :]).reshape(scene.size, m * n, 3)
+        rhs = np.einsum("tki,tk->ti", jac, r.reshape(scene.size, m * n))
         step = -np.linalg.solve(np.einsum("tki,tkj->tij", jac, jac), rhs[:, :, None])[:, :, 0]
-        step[~active] = 0.0
-        pending = active.copy()
+        pending = np.arange(scene.size)
         for _ in range(40):
-            r_c, da_c, db_c, cost_c = residuals(p + step)
-            ok = pending & (cost_c <= cost)
-            p[ok] += step[ok]
-            r[ok], da[ok], db[ok], cost[ok] = r_c[ok], da_c[ok], db_c[ok], cost_c[ok]
-            pending &= ~ok
-            if not pending.any():
+            at = scene[pending]
+            r_c, da_c, db_c, cost_c = residuals(at, p[at] + step[pending])
+            ok = cost_c <= cost[at]
+            done = pending[ok]
+            p[at[ok]] += step[done]
+            r[done], da[done], db[done], cost[at[ok]] = r_c[ok], da_c[ok], db_c[ok], cost_c[ok]
+            pending = pending[~ok]
+            if not pending.size:
                 break
             step[pending] *= 0.5
-        active &= ~pending & (np.linalg.norm(step, axis=1) >= 1e-13)
+        keep = np.linalg.norm(step, axis=1) >= 1e-13
+        keep[pending] = False
+        scene, r, da, db = scene[keep], r[keep], da[keep], db[keep]
     return p, cost
 
 
