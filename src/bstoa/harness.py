@@ -97,9 +97,9 @@ import operator
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, reduce
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -150,6 +150,9 @@ class SweepConfig:
     trials: int = 10_000
     cube_side: float = 10.0
     master_seed: int = 0
+    # Built once by __post_init__, as every chunk reads them.
+    topology: Topology = field(init=False, repr=False, compare=False)
+    grid_points: tuple[tuple[float, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.experiment, ExperimentKind):
@@ -158,9 +161,11 @@ class SweepConfig:
             except ValueError as exc:
                 raise ConfigInvalid(f"unknown experiment {self.experiment!r}") from exc
         try:
-            object.__setattr__(self, "kind", self.topology.kind)
+            topo = Topology(self.kind, self.m, self.n)
         except InvalidValue as exc:
             raise ConfigInvalid(str(exc)) from exc
+        object.__setattr__(self, "topology", topo)
+        object.__setattr__(self, "kind", topo.kind)
         _require_integer(self.trials, "trials", ConfigInvalid)
         _require_integer(self.master_seed, "master_seed", ConfigInvalid)
         if self.trials < 1:
@@ -180,7 +185,6 @@ class SweepConfig:
             raise ConfigInvalid("sigma grid must be strictly ascending")
         if self.experiment is ExperimentKind.LOCALIZATION:
             # A bistatic m x n matrix holds m + n - 1 independent range sums.
-            topo = self.topology
             ranges = topo.m + topo.n - 1 if topo.kind is Kind.BISTATIC else topo.m
             if ranges < 4:
                 raise ConfigInvalid(f"{ranges} independent ranges cannot fix a 3D position")
@@ -201,33 +205,23 @@ class SweepConfig:
             # The largest sum a sweep forms, the LS energy over all its
             # trials and entries or a refined square's four terms, stays
             # finite with every value _HEADROOM_SDS deviations out.
-            limit = sys.float_info.max / (4.0 * _HEADROOM_SDS**2 * self.trials * self.topology.mn)
+            limit = sys.float_info.max / (4.0 * _HEADROOM_SDS**2 * self.trials * topo.mn)
         try:
             # check_sigma applies the pilot-length rule first.
             for sigma in self.sigma_grid:
                 check_sigma(sigma, self.pilot_lengths, limit)
             # Every theory value a row carries is a normal float too; the
-            # smallest sigma and the longest pilot give the smallest.
+            # smallest sigma and the longest pilot give the smallest.  mse
+            # rows and monostatic crlb rows carry theoretical_mse_iid values.
             sigma, length = self.sigma_grid[0], max(self.pilot_lengths)
-            if self.experiment is ExperimentKind.MSE:
-                analysis.theoretical_mse_iid(self.topology, sigma**2 / length)
-            elif self.experiment is ExperimentKind.CRLB and self.kind is Kind.MONOSTATIC:
-                analysis.crlb_monostatic(self.topology, sigma**2 / length)
+            if self.experiment is ExperimentKind.MSE or (
+                self.experiment is ExperimentKind.CRLB and topo.kind is Kind.MONOSTATIC
+            ):
+                analysis.theoretical_mse_iid(topo, sigma**2 / length)
         except InvalidValue as exc:
             raise ConfigInvalid(f"{self.experiment.value} sweep: {exc}") from exc
-
-    # Built once per config, as every chunk reads them; no part of the state
-    # (``__getstate__``), so a config pickles alike whether or not read.
-    @cached_property
-    def topology(self) -> Topology:
-        return Topology(self.kind, self.m, self.n)
-
-    @cached_property
-    def grid_points(self) -> tuple[tuple[float, int], ...]:
-        return tuple((s, length) for s in self.sigma_grid for length in self.pilot_lengths)
-
-    def __getstate__(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        grid = tuple((s, length) for s in self.sigma_grid for length in self.pilot_lengths)
+        object.__setattr__(self, "grid_points", grid)
 
 
 def _scene_unit(cube_side: float) -> float:
@@ -338,10 +332,11 @@ def _execute(cfg: SweepConfig, runner: Callable, workers: int | None) -> list:
 
     Of the two chunks run here before the pool gate (module docstring),
     the first pays the process's one-off costs (numpy imports
-    ``numpy.random`` on first use, ~14 ms), so the second is timed.  The
-    config reaches each pool worker once, through the pool initializer; a
-    run comes back stacked (``_run_chunks``) and is split here into its
-    chunks' partials, row views of those arrays.
+    ``numpy.random`` on first use, ~14 ms), so the second is timed.  Each
+    pool run carries its config and chunk function with its chunk bounds,
+    so a config is pickled once per run, never per chunk, and no worker
+    holds state between runs; a run comes back stacked (``_run_chunks``)
+    and is split here into its chunks' partials, row views of those arrays.
     """
     total = len(cfg.grid_points) * _chunks_per_point(cfg)
     if workers is None:
@@ -359,31 +354,20 @@ def _execute(cfg: SweepConfig, runner: Callable, workers: int | None) -> list:
 
     runs = min(left, _RUNS_PER_WORKER * workers)
     bounds = [2 + left * k // runs for k in range(runs + 1)]
-    with ProcessPoolExecutor(
-        min(workers, runs), initializer=_serve_sweep, initargs=(cfg, runner)
-    ) as pool:
-        futures = [pool.submit(_run_chunks, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    with ProcessPoolExecutor(min(workers, runs)) as pool:
+        futures = [
+            pool.submit(_run_chunks, cfg, runner, lo, hi) for lo, hi in zip(bounds, bounds[1:])
+        ]
         for future in futures:
             stacked = future.result()
             results.extend(dict(zip(stacked, values)) for values in zip(*stacked.values()))
     return results
 
 
-# The sweep a pool worker serves: its config and chunk function, set once
-# per worker process by ``_serve_sweep``.
-_served: tuple[SweepConfig, Callable] | None = None
-
-
-def _serve_sweep(cfg: SweepConfig, runner: Callable) -> None:
-    global _served
-    _served = (cfg, runner)
-
-
-def _run_chunks(lo: int, hi: int) -> dict:
-    """Partials of the served sweep's chunks ``lo`` to ``hi - 1``, stacked:
+def _run_chunks(cfg: SweepConfig, runner: Callable, lo: int, hi: int) -> dict:
+    """Partials ``runner(cfg, c)`` of chunks ``lo`` to ``hi - 1``, stacked:
     one array per key, whose row k is chunk ``lo + k``'s value, so a run
     goes back to the parent as a few arrays, not one dict per chunk."""
-    cfg, runner = _served
     run = [runner(cfg, c) for c in range(lo, hi)]
     return {key: np.stack([partial[key] for partial in run]) for key in run[0]}
 

@@ -44,7 +44,6 @@ from bstoa.harness import (
     _refined_squares,
     _run_chunks,
     _run_noise_chunk,
-    _serve_sweep,
     parse_config,
     run_sweep,
 )
@@ -74,9 +73,9 @@ def _cfg(**overrides):
 
 def test_config_builds_its_grid_and_topology_once():
     """Every chunk reads its config's grid points and topology, so each is
-    built once per config; the cache is no part of a pickled config, whose
-    bytes do not depend on whether it was read, and an unpickled config
-    rebuilds the same values."""
+    built once per config, as fields set at construction; a pickled
+    config's bytes do not depend on whether they were read, and an
+    unpickled config carries the same values."""
     cfg = _cfg(sigma_grid=(1e-9, 2e-9, 3e-9), pilot_lengths=(2, 8))
     fresh = pickle.dumps(cfg)
     assert cfg.grid_points is cfg.grid_points
@@ -154,6 +153,23 @@ def test_parse_config_defaults():
 def test_parse_config_rejects(text):
     with pytest.raises(ConfigInvalid):
         parse_config(text)
+
+
+def test_monostatic_crlb_config_checks_the_bounds_its_rows_divide_by():
+    """A monostatic crlb sweep is checked against the ``theoretical_mse_iid``
+    bounds its rows divide by, not against ``crlb_monostatic``'s smaller
+    off-diagonal entries: monostatic 3 at L = 8 and sigma = 1.26e-153
+    (sigma0^2 = 2e-307) runs, with normal rows near 1, where it used to
+    raise ConfigInvalid."""
+    cfg = parse_config(
+        "experiment = crlb\nkind = monostatic\nm = 3\npilot_lengths = 8\n"
+        "sigma_grid = 1.26e-153\ntrials = 64\n"
+    )
+    assert theoretical_mse_iid(cfg.topology, 1.26e-153**2 / 8).min() >= sys.float_info.min
+    rows = run_sweep(cfg, workers=1).rows
+    assert [row.metric for row in rows] == ["diag_bound_ratio", "offdiag_bound_ratio"]
+    for row in rows:
+        assert row.value >= sys.float_info.min and 1.0 / 3.0 < row.value < 3.0, row
 
 
 @pytest.mark.parametrize(
@@ -1432,17 +1448,17 @@ def test_pool_is_capped_at_the_task_count(monkeypatch):
     to the pool as contiguous runs, about four per worker: six chunks at
     workers=64 make four one-chunk runs and a pool of four workers, twenty
     chunks at workers=2 make eight runs and a pool of two.  Each run is
-    submitted as its chunk bounds alone; the config reaches the pool once,
-    through its initializer.  The stub pool records this and runs each
-    task in this process, so no process starts."""
+    submitted with the sweep's config and chunk function and its chunk
+    bounds, and the pool takes no initializer, so its workers hold no
+    sweep.  The stub pool records this and runs each task in this
+    process, so no process starts."""
     import concurrent.futures
 
     pools = []
 
     class RecordingPool:
-        def __init__(self, max_workers, initializer, initargs):
-            pools.append({"workers": max_workers, "initargs": initargs, "runs": []})
-            initializer(*initargs)
+        def __init__(self, max_workers):
+            pools.append({"workers": max_workers, "tasks": []})
 
         def __enter__(self):
             return self
@@ -1451,14 +1467,13 @@ def test_pool_is_capped_at_the_task_count(monkeypatch):
             return False
 
         def submit(self, fn, *args):
-            pools[-1]["runs"].append(args)
+            pools[-1]["tasks"].append(args)
             future = Future()
             future.set_result(fn(*args))
             return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(harness, "_POOL_BREAK_EVEN_S", 0.0)
-    monkeypatch.setattr(harness, "_served", None)
     for sigmas, trials, workers, size, runs in (
         ((1e-9, 2e-9, 3e-9), 600, 64, 4, 4),
         ((1e-9, 2e-9), 5000, 2, 2, 8),
@@ -1469,12 +1484,14 @@ def test_pool_is_capped_at_the_task_count(monkeypatch):
         csv = run_sweep(cfg, workers=workers).to_csv()
         (pool,) = pools
         assert pool["workers"] == size
-        assert pool["initargs"][0] is cfg
-        assert len(pool["runs"]) == runs
-        bounds = [lo for lo, _ in pool["runs"]] + [pool["runs"][-1][1]]
+        runner = harness._EXPERIMENTS[cfg.experiment][0]
+        assert all(task[0] is cfg and task[1] is runner for task in pool["tasks"])
+        pool_runs = [task[2:] for task in pool["tasks"]]
+        assert len(pool_runs) == runs
+        bounds = [lo for lo, _ in pool_runs] + [pool_runs[-1][1]]
         assert bounds[0] == 2 and bounds[-1] == chunks
-        assert pool["runs"] == list(zip(bounds, bounds[1:]))
-        assert max(hi - lo for lo, hi in pool["runs"]) <= -(-(chunks - 2) // runs)
+        assert pool_runs == list(zip(bounds, bounds[1:]))
+        assert max(hi - lo for lo, hi in pool_runs) <= -(-(chunks - 2) // runs)
         assert csv == run_sweep(cfg, workers=1).to_csv()
 
 
@@ -1535,16 +1552,43 @@ def test_bistatic_24x24_csv_does_not_depend_on_the_pool(monkeypatch):
     assert opened == [2, 2]
 
 
-def test_pool_runs_return_stacked_partials(monkeypatch):
+def test_a_spawned_pool_gives_the_in_process_csv(monkeypatch):
+    """Spawned workers, the default on macOS and Windows, import bstoa
+    afresh and share nothing with this process but their task's
+    arguments: mse bistatic 4x3 and localization monostatic 6 sweeps of
+    six chunks give the workers=1 CSV from a spawned two-worker pool."""
+    import concurrent.futures
+    import multiprocessing
+
+    opened = []
+    real_pool = concurrent.futures.ProcessPoolExecutor
+
+    class SpawnPool(real_pool):
+        def __init__(self, max_workers, **kwargs):
+            opened.append(max_workers)
+            super().__init__(max_workers, mp_context=multiprocessing.get_context("spawn"), **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpawnPool)
+    monkeypatch.setattr(harness, "_POOL_BREAK_EVEN_S", 0.0)
+    for experiment, kind, m, n in (
+        (ExperimentKind.MSE, Kind.BISTATIC, 4, 3),
+        (ExperimentKind.LOCALIZATION, Kind.MONOSTATIC, 6, 6),
+    ):
+        cfg = _cfg(experiment=experiment, kind=kind, m=m, n=n, trials=1100)
+        assert len(_point_chunks(cfg)) == 6
+        pooled = run_sweep(cfg, workers=2).to_csv()
+        assert pooled == run_sweep(cfg, workers=1).to_csv(), experiment
+    assert opened == [2, 2]
+
+
+def test_pool_runs_return_stacked_partials():
     """A pool run returns its chunks' partials as one array per key, row k
     holding chunk lo + k's value, across a grid point boundary, so a run is
     pickled as a few arrays (the CSVs are checked by the pool gate test)."""
-    monkeypatch.setattr(harness, "_served", None)
     for experiment in ExperimentKind:
         cfg = _cfg(experiment=experiment, m=4, n=3, trials=600)
         runner = harness._EXPERIMENTS[experiment][0]
-        _serve_sweep(cfg, runner)
-        stacked = _run_chunks(1, 4)
+        stacked = _run_chunks(cfg, runner, 1, 4)
         for c in range(1, 4):
             for key, value in runner(cfg, c).items():
                 assert stacked[key].shape[0] == 3
