@@ -7,7 +7,10 @@ Subcommands:
     localize     fix a tag position from a scene file and a TOA CSV
     sweep        run a Monte-Carlo sweep from a config file
 
-Exit codes: 0 success, 2 bad configuration or input, 3 numerical failure.
+Exit codes: 0 success, 2 bad configuration or input, 3 numerical failure:
+a degenerate anchor geometry in ``localize``.  A localization sweep leaves
+the scenes with no fix out of its RMSE and writes a ``no_fix`` row with
+their count; it exits 3 only at a grid point where no scene has a fix.
 A reader that closes the output pipe early (``| head``) ends the command
 quietly with exit code 0.
 """

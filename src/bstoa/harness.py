@@ -68,6 +68,12 @@ sum, so a localization chunk solves on per-anchor terms and an mse or crlb
 chunk keeps its row/column coordinates' sum of outer products, an (m + n)
 x (m + n) partial (m x m for monostatic), and the rows read the refined
 squares and the CRLB check from it (``_refined_squares``, ``_crlb_rows``).
+A localization scene with no fix, a bistatic one whose Gauss-Newton
+matrix loses rank 3 or a monostatic one with coplanar anchors, is left
+out of its point's RMSE, and the point adds a ``no_fix`` row with the
+count; a point that left no scene out has no such row, so its bytes are
+those of a sweep without the count.  Only a point where no scene has a
+fix aborts the sweep, with ``SingularGeometry``.
 
 ``SweepConfig`` accepts a sigma only where it is positive, ``sigma^2 / L``
 is a positive normal float for every pilot length L and the sweep's sums
@@ -577,30 +583,31 @@ def _loc_terms(cfg: SweepConfig, c: int) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def _run_loc_chunk(cfg: SweepConfig, c: int) -> dict:
+    """Chunk c's summed squared position errors in meters, ``sqerr_<method>``,
+    over the scenes that have a fix, and ``no_fix_<method>``, the count of
+    scenes that have none (``_fix_bistatic``, ``_fix_monostatic``)."""
     anchors, tags, terms, unit = _loc_terms(cfg, c)
-    bistatic = cfg.kind is Kind.BISTATIC
-    try:
-        if bistatic:
-            # A delay matrix and its projection have one bistatic fix (see
-            # localize_bistatic), so each scene is solved once, and the ls
-            # and proposed rows share it.  Its rank test reads the noisy
-            # range sums, so a singular scene may be noise.
-            fixes = [_fix_bistatic(anchors, terms, cfg.m)[0]]
-        else:
-            # One call fixes the LS and the refined ranges; no scene's
-            # arithmetic depends on the rest of its batch.
-            both, _, _ = _fix_monostatic(np.concatenate((anchors, anchors), axis=2), terms)
-            fixes = np.split(both, 2, axis=1)
-    except SingularGeometry as exc:
-        sigma, pilot_len = cfg.grid_points[_chunk_span(cfg, c)[0]]
-        where = "noisy range sums" if bistatic else "LS and refined ranges"
-        twice = "" if bistatic else f", each of its {tags.shape[1]} scenes solved twice"
-        raise SingularGeometry(
-            f"{exc} at the {where} of sigma = {sigma!r} s, L = {pilot_len} (chunk {c}{twice})"
-        ) from exc
-    # Squared errors in meters: the scene unit squared is a power of two.
-    sqerr = [((p - tags) ** 2).sum() * unit**2 for p in fixes]
-    return {"sqerr_ls": sqerr[0], "sqerr_proposed": sqerr[-1]}
+    if cfg.kind is Kind.BISTATIC:
+        # A delay matrix and its projection have one bistatic fix (see
+        # localize_bistatic), so each scene is solved once, and the ls and
+        # proposed rows share it.  Its rank test reads the noisy range sums,
+        # so a scene with no fix may be noise.
+        p, _, _, singular = _fix_bistatic(anchors, terms, cfg.m)
+        fixes = [(p, singular)] * 2
+    else:
+        # One call fixes the LS and the refined ranges; no scene's
+        # arithmetic depends on the rest of its batch.
+        both, _, _, singular = _fix_monostatic(np.concatenate((anchors, anchors), axis=2), terms)
+        # Views of the LS fixes, then the refined ones (np.split costs more).
+        fixes = zip(both.reshape(3, 2, -1).swapaxes(0, 1), singular.reshape(2, -1))
+    partial = {}
+    for method, (p, singular) in zip(("ls", "proposed"), fixes):
+        sq = (p - tags) ** 2
+        np.copyto(sq, 0.0, where=singular)
+        # In meters: the scene unit squared is a power of two.
+        partial[f"sqerr_{method}"] = sq.sum() * unit**2
+        partial[f"no_fix_{method}"] = np.count_nonzero(singular)
+    return partial
 
 
 def _offdiag_mean(matrix: np.ndarray) -> float:
@@ -634,10 +641,20 @@ def _mse_rows(cfg: SweepConfig, sigma: float, pilot_len: int, sums: dict):
 
 
 def _loc_rows(cfg: SweepConfig, sigma: float, pilot_len: int, sums: dict):
-    """Positioning RMSE for both estimators; there is no closed form for
-    it, so the rows carry no theory value."""
+    """Positioning RMSE for both estimators over the scenes with a fix;
+    there is no closed form for it, so the rows carry no theory value.  A
+    point that left scenes out adds a ``no_fix`` row with their count.
+
+    Raises:
+        SingularGeometry: if no scene of the point has a fix.
+    """
     for method in ("ls", "proposed"):
-        yield method, "rmse", float(np.sqrt(sums[f"sqerr_{method}"] / cfg.trials)), None
+        no_fix = sums[f"no_fix_{method}"]
+        if no_fix == cfg.trials:
+            raise SingularGeometry(f"no scene has a fix at sigma = {sigma!r} s, L = {pilot_len}")
+        yield method, "rmse", float(np.sqrt(sums[f"sqerr_{method}"] / (cfg.trials - no_fix))), None
+        if no_fix:
+            yield method, "no_fix", float(no_fix), None
 
 
 def _crlb_rows(cfg: SweepConfig, sigma: float, pilot_len: int, sums: dict):
@@ -724,15 +741,17 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
     ``workers`` is the number of processes (None: one per CPU); the output
     does not depend on it.
 
+    A localization scene with no fix, where a bistatic Gauss-Newton matrix
+    loses rank 3 at its noisy range sums or a monostatic closed form meets
+    coplanar anchors, is left out of its point's RMSE and counted in a
+    ``no_fix`` row.
+
     Raises:
-        ConfigInvalid: if ``workers`` is below 1.
-        SingularGeometry: if a bistatic localization chunk's Gauss-Newton
-            matrix loses rank 3 at a scene's noisy range sums, or a
-            monostatic chunk's closed form meets coplanar anchors at a
-            scene's LS or refined ranges; the message names the grid point
-            and the chunk.
+        ConfigInvalid: if ``workers`` is not an integer or is below 1.
+        SingularGeometry: if no scene of a localization grid point has a
+            fix; the message names the grid point.
     """
-    if workers is not None and workers < 1:
+    if workers is not None and _require_integer(workers, "workers", ConfigInvalid) < 1:
         raise ConfigInvalid(f"workers must be >= 1, got {workers}")
     run_chunk, point_rows = _EXPERIMENTS[cfg.experiment]
     partials = _execute(cfg, run_chunk, workers)

@@ -49,7 +49,10 @@ divide by a power of two at or above the anchor span and the longest
 range, which is exact.  They reduce the delay matrices to per-anchor terms
 there, solve, and map the fix and the residual back.  Sweeps call the
 solvers directly, with every length of a sweep divided by one power of
-two (``harness._loc_terms``).
+two (``harness._loc_terms``).  The solvers raise nothing on a scene with
+no fix: they flag it in a per-scene mask, and each caller decides.  The
+public localizers raise ``SingularGeometry``; a sweep leaves the scene
+out and counts it.
 """
 
 from __future__ import annotations
@@ -441,26 +444,27 @@ def localize_bistatic(
     centroid, unit = _to_frame(anchors, ks.T)
     rows, cols = _two_way_fit(ks)
     terms = np.concatenate([rows[..., 0].T, cols[:, 0].T])
-    p, fit_sq, iterations = _fix_bistatic(anchors, terms, m)
+    p, fit_sq, iterations, singular = _fix_bistatic(anchors, terms, m)
+    if singular.any():
+        raise SingularGeometry(f"rank-deficient geometry in {singular.sum()} of {len(ts)} scenes")
     off = ks - (rows + cols)
     off_sq = _sum_in_order((off * off).transpose(1, 2, 0).reshape(m * n, -1))
     return _unstack(lead, p * unit + centroid, np.sqrt(fit_sq + off_sq) * unit, iterations)
 
 
 def _fix_bistatic(anchors: np.ndarray, terms: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
-    """Positions (3,T), fitted |R|^2 and iterations from anchors (3,m+n,T),
-    transmitters over receivers, and ``terms`` (m+n,T), the range sums' fit
-    in scene units: its row terms a over its column terms b, so that range
-    sum (i, j) is fitted by a_i + b_j.  The warm start reads the fit's first
-    column a + b_0 and first row a_0 + b, built here; Newton splits the fit
-    into that column and the row less their shared corner."""
+    """Positions (3,T), fitted |R|^2, iterations and the scenes with no fix
+    (T,) from anchors (3,m+n,T), transmitters over receivers, and ``terms``
+    (m+n,T), the range sums' fit in scene units: its row terms a over its
+    column terms b, so that range sum (i, j) is fitted by a_i + b_j.  The
+    warm start reads the fit's first column a + b_0 and first row a_0 + b,
+    built here; Newton splits the fit into that column and the row less
+    their shared corner.  A scene has no fix where ``_newton_batch`` flags
+    it singular; its position means nothing, and no other scene's result
+    depends on it."""
     col, row = terms[:m] + terms[m], terms[0] + terms[m:]
     p0 = _warm_start(anchors, col, row)
-    fit = np.concatenate([col, row - col[0]])
-    p, fit_sq, iterations, singular = _newton_batch(anchors, fit, m, p0)
-    if singular.any():
-        raise SingularGeometry(f"rank-deficient geometry in {singular.sum()} of {p[0].size} scenes")
-    return p, fit_sq, iterations
+    return _newton_batch(anchors, np.concatenate([col, row - col[0]]), m, p0)
 
 
 def localize_monostatic(
@@ -494,24 +498,27 @@ def localize_monostatic(
         ranges = (SPEED_OF_LIGHT * (np.diagonal(ts, axis1=1, axis2=2) - delta) / 2.0).T.copy()
     del t, ts, anchors  # a caller's stacked inputs can be freed; only copies are used below
     centroid, unit = _to_frame(points, ranges)
-    p, fnorm, accepted = _fix_monostatic(points, ranges)
+    p, fnorm, accepted, singular = _fix_monostatic(points, ranges)
+    if singular.any():
+        raise SingularGeometry(f"coplanar anchors in {singular.sum()} of {singular.size} scenes")
     return _unstack(lead, p * unit + centroid, fnorm * unit, accepted.astype(np.int64))
 
 
 def _fix_monostatic(points: np.ndarray, ranges: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Positions (3,T), range residual norms and polish-step flags from
-    anchors (3,m,T) and ranges (m,T) in scene units."""
+    """Positions (3,T), range residual norms, polish-step flags and the
+    scenes with no fix (T,) from anchors (3,m,T) and ranges (m,T) in scene
+    units.  A scene has no fix where the closed form's normal matrix has
+    rank < 3 (coplanar anchors); its position means nothing, and no other
+    scene's result depends on it."""
     norms = _sum_in_order(points * points)
     rhs = 0.5 * (norms[1:] - norms[0] - (ranges[1:] ** 2 - ranges[0] ** 2))
-    (p,), bad = _least_squares3(points[:, 1:] - points[:, :1], rhs)
-    if bad.any():
-        raise SingularGeometry(f"coplanar anchors in {int(bad.sum())} of {bad.size} scenes")
+    (p,), singular = _least_squares3(points[:, 1:] - points[:, :1], rhs)
     state = list(_range_residuals(points, ranges, p))
     (step,), bad = _least_squares3(  # Gauss-Newton: Jacobian rows are unit vectors
         (points - p[:, None]) / np.maximum(state[0], _DISTANCE_FLOOR), state[1]
     )
     accepted, _ = _damped_update(_range_residuals, [points, ranges], p, -step, state, ~bad)
-    return p, state[-1], accepted
+    return p, state[-1], accepted, singular
 
 
 def _range_residuals(

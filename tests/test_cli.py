@@ -534,34 +534,37 @@ def test_localize_singular_geometry_exit_code(tmp_path, capsys):
 
 
 def test_sweep_cli_singular_geometry_names_the_grid_point(tmp_path, capsys):
-    """A localization sweep that meets a singular scene exits 3, and the
-    message names the grid point and chunk; it used to name only the scene
-    count.  Bistatic: range noise swamps the cube, and the rank test reads
-    the noisy range sums.  Monostatic 4 at seed 0: chunk 111 holds a
-    coplanar scene, counted twice, since each scene is solved for its LS
-    and its refined ranges."""
+    """A localization sweep leaves the scenes with no fix out of its RMSE
+    and writes a no_fix row per method with their count, exit 0; both
+    configs used to exit 3.  Bistatic: range noise swamps the cube, and the
+    rank test reads the noisy range sums.  Monostatic 4 at seed 0: chunk 111
+    holds one coplanar scene, left out of both rows.  A grid point where no
+    scene has a fix exits 3, and the message names the grid point."""
     config = tmp_path / "noisy.cfg"
-    config.write_text(
+    out = tmp_path / "x.csv"
+
+    def no_fix_rows(text):
+        config.write_text(text)
+        argv = ("sweep", "--config", str(config), "--out", str(out), "--workers", "1")
+        assert run_cli(capsys, *argv) == (0, "", "")
+        rows = [line.split(",") for line in out.read_text().splitlines()]
+        return [(row[2], row[4], row[5]) for row in rows if row[3] == "no_fix"]
+
+    assert no_fix_rows(
         "experiment = localization\nkind = bistatic\nm = 4\nn = 3\npilot_lengths = 2\n"
         "sigma_grid = 1e-4\ntrials = 512\nmaster_seed = 11\n"
-    )
-    out = tmp_path / "x.csv"
-    code, _, err = run_cli(capsys, "sweep", "--config", str(config), "--out", str(out))
-    assert code == 3
-    assert err == (
-        "error: rank-deficient geometry in 157 of 512 scenes at the noisy range sums of "
-        "sigma = 0.0001 s, L = 2 (chunk 0)\n"
-    )
-    assert not out.exists()
-    config.write_text(
+    ) == [("ls", f"{157.0:.17e}", ""), ("proposed", f"{157.0:.17e}", "")]
+    assert no_fix_rows(
         "experiment = localization\nkind = monostatic\nm = 4\npilot_lengths = 2\n"
         f"sigma_grid = 1e-9\ntrials = {112 * 512}\nmaster_seed = 0\n"
+    ) == [("ls", f"{1.0:.17e}", ""), ("proposed", f"{1.0:.17e}", "")]
+    out.unlink()
+    config.write_text(
+        "experiment = localization\nkind = bistatic\nm = 4\nn = 3\npilot_lengths = 2\n"
+        "sigma_grid = 1e-4\ntrials = 1\nmaster_seed = 1\n"
     )
-    code, _, err = run_cli(capsys, "sweep", "--config", str(config), "--out", str(out), "--workers", "1")
-    assert (code, err) == (3, (
-        "error: coplanar anchors in 2 of 1024 scenes at the LS and refined ranges of sigma = "
-        "1e-09 s, L = 2 (chunk 111, each of its 512 scenes solved twice)\n"
-    ))
+    code, _, err = run_cli(capsys, "sweep", "--config", str(config), "--out", str(out))
+    assert (code, err) == (3, "error: no scene has a fix at sigma = 0.0001 s, L = 2\n")
     assert not out.exists()
 
 

@@ -407,17 +407,19 @@ def test_parsed_configs_run_or_fail_at_the_config(fields):
     """Config text drawn from the key = value grammar (m, n <= 6, at most
     600 trials) either raises ConfigInvalid at ``parse_config`` or gives a
     config that ``run_sweep`` completes, with a finite row for every grid
-    point.  The one other outcome is SingularGeometry from a bistatic
-    localization sweep whose noise swamps its cube: one degenerate scene
-    still aborts a sweep (ROADMAP item 4)."""
+    point.  The one other outcome is SingularGeometry from a localization
+    sweep with a grid point where no scene has a fix, such as a bistatic
+    one whose noise swamps its cube; a scene with no fix no longer aborts a
+    sweep that has others (ROADMAP item 4)."""
     try:
         cfg = parse_config("\n".join(f"{key} = {value}" for key, value in fields.items()))
     except ConfigInvalid:
         return
     try:
         rows = run_sweep(cfg, workers=1).rows
-    except SingularGeometry:
-        assert cfg.experiment is ExperimentKind.LOCALIZATION and cfg.kind is Kind.BISTATIC
+    except SingularGeometry as exc:
+        assert cfg.experiment is ExperimentKind.LOCALIZATION
+        assert re.fullmatch(r"no scene has a fix at sigma = \S+ s, L = \d+", str(exc))
         return
     assert {(row.sigma, row.pilot_len) for row in rows} == set(cfg.grid_points)
     assert all(math.isfinite(row.value) for row in rows)
@@ -1316,6 +1318,47 @@ def test_chunk_fixes_are_the_public_fixes(kind, m, n):
             assert np.linalg.norm(p.T - q, axis=1).max() < 1e-6
 
 
+def _no_fix_rows(cfg):
+    """{(sigma, L, method): count} of a sweep's no_fix rows."""
+    rows = run_sweep(cfg, workers=1).rows
+    return {(r.sigma, r.pilot_len, r.method): r.value for r in rows if r.metric == "no_fix"}
+
+
+def test_a_scene_with_no_fix_is_counted_not_fatal():
+    """ROADMAP items 4 and 16: sweeps that used to abort on one scene with
+    no fix complete, leave it out of the RMSE and count it in a no_fix row
+    per method.  The default monostatic 4 sweep (10^4 trials, default grid)
+    completes at master seeds 0-4; at seed 0 chunks 111, 183, 358 and 373
+    each hold one coplanar scene, and seed 2 none.  Bistatic 4x3 at sigma =
+    1e-5, L = 2 and 512 trials: at seeds 1-11 the counts are those of the
+    aborts' messages, and the rmse rows divide by the scenes with a fix."""
+    grid = DEFAULT_SIGMA_GRID
+    for seed in range(5):
+        cfg = SweepConfig(ExperimentKind.LOCALIZATION, Kind.MONOSTATIC, 4, 4, master_seed=seed)
+        got = _no_fix_rows(cfg)
+        if seed == 0:
+            points = ((grid[2], 8), (grid[4], 8), (grid[8], 8), (grid[9], 2))
+            assert got == {(s, length, m): 1.0 for s, length in points for m in ("ls", "proposed")}
+        elif seed == 2:
+            assert got == {}
+    counts = (2, 4, 3, 2, 1, 2, 0, 2, 3, 3, 0)
+    for seed, count in enumerate(counts, start=1):
+        cfg = _cfg(
+            experiment=ExperimentKind.LOCALIZATION, m=4, n=3, sigma_grid=(1e-5,),
+            trials=CHUNK_TRIALS, master_seed=seed,
+        )
+        want = {(1e-5, 2, method): float(count) for method in ("ls", "proposed")} if count else {}
+        assert _no_fix_rows(cfg) == want
+    cfg = replace(cfg, master_seed=2)
+    anchors, tags, terms, unit = _loc_terms(cfg, 0)
+    p, _, _, singular = _fix_bistatic(anchors, terms, cfg.m)
+    fixed = ~singular
+    rmse = np.linalg.norm(p[:, fixed] - tags[:, fixed]) * unit / math.sqrt(fixed.sum())
+    for row in run_sweep(cfg, workers=1).rows:
+        if row.metric == "rmse":
+            assert row.value == pytest.approx(rmse, rel=1e-12)
+
+
 @pytest.mark.parametrize("trials", [700, 1025, 1100])
 def test_chunks_cover_each_points_trials_once(trials):
     """The chunks a sweep runs, counted point-major, cover each of its four
@@ -1437,9 +1480,15 @@ def test_sweep_determinism_across_worker_counts():
     assert csv_one == csv_three
 
 
-@pytest.mark.parametrize("workers", [0, -4])
-def test_sweep_rejects_workers_below_one(workers):
-    with pytest.raises(ConfigInvalid):
+@pytest.mark.parametrize(
+    "workers", [0, -4, pytest.param(2.5, id="2.5"), pytest.param("2", id="str-2")]
+)
+def test_sweep_rejects_workers_below_one(monkeypatch, workers):
+    """A workers value below 1 or not an integer fails at the boundary,
+    before any chunk runs; with the pool gate open, 2.5 and "2" used to
+    raise a bare TypeError from inside the sweep."""
+    monkeypatch.setattr(harness, "_POOL_BREAK_EVEN_S", 0.0)
+    with pytest.raises(ConfigInvalid, match="workers must be"):
         run_sweep(_cfg(trials=8), workers=workers)
 
 

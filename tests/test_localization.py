@@ -222,6 +222,43 @@ def test_bistatic_collinear_anchors_detected():
         localize_bistatic(t, tx, rx)
 
 
+@pytest.mark.parametrize("monostatic", [False, True], ids=["bi4x3", "mono5"])
+def test_a_scene_with_no_fix_leaves_its_stack_alone(monostatic):
+    """The degenerate scene of the two tests above, in scene units, in the
+    middle of a stack of 64 drawn scenes: the solver flags that scene alone,
+    and every other scene's position, residual and count equals its value
+    from the stack without it, bit for bit.  The scene runs through the
+    Newton loop and the step halvings with the others."""
+    if monostatic:
+        anchors = np.array([
+            [0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0], [10.0, 10.0, 0.0], [5.0, 2.0, 0.0]
+        ])
+        tag, solve = np.array([4.0, 6.0, 3.0]), localization._fix_monostatic
+    else:
+        # Transmitters at x = 1..4 over receivers at x = 6..8.
+        anchors = np.column_stack([np.r_[1.0:5.0, 6.0:9.0], np.zeros(7), np.zeros(7)])
+        tag = np.array([2.0, 0.0, 0.0])
+
+        def solve(points, terms):
+            return localization._fix_bistatic(points, terms, 4)
+
+    k, count, at = len(anchors), 64, 32
+    rng = np.random.default_rng(4700)
+    drawn = rng.random((3, k + 1, count))
+    points = np.ascontiguousarray(drawn[:, :k])
+    ranges = np.sqrt(((points - drawn[:, k:]) ** 2).sum(axis=0))
+    ranges += 1e-3 * rng.standard_normal(ranges.shape)
+    odd_ranges = np.linalg.norm(anchors - tag, axis=1) / 16.0
+    *stacked, singular = solve(
+        np.insert(points, at, anchors.T / 16.0, axis=2), np.insert(ranges, at, odd_ranges, axis=1)
+    )
+    *alone, none = solve(points, ranges)
+    assert np.array_equal(np.flatnonzero(singular), [at])
+    assert not none.any()
+    for got, want in zip(stacked, alone):
+        assert np.array_equal(np.delete(got, at, axis=-1), want)
+
+
 def test_residual_nonincreasing_across_accepted_steps(monkeypatch):
     """Capping the solver at 0, 1, 2, ... iterations replays its iterates;
     the residual norm never increases from one to the next."""
