@@ -50,9 +50,12 @@ range, which is exact.  They reduce the delay matrices to per-anchor terms
 there, solve, and map the fix and the residual back.  Sweeps call the
 solvers directly, with every length of a sweep divided by one power of
 two (``harness._loc_terms``).  The solvers raise nothing on a scene with
-no fix: they flag it in a per-scene mask, and each caller decides.  The
-public localizers raise ``SingularGeometry``; a sweep leaves the scene
-out and counts it.
+no fix: they flag it in a per-scene mask, and every caller applies one
+rule to it.  The public localizers return a NaN position and residual
+norm for the scene, and a sweep leaves it out of its point's RMSE and
+counts it; each raises ``SingularGeometry`` only where no scene of its
+stack or grid point has a fix.  The other scenes' results do not depend
+on it.
 """
 
 from __future__ import annotations
@@ -117,10 +120,20 @@ def _as_stacks(t, tx, rx) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.n
     return lead, *(x.reshape(count, *x.shape[-2:]) for x in (ts, txs, rxs))
 
 
-def _unstack(lead: tuple[int, ...], p: np.ndarray, norms: np.ndarray, counts: np.ndarray) -> tuple:
-    """Positions (3, T), residual norms (T,) and counts (T,) reshaped to the
-    leading shape ``lead``: (..., 3), (...) and (...)."""
-    return p.T.reshape(*lead, 3), norms.reshape(lead), counts.reshape(lead)
+def _outputs(what, lead, frame, singular, p, norms, counts) -> tuple:
+    """A public localizer's outputs from positions (3, T) and residual
+    norms (T,) in scene units and counts (T,): mapped back from the frame
+    (centroid, unit) of ``_to_frame`` and reshaped to the leading shape
+    ``lead``, (..., 3), (...) and (...).  A scene flagged in ``singular``
+    (T,) has no fix, and its position and residual norm are NaN.  Raises
+    ``SingularGeometry``, naming ``what``, if the stack holds a scene and
+    none of its scenes has a fix."""
+    if singular.size and singular.all():
+        raise SingularGeometry(f"{what} in {singular.sum()} of {singular.size} scenes")
+    centroid, unit = frame
+    p[:, singular], norms[singular] = np.nan, np.nan
+    p = p * unit + centroid
+    return p.T.reshape(*lead, 3), (norms * unit).reshape(lead), counts.reshape(lead)
 
 
 def _require_finite(*values) -> None:
@@ -415,7 +428,10 @@ def localize_bistatic(
     t (..., m, n) delays in seconds, tx (..., m, 3) and rx (..., n, 3) in
     meters, with any leading axes, none for a lone scene.  Returns
     (positions (..., 3), residual_norms (...), iterations (...)); the
-    residual norm is taken over all m n range sums of ``t``.
+    residual norm is taken over all m n range sums of ``t``.  A scene whose
+    Jacobian loses rank 3 at some iterate has no fix: its position and
+    residual norm are NaN, and the other scenes' outputs are those of the
+    stack without it.
 
     The range sums K = c (t - delta) are split once, in their frame, into
     their two-way additive fit a (+) b, the row means a and the column
@@ -431,7 +447,8 @@ def localize_bistatic(
         UnderDetermined: if m + n - 1 < 4 (the independent range sums).
         NonFiniteInput: if a delay or delta is NaN or inf, or an anchor
             coordinate or range sum is out of ``RANGE_LIMIT``.
-        SingularGeometry: if any scene's Jacobian loses rank 3.
+        SingularGeometry: if the stack holds a scene and none of its
+            scenes has a fix.
     """
     lead, ts, txs, rxs = _as_stacks(t, tx, rx)
     m, n = txs.shape[1], rxs.shape[1]
@@ -441,15 +458,13 @@ def localize_bistatic(
     anchors = np.concatenate([txs, rxs], axis=1).transpose(2, 1, 0).copy()
     with np.errstate(over="ignore"):  # rejected in _to_frame
         ks = SPEED_OF_LIGHT * (ts - delta)
-    centroid, unit = _to_frame(anchors, ks.T)
+    frame = _to_frame(anchors, ks.T)
     rows, cols = _two_way_fit(ks)
     terms = np.concatenate([rows[..., 0].T, cols[:, 0].T])
-    p, fit_sq, iterations, singular = _fix_bistatic(anchors, terms, m)
-    if singular.any():
-        raise SingularGeometry(f"rank-deficient geometry in {singular.sum()} of {len(ts)} scenes")
+    p, sq, iterations, singular = _fix_bistatic(anchors, terms, m)
     off = ks - (rows + cols)
-    off_sq = _sum_in_order((off * off).transpose(1, 2, 0).reshape(m * n, -1))
-    return _unstack(lead, p * unit + centroid, np.sqrt(fit_sq + off_sq) * unit, iterations)
+    sq += _sum_in_order((off * off).transpose(1, 2, 0).reshape(m * n, -1))
+    return _outputs("rank-deficient geometry", lead, frame, singular, p, np.sqrt(sq), iterations)
 
 
 def _fix_bistatic(anchors: np.ndarray, terms: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
@@ -478,15 +493,18 @@ def localize_monostatic(
     c (t[i, i] - delta) / 2.  Subtracting the first squared sphere equation
     from the others leaves a linear system in p, solved by least squares;
     one damped Gauss-Newton step on the full range residual then polishes
-    the fix (``_fix_monostatic``).
+    the fix (``_fix_monostatic``).  A scene whose linear system has rank < 3
+    (coplanar anchors) has no fix: its position and residual norm are NaN,
+    its polish step 0, and the other scenes' outputs are those of the stack
+    without it.
 
     Raises:
         DimensionMismatch: unless the two stacks agree as above.
         UnderDetermined: if fewer than 4 anchors.
         NonFiniteInput: if a delay or delta is NaN or inf, or an anchor
             coordinate or range is out of ``RANGE_LIMIT``.
-        SingularGeometry: if the linear system has rank < 3 (coplanar
-            anchors) for any scene.
+        SingularGeometry: if the stack holds a scene and none of its
+            scenes has a fix.
     """
     lead, ts, anchors = _as_stacks(t, anchors, anchors)[:3]
     m = anchors.shape[1]
@@ -497,11 +515,10 @@ def localize_monostatic(
     with np.errstate(over="ignore"):  # rejected in _to_frame
         ranges = (SPEED_OF_LIGHT * (np.diagonal(ts, axis1=1, axis2=2) - delta) / 2.0).T.copy()
     del t, ts, anchors  # a caller's stacked inputs can be freed; only copies are used below
-    centroid, unit = _to_frame(points, ranges)
+    frame = _to_frame(points, ranges)
     p, fnorm, accepted, singular = _fix_monostatic(points, ranges)
-    if singular.any():
-        raise SingularGeometry(f"coplanar anchors in {singular.sum()} of {singular.size} scenes")
-    return _unstack(lead, p * unit + centroid, fnorm * unit, accepted.astype(np.int64))
+    accepted &= ~singular
+    return _outputs("coplanar anchors", lead, frame, singular, p, fnorm, accepted.astype(np.int64))
 
 
 def _fix_monostatic(points: np.ndarray, ranges: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -1055,16 +1055,19 @@ def _forbid(monkeypatch, functions, message):
 def test_no_module_container_holds_a_public_function():
     """Rebinding a public function of a bstoa module, as ``_forbid`` and
     the benchmark's span tracer do, reaches module globals only: a call
-    through a module-level dict, list, tuple or set would skip the
-    rebinding, so none of them holds a public bstoa function.  The
-    benchmark reports no correct run when one does (``stale_bindings``)."""
+    through a module-level dict, list, tuple or set (a dispatch table, say)
+    would skip the rebinding, so none of them holds a public function, of
+    bstoa's own or imported.  The benchmark reports no correct run when one
+    does (``stale_bindings``).  The benchmark also imports the names below."""
+    from bstoa import SweepRow, run_sweep  # noqa: F401  (names the benchmark imports)
+    from bstoa.localization import MAX_ITERATIONS  # noqa: F401
+
     modules = [mod for key, mod in sys.modules.items() if key == "bstoa" or key.startswith("bstoa.")]
     public = {
         id(obj): obj
         for mod in modules
         for name, obj in vars(mod).items()
-        if inspect.isfunction(obj) and obj.__module__.startswith("bstoa.")
-        and not name.startswith("_")
+        if inspect.isfunction(obj) and not name.startswith("_")
     }
     held = []
     for mod in modules:
@@ -1077,7 +1080,7 @@ def test_no_module_container_holds_a_public_function():
                 continue
             if any(item is not None and public.get(id(item)) is item for item in items):
                 held.append(f"{mod.__name__}.{name}")
-    assert len(public) > 20
+    assert sum(obj.__module__.startswith("bstoa.") for obj in public.values()) > 20
     assert held == []
 
 
@@ -1357,6 +1360,38 @@ def test_a_scene_with_no_fix_is_counted_not_fatal():
     for row in run_sweep(cfg, workers=1).rows:
         if row.metric == "rmse":
             assert row.value == pytest.approx(rmse, rel=1e-12)
+
+
+@pytest.mark.parametrize("sigma", [3e-9, 1e-8])
+@pytest.mark.parametrize("kind, m, n", [(Kind.BISTATIC, 4, 3), (Kind.MONOSTATIC, 6, 6)])
+def test_one_solve_of_sixteen_chunks_is_their_sixteen_solves(kind, m, n, sigma):
+    """No scene's arithmetic depends on its batch, at a run's scale: one
+    solver call on the terms of chunks 0-15 (512 trials each, L = 2, seed
+    11) concatenated in chunk order returns the positions, |R|^2 or range
+    residual norms, iteration counts or polish flags, and no-fix flags of
+    the 16 per-chunk calls, bit for bit.  A monostatic chunk's anchors are
+    doubled for its LS and refined ranges, as ``_run_loc_chunk`` does."""
+    cfg = _cfg(
+        experiment=ExperimentKind.LOCALIZATION, kind=kind, m=m, n=n, sigma_grid=(sigma,),
+        trials=16 * CHUNK_TRIALS, master_seed=11,
+    )
+    runs = []
+    for c in range(16):
+        anchors, _, terms, _ = _loc_terms(cfg, c)
+        if kind is Kind.MONOSTATIC:
+            anchors = np.concatenate((anchors, anchors), axis=2)
+        runs.append((anchors, terms))
+
+    def solve(anchors, terms):
+        if kind is Kind.BISTATIC:
+            return _fix_bistatic(anchors, terms, m)
+        return _fix_monostatic(anchors, terms)
+
+    per_chunk = [solve(anchors, terms) for anchors, terms in runs]
+    whole = solve(*(np.concatenate(x, axis=-1) for x in zip(*runs)))
+    assert len(whole) == 4
+    for got, want in zip(whole, zip(*per_chunk)):
+        assert np.array_equal(got, np.concatenate(want, axis=-1))
 
 
 @pytest.mark.parametrize("trials", [700, 1025, 1100])
@@ -1687,23 +1722,3 @@ def test_csv_format_and_sorting(tmp_path):
     out = tmp_path / "out.csv"
     result.write_csv(str(out))
     assert out.read_bytes().decode() == csv_text
-
-
-def test_public_functions_stay_reachable_by_module_rebinding():
-    """The sweep benchmark traces the package by rebinding the module
-    attributes of its public functions; one held in a module-level
-    container (a dispatch table, say) would escape the tracer."""
-    from bstoa import SweepRow, run_sweep  # noqa: F401  (names the benchmark imports)
-    from bstoa.localization import MAX_ITERATIONS  # noqa: F401
-
-    modules = [bstoa] + [mod for key, mod in sys.modules.items() if key.startswith("bstoa.")]
-    public = {
-        id(obj) for mod in modules for name, obj in vars(mod).items()
-        if inspect.isfunction(obj) and not name.startswith("_")
-    }
-    for mod in modules:
-        for name, obj in vars(mod).items():
-            if isinstance(obj, dict):
-                obj = list(obj.values())
-            if isinstance(obj, (list, tuple, set, frozenset)):
-                assert not any(id(item) in public for item in obj), f"{mod.__name__}.{name}"

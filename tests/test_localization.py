@@ -259,6 +259,85 @@ def test_a_scene_with_no_fix_leaves_its_stack_alone(monostatic):
         assert np.array_equal(np.delete(got, at, axis=-1), want)
 
 
+_NO_FIX_SCENES = ["bi4x3", "mono5", "mono5-polished"]
+
+
+def _scene_with_no_fix(kind):
+    """A scene with no fix, in meters: its delays, transmitters and
+    receivers (the transmitters again if monostatic).  ``bi4x3`` is the
+    collinear scene of ``test_bistatic_collinear_anchors_detected`` and
+    ``mono5`` the coplanar one of ``test_monostatic_coplanar_anchors_detected``.
+    ``mono5-polished`` lifts those anchors off their plane by up to 10 µm
+    and moves its ranges by up to 2 mm: its rank test still fails, and its
+    meaningless closed-form fix takes the polish step."""
+    if kind == "bi4x3":
+        tx = np.column_stack([np.arange(1.0, 5.0), np.zeros(4), np.zeros(4)])
+        rx = np.column_stack([np.arange(6.0, 9.0), np.zeros(3), np.zeros(3)])
+        d_tx, d_rx = (np.linalg.norm(x - [2.0, 0.0, 0.0], axis=1) for x in (tx, rx))
+        return (d_tx[:, None] + d_rx[None, :]) / SPEED_OF_LIGHT, tx, rx
+    tx = np.array(
+        [[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [0.0, 10.0, 0.0], [10.0, 10.0, 0.0], [5.0, 2.0, 0.0]]
+    )
+    d = np.linalg.norm(tx - [4.0, 6.0, 3.0], axis=1)
+    if kind == "mono5-polished":
+        tx[:, 2] = [4e-6, -4e-6, 4e-6, 5e-6, -1e-5]
+        d = np.linalg.norm(tx - [4.0, 6.0, 3.0], axis=1) + [-2e-3, -1e-3, 2e-3, 0.0, -1e-3]
+    return (d[:, None] + d[None, :]) / SPEED_OF_LIGHT, tx, tx
+
+
+def _localize(monostatic, t, tx, rx):
+    return localize_monostatic(t, tx) if monostatic else localize_bistatic(t, tx, rx)
+
+
+@pytest.mark.parametrize("kind", _NO_FIX_SCENES)
+def test_localizers_mark_a_scene_with_no_fix(kind):
+    """The public localizers' rule for a scene with no fix: the scene of
+    ``_scene_with_no_fix`` at index 32 of 64 drawn noisy scenes reads a NaN
+    position and a NaN residual norm (monostatic polish flag 0), and every
+    other scene's outputs equal those of the stack without it, bit for
+    bit."""
+    monostatic = kind != "bi4x3"
+    at, cases = 32, [
+        _monostatic_case(4800 + i, m=5, sigma=1e-9) if monostatic
+        else _bistatic_case(4800 + i, sigma=1e-9)
+        for i in range(64)
+    ]
+    stacks = [np.stack([t for _, t in cases])] + [
+        np.stack([getattr(scene, key) for scene, _ in cases]) for key in ("tx", "rx")
+    ]
+    odd = _scene_with_no_fix(kind)
+    stacked = _localize(monostatic, *(np.insert(x, at, y, axis=0) for x, y in zip(stacks, odd)))
+    alone = _localize(monostatic, *stacks)
+    p, norm, count = (x[at] for x in stacked)
+    assert np.isnan(p).all() and np.isnan(norm)
+    if monostatic:
+        assert count == 0
+    for got, want in zip(stacked, alone):
+        assert np.array_equal(np.delete(got, at, axis=0), want)
+    assert all(np.isfinite(x).all() for x in alone)
+
+
+@pytest.mark.parametrize("kind", _NO_FIX_SCENES)
+def test_a_stack_where_no_scene_has_a_fix_raises(kind):
+    """The localizers raise only when no scene of a stack has a fix: here
+    two, the scene of ``_scene_with_no_fix`` and a copy moved 5 m."""
+    t, tx, rx = _scene_with_no_fix(kind)
+    shift = np.array([0.0, 0.0, 5.0])
+    stacks = np.stack([t, t]), np.stack([tx, tx + shift]), np.stack([rx, rx + shift])
+    with pytest.raises(SingularGeometry, match="in 2 of 2 scenes"):
+        _localize(kind != "bi4x3", *stacks)
+
+
+def test_empty_stacks_return_empty_arrays():
+    """A stack of no scenes has no scene without a fix either: both
+    localizers return empty (0, 3), (0,) and (0,) arrays."""
+    for out in (
+        localize_bistatic(np.zeros((0, 4, 3)), np.zeros((0, 4, 3)), np.zeros((0, 3, 3))),
+        localize_monostatic(np.zeros((0, 5, 5)), np.zeros((0, 5, 3))),
+    ):
+        assert [x.shape for x in out] == [(0, 3), (0,), (0,)]
+
+
 def test_residual_nonincreasing_across_accepted_steps(monkeypatch):
     """Capping the solver at 0, 1, 2, ... iterations replays its iterates;
     the residual norm never increases from one to the next."""
@@ -551,19 +630,31 @@ def _any_scale_scene(draw, monostatic):
     return ts, txs, rxs
 
 
+def _assert_fixes_or_no_fix(out):
+    """Each scene of a localizer's outputs has an all-finite position and
+    residual norm, or a NaN position and a NaN residual norm together (no
+    fix); at least one scene has a fix, and every count is finite."""
+    p, norms, counts = out
+    fixed = np.isfinite(p).all(axis=-1) & np.isfinite(norms)
+    no_fix = np.isnan(p).all(axis=-1) & np.isnan(norms)
+    assert (fixed | no_fix).all() and fixed.any()
+    assert np.isfinite(counts).all()
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(case=_any_scale_scene(monostatic=False))
 def test_bistatic_batch_is_finite_or_raises(case):
     """Finite in, finite out: over the full exponent range the bistatic
-    localizer returns finite positions, residuals and iterations for a
-    stack of one or two scenes, or raises a BstoaError; a warning would fail
-    the test."""
+    localizer, given a stack of one or two scenes, raises a BstoaError or
+    returns for each scene a finite position and residual, or NaN for both
+    where the scene has no fix, with at least one fix
+    (``_assert_fixes_or_no_fix``); a warning would fail the test."""
     ts, txs, rxs = case
     try:
         out = localize_bistatic(ts, txs, rxs)
     except BstoaError:
         return
-    assert all(np.isfinite(x).all() for x in out)
+    _assert_fixes_or_no_fix(out)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -575,7 +666,7 @@ def test_monostatic_batch_is_finite_or_raises(case):
         out = localize_monostatic(ts, anchors)
     except BstoaError:
         return
-    assert all(np.isfinite(x).all() for x in out)
+    _assert_fixes_or_no_fix(out)
 
 
 def _assert_lone_scene_is(fix, batch, i):
