@@ -20,7 +20,6 @@ from .channel import (
 from .errors import (
     BstoaError,
     ConfigInvalid,
-    ConstraintViolated,
     DimensionMismatch,
     InvalidValue,
     NonFiniteInput,
@@ -28,13 +27,7 @@ from .errors import (
     UnderDetermined,
     WrongTopology,
 )
-from .estimator import (
-    decompose_delays,
-    ls_estimate,
-    refine_bistatic,
-    refine_estimate,
-    refine_monostatic,
-)
+from .estimator import ls_estimate, refine_estimate
 from .harness import (
     STREAM_CONTRACT,
     ExperimentKind,
@@ -51,8 +44,6 @@ from .topology import (
     Topology,
     correlation_matrix,
     entry_weights,
-    unvec,
-    vec,
     weighting_matrix,
 )
 

@@ -12,9 +12,9 @@ pilot-length rule.  The refined estimator attains
     monostatic off-diag:  (m - 1) / m^2      * sigma0^2
 
 which coincide with the corresponding Cramer-Rao bounds.  The per-entry
-bound is read off the covariance bound C: bistatic, its diagonal
-(``unvec(np.diag(C), m, n)``); monostatic, ``C[i, i] + C[j, j] + 2 C[i, j]``
-for the delay matrix entry (i, j), the variance of ``t_i + t_j``, which is
+bound is read off the covariance bound C: bistatic, its diagonal, reshaped
+column-major to (m, n); monostatic, ``C[i, i] + C[j, j] + 2 C[i, j]`` for
+the delay matrix entry (i, j), the variance of ``t_i + t_j``, which is
 4 C[i, i] on the diagonal.
 """
 
@@ -186,8 +186,8 @@ def theoretical_mse_independent(topo: Topology, sigma0_sq: np.ndarray) -> np.nda
 def crlb_bistatic(topo: Topology, sigma0_sq: float) -> np.ndarray:
     """Error covariance bound for bistatic delay estimation, the (m n) x
     (m n) matrix sigma0^2 B: the estimate-level variance times the
-    projector (``weighting_matrix``).  Its diagonal, as an (m, n) array
-    (``unvec``), is the per-entry bound, the refined estimator's MSE.
+    projector (``weighting_matrix``).  Its diagonal, reshaped column-major
+    to an (m, n) array, is the per-entry bound, the refined estimator's MSE.
 
     Raises:
         WrongTopology: for a monostatic topology.

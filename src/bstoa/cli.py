@@ -40,8 +40,7 @@ _NUMERICAL_ERRORS = (SingularGeometry,)
 
 def _topology_from_args(args: argparse.Namespace) -> Topology:
     kind = Kind.MONOSTATIC if args.topology == "mono" else Kind.BISTATIC
-    n = args.m if (kind is Kind.MONOSTATIC or args.n is None) else args.n
-    return Topology(kind, args.m, n)
+    return Topology(kind, args.m, args.m if args.n is None else args.n)
 
 
 def _print_matrix(matrix: np.ndarray, integer: bool = False) -> None:

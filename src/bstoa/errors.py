@@ -9,10 +9,6 @@ class DimensionMismatch(BstoaError, ValueError):
     """Input array shapes are inconsistent with the declared topology."""
 
 
-class ConstraintViolated(BstoaError, ValueError):
-    """Delay matrix does not satisfy the topology constraint."""
-
-
 class WrongTopology(BstoaError, ValueError):
     """Operation called with the other topology kind."""
 

@@ -8,9 +8,10 @@ fit
     row mean + column mean - grand mean,
 
 whose weights on the entries of the input are exactly
-:func:`bstoa.topology.entry_weights`, so it equals ``unvec(B vec(t))`` for
-the dense projector ``B`` without building it.  Monostatic channels get an
-additional symmetrization, which keeps the linear constraint satisfied.
+:func:`bstoa.topology.entry_weights`, so it equals the dense projector ``B``
+applied to the column-major flattening of ``t``, without building ``B``.
+Monostatic channels get an additional symmetrization, which keeps the
+linear constraint satisfied.
 
 Both estimators act on the last two axes, so a stack of observations or
 estimates is processed in one call.
@@ -22,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConstraintViolated, DimensionMismatch, NonFiniteInput
+from .errors import DimensionMismatch, NonFiniteInput
 from .topology import Kind, Topology
 
 
@@ -87,30 +88,6 @@ def _sum_in_order(x: np.ndarray, axis: int = 0) -> np.ndarray:
     return total
 
 
-def refine_bistatic(t_hat: np.ndarray) -> np.ndarray:
-    """Project ``(..., m, n)`` estimates onto the constraint subspace:
-    row mean + column mean - grand mean of each m x n slice.  The result
-    does not depend on the memory layout of the batch.
-
-    Raises:
-        DimensionMismatch: if there are fewer than two axes, or no entry
-            in a matrix.
-        NonFiniteInput: if an estimate is NaN or inf, or so large that a
-            row or column sum, or a symmetrized entry, overflows.
-    """
-    t_hat = np.asarray(t_hat, dtype=np.float64)
-    if t_hat.ndim < 2:
-        raise DimensionMismatch(f"delay matrices need two axes, got {t_hat.shape}")
-    m, n = t_hat.shape[-2:]
-    if not m * n:
-        raise DimensionMismatch(f"delay matrices need a row and a column, got {t_hat.shape}")
-    # Sums of max(m, n) estimates, and a refined entry, up to 3 of them,
-    # doubled by refine_monostatic's symmetrization, stay finite.
-    _require_in_range(t_hat, sys.float_info.max / (2 * max(m, n, 3)), "delay estimates")
-    rows, cols = _two_way_fit(t_hat)
-    return rows + cols
-
-
 def _two_way_fit(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two-way additive fit of ``(..., m, n)`` matrices as its row
     means ``(..., m, 1)`` and its column means less the grand mean
@@ -120,71 +97,28 @@ def _two_way_fit(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, _sum_in_order(x, -2)[..., None, :] / m - _sum_in_order(rows, -2)[..., None] / m
 
 
-def refine_monostatic(t_hat: np.ndarray) -> np.ndarray:
-    """Project ``(..., m, m)`` estimates onto the constraint subspace, then
-    symmetrize.
-
-    The symmetrization (T + T^T) / 2 is applied after the projection and
-    preserves the linear constraint, so the result satisfies both.
-    """
-    t_hat = np.asarray(t_hat, dtype=np.float64)
-    if t_hat.ndim < 2 or t_hat.shape[-2] != t_hat.shape[-1]:
-        raise DimensionMismatch(f"monostatic delay matrix must be square, got {t_hat.shape}")
-    t_bar = refine_bistatic(t_hat)
-    return 0.5 * (t_bar + t_bar.swapaxes(-1, -2))
-
-
 def refine_estimate(t_hat: np.ndarray, topo: Topology) -> np.ndarray:
-    """Topology dispatch for the constrained refinement of ``(..., m, n)``
-    estimates."""
-    if np.shape(t_hat)[-2:] != (topo.m, topo.n):
-        raise DimensionMismatch(
-            f"delay matrices {np.shape(t_hat)} do not match topology {topo.m}x{topo.n}"
-        )
-    if topo.kind is Kind.MONOSTATIC:
-        return refine_monostatic(t_hat)
-    return refine_bistatic(t_hat)
-
-
-def _constraint_residual(t: np.ndarray) -> float:
-    """Max-norm of ``A vec(t)``.  The adjacent 2x2 double differences
-    ``diff(diff(t, axis=0), axis=1)`` are the entries of ``A vec(t)``, with
-    the same signs, in column-major order, which is A's row order; 0 when
-    there is no 2x2 submatrix."""
-    return float(np.abs(np.diff(np.diff(t, axis=0), axis=1)).max(initial=0.0))
-
-
-def decompose_delays(
-    t: np.ndarray, delta: float, gauge_g1: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split a constraint-satisfying delay matrix into uplink and downlink
-    delay vectors.
-
-    The split is unique only up to a common shift between the two vectors
-    (and delta), so the caller fixes the gauge by choosing the first
-    downlink delay ``gauge_g1``.  Monostatic callers get equal vectors by
-    passing ``gauge_g1 = (t[0, 0] - delta) / 2``.
+    """Project ``(..., m, n)`` estimates onto the constraint subspace: row
+    mean + column mean - grand mean of each m x n slice.  A monostatic
+    topology's projection is then symmetrized as (T + T^T) / 2, which
+    preserves the linear constraint, so the result satisfies both.  The
+    result does not depend on the memory layout of the batch.
 
     Raises:
-        DimensionMismatch: unless ``t`` is a matrix with a row and a column.
-        NonFiniteInput: if ``t``, ``delta`` or ``gauge_g1`` holds NaN or
-            inf, or a magnitude above 1/8 of the largest float, where the
-            differences below could overflow.
-        ConstraintViolated: if ``t`` does not satisfy the topology
-            constraint to within 1e-9 * max(1, max|t|).
+        DimensionMismatch: unless the last two axes are the topology's
+            m x n.
+        NonFiniteInput: if an estimate is NaN or inf, or so large that a
+            row or column sum, or a symmetrized entry, overflows.
     """
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim != 2 or not t.size:
-        raise DimensionMismatch(f"delay matrix needs two axes, a row and a column, got {t.shape}")
-    _require_in_range(
-        np.append(t, (delta, gauge_g1)), sys.float_info.max / 8, "delays, delta and gauge_g1"
-    )
-    residual = _constraint_residual(t)
-    tol = 1e-9 * max(1.0, np.abs(t).max())
-    if residual > tol:
-        raise ConstraintViolated(
-            f"constraint residual {residual:.3e} exceeds tolerance {tol:.3e}"
-        )
-    h = t[:, 0] - delta - gauge_g1
-    g = t[0, :] - delta - h[0]
-    return h, g
+    t_hat = np.asarray(t_hat, dtype=np.float64)
+    m, n = topo.m, topo.n
+    if t_hat.shape[-2:] != (m, n):
+        raise DimensionMismatch(f"delay matrices {t_hat.shape} do not match topology {m}x{n}")
+    # Sums of max(m, n) estimates, and a refined entry, up to 3 of them,
+    # doubled by the monostatic symmetrization, stay finite.
+    _require_in_range(t_hat, sys.float_info.max / (2 * max(m, n, 3)), "delay estimates")
+    rows, cols = _two_way_fit(t_hat)
+    t_bar = rows + cols
+    if topo.kind is Kind.MONOSTATIC:
+        return 0.5 * (t_bar + t_bar.swapaxes(-1, -2))
+    return t_bar

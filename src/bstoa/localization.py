@@ -13,7 +13,7 @@ The solver works on the m + n fitted terms only: each step is the exact
 Newton step where the Hessian is positive definite and the Gauss-Newton
 step elsewhere, damped by step halving.  Because a matrix and its
 projection onto the outer-sum subspace share the fitted terms, the
-projection (``refine_bistatic``) does not move the bistatic fix, and an
+projection (``refine_estimate``) does not move the bistatic fix, and an
 m x n matrix carries only m + n - 1 independent range sums.
 
 Monostatic delays give plain ranges from the diagonal entries, which
@@ -435,7 +435,7 @@ def localize_bistatic(
 
     The range sums K = c (t - delta) are split once, in their frame, into
     their two-way additive fit a (+) b, the row means a and the column
-    means less the grand mean b, summed as ``refine_bistatic`` sums them,
+    means less the grand mean b, summed as ``refine_estimate`` sums them,
     and the off-subspace energy |K - a (+) b|^2.  The model da (+) db lies
     in the same subspace, so |K - da (+) db|^2 = |(a - da) (+) (b - db)|^2
     plus that constant, and the solver works on the (m + n, T) terms

@@ -75,16 +75,6 @@ class Topology:
         return self.m * self.n
 
 
-def vec(matrix: np.ndarray) -> np.ndarray:
-    """Column-major vectorization."""
-    return np.ravel(matrix, order="F")
-
-
-def unvec(values: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Inverse of :func:`vec` for an m x n matrix."""
-    return np.reshape(values, (m, n), order="F")
-
-
 def correlation_matrix(topo: Topology) -> np.ndarray:
     """Build the constraint matrix ``A = D_n (x) D_m`` for the given topology.
 
@@ -104,7 +94,8 @@ def correlation_matrix(topo: Topology) -> np.ndarray:
 def weighting_matrix(topo: Topology) -> np.ndarray:
     """Orthogonal projector B onto the null space of the correlation matrix.
 
-    ``B vec(T) = vec(row mean + column mean - grand mean of T)``, that is
+    ``B vec(T) = vec(row mean + column mean - grand mean of T)``, with
+    ``vec`` the column-major flattening, that is
 
         B = (J_n / n) (x) I_m + I_n (x) (J_m / m) - 1 / (m n)
 

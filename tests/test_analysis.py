@@ -22,7 +22,7 @@ from bstoa.errors import (
     NonFiniteInput,
     WrongTopology,
 )
-from bstoa.topology import Kind, Topology, correlation_matrix, unvec, vec, weighting_matrix
+from bstoa.topology import Kind, Topology, correlation_matrix, weighting_matrix
 
 
 def test_iid_mse_bistatic_4x3():
@@ -44,14 +44,14 @@ def test_iid_mse_degenerate_1x1():
 
 
 def test_independent_mse_bistatic_2x2_first_entry():
-    sigma0_sq = unvec(np.array([1.0, 2.0, 3.0, 4.0]), 2, 2)
+    sigma0_sq = np.array([[1.0, 3.0], [2.0, 4.0]])
     per_entry = theoretical_mse_independent(Topology.bistatic(2, 2), sigma0_sq)
     expected = (9 * 1.0 + 2.0 + 3.0 + 4.0) / 16
     assert per_entry[0, 0] == pytest.approx(expected, rel=1e-14)
 
 
 def test_independent_mse_monostatic_2_offdiagonal():
-    sigma0_sq = unvec(np.array([1.0, 2.0, 3.0, 4.0]), 2, 2)
+    sigma0_sq = np.array([[1.0, 3.0], [2.0, 4.0]])
     per_entry = theoretical_mse_independent(Topology.monostatic(2), sigma0_sq)
     expected = (1.0 + 2.0 + 3.0 + 4.0) / 16
     assert per_entry[1, 0] == pytest.approx(expected, rel=1e-14)
@@ -84,7 +84,7 @@ def _dense_independent_mse(topo, sigma0_sq):
         flat = np.arange(m * n)
         zbar = (flat // m) + (flat % m) * m
         b = 0.5 * (b + b[zbar, :])
-    return unvec((b**2) @ vec(sigma0_sq), m, n)
+    return np.reshape((b**2) @ np.ravel(sigma0_sq, order="F"), (m, n), order="F")
 
 
 def test_independent_mse_matches_dense_formula():
@@ -179,7 +179,7 @@ def _per_entry_bounds(topo, cov):
     diagonal; monostatic, the variance of t_i + t_j, C_ii + C_jj + 2 C_ij,
     which is 4 C_ii on the diagonal."""
     if topo.kind is Kind.BISTATIC:
-        return unvec(np.diag(cov), topo.m, topo.n)
+        return np.reshape(np.diag(cov), (topo.m, topo.n), order="F")
     d = np.diag(cov)
     return d[:, None] + d[None, :] + 2.0 * cov
 

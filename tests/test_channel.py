@@ -20,7 +20,7 @@ from bstoa.errors import (
     NonFiniteInput,
 )
 from bstoa.estimator import ls_estimate
-from bstoa.topology import Kind, Topology, correlation_matrix, vec
+from bstoa.topology import Kind, Topology, correlation_matrix
 
 
 def test_random_scene_bounds_and_shapes():
@@ -86,7 +86,7 @@ def test_scene_delays_satisfy_constraint(m, n):
         scene = random_scene(topo, 10.0, noise_rng(31, index))
         t = true_delays(scene.tx, scene.rx, scene.tag)
         if a.shape[0]:
-            assert np.abs(a @ vec(t)).max() < 1e-12 * np.abs(t).max()
+            assert np.abs(a @ np.ravel(t, order="F")).max() < 1e-12 * np.abs(t).max()
 
 
 def test_synth_observations_noiseless_identity():

@@ -181,20 +181,27 @@ def test_dense_matrix_out_of_memory_exit_code(monkeypatch, capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "topology", [["bi", "--m", "3", "--n", "2"], ["mono", "--m", "3"]], ids=["bi", "mono"]
+    "topology, error",
+    [
+        (["bi", "--m", "3", "--n", "2"], "error: "),
+        (["mono", "--m", "3"], "error: "),
+        # A monostatic --n that contradicts --m fails before the sigma checks.
+        (["mono", "--m", "3", "--n", "2"], "error: monostatic requires m == n, got m=3, n=2\n"),
+    ],
+    ids=["bi", "mono", "mono-3x2"],
 )
 @pytest.mark.parametrize(
     "sigma, pilot_len",
     [("nan", "2"), ("1e200", "2"), ("-1e-9", "2"), ("1e-9", "0"), ("1e-9", "-3")],
     ids=["sigma-nan", "sigma-overflow", "sigma-negative", "pilot-len-0", "pilot-len-negative"],
 )
-def test_crlb_bad_input_exit_code(capsys, topology, sigma, pilot_len):
+def test_crlb_bad_input_exit_code(capsys, topology, error, sigma, pilot_len):
     code, out, err = run_cli(
         capsys, "crlb", "--topology", *topology, f"--sigma={sigma}", "--pilot-len", pilot_len,
     )
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ")
+    assert err.startswith(error)
 
 
 def test_localize_scene_file(tmp_path, capsys):

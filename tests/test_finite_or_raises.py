@@ -65,25 +65,11 @@ _CALLS = {
     "correlation_matrix": lambda draw, topo: topology.correlation_matrix(topo),
     "weighting_matrix": lambda draw, topo: topology.weighting_matrix(topo),
     "entry_weights": lambda draw, topo: topology.entry_weights(topo),
-    # Reshapes pass their values through, so they take finite ones.
-    "vec": lambda draw, topo: topology.vec(_matrix(draw, topo.m, topo.n, finite=True)),
-    "unvec": lambda draw, topo: topology.unvec(
-        _matrix(draw, 1, topo.mn, finite=True)[0], topo.m, topo.n
-    ),
     "ls_estimate": lambda draw, topo: estimator.ls_estimate(
         _matrix(draw, draw(_SIZES) * topo.m, topo.n), topo
     ),
-    "refine_bistatic": lambda draw, topo: estimator.refine_bistatic(
-        _matrix(draw, topo.m, topo.n)
-    ),
-    "refine_monostatic": lambda draw, topo: estimator.refine_monostatic(
-        _matrix(draw, topo.m, topo.m)
-    ),
     "refine_estimate": lambda draw, topo: estimator.refine_estimate(
         _matrix(draw, topo.m, topo.n), topo
-    ),
-    "decompose_delays": lambda draw, topo: estimator.decompose_delays(
-        _matrix(draw, topo.m, topo.n), draw(_ANY), draw(_ANY)
     ),
     "theoretical_mse_iid": lambda draw, topo: analysis.theoretical_mse_iid(topo, draw(_ANY)),
     "theoretical_mse_independent": lambda draw, topo: analysis.theoretical_mse_independent(
@@ -153,20 +139,18 @@ _HUGE = np.full((3, 3), 1e308)
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: estimator.refine_bistatic(_HUGE),
-        lambda: estimator.refine_monostatic(_HUGE),
+        lambda: estimator.refine_estimate(_HUGE, Topology.monostatic(3)),
         lambda: estimator.refine_estimate(_HUGE, Topology.bistatic(3, 3)),
         lambda: estimator.ls_estimate(_HUGE, Topology.bistatic(1, 3)),
         lambda: estimator.ls_estimate(np.full((2, 2), np.nan), Topology.bistatic(2, 2)),
-        lambda: estimator.refine_bistatic(np.full((2, 2), np.nan)),
-        lambda: estimator.decompose_delays(_HUGE, -1e308, 0.0),
+        lambda: estimator.refine_estimate(np.full((2, 2), np.nan), Topology.bistatic(2, 2)),
         lambda: channel.true_delays(_HUGE / 1e8, -_HUGE / 1e8, np.zeros(3)),
         lambda: analysis.theoretical_mse_independent(Topology.bistatic(3, 3), _HUGE),
         lambda: analysis.crlb_monostatic(Topology.monostatic(6), 1e308),
     ],
     ids=[
-        "refine-bistatic-1e308", "refine-monostatic-1e308", "refine-estimate-1e308",
-        "ls-1e308-rows", "ls-nan", "refine-bistatic-nan", "decompose-1e308",
+        "refine-monostatic-1e308", "refine-estimate-1e308",
+        "ls-1e308-rows", "ls-nan", "refine-bistatic-nan",
         "true-delays-1e300-anchors", "independent-1e308", "crlb-monostatic-6-1e308",
     ],
 )

@@ -19,7 +19,7 @@ from bstoa.errors import (
     UnderDetermined,
 )
 from bstoa.localization import localize_bistatic, localize_monostatic
-from bstoa.estimator import refine_bistatic
+from bstoa.estimator import refine_estimate
 from bstoa.topology import Topology
 
 
@@ -123,7 +123,7 @@ def _trials_last_batch(m, n, sigma, count, master_seed, stream, pilot_len=2):
     txs, rxs, tags = points[:, :m].T, points[:, m:-1].T, points[:, -1].T
     z = rng.standard_normal((m, n, count)) * (sigma / np.sqrt(pilot_len))
     t_hats = (z + true_delays(txs, rxs, tags).transpose(1, 2, 0)).transpose(2, 0, 1)
-    return txs, rxs, t_hats, refine_bistatic(t_hats)
+    return txs, rxs, t_hats, refine_estimate(t_hats, Topology.bistatic(m, n))
 
 
 def _bistatic_chunk(sigma, chunk=0):
@@ -896,7 +896,7 @@ def test_refinement_does_not_move_the_global_minimizer():
     so projecting the delay estimate shifts the objective by a constant and
     leaves the minimizer unchanged; converged fixes agree to solver
     precision."""
-    from bstoa.estimator import ls_estimate, refine_bistatic
+    from bstoa.estimator import ls_estimate
     from bstoa.channel import synth_observations
 
     topo = Topology.bistatic(4, 3)
@@ -906,7 +906,7 @@ def test_refinement_does_not_move_the_global_minimizer():
         t_true = true_delays(scene.tx, scene.rx, scene.tag, scene.delta)
         obs = synth_observations(t_true, 8, 1e-10, rng)
         t_hat = ls_estimate(obs, topo)
-        t_ref = refine_bistatic(t_hat)
+        t_ref = refine_estimate(t_hat, topo)
         p_hat, _, _ = localize_bistatic(t_hat, scene.tx, scene.rx)
         p_ref, _, _ = localize_bistatic(t_ref, scene.tx, scene.rx)
         assert np.linalg.norm(p_hat - p_ref) < 1e-6

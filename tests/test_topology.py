@@ -12,8 +12,6 @@ from bstoa.topology import (
     Topology,
     correlation_matrix,
     entry_weights,
-    unvec,
-    vec,
     weighting_matrix,
 )
 
@@ -229,9 +227,3 @@ def test_weighting_matrix_is_bitwise_symmetric(m, n):
         b = weighting_matrix(topo)
         assert np.array_equal(b, b.T)
 
-
-def test_vec_unvec_column_major_round_trip():
-    matrix = np.arange(12.0).reshape(3, 4)
-    flat = vec(matrix)
-    assert flat[1] == matrix[1, 0]
-    assert np.array_equal(unvec(flat, 3, 4), matrix)
