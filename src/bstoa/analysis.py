@@ -25,8 +25,8 @@ import sys
 
 import numpy as np
 
-from .channel import _check_pilot_len
 from .errors import DimensionMismatch, InvalidValue, NonFiniteInput, WrongTopology
+from .errors import _real_array, _require_integer, _require_real
 from .topology import Kind, Topology, entry_weights, weighting_matrix
 
 
@@ -37,8 +37,6 @@ def _check_variance(name: str, value: float, *entries: float) -> None:
     no array is checked entry by entry), is a finite normal float: below
     that, every MSE and bound built on it reads 0 or has lost its
     precision."""
-    if not math.isfinite(value):
-        raise NonFiniteInput(f"{name} must be finite, got {value}")
     if not all(math.isfinite(e) for e in entries):
         raise NonFiniteInput(f"{name} = {value!r} overflows in an entry built on it")
     tiny = sys.float_info.min
@@ -66,18 +64,27 @@ def check_sigma(
     overflow is a comparison with inf rather than an ``OverflowError``.
 
     Raises:
-        InvalidValue: for a pilot length that is not an integer >= 1, or a
-            sigma outside the range, which the message names.
+        InvalidValue: for ``pilot_lengths`` that is not a sequence, a pilot
+            length that is not an integer >= 1, a sigma or
+            ``max_variance`` that is not one real number, a
+            negative ``max_variance``, or a sigma outside the range (NaN
+            and inf included), which the message names.
+        NonFiniteInput: if ``max_variance`` is NaN or inf.
     """
+    if not hasattr(pilot_lengths, "__iter__"):
+        raise InvalidValue(f"pilot_lengths must be a sequence, got {pilot_lengths!r}")
     for length in pilot_lengths:
-        _check_pilot_len(length)
+        _require_integer(length, "pilot_len", low=1)
+    _require_real(sigma, "sigma", finite=False)
+    _require_real(max_variance, "max_variance", 0.0)
     tiny = sys.float_info.min
     variances = (sigma * sigma / length for length in pilot_lengths)
-    if sigma > 0.0 and all(tiny <= v <= max_variance for v in variances):
+    if 0.0 < sigma <= sys.float_info.max and all(tiny <= v <= max_variance for v in variances):
         return
-    low = math.sqrt(tiny * max(pilot_lengths))
+    low = math.sqrt(tiny * max(pilot_lengths, default=1))
     high = min(
-        math.sqrt(max_variance) * math.sqrt(min(pilot_lengths)), math.sqrt(sys.float_info.max)
+        math.sqrt(max_variance) * math.sqrt(min(pilot_lengths, default=1)),
+        math.sqrt(sys.float_info.max),
     )
     raise InvalidValue(
         f"sigma must lie in [{low:.4g}, {high:.4g}] s for pilot lengths "
@@ -92,9 +99,10 @@ def theoretical_mse_iid(topo: Topology, sigma0_sq: float) -> np.ndarray:
 
     Raises:
         NonFiniteInput: if ``sigma0_sq`` is NaN or infinite.
-        InvalidValue: if ``sigma0_sq`` or an entry is not a positive
-            normal float.
+        InvalidValue: if ``sigma0_sq`` is not one real number, or it or an
+            entry is not a positive normal float.
     """
+    _require_real(sigma0_sq, "sigma0_sq")
     m, n = topo.m, topo.n
     if topo.kind is Kind.MONOSTATIC:
         off, diag = (m - 1) / m**2 * sigma0_sq, (2 * m - 1) / m**2 * sigma0_sq
@@ -136,21 +144,17 @@ def theoretical_mse_independent(topo: Topology, sigma0_sq: np.ndarray) -> np.nda
         DimensionMismatch: unless ``sigma0_sq`` is (m, n).
         NonFiniteInput: if a variance is NaN, inf or so large that the sums
             overflow.
-        InvalidValue: if a variance is negative, or a nonzero variance or a
-            nonzero entry is subnormal.
+        InvalidValue: if ``sigma0_sq`` holds anything but real numbers, a
+            variance is negative, or a nonzero variance or a nonzero entry
+            is subnormal.
     """
     m, n = topo.m, topo.n
-    v = np.asarray(sigma0_sq, dtype=np.float64)
+    # The sums below add up to (m + 1)(n + 1) variances, times at most 4.
+    v = _real_array(sigma0_sq, "sigma0_sq", sys.float_info.max / (4 * (m + 1) * (n + 1)))
     if v.shape != (m, n):
         raise DimensionMismatch(f"sigma0_sq shape {v.shape} does not match topology {m}x{n}")
-    if not np.isfinite(v).all():
-        raise NonFiniteInput("all subchannel variances must be finite")
     if np.any(v < 0.0):
         raise InvalidValue("all subchannel variances must be >= 0")
-    # The sums below add up to (m + 1)(n + 1) variances, times at most 4.
-    limit = sys.float_info.max / (4 * (m + 1) * (n + 1))
-    if not v.max(initial=0.0) <= limit:
-        raise NonFiniteInput(f"subchannel variances must be at most {limit:.4g}, or sums overflow")
     rows = v.sum(axis=1)[:, None]
     cols = v.sum(axis=0)[None, :]
     total = v.sum()
@@ -192,11 +196,13 @@ def crlb_bistatic(topo: Topology, sigma0_sq: float) -> np.ndarray:
     Raises:
         WrongTopology: for a monostatic topology.
         NonFiniteInput: if ``sigma0_sq`` is NaN or infinite.
-        InvalidValue: if ``sigma0_sq`` or an entry of the bound is not a
-            positive normal float (zero, subnormal or negative).
+        InvalidValue: if ``sigma0_sq`` is not one real number, or it or
+            an entry of the bound is not a positive normal float (zero,
+            subnormal or negative).
     """
     if topo.kind is not Kind.BISTATIC:
         raise WrongTopology("crlb_bistatic requires a bistatic topology")
+    _require_real(sigma0_sq, "sigma0_sq")
     m, n = topo.m, topo.n
     # B's smallest entry is -1 / (m n), where an entry shares neither
     # antenna; with m or n at 1 every entry shares one, and each is 0 or ~1.
@@ -222,11 +228,13 @@ def crlb_monostatic(topo: Topology, sigma0_sq: float) -> np.ndarray:
     Raises:
         WrongTopology: for a bistatic topology.
         NonFiniteInput: if ``sigma0_sq`` is NaN or infinite.
-        InvalidValue: if ``sigma0_sq`` or an entry of the bound is not a
-            positive normal float (zero, subnormal or negative).
+        InvalidValue: if ``sigma0_sq`` is not one real number, or it or
+            an entry of the bound is not a positive normal float (zero,
+            subnormal or negative).
     """
     if topo.kind is not Kind.MONOSTATIC:
         raise WrongTopology("crlb_monostatic requires a monostatic topology")
+    _require_real(sigma0_sq, "sigma0_sq")
     m = topo.m
     scale = sigma0_sq / 4.0
     off, diag = scale * (-1.0) / m**2, scale * (2 * m - 1) / m**2

@@ -14,20 +14,14 @@ Pilot observations are plain ``(..., L m, n)`` arrays, L rows per transmitter.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BstoaError,
-    ConfigInvalid,
-    DimensionMismatch,
-    InvalidValue,
-    NonFiniteInput,
-)
-from .topology import Kind, Topology, _require_integer
+from .errors import BstoaError, ConfigInvalid, DimensionMismatch, InvalidValue
+from .errors import _real_array, _require_integer, _require_real
+from .topology import Kind, Topology
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact SI value
 # Meters; bounds the coordinates ``true_delays`` takes, so that the
@@ -37,13 +31,6 @@ _COORDINATE_LIMIT = 2.0**510
 # sums (SweepConfig's sigma range) leave room for; a standard normal draw
 # lies beyond 40 with odds below 1e-348.
 _HEADROOM_SDS = 40.0
-
-
-def _check_pilot_len(pilot_len: int) -> None:
-    """The one pilot-length rule: raise ``InvalidValue`` unless an integer
-    (``operator.index``) >= 1."""
-    if _require_integer(pilot_len, "pilot_len") < 1:
-        raise InvalidValue(f"pilot_len must be >= 1, got {pilot_len}")
 
 
 def noise_rng(master_seed: int, stream_index: int) -> np.random.Generator:
@@ -56,7 +43,13 @@ def noise_rng(master_seed: int, stream_index: int) -> np.random.Generator:
     mse and crlb chunks their noise statistics, localization chunks their
     scenes, then their noise statistics.  So successive ``random_scene``
     calls on that stream replay the scenes of localization chunk c.
+
+    Raises:
+        InvalidValue: if the seed or the index is not an integer
+            (``operator.index``).
     """
+    master_seed = _require_integer(master_seed, "master_seed")
+    stream_index = _require_integer(stream_index, "stream_index")
     seed = np.random.SeedSequence([master_seed % 2**64, stream_index % 2**64])
     return np.random.Generator(np.random.SFC64(seed))
 
@@ -96,7 +89,8 @@ class Scene:
     Raises:
         NonFiniteInput: if a coordinate or ``delta`` is NaN or inf.
         DimensionMismatch: if an array does not match the topology.
-        InvalidValue: if ``delta`` is negative.
+        InvalidValue: if a coordinate array holds anything but real
+            numbers, or ``delta`` is not one real number >= 0.
     """
 
     topo: Topology
@@ -106,16 +100,12 @@ class Scene:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        self.tx = np.asarray(self.tx, dtype=np.float64)
-        self.tag = np.asarray(self.tag, dtype=np.float64)
-        if self.topo.kind is Kind.MONOSTATIC:
-            self.rx = self.tx
-        else:
-            if self.rx is None:
-                raise DimensionMismatch("bistatic scene requires rx positions")
-            self.rx = np.asarray(self.rx, dtype=np.float64)
-        if not all(np.isfinite(v).all() for v in (self.tx, self.rx, self.tag, self.delta)):
-            raise NonFiniteInput("scene coordinates and delta must be finite")
+        monostatic = self.topo.kind is Kind.MONOSTATIC
+        if self.rx is None and not monostatic:
+            raise DimensionMismatch("bistatic scene requires rx positions")
+        self.tx, self.tag = (_real_array(x, "coordinates") for x in (self.tx, self.tag))
+        self.rx = self.tx if monostatic else _real_array(self.rx, "coordinates")
+        _require_real(self.delta, "delta", 0.0)
         if self.tx.shape != (self.topo.m, 3):
             raise DimensionMismatch(
                 f"tx shape {self.tx.shape} does not match m={self.topo.m}"
@@ -126,8 +116,6 @@ class Scene:
             )
         if self.tag.shape != (3,):
             raise DimensionMismatch(f"tag must be a 3D point, got {self.tag.shape}")
-        if self.delta < 0.0:
-            raise InvalidValue(f"delta must be >= 0, got {self.delta}")
 
     def to_text(self) -> str:
         """Flat key=value record; coordinates as comma-separated triples."""
@@ -204,10 +192,9 @@ def random_scene(
 
     Raises:
         NonFiniteInput: if ``cube_side`` is NaN or inf.
-        InvalidValue: if ``cube_side`` is not positive.
+        InvalidValue: if ``cube_side`` is not one positive real number.
     """
-    if not math.isfinite(cube_side):
-        raise NonFiniteInput(f"cube_side must be finite, got {cube_side}")
+    _require_real(cube_side, "cube_side")
     if cube_side <= 0.0:
         raise InvalidValue(f"cube_side must be > 0, got {cube_side}")
     # Drawn in the order of a localization chunk's rows (noise_rng): tx, rx, tag.
@@ -232,10 +219,13 @@ def true_delays(
     Raises:
         DimensionMismatch: unless the three arrays are stacks of 3D points
             as above.
+        InvalidValue: if an array holds anything but real numbers, or
+            ``delta`` is not one real number >= 0, the rule of ``Scene``.
         NonFiniteInput: if ``delta`` is NaN or inf, or a coordinate is NaN,
             inf or beyond 2^510 m, where the squared distances overflow.
     """
-    tx, rx, tag = (np.asarray(x, dtype=np.float64) for x in (tx, rx, tag))
+    tx, rx, tag = (_real_array(x, "coordinates", _COORDINATE_LIMIT) for x in (tx, rx, tag))
+    _require_real(delta, "delta", 0.0)
     shapes = f"tx {tx.shape}, rx {rx.shape} and tag {tag.shape}"
     if min(tx.ndim, rx.ndim) < 2 or (tx.shape[-1:], rx.shape[-1:], tag.shape[-1:]) != ((3,),) * 3:
         raise DimensionMismatch(f"{shapes} are not (..., m, 3), (..., n, 3) and (..., 3) points")
@@ -243,13 +233,6 @@ def true_delays(
         np.broadcast_shapes(tx.shape[:-2], rx.shape[:-2], tag.shape[:-1])
     except ValueError as exc:
         raise DimensionMismatch(f"the leading axes of {shapes} do not broadcast") from exc
-    if not all(np.abs(x).max(initial=0.0) <= _COORDINATE_LIMIT for x in (tx, rx, tag)):
-        raise NonFiniteInput(
-            f"coordinates must be finite and at most 2^510 m = {_COORDINATE_LIMIT:.4g} m "
-            "in magnitude"
-        )
-    if not math.isfinite(delta):
-        raise NonFiniteInput(f"delta must be finite, got {delta}")
     tag = tag[..., None, :]
     up = np.linalg.norm(tx - tag, axis=-1)
     down = np.linalg.norm(rx - tag, axis=-1)
@@ -272,24 +255,22 @@ def synth_observations(
 
     Raises:
         DimensionMismatch: if ``t`` has fewer than two axes.
-        InvalidValue: if ``pilot_len`` is not an integer >= 1, or ``sigma``
-            is negative or so large that ``_HEADROOM_SDS`` deviations of
-            noise on a delay could overflow.
+        InvalidValue: if ``t`` holds anything but real numbers,
+            ``pilot_len`` is not an integer >= 1, or ``sigma`` is not one
+            real number, is negative or is so large that ``_HEADROOM_SDS``
+            deviations of noise on a delay could overflow.
         NonFiniteInput: if ``sigma`` or a delay is NaN or inf, or a delay
             is above half the largest float in magnitude.
     """
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim < 2:
-        raise DimensionMismatch(f"delay matrices need two axes, got {t.shape}")
-    _check_pilot_len(pilot_len)
-    if not math.isfinite(sigma):
-        raise NonFiniteInput(f"sigma must be finite, got {sigma}")
     # A delay and its noise each take at most half the float range.
     half = sys.float_info.max / 2.0
+    t = _real_array(t, "delays", half)
+    if t.ndim < 2:
+        raise DimensionMismatch(f"delay matrices need two axes, got {t.shape}")
+    _require_integer(pilot_len, "pilot_len", low=1)
+    _require_real(sigma, "sigma")
     if not 0.0 <= sigma <= half / _HEADROOM_SDS:
         raise InvalidValue(f"sigma must lie in [0, {half / _HEADROOM_SDS:.4g}] s, got {sigma}")
-    if not np.abs(t).max(initial=0.0) <= half:
-        raise NonFiniteInput(f"delays must be finite and at most {half:.4g} s in magnitude")
     y = np.repeat(t, pilot_len, axis=-2)
     if sigma > 0.0:
         y = y + rng.normal(0.0, sigma, size=y.shape)

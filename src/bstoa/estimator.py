@@ -23,15 +23,8 @@ import sys
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteInput
+from .errors import DimensionMismatch, _real_array, _require_in_range
 from .topology import Kind, Topology
-
-
-def _require_in_range(x: np.ndarray, limit: float, what: str) -> None:
-    """Reject an array holding NaN, inf or a magnitude above ``limit``, the
-    largest its caller's sums can take without overflow."""
-    if not np.abs(x).max(initial=0.0) <= limit:
-        raise NonFiniteInput(f"{what} must be finite and at most {limit:.4g} in magnitude")
 
 
 def ls_estimate(y: np.ndarray, topo: Topology) -> np.ndarray:
@@ -45,12 +38,13 @@ def ls_estimate(y: np.ndarray, topo: Topology) -> np.ndarray:
     depend on the memory layout of ``y``.
 
     Raises:
+        InvalidValue: if ``y`` holds anything but real numbers.
         DimensionMismatch: unless the last axis has n entries and the row
             count is a positive multiple of m.
         NonFiniteInput: if an observation is NaN or inf, or so large that
             the sum of L of them overflows.
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = _real_array(y, "observations", None)
     m, n = topo.m, topo.n
     if y.ndim < 2 or y.shape[-1] != n or y.shape[-2] == 0 or y.shape[-2] % m:
         raise DimensionMismatch(
@@ -105,18 +99,18 @@ def refine_estimate(t_hat: np.ndarray, topo: Topology) -> np.ndarray:
     result does not depend on the memory layout of the batch.
 
     Raises:
+        InvalidValue: if ``t_hat`` holds anything but real numbers.
         DimensionMismatch: unless the last two axes are the topology's
             m x n.
         NonFiniteInput: if an estimate is NaN or inf, or so large that a
             row or column sum, or a symmetrized entry, overflows.
     """
-    t_hat = np.asarray(t_hat, dtype=np.float64)
     m, n = topo.m, topo.n
-    if t_hat.shape[-2:] != (m, n):
-        raise DimensionMismatch(f"delay matrices {t_hat.shape} do not match topology {m}x{n}")
     # Sums of max(m, n) estimates, and a refined entry, up to 3 of them,
     # doubled by the monostatic symmetrization, stay finite.
-    _require_in_range(t_hat, sys.float_info.max / (2 * max(m, n, 3)), "delay estimates")
+    t_hat = _real_array(t_hat, "delay estimates", sys.float_info.max / (2 * max(m, n, 3)))
+    if t_hat.shape[-2:] != (m, n):
+        raise DimensionMismatch(f"delay matrices {t_hat.shape} do not match topology {m}x{n}")
     rows, cols = _two_way_fit(t_hat)
     t_bar = rows + cols
     if topo.kind is Kind.MONOSTATIC:

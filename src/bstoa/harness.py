@@ -113,10 +113,10 @@ import numpy as np
 from . import analysis
 from .analysis import check_sigma
 from .channel import SPEED_OF_LIGHT, _HEADROOM_SDS, _read_record, noise_rng
-from .errors import ConfigInvalid, InvalidValue, SingularGeometry
+from .errors import ConfigInvalid, InvalidValue, SingularGeometry, _require_integer
 from .estimator import _sum_in_order
 from .localization import RANGE_LIMIT, _fix_bistatic, _fix_monostatic
-from .topology import Kind, Topology, _require_integer
+from .topology import Kind, Topology
 
 CHUNK_TRIALS = 512
 # Bumped whenever the draws behind a sweep's CSV change (module docstring;
@@ -172,13 +172,16 @@ class SweepConfig:
             raise ConfigInvalid(str(exc)) from exc
         object.__setattr__(self, "topology", topo)
         object.__setattr__(self, "kind", topo.kind)
-        _require_integer(self.trials, "trials", ConfigInvalid)
+        _require_integer(self.trials, "trials", ConfigInvalid, low=1)
         _require_integer(self.master_seed, "master_seed", ConfigInvalid)
-        if self.trials < 1:
-            raise ConfigInvalid(f"trials must be >= 1, got {self.trials}")
         side = self.cube_side
         if not (isinstance(side, numbers.Real) and math.isfinite(side) and side > 0.0):
             raise ConfigInvalid(f"cube_side must be a finite number > 0, got {side!r}")
+        for name in ("pilot_lengths", "sigma_grid"):
+            grid = getattr(self, name)
+            if isinstance(grid, str) or not hasattr(grid, "__iter__"):
+                raise ConfigInvalid(f"{name} must be a sequence, got {grid!r}")
+            object.__setattr__(self, name, tuple(grid))
         if not all(isinstance(sigma, numbers.Real) for sigma in self.sigma_grid):
             raise ConfigInvalid(f"sigma_grid must hold real numbers, got {self.sigma_grid!r}")
         if not self.pilot_lengths:
@@ -751,8 +754,8 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
         SingularGeometry: if no scene of a localization grid point has a
             fix; the message names the grid point.
     """
-    if workers is not None and _require_integer(workers, "workers", ConfigInvalid) < 1:
-        raise ConfigInvalid(f"workers must be >= 1, got {workers}")
+    if workers is not None:
+        _require_integer(workers, "workers", ConfigInvalid, low=1)
     run_chunk, point_rows = _EXPERIMENTS[cfg.experiment]
     partials = _execute(cfg, run_chunk, workers)
     chunks = _chunks_per_point(cfg)

@@ -66,6 +66,7 @@ import numpy as np
 
 from .channel import SPEED_OF_LIGHT
 from .errors import DimensionMismatch, NonFiniteInput, SingularGeometry, UnderDetermined
+from .errors import _real_array, _require_real
 from .estimator import _sum_in_order, _two_way_fit
 
 MAX_ITERATIONS = 100
@@ -110,7 +111,8 @@ def _as_stacks(t, tx, rx) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.n
     """The leading shape of delays (..., m, n) with transmitters (..., m, 3)
     and receivers (..., n, 3), and the three as (T, m, n), (T, m, 3) and
     (T, n, 3) float stacks."""
-    ts, txs, rxs = (np.asarray(x, dtype=np.float64) for x in (t, tx, rx))
+    ts = _real_array(t, "delays")
+    txs, rxs = (_real_array(x, "anchor coordinates", None) for x in (tx, rx))
     lead = ts.shape[:-2]
     if ts.ndim < 2 or txs.shape != ts.shape[:-1] + (3,) or rxs.shape != (*lead, ts.shape[-1], 3):
         raise DimensionMismatch(
@@ -134,11 +136,6 @@ def _outputs(what, lead, frame, singular, p, norms, counts) -> tuple:
     p[:, singular], norms[singular] = np.nan, np.nan
     p = p * unit + centroid
     return p.T.reshape(*lead, 3), (norms * unit).reshape(lead), counts.reshape(lead)
-
-
-def _require_finite(*values) -> None:
-    if not all(np.isfinite(v).all() for v in values):
-        raise NonFiniteInput("delays and delta must be finite")
 
 
 def _adjugate3(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -426,7 +423,9 @@ def localize_bistatic(
     """Fix the tags of bistatic scenes from their delay matrices.
 
     t (..., m, n) delays in seconds, tx (..., m, 3) and rx (..., n, 3) in
-    meters, with any leading axes, none for a lone scene.  Returns
+    meters, with any leading axes, none for a lone scene; the tag delay
+    ``delta`` is one real number >= 0 in seconds for the whole stack, the
+    rule of ``Scene``.  Returns
     (positions (..., 3), residual_norms (...), iterations (...)); the
     residual norm is taken over all m n range sums of ``t``.  A scene whose
     Jacobian loses rank 3 at some iterate has no fix: its position and
@@ -443,6 +442,8 @@ def localize_bistatic(
     module docstring, so a delay matrix and its projection have one fix.
 
     Raises:
+        InvalidValue: if a stack holds anything but real numbers, or
+            ``delta`` is not one real number >= 0.
         DimensionMismatch: unless the three stacks agree as above.
         UnderDetermined: if m + n - 1 < 4 (the independent range sums).
         NonFiniteInput: if a delay or delta is NaN or inf, or an anchor
@@ -454,7 +455,7 @@ def localize_bistatic(
     m, n = txs.shape[1], rxs.shape[1]
     if m + n - 1 < 4:
         raise UnderDetermined(f"{m + n - 1} independent range sums cannot fix a 3D position")
-    _require_finite(ts, delta)
+    _require_real(delta, "delta", 0.0)
     anchors = np.concatenate([txs, rxs], axis=1).transpose(2, 1, 0).copy()
     with np.errstate(over="ignore"):  # rejected in _to_frame
         ks = SPEED_OF_LIGHT * (ts - delta)
@@ -488,7 +489,9 @@ def localize_monostatic(
     """Fix the tags of monostatic scenes from their delay matrix diagonals.
 
     t (..., m, m) delays in seconds, anchors (..., m, 3) in meters, with any
-    leading axes, none for a lone scene.  Returns (positions (..., 3),
+    leading axes, none for a lone scene; the tag delay ``delta`` is one
+    real number >= 0 in seconds for the whole stack, the rule of
+    ``Scene``.  Returns (positions (..., 3),
     range residual norms (...), polish steps taken (...)).  Ranges are
     c (t[i, i] - delta) / 2.  Subtracting the first squared sphere equation
     from the others leaves a linear system in p, solved by least squares;
@@ -499,6 +502,8 @@ def localize_monostatic(
     without it.
 
     Raises:
+        InvalidValue: if a stack holds anything but real numbers, or
+            ``delta`` is not one real number >= 0.
         DimensionMismatch: unless the two stacks agree as above.
         UnderDetermined: if fewer than 4 anchors.
         NonFiniteInput: if a delay or delta is NaN or inf, or an anchor
@@ -510,7 +515,7 @@ def localize_monostatic(
     m = anchors.shape[1]
     if m < 4:
         raise UnderDetermined(f"{m} ranges cannot fix a 3D position")
-    _require_finite(ts, delta)
+    _require_real(delta, "delta", 0.0)
     points = anchors.transpose(2, 1, 0).copy()
     with np.errstate(over="ignore"):  # rejected in _to_frame
         ranges = (SPEED_OF_LIGHT * (np.diagonal(ts, axis1=1, axis2=2) - delta) / 2.0).T.copy()

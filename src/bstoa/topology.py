@@ -14,22 +14,12 @@ of an m x n matrix maps to transmitter ``z % m`` and receiver ``z // m``.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidValue
-
-
-def _require_integer(value, what: str, error: type[Exception] = InvalidValue) -> int:
-    """``value`` as an int through ``operator.index``, the package's rule for
-    counts; ``error`` names ``what`` if it is not an integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise error(f"{what} must be an integer, got {value!r}") from None
+from .errors import InvalidValue, _require_integer
 
 
 class Kind(str, Enum):

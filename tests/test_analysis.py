@@ -153,6 +153,8 @@ def test_bad_scalar_arguments_raise_package_error(call):
         (1e-9, (1, 4), 6e-19, False),  # 1e-18 at L = 1
         (math.nan, (1,), sys.float_info.max, False),
         (math.inf, (1,), sys.float_info.max, False),
+        # An integer sigma beyond the float range raised OverflowError.
+        pytest.param(10**400, (1,), sys.float_info.max, False, id="int-beyond-float-range"),
     ],
 )
 def test_check_sigma_takes_positive_normal_variances(sigma, lengths, limit, ok):

@@ -1,9 +1,11 @@
 """Finite in, finite out: every public function of ``topology``,
 ``estimator``, ``analysis`` and ``channel``, on input over the full float64
 exponent range (NaN and inf included), returns all-finite output or raises
-a BstoaError, with every warning an error."""
+a BstoaError, with every warning an error.  And every public function that
+takes numbers raises a BstoaError for a number of the wrong kind."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bstoa import analysis, channel, estimator, topology
+from bstoa import analysis, channel, estimator, localization, topology
 from bstoa.errors import BstoaError, NonFiniteInput
 from bstoa.topology import Kind, Topology
 
@@ -159,3 +161,107 @@ def test_values_at_the_ends_of_the_float_range_raise(call):
     each now raises NonFiniteInput at the boundary."""
     with pytest.raises(NonFiniteInput):
         call()
+
+
+def _numeric_calls():
+    """Public function that takes numbers -> (the function with its other
+    arguments bound, valid numeric arguments by name, the names of the
+    scalars among them)."""
+    bi = channel.random_scene(Topology.bistatic(4, 3), 10.0, channel.noise_rng(0, 0))
+    mono = channel.random_scene(Topology.monostatic(4), 10.0, channel.noise_rng(0, 1))
+    t_bi, t_mono = (channel.true_delays(s.tx, s.rx, s.tag) for s in (bi, mono))
+    rng = channel.noise_rng(0, 2)
+    sigma0_sq = {"sigma0_sq": 1e-18}
+    return {
+        "Scene": (
+            functools.partial(channel.Scene, bi.topo),
+            {"tx": bi.tx, "tag": bi.tag, "rx": bi.rx, "delta": 0.0}, {"delta"},
+        ),
+        "random_scene": (
+            functools.partial(channel.random_scene, bi.topo, rng=rng),
+            {"cube_side": 10.0}, {"cube_side"},
+        ),
+        "true_delays": (
+            channel.true_delays, {"tx": bi.tx, "rx": bi.rx, "tag": bi.tag, "delta": 0.0}, {"delta"},
+        ),
+        "synth_observations": (
+            functools.partial(channel.synth_observations, rng=rng),
+            {"t": t_bi, "pilot_len": 2, "sigma": 1e-9}, {"pilot_len", "sigma"},
+        ),
+        "noise_rng": (
+            channel.noise_rng, {"master_seed": 0, "stream_index": 0},
+            {"master_seed", "stream_index"},
+        ),
+        "ls_estimate": (
+            functools.partial(estimator.ls_estimate, topo=bi.topo),
+            {"y": np.repeat(t_bi, 2, axis=0)}, set(),
+        ),
+        "refine_estimate": (
+            functools.partial(estimator.refine_estimate, topo=bi.topo), {"t_hat": t_bi}, set(),
+        ),
+        "check_sigma": (
+            analysis.check_sigma,
+            {"sigma": 1e-9, "pilot_lengths": (2, 8), "max_variance": 1.0},
+            {"sigma", "max_variance"},
+        ),
+        "theoretical_mse_iid": (
+            functools.partial(analysis.theoretical_mse_iid, bi.topo), sigma0_sq, {"sigma0_sq"},
+        ),
+        "theoretical_mse_independent": (
+            functools.partial(analysis.theoretical_mse_independent, bi.topo),
+            {"sigma0_sq": np.full((4, 3), 1e-18)}, set(),
+        ),
+        "crlb_bistatic": (
+            functools.partial(analysis.crlb_bistatic, bi.topo), sigma0_sq, {"sigma0_sq"},
+        ),
+        "crlb_monostatic": (
+            functools.partial(analysis.crlb_monostatic, mono.topo), sigma0_sq, {"sigma0_sq"},
+        ),
+        "localize_bistatic": (
+            localization.localize_bistatic,
+            {"t": t_bi, "tx": bi.tx, "rx": bi.rx, "delta": 0.0}, {"delta"},
+        ),
+        "localize_monostatic": (
+            localization.localize_monostatic,
+            {"t": t_mono, "anchors": mono.tx, "delta": 0.0}, {"delta"},
+        ),
+    }
+
+
+_NUMERIC_CALLS = _numeric_calls()
+
+# Numbers of the wrong kind, built from a valid argument: a string, a
+# complex of it, a ragged list, and (for a scalar) a 1-d array of it.
+_WRONG_KINDS = {
+    "text": lambda value: "one",
+    "complex": lambda value: value + 1j if np.ndim(value) == 0 else np.asarray(value) + 1j,
+    "ragged": lambda value: [[1.0, 2.0], [3.0]],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", list(_NUMERIC_CALLS))
+def test_numbers_of_the_wrong_kind_raise(name):
+    """One property per public function that takes numbers: each of its
+    numeric arguments in turn, replaced by a string, a complex value or a
+    ragged list, and each scalar by a 1-d array, raises a BstoaError, with
+    every warning an error.  These used to leak TypeError, ValueError or
+    ComplexWarning, or, for an array delta in a localizer, to broadcast it
+    along the receivers or anchors."""
+    call, valid, scalars = _NUMERIC_CALLS[name]
+    call(**valid)
+    leaks = []
+    for arg, value in valid.items():
+        wrong = dict(_WRONG_KINDS)
+        if arg in scalars:
+            wrong["1-d array"] = lambda value: np.full(3, value)
+        for kind, make in wrong.items():
+            try:
+                call(**{**valid, arg: make(value)})
+            except BstoaError:
+                continue
+            except Exception as exc:  # any other exception type is the failure
+                leaks.append(f"{arg} as {kind}: {type(exc).__name__}: {exc}")
+            else:
+                leaks.append(f"{arg} as {kind}: no error")
+    assert not leaks, leaks

@@ -200,10 +200,15 @@ def test_parse_config_bad_value_message(text, message):
         ({"cube_side": "10"}, "cube_side must be a finite number > 0, got '10'"),
         ({"sigma_grid": ("1e-9",)}, "sigma_grid must hold real numbers, got ('1e-9',)"),
         ({"sigma_grid": (1e-9, "2e-9")}, "sigma_grid must hold real numbers, got (1e-09, '2e-9')"),
+        ({"sigma_grid": 1e-9}, "sigma_grid must be a sequence, got 1e-09"),
+        ({"sigma_grid": "1e-9"}, "sigma_grid must be a sequence, got '1e-9'"),
+        ({"pilot_lengths": 2}, "pilot_lengths must be a sequence, got 2"),
+        ({"pilot_lengths": "28"}, "pilot_lengths must be a sequence, got '28'"),
     ],
     ids=[
         "empty-pilots", "empty-sigmas", "pilot-2.5", "pilot-8.0", "pilot-0", "trials", "seed", "m",
-        "n", "cube-side-text", "sigma-text", "sigma-mixed",
+        "n", "cube-side-text", "sigma-text", "sigma-mixed", "sigma-scalar", "sigma-string",
+        "pilots-scalar", "pilots-string",
     ],
 )
 def test_config_rejects_empty_grids_and_non_integer_counts(overrides, message):
@@ -212,9 +217,27 @@ def test_config_rejects_empty_grids_and_non_integer_counts(overrides, message):
     lengths take the package's one pilot-length rule.  A pilot length of
     2.5 used to run and write ``pilot_len=2.5`` rows; a float m, trials or
     seed raised TypeError deep inside the sweep, and so did a text cube
-    side or sigma, from ``math.isfinite`` or a comparison."""
+    side or sigma, from ``math.isfinite`` or a comparison.  A grid that is
+    a string or not iterable used to leak TypeError, or to be read a
+    character at a time."""
     with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}$"):
         _cfg(**overrides)
+
+
+def test_config_grids_are_stored_as_tuples():
+    """Grids given as lists or arrays are stored as tuples, so the config
+    equals, and hashes like, the same config parsed from text.  An array
+    sigma grid used to raise ValueError (the truth value of an array), and
+    a config built from lists was unhashable and unequal to the parsed one."""
+    parsed = parse_config(
+        "experiment = mse\nkind = bistatic\nm = 4\nn = 3\n"
+        "pilot_lengths = 2, 8\nsigma_grid = 1e-10, 1e-9, 1e-8\n"
+    )
+    grids = [([2, 8], [1e-10, 1e-9, 1e-8]), (np.array([2, 8]), np.logspace(-10, -8, 3))]
+    for pilots, sigmas in grids:
+        built = SweepConfig("mse", "bistatic", 4, 3, pilot_lengths=pilots, sigma_grid=sigmas)
+        assert (built.pilot_lengths, built.sigma_grid) == ((2, 8), (1e-10, 1e-9, 1e-8))
+        assert built == parsed and hash(built) == hash(parsed)
 
 
 @pytest.mark.parametrize("experiment", list(ExperimentKind))

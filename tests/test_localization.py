@@ -14,6 +14,7 @@ from bstoa.channel import SPEED_OF_LIGHT, noise_rng, random_scene, true_delays
 from bstoa.errors import (
     BstoaError,
     DimensionMismatch,
+    InvalidValue,
     NonFiniteInput,
     SingularGeometry,
     UnderDetermined,
@@ -380,6 +381,34 @@ def test_monostatic_rejects_non_finite_input(bad, where):
         localize_monostatic(**args)
     with pytest.raises(NonFiniteInput):
         localize_monostatic(args["t"][None], args["anchors"][None], delta=args["delta"])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "delta, complex_delays",
+    [(np.array([0.0, 0.0, 5e-9]), False), (-1e-9, False), (1e-9 + 0j, False), (0.0, True)],
+    ids=["array-delta", "negative-delta", "complex-delta", "complex-delays"],
+)
+def test_localizers_take_one_real_delta_and_real_delays(delta, complex_delays):
+    """delta is one finite real number >= 0 for the whole stack, the rule
+    a Scene applies, and the delays are real.  On this 3-scene 4x3 stack
+    delta = [0, 0, 5e-9] used to broadcast along the receivers and move
+    the fixes by 0.8 to 3.1 m without a word; a negative delta was taken,
+    and complex delays lost their imaginary part with a ComplexWarning.
+    ``true_delays`` takes delta by the same rule."""
+    bi = [_bistatic_case(3410 + index) for index in range(3)]
+    mono = [_monostatic_case(3413 + index) for index in range(3)]
+    tx, rx, tag = (np.stack([getattr(s, key) for s, _ in bi]) for key in ("tx", "rx", "tag"))
+    t_bi, t_mono = (np.stack([t for _, t in cases]) for cases in (bi, mono))
+    if complex_delays:
+        t_bi, t_mono = t_bi + 1e-12j, t_mono + 1e-12j
+    with pytest.raises(InvalidValue):
+        localize_bistatic(t_bi, tx, rx, delta=delta)
+    with pytest.raises(InvalidValue):
+        localize_monostatic(t_mono, np.stack([scene.tx for scene, _ in mono]), delta=delta)
+    if not complex_delays:
+        with pytest.raises(InvalidValue):
+            true_delays(tx, rx, tag, delta)
 
 
 @pytest.mark.parametrize("delay", [1e150, 1e301])
