@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidValue, NonFiniteInput, WrongTopology
-from .errors import _real_array, _require_integer, _require_real
+from .errors import _real_array, _require_integer, _require_real, _require_sequence
 from .topology import Kind, Topology, entry_weights, weighting_matrix
 
 
@@ -56,7 +56,9 @@ def check_sigma(
     """Accept a noise standard deviation ``sigma`` (seconds) only where it
     is positive, its estimate-level variance ``sigma^2 / L`` is a positive
     normal float no larger than ``max_variance`` for every pilot length L,
-    and ``sigma^2`` is finite.
+    and ``sigma^2`` is finite.  ``pilot_lengths`` is any iterable but a
+    string, with at least one length: with none, no variance would be
+    checked and any sigma would pass.
 
     Below that range ``sigma^2 / L`` underflows, and every MSE, bound and
     ratio built on it reads 0 or divides by it; above it the caller's sums
@@ -64,15 +66,16 @@ def check_sigma(
     overflow is a comparison with inf rather than an ``OverflowError``.
 
     Raises:
-        InvalidValue: for ``pilot_lengths`` that is not a sequence, a pilot
-            length that is not an integer >= 1, a sigma or
-            ``max_variance`` that is not one real number, a
-            negative ``max_variance``, or a sigma outside the range (NaN
-            and inf included), which the message names.
+        InvalidValue: for ``pilot_lengths`` that is a string, not iterable
+            or empty, a pilot length that is not an integer >= 1, a sigma
+            or ``max_variance`` that is not one real number, a negative
+            ``max_variance``, or a sigma outside the range (NaN and inf
+            included), which the message names.
         NonFiniteInput: if ``max_variance`` is NaN or inf.
     """
-    if not hasattr(pilot_lengths, "__iter__"):
-        raise InvalidValue(f"pilot_lengths must be a sequence, got {pilot_lengths!r}")
+    pilot_lengths = _require_sequence(pilot_lengths, "pilot_lengths")
+    if not pilot_lengths:
+        raise InvalidValue("pilot_lengths must not be empty")
     for length in pilot_lengths:
         _require_integer(length, "pilot_len", low=1)
     _require_real(sigma, "sigma", finite=False)
@@ -81,14 +84,13 @@ def check_sigma(
     variances = (sigma * sigma / length for length in pilot_lengths)
     if 0.0 < sigma <= sys.float_info.max and all(tiny <= v <= max_variance for v in variances):
         return
-    low = math.sqrt(tiny * max(pilot_lengths, default=1))
+    low = math.sqrt(tiny * max(pilot_lengths))
     high = min(
-        math.sqrt(max_variance) * math.sqrt(min(pilot_lengths, default=1)),
-        math.sqrt(sys.float_info.max),
+        math.sqrt(max_variance) * math.sqrt(min(pilot_lengths)), math.sqrt(sys.float_info.max)
     )
     raise InvalidValue(
         f"sigma must lie in [{low:.4g}, {high:.4g}] s for pilot lengths "
-        f"{tuple(pilot_lengths)}, so that sigma^2 / L is a normal float between "
+        f"{pilot_lengths}, so that sigma^2 / L is a normal float between "
         f"{tiny:.4g} and {max_variance:.4g} s^2; got {sigma!r}"
     )
 

@@ -182,28 +182,33 @@ class Scene:
             raise ConfigInvalid(f"malformed scene record: {exc}") from exc
 
 
+def _require_cube_side(cube_side) -> None:
+    """The rule for the side of a scene cube, in meters: one finite real
+    number > 0 (``random_scene`` and ``harness.SweepConfig``)."""
+    _require_real(cube_side, "cube_side")
+    if not cube_side > 0.0:
+        raise InvalidValue(f"cube_side must be > 0, got {cube_side}")
+
+
 def random_scene(
     topo: Topology, cube_side: float, rng: np.random.Generator
 ) -> Scene:
     """Draw antenna and tag coordinates uniformly in [0, cube_side]^3.
 
-    The tag delay defaults to zero.  Coincident points are legal: they only
-    produce zero delays.
+    One ``random((k + 1, 3))`` call gives the unit coordinates, rows tx,
+    then rx if bistatic, then tag, the layout a localization chunk draws
+    per trial (``noise_rng``).  The tag delay defaults to zero.  Coincident
+    points are legal: they only produce zero delays.
 
     Raises:
         NonFiniteInput: if ``cube_side`` is NaN or inf.
         InvalidValue: if ``cube_side`` is not one positive real number.
     """
-    _require_real(cube_side, "cube_side")
-    if cube_side <= 0.0:
-        raise InvalidValue(f"cube_side must be > 0, got {cube_side}")
-    # Drawn in the order of a localization chunk's rows (noise_rng): tx, rx, tag.
-    tx = rng.uniform(0.0, cube_side, size=(topo.m, 3))
-    rx = None
-    if topo.kind is Kind.BISTATIC:
-        rx = rng.uniform(0.0, cube_side, size=(topo.n, 3))
-    tag = rng.uniform(0.0, cube_side, size=3)
-    return Scene(topo=topo, tx=tx, rx=rx, tag=tag, delta=0.0)
+    _require_cube_side(cube_side)
+    m, bistatic = topo.m, topo.kind is Kind.BISTATIC
+    k = m + topo.n if bistatic else m
+    points = rng.random((k + 1, 3)) * cube_side
+    return Scene(topo=topo, tx=points[:m], rx=points[m:k] if bistatic else None, tag=points[k])
 
 
 def true_delays(

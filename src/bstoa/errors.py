@@ -6,6 +6,8 @@ private helpers here, at their boundary:
 
 * counts (``_require_integer``): ``operator.index``, so an integer, never a
   float or a string, and at least a lower bound where the caller asks;
+* sequences (``_require_sequence``): a tuple of any iterable but a
+  string, which would be read a character at a time;
 * scalars (``_require_real``): one real number (``numbers.Real``), not an
   array, a complex or a string, finite and at least a lower bound where
   the caller asks;
@@ -72,6 +74,17 @@ def _require_integer(
     if low is not None and value < low:
         raise error(f"{what} must be >= {low}, got {value}")
     return value
+
+
+def _require_sequence(value, what: str) -> tuple:
+    """``value`` as a tuple, from any iterable but a string; otherwise
+    ``InvalidValue`` names ``what``."""
+    if not isinstance(value, str):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise InvalidValue(f"{what} must be a sequence, got {value!r}")
 
 
 def _require_in_range(x: np.ndarray, limit: float, what: str) -> None:

@@ -33,8 +33,8 @@ column sums (``_monostatic_statistics``).
   scenes, a row of tx, then rx if bistatic, then tag per trial, then one
   ``(k, trials)`` normal array.  Its solvers read per-anchor terms only:
   the true ranges ``|anchor - tag|`` plus the noise, in the sweep's scene
-  unit, the power of two at or above cube_side (``_scene_unit``,
-  ``_loc_terms``).
+  unit, the power of two at or above cube_side
+  (``localization._unit_at_or_above``, ``_loc_terms``).
 * An mse or crlb chunk draws no scene: the scene would add only rounding.
   Its rows are quadratic forms of its trials' k normals, so it draws only
   their sum of outer products, Wishart over its T trials, as one Bartlett
@@ -75,12 +75,18 @@ count; a point that left no scene out has no such row, so its bytes are
 those of a sweep without the count.  Only a point where no scene has a
 fix aborts the sweep, with ``SingularGeometry``.
 
-``SweepConfig`` accepts a sigma only where it is positive, ``sigma^2 / L``
-is a positive normal float for every pilot length L and the sweep's sums
-stay finite with ``_HEADROOM_SDS`` standard deviations of room
-(``analysis.check_sigma`` names the range), so no row is computed from an
-underflowed variance or an overflowed sum; nor does a row carry a
-subnormal theory value.  A localization sweep needs at
+``SweepConfig`` runs each field through the rule of the module that owns
+it (``Topology`` for kind, m and n, ``errors`` for counts and grids,
+``channel`` for cube_side, ``analysis.check_sigma`` for sigmas and pilot
+lengths), and a failed rule is one ``ConfigInvalid`` that names the
+experiment, ``<experiment> sweep: ...``.  It accepts a sigma only where
+it is positive, ``sigma^2 / L`` is a positive normal float for every
+pilot length L and the sweep's sums stay finite with ``_HEADROOM_SDS``
+standard deviations of room (``analysis.check_sigma`` names the range),
+so no row is computed from an underflowed variance or an overflowed sum;
+nor does a row carry a subnormal theory value.  Its own checks, on
+values that passed those rules, want distinct pilot lengths and a
+non-empty, strictly ascending sigma grid.  A localization sweep needs at
 least 4 independent ranges (m + n - 1 for bistatic, m for monostatic),
 and keeps its cube's longest range sum, ``2 sqrt(3) cube_side``, plus
 ``_HEADROOM_SDS`` deviations of range noise below the solvers'
@@ -98,7 +104,6 @@ localization, crlb), ``kind`` (bistatic, monostatic), ``m``, ``n``,
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import os
 import sys
@@ -112,10 +117,11 @@ import numpy as np
 
 from . import analysis
 from .analysis import check_sigma
-from .channel import SPEED_OF_LIGHT, _HEADROOM_SDS, _read_record, noise_rng
-from .errors import ConfigInvalid, InvalidValue, SingularGeometry, _require_integer
+from .channel import SPEED_OF_LIGHT, _HEADROOM_SDS, _read_record, _require_cube_side, noise_rng
+from .errors import ConfigInvalid, InvalidValue, NonFiniteInput, SingularGeometry
+from .errors import _require_integer, _require_sequence
 from .estimator import _sum_in_order
-from .localization import RANGE_LIMIT, _fix_bistatic, _fix_monostatic
+from .localization import RANGE_LIMIT, _fix_bistatic, _fix_monostatic, _unit_at_or_above
 from .topology import Kind, Topology
 
 CHUNK_TRIALS = 512
@@ -161,83 +167,68 @@ class SweepConfig:
     grid_points: tuple[tuple[float, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.experiment, ExperimentKind):
-            try:
-                object.__setattr__(self, "experiment", ExperimentKind(self.experiment))
-            except ValueError as exc:
-                raise ConfigInvalid(f"unknown experiment {self.experiment!r}") from exc
+        try:
+            experiment = ExperimentKind(self.experiment)
+        except ValueError as exc:
+            raise ConfigInvalid(f"unknown experiment {self.experiment!r}") from exc
+        object.__setattr__(self, "experiment", experiment)
+        # Each field goes through the rule of the module that owns it, and
+        # a failed rule is one ConfigInvalid; the sweep's own checks raise
+        # ConfigInvalid themselves and pass through.
         try:
             topo = Topology(self.kind, self.m, self.n)
-        except InvalidValue as exc:
-            raise ConfigInvalid(str(exc)) from exc
-        object.__setattr__(self, "topology", topo)
-        object.__setattr__(self, "kind", topo.kind)
-        _require_integer(self.trials, "trials", ConfigInvalid, low=1)
-        _require_integer(self.master_seed, "master_seed", ConfigInvalid)
-        side = self.cube_side
-        if not (isinstance(side, numbers.Real) and math.isfinite(side) and side > 0.0):
-            raise ConfigInvalid(f"cube_side must be a finite number > 0, got {side!r}")
-        for name in ("pilot_lengths", "sigma_grid"):
-            grid = getattr(self, name)
-            if isinstance(grid, str) or not hasattr(grid, "__iter__"):
-                raise ConfigInvalid(f"{name} must be a sequence, got {grid!r}")
-            object.__setattr__(self, name, tuple(grid))
-        if not all(isinstance(sigma, numbers.Real) for sigma in self.sigma_grid):
-            raise ConfigInvalid(f"sigma_grid must hold real numbers, got {self.sigma_grid!r}")
-        if not self.pilot_lengths:
-            raise ConfigInvalid("pilot_lengths must not be empty")
-        if len(set(self.pilot_lengths)) < len(self.pilot_lengths):
-            raise ConfigInvalid(f"pilot lengths must be distinct, got {self.pilot_lengths}")
-        if not self.sigma_grid:
-            raise ConfigInvalid("sigma_grid must not be empty")
-        if any(b <= a for a, b in zip(self.sigma_grid, self.sigma_grid[1:])):
-            raise ConfigInvalid("sigma grid must be strictly ascending")
-        if self.experiment is ExperimentKind.LOCALIZATION:
+            _require_integer(self.trials, "trials", low=1)
+            _require_integer(self.master_seed, "master_seed")
+            _require_cube_side(self.cube_side)
+            pilots = _require_sequence(self.pilot_lengths, "pilot_lengths")
+            sigmas = _require_sequence(self.sigma_grid, "sigma_grid")
+            if experiment is ExperimentKind.LOCALIZATION:
+                # The cube's longest range sum, 2 sqrt(3) cube_side, and
+                # _HEADROOM_SDS deviations of range noise, c sigma / sqrt(L),
+                # stay below the solvers' RANGE_LIMIT together, in meters and
+                # in the scene unit of _loc_terms.
+                longest = 2.0 * math.sqrt(3.0) * self.cube_side
+                if not longest < RANGE_LIMIT:
+                    raise ConfigInvalid(
+                        "localization sweep: cube_side must be below "
+                        f"{RANGE_LIMIT / (2.0 * math.sqrt(3.0)):.4g} m, so that range sums of "
+                        f"up to 2 sqrt(3) cube_side stay below 2^128 m; got {self.cube_side!r}"
+                    )
+                room = RANGE_LIMIT * min(1.0, _unit_at_or_above(self.cube_side)) - longest
+                limit = (room / (_HEADROOM_SDS * SPEED_OF_LIGHT)) ** 2
+            else:
+                # The largest sum a sweep forms, the LS energy over all its
+                # trials and entries or a refined square's four terms, stays
+                # finite with every value _HEADROOM_SDS deviations out.
+                limit = sys.float_info.max / (4.0 * _HEADROOM_SDS**2 * self.trials * topo.mn)
+            for sigma in sigmas:
+                check_sigma(sigma, pilots, limit)
+            # Only values that passed check_sigma reach the sweep's checks.
+            if not sigmas:
+                raise ConfigInvalid("sigma_grid must not be empty")
+            if len(set(pilots)) < len(pilots):
+                raise ConfigInvalid(f"pilot lengths must be distinct, got {pilots}")
+            if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
+                raise ConfigInvalid("sigma grid must be strictly ascending")
             # A bistatic m x n matrix holds m + n - 1 independent range sums.
             ranges = topo.m + topo.n - 1 if topo.kind is Kind.BISTATIC else topo.m
-            if ranges < 4:
+            if experiment is ExperimentKind.LOCALIZATION and ranges < 4:
                 raise ConfigInvalid(f"{ranges} independent ranges cannot fix a 3D position")
-            # The cube's longest range sum, 2 sqrt(3) cube_side, and
-            # _HEADROOM_SDS deviations of range noise, c sigma / sqrt(L), stay
-            # below the solvers' RANGE_LIMIT together, in meters and in the
-            # scene unit of _loc_terms.
-            longest = 2.0 * math.sqrt(3.0) * self.cube_side
-            if not longest < RANGE_LIMIT:
-                raise ConfigInvalid(
-                    "localization sweep: cube_side must be below "
-                    f"{RANGE_LIMIT / (2.0 * math.sqrt(3.0)):.4g} m, so that range sums of up "
-                    f"to 2 sqrt(3) cube_side stay below 2^128 m; got {self.cube_side!r}"
-                )
-            room = RANGE_LIMIT * min(1.0, _scene_unit(self.cube_side)) - longest
-            limit = (room / (_HEADROOM_SDS * SPEED_OF_LIGHT)) ** 2
-        else:
-            # The largest sum a sweep forms, the LS energy over all its
-            # trials and entries or a refined square's four terms, stays
-            # finite with every value _HEADROOM_SDS deviations out.
-            limit = sys.float_info.max / (4.0 * _HEADROOM_SDS**2 * self.trials * topo.mn)
-        try:
-            # check_sigma applies the pilot-length rule first.
-            for sigma in self.sigma_grid:
-                check_sigma(sigma, self.pilot_lengths, limit)
             # Every theory value a row carries is a normal float too; the
             # smallest sigma and the longest pilot give the smallest.  mse
             # rows and monostatic crlb rows carry theoretical_mse_iid values.
-            sigma, length = self.sigma_grid[0], max(self.pilot_lengths)
-            if self.experiment is ExperimentKind.MSE or (
-                self.experiment is ExperimentKind.CRLB and topo.kind is Kind.MONOSTATIC
+            if experiment is ExperimentKind.MSE or (
+                experiment is ExperimentKind.CRLB and topo.kind is Kind.MONOSTATIC
             ):
-                analysis.theoretical_mse_iid(topo, sigma**2 / length)
-        except InvalidValue as exc:
-            raise ConfigInvalid(f"{self.experiment.value} sweep: {exc}") from exc
-        grid = tuple((s, length) for s in self.sigma_grid for length in self.pilot_lengths)
+                analysis.theoretical_mse_iid(topo, sigmas[0] ** 2 / max(pilots))
+        except (InvalidValue, NonFiniteInput) as exc:
+            raise ConfigInvalid(f"{experiment.value} sweep: {exc}") from exc
+        object.__setattr__(self, "topology", topo)
+        object.__setattr__(self, "kind", topo.kind)
+        object.__setattr__(self, "pilot_lengths", pilots)
+        object.__setattr__(self, "sigma_grid", sigmas)
+        grid = tuple((s, length) for s in sigmas for length in pilots)
         object.__setattr__(self, "grid_points", grid)
-
-
-def _scene_unit(cube_side: float) -> float:
-    """A localization sweep's scene unit in meters, the power of two at or
-    above its cube side: every length ``_loc_terms`` draws is its value in
-    meters over the unit, exactly."""
-    return 2.0 ** math.ceil(math.log2(cube_side))
 
 
 def _list_of(conv: Callable) -> Callable[[str], tuple]:
@@ -542,9 +533,10 @@ def _loc_terms(cfg: SweepConfig, c: int) -> tuple[np.ndarray, np.ndarray, np.nda
     """Draw chunk c of a localization sweep: the anchors ``(3, k, T)``
     (transmitters, then receivers if bistatic), the tags ``(3, T)`` and the
     per-anchor terms its solvers read, all in scene units, and the unit in
-    meters (``_scene_unit``).  Each length is its value in meters
-    over the unit, exactly: the unit is folded into the coordinates' and
-    the noise's scale factors.  One ``random((T, k + 1, 3))`` call gives
+    meters, the power of two at or above the cube side
+    (``localization._unit_at_or_above``).  Each length is its value in
+    meters over the unit, exactly: the unit is folded into the coordinates'
+    and the noise's scale factors.  One ``random((T, k + 1, 3))`` call gives
     every scene's unit coordinates, then the noise.  With d the true
     ranges ``|anchor - tag|`` and ``s = c sigma / sqrt(L)``, the terms
     times the unit are those the public solvers take from the LS delays
@@ -565,7 +557,7 @@ def _loc_terms(cfg: SweepConfig, c: int) -> tuple[np.ndarray, np.ndarray, np.nda
     bistatic = cfg.kind is Kind.BISTATIC
     k = m + n if bistatic else m
     rng = noise_rng(cfg.master_seed, c)
-    unit = _scene_unit(cfg.cube_side)
+    unit = _unit_at_or_above(cfg.cube_side)
     points = np.empty((3, k + 1, count))
     np.multiply(rng.random((count, k + 1, 3)).T, cfg.cube_side / unit, out=points)
     anchors, tags = points[:, :k], points[:, k]

@@ -49,7 +49,8 @@ divide by a power of two at or above the anchor span and the longest
 range, which is exact.  They reduce the delay matrices to per-anchor terms
 there, solve, and map the fix and the residual back.  Sweeps call the
 solvers directly, with every length of a sweep divided by one power of
-two (``harness._loc_terms``).  The solvers raise nothing on a scene with
+two, the one at or above its cube side (``_unit_at_or_above``,
+``harness._loc_terms``).  The solvers raise nothing on a scene with
 no fix: they flag it in a per-scene mask, and every caller applies one
 rule to it.  The public localizers return a NaN position and residual
 norm for the scene, and a sweep leaves it out of its point's RMSE and
@@ -174,11 +175,19 @@ def _least_squares3(u: np.ndarray, *rhs: np.ndarray) -> tuple[list[np.ndarray], 
     return [_solve3(adj, det, _sum_in_order(u * r, axis=1)) for r in rhs], bad
 
 
+def _unit_at_or_above(length):
+    """The power of two at or above each ``length`` (1 for 0), exactly:
+    the scene unit of ``_to_frame`` and of a localization sweep
+    (``harness._loc_terms``)."""
+    mantissa, exponent = np.frexp(length)
+    return np.ldexp(1.0, exponent - (mantissa == 0.5))
+
+
 def _to_frame(anchors: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Check anchors (3, k, T), then lengths (..., T), against
     ``RANGE_LIMIT`` and move both in place into each scene's frame: its
-    anchor centroid (3, T) and its unit (T,), the power of two at or above
-    the larger of its anchor span and its longest length, both returned.  A
+    anchor centroid (3, T) and its unit (T,), ``_unit_at_or_above`` the
+    larger of its anchor span and its longest length, both returned.  A
     point x maps to (x - centroid) / unit in scene units, and a length l to
     l / unit; the division is exact."""
     # The check reads the extremes the frame needs; NaN fails it.  c (t -
@@ -196,8 +205,7 @@ def _to_frame(anchors: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.
                 f"{what} must be finite and below 2^128 m = {RANGE_LIMIT:.3g} m in magnitude"
             )
     centroid = _sum_in_order(anchors, axis=1) / anchors.shape[1]
-    mantissa, exponent = np.frexp(np.maximum((hi - lo).max(axis=0), longest))
-    unit = np.ldexp(1.0, exponent - (mantissa == 0.5))
+    unit = _unit_at_or_above(np.maximum((hi - lo).max(axis=0), longest))
     anchors -= centroid[:, None]
     anchors /= unit
     lengths /= unit

@@ -176,6 +176,24 @@ def test_check_sigma_rejects_pilot_lengths_below_one(lengths):
         check_sigma(1e-9, lengths)
 
 
+@pytest.mark.parametrize(
+    "sigma, lengths, message",
+    [
+        (1e300, (), "pilot_lengths must not be empty"),
+        (1e-320, (), "pilot_lengths must not be empty"),
+        (1e-9, "28", "pilot_lengths must be a sequence, got '28'"),
+    ],
+    ids=["empty-huge-sigma", "empty-subnormal-sigma", "string"],
+)
+def test_check_sigma_needs_a_sequence_of_pilot_lengths(sigma, lengths, message):
+    """With no pilot length there is no variance to check, so any sigma
+    passed, 1e300 (whose square overflows) and 1e-320 included; a string
+    was read a character at a time (``pilot_len must be an integer, got
+    '2'``)."""
+    with pytest.raises(InvalidValue, match=f"^{re.escape(message)}$"):
+        check_sigma(sigma, lengths)
+
+
 def _per_entry_bounds(topo, cov):
     """The per-entry bound read off a covariance bound: bistatic, its
     diagonal; monostatic, the variance of t_i + t_j, C_ii + C_jj + 2 C_ij,

@@ -188,27 +188,30 @@ def test_parse_config_bad_value_message(text, message):
 @pytest.mark.parametrize(
     "overrides, message",
     [
-        ({"pilot_lengths": ()}, "pilot_lengths must not be empty"),
+        ({"pilot_lengths": ()}, "mse sweep: pilot_lengths must not be empty"),
         ({"sigma_grid": ()}, "sigma_grid must not be empty"),
         ({"pilot_lengths": (2.5,)}, "mse sweep: pilot_len must be an integer, got 2.5"),
         ({"pilot_lengths": (2, 8.0)}, "mse sweep: pilot_len must be an integer, got 8.0"),
         ({"pilot_lengths": (2, 0)}, "mse sweep: pilot_len must be >= 1, got 0"),
-        ({"trials": 200.0}, "trials must be an integer, got 200.0"),
-        ({"master_seed": 1.5}, "master_seed must be an integer, got 1.5"),
-        ({"m": 2.0}, "m must be an integer, got 2.0"),
-        ({"n": "2"}, "n must be an integer, got '2'"),
-        ({"cube_side": "10"}, "cube_side must be a finite number > 0, got '10'"),
-        ({"sigma_grid": ("1e-9",)}, "sigma_grid must hold real numbers, got ('1e-9',)"),
-        ({"sigma_grid": (1e-9, "2e-9")}, "sigma_grid must hold real numbers, got (1e-09, '2e-9')"),
-        ({"sigma_grid": 1e-9}, "sigma_grid must be a sequence, got 1e-09"),
-        ({"sigma_grid": "1e-9"}, "sigma_grid must be a sequence, got '1e-9'"),
-        ({"pilot_lengths": 2}, "pilot_lengths must be a sequence, got 2"),
-        ({"pilot_lengths": "28"}, "pilot_lengths must be a sequence, got '28'"),
+        ({"trials": 200.0}, "mse sweep: trials must be an integer, got 200.0"),
+        ({"master_seed": 1.5}, "mse sweep: master_seed must be an integer, got 1.5"),
+        ({"m": 2.0}, "mse sweep: m must be an integer, got 2.0"),
+        ({"n": "2"}, "mse sweep: n must be an integer, got '2'"),
+        ({"cube_side": "10"}, "mse sweep: cube_side must be a real number, got '10'"),
+        ({"sigma_grid": ("1e-9",)}, "mse sweep: sigma must be a real number, got '1e-9'"),
+        ({"sigma_grid": (1e-9, "2e-9")}, "mse sweep: sigma must be a real number, got '2e-9'"),
+        ({"sigma_grid": 1e-9}, "mse sweep: sigma_grid must be a sequence, got 1e-09"),
+        ({"sigma_grid": "1e-9"}, "mse sweep: sigma_grid must be a sequence, got '1e-9'"),
+        ({"pilot_lengths": 2}, "mse sweep: pilot_lengths must be a sequence, got 2"),
+        ({"pilot_lengths": "28"}, "mse sweep: pilot_lengths must be a sequence, got '28'"),
+        ({"pilot_lengths": ([2],)}, "mse sweep: pilot_len must be an integer, got [2]"),
+        ({"pilot_lengths": ({2},)}, "mse sweep: pilot_len must be an integer, got {2}"),
+        ({"pilot_lengths": (2, 2.0)}, "mse sweep: pilot_len must be an integer, got 2.0"),
     ],
     ids=[
         "empty-pilots", "empty-sigmas", "pilot-2.5", "pilot-8.0", "pilot-0", "trials", "seed", "m",
         "n", "cube-side-text", "sigma-text", "sigma-mixed", "sigma-scalar", "sigma-string",
-        "pilots-scalar", "pilots-string",
+        "pilots-scalar", "pilots-string", "pilot-list", "pilot-set", "pilot-2-and-2.0",
     ],
 )
 def test_config_rejects_empty_grids_and_non_integer_counts(overrides, message):
@@ -219,7 +222,9 @@ def test_config_rejects_empty_grids_and_non_integer_counts(overrides, message):
     seed raised TypeError deep inside the sweep, and so did a text cube
     side or sigma, from ``math.isfinite`` or a comparison.  A grid that is
     a string or not iterable used to leak TypeError, or to be read a
-    character at a time."""
+    character at a time.  An unhashable pilot length leaked TypeError from
+    the distinctness check, and ``(2, 2.0)`` failed it instead of naming
+    2.0: the pilot-length rule now runs first."""
     with pytest.raises(ConfigInvalid, match=f"^{re.escape(message)}$"):
         _cfg(**overrides)
 
@@ -1309,6 +1314,22 @@ def test_random_scene_replays_a_localization_chunk(kind, m, n, cube_side):
         ]
         assert np.array_equal(anchors * unit, np.stack(points).transpose(2, 1, 0))
         assert np.array_equal(tags * unit, np.stack([s.tag for s in scenes]).T)
+
+
+@pytest.mark.parametrize("k", [-10, -3, 0, 3, 4, 10, 60])
+def test_the_scene_unit_covers_the_cube_side(k):
+    """A localization chunk's scene unit lies in [cube_side, 2 cube_side)
+    for a cube side of 2^k and both its float neighbours.  It used to be
+    ``2 ** ceil(log2(cube_side))``, and ``log2`` of the side one ulp
+    above 2^k rounds to k for |k| >= 4, so the unit fell below the side."""
+    side = math.ldexp(1.0, k)
+    for cube_side in (math.nextafter(side, 0.0), side, math.nextafter(side, math.inf)):
+        cfg = _cfg(
+            experiment=ExperimentKind.LOCALIZATION, kind=Kind.BISTATIC, m=4, n=3, trials=8,
+            cube_side=cube_side,
+        )
+        unit = _loc_terms(cfg, 0)[3]
+        assert cube_side <= unit < 2.0 * cube_side, cube_side
 
 
 @pytest.mark.parametrize(
