@@ -3,12 +3,7 @@ channels: constraint matrices, constrained estimators, closed-form MSE and
 Cramer-Rao bounds, tag localization, and a reproducible Monte-Carlo harness.
 """
 
-from .analysis import (
-    crlb_bistatic,
-    crlb_monostatic,
-    theoretical_mse_iid,
-    theoretical_mse_independent,
-)
+from .analysis import crlb, theoretical_mse_iid, theoretical_mse_independent
 from .channel import (
     SPEED_OF_LIGHT,
     Scene,
@@ -25,7 +20,6 @@ from .errors import (
     NonFiniteInput,
     SingularGeometry,
     UnderDetermined,
-    WrongTopology,
 )
 from .estimator import ls_estimate, refine_estimate
 from .harness import (

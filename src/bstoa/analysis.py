@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidValue, NonFiniteInput, WrongTopology
+from .errors import DimensionMismatch, InvalidValue, NonFiniteInput
 from .errors import _real_array, _require_integer, _require_real, _require_sequence
 from .topology import Kind, Topology, entry_weights, weighting_matrix
 
@@ -189,37 +189,18 @@ def theoretical_mse_independent(topo: Topology, sigma0_sq: np.ndarray) -> np.nda
     return per_entry
 
 
-def crlb_bistatic(topo: Topology, sigma0_sq: float) -> np.ndarray:
-    """Error covariance bound for bistatic delay estimation, the (m n) x
-    (m n) matrix sigma0^2 B: the estimate-level variance times the
-    projector (``weighting_matrix``).  Its diagonal, reshaped column-major
-    to an (m, n) array, is the per-entry bound, the refined estimator's MSE.
+def crlb(topo: Topology, sigma0_sq: float) -> np.ndarray:
+    """Error covariance bound for delay estimation at the estimate-level
+    variance ``sigma0_sq``, by the topology's kind.
 
-    Raises:
-        WrongTopology: for a monostatic topology.
-        NonFiniteInput: if ``sigma0_sq`` is NaN or infinite.
-        InvalidValue: if ``sigma0_sq`` is not one real number, or it or
-            an entry of the bound is not a positive normal float (zero,
-            subnormal or negative).
-    """
-    if topo.kind is not Kind.BISTATIC:
-        raise WrongTopology("crlb_bistatic requires a bistatic topology")
-    _require_real(sigma0_sq, "sigma0_sq")
-    m, n = topo.m, topo.n
-    # B's smallest entry is -1 / (m n), where an entry shares neither
-    # antenna; with m or n at 1 every entry shares one, and each is 0 or ~1.
-    smallest = sigma0_sq * (1.0 / (m * n)) if m > 1 and n > 1 else sigma0_sq
-    _check_variance("sigma0_sq", sigma0_sq, smallest)
-    return sigma0_sq * weighting_matrix(topo)
+    Bistatic: the (m n) x (m n) bound on the column-major delay matrix,
+    sigma0^2 B, the variance times the projector (``weighting_matrix``).
+    Its diagonal, reshaped column-major to an (m, n) array, is the
+    per-entry bound, the refined estimator's MSE.
 
-
-def crlb_monostatic(topo: Topology, sigma0_sq: float) -> np.ndarray:
-    """Error covariance bound for monostatic delay estimation, the m x m
-    bound on the one-way delay vector.
-
-    The Fisher information of the one-way delay vector is
-    (2 / sigma0^2) (m I + 1 1^T); its inverse follows from the rank-one
-    update identity and is built here in closed form:
+    Monostatic: the m x m bound on the one-way delay vector.  Its Fisher
+    information is (2 / sigma0^2) (m I + 1 1^T); the inverse follows from
+    the rank-one update identity and is built here in closed form:
 
         C[i, i] = (sigma0^2 / 4) (2 m - 1) / m^2
         C[i, j] = (sigma0^2 / 4) (-1) / m^2     (i != j)
@@ -228,19 +209,22 @@ def crlb_monostatic(topo: Topology, sigma0_sq: float) -> np.ndarray:
     C[i, i] + C[j, j] + 2 C[i, j] off it, are the refined estimator's MSE.
 
     Raises:
-        WrongTopology: for a bistatic topology.
         NonFiniteInput: if ``sigma0_sq`` is NaN or infinite.
         InvalidValue: if ``sigma0_sq`` is not one real number, or it or
             an entry of the bound is not a positive normal float (zero,
             subnormal or negative).
     """
-    if topo.kind is not Kind.MONOSTATIC:
-        raise WrongTopology("crlb_monostatic requires a monostatic topology")
     _require_real(sigma0_sq, "sigma0_sq")
-    m = topo.m
-    scale = sigma0_sq / 4.0
-    off, diag = scale * (-1.0) / m**2, scale * (2 * m - 1) / m**2
-    _check_variance("sigma0_sq", sigma0_sq, off if m > 1 else 0.0, diag)
-    cov = np.full((m, m), off)
-    np.fill_diagonal(cov, diag)
-    return cov
+    m, n = topo.m, topo.n
+    if topo.kind is Kind.MONOSTATIC:
+        scale = sigma0_sq / 4.0
+        off, diag = scale * (-1.0) / m**2, scale * (2 * m - 1) / m**2
+        _check_variance("sigma0_sq", sigma0_sq, off if m > 1 else 0.0, diag)
+        cov = np.full((m, m), off)
+        np.fill_diagonal(cov, diag)
+        return cov
+    # B's smallest entry is -1 / (m n), where an entry shares neither
+    # antenna; with m or n at 1 every entry shares one, and each is 0 or ~1.
+    smallest = sigma0_sq * (1.0 / (m * n)) if m > 1 and n > 1 else sigma0_sq
+    _check_variance("sigma0_sq", sigma0_sq, smallest)
+    return sigma0_sq * weighting_matrix(topo)

@@ -25,7 +25,7 @@ import warnings
 
 import numpy as np
 
-from .analysis import check_sigma, crlb_bistatic, crlb_monostatic
+from .analysis import check_sigma, crlb
 from .channel import Scene
 from .errors import BstoaError, DimensionMismatch, NonFiniteInput, SingularGeometry
 from .estimator import ls_estimate, refine_estimate
@@ -100,9 +100,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 def _cmd_crlb(args: argparse.Namespace) -> int:
     topo = _topology_from_args(args)
     check_sigma(args.sigma, (args.pilot_len,))
-    sigma0_sq = args.sigma * args.sigma / args.pilot_len
-    bound = crlb_monostatic if topo.kind is Kind.MONOSTATIC else crlb_bistatic
-    _print_matrix(bound(topo, sigma0_sq))
+    _print_matrix(crlb(topo, args.sigma * args.sigma / args.pilot_len))
     return 0
 
 

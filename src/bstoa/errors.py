@@ -34,10 +34,6 @@ class DimensionMismatch(BstoaError, ValueError):
     """Input array shapes are inconsistent with the declared topology."""
 
 
-class WrongTopology(BstoaError, ValueError):
-    """Operation called with the other topology kind."""
-
-
 class ConfigInvalid(BstoaError, ValueError):
     """A sweep configuration or scene record failed validation."""
 

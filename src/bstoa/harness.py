@@ -177,8 +177,8 @@ class SweepConfig:
         # ConfigInvalid themselves and pass through.
         try:
             topo = Topology(self.kind, self.m, self.n)
-            _require_integer(self.trials, "trials", low=1)
-            _require_integer(self.master_seed, "master_seed")
+            trials = _require_integer(self.trials, "trials", low=1)
+            seed = _require_integer(self.master_seed, "master_seed")
             _require_cube_side(self.cube_side)
             pilots = _require_sequence(self.pilot_lengths, "pilot_lengths")
             sigmas = _require_sequence(self.sigma_grid, "sigma_grid")
@@ -200,7 +200,7 @@ class SweepConfig:
                 # The largest sum a sweep forms, the LS energy over all its
                 # trials and entries or a refined square's four terms, stays
                 # finite with every value _HEADROOM_SDS deviations out.
-                limit = sys.float_info.max / (4.0 * _HEADROOM_SDS**2 * self.trials * topo.mn)
+                limit = sys.float_info.max / (4.0 * _HEADROOM_SDS**2 * trials * topo.mn)
             for sigma in sigmas:
                 check_sigma(sigma, pilots, limit)
             # Only values that passed check_sigma reach the sweep's checks.
@@ -225,6 +225,10 @@ class SweepConfig:
             raise ConfigInvalid(f"{experiment.value} sweep: {exc}") from exc
         object.__setattr__(self, "topology", topo)
         object.__setattr__(self, "kind", topo.kind)
+        object.__setattr__(self, "m", topo.m)
+        object.__setattr__(self, "n", topo.n)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "master_seed", seed)
         object.__setattr__(self, "pilot_lengths", pilots)
         object.__setattr__(self, "sigma_grid", sigmas)
         grid = tuple((s, length) for s in sigmas for length in pilots)
@@ -660,7 +664,7 @@ def _crlb_rows(cfg: SweepConfig, sigma: float, pilot_len: int, sums: dict):
     error covariance and the bound ``s B`` with ``s = sigma^2 / L``;
     monostatic points emit the mean diagonal and off-diagonal MSE over
     their bound values (ideal value 1).  The monostatic per-entry bounds,
-    4 C_ii and C_ii + C_jj + 2 C_ij of ``crlb_monostatic``'s covariance C,
+    4 C_ii and C_ii + C_jj + 2 C_ij of ``crlb``'s monostatic covariance C,
     are the refined MSE up to rounding; the rows read them from
     ``theoretical_mse_iid`` at ``sigma^2 / L``, whose values the pinned CSV
     bytes hold.

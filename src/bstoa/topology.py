@@ -33,8 +33,8 @@ class Topology:
 
     ``kind`` may be given as a :class:`Kind` or its value (``"bistatic"``,
     ``"monostatic"``) and is stored as the member.  m and n are integers
-    (``operator.index``) >= 1.  Monostatic channels share one antenna
-    array, so m == n is enforced.
+    (``operator.index``) >= 1, stored as the ints that rule returns.
+    Monostatic channels share one antenna array, so m == n is enforced.
     """
 
     kind: Kind
@@ -47,7 +47,9 @@ class Topology:
                 object.__setattr__(self, "kind", Kind(self.kind))
             except ValueError as exc:
                 raise InvalidValue(f"unknown topology kind {self.kind!r}") from exc
-        if min(_require_integer(self.m, "m"), _require_integer(self.n, "n")) < 1:
+        object.__setattr__(self, "m", _require_integer(self.m, "m"))
+        object.__setattr__(self, "n", _require_integer(self.n, "n"))
+        if min(self.m, self.n) < 1:
             raise InvalidValue(f"antenna counts must be >= 1, got m={self.m}, n={self.n}")
         if self.kind is Kind.MONOSTATIC and self.m != self.n:
             raise InvalidValue(f"monostatic requires m == n, got m={self.m}, n={self.n}")

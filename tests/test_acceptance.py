@@ -19,11 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from bstoa.analysis import (
-    crlb_bistatic,
-    crlb_monostatic,
-    theoretical_mse_independent,
-)
+from bstoa.analysis import crlb, theoretical_mse_independent
 from bstoa.channel import noise_rng, random_scene, true_delays
 from bstoa.estimator import ls_estimate, refine_estimate
 from bstoa.harness import (
@@ -189,13 +185,13 @@ def test_criterion_06_crlb_attainment(report, bistatic_mc, monostatic_mc):
     per-entry subchannel bounds within 5% (monostatic)."""
     mc = bistatic_mc
     emp = mc.errors_refined.T @ mc.errors_refined / mc.errors_refined.shape[0]
-    bound = crlb_bistatic(mc.topo, mc.sigma**2 / mc.pilot_len)
+    bound = crlb(mc.topo, mc.sigma**2 / mc.pilot_len)
     rel = np.linalg.norm(emp - bound) / np.linalg.norm(bound)
 
     # Monostatic per-entry bounds off the one-way delay covariance C: the
     # variance of t_i + t_j, C_ii + C_jj + 2 C_ij (4 C_ii on the diagonal).
     mm = monostatic_mc
-    cov = crlb_monostatic(mm.topo, mm.sigma**2 / mm.pilot_len)
+    cov = crlb(mm.topo, mm.sigma**2 / mm.pilot_len)
     d = np.diag(cov)
     bounds = d[:, None] + d[None, :] + 2.0 * cov
     ratios = _per_entry_mse(mm, "refined") / bounds

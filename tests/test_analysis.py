@@ -9,8 +9,7 @@ import pytest
 
 from bstoa.analysis import (
     check_sigma,
-    crlb_bistatic,
-    crlb_monostatic,
+    crlb,
     theoretical_mse_iid,
     theoretical_mse_independent,
 )
@@ -20,7 +19,6 @@ from bstoa.errors import (
     DimensionMismatch,
     InvalidValue,
     NonFiniteInput,
-    WrongTopology,
 )
 from bstoa.topology import Kind, Topology, correlation_matrix, weighting_matrix
 
@@ -206,7 +204,7 @@ def _per_entry_bounds(topo, cov):
 
 def test_crlb_bistatic_2x2_is_projector():
     topo = Topology.bistatic(2, 2)
-    cov = crlb_bistatic(topo, 1.0)
+    cov = crlb(topo, 1.0)
     b = weighting_matrix(topo)
     assert np.abs(cov - b).max() < 1e-14
     assert np.abs(np.diag(cov) - 0.75).max() < 1e-14
@@ -223,18 +221,16 @@ def test_crlb_bistatic_matches_dense_projector(m, n):
     a = correlation_matrix(topo).astype(float)
     oracle = np.eye(m * n) - np.linalg.pinv(a) @ a if a.shape[0] else np.eye(m * n)
     dense = sigma0_sq * oracle
-    cov = crlb_bistatic(topo, sigma0_sq)
+    cov = crlb(topo, sigma0_sq)
     assert cov.shape == (m * n, m * n)
     assert np.abs(cov - dense).max() <= 1e-12 * np.abs(dense).max()
     iid = theoretical_mse_iid(topo, sigma0_sq)
     assert np.abs(_per_entry_bounds(topo, cov) / iid - 1.0).max() <= 1e-15
 
 
-_BISTATIC_BOUND = (crlb_bistatic, Topology.bistatic(3, 2))
-_MONOSTATIC_BOUND = (crlb_monostatic, Topology.monostatic(3))
-
-
-@pytest.mark.parametrize("bound, topo", [_BISTATIC_BOUND, _MONOSTATIC_BOUND], ids=["bi", "mono"])
+@pytest.mark.parametrize(
+    "topo", [Topology.bistatic(3, 2), Topology.monostatic(3)], ids=["bi", "mono"]
+)
 @pytest.mark.parametrize(
     "sigma0_sq, error",
     [
@@ -252,9 +248,9 @@ _MONOSTATIC_BOUND = (crlb_monostatic, Topology.monostatic(3))
         "subnormal-variance", "subnormal-over-pilot-len", "subnormal-entry",
     ],
 )
-def test_crlb_rejects_bad_arguments(bound, topo, sigma0_sq, error):
+def test_crlb_rejects_bad_arguments(topo, sigma0_sq, error):
     with pytest.raises(error):
-        bound(topo, sigma0_sq)
+        crlb(topo, sigma0_sq)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -269,32 +265,27 @@ def test_theoretical_mse_rejects_non_finite_variance(topo, bad):
 
 
 def test_crlb_bistatic_1x1_scalar():
-    cov = crlb_bistatic(Topology.bistatic(1, 1), 4.0 / 8)
+    cov = crlb(Topology.bistatic(1, 1), 4.0 / 8)
     assert cov.shape == (1, 1)
     assert cov[0, 0] == pytest.approx(0.5, rel=1e-15)
 
 
 def test_crlb_bistatic_4x3_diagonal():
     topo = Topology.bistatic(4, 3)
-    cov = crlb_bistatic(topo, 2.0 / 8)
+    cov = crlb(topo, 2.0 / 8)
     assert np.abs(np.diag(cov) - 0.125).max() < 1e-15
     assert np.abs(_per_entry_bounds(topo, cov) - 0.125).max() < 1e-15
 
 
-def test_crlb_bistatic_rejects_monostatic():
-    with pytest.raises(WrongTopology):
-        crlb_bistatic(Topology.monostatic(3), 1.0)
-
-
 def test_crlb_monostatic_m2_value():
-    cov = crlb_monostatic(Topology.monostatic(2), 1.0)
+    cov = crlb(Topology.monostatic(2), 1.0)
     expected = 0.25 * np.array([[0.75, -0.25], [-0.25, 0.75]])
     assert np.abs(cov - expected).max() < 1e-15
 
 
 def test_crlb_monostatic_m6_subchannel_bounds():
     topo = Topology.monostatic(6)
-    bounds = _per_entry_bounds(topo, crlb_monostatic(topo, 1.0))
+    bounds = _per_entry_bounds(topo, crlb(topo, 1.0))
     assert np.abs(np.diag(bounds) - 11 / 36).max() < 1e-15
     off = bounds[~np.eye(6, dtype=bool)]
     assert np.abs(off - 5 / 36).max() < 1e-15
@@ -308,23 +299,15 @@ def test_crlb_monostatic_matches_numeric_fisher_inverse(m):
     sigma0_sq = 3.0 / 4
     fisher = (2 / sigma0_sq) * (m * np.eye(m) + np.ones((m, m)))
     oracle = np.linalg.inv(fisher)
-    cov = crlb_monostatic(topo, sigma0_sq)
+    cov = crlb(topo, sigma0_sq)
     assert np.abs(cov - oracle).max() < 1e-10
     iid = theoretical_mse_iid(topo, sigma0_sq)
     assert np.abs(_per_entry_bounds(topo, cov) / iid - 1.0).max() <= 1e-15
 
 
-def test_crlb_monostatic_rejects_bistatic():
-    with pytest.raises(WrongTopology):
-        crlb_monostatic(Topology.bistatic(2, 2), 1.0)
-
-
 @pytest.mark.parametrize("topo", [Topology.bistatic(4, 3), Topology.monostatic(4)])
 def test_crlb_reports_are_symmetric_psd(topo):
-    if topo.kind.value == "bistatic":
-        cov = crlb_bistatic(topo, 1.0 / 2)
-    else:
-        cov = crlb_monostatic(topo, 1.0 / 2)
+    cov = crlb(topo, 1.0 / 2)
     assert np.abs(cov - cov.T).max() < 1e-14
     assert np.linalg.eigvalsh(cov).min() > -1e-12
 

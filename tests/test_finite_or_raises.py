@@ -77,10 +77,11 @@ _CALLS = {
     "theoretical_mse_independent": lambda draw, topo: analysis.theoretical_mse_independent(
         topo, np.abs(_matrix(draw, topo.m, topo.n))
     ),
-    "crlb_bistatic": lambda draw, topo: analysis.crlb_bistatic(
+    # crlb, once per topology kind.
+    "crlb_bistatic": lambda draw, topo: analysis.crlb(
         Topology.bistatic(topo.m, topo.n), draw(_ANY)
     ),
-    "crlb_monostatic": lambda draw, topo: analysis.crlb_monostatic(
+    "crlb_monostatic": lambda draw, topo: analysis.crlb(
         Topology.monostatic(topo.m), draw(_ANY)
     ),
     "check_sigma": lambda draw, topo: analysis.check_sigma(
@@ -148,7 +149,7 @@ _HUGE = np.full((3, 3), 1e308)
         lambda: estimator.refine_estimate(np.full((2, 2), np.nan), Topology.bistatic(2, 2)),
         lambda: channel.true_delays(_HUGE / 1e8, -_HUGE / 1e8, np.zeros(3)),
         lambda: analysis.theoretical_mse_independent(Topology.bistatic(3, 3), _HUGE),
-        lambda: analysis.crlb_monostatic(Topology.monostatic(6), 1e308),
+        lambda: analysis.crlb(Topology.monostatic(6), 1e308),
     ],
     ids=[
         "refine-monostatic-1e308", "refine-estimate-1e308",
@@ -212,10 +213,10 @@ def _numeric_calls():
             {"sigma0_sq": np.full((4, 3), 1e-18)}, set(),
         ),
         "crlb_bistatic": (
-            functools.partial(analysis.crlb_bistatic, bi.topo), sigma0_sq, {"sigma0_sq"},
+            functools.partial(analysis.crlb, bi.topo), sigma0_sq, {"sigma0_sq"},
         ),
         "crlb_monostatic": (
-            functools.partial(analysis.crlb_monostatic, mono.topo), sigma0_sq, {"sigma0_sq"},
+            functools.partial(analysis.crlb, mono.topo), sigma0_sq, {"sigma0_sq"},
         ),
         "localize_bistatic": (
             localization.localize_bistatic,

@@ -52,7 +52,12 @@ def test_topology_counts_must_be_integers(m, n):
 
 
 def test_topology_takes_numpy_integer_counts():
-    assert Topology.bistatic(np.int64(4), np.uint8(3)) == Topology.bistatic(4, 3)
+    """Each count is stored as the int ``operator.index`` returns, so
+    ``True`` is the count 1, not a bool that ``np.full`` rejects."""
+    for m, n, want in ((np.int64(4), np.uint8(3), (4, 3)), (True, np.int64(3), (1, 3))):
+        topo = Topology.bistatic(m, n)
+        assert topo == Topology.bistatic(*want)
+        assert type(topo.m) is int and type(topo.n) is int
 
 
 def test_topology_stores_the_kind_member_for_its_value():
