@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidValue, NonFiniteInput
 from .errors import _real_array, _require_integer, _require_real, _require_sequence
-from .topology import Kind, Topology, entry_weights, weighting_matrix
+from .topology import Kind, Topology, _dims, entry_weights, weighting_matrix
 
 
 def _check_variance(name: str, value: float, *entries: float) -> None:
@@ -105,7 +105,7 @@ def theoretical_mse_iid(topo: Topology, sigma0_sq: float) -> np.ndarray:
             entry is not a positive normal float.
     """
     _require_real(sigma0_sq, "sigma0_sq")
-    m, n = topo.m, topo.n
+    m, n = _dims(topo)
     if topo.kind is Kind.MONOSTATIC:
         off, diag = (m - 1) / m**2 * sigma0_sq, (2 * m - 1) / m**2 * sigma0_sq
         _check_variance("sigma0_sq", sigma0_sq, off, diag)
@@ -150,7 +150,7 @@ def theoretical_mse_independent(topo: Topology, sigma0_sq: np.ndarray) -> np.nda
             variance is negative, or a nonzero variance or a nonzero entry
             is subnormal.
     """
-    m, n = topo.m, topo.n
+    m, n = _dims(topo)
     # The sums below add up to (m + 1)(n + 1) variances, times at most 4.
     v = _real_array(sigma0_sq, "sigma0_sq", sys.float_info.max / (4 * (m + 1) * (n + 1)))
     if v.shape != (m, n):
@@ -215,7 +215,7 @@ def crlb(topo: Topology, sigma0_sq: float) -> np.ndarray:
             subnormal or negative).
     """
     _require_real(sigma0_sq, "sigma0_sq")
-    m, n = topo.m, topo.n
+    m, n = _dims(topo)
     if topo.kind is Kind.MONOSTATIC:
         scale = sigma0_sq / 4.0
         off, diag = scale * (-1.0) / m**2, scale * (2 * m - 1) / m**2

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BstoaError, ConfigInvalid, DimensionMismatch, InvalidValue
 from .errors import _real_array, _require_integer, _require_real
-from .topology import Kind, Topology
+from .topology import Kind, Topology, _dims
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact SI value
 # Meters; bounds the coordinates ``true_delays`` takes, so that the
@@ -100,20 +100,17 @@ class Scene:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
+        m, n = _dims(self.topo)
         monostatic = self.topo.kind is Kind.MONOSTATIC
         if self.rx is None and not monostatic:
             raise DimensionMismatch("bistatic scene requires rx positions")
         self.tx, self.tag = (_real_array(x, "coordinates") for x in (self.tx, self.tag))
         self.rx = self.tx if monostatic else _real_array(self.rx, "coordinates")
         _require_real(self.delta, "delta", 0.0)
-        if self.tx.shape != (self.topo.m, 3):
-            raise DimensionMismatch(
-                f"tx shape {self.tx.shape} does not match m={self.topo.m}"
-            )
-        if self.rx.shape != (self.topo.n, 3):
-            raise DimensionMismatch(
-                f"rx shape {self.rx.shape} does not match n={self.topo.n}"
-            )
+        if self.tx.shape != (m, 3):
+            raise DimensionMismatch(f"tx shape {self.tx.shape} does not match m={m}")
+        if self.rx.shape != (n, 3):
+            raise DimensionMismatch(f"rx shape {self.rx.shape} does not match n={n}")
         if self.tag.shape != (3,):
             raise DimensionMismatch(f"tag must be a 3D point, got {self.tag.shape}")
 
@@ -205,8 +202,8 @@ def random_scene(
         InvalidValue: if ``cube_side`` is not one positive real number.
     """
     _require_cube_side(cube_side)
-    m, bistatic = topo.m, topo.kind is Kind.BISTATIC
-    k = m + topo.n if bistatic else m
+    (m, n), bistatic = _dims(topo), topo.kind is Kind.BISTATIC
+    k = m + n if bistatic else m
     points = rng.random((k + 1, 3)) * cube_side
     return Scene(topo=topo, tx=points[:m], rx=points[m:k] if bistatic else None, tag=points[k])
 

@@ -11,8 +11,9 @@ Exit codes: 0 success, 2 bad configuration or input, 3 numerical failure:
 a degenerate anchor geometry in ``localize``.  A localization sweep leaves
 the scenes with no fix out of its RMSE and writes a ``no_fix`` row with
 their count; it exits 3 only at a grid point where no scene has a fix.
-A reader that closes the output pipe early (``| head``) ends the command
-quietly with exit code 0.
+A sweep whose ``--out`` is a directory, or lies in one that does not
+exist, exits 2 before any chunk runs.  A reader that closes the output
+pipe early (``| head``) ends the command quietly with exit code 0.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .analysis import check_sigma, crlb
 from .channel import Scene
-from .errors import BstoaError, DimensionMismatch, NonFiniteInput, SingularGeometry
+from .errors import BstoaError, ConfigInvalid, DimensionMismatch, NonFiniteInput, SingularGeometry
 from .estimator import ls_estimate, refine_estimate
 from .harness import load_config, run_sweep
 from .localization import localize_bistatic, localize_monostatic
@@ -122,6 +123,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, master_seed=args.seed)
+    # The path is checked before the sweep, so that a bad one wastes no work.
+    folder = os.path.dirname(args.out) or os.curdir
+    if os.path.isdir(args.out):
+        raise ConfigInvalid(f"--out {args.out} is a directory")
+    if not os.path.isdir(folder):
+        raise ConfigInvalid(f"--out {args.out}: directory {folder} does not exist")
     result = run_sweep(cfg, workers=args.workers)
     result.write_csv(args.out)
     return 0

@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from .errors import DimensionMismatch, _real_array, _require_in_range
-from .topology import Kind, Topology
+from .topology import Kind, Topology, _dims
 
 
 def ls_estimate(y: np.ndarray, topo: Topology) -> np.ndarray:
@@ -45,7 +45,7 @@ def ls_estimate(y: np.ndarray, topo: Topology) -> np.ndarray:
             the sum of L of them overflows.
     """
     y = _real_array(y, "observations", None)
-    m, n = topo.m, topo.n
+    m, n = _dims(topo)
     if y.ndim < 2 or y.shape[-1] != n or y.shape[-2] == 0 or y.shape[-2] % m:
         raise DimensionMismatch(
             f"observations {y.shape} are not L*m x n pilot rows for m={m}, n={n}"
@@ -105,7 +105,7 @@ def refine_estimate(t_hat: np.ndarray, topo: Topology) -> np.ndarray:
         NonFiniteInput: if an estimate is NaN or inf, or so large that a
             row or column sum, or a symmetrized entry, overflows.
     """
-    m, n = topo.m, topo.n
+    m, n = _dims(topo)
     # Sums of max(m, n) estimates, and a refined entry, up to 3 of them,
     # doubled by the monostatic symmetrization, stay finite.
     t_hat = _real_array(t_hat, "delay estimates", sys.float_info.max / (2 * max(m, n, 3)))

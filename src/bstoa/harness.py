@@ -59,6 +59,8 @@ the second timed, and only when that time times the chunks left exceeds
 the break-even ``_POOL_BREAK_EVEN_S``, measured on a 2-core host, do the
 rest go to a ``ProcessPoolExecutor``, as contiguous runs of chunks.  Until
 then ``concurrent.futures`` and ``multiprocessing`` are not imported.
+Every path runs its chunks through ``_run_chunks``, and a pool run comes
+back as its chunks' partials, in chunk order.
 
 ``run_sweep`` is the entry point: it runs any of the three experiments
 (estimator MSE, localization RMSE, CRLB check) through the same chunked
@@ -103,6 +105,7 @@ localization, crlb), ``kind`` (bistatic, monostatic), ``m``, ``n``,
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -110,7 +113,6 @@ import sys
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -332,48 +334,46 @@ def _chunk_span(cfg: SweepConfig, c: int) -> tuple[int, int, int]:
 def _execute(cfg: SweepConfig, runner: Callable, workers: int | None) -> list:
     """Run ``runner(cfg, c)`` for every chunk c of the sweep, returning the
     partials in chunk order regardless of which process ran them; this
-    keeps the floating-point reduction fixed.
+    keeps the floating-point reduction fixed.  Every path runs its chunks
+    through ``_run_chunks``: all of them at once when no pool may open,
+    else the two before the pool gate (module docstring) and then the rest,
+    here or as the pool's runs.
 
-    Of the two chunks run here before the pool gate (module docstring),
-    the first pays the process's one-off costs (numpy imports
-    ``numpy.random`` on first use, ~14 ms), so the second is timed.  Each
-    pool run carries its config and chunk function with its chunk bounds,
-    so a config is pickled once per run, never per chunk, and no worker
-    holds state between runs; a run comes back stacked (``_run_chunks``)
-    and is split here into its chunks' partials, row views of those arrays.
+    Of the two chunks run here before the gate, the first pays the
+    process's one-off costs (numpy imports ``numpy.random`` on first use,
+    ~14 ms), so the second is timed.  Each pool run carries its config and
+    chunk function with its chunk bounds, so a config is pickled once per
+    run, never per chunk, and no worker holds state between runs; a run
+    comes back as its chunks' partials, in chunk order.
     """
     total = len(cfg.grid_points) * _chunks_per_point(cfg)
     if workers is None:
         workers = os.cpu_count() or 1
+    run = functools.partial(_run_chunks, cfg, runner)
     # A pool needs two chunks left after the timed one to run any side by side.
     if workers <= 1 or total < 4:
-        return [runner(cfg, c) for c in range(total)]
-    results = [runner(cfg, 0)]
+        return run(0, total)
+    results = run(0, 1)
     begin = time.perf_counter()
-    results.append(runner(cfg, 1))
+    results += run(1, 2)
     left = total - 2
     if (time.perf_counter() - begin) * left <= _POOL_BREAK_EVEN_S:
-        return results + [runner(cfg, c) for c in range(2, total)]
+        return results + run(2, total)
     from concurrent.futures import ProcessPoolExecutor
 
     runs = min(left, _RUNS_PER_WORKER * workers)
     bounds = [2 + left * k // runs for k in range(runs + 1)]
     with ProcessPoolExecutor(min(workers, runs)) as pool:
-        futures = [
-            pool.submit(_run_chunks, cfg, runner, lo, hi) for lo, hi in zip(bounds, bounds[1:])
-        ]
-        for future in futures:
-            stacked = future.result()
-            results.extend(dict(zip(stacked, values)) for values in zip(*stacked.values()))
+        for partials in pool.map(run, bounds[:-1], bounds[1:]):
+            results += partials
     return results
 
 
-def _run_chunks(cfg: SweepConfig, runner: Callable, lo: int, hi: int) -> dict:
-    """Partials ``runner(cfg, c)`` of chunks ``lo`` to ``hi - 1``, stacked:
-    one array per key, whose row k is chunk ``lo + k``'s value, so a run
-    goes back to the parent as a few arrays, not one dict per chunk."""
-    run = [runner(cfg, c) for c in range(lo, hi)]
-    return {key: np.stack([partial[key] for partial in run]) for key in run[0]}
+def _run_chunks(cfg: SweepConfig, runner: Callable, lo: int, hi: int) -> list:
+    """The partials ``runner(cfg, c)`` of chunks ``lo`` to ``hi - 1``, in
+    chunk order: the one place a chunk runs, in this process or as a pool
+    run (``_execute``)."""
+    return [runner(cfg, c) for c in range(lo, hi)]
 
 
 def _run_noise_chunk(cfg: SweepConfig, c: int) -> dict:
@@ -759,7 +759,7 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
     result = SweepResult(config=cfg)
     for point, (sigma, pilot_len) in enumerate(cfg.grid_points):
         run = partials[point * chunks : (point + 1) * chunks]
-        sums = {key: reduce(operator.add, (partial[key] for partial in run)) for key in run[0]}
+        sums = {key: functools.reduce(operator.add, (part[key] for part in run)) for key in run[0]}
         for method, metric, value, theory in point_rows(cfg, sigma, pilot_len, sums):
             result.rows.append(SweepRow(sigma, pilot_len, method, metric, value, theory, flag))
     return result

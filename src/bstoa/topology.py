@@ -10,6 +10,10 @@ and ``B`` is row mean + column mean - grand mean.
 
 Flat subchannel indices are column-major throughout the package: index ``z``
 of an m x n matrix maps to transmitter ``z % m`` and receiver ``z // m``.
+
+Every public function that takes a topology reads its antenna counts
+through ``_dims``, the one rule for that argument, so anything but a
+``Topology`` raises ``InvalidValue`` at the boundary.
 """
 
 from __future__ import annotations
@@ -67,6 +71,15 @@ class Topology:
         return self.m * self.n
 
 
+def _dims(topo: Topology) -> tuple[int, int]:
+    """``topo``'s antenna counts ``(m, n)``, the package's rule for a
+    topology argument: anything but a :class:`Topology` (a kind's name, a
+    tuple of counts, None) raises ``InvalidValue``."""
+    if not isinstance(topo, Topology):
+        raise InvalidValue(f"topology must be a Topology, got {topo!r}")
+    return topo.m, topo.n
+
+
 def correlation_matrix(topo: Topology) -> np.ndarray:
     """Build the constraint matrix ``A = D_n (x) D_m`` for the given topology.
 
@@ -79,7 +92,7 @@ def correlation_matrix(topo: Topology) -> np.ndarray:
 
     Returns an ``(m-1)(n-1) x m*n`` array of int8 in {-1, 0, 1}.
     """
-    d_m, d_n = (np.diff(np.eye(k, dtype=np.int8), axis=0) for k in (topo.m, topo.n))
+    d_m, d_n = (np.diff(np.eye(k, dtype=np.int8), axis=0) for k in _dims(topo))
     return np.kron(d_n, d_m)
 
 
@@ -96,7 +109,7 @@ def weighting_matrix(topo: Topology) -> np.ndarray:
     is exactly symmetric.  A topology with m == 1 or n == 1 has no
     constraint and B is the identity up to rounding.
     """
-    m, n = topo.m, topo.n
+    m, n = _dims(topo)
     b = np.kron(np.full((n, n), 1.0 / n), np.eye(m))
     b += np.kron(np.eye(n), np.full((m, m), 1.0 / m))
     b -= 1.0 / (m * n)
@@ -117,6 +130,6 @@ def entry_weights(topo: Topology) -> tuple[float, float, float, float]:
     The monostatic values are the same expressions with n == m, where the
     shared-TX and shared-RX weights coincide at (m - 1) / m^2.
     """
-    m, n = topo.m, topo.n
+    m, n = _dims(topo)
     mn = m * n
     return ((m + n - 1) / mn, (m - 1) / mn, (n - 1) / mn, -1.0 / mn)

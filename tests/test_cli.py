@@ -379,6 +379,27 @@ def test_sweep_cli_workers_below_one_exit_code(tmp_path, capsys, workers):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_sweep_cli_checks_out_before_the_sweep(tmp_path, capsys, monkeypatch, where):
+    """An --out in a missing directory, or one that is a directory, exits 2
+    naming the path before any chunk runs, and writes nothing; it used to
+    fail only when the finished sweep opened the path."""
+    config = tmp_path / "sweep.cfg"
+    config.write_text("experiment = mse\nkind = bistatic\nm = 2\ntrials = 8\n")
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(bstoa.cli, "run_sweep", no_sweep)
+    out = tmp_path / "missing" / "o.csv" if where == "missing-directory" else tmp_path
+    before = sorted(tmp_path.iterdir())
+    code, stdout, err = run_cli(capsys, "sweep", "--config", str(config), "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert str(out) in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_sweep_cli_bad_config_exit_code(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
     config.write_text("experiment = mse\nkind = bistatic\nm = 2\nsigma_grid = 2e-9, 1e-9\n")

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bstoa import analysis, channel, estimator, localization, topology
-from bstoa.errors import BstoaError, NonFiniteInput
+from bstoa.errors import BstoaError, InvalidValue, NonFiniteInput
 from bstoa.topology import Kind, Topology
 
 # Input over the whole float64 exponent range: +-f 2^e with f in [0.5, 1]
@@ -266,3 +266,33 @@ def test_numbers_of_the_wrong_kind_raise(name):
             else:
                 leaks.append(f"{arg} as {kind}: no error")
     assert not leaks, leaks
+
+
+# Public function that takes a topology -> a call of it on ``topo`` with
+# valid other arguments, sized for a bistatic 4x3 topology.
+_TOPOLOGY_CALLS = {
+    "random_scene": lambda topo: channel.random_scene(topo, 10.0, channel.noise_rng(0, 0)),
+    "refine_estimate": lambda topo: estimator.refine_estimate(np.zeros((4, 3)), topo),
+    "ls_estimate": lambda topo: estimator.ls_estimate(np.zeros((8, 3)), topo),
+    "theoretical_mse_iid": lambda topo: analysis.theoretical_mse_iid(topo, 1e-18),
+    "theoretical_mse_independent": lambda topo: analysis.theoretical_mse_independent(
+        topo, np.full((4, 3), 1e-18)
+    ),
+    "crlb": lambda topo: analysis.crlb(topo, 1e-18),
+    "correlation_matrix": topology.correlation_matrix,
+    "weighting_matrix": topology.weighting_matrix,
+    "entry_weights": topology.entry_weights,
+    "Scene": lambda topo: channel.Scene(topo, np.zeros((4, 3)), np.zeros(3), np.zeros((3, 3))),
+}
+
+
+@pytest.mark.parametrize("bad", ["bistatic", None, (4, 3)], ids=["name", "None", "tuple"])
+@pytest.mark.parametrize("name", list(_TOPOLOGY_CALLS))
+def test_a_topology_argument_that_is_not_a_topology_raises(name, bad):
+    """Each public function that takes a topology runs on a bistatic 4x3
+    one, and raises InvalidValue for a kind's name, None or a tuple of
+    counts; these used to leak AttributeError."""
+    call = _TOPOLOGY_CALLS[name]
+    call(Topology.bistatic(4, 3))
+    with pytest.raises(InvalidValue, match="must be a Topology"):
+        call(bad)

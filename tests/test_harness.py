@@ -9,7 +9,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
 
@@ -42,7 +41,6 @@ from bstoa.harness import (
     _execute,
     _loc_terms,
     _refined_squares,
-    _run_chunks,
     _run_noise_chunk,
     parse_config,
     run_sweep,
@@ -1575,15 +1573,11 @@ def test_sweep_rejects_workers_below_one(monkeypatch, workers):
         run_sweep(_cfg(trials=8), workers=workers)
 
 
-def test_pool_is_capped_at_the_task_count(monkeypatch):
-    """Past the break-even, the first two chunks run here and the rest go
-    to the pool as contiguous runs, about four per worker: six chunks at
-    workers=64 make four one-chunk runs and a pool of four workers, twenty
-    chunks at workers=2 make eight runs and a pool of two.  Each run is
-    submitted with the sweep's config and chunk function and its chunk
-    bounds, and the pool takes no initializer, so its workers hold no
-    sweep.  The stub pool records this and runs each task in this
-    process, so no process starts."""
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Stands in for ``ProcessPoolExecutor``: records each pool opened, its
+    size and its runs ``(fn, lo, hi)``, and runs each run in this process,
+    so no process starts.  Returns the list of pools."""
     import concurrent.futures
 
     pools = []
@@ -1598,13 +1592,24 @@ def test_pool_is_capped_at_the_task_count(monkeypatch):
         def __exit__(self, *exc_info):
             return False
 
-        def submit(self, fn, *args):
-            pools[-1]["tasks"].append(args)
-            future = Future()
-            future.set_result(fn(*args))
-            return future
+        def map(self, fn, *iterables):
+            runs = list(zip(*iterables))
+            pools[-1]["tasks"].extend((fn, *bounds) for bounds in runs)
+            return [fn(*bounds) for bounds in runs]
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return pools
+
+
+def test_pool_is_capped_at_the_task_count(monkeypatch, recording_pool):
+    """Past the break-even, the first two chunks run here and the rest go
+    to the pool as contiguous runs, about four per worker: six chunks at
+    workers=64 make four one-chunk runs and a pool of four workers, twenty
+    chunks at workers=2 make eight runs and a pool of two.  Each run is
+    ``_run_chunks`` bound to the sweep's config and chunk function, called
+    with its chunk bounds, and the pool takes no initializer, so its
+    workers hold no sweep."""
+    pools = recording_pool
     monkeypatch.setattr(harness, "_POOL_BREAK_EVEN_S", 0.0)
     for sigmas, trials, workers, size, runs in (
         ((1e-9, 2e-9, 3e-9), 600, 64, 4, 4),
@@ -1617,14 +1622,52 @@ def test_pool_is_capped_at_the_task_count(monkeypatch):
         (pool,) = pools
         assert pool["workers"] == size
         runner = harness._EXPERIMENTS[cfg.experiment][0]
-        assert all(task[0] is cfg and task[1] is runner for task in pool["tasks"])
-        pool_runs = [task[2:] for task in pool["tasks"]]
+        assert all(
+            fn.func is harness._run_chunks and fn.args[0] is cfg and fn.args[1] is runner
+            for fn, _, _ in pool["tasks"]
+        )
+        pool_runs = [task[1:] for task in pool["tasks"]]
         assert len(pool_runs) == runs
         bounds = [lo for lo, _ in pool_runs] + [pool_runs[-1][1]]
         assert bounds[0] == 2 and bounds[-1] == chunks
         assert pool_runs == list(zip(bounds, bounds[1:]))
         assert max(hi - lo for lo, hi in pool_runs) <= -(-(chunks - 2) // runs)
         assert csv == run_sweep(cfg, workers=1).to_csv()
+
+
+@pytest.mark.parametrize(
+    "workers, break_even, pooled",
+    [(1, 0.0, False), (2, math.inf, False), (2, 0.0, True)],
+    ids=["serial", "in-process", "pool"],
+)
+def test_every_chunk_runs_once_through_run_chunks(
+    monkeypatch, recording_pool, workers, break_even, pooled
+):
+    """_run_chunks is the one place a chunk runs: on the serial path
+    (workers=1, where no gate opens), on the gated in-process path (a
+    break-even no sweep reaches) and in the pool (break-even 0, the
+    recording stub), each of a six-chunk sweep's chunks runs exactly once,
+    through it, and the CSV is that of the unwrapped sweep."""
+    cfg = _cfg(trials=1100)
+    total = len(_point_chunks(cfg))
+    assert total == 6
+    want = run_sweep(cfg, workers=1).to_csv()
+    ran = []
+    run_chunks = harness._run_chunks
+
+    def recording(cfg, runner, lo, hi):
+        def counted(cfg, c):
+            ran.append(c)
+            return runner(cfg, c)
+
+        return run_chunks(cfg, counted, lo, hi)
+
+    monkeypatch.setattr(harness, "_run_chunks", recording)
+    monkeypatch.setattr(harness, "_POOL_BREAK_EVEN_S", break_even)
+    csv = run_sweep(cfg, workers=workers).to_csv()
+    assert sorted(ran) == list(range(total))
+    assert len(recording_pool) == pooled
+    assert csv == want
 
 
 @pytest.mark.parametrize("break_even", [0.0, math.inf], ids=["pool", "in-process"])
@@ -1711,20 +1754,6 @@ def test_a_spawned_pool_gives_the_in_process_csv(monkeypatch):
         pooled = run_sweep(cfg, workers=2).to_csv()
         assert pooled == run_sweep(cfg, workers=1).to_csv(), experiment
     assert opened == [2, 2]
-
-
-def test_pool_runs_return_stacked_partials():
-    """A pool run returns its chunks' partials as one array per key, row k
-    holding chunk lo + k's value, across a grid point boundary, so a run is
-    pickled as a few arrays (the CSVs are checked by the pool gate test)."""
-    for experiment in ExperimentKind:
-        cfg = _cfg(experiment=experiment, m=4, n=3, trials=600)
-        runner = harness._EXPERIMENTS[experiment][0]
-        stacked = _run_chunks(cfg, runner, 1, 4)
-        for c in range(1, 4):
-            for key, value in runner(cfg, c).items():
-                assert stacked[key].shape[0] == 3
-                assert np.array_equal(stacked[key][c - 1], value), (experiment, key)
 
 
 def test_sweeps_below_the_break_even_import_no_pool():
