@@ -52,13 +52,13 @@ def _check_variance(name: str, value: float, *entries: float) -> None:
 
 def check_sigma(
     sigma: float, pilot_lengths: tuple[int, ...], max_variance: float = sys.float_info.max
-) -> None:
+) -> float:
     """Accept a noise standard deviation ``sigma`` (seconds) only where it
     is positive, its estimate-level variance ``sigma^2 / L`` is a positive
     normal float no larger than ``max_variance`` for every pilot length L,
-    and ``sigma^2`` is finite.  ``pilot_lengths`` is any iterable but a
-    string, with at least one length: with none, no variance would be
-    checked and any sigma would pass.
+    and ``sigma^2`` is finite, and return it as a float.  ``pilot_lengths``
+    is any iterable but a string, with at least one length: with none, no
+    variance would be checked and any sigma would pass.
 
     Below that range ``sigma^2 / L`` underflows, and every MSE, bound and
     ratio built on it reads 0 or divides by it; above it the caller's sums
@@ -78,12 +78,12 @@ def check_sigma(
         raise InvalidValue("pilot_lengths must not be empty")
     for length in pilot_lengths:
         _require_integer(length, "pilot_len", low=1)
-    _require_real(sigma, "sigma", finite=False)
-    _require_real(max_variance, "max_variance", 0.0)
+    sigma = _require_real(sigma, "sigma", finite=False)
+    max_variance = _require_real(max_variance, "max_variance", 0.0)
     tiny = sys.float_info.min
     variances = (sigma * sigma / length for length in pilot_lengths)
     if 0.0 < sigma <= sys.float_info.max and all(tiny <= v <= max_variance for v in variances):
-        return
+        return sigma
     low = math.sqrt(tiny * max(pilot_lengths))
     high = min(
         math.sqrt(max_variance) * math.sqrt(min(pilot_lengths)), math.sqrt(sys.float_info.max)
@@ -104,7 +104,7 @@ def theoretical_mse_iid(topo: Topology, sigma0_sq: float) -> np.ndarray:
         InvalidValue: if ``sigma0_sq`` is not one real number, or it or an
             entry is not a positive normal float.
     """
-    _require_real(sigma0_sq, "sigma0_sq")
+    sigma0_sq = _require_real(sigma0_sq, "sigma0_sq")
     m, n = _dims(topo)
     if topo.kind is Kind.MONOSTATIC:
         off, diag = (m - 1) / m**2 * sigma0_sq, (2 * m - 1) / m**2 * sigma0_sq
@@ -214,7 +214,7 @@ def crlb(topo: Topology, sigma0_sq: float) -> np.ndarray:
             an entry of the bound is not a positive normal float (zero,
             subnormal or negative).
     """
-    _require_real(sigma0_sq, "sigma0_sq")
+    sigma0_sq = _require_real(sigma0_sq, "sigma0_sq")
     m, n = _dims(topo)
     if topo.kind is Kind.MONOSTATIC:
         scale = sigma0_sq / 4.0

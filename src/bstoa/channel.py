@@ -106,7 +106,7 @@ class Scene:
             raise DimensionMismatch("bistatic scene requires rx positions")
         self.tx, self.tag = (_real_array(x, "coordinates") for x in (self.tx, self.tag))
         self.rx = self.tx if monostatic else _real_array(self.rx, "coordinates")
-        _require_real(self.delta, "delta", 0.0)
+        self.delta = _require_real(self.delta, "delta", 0.0)
         if self.tx.shape != (m, 3):
             raise DimensionMismatch(f"tx shape {self.tx.shape} does not match m={m}")
         if self.rx.shape != (n, 3):
@@ -179,12 +179,14 @@ class Scene:
             raise ConfigInvalid(f"malformed scene record: {exc}") from exc
 
 
-def _require_cube_side(cube_side) -> None:
+def _require_cube_side(cube_side) -> float:
     """The rule for the side of a scene cube, in meters: one finite real
-    number > 0 (``random_scene`` and ``harness.SweepConfig``)."""
-    _require_real(cube_side, "cube_side")
+    number > 0 (``random_scene`` and ``harness.SweepConfig``), returned as
+    a float."""
+    cube_side = _require_real(cube_side, "cube_side")
     if not cube_side > 0.0:
         raise InvalidValue(f"cube_side must be > 0, got {cube_side}")
+    return cube_side
 
 
 def random_scene(
@@ -201,7 +203,7 @@ def random_scene(
         NonFiniteInput: if ``cube_side`` is NaN or inf.
         InvalidValue: if ``cube_side`` is not one positive real number.
     """
-    _require_cube_side(cube_side)
+    cube_side = _require_cube_side(cube_side)
     (m, n), bistatic = _dims(topo), topo.kind is Kind.BISTATIC
     k = m + n if bistatic else m
     points = rng.random((k + 1, 3)) * cube_side
@@ -227,7 +229,7 @@ def true_delays(
             inf or beyond 2^510 m, where the squared distances overflow.
     """
     tx, rx, tag = (_real_array(x, "coordinates", _COORDINATE_LIMIT) for x in (tx, rx, tag))
-    _require_real(delta, "delta", 0.0)
+    delta = _require_real(delta, "delta", 0.0)
     shapes = f"tx {tx.shape}, rx {rx.shape} and tag {tag.shape}"
     if min(tx.ndim, rx.ndim) < 2 or (tx.shape[-1:], rx.shape[-1:], tag.shape[-1:]) != ((3,),) * 3:
         raise DimensionMismatch(f"{shapes} are not (..., m, 3), (..., n, 3) and (..., 3) points")
@@ -270,7 +272,7 @@ def synth_observations(
     if t.ndim < 2:
         raise DimensionMismatch(f"delay matrices need two axes, got {t.shape}")
     _require_integer(pilot_len, "pilot_len", low=1)
-    _require_real(sigma, "sigma")
+    sigma = _require_real(sigma, "sigma")
     if not 0.0 <= sigma <= half / _HEADROOM_SDS:
         raise InvalidValue(f"sigma must lie in [0, {half / _HEADROOM_SDS:.4g}] s, got {sigma}")
     y = np.repeat(t, pilot_len, axis=-2)

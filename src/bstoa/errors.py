@@ -10,7 +10,8 @@ private helpers here, at their boundary:
   string, which would be read a character at a time;
 * scalars (``_require_real``): one real number (``numbers.Real``), not an
   array, a complex or a string, finite and at least a lower bound where
-  the caller asks;
+  the caller asks, returned as a Python float, so that a numpy scalar such
+  as ``np.float32`` does not carry its own arithmetic into the caller;
 * arrays (``_real_array``): ``np.asarray(x, dtype=np.float64)`` of booleans,
   integers or floats, never of complex numbers, text or ragged nests of
   sequences, optionally bounded in magnitude (``_require_in_range``).
@@ -19,6 +20,7 @@ Anything else raises ``InvalidValue``, and a NaN, an inf or a value beyond a
 bound raises ``NonFiniteInput``, before any arithmetic runs on it.
 """
 
+import math
 import numbers
 import operator
 import sys
@@ -90,10 +92,11 @@ def _require_in_range(x: np.ndarray, limit: float, what: str) -> None:
         raise NonFiniteInput(f"{what} must be finite and at most {limit:.4g} in magnitude")
 
 
-def _require_real(value, what: str, low: float | None = None, finite: bool = True) -> None:
-    """Accept ``value`` only as one real number, finite unless ``finite`` is
-    false, and at least ``low`` if given.  The value is used as it is, so a
-    valid argument keeps its bits.
+def _require_real(value, what: str, low: float | None = None, finite: bool = True) -> float:
+    """``value`` as a float, accepted only as one real number, finite unless
+    ``finite`` is false, and at least ``low`` if given.  A float64 keeps its
+    bits, and a narrower float (``np.float32``) converts exactly; an integer
+    beyond the float range converts to an infinity of its sign.
 
     Raises:
         InvalidValue: for anything but a ``numbers.Real`` (an array, a
@@ -102,10 +105,15 @@ def _require_real(value, what: str, low: float | None = None, finite: bool = Tru
     """
     if not isinstance(value, numbers.Real):
         raise InvalidValue(f"{what} must be a real number, got {value!r}")
-    if finite and not abs(value) <= sys.float_info.max:
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf if value > 0 else -math.inf
+    if finite and not abs(number) <= sys.float_info.max:
         raise NonFiniteInput(f"{what} must be finite, got {value}")
-    if low is not None and value < low:
+    if low is not None and number < low:
         raise InvalidValue(f"{what} must be >= {low:g}, got {value}")
+    return number
 
 
 def _real_array(x, what: str, limit: float | None = sys.float_info.max) -> np.ndarray:

@@ -61,8 +61,9 @@ def _sum_in_order(x: np.ndarray, axis: int = 0) -> np.ndarray:
 
     ``np.sum`` adds whole slices in order when the last axis is contiguous,
     holds two or more values and is not the one summed, so it does the
-    work then.  It adds a contiguous summed axis pairwise from 8 elements
-    on, and so its bits would depend on the memory layout; any other
+    work then, called as ``np.add.reduce``, which is what it runs.  It
+    adds a contiguous summed axis pairwise from 8 elements on, and so its
+    bits would depend on the memory layout; any other
     layout is summed here by adding views of the slices in a loop.  So a
     matrix or a lone scene sums alike alone or in a batch of any layout.
     A last axis of length 1 (one scene) is summed by ``np.add.accumulate``,
@@ -71,7 +72,7 @@ def _sum_in_order(x: np.ndarray, axis: int = 0) -> np.ndarray:
     """
     axis %= x.ndim
     if axis != x.ndim - 1 and x.shape[-1] > 1 and x.strides[-1] == x.itemsize:
-        return x.sum(axis)
+        return np.add.reduce(x, axis)
     lead = (slice(None),) * axis
     if x.shape[-1] == 1:
         # +0.0 last: a -0.0 first slice gives the loop's +0.0 start either way.

@@ -81,7 +81,9 @@ fix aborts the sweep, with ``SingularGeometry``.
 it (``Topology`` for kind, m and n, ``errors`` for counts and grids,
 ``channel`` for cube_side, ``analysis.check_sigma`` for sigmas and pilot
 lengths), and a failed rule is one ``ConfigInvalid`` that names the
-experiment, ``<experiment> sweep: ...``.  It accepts a sigma only where
+experiment, ``<experiment> sweep: ...``.  It stores the ints and floats
+those rules return, so a numpy scalar field (``np.float32``, ``np.int64``)
+gives the sweep of its Python value.  It accepts a sigma only where
 it is positive, ``sigma^2 / L`` is a positive normal float for every
 pilot length L and the sweep's sums stay finite with ``_HEADROOM_SDS``
 standard deviations of room (``analysis.check_sigma`` names the range),
@@ -181,30 +183,32 @@ class SweepConfig:
             topo = Topology(self.kind, self.m, self.n)
             trials = _require_integer(self.trials, "trials", low=1)
             seed = _require_integer(self.master_seed, "master_seed")
-            _require_cube_side(self.cube_side)
-            pilots = _require_sequence(self.pilot_lengths, "pilot_lengths")
+            cube_side = _require_cube_side(self.cube_side)
+            pilots = tuple(
+                _require_integer(length, "pilot_len", low=1)
+                for length in _require_sequence(self.pilot_lengths, "pilot_lengths")
+            )
             sigmas = _require_sequence(self.sigma_grid, "sigma_grid")
             if experiment is ExperimentKind.LOCALIZATION:
                 # The cube's longest range sum, 2 sqrt(3) cube_side, and
                 # _HEADROOM_SDS deviations of range noise, c sigma / sqrt(L),
                 # stay below the solvers' RANGE_LIMIT together, in meters and
                 # in the scene unit of _loc_terms.
-                longest = 2.0 * math.sqrt(3.0) * self.cube_side
+                longest = 2.0 * math.sqrt(3.0) * cube_side
                 if not longest < RANGE_LIMIT:
                     raise ConfigInvalid(
                         "localization sweep: cube_side must be below "
                         f"{RANGE_LIMIT / (2.0 * math.sqrt(3.0)):.4g} m, so that range sums of "
-                        f"up to 2 sqrt(3) cube_side stay below 2^128 m; got {self.cube_side!r}"
+                        f"up to 2 sqrt(3) cube_side stay below 2^128 m; got {cube_side!r}"
                     )
-                room = RANGE_LIMIT * min(1.0, _unit_at_or_above(self.cube_side)) - longest
+                room = RANGE_LIMIT * min(1.0, _unit_at_or_above(cube_side)) - longest
                 limit = (room / (_HEADROOM_SDS * SPEED_OF_LIGHT)) ** 2
             else:
                 # The largest sum a sweep forms, the LS energy over all its
                 # trials and entries or a refined square's four terms, stays
                 # finite with every value _HEADROOM_SDS deviations out.
                 limit = sys.float_info.max / (4.0 * _HEADROOM_SDS**2 * trials * topo.mn)
-            for sigma in sigmas:
-                check_sigma(sigma, pilots, limit)
+            sigmas = tuple(check_sigma(sigma, pilots, limit) for sigma in sigmas)
             # Only values that passed check_sigma reach the sweep's checks.
             if not sigmas:
                 raise ConfigInvalid("sigma_grid must not be empty")
@@ -231,6 +235,7 @@ class SweepConfig:
         object.__setattr__(self, "n", topo.n)
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "master_seed", seed)
+        object.__setattr__(self, "cube_side", cube_side)
         object.__setattr__(self, "pilot_lengths", pilots)
         object.__setattr__(self, "sigma_grid", sigmas)
         grid = tuple((s, length) for s in sigmas for length in pilots)

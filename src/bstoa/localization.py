@@ -37,8 +37,11 @@ anchors (3, k, T), positions (3, T), per-anchor terms (k, T).  Sums over
 anchors or coordinates go through the estimator's ``_sum_in_order``, which
 adds whole planes in order in every layout, so no scene's result depends
 on its batch, and a lone scene (T = 1) rounds like one of a batch.  3x3
-systems are solved in closed form through the adjugate, and a scene that
-stops iterating leaves the Newton loop's working arrays.
+systems are solved in closed form through the adjugate.  The Newton
+loop's working arrays hold per scene its position, its anchors and fitted
+terms, and its residual terms at the position: no (3, k, T) array but the
+anchors, since each step forms its unit vectors from them.  A scene that
+stops iterating leaves them.
 
 The solvers ``_fix_bistatic`` and ``_fix_monostatic`` work in scene units,
 in which the scene's anchors span about 1, so every length they compare
@@ -77,6 +80,8 @@ MAX_ITERATIONS = 100
 STEP_TOL = 1e-10 / 16
 _DISTANCE_FLOOR = 1e-12 / 16
 MAX_HALVINGS = 20
+# The step scales that _damped_update tries after a rejected full step.
+_HALVINGS = 0.5 ** np.arange(1, MAX_HALVINGS + 1)
 # A scene also stops when its step predicts a decrease of |R|^2 below this
 # share of it: rounding in |R|^2 hides such a decrease, and every halving
 # of the step would be rejected.
@@ -253,27 +258,33 @@ def _warm_start(anchors: np.ndarray, col: np.ndarray, row: np.ndarray) -> np.nda
 
 def _fit_residuals(
     anchors: np.ndarray, fit: np.ndarray, m: int, p: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row/column residuals of a batch of range-sum problems.
 
     anchors (3,m+n,T) stacks the transmitters over the receivers, fit
     (m+n,T) the row term a over the column term b, p (3,T).  Returns the
-    offsets anchors - p, the anchor distances d, the residual terms
-    e = fit - d (the residual matrix is R = x (+) y with x = e[:m],
-    y = e[m:]) and |R|_F^2, summed from three orthogonal parts of R,
+    anchor distances d, the residual terms e = fit - d (the residual matrix
+    is R = x (+) y with x = e[:m], y = e[m:]) and |R|_F^2, summed from
+    three orthogonal parts of R,
     n |x - mean(x)|^2 + m |y - mean(y)|^2 + m n (mean(x) + mean(y))^2.
     That avoids the cancellation in n |x|^2 + m |y|^2 + 2 sum(x) sum(y):
     a and b share an arbitrary constant, so x and y are large and opposite.
+    The offsets anchors - p and the centred terms are squared in place,
+    which rounds as x * x does.
     """
     n = anchors.shape[1] - m
     offset = anchors - p[:, None, :]
-    d = np.sqrt(_sum_in_order(offset * offset))
+    d = np.sqrt(_sum_in_order(np.square(offset, out=offset)))
     e = fit - d
     xm = _sum_in_order(e[:m]) / m
     ym = _sum_in_order(e[m:]) / n
     xc, yc = e[:m] - xm, e[m:] - ym
-    sq = n * _sum_in_order(xc * xc) + m * _sum_in_order(yc * yc) + (m * n) * (xm + ym) ** 2
-    return offset, d, e, sq
+    sq = (
+        n * _sum_in_order(np.square(xc, out=xc))
+        + m * _sum_in_order(np.square(yc, out=yc))
+        + (m * n) * (xm + ym) ** 2
+    )
+    return d, e, sq
 
 
 def _damped_update(residuals, inputs, p, step, state, tries) -> tuple[np.ndarray, np.ndarray]:
@@ -288,18 +299,20 @@ def _damped_update(residuals, inputs, p, step, state, tries) -> tuple[np.ndarray
     cand = p + step
     terms = residuals(*inputs, cand)
     accepted = tries & (terms[-1] <= state[-1])
+    where = True if accepted.all() else accepted
     for dst, src in zip((p, *state), (cand, *terms)):
-        np.copyto(dst, src, where=accepted)
+        np.copyto(dst, src, where=where)
     pending = np.flatnonzero(tries & ~accepted)
-    scales = 0.5 ** np.arange(1, MAX_HALVINGS + 1)
+    scales = _HALVINGS
     while pending.size and scales.size:
         # At most max(T, MAX_HALVINGS) candidates at once bounds the memory.
         block = scales[: max(p.shape[-1], scales.size) // pending.size]
         scene = np.repeat(pending, block.size)
-        trial = np.take(step, scene, axis=1) * np.tile(block, pending.size)
-        cand = np.take(p, scene, axis=1) + trial
+        trial = step[:, pending, None] * block
+        cand = (p[:, pending, None] + trial).reshape(3, -1)
+        trial = trial.reshape(3, -1)
         terms = residuals(*(np.take(x, scene, axis=-1) for x in inputs), cand)
-        ok = (terms[-1] <= state[-1][scene]).reshape(pending.size, block.size)
+        ok = terms[-1].reshape(pending.size, block.size) <= state[-1][pending, None]
         found = ok.any(axis=1)
         pick = (np.arange(pending.size) * block.size + ok.argmax(axis=1))[found]
         hit = pending[found]
@@ -312,10 +325,13 @@ def _damped_update(residuals, inputs, p, step, state, tries) -> tuple[np.ndarray
 
 
 def _newton_step(
-    offset: np.ndarray, d: np.ndarray, e: np.ndarray, m: int
+    anchors: np.ndarray, p: np.ndarray, d: np.ndarray, e: np.ndarray, m: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The step of ``_newton_batch`` at the terms of ``_fit_residuals``, its
-    gradient, and the scenes whose Gauss-Newton matrix lost rank 3."""
+    """The step of ``_newton_batch`` at points p (3,T), from anchors
+    (3,m+n,T) and the distances d and terms e of ``_fit_residuals`` there,
+    its gradient, and the scenes whose Gauss-Newton matrix lost rank 3.
+    The unit vectors (anchors - p) / d are formed in the per-anchor buffer,
+    by the subtraction and the division ``_fit_residuals`` would make."""
     k, t = d.shape
     n = k - m
     dist = np.maximum(d, _DISTANCE_FLOOR)
@@ -325,7 +341,8 @@ def _newton_step(
     # Per-anchor terms u, u u' (packed), curv u u', sums u and curv, each
     # summed once over the transmitters and once over the receivers.
     terms = np.empty((19, k, t))
-    unit = np.divide(offset, dist, out=terms[:3])
+    unit = np.subtract(anchors, p[:, None], out=terms[:3])
+    unit /= dist
     for i, (a, b) in enumerate(zip(_ROW, _COL)):
         np.multiply(unit[a], unit[b], out=terms[3 + i])
     curv = np.divide(sums, dist, out=terms[18])
@@ -355,7 +372,7 @@ def _to_nearest_anchor(work: list, stuck: np.ndarray, m: int) -> None:
     MAX_HALVINGS halvings of a step leave a scene stuck about 2^-20 steps
     short of it."""
     _, p, anchors, fit, *state = work
-    q = anchors[:, state[1][:, stuck].argmin(axis=0), stuck]
+    q = anchors[:, state[0][:, stuck].argmin(axis=0), stuck]
     terms = _fit_residuals(anchors[..., stuck], fit[:, stuck], m, q)
     better = terms[-1] <= state[-1][stuck]
     for dst, src in zip((p, *state), (q, *terms)):
@@ -384,7 +401,9 @@ def _newton_batch(
     predicted decrease falls below DECREASE_RTOL of |R|^2, or no damped
     step is accepted, when it takes its nearest anchor if that is no worse
     (``_to_nearest_anchor``); everything stops after MAX_ITERATIONS.  A
-    scene that stops writes out its fix and leaves the working arrays.
+    scene that stops writes out its fix and leaves the working set: batch
+    indices, positions, anchors, fitted terms and the distances, residual
+    terms and |R|^2 of ``_fit_residuals``.
 
     Returns (positions (3,T), |R|^2, iterations, singular_flags); a set
     singular flag means the Gauss-Newton matrix lost rank 3 at some iterate.
@@ -400,16 +419,17 @@ def _newton_batch(
         scene, p, *_, sq = work
         out = scene[stop]
         out_p[:, out], out_sq[out], iterations[out] = p[:, stop], sq[stop], steps
-        return [np.compress(~stop, x, axis=-1) for x in work]
+        keep = ~stop
+        return [x.compress(keep, axis=-1) for x in work]
 
     for it in range(1, MAX_ITERATIONS + 1):
         if work[0].size == 0:
             break
-        step, grad, bad = _newton_step(*work[4:7], m)
+        step, grad, bad = _newton_step(work[2], work[1], work[4], work[5], m)
         stop = bad | ~(-_sum_in_order(grad * step) > DECREASE_RTOL * work[-1])
         if stop.any():
             singular[work[0][bad]] = True
-            work, step = leave(work, stop, it - 1), np.compress(~stop, step, axis=1)
+            work, step = leave(work, stop, it - 1), step.compress(~stop, axis=1)
             if work[0].size == 0:
                 break
         accepted, step_len = _damped_update(
@@ -463,7 +483,7 @@ def localize_bistatic(
     m, n = txs.shape[1], rxs.shape[1]
     if m + n - 1 < 4:
         raise UnderDetermined(f"{m + n - 1} independent range sums cannot fix a 3D position")
-    _require_real(delta, "delta", 0.0)
+    delta = _require_real(delta, "delta", 0.0)
     anchors = np.concatenate([txs, rxs], axis=1).transpose(2, 1, 0).copy()
     with np.errstate(over="ignore"):  # rejected in _to_frame
         ks = SPEED_OF_LIGHT * (ts - delta)
@@ -523,7 +543,7 @@ def localize_monostatic(
     m = anchors.shape[1]
     if m < 4:
         raise UnderDetermined(f"{m} ranges cannot fix a 3D position")
-    _require_real(delta, "delta", 0.0)
+    delta = _require_real(delta, "delta", 0.0)
     points = anchors.transpose(2, 1, 0).copy()
     with np.errstate(over="ignore"):  # rejected in _to_frame
         ranges = (SPEED_OF_LIGHT * (np.diagonal(ts, axis1=1, axis2=2) - delta) / 2.0).T.copy()

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bstoa import analysis, channel, estimator, localization, topology
+from bstoa import analysis, channel, estimator, harness, localization, topology
 from bstoa.errors import BstoaError, InvalidValue, NonFiniteInput
 from bstoa.topology import Kind, Topology
 
@@ -296,3 +296,73 @@ def test_a_topology_argument_that_is_not_a_topology_raises(name, bad):
     call(Topology.bistatic(4, 3))
     with pytest.raises(InvalidValue, match="must be a Topology"):
         call(bad)
+
+
+def _same(a, b) -> bool:
+    """Equal values of equal types, through dataclasses, tuples and arrays."""
+    if type(a) is not type(b):
+        return False
+    if dataclasses.is_dataclass(a):
+        return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+    return a == b
+
+
+def _sweep(**fields):
+    cfg = harness.SweepConfig(**{"experiment": "mse", "kind": "bistatic", "m": 2, "n": 2,
+                                 "trials": 64, **fields})
+    return cfg, harness.run_sweep(cfg, workers=1).to_csv()
+
+
+_BI = channel.random_scene(Topology.bistatic(4, 3), 10.0, channel.noise_rng(0, 0))
+_T_BI = channel.true_delays(_BI.tx, _BI.rx, _BI.tag)
+
+# Public function -> (a call of it on one number, a numpy scalar for it).
+_NUMPY_SCALAR_CALLS = {
+    "random_scene": (
+        lambda v: channel.random_scene(_BI.topo, v, channel.noise_rng(0, 1)), np.float32(10.0),
+    ),
+    "Scene": (lambda v: channel.Scene(_BI.topo, _BI.tx, _BI.tag, _BI.rx, v), np.float32(1e-9)),
+    "true_delays": (lambda v: channel.true_delays(_BI.tx, _BI.rx, _BI.tag, v), np.float32(1e-9)),
+    "synth_observations": (
+        lambda v: channel.synth_observations(_T_BI, 2, v, channel.noise_rng(0, 2)),
+        np.float32(1e-9),
+    ),
+    # Computed in float32, this entry would be a subnormal.
+    "theoretical_mse_iid": (
+        lambda v: analysis.theoretical_mse_iid(_BI.topo, v), np.float32(1e-39),
+    ),
+    "crlb": (lambda v: analysis.crlb(_BI.topo, v), np.float32(1e-18)),
+    "check_sigma": (lambda v: analysis.check_sigma(v, (2, 8)), np.float32(1e-9)),
+    "localize_bistatic": (
+        lambda v: localization.localize_bistatic(_T_BI + 1e-9, _BI.tx, _BI.rx, v),
+        np.float32(1e-9),
+    ),
+    # In float32 the theory value of this row read 1.25000026913166657e-39.
+    "SweepConfig sigma": (
+        lambda v: _sweep(sigma_grid=(v,), pilot_lengths=(8,)), np.float32(1e-19),
+    ),
+    "SweepConfig cube_side": (
+        lambda v: _sweep(experiment="localization", m=4, n=3, sigma_grid=(1e-9,), cube_side=v),
+        np.float32(10.0),
+    ),
+    "SweepConfig pilot length": (
+        lambda v: _sweep(sigma_grid=(1e-9,), pilot_lengths=(v,)), np.int64(8),
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", list(_NUMPY_SCALAR_CALLS))
+def test_a_numpy_scalar_is_taken_as_its_python_value(name):
+    """A numpy scalar argument raises no warning, and the call equals the
+    call with its Python value, stored values and types included.  Each
+    used to warn ``overflow encountered in cast`` in the float range check,
+    or to keep the scalar's own arithmetic, so that a config that compared
+    equal wrote other CSV bytes."""
+    call, value = _NUMPY_SCALAR_CALLS[name]
+    python = int(value) if isinstance(value, np.integer) else float(value)
+    assert _same(call(value), call(python))

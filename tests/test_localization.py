@@ -1,6 +1,7 @@
 """Localization solver tests, with a brute-force grid oracle."""
 
 import functools
+import hashlib
 import warnings
 
 import numpy as np
@@ -19,9 +20,10 @@ from bstoa.errors import (
     SingularGeometry,
     UnderDetermined,
 )
+from bstoa.harness import ExperimentKind, SweepConfig, _loc_terms
 from bstoa.localization import localize_bistatic, localize_monostatic
 from bstoa.estimator import refine_estimate
-from bstoa.topology import Topology
+from bstoa.topology import Kind, Topology
 
 
 def _bistatic_case(seed, m=4, n=3, sigma=0.0):
@@ -1017,3 +1019,33 @@ def test_fix_objective_no_worse_than_long_gauss_newton(sigma):
         _sum_squared_residual(t, tx, rx, 0.0, q) for t, tx, rx, q in zip(t_hats, txs, rxs, p)
     ])
     assert np.all(cost <= cost_ref * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("kind, m, n, sigma, digest", [
+    (Kind.BISTATIC, 4, 3, 1e-9, "66024aa03ea0a0b596b20ce76a6ab344c10f1e9cbc772acdfd26b8a63352a61a"),
+    (Kind.BISTATIC, 4, 3, 1e-8, "80f2e61c2ff1ed27cb7e47a9fb65343d9b4ccd79aa9874a8d8cf97378e94a53d"),
+    (Kind.BISTATIC, 8, 8, 3e-9, "ffeea31892c0aeb5aca67d6fb1b210e5d7205c440458753d9900b6d6d783d53b"),
+    (Kind.MONOSTATIC, 6, 6, 1e-9, "7d40e7624c2ff89c2f0c2646a8054300fda4efea9f6b22577184388b644041b4"),
+])
+def test_solver_outputs_are_pinned(kind, m, n, sigma, digest):
+    """Every bit of every scene's solver outputs, where the golden CSVs pin
+    only per-point sums: the sha256 of all four outputs of ``_fix_bistatic``
+    or ``_fix_monostatic`` (positions, |R|^2 or range residual norms,
+    iterations or polish flags, no-fix flags) on the terms of chunks 0 and 1
+    of a localization sweep (L = 2, seed 11), solved a chunk at a time as
+    ``harness._run_loc_chunk`` solves them."""
+    cfg = SweepConfig(
+        experiment=ExperimentKind.LOCALIZATION, kind=kind, m=m, n=n, pilot_lengths=(2,),
+        sigma_grid=(sigma,), trials=2 * CHUNK_TRIALS, master_seed=11,
+    )
+    h = hashlib.sha256()
+    for c in range(2):
+        anchors, _, terms, _ = _loc_terms(cfg, c)
+        if kind is Kind.BISTATIC:
+            out = localization._fix_bistatic(anchors, terms, m)
+        else:
+            out = localization._fix_monostatic(np.concatenate((anchors, anchors), axis=2), terms)
+        assert len(out) == 4
+        for x in out:
+            h.update(np.ascontiguousarray(x).tobytes())
+    assert h.hexdigest() == digest
