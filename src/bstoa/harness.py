@@ -12,14 +12,17 @@ CHUNK_TRIALS)`` fixed chunks, and chunk c of the sweep, counted
 point-major, draws from stream c of the master seed, the SFC64 generator
 ``channel.noise_rng(master_seed, c)``.  So chunk c holds trials ``(c %
 chunks) * CHUNK_TRIALS`` onwards of grid point ``c // chunks``, and that
-index is the only handle a sweep passes around.  The LS estimate of a
-delay is the mean of L iid N(t, sigma^2) pilots, which is exactly N(t,
-sigma^2 / L), so the LS error is ``(sigma / sqrt(L)) z`` for an ``(m,
-n)`` plane z of standard normals a trial.  Both estimators are linear and
-every true delay matrix lies in the outer-sum subspace, which the
-projection leaves fixed, so the refined error is exactly the projection
-of the LS error, an outer sum of z's row means and column means less its
-grand mean; no chunk builds a delay or estimate matrix.
+index is the only handle a sweep passes around.  ``_open_chunk`` is the
+contract's one reader: it turns c into the chunk's stream, its grid
+point's sigma and pilot length and its trial count, and both chunk
+runners begin with it.  The LS estimate of a delay is the mean of L iid
+N(t, sigma^2) pilots, which is exactly N(t, sigma^2 / L), so the LS error
+is ``(sigma / sqrt(L)) z`` for an ``(m, n)`` plane z of standard normals
+a trial.  Both estimators are linear and every true delay matrix lies in
+the outer-sum subspace, which the projection leaves fixed, so the refined
+error is exactly the projection of the LS error, an outer sum of z's row
+means and column means less its grand mean; no chunk builds a delay or
+estimate matrix.
 
 No chunk draws z.  A trial's rows read z only through k standard normals,
 a linear map of z, and a chi-square, and each topology has one such map,
@@ -327,13 +330,16 @@ def _chunks_per_point(cfg: SweepConfig) -> int:
     return -(-cfg.trials // CHUNK_TRIALS)
 
 
-def _chunk_span(cfg: SweepConfig, c: int) -> tuple[int, int, int]:
-    """Chunk c's grid point and its trials ``start .. stop - 1`` of that
-    point.  Chunks are counted point-major, ``_chunks_per_point`` to a
-    grid point, and chunk c draws from stream c."""
-    point, chunk = divmod(c, _chunks_per_point(cfg))
-    start = chunk * CHUNK_TRIALS
-    return point, start, min(start + CHUNK_TRIALS, cfg.trials)
+def _open_chunk(cfg: SweepConfig, c: int) -> tuple[np.random.Generator, float, int, int]:
+    """Chunk c's stream ``noise_rng(master_seed, c)``, its grid point's
+    sigma and pilot length, and its trial count: the one reader of the
+    stream contract (module docstring).  Chunks are counted point-major,
+    ``_chunks_per_point`` to a grid point, and all but a point's last hold
+    ``CHUNK_TRIALS`` trials."""
+    point, index = divmod(c, _chunks_per_point(cfg))
+    sigma, pilot_len = cfg.grid_points[point]
+    count = min(CHUNK_TRIALS, cfg.trials - index * CHUNK_TRIALS)
+    return noise_rng(cfg.master_seed, c), sigma, pilot_len, count
 
 
 def _execute(cfg: SweepConfig, runner: Callable, workers: int | None) -> list:
@@ -382,7 +388,8 @@ def _run_chunks(cfg: SweepConfig, runner: Callable, lo: int, hi: int) -> list:
 
 
 def _run_noise_chunk(cfg: SweepConfig, c: int) -> dict:
-    """The mse and crlb partial of chunk c: ``rowcol``, the sum over trials
+    """The mse and crlb partial of chunk c, opened by ``_open_chunk``
+    (its stream, grid point and trial count): ``rowcol``, the sum over trials
     of ``c c^T`` for the refined error's row/column coordinates c, and for
     mse ``sq_ls``, the LS errors' sum of squares (for bistatic its mean
     over entries; for monostatic its diagonal and off-diagonal totals),
@@ -422,10 +429,8 @@ def _run_noise_chunk(cfg: SweepConfig, c: int) -> dict:
     (bistatic and monostatic, tracemalloc), against 36 MiB for its plane
     and 0.9-1.0 MiB for its k T normals.
     """
-    point, start, stop = _chunk_span(cfg, c)
-    sigma, pilot_len = cfg.grid_points[point]
-    m, n, count = cfg.m, cfg.n, stop - start
-    rng = noise_rng(cfg.master_seed, c)
+    rng, sigma, pilot_len, count = _open_chunk(cfg, c)
+    m, n = cfg.m, cfg.n
     mse = cfg.experiment is ExperimentKind.MSE
     scale = sigma**2 / pilot_len
     bistatic = cfg.kind is Kind.BISTATIC
@@ -539,7 +544,8 @@ def _refined_squares(topo: Topology, rowcol: np.ndarray) -> np.ndarray:
 
 
 def _loc_terms(cfg: SweepConfig, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Draw chunk c of a localization sweep: the anchors ``(3, k, T)``
+    """Draw chunk c of a localization sweep from the stream, grid point and
+    trial count T that ``_open_chunk`` gives it: the anchors ``(3, k, T)``
     (transmitters, then receivers if bistatic), the tags ``(3, T)`` and the
     per-anchor terms its solvers read, all in scene units, and the unit in
     meters, the power of two at or above the cube side
@@ -560,12 +566,10 @@ def _loc_terms(cfg: SweepConfig, c: int) -> tuple[np.ndarray, np.ndarray, np.nda
     z_ii``, then the refined ``d + (s / 2) (row mean_i + column mean_i -
     grand mean)`` (``_monostatic_statistics``).
     """
-    point, start, stop = _chunk_span(cfg, c)
-    sigma, pilot_len = cfg.grid_points[point]
-    m, n, count = cfg.m, cfg.n, stop - start
+    rng, sigma, pilot_len, count = _open_chunk(cfg, c)
+    m, n = cfg.m, cfg.n
     bistatic = cfg.kind is Kind.BISTATIC
     k = m + n if bistatic else m
-    rng = noise_rng(cfg.master_seed, c)
     unit = _unit_at_or_above(cfg.cube_side)
     points = np.empty((3, k + 1, count))
     np.multiply(rng.random((count, k + 1, 3)).T, cfg.cube_side / unit, out=points)

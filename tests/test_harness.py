@@ -37,9 +37,9 @@ from bstoa.harness import (
     STREAM_CONTRACT,
     ExperimentKind,
     SweepConfig,
-    _chunk_span,
     _execute,
     _loc_terms,
+    _open_chunk,
     _refined_squares,
     _run_noise_chunk,
     parse_config,
@@ -1290,9 +1290,10 @@ def test_chunk_is_bitwise_the_per_trial_loop(kind, m, n, pilot_len):
         experiment=ExperimentKind.LOCALIZATION, kind=kind, m=m, n=n,
         pilot_lengths=(pilot_len,), trials=700, master_seed=5,
     )
-    spans = [_chunk_span(cfg, c) for c in range(4)]
-    sizes = [(point, stop - start) for point, start, stop in spans]
-    assert sizes == [(0, 512), (0, 188), (1, 512), (1, 188)]
+    sizes = [_open_chunk(cfg, c)[1:] for c in range(4)]
+    assert sizes == [
+        (sigma, pilot_len, count) for sigma in (1e-9, 2e-9) for count in (512, 188)
+    ]
     bistatic = kind is Kind.BISTATIC
     for _, _, c in _point_chunks(cfg)[1:3]:
         anchors, tags, terms, unit = _loc_terms(cfg, c)
@@ -1444,17 +1445,21 @@ def test_one_solve_of_sixteen_chunks_is_their_sixteen_solves(kind, m, n, sigma):
 def test_chunks_cover_each_points_trials_once(trials):
     """The chunks a sweep runs, counted point-major, cover each of its four
     grid points' trials exactly once, when the trials do not fill the last
-    chunk (1025 leaves it one trial)."""
+    chunk (1025 leaves it one trial): through ``_execute`` at workers 1
+    and 2, each point's chunks come in order, one after the other, all but
+    the last are full, and their counts add up to ``trials``."""
     cfg = _cfg(sigma_grid=(1e-9, 2e-9), pilot_lengths=(2, 8), trials=trials)
+    chunks = math.ceil(trials / CHUNK_TRIALS)
     for workers in (1, 2):
-        spans = _execute(cfg, _chunk_span, workers)
-        points = [point for point, _, _ in spans]
-        assert points == sorted(points)
-        covered = np.zeros((len(cfg.grid_points), trials), dtype=int)
-        for point, start, stop in spans:
-            assert 0 < stop - start <= CHUNK_TRIALS
-            covered[point, start:stop] += 1
-        assert (covered == 1).all()
+        opened = _execute(cfg, _open_chunk, workers)
+        assert len(opened) == len(cfg.grid_points) * chunks
+        for point, (sigma, pilot_len) in enumerate(cfg.grid_points):
+            run = opened[point * chunks : (point + 1) * chunks]
+            assert all(got[1:3] == (sigma, pilot_len) for got in run)
+            counts = [count for _, _, _, count in run]
+            assert counts[:-1] == [CHUNK_TRIALS] * (chunks - 1)
+            assert 0 < counts[-1] <= CHUNK_TRIALS
+            assert sum(counts) == trials
 
 
 @pytest.mark.parametrize(
@@ -1668,6 +1673,33 @@ def test_every_chunk_runs_once_through_run_chunks(
     assert sorted(ran) == list(range(total))
     assert len(recording_pool) == pooled
     assert csv == want
+
+
+@pytest.mark.parametrize(
+    "workers, break_even", [(1, 0.0), (2, math.inf)], ids=["serial", "in-process"]
+)
+def test_a_sweep_opens_one_stream_per_chunk(monkeypatch, workers, break_even):
+    """A whole mse, crlb or localization sweep, bistatic 4x3 and monostatic
+    6, opens exactly one stream per chunk, ``noise_rng(master_seed, c)``
+    for chunk c, in chunk order, on the serial path and on the gated
+    in-process path.  These keys are the stream contract's, so a contract
+    that re-keys the streams updates this test."""
+    keys = []
+
+    def recording(*key):
+        keys.append(key)
+        return noise_rng(*key)
+
+    monkeypatch.setattr(harness, "noise_rng", recording)
+    monkeypatch.setattr(harness, "_POOL_BREAK_EVEN_S", break_even)
+    for experiment in ExperimentKind:
+        for kind, m, n in ((Kind.BISTATIC, 4, 3), (Kind.MONOSTATIC, 6, 6)):
+            cfg = _cfg(experiment=experiment, kind=kind, m=m, n=n, trials=1100)
+            keys.clear()
+            run_sweep(cfg, workers=workers)
+            want = [(cfg.master_seed, c) for _, _, c in _point_chunks(cfg)]
+            assert keys == want, (experiment, kind)
+            assert len(want) == 6
 
 
 @pytest.mark.parametrize("break_even", [0.0, math.inf], ids=["pool", "in-process"])

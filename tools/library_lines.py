@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -63,4 +64,14 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        status = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has all it wanted.  Point stdout at devnull so the
+        # interpreter's last flush of the unsent output finds no pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        status = 0
+    sys.exit(status)
