@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import BstoaError, ConfigInvalid, DimensionMismatch, InvalidValue
 from .errors import _real_array, _require_integer, _require_real
+from .estimator import _sum_in_order
 from .topology import Kind, Topology, _dims
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact SI value
@@ -83,12 +84,14 @@ def _read_record(text: str) -> dict[str, str]:
 class Scene:
     """Antenna and tag geometry plus the tag processing delay.
 
-    For monostatic topologies ``rx`` is forced to be the same array object
-    as ``tx``, so leave it as None.
+    A monostatic scene's receivers are its transmitters: ``rx`` becomes the
+    same array object as ``tx``, so leave it as None.
 
     Raises:
         NonFiniteInput: if a coordinate or ``delta`` is NaN or inf.
-        DimensionMismatch: if an array does not match the topology.
+        DimensionMismatch: if an array does not match the topology, or a
+            monostatic scene is given an ``rx`` that does not hold ``tx``'s
+            coordinates.
         InvalidValue: if a coordinate array holds anything but real
             numbers, or ``delta`` is not one real number >= 0.
     """
@@ -105,7 +108,10 @@ class Scene:
         if self.rx is None and not monostatic:
             raise DimensionMismatch("bistatic scene requires rx positions")
         self.tx, self.tag = (_real_array(x, "coordinates") for x in (self.tx, self.tag))
-        self.rx = self.tx if monostatic else _real_array(self.rx, "coordinates")
+        rx = self.tx if self.rx is None else _real_array(self.rx, "coordinates")
+        if monostatic and rx is not self.tx and not np.array_equal(rx, self.tx):
+            raise DimensionMismatch("monostatic receivers are the transmitters; rx must equal tx")
+        self.rx = self.tx if monostatic else rx
         self.delta = _require_real(self.delta, "delta", 0.0)
         if self.tx.shape != (m, 3):
             raise DimensionMismatch(f"tx shape {self.tx.shape} does not match m={m}")
@@ -210,6 +216,13 @@ def random_scene(
     return Scene(topo=topo, tx=points[:m], rx=points[m:k] if bistatic else None, tag=points[k])
 
 
+def _ranges(offset: np.ndarray, axis: int = 0) -> np.ndarray:
+    """The lengths of coordinate offsets along ``axis``, summed in order
+    (``_sum_in_order``).  The offsets are squared in place, so pass a
+    temporary such as ``a - b``."""
+    return np.sqrt(_sum_in_order(np.square(offset, out=offset), axis))
+
+
 def true_delays(
     tx: np.ndarray, rx: np.ndarray, tag: np.ndarray, delta: float = 0.0
 ) -> np.ndarray:
@@ -218,7 +231,9 @@ def true_delays(
     ``tx`` is ``(..., m, 3)``, ``rx`` is ``(..., n, 3)`` and ``tag`` is
     ``(..., 3)``, with leading axes that broadcast; the result is
     ``(..., m, n)``.  A lone scene passes ``scene.tx, scene.rx, scene.tag,
-    scene.delta``.
+    scene.delta``.  Each distance sums its three squared coordinate
+    differences in order (``_ranges``), as numpy's 2-norm along the last
+    axis does, so every delay has that norm formula's bits.
 
     Raises:
         DimensionMismatch: unless the three arrays are stacks of 3D points
@@ -237,9 +252,7 @@ def true_delays(
         np.broadcast_shapes(tx.shape[:-2], rx.shape[:-2], tag.shape[:-1])
     except ValueError as exc:
         raise DimensionMismatch(f"the leading axes of {shapes} do not broadcast") from exc
-    tag = tag[..., None, :]
-    up = np.linalg.norm(tx - tag, axis=-1)
-    down = np.linalg.norm(rx - tag, axis=-1)
+    up, down = (_ranges(x - tag[..., None, :], axis=-1) for x in (tx, rx))
     return delta + (up[..., :, None] + down[..., None, :]) / SPEED_OF_LIGHT
 
 

@@ -124,10 +124,10 @@ import numpy as np
 
 from . import analysis
 from .analysis import check_sigma
-from .channel import SPEED_OF_LIGHT, _HEADROOM_SDS, _read_record, _require_cube_side, noise_rng
+from .channel import SPEED_OF_LIGHT, _HEADROOM_SDS, _ranges, _read_record, _require_cube_side
+from .channel import noise_rng
 from .errors import ConfigInvalid, InvalidValue, NonFiniteInput, SingularGeometry
 from .errors import _require_integer, _require_sequence
-from .estimator import _sum_in_order
 from .localization import RANGE_LIMIT, _fix_bistatic, _fix_monostatic, _unit_at_or_above
 from .topology import Kind, Topology
 
@@ -553,10 +553,10 @@ def _loc_terms(cfg: SweepConfig, c: int) -> tuple[np.ndarray, np.ndarray, np.nda
     meters over the unit, exactly: the unit is folded into the coordinates'
     and the noise's scale factors.  One ``random((T, k + 1, 3))`` call gives
     every scene's unit coordinates, then the noise.  With d the true
-    ranges ``|anchor - tag|`` and ``s = c sigma / sqrt(L)``, the terms
-    times the unit are those the public solvers take from the LS delays
-    ``(d_i + d_j) / c + (sigma / sqrt(L)) z`` and their refinement, up to
-    rounding.
+    ranges ``|anchor - tag|`` (``channel._ranges``) and ``s = c sigma /
+    sqrt(L)``, the terms times the unit are those the public solvers take
+    from the LS delays ``(d_i + d_j) / c + (sigma / sqrt(L)) z`` and their
+    refinement, up to rounding.
     No chunk draws z, only the statistics its rows read, one ``(2 m, T)``
     or ``(m + n, T)`` normal draw after the scenes'.  Bistatic, ``(m + n,
     T)``: the fit ``a_i + b_j``'s row terms over its column terms, ``[a; b]
@@ -574,10 +574,7 @@ def _loc_terms(cfg: SweepConfig, c: int) -> tuple[np.ndarray, np.ndarray, np.nda
     points = np.empty((3, k + 1, count))
     np.multiply(rng.random((count, k + 1, 3)).T, cfg.cube_side / unit, out=points)
     anchors, tags = points[:, :k], points[:, k]
-    offset = anchors - tags[:, None]
-    ranges = _sum_in_order(np.square(offset, out=offset))
-    np.sqrt(ranges, out=ranges)
-    del offset  # not held while the noise is drawn
+    ranges = _ranges(anchors - tags[:, None])
     scale = SPEED_OF_LIGHT * sigma / math.sqrt(pilot_len) / unit
     if bistatic:
         coords = _bistatic_statistics(rng.standard_normal((k, count)), m)

@@ -68,7 +68,7 @@ import math
 
 import numpy as np
 
-from .channel import SPEED_OF_LIGHT
+from .channel import SPEED_OF_LIGHT, _ranges
 from .errors import DimensionMismatch, NonFiniteInput, SingularGeometry, UnderDetermined
 from .errors import _real_array, _require_real
 from .estimator import _sum_in_order, _two_way_fit
@@ -217,6 +217,16 @@ def _to_frame(anchors: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.
     return centroid, unit
 
 
+def _sphere_differences(anchors: np.ndarray, squares: np.ndarray) -> tuple:
+    """The sphere equations |p - a_k|^2 = r_k^2 of anchors (3, k, T), each
+    less the first, as rows a_k - a_0 (3, k-1, T) and right-hand sides
+    (|a_k|^2 - |a_0|^2 - squares) / 2 (k-1, T).  ``squares`` (k-1, T) is
+    r_k^2 - r_0^2 (``_fix_monostatic``), or its part free of the unknown
+    range tau (``_warm_start``)."""
+    norms = _sum_in_order(anchors * anchors)
+    return anchors[:, 1:] - anchors[:, :1], 0.5 * (norms[1:] - norms[0] - squares)
+
+
 def _warm_start(anchors: np.ndarray, col: np.ndarray, row: np.ndarray) -> np.ndarray:
     """Algebraic initial points (3, T) for bistatic scenes from anchors
     (3, m+n, T) and the range sums' first column (m, T) and row (n, T).
@@ -237,9 +247,7 @@ def _warm_start(anchors: np.ndarray, col: np.ndarray, row: np.ndarray) -> np.nda
     """
     h = col[1:] - col[0]                  # range to tx_i minus range to tx_0
     # One equation per anchor after the first: tx_1..tx_m-1, then every rx.
-    u = anchors[:, 1:] - anchors[:, :1]
-    norms = _sum_in_order(anchors * anchors)
-    base = 0.5 * (norms[1:] - norms[0] - np.concatenate([h, row]) ** 2)
+    u, base = _sphere_differences(anchors, np.concatenate([h, row]) ** 2)
     slope = np.concatenate([-h, row])
     (p0, p1), bad = _least_squares3(u, base, slope)
     # Where bad, p0 and p1 mean nothing and r1 may overflow, as may a
@@ -269,12 +277,11 @@ def _fit_residuals(
     n |x - mean(x)|^2 + m |y - mean(y)|^2 + m n (mean(x) + mean(y))^2.
     That avoids the cancellation in n |x|^2 + m |y|^2 + 2 sum(x) sum(y):
     a and b share an arbitrary constant, so x and y are large and opposite.
-    The offsets anchors - p and the centred terms are squared in place,
-    which rounds as x * x does.
+    d is ``channel._ranges`` of the offsets anchors - p.  The offsets and
+    the centred terms are squared in place, which rounds as x * x does.
     """
     n = anchors.shape[1] - m
-    offset = anchors - p[:, None, :]
-    d = np.sqrt(_sum_in_order(np.square(offset, out=offset)))
+    d = _ranges(anchors - p[:, None, :])
     e = fit - d
     xm = _sum_in_order(e[:m]) / m
     ym = _sum_in_order(e[m:]) / n
@@ -560,9 +567,8 @@ def _fix_monostatic(points: np.ndarray, ranges: np.ndarray) -> tuple[np.ndarray,
     units.  A scene has no fix where the closed form's normal matrix has
     rank < 3 (coplanar anchors); its position means nothing, and no other
     scene's result depends on it."""
-    norms = _sum_in_order(points * points)
-    rhs = 0.5 * (norms[1:] - norms[0] - (ranges[1:] ** 2 - ranges[0] ** 2))
-    (p,), singular = _least_squares3(points[:, 1:] - points[:, :1], rhs)
+    squares = ranges[1:] ** 2 - ranges[0] ** 2
+    (p,), singular = _least_squares3(*_sphere_differences(points, squares))
     state = list(_range_residuals(points, ranges, p))
     (step,), bad = _least_squares3(  # Gauss-Newton: Jacobian rows are unit vectors
         (points - p[:, None]) / np.maximum(state[0], _DISTANCE_FLOOR), state[1]
@@ -575,8 +581,8 @@ def _range_residuals(
     anchors: np.ndarray, ranges: np.ndarray, points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Range residuals of a batch at points (3,T), from anchors (3,m,T) and
-    ranges (m,T): the distances, f = ranges - distances and |f|."""
-    offset = anchors - points[:, None, :]
-    dist = np.sqrt(_sum_in_order(np.square(offset, out=offset)))
+    ranges (m,T): the distances (``channel._ranges``), f = ranges -
+    distances and |f|."""
+    dist = _ranges(anchors - points[:, None, :])
     f = ranges - dist
     return dist, f, np.sqrt(_sum_in_order(f * f))

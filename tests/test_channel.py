@@ -1,5 +1,7 @@
 """Scene generation, delay matrices, and observation synthesis tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,24 @@ def test_scene_shape_validation():
         Scene(topo=topo, tx=np.zeros((2, 3)), rx=np.zeros((2, 3)), tag=np.zeros(2))
 
 
+def test_monostatic_scene_rejects_an_rx_other_than_its_tx():
+    """A monostatic scene's receivers are its transmitters: an ``rx`` with
+    other coordinates raised nothing and was dropped for ``tx``, so the
+    scene gave monostatic delays for a bistatic geometry.  ``rx`` left None,
+    or holding ``tx``'s coordinates, still gives ``rx is tx``, and so does
+    ``dataclasses.replace``, which passes ``rx`` on."""
+    topo = Topology.monostatic(5)
+    tx, tag = noise_rng(13, 0).random((5, 3)), np.full(3, 0.5)
+    for other in (tx + 1.0, tx[:4], np.zeros((5, 3))):
+        with pytest.raises(DimensionMismatch, match="receivers are the transmitters"):
+            Scene(topo, tx, tag, rx=other)
+    for rx in (None, tx.copy(), tx.tolist()):
+        scene = Scene(topo, tx, tag, rx=rx)
+        assert scene.rx is scene.tx
+    moved = dataclasses.replace(scene, tag=np.zeros(3), delta=1e-9)
+    assert moved.rx is moved.tx and np.array_equal(moved.tx, tx)
+
+
 def test_coincident_points_give_zero_delay():
     topo = Topology.bistatic(1, 1)
     point = np.array([[1.0, 2.0, 3.0]])
@@ -238,6 +258,33 @@ def test_true_delays_of_a_stack_match_each_scene():
         np.stack([s.tag for s in scenes]),
     )
     assert np.array_equal(stack, np.stack([true_delays(s.tx, s.rx, s.tag) for s in scenes]))
+
+
+@pytest.mark.parametrize(
+    "tx, rx, tag",
+    [
+        ((4, 3), (3, 3), (3,)),
+        ((6, 4, 3), (6, 3, 3), (6, 3)),
+        ((2, 1, 4, 3), (3, 3), (5, 3)),
+        ((4, 3), None, (3,)),
+        ((5, 5, 3), None, (5, 3)),
+        ((2, 1, 5, 3), None, (5, 3)),
+    ],
+    ids=["scene", "stack", "broadcast", "mono-scene", "mono-stack", "mono-broadcast"],
+)
+def test_true_delays_keep_the_bits_of_the_norm_formula(tx, rx, tag):
+    """Each entry equals ``delta + (|tx_i - tag| + |rx_j - tag|) / c`` with
+    the norms of ``np.linalg.norm(..., axis=-1)``, bit for bit, for a lone
+    scene, a stack and broadcast leading axes, bistatic and monostatic
+    (``rx`` None: the transmitters)."""
+    rng = noise_rng(14, len(tx))
+    tx, tag = rng.random(tx) * 20.0 - 5.0, rng.random(tag) * 20.0 - 5.0
+    rx = tx if rx is None else rng.random(rx) * 20.0 - 5.0
+    delta = 3e-9
+    up = np.linalg.norm(tx - tag[..., None, :], axis=-1)
+    down = np.linalg.norm(rx - tag[..., None, :], axis=-1)
+    expected = delta + (up[..., :, None] + down[..., None, :]) / SPEED_OF_LIGHT
+    assert np.array_equal(true_delays(tx, rx, tag, delta), expected)
 
 
 @pytest.mark.parametrize(
