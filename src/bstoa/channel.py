@@ -150,12 +150,17 @@ class Scene:
                 ``kind``, ``m``, ``n``, ``delta``, ``tx0`` .. ``tx{m-1}``,
                 ``tag`` and, for a bistatic record, ``rx0`` .. ``rx{n-1}``.
             NonFiniteInput: if a coordinate or ``delta`` is NaN or inf.
-            DimensionMismatch: if a coordinate is not a 3D point.
+            DimensionMismatch: if a coordinate does not hold three numbers;
+                the message names its key and text.
+            InvalidValue: if ``m`` or ``n`` is below 1, or a monostatic
+                record has ``m != n`` (``Topology``).
         """
         fields = _read_record(text)
 
         def triple(key: str) -> list[float]:
-            return [float(x) for x in fields[key].split(",")]
+            if len(point := [float(x) for x in fields[key].split(",")]) != 3:
+                raise DimensionMismatch(f"scene record: {key} = {fields[key]} is not a 3D point")
+            return point
 
         try:
             kind = Kind(fields["kind"])

@@ -44,12 +44,13 @@ def _topology_from_args(args: argparse.Namespace) -> Topology:
     return Topology(kind, args.m, args.m if args.n is None else args.n)
 
 
-def _print_matrix(matrix: np.ndarray, integer: bool = False) -> None:
-    for row in np.atleast_2d(matrix):
-        if integer:
-            print(",".join(str(int(x)) for x in row))
-        else:
-            print(",".join(f"{x:.17e}" for x in row))
+def _print_matrix(matrix: np.ndarray) -> None:
+    """Print each row of ``matrix`` as one CSV line, the only output rows
+    the commands write: integers as integers, any other number in ``.17e``
+    form.  A matrix with no rows prints nothing."""
+    form = "d" if np.issubdtype(matrix.dtype, np.integer) else ".17e"
+    for row in np.atleast_2d(matrix).tolist():
+        print(",".join(format(x, form) for x in row))
 
 
 def _add_topology_args(parser: argparse.ArgumentParser) -> None:
@@ -58,16 +59,9 @@ def _add_topology_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, default=None)
 
 
-def _cmd_gen_matrix(args: argparse.Namespace) -> int:
+def _cmd_gen_matrix(args: argparse.Namespace) -> None:
     topo = _topology_from_args(args)
-    if args.which == "a":
-        a = correlation_matrix(topo)
-        if a.shape[0] == 0:
-            return 0
-        _print_matrix(a, integer=True)
-    else:
-        _print_matrix(weighting_matrix(topo))
-    return 0
+    _print_matrix(correlation_matrix(topo) if args.which == "a" else weighting_matrix(topo))
 
 
 def _read_csv(path: str, what: str) -> np.ndarray:
@@ -88,24 +82,22 @@ def _read_csv(path: str, what: str) -> np.ndarray:
     return values
 
 
-def _cmd_estimate(args: argparse.Namespace) -> int:
+def _cmd_estimate(args: argparse.Namespace) -> None:
     topo = _topology_from_args(args)
     y = _read_csv(args.input, "observations")
     t_hat = ls_estimate(y, topo)
     if args.method == "proposed":
         t_hat = refine_estimate(t_hat, topo)
     _print_matrix(t_hat)
-    return 0
 
 
-def _cmd_crlb(args: argparse.Namespace) -> int:
+def _cmd_crlb(args: argparse.Namespace) -> None:
     topo = _topology_from_args(args)
     check_sigma(args.sigma, (args.pilot_len,))
     _print_matrix(crlb(topo, args.sigma * args.sigma / args.pilot_len))
-    return 0
 
 
-def _cmd_localize(args: argparse.Namespace) -> int:
+def _cmd_localize(args: argparse.Namespace) -> None:
     with open(args.scene, "r", encoding="utf-8") as handle:
         scene = Scene.from_text(handle.read())
     t = _read_csv(args.toa, "delays")
@@ -115,11 +107,10 @@ def _cmd_localize(args: argparse.Namespace) -> int:
         p, rnorm, _ = localize_monostatic(t, scene.tx, delta=scene.delta)
     else:
         p, rnorm, _ = localize_bistatic(t, scene.tx, scene.rx, delta=scene.delta)
-    print(f"{p[0]:.17e},{p[1]:.17e},{p[2]:.17e},{rnorm:.17e}")
-    return 0
+    _print_matrix(np.append(p, rnorm))
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> None:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, master_seed=args.seed)
@@ -131,7 +122,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigInvalid(f"--out {args.out}: directory {folder} does not exist")
     result = run_sweep(cfg, workers=args.workers)
     result.write_csv(args.out)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -179,10 +169,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the command that ``argv`` names and return its exit code.  The
+    commands return nothing and raise on failure, so this is the one place
+    an exit code is decided, but for argparse's exit 2 on a command line it
+    cannot parse."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except BrokenPipeError:
         # The reader has all it wanted.  Point stdout at devnull so the
         # interpreter's last flush of the unsent output finds no pipe.
@@ -196,6 +190,7 @@ def main(argv: list[str] | None = None) -> int:
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

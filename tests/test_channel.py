@@ -177,6 +177,49 @@ def test_scene_from_text_rejects_malformed_record(key, value):
         Scene.from_text("\n".join(lines))
 
 
+@pytest.mark.parametrize("value", ["1,0", "1,2,3,4", "7"])
+@pytest.mark.parametrize("key", ["tx1", "rx0", "tag"])
+def test_scene_from_text_names_a_coordinate_that_is_not_a_3d_point(key, value):
+    """A coordinate of other than three numbers among triples is
+    DimensionMismatch naming its key and text.  A short ``tx1`` or ``rx0``
+    used to raise ConfigInvalid with numpy's "inhomogeneous shape" text,
+    and a short tag a DimensionMismatch that named no key."""
+    lines = []
+    for line in _scene_record(Topology.bistatic(3, 2), 11).splitlines():
+        lines.append(f"{key}={value}" if line.partition("=")[0] == key else line)
+    with pytest.raises(DimensionMismatch, match=f"{key} = {value} is not a 3D point"):
+        Scene.from_text("\n".join(lines))
+
+
+def test_scene_from_text_names_the_first_key_when_every_point_is_short():
+    """A record whose points all hold two numbers names its first
+    coordinate's key, not the shape of the stacked transmitters."""
+    lines = []
+    for line in _scene_record(Topology.bistatic(2, 2), 12).splitlines():
+        key, _, value = line.partition("=")
+        lines.append(f"{key}={value.rpartition(',')[0]}" if value.count(",") == 2 else line)
+    with pytest.raises(DimensionMismatch, match="^scene record: tx0 = "):
+        Scene.from_text("\n".join(lines))
+
+
+@pytest.mark.parametrize(
+    "topo, edit",
+    [
+        (Topology.bistatic(2, 2), lambda text: text.replace("m=2", "m=0")),
+        (Topology.bistatic(2, 2), lambda text: text.replace("n=2", "n=0")),
+        (Topology.monostatic(4), lambda text: text.replace("n=4", "n=3")),
+    ],
+    ids=["m-0", "n-0", "monostatic-4x3"],
+)
+def test_scene_from_text_rejects_counts_that_topology_rejects(topo, edit):
+    """Counts below 1, or a monostatic m != n, raise ``Topology``'s
+    InvalidValue."""
+    text = _scene_record(topo, 13)
+    Scene.from_text(text)
+    with pytest.raises(InvalidValue):
+        Scene.from_text(edit(text))
+
+
 def _scene_record(topo, seed):
     scene = random_scene(topo, 10.0, noise_rng(seed, 0))
     scene.delta = 5e-8

@@ -155,6 +155,54 @@ def test_crlb_stdout_bytes_are_pinned(capsys, case):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of the commands that print through
+# ``cli._print_matrix``, per case of ``_pinned_argv``: the ``.17e`` rows of
+# ``localize`` and ``estimate``, which the tests above check only to a
+# tolerance, and the integer and empty rows of ``gen-matrix``.
+_STDOUT_SHA256 = {
+    "localize-bi-4x3-ls": "ca3574dfe6c282d95c9e88f10f727d039d480f69dbd3c84640dc4484724d067a",
+    "localize-bi-4x3-proposed": "da3de9ed1a77ef24b0e921523d321b2ae821d8a4c99e4fe3432028a4a5bb14b4",
+    "localize-mono-5-ls": "53096892b608dd5f19442a9336e63bc82fefedc0ae7a9b4770748d41e6f839a8",
+    "localize-mono-5-proposed": "f91323adb99a192647dd1a6bb61417e19a90a1bc41ed7a6125c0ba38cd1427de",
+    "estimate-bi-4x3-ls": "eb338876db699f230d5661a3e772b6b5b48baed6e952377b1e331a52418f7b33",
+    "estimate-bi-4x3-proposed": "aebd87e871038b060012fdacb5336eb0c870cca29e8911ce42d8763a9036be06",
+    "gen-matrix-a-3x4": "bfb5cc42f2c771c987d86ec565ba3dd69d8102ba9bdfed2c9dd0ec4872bec887",
+    "gen-matrix-a-1x5": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "gen-matrix-b-3x2": "5f6a6331f1812a3346e54daeece6907ddf1344f639cf17240c7e4aaa1ed7759f",
+}
+
+
+def _pinned_argv(tmp_path, case):
+    """The argv of a ``_STDOUT_SHA256`` case, with the files it reads
+    written to ``tmp_path``: a scene from ``random_scene`` and its true
+    delays plus 1 ns noise for ``localize``, 4-pilot observations of a
+    scene's delays at sigma = 1 ns for ``estimate``."""
+    command, _, rest = case.partition("-")
+    if command == "gen":
+        which, shape = rest.split("-")[1:]
+        m, n = shape.split("x")
+        return ["gen-matrix", "--topology", "bi", "--m", m, "--n", n, "--which", which]
+    method = case.rpartition("-")[2]
+    topo = Topology.monostatic(5) if "-mono-5-" in case else Topology.bistatic(4, 3)
+    scene = random_scene(topo, 10.0, noise_rng(21, 0))
+    t = true_delays(scene.tx, scene.rx, scene.tag, scene.delta)
+    if command == "localize":
+        t += noise_rng(21, 1).normal(0.0, 1e-9, t.shape)
+        scene_path, toa_path = _localize_files(tmp_path, scene, t)
+        return ["localize", "--scene", scene_path, "--toa", toa_path, "--method", method]
+    path = tmp_path / "obs.csv"
+    np.savetxt(path, synth_observations(t, 4, 1e-9, noise_rng(21, 1)), delimiter=",")
+    topology = ["--topology", "bi", "--m", "4", "--n", "3"]
+    return ["estimate", *topology, "--input", str(path), "--method", method]
+
+
+@pytest.mark.parametrize("case", list(_STDOUT_SHA256))
+def test_stdout_bytes_are_pinned(tmp_path, capsys, case):
+    code, out, err = run_cli(capsys, *_pinned_argv(tmp_path, case))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _STDOUT_SHA256[case]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -315,6 +363,18 @@ def test_localize_malformed_scene_exit_code(tmp_path, capsys, drop):
     assert code == 2
     assert out == ""
     assert f"{drop!r}" in err
+
+
+def test_localize_scene_with_a_coordinate_of_two_numbers_exit_code(tmp_path, capsys):
+    """A scene record's ``tx1 = 1,0`` exits 2 with an error line naming
+    the entry; it used to carry numpy's "inhomogeneous shape" text."""
+    scene = random_scene(Topology.bistatic(4, 3), 10.0, noise_rng(5, 3))
+    scene_path, toa_path = _localize_files(tmp_path, scene)
+    lines = ["tx1=1,0" if x.startswith("tx1=") else x for x in scene.to_text().splitlines()]
+    (tmp_path / "scene.txt").write_text("\n".join(lines))
+    code, out, err = run_cli(capsys, "localize", "--scene", scene_path, "--toa", toa_path)
+    assert (code, out) == (2, "")
+    assert err == "error: scene record: tx1 = 1,0 is not a 3D point\n"
 
 
 @pytest.mark.parametrize(

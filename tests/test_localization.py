@@ -1049,3 +1049,88 @@ def test_solver_outputs_are_pinned(kind, m, n, sigma, digest):
         for x in out:
             h.update(np.ascontiguousarray(x).tobytes())
     assert h.hexdigest() == digest
+
+
+def _halving_case(count):
+    """Chunk 0 of a bistatic 4x3 localization sweep of ``count`` trials at
+    sigma = 1e-8 (L = 2, seed 5), set up as ``_newton_batch``'s first
+    iteration sets it up: anchors, fit, the warm start p, the residual
+    terms there and the Newton step."""
+    cfg = SweepConfig(
+        experiment=ExperimentKind.LOCALIZATION, kind=Kind.BISTATIC, m=4, n=3,
+        pilot_lengths=(2,), sigma_grid=(1e-8,), trials=count, master_seed=5,
+    )
+    anchors, _, terms, _ = _loc_terms(cfg, 0)
+    col, row = terms[:4] + terms[4], terms[0] + terms[4:]
+    fit = np.concatenate([col, row - col[0]])
+    p = localization._warm_start(anchors, col, row)
+    state = list(localization._fit_residuals(anchors, fit, 4, p))
+    step = localization._newton_step(anchors, p, state[0], state[1], 4)[0]
+    return anchors, fit, p, state, step
+
+
+def _halving_one_at_a_time(anchors, fit, p, step, state):
+    """Each scene's first point p + step * 2^-k, k = 0 .. MAX_HALVINGS,
+    whose |R|^2 is no larger than at p, found a scene and a scale at a
+    time: the positions, terms, accepted flags, step lengths and the k
+    taken (-1 where none is)."""
+    p, state = p.copy(), [x.copy() for x in state]
+    count = p.shape[1]
+    accepted, taken = np.zeros(count, dtype=bool), np.full(count, -1)
+    step_len = np.sqrt(localization._sum_in_order(step * step))
+    for t in range(count):
+        one = slice(t, t + 1)
+        for k in range(localization.MAX_HALVINGS + 1):
+            trial = step[:, one] * 0.5**k
+            terms = localization._fit_residuals(anchors[..., one], fit[:, one], 4, p[:, one] + trial)
+            if terms[-1][0] <= state[-1][t]:
+                p[:, one] += trial
+                for dst, src in zip(state, terms):
+                    dst[..., one] = src
+                accepted[t], taken[t] = True, k
+                step_len[t] = np.sqrt(localization._sum_in_order(trial * trial))[0]
+                break
+    return p, state, accepted, step_len, taken
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 3, 64, 512])
+def test_halving_blocks_pick_what_one_at_a_time_halving_picks(count):
+    """``_damped_update`` tries the halvings of the rejected full steps in
+    blocks of scales; every scene still takes the first scale whose |R|^2
+    is no larger, to the bit, as halving one scene and one scale at a time
+    does.  The Newton steps are scaled by 2^12, so most full steps are
+    rejected and a scene can need more than one block, and every fifth is
+    negated, an ascent direction that most often no halving rescues.  No call of the
+    residual function sees more than max(T, MAX_HALVINGS) points, the
+    bound that the blocks keep."""
+    anchors, fit, p, state, step = _halving_case(count)
+    step *= 2.0**12
+    step[:, ::5] *= -1.0
+    want_p, want_state, want_accepted, want_len, taken = _halving_one_at_a_time(
+        anchors, fit, p, step, state
+    )
+    sizes = []
+
+    def residuals(a, f, q):
+        sizes.append(q.shape[-1])
+        return localization._fit_residuals(a, f, 4, q)
+
+    accepted, step_len = localization._damped_update(
+        residuals, [anchors, fit], p, step, state, np.ones(count, dtype=bool)
+    )
+    assert _same_bits(p, want_p)
+    assert all(_same_bits(x, y) for x, y in zip(state, want_state, strict=True))
+    assert _same_bits(accepted, want_accepted)
+    assert _same_bits(step_len, want_len)
+    assert max(sizes) <= max(count, localization.MAX_HALVINGS)
+    # The case reaches what the blocks do: a scene that no halving rescues
+    # and, unless one block holds every halving (T = 1), a halving past the
+    # first block.
+    assert not want_accepted.all()
+    first_block = max(count, localization.MAX_HALVINGS) // np.count_nonzero(taken != 0)
+    assert count == 1 or (taken > first_block).any()
