@@ -32,7 +32,7 @@ from .harness import (
     parse_config,
     run_sweep,
 )
-from .localization import localize_bistatic, localize_monostatic
+from .localization import localize
 from .topology import (
     Kind,
     Topology,

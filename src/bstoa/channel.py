@@ -62,9 +62,11 @@ def _read_record(text: str) -> dict[str, str]:
     keys against its own set and converts the values.
 
     Raises:
-        ConfigInvalid: naming the line, for a line without ``=`` or a key
-            given twice.
+        ConfigInvalid: if ``text`` is not a string, and, naming the line,
+            for a line without ``=`` or a key given twice.
     """
+    if not isinstance(text, str):
+        raise ConfigInvalid(f"a key = value record must be text, got {type(text).__name__}")
     entries: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -144,9 +146,10 @@ class Scene:
         """Parse a ``to_text`` record (``_read_record``'s grammar).
 
         Raises:
-            ConfigInvalid: if a line is not ``key = value``, a key is
-                missing, unknown or given twice, ``kind`` is unknown, or a
-                count or coordinate does not parse.  The keys are
+            ConfigInvalid: if ``text`` is not a string, a line is not
+                ``key = value``, a key is missing, unknown or given twice,
+                ``kind`` is unknown, or a count or coordinate does not
+                parse.  The keys are
                 ``kind``, ``m``, ``n``, ``delta``, ``tx0`` .. ``tx{m-1}``,
                 ``tag`` and, for a bistatic record, ``rx0`` .. ``rx{n-1}``.
             NonFiniteInput: if a coordinate or ``delta`` is NaN or inf.

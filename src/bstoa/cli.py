@@ -7,6 +7,9 @@ Subcommands:
     localize     fix a tag position from a scene file and a TOA CSV
     sweep        run a Monte-Carlo sweep from a config file
 
+``localize`` prints one row, the position and the residual norm, from
+``localization.localize``, given no receivers for a monostatic scene.
+
 Exit codes: 0 success, 2 bad configuration or input, 3 numerical failure:
 a degenerate anchor geometry in ``localize``.  A localization sweep leaves
 the scenes with no fix out of its RMSE and writes a ``no_fix`` row with
@@ -31,7 +34,7 @@ from .channel import Scene
 from .errors import BstoaError, ConfigInvalid, DimensionMismatch, NonFiniteInput, SingularGeometry
 from .estimator import ls_estimate, refine_estimate
 from .harness import load_config, run_sweep
-from .localization import localize_bistatic, localize_monostatic
+from .localization import localize
 from .topology import Kind, Topology, correlation_matrix, weighting_matrix
 
 # A dense matrix too large for memory is bad input, not a numerical failure.
@@ -103,10 +106,8 @@ def _cmd_localize(args: argparse.Namespace) -> None:
     t = _read_csv(args.toa, "delays")
     if args.method == "proposed":
         t = refine_estimate(t, scene.topo)
-    if scene.topo.kind is Kind.MONOSTATIC:
-        p, rnorm, _ = localize_monostatic(t, scene.tx, delta=scene.delta)
-    else:
-        p, rnorm, _ = localize_bistatic(t, scene.tx, scene.rx, delta=scene.delta)
+    rx = None if scene.topo.kind is Kind.MONOSTATIC else scene.rx
+    p, rnorm, _ = localize(t, scene.tx, rx, delta=scene.delta)
     _print_matrix(np.append(p, rnorm))
 
 

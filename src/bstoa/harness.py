@@ -128,7 +128,8 @@ from .channel import SPEED_OF_LIGHT, _HEADROOM_SDS, _ranges, _read_record, _requ
 from .channel import noise_rng
 from .errors import ConfigInvalid, InvalidValue, NonFiniteInput, SingularGeometry
 from .errors import _require_integer, _require_sequence
-from .localization import RANGE_LIMIT, _fix_bistatic, _fix_monostatic, _unit_at_or_above
+from .localization import RANGE_LIMIT, _fix_bistatic, _fix_monostatic, _require_ranges
+from .localization import _unit_at_or_above
 from .topology import Kind, Topology
 
 CHUNK_TRIALS = 512
@@ -219,10 +220,9 @@ class SweepConfig:
                 raise ConfigInvalid(f"pilot lengths must be distinct, got {pilots}")
             if any(b <= a for a, b in zip(sigmas, sigmas[1:])):
                 raise ConfigInvalid("sigma grid must be strictly ascending")
-            # A bistatic m x n matrix holds m + n - 1 independent range sums.
-            ranges = topo.m + topo.n - 1 if topo.kind is Kind.BISTATIC else topo.m
-            if experiment is ExperimentKind.LOCALIZATION and ranges < 4:
-                raise ConfigInvalid(f"{ranges} independent ranges cannot fix a 3D position")
+            if experiment is ExperimentKind.LOCALIZATION:
+                n = topo.n if topo.kind is Kind.BISTATIC else None
+                _require_ranges(topo.m, n, ConfigInvalid)
             # Every theory value a row carries is a normal float too; the
             # smallest sigma and the longest pilot give the smallest.  mse
             # rows and monostatic crlb rows carry theoretical_mse_iid values.
@@ -267,6 +267,7 @@ def parse_config(text: str) -> SweepConfig:
     """Parse the flat key = value config format (``channel._read_record``).
 
     Absent keys take the SweepConfig defaults; ``n`` defaults to ``m``.
+    Raises ``ConfigInvalid`` if ``text`` is not a string.
     """
     raw = _read_record(text)
     unknown = sorted(raw.keys() - _CONFIG_FIELDS.keys())
@@ -594,7 +595,7 @@ def _run_loc_chunk(cfg: SweepConfig, c: int) -> dict:
     anchors, tags, terms, unit = _loc_terms(cfg, c)
     if cfg.kind is Kind.BISTATIC:
         # A delay matrix and its projection have one bistatic fix (see
-        # localize_bistatic), so each scene is solved once, and the ls and
+        # localization.localize), so each scene is solved once, and the ls and
         # proposed rows share it.  Its rank test reads the noisy range sums,
         # so a scene with no fix may be noise.
         p, _, _, singular = _fix_bistatic(anchors, terms, cfg.m)
@@ -752,10 +753,13 @@ def run_sweep(cfg: SweepConfig, workers: int | None = None) -> SweepResult:
     ``no_fix`` row.
 
     Raises:
-        ConfigInvalid: if ``workers`` is not an integer or is below 1.
+        ConfigInvalid: if ``cfg`` is not a ``SweepConfig``, or ``workers``
+            is not an integer or is below 1.
         SingularGeometry: if no scene of a localization grid point has a
             fix; the message names the grid point.
     """
+    if not isinstance(cfg, SweepConfig):
+        raise ConfigInvalid(f"run_sweep takes a SweepConfig, got {type(cfg).__name__}")
     if workers is not None:
         _require_integer(workers, "workers", ConfigInvalid, low=1)
     run_chunk, point_rows = _EXPERIMENTS[cfg.experiment]

@@ -30,8 +30,9 @@ too, gives the least squares solution in (p, tau).  It lands in the
 attraction basin of the global minimum on most scenes, where a plain
 centroid start converges to local minima on a few percent of them.
 
-The public localizers take delay matrices ``(..., m, n)`` with any
-leading axes, a lone scene included, and flatten them to T scenes.  All
+The public localizer ``localize`` takes delay matrices ``(..., m, n)``
+with any leading axes, a lone scene included, and flattens them to T
+scenes; no ``rx`` means monostatic scenes.  All
 solvers run on batches with the scenes on the last, contiguous axis:
 anchors (3, k, T), positions (3, T), per-anchor terms (k, T).  Sums over
 anchors or coordinates go through the estimator's ``_sum_in_order``, which
@@ -45,18 +46,18 @@ stops iterating leaves them.
 
 The solvers ``_fix_bistatic`` and ``_fix_monostatic`` work in scene units,
 in which the scene's anchors span about 1, so every length they compare
-with a tolerance scales with the scene.  The public localizers take each
-scene to its frame (``_to_frame``): they reject anchor coordinates and
-ranges beyond ``RANGE_LIMIT`` in meters, subtract the anchor centroid and
-divide by a power of two at or above the anchor span and the longest
-range, which is exact.  They reduce the delay matrices to per-anchor terms
-there, solve, and map the fix and the residual back.  Sweeps call the
+with a tolerance scales with the scene.  ``localize`` takes each scene
+to its frame (``_to_frame``): it rejects anchor coordinates and ranges
+beyond ``RANGE_LIMIT`` in meters, subtracts the anchor centroid and
+divides by a power of two at or above the anchor span and the longest
+range, which is exact.  It reduces the delay matrices to per-anchor terms
+there, solves, and maps the fix and the residual back.  Sweeps call the
 solvers directly, with every length of a sweep divided by one power of
 two, the one at or above its cube side (``_unit_at_or_above``,
 ``harness._loc_terms``).  The solvers raise nothing on a scene with
 no fix: they flag it in a per-scene mask, and every caller applies one
-rule to it.  The public localizers return a NaN position and residual
-norm for the scene, and a sweep leaves it out of its point's RMSE and
+rule to it.  ``localize`` returns a NaN position and residual norm for
+the scene, and a sweep leaves it out of its point's RMSE and
 counts it; each raises ``SingularGeometry`` only where no scene of its
 stack or grid point has a fix.  The other scenes' results do not depend
 on it.
@@ -86,7 +87,7 @@ _HALVINGS = 0.5 ** np.arange(1, MAX_HALVINGS + 1)
 # share of it: rounding in |R|^2 hides such a decrease, and every halving
 # of the step would be rejected.
 DECREASE_RTOL = 1e-14
-# Meters; bounds the anchor coordinates and ranges the public localizers take,
+# Meters; bounds the anchor coordinates and ranges that ``localize`` takes,
 # and a sweep's lengths in meters and in scene units.  Below it a scene's
 # span and frame stay finite, and so does the 7th power of a length that
 # the adjugate solve of the linearized sphere equations forms, with 2^128 to
@@ -111,37 +112,6 @@ _COFACTORS = [
 # _COL[i]); _FULL unpacks them into (3, 3, T) stacks.
 _ROW, _COL = np.triu_indices(3)
 _FULL = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
-
-
-def _as_stacks(t, tx, rx) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
-    """The leading shape of delays (..., m, n) with transmitters (..., m, 3)
-    and receivers (..., n, 3), and the three as (T, m, n), (T, m, 3) and
-    (T, n, 3) float stacks."""
-    ts = _real_array(t, "delays")
-    txs, rxs = (_real_array(x, "anchor coordinates", None) for x in (tx, rx))
-    lead = ts.shape[:-2]
-    if ts.ndim < 2 or txs.shape != ts.shape[:-1] + (3,) or rxs.shape != (*lead, ts.shape[-1], 3):
-        raise DimensionMismatch(
-            f"delays {ts.shape} do not match anchors {txs.shape} and {rxs.shape}"
-        )
-    count = math.prod(lead)
-    return lead, *(x.reshape(count, *x.shape[-2:]) for x in (ts, txs, rxs))
-
-
-def _outputs(what, lead, frame, singular, p, norms, counts) -> tuple:
-    """A public localizer's outputs from positions (3, T) and residual
-    norms (T,) in scene units and counts (T,): mapped back from the frame
-    (centroid, unit) of ``_to_frame`` and reshaped to the leading shape
-    ``lead``, (..., 3), (...) and (...).  A scene flagged in ``singular``
-    (T,) has no fix, and its position and residual norm are NaN.  Raises
-    ``SingularGeometry``, naming ``what``, if the stack holds a scene and
-    none of its scenes has a fix."""
-    if singular.size and singular.all():
-        raise SingularGeometry(f"{what} in {singular.sum()} of {singular.size} scenes")
-    centroid, unit = frame
-    p[:, singular], norms[singular] = np.nan, np.nan
-    p = p * unit + centroid
-    return p.T.reshape(*lead, 3), (norms * unit).reshape(lead), counts.reshape(lead)
 
 
 def _adjugate3(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -452,55 +422,100 @@ def _newton_batch(
     return out_p, out_sq, iterations, singular
 
 
-def localize_bistatic(
-    t: np.ndarray, tx: np.ndarray, rx: np.ndarray, delta: float = 0.0
+def _require_ranges(m: int, n: int | None, error: type[Exception] = UnderDetermined) -> None:
+    """The rule that a 3D fix needs at least 4 independent ranges: the m
+    ranges of m monostatic anchors (``n`` None), or the m + n - 1 range sums
+    of an m x n bistatic matrix.  Otherwise ``error`` names their count."""
+    ranges = m if n is None else m + n - 1
+    if ranges < 4:
+        raise error(f"{ranges} independent ranges cannot fix a 3D position")
+
+
+def localize(
+    t: np.ndarray, tx: np.ndarray, rx: np.ndarray | None = None, delta: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fix the tags of bistatic scenes from their delay matrices.
+    """Fix the tags of scenes from their delay matrices.
 
-    t (..., m, n) delays in seconds, tx (..., m, 3) and rx (..., n, 3) in
-    meters, with any leading axes, none for a lone scene; the tag delay
+    t (..., m, n) delays in seconds, tx (..., m, 3) transmitters and rx
+    (..., n, 3) receivers in meters, with any leading axes, none for a lone
+    scene.  ``rx`` None means monostatic scenes, as in ``Scene``: the
+    transmitters are the anchors, and t is (..., m, m).  The tag delay
     ``delta`` is one real number >= 0 in seconds for the whole stack, the
-    rule of ``Scene``.  Returns
-    (positions (..., 3), residual_norms (...), iterations (...)); the
-    residual norm is taken over all m n range sums of ``t``.  A scene whose
-    Jacobian loses rank 3 at some iterate has no fix: its position and
-    residual norm are NaN, and the other scenes' outputs are those of the
-    stack without it.
+    rule of ``Scene``.  Returns (positions (..., 3), residual_norms (...),
+    iterations (...)).
 
-    The range sums K = c (t - delta) are split once, in their frame, into
-    their two-way additive fit a (+) b, the row means a and the column
-    means less the grand mean b, summed as ``refine_estimate`` sums them,
-    and the off-subspace energy |K - a (+) b|^2.  The model da (+) db lies
-    in the same subspace, so |K - da (+) db|^2 = |(a - da) (+) (b - db)|^2
-    plus that constant, and the solver works on the (m + n, T) terms
-    [a; b] only (``_fix_bistatic``), from the algebraic warm start of the
-    module docstring, so a delay matrix and its projection have one fix.
+    Bistatic scenes: the range sums K = c (t - delta) are split once, in
+    their frame, into their two-way additive fit a (+) b, the row means a
+    and the column means less the grand mean b, summed as
+    ``refine_estimate`` sums them, and the off-subspace energy
+    |K - a (+) b|^2.  The model da (+) db lies in the same subspace, so
+    |K - da (+) db|^2 = |(a - da) (+) (b - db)|^2 plus that constant, and
+    the solver works on the (m + n, T) terms [a; b] only
+    (``_fix_bistatic``), from the algebraic warm start of the module
+    docstring, so a delay matrix and its projection have one fix.  The
+    residual norm is taken over all m n range sums of t, and the
+    iterations are Newton's.  A scene whose Jacobian loses rank 3 at some
+    iterate has no fix.
+
+    Monostatic scenes: the ranges c (t[i, i] - delta) / 2 are read from the
+    diagonal alone.  Subtracting the first squared sphere equation from the
+    others leaves a linear system in p, solved by least squares; one damped
+    Gauss-Newton step on the full range residual then polishes the fix
+    (``_fix_monostatic``).  The residual norm is that of the ranges, and the
+    iterations are the polish steps taken, 0 or 1.  A scene whose linear
+    system has rank < 3 (coplanar anchors) has no fix, and 0 iterations.
+
+    A scene with no fix has a NaN position and residual norm, and the
+    other scenes' outputs are those of the stack without it.
 
     Raises:
         InvalidValue: if a stack holds anything but real numbers, or
             ``delta`` is not one real number >= 0.
-        DimensionMismatch: unless the three stacks agree as above.
-        UnderDetermined: if m + n - 1 < 4 (the independent range sums).
+        DimensionMismatch: unless the stacks agree as above.
+        UnderDetermined: if a scene has fewer than 4 independent ranges
+            (``_require_ranges``).
         NonFiniteInput: if a delay or delta is NaN or inf, or an anchor
-            coordinate or range sum is out of ``RANGE_LIMIT``.
+            coordinate or range (sum) is out of ``RANGE_LIMIT``.
         SingularGeometry: if the stack holds a scene and none of its
             scenes has a fix.
     """
-    lead, ts, txs, rxs = _as_stacks(t, tx, rx)
-    m, n = txs.shape[1], rxs.shape[1]
-    if m + n - 1 < 4:
-        raise UnderDetermined(f"{m + n - 1} independent range sums cannot fix a 3D position")
+    ts = _real_array(t, "delays")
+    txs = _real_array(tx, "anchor coordinates", None)
+    rxs = txs if rx is None else _real_array(rx, "anchor coordinates", None)
+    lead = ts.shape[:-2]
+    if ts.ndim < 2 or txs.shape != ts.shape[:-1] + (3,) or rxs.shape != (*lead, ts.shape[-1], 3):
+        raise DimensionMismatch(
+            f"delays {ts.shape} do not match anchors {txs.shape} and {rxs.shape}"
+        )
+    m, n = ts.shape[-2:]
+    _require_ranges(m, None if rx is None else n)
     delta = _require_real(delta, "delta", 0.0)
-    anchors = np.concatenate([txs, rxs], axis=1).transpose(2, 1, 0).copy()
-    with np.errstate(over="ignore"):  # rejected in _to_frame
-        ks = SPEED_OF_LIGHT * (ts - delta)
-    frame = _to_frame(anchors, ks.T)
-    rows, cols = _two_way_fit(ks)
-    terms = np.concatenate([rows[..., 0].T, cols[:, 0].T])
-    p, sq, iterations, singular = _fix_bistatic(anchors, terms, m)
-    off = ks - (rows + cols)
-    sq += _sum_in_order((off * off).transpose(1, 2, 0).reshape(m * n, -1))
-    return _outputs("rank-deficient geometry", lead, frame, singular, p, np.sqrt(sq), iterations)
+    count = math.prod(lead)
+    ts, txs, rxs = (x.reshape(count, *x.shape[-2:]) for x in (ts, txs, rxs))
+    if rx is None:
+        anchors = txs.transpose(2, 1, 0).copy()
+        with np.errstate(over="ignore"):  # rejected in _to_frame
+            ranges = (SPEED_OF_LIGHT * (np.diagonal(ts, axis1=1, axis2=2) - delta) / 2.0).T.copy()
+        del t, ts  # a caller's stacked delays can be freed; only the diagonal is used below
+        centroid, unit = _to_frame(anchors, ranges)
+        p, norms, accepted, singular = _fix_monostatic(anchors, ranges)
+        iterations, what = (accepted & ~singular).astype(np.int64), "coplanar anchors"
+    else:
+        anchors = np.concatenate([txs, rxs], axis=1).transpose(2, 1, 0).copy()
+        with np.errstate(over="ignore"):  # rejected in _to_frame
+            ks = SPEED_OF_LIGHT * (ts - delta)
+        centroid, unit = _to_frame(anchors, ks.T)
+        rows, cols = _two_way_fit(ks)
+        terms = np.concatenate([rows[..., 0].T, cols[:, 0].T])
+        p, sq, iterations, singular = _fix_bistatic(anchors, terms, m)
+        off = ks - (rows + cols)
+        norms = np.sqrt(sq + _sum_in_order((off * off).transpose(1, 2, 0).reshape(m * n, -1)))
+        what = "rank-deficient geometry"
+    if singular.size and singular.all():
+        raise SingularGeometry(f"{what} in {singular.sum()} of {singular.size} scenes")
+    p[:, singular], norms[singular] = np.nan, np.nan
+    p = p * unit + centroid
+    return p.T.reshape(*lead, 3), (norms * unit).reshape(lead), iterations.reshape(lead)
 
 
 def _fix_bistatic(anchors: np.ndarray, terms: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
@@ -516,49 +531,6 @@ def _fix_bistatic(anchors: np.ndarray, terms: np.ndarray, m: int) -> tuple[np.nd
     col, row = terms[:m] + terms[m], terms[0] + terms[m:]
     p0 = _warm_start(anchors, col, row)
     return _newton_batch(anchors, np.concatenate([col, row - col[0]]), m, p0)
-
-
-def localize_monostatic(
-    t: np.ndarray, anchors: np.ndarray, delta: float = 0.0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fix the tags of monostatic scenes from their delay matrix diagonals.
-
-    t (..., m, m) delays in seconds, anchors (..., m, 3) in meters, with any
-    leading axes, none for a lone scene; the tag delay ``delta`` is one
-    real number >= 0 in seconds for the whole stack, the rule of
-    ``Scene``.  Returns (positions (..., 3),
-    range residual norms (...), polish steps taken (...)).  Ranges are
-    c (t[i, i] - delta) / 2.  Subtracting the first squared sphere equation
-    from the others leaves a linear system in p, solved by least squares;
-    one damped Gauss-Newton step on the full range residual then polishes
-    the fix (``_fix_monostatic``).  A scene whose linear system has rank < 3
-    (coplanar anchors) has no fix: its position and residual norm are NaN,
-    its polish step 0, and the other scenes' outputs are those of the stack
-    without it.
-
-    Raises:
-        InvalidValue: if a stack holds anything but real numbers, or
-            ``delta`` is not one real number >= 0.
-        DimensionMismatch: unless the two stacks agree as above.
-        UnderDetermined: if fewer than 4 anchors.
-        NonFiniteInput: if a delay or delta is NaN or inf, or an anchor
-            coordinate or range is out of ``RANGE_LIMIT``.
-        SingularGeometry: if the stack holds a scene and none of its
-            scenes has a fix.
-    """
-    lead, ts, anchors = _as_stacks(t, anchors, anchors)[:3]
-    m = anchors.shape[1]
-    if m < 4:
-        raise UnderDetermined(f"{m} ranges cannot fix a 3D position")
-    delta = _require_real(delta, "delta", 0.0)
-    points = anchors.transpose(2, 1, 0).copy()
-    with np.errstate(over="ignore"):  # rejected in _to_frame
-        ranges = (SPEED_OF_LIGHT * (np.diagonal(ts, axis1=1, axis2=2) - delta) / 2.0).T.copy()
-    del t, ts, anchors  # a caller's stacked inputs can be freed; only copies are used below
-    frame = _to_frame(points, ranges)
-    p, fnorm, accepted, singular = _fix_monostatic(points, ranges)
-    accepted &= ~singular
-    return _outputs("coplanar anchors", lead, frame, singular, p, fnorm, accepted.astype(np.int64))
 
 
 def _fix_monostatic(points: np.ndarray, ranges: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -28,7 +28,7 @@ from bstoa.harness import (
     SweepConfig,
     run_sweep,
 )
-from bstoa.localization import localize_bistatic, localize_monostatic
+from bstoa.localization import localize
 from bstoa.topology import (
     Kind,
     Topology,
@@ -347,12 +347,12 @@ def test_criterion_10_localization_ordering(report):
     for index in range(100):
         scene = random_scene(Topology.bistatic(4, 3), 10.0, noise_rng(61_000, index))
         t = true_delays(scene.tx, scene.rx, scene.tag, scene.delta)
-        p, _, _ = localize_bistatic(t, scene.tx, scene.rx)
+        p, _, _ = localize(t, scene.tx, scene.rx)
         worst_noiseless = max(worst_noiseless, float(np.linalg.norm(p - scene.tag)))
     for index in range(100):
         scene = random_scene(Topology.monostatic(6), 10.0, noise_rng(62_000, index))
         t = true_delays(scene.tx, scene.rx, scene.tag, scene.delta)
-        p, _, _ = localize_monostatic(t, scene.tx)
+        p, _, _ = localize(t, scene.tx)
         worst_noiseless = max(worst_noiseless, float(np.linalg.norm(p - scene.tag)))
 
     ok = not violations and worst_noiseless < 1e-6

@@ -255,6 +255,14 @@ def test_scene_from_text_rejects_duplicate_key(key):
         Scene.from_text("\n".join(lines + [line]))
 
 
+@pytest.mark.parametrize("text", [None, b"kind=bistatic\nm=4\nn=3\n"])
+def test_scene_from_text_takes_only_text(text):
+    """None used to leak AttributeError from the line reader, and bytes
+    TypeError."""
+    with pytest.raises(ConfigInvalid, match="must be text, got (NoneType|bytes)$"):
+        Scene.from_text(text)
+
+
 def test_scene_shape_validation():
     topo = Topology.bistatic(2, 2)
     with pytest.raises(DimensionMismatch):

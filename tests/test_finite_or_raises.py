@@ -219,12 +219,12 @@ def _numeric_calls():
             functools.partial(analysis.crlb, mono.topo), sigma0_sq, {"sigma0_sq"},
         ),
         "localize_bistatic": (
-            localization.localize_bistatic,
+            localization.localize,
             {"t": t_bi, "tx": bi.tx, "rx": bi.rx, "delta": 0.0}, {"delta"},
         ),
         "localize_monostatic": (
-            localization.localize_monostatic,
-            {"t": t_mono, "anchors": mono.tx, "delta": 0.0}, {"delta"},
+            localization.localize,
+            {"t": t_mono, "tx": mono.tx, "delta": 0.0}, {"delta"},
         ),
     }
 
@@ -338,7 +338,7 @@ _NUMPY_SCALAR_CALLS = {
     "crlb": (lambda v: analysis.crlb(_BI.topo, v), np.float32(1e-18)),
     "check_sigma": (lambda v: analysis.check_sigma(v, (2, 8)), np.float32(1e-9)),
     "localize_bistatic": (
-        lambda v: localization.localize_bistatic(_T_BI + 1e-9, _BI.tx, _BI.rx, v),
+        lambda v: localization.localize(_T_BI + 1e-9, _BI.tx, _BI.rx, v),
         np.float32(1e-9),
     ),
     # In float32 the theory value of this row read 1.25000026913166657e-39.

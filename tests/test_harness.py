@@ -45,12 +45,7 @@ from bstoa.harness import (
     parse_config,
     run_sweep,
 )
-from bstoa.localization import (
-    _fix_bistatic,
-    _fix_monostatic,
-    localize_bistatic,
-    localize_monostatic,
-)
+from bstoa.localization import _fix_bistatic, _fix_monostatic, localize
 from bstoa.topology import Kind, Topology, weighting_matrix
 
 
@@ -151,6 +146,21 @@ def test_parse_config_defaults():
 def test_parse_config_rejects(text):
     with pytest.raises(ConfigInvalid):
         parse_config(text)
+
+
+@pytest.mark.parametrize("text", [b"experiment = mse\nkind = bistatic\nm = 2\n", None])
+def test_parse_config_takes_only_text(text):
+    """Bytes used to leak TypeError from the line reader, and None
+    AttributeError."""
+    with pytest.raises(ConfigInvalid, match="must be text, got (bytes|NoneType)$"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("cfg", ["experiment = mse", None])
+def test_run_sweep_takes_only_a_sweep_config(cfg):
+    """A config text or None used to leak AttributeError."""
+    with pytest.raises(ConfigInvalid, match="takes a SweepConfig, got (str|NoneType)$"):
+        run_sweep(cfg, workers=1)
 
 
 def test_monostatic_crlb_config_checks_the_bounds_its_rows_divide_by():
@@ -1352,18 +1362,18 @@ def test_the_scene_unit_covers_the_cube_side(k):
 def test_chunk_fixes_are_the_public_fixes(kind, m, n):
     """The fixes a localization chunk makes from its terms agree within the
     1e-6 m tie margin of acceptance criterion 10 with the public
-    localizers on the per-trial loop's LS and refined delay matrices."""
+    ``localize`` on the per-trial loop's LS and refined delay matrices."""
     cfg = _cfg(experiment=ExperimentKind.LOCALIZATION, kind=kind, m=m, n=n, trials=CHUNK_TRIALS)
     for _, _, c in _point_chunks(cfg):
         anchors, tags, terms, unit = _loc_terms(cfg, c)
         ref = contract.localization_chunk(cfg, c)
         if kind is Kind.BISTATIC:
             got = [_fix_bistatic(anchors, terms, m)[0] * unit] * 2
-            want = [localize_bistatic(t, ref.tx, ref.rx)[0] for t in (ref.t_hat, ref.t_ref)]
+            want = [localize(t, ref.tx, ref.rx)[0] for t in (ref.t_hat, ref.t_ref)]
         else:
             both = _fix_monostatic(np.concatenate((anchors, anchors), axis=2), terms)[0]
             got = np.split(both * unit, 2, axis=1)
-            want = [localize_monostatic(t, ref.tx)[0] for t in (ref.t_hat, ref.t_ref)]
+            want = [localize(t, ref.tx)[0] for t in (ref.t_hat, ref.t_ref)]
         for p, q in zip(got, want):
             assert np.linalg.norm(p.T - q, axis=1).max() < 1e-6
 

@@ -14,6 +14,7 @@ from bstoa import localization
 from bstoa.channel import SPEED_OF_LIGHT, noise_rng, random_scene, true_delays
 from bstoa.errors import (
     BstoaError,
+    ConfigInvalid,
     DimensionMismatch,
     InvalidValue,
     NonFiniteInput,
@@ -21,7 +22,7 @@ from bstoa.errors import (
     UnderDetermined,
 )
 from bstoa.harness import ExperimentKind, SweepConfig, _loc_terms
-from bstoa.localization import localize_bistatic, localize_monostatic
+from bstoa.localization import localize
 from bstoa.estimator import refine_estimate
 from bstoa.topology import Kind, Topology
 
@@ -145,7 +146,7 @@ def _sum_squared_residual(t, tx, rx, delta, p):
 @pytest.mark.parametrize("seed", range(20))
 def test_bistatic_noiseless_exact_recovery(seed):
     scene, t = _bistatic_case(1000 + seed)
-    p, rnorm, iterations = localize_bistatic(t, scene.tx, scene.rx)
+    p, rnorm, iterations = localize(t, scene.tx, scene.rx)
     assert np.linalg.norm(p - scene.tag) < 1e-6
     assert iterations <= 100
     assert rnorm >= 0.0
@@ -154,7 +155,7 @@ def test_bistatic_noiseless_exact_recovery(seed):
 @pytest.mark.parametrize("seed", range(20))
 def test_monostatic_noiseless_exact_recovery(seed):
     scene, t = _monostatic_case(2000 + seed)
-    p, _, _ = localize_monostatic(t, scene.tx)
+    p, _, _ = localize(t, scene.tx)
     assert np.linalg.norm(p - scene.tag) < 1e-6
 
 
@@ -164,42 +165,63 @@ def test_bistatic_under_determined():
     for m, n in ((1, 3), (2, 2)):
         scene, t = _bistatic_case(3000, m=m, n=n)
         with pytest.raises(UnderDetermined):
-            localize_bistatic(t, scene.tx, scene.rx)
+            localize(t, scene.tx, scene.rx)
         with pytest.raises(UnderDetermined):
-            localize_bistatic(t[None], scene.tx[None], scene.rx[None])
+            localize(t[None], scene.tx[None], scene.rx[None])
 
 
 @pytest.mark.parametrize(
-    "func, shapes",
+    "shapes",
     [
-        (localize_bistatic, [(1, 4, 3), (1, 4, 3), (1, 2, 3)]),
-        (localize_bistatic, [(4, 3), (1, 4, 3), (1, 3, 3)]),
-        (localize_bistatic, [(2, 4, 3), (3, 4, 3), (3, 3, 3)]),
-        (localize_bistatic, [(1, 4, 3), (1, 4, 2), (1, 3, 2)]),
-        (localize_monostatic, [(1, 6, 6), (1, 5, 3)]),
-        (localize_monostatic, [(2, 6, 6), (1, 6, 3)]),
-        (localize_monostatic, [(1, 6, 5), (1, 6, 3)]),
-        (localize_bistatic, [(4, 3), (4, 3), (2, 3)]),
-        (localize_monostatic, [(6, 6), (5, 3)]),
-        (localize_bistatic, [(2, 3, 4, 3), (3, 2, 4, 3), (2, 3, 3, 3)]),
-        (localize_monostatic, [(2, 3, 6, 6), (3, 2, 6, 3)]),
-        (localize_bistatic, [(4,), (4, 3), (1, 3)]),
+        [(1, 4, 3), (1, 4, 3), (1, 2, 3)],
+        [(4, 3), (1, 4, 3), (1, 3, 3)],
+        [(2, 4, 3), (3, 4, 3), (3, 3, 3)],
+        [(1, 4, 3), (1, 4, 2), (1, 3, 2)],
+        [(1, 6, 6), (1, 5, 3)],
+        [(2, 6, 6), (1, 6, 3)],
+        [(1, 6, 5), (1, 6, 3)],
+        [(4, 3), (4, 3), (2, 3)],
+        [(6, 6), (5, 3)],
+        [(2, 3, 4, 3), (3, 2, 4, 3), (2, 3, 3, 3)],
+        [(2, 3, 6, 6), (3, 2, 6, 3)],
+        [(4,), (4, 3), (1, 3)],
+        [(6, 5), (6, 3)],
+        [(1, 5, 6), (1, 5, 3)],
     ],
     ids=["bi-rx-count", "bi-2d-ts", "bi-batch-size", "bi-2d-points", "mono-anchor-count",
          "mono-batch-size", "mono-not-square", "bi-single", "mono-single", "bi-nested-lead",
-         "mono-nested-lead", "bi-1d-ts"],
+         "mono-nested-lead", "bi-1d-ts", "mono-not-square-single", "mono-wide"],
 )
-def test_localizers_reject_mismatched_shapes(func, shapes):
+def test_localizers_reject_mismatched_shapes(shapes):
     """The leading axes of delays and anchors must agree exactly: a lone
-    (2-D) delay matrix takes a lone scene's anchors, not a stack of one."""
+    (2-D) delay matrix takes a lone scene's anchors, not a stack of one.
+    Two shapes are a monostatic call, with no receivers, whose m anchors
+    take square (..., m, m) delays."""
     with pytest.raises(DimensionMismatch):
-        func(*(np.zeros(shape) for shape in shapes))
+        localize(*(np.zeros(shape) for shape in shapes))
 
 
 def test_monostatic_under_determined():
     scene, t = _monostatic_case(3001, m=3)
     with pytest.raises(UnderDetermined):
-        localize_monostatic(t, scene.tx)
+        localize(t, scene.tx)
+
+
+@pytest.mark.parametrize(
+    "m, n, monostatic",
+    [(1, 3, False), (2, 2, False), (3, 3, True)],
+    ids=["bistatic-1x3", "bistatic-2x2", "monostatic-3"],
+)
+def test_localize_and_a_sweep_config_share_the_four_ranges_rule(m, n, monostatic):
+    """Three independent ranges (m + n - 1 range sums, or m monostatic
+    ranges) make ``localize`` raise UnderDetermined with the text that a
+    localization SweepConfig of the same topology raises as ConfigInvalid."""
+    scene, t = _monostatic_case(3002, m=m) if monostatic else _bistatic_case(3002, m=m, n=n)
+    text = "^3 independent ranges cannot fix a 3D position$"
+    with pytest.raises(UnderDetermined, match=text):
+        localize(t, scene.tx, None if monostatic else scene.rx)
+    with pytest.raises(ConfigInvalid, match=text):
+        SweepConfig(experiment=ExperimentKind.LOCALIZATION, kind=scene.topo.kind, m=m, n=n)
 
 
 def test_monostatic_coplanar_anchors_detected():
@@ -210,7 +232,7 @@ def test_monostatic_coplanar_anchors_detected():
     d = np.linalg.norm(anchors - tag, axis=1)
     t = (d[:, None] + d[None, :]) / SPEED_OF_LIGHT
     with pytest.raises(SingularGeometry):
-        localize_monostatic(t, anchors)
+        localize(t, anchors)
 
 
 def test_bistatic_collinear_anchors_detected():
@@ -222,7 +244,7 @@ def test_bistatic_collinear_anchors_detected():
         + np.linalg.norm(rx - tag, axis=1)[None, :]
     ) / SPEED_OF_LIGHT
     with pytest.raises(SingularGeometry):
-        localize_bistatic(t, tx, rx)
+        localize(t, tx, rx)
 
 
 @pytest.mark.parametrize("monostatic", [False, True], ids=["bi4x3", "mono5"])
@@ -288,10 +310,6 @@ def _scene_with_no_fix(kind):
     return (d[:, None] + d[None, :]) / SPEED_OF_LIGHT, tx, tx
 
 
-def _localize(monostatic, t, tx, rx):
-    return localize_monostatic(t, tx) if monostatic else localize_bistatic(t, tx, rx)
-
-
 @pytest.mark.parametrize("kind", _NO_FIX_SCENES)
 def test_localizers_mark_a_scene_with_no_fix(kind):
     """The public localizers' rule for a scene with no fix: the scene of
@@ -306,11 +324,12 @@ def test_localizers_mark_a_scene_with_no_fix(kind):
         for i in range(64)
     ]
     stacks = [np.stack([t for _, t in cases])] + [
-        np.stack([getattr(scene, key) for scene, _ in cases]) for key in ("tx", "rx")
+        np.stack([getattr(scene, key) for scene, _ in cases])
+        for key in (("tx",) if monostatic else ("tx", "rx"))
     ]
     odd = _scene_with_no_fix(kind)
-    stacked = _localize(monostatic, *(np.insert(x, at, y, axis=0) for x, y in zip(stacks, odd)))
-    alone = _localize(monostatic, *stacks)
+    stacked = localize(*(np.insert(x, at, y, axis=0) for x, y in zip(stacks, odd)))
+    alone = localize(*stacks)
     p, norm, count = (x[at] for x in stacked)
     assert np.isnan(p).all() and np.isnan(norm)
     if monostatic:
@@ -328,15 +347,15 @@ def test_a_stack_where_no_scene_has_a_fix_raises(kind):
     shift = np.array([0.0, 0.0, 5.0])
     stacks = np.stack([t, t]), np.stack([tx, tx + shift]), np.stack([rx, rx + shift])
     with pytest.raises(SingularGeometry, match="in 2 of 2 scenes"):
-        _localize(kind != "bi4x3", *stacks)
+        localize(*stacks if kind == "bi4x3" else stacks[:2])
 
 
 def test_empty_stacks_return_empty_arrays():
     """A stack of no scenes has no scene without a fix either: both
     localizers return empty (0, 3), (0,) and (0,) arrays."""
     for out in (
-        localize_bistatic(np.zeros((0, 4, 3)), np.zeros((0, 4, 3)), np.zeros((0, 3, 3))),
-        localize_monostatic(np.zeros((0, 5, 5)), np.zeros((0, 5, 3))),
+        localize(np.zeros((0, 4, 3)), np.zeros((0, 4, 3)), np.zeros((0, 3, 3))),
+        localize(np.zeros((0, 5, 5)), np.zeros((0, 5, 3))),
     ):
         assert [x.shape for x in out] == [(0, 3), (0,), (0,)]
 
@@ -345,12 +364,12 @@ def test_residual_nonincreasing_across_accepted_steps(monkeypatch):
     """Capping the solver at 0, 1, 2, ... iterations replays its iterates;
     the residual norm never increases from one to the next."""
     scene, t = _bistatic_case(3200, sigma=3e-9)
-    steps = localize_bistatic(t, scene.tx, scene.rx)[2]
+    steps = localize(t, scene.tx, scene.rx)[2]
     assert steps >= 2
     norms = []
     for cap in range(steps + 2):
         monkeypatch.setattr(localization, "MAX_ITERATIONS", cap)
-        norms.append(localize_bistatic(t, scene.tx, scene.rx)[1])
+        norms.append(localize(t, scene.tx, scene.rx)[1])
     assert all(b <= a for a, b in zip(norms, norms[1:]))
     assert norms[-1] < norms[0]
 
@@ -365,9 +384,9 @@ def test_bistatic_rejects_non_finite_input(bad, where):
     else:
         args[where][0, 0] = bad
     with pytest.raises(NonFiniteInput):
-        localize_bistatic(**args)
+        localize(**args)
     with pytest.raises(NonFiniteInput):
-        localize_bistatic(args["t"][None], args["tx"][None], args["rx"][None], delta=args["delta"])
+        localize(args["t"][None], args["tx"][None], args["rx"][None], delta=args["delta"])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -380,9 +399,9 @@ def test_monostatic_rejects_non_finite_input(bad, where):
     else:
         args[where][1, 1] = bad
     with pytest.raises(NonFiniteInput):
-        localize_monostatic(**args)
+        localize(args["t"], args["anchors"], delta=args["delta"])
     with pytest.raises(NonFiniteInput):
-        localize_monostatic(args["t"][None], args["anchors"][None], delta=args["delta"])
+        localize(args["t"][None], args["anchors"][None], delta=args["delta"])
 
 
 @pytest.mark.filterwarnings("error")
@@ -405,9 +424,9 @@ def test_localizers_take_one_real_delta_and_real_delays(delta, complex_delays):
     if complex_delays:
         t_bi, t_mono = t_bi + 1e-12j, t_mono + 1e-12j
     with pytest.raises(InvalidValue):
-        localize_bistatic(t_bi, tx, rx, delta=delta)
+        localize(t_bi, tx, rx, delta=delta)
     with pytest.raises(InvalidValue):
-        localize_monostatic(t_mono, np.stack([scene.tx for scene, _ in mono]), delta=delta)
+        localize(t_mono, np.stack([scene.tx for scene, _ in mono]), delta=delta)
     if not complex_delays:
         with pytest.raises(InvalidValue):
             true_delays(tx, rx, tag, delta)
@@ -423,9 +442,9 @@ def test_localizers_reject_ranges_that_overflow(delay):
     mono, t_mono = _monostatic_case(3403)
     huge_bi, huge_mono = np.full_like(t_bi, delay), np.full_like(t_mono, delay)
     with pytest.raises(NonFiniteInput, match="2\\^128 m"):
-        localize_bistatic(huge_bi[None], bi.tx[None], bi.rx[None])
+        localize(huge_bi[None], bi.tx[None], bi.rx[None])
     with pytest.raises(NonFiniteInput, match="2\\^128 m"):
-        localize_monostatic(huge_mono[None], mono.tx[None])
+        localize(huge_mono[None], mono.tx[None])
 
 
 @pytest.mark.parametrize("scale", [2.0**128, 1e100])
@@ -438,11 +457,11 @@ def test_localizers_reject_anchors_beyond_the_range_limit(scale):
     rx = bi.rx.copy()
     rx[1, 2] = scale
     with pytest.raises(NonFiniteInput, match="anchor coordinates .* 2\\^128 m"):
-        localize_bistatic(t_bi[None], bi.tx[None], rx[None])
+        localize(t_bi[None], bi.tx[None], rx[None])
     tx = mono.tx.copy()
     tx[3, 0] = -scale
     with pytest.raises(NonFiniteInput, match="anchor coordinates .* 2\\^128 m"):
-        localize_monostatic(t_mono[None], tx[None])
+        localize(t_mono[None], tx[None])
 
 
 def test_bistatic_rejects_an_off_subspace_range_that_overflows():
@@ -452,7 +471,7 @@ def test_bistatic_rejects_an_off_subspace_range_that_overflows():
     t = t.copy()
     t[1:3, 1:3] += np.array([[1.0, -1.0], [-1.0, 1.0]]) * 1e299
     with pytest.raises(NonFiniteInput, match="2\\^128 m"):
-        localize_bistatic(t[None], bi.tx[None], bi.rx[None])
+        localize(t[None], bi.tx[None], bi.rx[None])
 
 
 def _scaled_scene(seed, scale, monostatic=False):
@@ -471,23 +490,14 @@ def test_fixes_at_1e38_m_are_finite_and_exact():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         tx, rx, tag, ks = _scaled_scene(3407, 1e37)
-        p, rnorm, _ = localize_bistatic((ks / SPEED_OF_LIGHT)[None], tx[None], rx[None])
+        p, rnorm, _ = localize((ks / SPEED_OF_LIGHT)[None], tx[None], rx[None])
         assert np.isfinite(rnorm).all()
         assert np.linalg.norm(p[0] - tag) <= 1e-9 * np.linalg.norm(tag)
         tx, _, tag, ranges = _scaled_scene(3408, 1e37, monostatic=True)
         t = (ranges[:, None] + ranges[None, :]) / SPEED_OF_LIGHT
-        p, rnorm, _ = localize_monostatic(t[None], tx[None])
+        p, rnorm, _ = localize(t[None], tx[None])
         assert np.isfinite(rnorm).all()
         assert np.linalg.norm(p[0] - tag) <= 1e-9 * np.linalg.norm(tag)
-
-
-def _fix_of(tx, rx, tag, t, monostatic):
-    """The public fix of one scene: position and iterations."""
-    if monostatic:
-        p, _, iterations = localize_monostatic(t, tx)
-    else:
-        p, _, iterations = localize_bistatic(t, tx, rx)
-    return p, int(iterations)
 
 
 @pytest.mark.parametrize(
@@ -509,7 +519,7 @@ def test_scaled_and_shifted_scenes_fix_in_their_frame(monostatic, scale, shift):
     tx, rx, tag, ks = _scaled_scene(1, scale, monostatic)
     tx, rx, tag = tx + shift, rx + shift, tag + shift
     t = (ks[:, None] + ks[None, :] if monostatic else ks) / SPEED_OF_LIGHT
-    p, iterations = _fix_of(tx, rx, tag, t, monostatic)
+    p, _, iterations = localize(t, tx, None if monostatic else rx)
     assert np.linalg.norm(p - tag) <= 1e-9 * 10.0 * scale + 4 * np.spacing(shift)
     assert iterations <= 10
 
@@ -526,8 +536,8 @@ def test_bistatic_fix_does_not_depend_on_the_anchor_order(m, n, sigma):
     ill-conditioned scene at the rounding floor of |R|^2."""
     txs, rxs, t_hats, _ = _trials_last_batch(m, n, sigma, CHUNK_TRIALS, 6_300, 0)
     order = np.r_[0, m - 1 : 0 : -1]
-    p, rnorm, _ = localize_bistatic(t_hats, txs, rxs)
-    q, qnorm, _ = localize_bistatic(t_hats[:, order, ::-1], txs[:, order], rxs[:, ::-1])
+    p, rnorm, _ = localize(t_hats, txs, rxs)
+    q, qnorm, _ = localize(t_hats[:, order, ::-1], txs[:, order], rxs[:, ::-1])
     assert (np.abs(qnorm - rnorm) <= 1e-9 * rnorm).all()
     assert np.linalg.norm(q - p, axis=1).max() <= 1e-7 * 16.0
 
@@ -559,13 +569,13 @@ def test_fixes_move_with_their_scene(case):
     move that takes an anchor past RANGE_LIMIT raises NonFiniteInput."""
     scene, t, sigma, k, offset, span = case
     monostatic = scene.topo.kind.value == "monostatic"
-    p, iterations = _fix_of(scene.tx, scene.rx, scene.tag, t, monostatic)
-    moved = [np.ldexp(x, k) + offset for x in (scene.tx, scene.rx, scene.tag)]
-    if max(np.abs(x).max() for x in moved[:2]) >= localization.RANGE_LIMIT:
+    p, _, iterations = localize(t, scene.tx, None if monostatic else scene.rx)
+    tx, rx = (np.ldexp(x, k) + offset for x in (scene.tx, scene.rx))
+    if max(np.abs(x).max() for x in (tx, rx)) >= localization.RANGE_LIMIT:
         with pytest.raises(NonFiniteInput, match="anchor coordinates"):
-            _fix_of(*moved, np.ldexp(t, k), monostatic)
+            localize(np.ldexp(t, k), tx, None if monostatic else rx)
         return
-    q, moved_iterations = _fix_of(*moved, np.ldexp(t, k), monostatic)
+    q, _, moved_iterations = localize(np.ldexp(t, k), tx, None if monostatic else rx)
     gap = np.abs(q - (np.ldexp(p, k) + offset)).max()
     assert gap <= 1e-9 * np.ldexp(span, k) + 4 * np.spacing(np.abs(offset)).max()
     if sigma == 0.0:
@@ -682,7 +692,7 @@ def test_bistatic_batch_is_finite_or_raises(case):
     (``_assert_fixes_or_no_fix``); a warning would fail the test."""
     ts, txs, rxs = case
     try:
-        out = localize_bistatic(ts, txs, rxs)
+        out = localize(ts, txs, rxs)
     except BstoaError:
         return
     _assert_fixes_or_no_fix(out)
@@ -694,7 +704,7 @@ def test_monostatic_batch_is_finite_or_raises(case):
     """The monostatic counterpart of ``test_bistatic_batch_is_finite_or_raises``."""
     ts, anchors, _ = case
     try:
-        out = localize_monostatic(ts, anchors)
+        out = localize(ts, anchors)
     except BstoaError:
         return
     _assert_fixes_or_no_fix(out)
@@ -713,18 +723,18 @@ def _assert_bistatic_batch_matches_scalar_calls(seed, m, n, sigma=1e-9):
     ts = np.stack([t for _, t in scenes])
     txs = np.stack([s.tx for s, _ in scenes])
     rxs = np.stack([s.rx for s, _ in scenes])
-    batch = localize_bistatic(ts, txs, rxs)
+    batch = localize(ts, txs, rxs)
     for i, (scene, t) in enumerate(scenes):
-        _assert_lone_scene_is(localize_bistatic(t, scene.tx, scene.rx), batch, i)
+        _assert_lone_scene_is(localize(t, scene.tx, scene.rx), batch, i)
 
 
 def _assert_monostatic_batch_matches_scalar_calls(seed, m):
     scenes = [_monostatic_case(seed + i, m=m, sigma=1e-9) for i in range(6)]
     ts = np.stack([t for _, t in scenes])
     anchors = np.stack([s.tx for s, _ in scenes])
-    batch = localize_monostatic(ts, anchors)
+    batch = localize(ts, anchors)
     for i, (scene, t) in enumerate(scenes):
-        _assert_lone_scene_is(localize_monostatic(t, scene.tx), batch, i)
+        _assert_lone_scene_is(localize(t, scene.tx), batch, i)
 
 
 def test_batch_matches_scalar_calls():
@@ -753,11 +763,11 @@ def test_bistatic_batch_does_not_depend_on_layout():
     pairwise; so does a lone scene."""
     txs, rxs, t_hats, _ = _trials_last_batch(12, 9, 1e-9, 64, 7, 0)
     assert t_hats.strides[0] == 8
-    views = localize_bistatic(t_hats, txs, rxs)
-    copies = localize_bistatic(*(np.ascontiguousarray(x) for x in (t_hats, txs, rxs)))
+    views = localize(t_hats, txs, rxs)
+    copies = localize(*(np.ascontiguousarray(x) for x in (t_hats, txs, rxs)))
     for got, want in zip(views, copies):
         assert np.array_equal(got, want)
-    _assert_lone_scene_is(localize_bistatic(t_hats[5], txs[5], rxs[5]), views, 5)
+    _assert_lone_scene_is(localize(t_hats[5], txs[5], rxs[5]), views, 5)
 
 
 @pytest.mark.parametrize("monostatic", [False, True], ids=["bi4x3", "mono6"])
@@ -772,13 +782,13 @@ def test_nested_stack_is_the_reshaped_flat_stack(monostatic):
     ts = np.stack([t for _, t in cases])
     txs = np.stack([s.tx for s, _ in cases])
     if monostatic:
-        flat, nested = localize_monostatic(ts, txs), localize_monostatic(
+        flat, nested = localize(ts, txs), localize(
             ts.reshape(2, 3, 6, 6), txs.reshape(2, 3, 6, 3)
         )
     else:
         rxs = np.stack([s.rx for s, _ in cases])
-        flat = localize_bistatic(ts, txs, rxs)
-        nested = localize_bistatic(
+        flat = localize(ts, txs, rxs)
+        nested = localize(
             ts.reshape(2, 3, 4, 3), txs.reshape(2, 3, 4, 3), rxs.reshape(2, 3, 3, 3)
         )
     for got, want in zip(nested, flat):
@@ -848,13 +858,13 @@ def test_monostatic_polish_flag(monkeypatch):
     """The polish step never raises the residual of the closed-form fix,
     which is what a step update that accepts nothing returns."""
     scene, t = _monostatic_case(3500, sigma=1e-9)
-    polished = localize_monostatic(t, scene.tx)
+    polished = localize(t, scene.tx)
 
     def accept_nothing(residuals, inputs, p, step, state, tries):
         return np.zeros_like(tries), np.zeros(tries.shape)
 
     monkeypatch.setattr(localization, "_damped_update", accept_nothing)
-    raw = localize_monostatic(t, scene.tx)
+    raw = localize(t, scene.tx)
     assert raw[2] == 0
     assert polished[2] <= 1
     assert polished[1] <= raw[1]
@@ -899,7 +909,7 @@ def test_solver_agrees_with_oracle_on_noisy_instances(seed):
     grid_step = 0.25
     bounds = (np.zeros(3), np.full(3, 10.0))
     oracle_point = _oracle_localize(t, scene.tx, scene.rx, 0.0, grid_step, bounds)
-    p, _, _ = localize_bistatic(t, scene.tx, scene.rx)
+    p, _, _ = localize(t, scene.tx, scene.rx)
     assert np.linalg.norm(p - oracle_point) < 2 * grid_step
     # The solver point should beat the grid point on the shared objective.
     ss_solver = _sum_squared_residual(t, scene.tx, scene.rx, 0.0, p)
@@ -912,7 +922,7 @@ def test_noisy_fix_within_grid_resolution_of_oracle():
     grid_step = 0.25
     bounds = (np.zeros(3), np.full(3, 10.0))
     oracle_point = _oracle_localize(t, scene.tx, scene.rx, 0.0, grid_step, bounds)
-    p, _, _ = localize_bistatic(t, scene.tx, scene.rx)
+    p, _, _ = localize(t, scene.tx, scene.rx)
     assert np.linalg.norm(p - oracle_point) < 3 * grid_step
 
 
@@ -938,8 +948,8 @@ def test_refinement_does_not_move_the_global_minimizer():
         obs = synth_observations(t_true, 8, 1e-10, rng)
         t_hat = ls_estimate(obs, topo)
         t_ref = refine_estimate(t_hat, topo)
-        p_hat, _, _ = localize_bistatic(t_hat, scene.tx, scene.rx)
-        p_ref, _, _ = localize_bistatic(t_ref, scene.tx, scene.rx)
+        p_hat, _, _ = localize(t_hat, scene.tx, scene.rx)
+        p_ref, _, _ = localize(t_ref, scene.tx, scene.rx)
         assert np.linalg.norm(p_hat - p_ref) < 1e-6
 
 
@@ -947,7 +957,7 @@ def test_delta_is_honored():
     scene, _ = _bistatic_case(4100)
     scene.delta = 3e-8
     t = true_delays(scene.tx, scene.rx, scene.tag, scene.delta)
-    p, _, _ = localize_bistatic(t, scene.tx, scene.rx, delta=scene.delta)
+    p, _, _ = localize(t, scene.tx, scene.rx, delta=scene.delta)
     assert np.linalg.norm(p - scene.tag) < 1e-6
 
 
@@ -956,7 +966,7 @@ def test_residual_norm_covers_every_range_sum(sigma):
     """The reported norm is that of all m n residuals of the input matrix,
     off-subspace part included, not only of the fitted terms."""
     txs, rxs, t_hats, _ = _bistatic_chunk(sigma)
-    p, rnorm, _ = localize_bistatic(t_hats, txs, rxs)
+    p, rnorm, _ = localize(t_hats, txs, rxs)
     full = np.sqrt([
         _sum_squared_residual(t, tx, rx, 0.0, q) for t, tx, rx, q in zip(t_hats, txs, rxs, p)
     ])
@@ -968,14 +978,14 @@ def test_ls_and_refined_matrices_give_one_fix(sigma):
     """Criterion 10's tie margin: the LS matrix and its projection have the
     same fitted terms, so their fixes agree within 1e-6 m in every scene."""
     txs, rxs, t_hats, t_refs = _bistatic_chunk(sigma)
-    p_hat, _, _ = localize_bistatic(t_hats, txs, rxs)
-    p_ref, _, _ = localize_bistatic(t_refs, txs, rxs)
+    p_hat, _, _ = localize(t_hats, txs, rxs)
+    p_ref, _, _ = localize(t_refs, txs, rxs)
     assert np.linalg.norm(p_hat - p_ref, axis=1).max() < 1e-6
 
 
 def test_no_scene_reaches_the_iteration_cap():
     iterations = np.concatenate([
-        localize_bistatic(t_refs, txs, rxs)[2]
+        localize(t_refs, txs, rxs)[2]
         for txs, rxs, _, t_refs in (_bistatic_chunk(1e-8, chunk) for chunk in range(8))
     ])
     assert iterations.size == 8 * CHUNK_TRIALS
@@ -1005,7 +1015,7 @@ def test_a_minimum_at_an_anchor_is_the_anchor():
     anchors = np.concatenate([txs, rxs], axis=1)
     scenes, nearest = np.nonzero(np.linalg.norm(anchors - p_ref[:, None], axis=2) < 1e-9)
     assert scenes.size
-    p, _, _ = localize_bistatic(t_hats[scenes], txs[scenes], rxs[scenes])
+    p, _, _ = localize(t_hats[scenes], txs[scenes], rxs[scenes])
     assert np.abs(p - anchors[scenes, nearest]).max() < 1e-12
 
 
@@ -1014,7 +1024,7 @@ def test_fix_objective_no_worse_than_long_gauss_newton(sigma):
     """From the same warm start, the row/column Newton fix is at least as
     good on the full objective as plain Gauss-Newton run to convergence."""
     txs, rxs, t_hats, _, cost_ref = _long_gauss_newton(sigma)
-    p, _, _ = localize_bistatic(t_hats, txs, rxs)
+    p, _, _ = localize(t_hats, txs, rxs)
     cost = np.array([
         _sum_squared_residual(t, tx, rx, 0.0, q) for t, tx, rx, q in zip(t_hats, txs, rxs, p)
     ])
