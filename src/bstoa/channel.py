@@ -203,6 +203,15 @@ def _require_cube_side(cube_side) -> float:
     return cube_side
 
 
+def _require_generator(rng) -> None:
+    """The rule for a random generator argument (``random_scene``,
+    ``synth_observations``): a ``numpy.random.Generator``, as ``noise_rng``
+    returns.  Anything else, a seed or a legacy ``RandomState`` too, raises
+    ``InvalidValue``."""
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidValue(f"rng must be a numpy.random.Generator, as from noise_rng, got {rng!r}")
+
+
 def random_scene(
     topo: Topology, cube_side: float, rng: np.random.Generator
 ) -> Scene:
@@ -215,9 +224,11 @@ def random_scene(
 
     Raises:
         NonFiniteInput: if ``cube_side`` is NaN or inf.
-        InvalidValue: if ``cube_side`` is not one positive real number.
+        InvalidValue: if ``cube_side`` is not one positive real number, or
+            ``rng`` is not a generator (``_require_generator``).
     """
     cube_side = _require_cube_side(cube_side)
+    _require_generator(rng)
     (m, n), bistatic = _dims(topo), topo.kind is Kind.BISTATIC
     k = m + n if bistatic else m
     points = rng.random((k + 1, 3)) * cube_side
@@ -283,7 +294,8 @@ def synth_observations(
         InvalidValue: if ``t`` holds anything but real numbers,
             ``pilot_len`` is not an integer >= 1, or ``sigma`` is not one
             real number, is negative or is so large that ``_HEADROOM_SDS``
-            deviations of noise on a delay could overflow.
+            deviations of noise on a delay could overflow, or ``rng`` is
+            not a generator (``_require_generator``), even at sigma == 0.
         NonFiniteInput: if ``sigma`` or a delay is NaN or inf, or a delay
             is above half the largest float in magnitude.
     """
@@ -296,6 +308,7 @@ def synth_observations(
     sigma = _require_real(sigma, "sigma")
     if not 0.0 <= sigma <= half / _HEADROOM_SDS:
         raise InvalidValue(f"sigma must lie in [0, {half / _HEADROOM_SDS:.4g}] s, got {sigma}")
+    _require_generator(rng)
     y = np.repeat(t, pilot_len, axis=-2)
     if sigma > 0.0:
         y = y + rng.normal(0.0, sigma, size=y.shape)

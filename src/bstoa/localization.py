@@ -18,7 +18,10 @@ m x n matrix carries only m + n - 1 independent range sums.
 
 Monostatic delays give plain ranges from the diagonal entries, which
 linearize exactly by subtracting the first sphere equation; one damped
-Gauss-Newton step then polishes the closed-form fix.
+Gauss-Newton step then polishes the closed-form fix.  Both solvers have
+one objective, ``_fit_residuals``: the range sums' fitted misfit, or with
+no receivers the plain ranges' squared misfit, and one step halving,
+``_damped_update``, that scores their steps with it.
 
 The bistatic solver is seeded with the same closed form.  With tau the
 unknown range to the first transmitter, every other anchor range is
@@ -237,22 +240,27 @@ def _warm_start(anchors: np.ndarray, col: np.ndarray, row: np.ndarray) -> np.nda
 def _fit_residuals(
     anchors: np.ndarray, fit: np.ndarray, m: int, p: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row/column residuals of a batch of range-sum problems.
+    """The one objective of both solvers, on a batch at points p (3,T).
 
-    anchors (3,m+n,T) stacks the transmitters over the receivers, fit
-    (m+n,T) the row term a over the column term b, p (3,T).  Returns the
-    anchor distances d, the residual terms e = fit - d (the residual matrix
-    is R = x (+) y with x = e[:m], y = e[m:]) and |R|_F^2, summed from
-    three orthogonal parts of R,
+    Range sums: anchors (3,m+n,T) stacks the transmitters over the
+    receivers, fit (m+n,T) the row term a over the column term b.  Returns
+    the anchor distances d, the residual terms e = fit - d (the residual
+    matrix is R = x (+) y with x = e[:m], y = e[m:]) and |R|_F^2, summed
+    from three orthogonal parts of R,
     n |x - mean(x)|^2 + m |y - mean(y)|^2 + m n (mean(x) + mean(y))^2.
     That avoids the cancellation in n |x|^2 + m |y|^2 + 2 sum(x) sum(y):
     a and b share an arbitrary constant, so x and y are large and opposite.
-    d is ``channel._ranges`` of the offsets anchors - p.  The offsets and
-    the centred terms are squared in place, which rounds as x * x does.
+    Plain ranges (n = 0, ``_fix_monostatic``): fit holds the m ranges, and
+    one block has no shared constant to cancel, so the objective is
+    |e|^2 summed directly.  d is ``channel._ranges`` of the offsets
+    anchors - p.  The offsets and the centred terms are squared in place,
+    which rounds as x * x does.
     """
     n = anchors.shape[1] - m
     d = _ranges(anchors - p[:, None, :])
     e = fit - d
+    if n == 0:
+        return d, e, _sum_in_order(e * e)
     xm = _sum_in_order(e[:m]) / m
     ym = _sum_in_order(e[m:]) / n
     xc, yc = e[:m] - xm, e[m:] - ym
@@ -264,17 +272,17 @@ def _fit_residuals(
     return d, e, sq
 
 
-def _damped_update(residuals, inputs, p, step, state, tries) -> tuple[np.ndarray, np.ndarray]:
+def _damped_update(anchors, fit, m, p, step, state, tries) -> tuple[np.ndarray, np.ndarray]:
     """Step halving, shared by both solvers: each scene flagged in ``tries``
     takes the first of p + step, p + step / 2, ... (up to MAX_HALVINGS
-    halvings) whose objective does not increase.  ``residuals(*inputs, q)``
-    returns the (..., T) terms at points q (3, T), the objective last, as
-    ``state`` holds them at p; both are updated in place.  The misses of
-    the full steps try their halvings in blocks.  Returns the accepted
-    flags and step lengths."""
+    halvings) whose objective does not increase: the one objective of both
+    solvers, ``_fit_residuals`` of anchors, fit and m.  ``state`` holds its
+    terms at p; both are updated in place.  The misses of the full steps
+    try their halvings in blocks.  Returns the accepted flags and step
+    lengths."""
     step_len = np.sqrt(_sum_in_order(step * step))
     cand = p + step
-    terms = residuals(*inputs, cand)
+    terms = _fit_residuals(anchors, fit, m, cand)
     accepted = tries & (terms[-1] <= state[-1])
     where = True if accepted.all() else accepted
     for dst, src in zip((p, *state), (cand, *terms)):
@@ -288,7 +296,7 @@ def _damped_update(residuals, inputs, p, step, state, tries) -> tuple[np.ndarray
         trial = step[:, pending, None] * block
         cand = (p[:, pending, None] + trial).reshape(3, -1)
         trial = trial.reshape(3, -1)
-        terms = residuals(*(np.take(x, scene, axis=-1) for x in inputs), cand)
+        terms = _fit_residuals(*(np.take(x, scene, axis=-1) for x in (anchors, fit)), m, cand)
         ok = terms[-1].reshape(pending.size, block.size) <= state[-1][pending, None]
         found = ok.any(axis=1)
         pick = (np.arange(pending.size) * block.size + ok.argmax(axis=1))[found]
@@ -410,8 +418,7 @@ def _newton_batch(
             if work[0].size == 0:
                 break
         accepted, step_len = _damped_update(
-            lambda a, f, q: _fit_residuals(a, f, m, q),
-            work[2:4], work[1], step, work[4:], np.ones(step.shape[1], dtype=bool),
+            work[2], work[3], m, work[1], step, work[4:], np.ones(step.shape[1], dtype=bool)
         )
         stop = ~accepted | (step_len < STEP_TOL)
         if stop.any():
@@ -536,25 +543,17 @@ def _fix_bistatic(anchors: np.ndarray, terms: np.ndarray, m: int) -> tuple[np.nd
 def _fix_monostatic(points: np.ndarray, ranges: np.ndarray) -> tuple[np.ndarray, ...]:
     """Positions (3,T), range residual norms, polish-step flags and the
     scenes with no fix (T,) from anchors (3,m,T) and ranges (m,T) in scene
-    units.  A scene has no fix where the closed form's normal matrix has
-    rank < 3 (coplanar anchors); its position means nothing, and no other
-    scene's result depends on it."""
+    units.  The polish step is scored by the bistatic solver's objective,
+    ``_fit_residuals`` with no receivers, and the norm is the square root
+    of its |e|^2.  A scene has no fix where the closed form's normal matrix
+    has rank < 3 (coplanar anchors); its position means nothing, and no
+    other scene's result depends on it."""
+    m = ranges.shape[0]
     squares = ranges[1:] ** 2 - ranges[0] ** 2
     (p,), singular = _least_squares3(*_sphere_differences(points, squares))
-    state = list(_range_residuals(points, ranges, p))
+    state = list(_fit_residuals(points, ranges, m, p))
     (step,), bad = _least_squares3(  # Gauss-Newton: Jacobian rows are unit vectors
         (points - p[:, None]) / np.maximum(state[0], _DISTANCE_FLOOR), state[1]
     )
-    accepted, _ = _damped_update(_range_residuals, [points, ranges], p, -step, state, ~bad)
-    return p, state[-1], accepted, singular
-
-
-def _range_residuals(
-    anchors: np.ndarray, ranges: np.ndarray, points: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Range residuals of a batch at points (3,T), from anchors (3,m,T) and
-    ranges (m,T): the distances (``channel._ranges``), f = ranges -
-    distances and |f|."""
-    dist = _ranges(anchors - points[:, None, :])
-    f = ranges - dist
-    return dist, f, np.sqrt(_sum_in_order(f * f))
+    accepted, _ = _damped_update(points, ranges, m, p, -step, state, ~bad)
+    return p, np.sqrt(state[-1]), accepted, singular

@@ -298,6 +298,34 @@ def test_a_topology_argument_that_is_not_a_topology_raises(name, bad):
         call(bad)
 
 
+# Public function that takes a generator -> a call of it on ``rng`` with
+# valid other arguments; noiseless observations draw nothing.
+_GENERATOR_CALLS = {
+    "random_scene": lambda rng: channel.random_scene(Topology.bistatic(4, 3), 10.0, rng),
+    "synth_observations": lambda rng: channel.synth_observations(np.zeros((4, 3)), 2, 1e-9, rng),
+    "synth_observations_noiseless": lambda rng: channel.synth_observations(
+        np.zeros((4, 3)), 2, 0.0, rng
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "bad", [None, 3, np.random, np.random.RandomState(0)],
+    ids=["None", "int", "module", "RandomState"],
+)
+@pytest.mark.parametrize("name", list(_GENERATOR_CALLS))
+def test_a_generator_argument_that_is_not_a_generator_raises(name, bad):
+    """Each public function that takes a generator runs on ``noise_rng``'s,
+    and raises InvalidValue naming ``noise_rng`` for None, a seed, the
+    ``np.random`` module or a legacy ``RandomState``, before any draw:
+    None and a seed used to leak AttributeError, or pass silently where
+    nothing is drawn, and the last two ran by duck typing."""
+    call = _GENERATOR_CALLS[name]
+    call(channel.noise_rng(0, 0))
+    with pytest.raises(InvalidValue, match="must be a numpy.random.Generator, as from noise_rng"):
+        call(bad)
+
+
 def _same(a, b) -> bool:
     """Equal values of equal types, through dataclasses, tuples and arrays."""
     if type(a) is not type(b):

@@ -860,7 +860,7 @@ def test_monostatic_polish_flag(monkeypatch):
     scene, t = _monostatic_case(3500, sigma=1e-9)
     polished = localize(t, scene.tx)
 
-    def accept_nothing(residuals, inputs, p, step, state, tries):
+    def accept_nothing(anchors, fit, m, p, step, state, tries):
         return np.zeros_like(tries), np.zeros(tries.shape)
 
     monkeypatch.setattr(localization, "_damped_update", accept_nothing)
@@ -1109,7 +1109,7 @@ def _same_bits(a, b):
 
 
 @pytest.mark.parametrize("count", [1, 3, 64, 512])
-def test_halving_blocks_pick_what_one_at_a_time_halving_picks(count):
+def test_halving_blocks_pick_what_one_at_a_time_halving_picks(count, monkeypatch):
     """``_damped_update`` tries the halvings of the rejected full steps in
     blocks of scales; every scene still takes the first scale whose |R|^2
     is no larger, to the bit, as halving one scene and one scale at a time
@@ -1124,14 +1124,15 @@ def test_halving_blocks_pick_what_one_at_a_time_halving_picks(count):
     want_p, want_state, want_accepted, want_len, taken = _halving_one_at_a_time(
         anchors, fit, p, step, state
     )
-    sizes = []
+    sizes, fit_residuals = [], localization._fit_residuals
 
-    def residuals(a, f, q):
+    def residuals(a, f, m, q):
         sizes.append(q.shape[-1])
-        return localization._fit_residuals(a, f, 4, q)
+        return fit_residuals(a, f, m, q)
 
+    monkeypatch.setattr(localization, "_fit_residuals", residuals)
     accepted, step_len = localization._damped_update(
-        residuals, [anchors, fit], p, step, state, np.ones(count, dtype=bool)
+        anchors, fit, 4, p, step, state, np.ones(count, dtype=bool)
     )
     assert _same_bits(p, want_p)
     assert all(_same_bits(x, y) for x, y in zip(state, want_state, strict=True))
@@ -1144,3 +1145,95 @@ def test_halving_blocks_pick_what_one_at_a_time_halving_picks(count):
     assert not want_accepted.all()
     first_block = max(count, localization.MAX_HALVINGS) // np.count_nonzero(taken != 0)
     assert count == 1 or (taken > first_block).any()
+
+
+def _step_case(m, n, count=64, seed=7):
+    """Chunk 0 of a bistatic m x n localization sweep (sigma = 1e-8, L = 2,
+    ``seed``), as ``_newton_batch`` takes it: anchors and fit, and points
+    (3, T) at distances 10^U(-2, 0) in random directions from the warm
+    start, so that some Hessians are positive definite and some are not."""
+    cfg = SweepConfig(
+        experiment=ExperimentKind.LOCALIZATION, kind=Kind.BISTATIC, m=m, n=n,
+        pilot_lengths=(2,), sigma_grid=(1e-8,), trials=count, master_seed=seed,
+    )
+    anchors, _, terms, _ = _loc_terms(cfg, 0)
+    col, row = terms[:m] + terms[m], terms[0] + terms[m:]
+    rng = np.random.default_rng(seed)
+    offset = rng.standard_normal((3, count))
+    offset *= 10.0 ** rng.uniform(-2.0, 0.0, count) / np.sqrt((offset**2).sum(axis=0))
+    p = localization._warm_start(anchors, col, row) + offset
+    return anchors, np.concatenate([col, row - col[0]]), p
+
+
+def _half_objective(anchors, fit, m, p, h):
+    """|R|^2 / 2 of ``_fit_residuals`` at the points p + h, h (3, T)."""
+    return localization._fit_residuals(anchors, fit, m, p + h)[-1] / 2.0
+
+
+@pytest.mark.parametrize("m, n", [(4, 3), (8, 8)])
+def test_newton_step_gradient_matches_central_differences(m, n):
+    """``_newton_step``'s gradient, sum_i row_i u_i + sum_j col_j v_j, is
+    that of |R|^2 / 2 as ``_fit_residuals`` sums it: central differences
+    (h = 1e-6 in scene units) agree to 1e-7 of the largest component."""
+    anchors, fit, p = _step_case(m, n)
+    d, e, _ = localization._fit_residuals(anchors, fit, m, p)
+    _, grad, bad = localization._newton_step(anchors, p, d, e, m)
+    h = 1e-6 * np.eye(3)[:, :, None]
+    f = functools.partial(_half_objective, anchors, fit, m, p)
+    fd = np.stack([(f(h[a]) - f(-h[a])) / 2e-6 for a in range(3)])
+    assert not bad.any()
+    assert np.all(np.abs(fd - grad).max(axis=0) <= 1e-7 * np.abs(grad).max(axis=0))
+
+
+@pytest.mark.parametrize("m, n", [(4, 3), (8, 8)])
+def test_newton_step_solves_the_hessian_or_gauss_newton_system(m, n):
+    """``_newton_step``'s step s solves H s = -g, g its gradient.  Where
+    the Hessian of |R|^2 / 2 by central second differences (h = 1e-4) is
+    positive definite, H is that Hessian, to the differences' accuracy;
+    elsewhere H is the Gauss-Newton matrix J'J, built densely from the m n
+    range-sum rows u_i + v_j, to rounding.  The case holds both kinds of
+    scene, and none whose Hessian is within 1e-3 of singular, where the
+    differences could read it either way."""
+    anchors, fit, p = _step_case(m, n)
+    d, e, _ = localization._fit_residuals(anchors, fit, m, p)
+    step, grad, bad = localization._newton_step(anchors, p, d, e, m)
+    h = 1e-4 * np.eye(3)[:, :, None]
+    f = functools.partial(_half_objective, anchors, fit, m, p)
+    hess = np.stack([
+        np.stack([
+            (f(h[a] + h[b]) - f(h[a] - h[b]) - f(h[b] - h[a]) + f(-h[a] - h[b])) / 4e-8
+            for b in range(3)
+        ])
+        for a in range(3)
+    ]).transpose(2, 0, 1)
+    unit = (anchors - p[:, None]) / d
+    rows = (unit[:, :m, None] + unit[:, None, m:]).reshape(3, m * n, -1).transpose(2, 1, 0)
+    gauss_newton = rows.transpose(0, 2, 1) @ rows
+    lowest = np.linalg.eigvalsh(hess)
+    newton = lowest[:, 0] > 0.0
+    assert not bad.any()
+    assert np.all(np.abs(lowest[:, 0]) > 1e-3 * np.abs(lowest).max(axis=1))
+    assert newton.any() and not newton.all()
+    s, g = step.T, grad.T
+    for matrix, rtol, which in ((hess, 1e-5, newton), (gauss_newton, 1e-12, ~newton)):
+        miss = np.abs(np.einsum("tij,tj->ti", matrix, s) + g).max(axis=1)
+        scale = np.abs(matrix).max(axis=(1, 2)) * np.abs(s).max(axis=1) + np.abs(g).max(axis=1)
+        assert np.all(miss[which] <= rtol * scale[which])
+
+
+def test_one_block_objective_is_the_plain_sum_of_squares():
+    """With no receivers (n = 0, the monostatic polish) ``_fit_residuals``
+    returns the distances, e = r - d and _sum_in_order((r - d) ** 2), bit
+    for bit: one block has no shared constant to cancel."""
+    cfg = SweepConfig(
+        experiment=ExperimentKind.LOCALIZATION, kind=Kind.MONOSTATIC, m=6, n=6,
+        pilot_lengths=(2,), sigma_grid=(1e-8,), trials=64, master_seed=3,
+    )
+    anchors, tags, ranges, _ = _loc_terms(cfg, 0)
+    ranges = ranges[:, :64]
+    p = tags + 0.01
+    d, e, sq = localization._fit_residuals(anchors, ranges, 6, p)
+    want_d = np.sqrt(localization._sum_in_order((anchors - p[:, None]) ** 2))
+    assert _same_bits(d, want_d)
+    assert _same_bits(e, ranges - want_d)
+    assert _same_bits(sq, localization._sum_in_order((ranges - want_d) ** 2))
